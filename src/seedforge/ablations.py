@@ -3,8 +3,12 @@
 Five builders produce datasets that differ in three properties: fluency
 (no degrading transforms applied), cultural context (cultural topics in the
 mix), and diversity (near-duplicate filtering on). The flags on a manifest
-are always derived from its recipe, never set by hand, so a recipe change
-cannot silently ship mislabeled data.
+are always derived from its recipe (see seedforge.manifest).
+
+The three generated variants are fixed topic and dedup settings for the
+pipeline's checkpointed epoch loop, which runs in a temporary working
+directory, followed by a truncation and the variant's transforms. The
+other two derive from a full build or from an external corpus.
 
 Degradations are deliberate: round-trip translation simulates a machine
 translated corpus, and paraphrase fan-out shrinks semantic diversity while
@@ -13,155 +17,40 @@ multiplying size. Both reuse the gateway's translator and paraphraser.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import os
-import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+import tempfile
+from dataclasses import replace
+from functools import partial
 
 from seedforge import constants
 from seedforge.config import PipelineConfig, default_config
-from seedforge.contexts import ContextPolicy, acquire_context
-from seedforge.dedup import dedup_filter
-from seedforge.errors import (BuildError, ProviderError, ValidationError)
+from seedforge.contexts import ContextPolicy
+from seedforge.errors import BuildError, ProviderError, ValidationError
 from seedforge.instructions import (CONVERSATION, GENERATION_TASKS,
                                     GenerationFailure, InstructionRecord,
-                                    TaskSettings, generate_for_context)
-from seedforge.records import (file_sha256, read_records, write_records)
-from seedforge.seeding import derive_seed
-from seedforge.topics import (CULTURAL, GENERAL, Topic, build_topic_set,
-                              generate_topics, normalize_topic)
+                                    TaskSettings)
+from seedforge.manifest import (  # noqa: F401 - re-exported
+    VARIANT_CULTURE_ONLY, VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
+    VARIANT_FULL, VARIANT_NO_PROPERTIES, VARIANTS, DatasetManifest,
+    PropertyFlags, Recipe, derive_flags, finish_manifest, manifest_hash,
+    read_manifest, truncate_records, write_manifest)
+from seedforge.pipeline import (MAX_EPOCHS, acquire_contexts, build_pool,
+                                generate_records)
+from seedforge.records import read_jsonl_lines
+from seedforge.topics import GENERAL, Topic
 
 logger = logging.getLogger(__name__)
 
-VARIANT_FULL = "full"
-VARIANT_FLUENCY_ONLY = "fluency_only"
-VARIANT_DIVERSITY_ONLY = "diversity_only"
-VARIANT_CULTURE_ONLY = "culture_only"
-VARIANT_NO_PROPERTIES = "no_properties"
-VARIANTS = (VARIANT_FULL, VARIANT_FLUENCY_ONLY, VARIANT_DIVERSITY_ONLY,
-            VARIANT_CULTURE_ONLY, VARIANT_NO_PROPERTIES)
-
-# Transforms that damage fluency when present in a recipe.
-_DEGRADING_TRANSFORMS = frozenset({
-    "round_trip", "paraphrase", "translate_pivot", "translate_target"})
-
-# Extension topic batches start here so they can never collide with the
-# batch numbers of the initial topic set.
-_EXTENSION_BATCH_BASE = 1000
-_EXTENSION_BATCH_STRIDE = 100
-
-# A topic contributes at most 5 QA + summary + conversation + MC records.
-RECORDS_PER_TOPIC = constants.QA_PAIRS_PER_CONTEXT + 3
-
-
-@dataclass(frozen=True)
-class PropertyFlags:
-    fluency: bool
-    culture: bool
-    diversity: bool
-
-
-@dataclass(frozen=True)
-class Recipe:
-    variant: str
-    topics_cultural: int
-    topics_general: int
-    dedup: bool
-    transforms: tuple[str, ...] = ()
-    source: str = "generated"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}")
-        unknown = set(self.transforms) - _DEGRADING_TRANSFORMS
-        if unknown:
-            raise ValidationError(
-                f"unknown transforms: {', '.join(sorted(unknown))}")
-
-
-def derive_flags(recipe: Recipe) -> PropertyFlags:
-    """Flags follow mechanically from what the recipe did."""
-    return PropertyFlags(
-        fluency=not (_DEGRADING_TRANSFORMS & set(recipe.transforms)),
-        culture=recipe.topics_cultural > 0,
-        diversity=recipe.dedup,
-    )
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    records: tuple[InstructionRecord, ...]
-    flags: PropertyFlags
-    target_size: int
-    recipe: Recipe
-    seed: int
-
-    def __post_init__(self):
-        if len(self.records) != self.target_size:
-            raise ValidationError(
-                f"manifest holds {len(self.records)} records for target "
-                f"size {self.target_size}")
-        expected = asdict(self.flags)
-        for record in self.records:
-            if not record.lineage:
-                raise ValidationError(
-                    f"record {record.id} carries no lineage")
-            if record.flags != expected:
-                raise ValidationError(
-                    f"record {record.id} flags disagree with the manifest")
-
-
-def finish_manifest(records: list[InstructionRecord], recipe: Recipe,
-                     size: int, seed: int) -> DatasetManifest:
-    flags = derive_flags(recipe)
-    flag_dict = asdict(flags)
-    stamped = tuple(replace(r, flags=flag_dict) for r in records)
-    return DatasetManifest(records=stamped, flags=flags, target_size=size,
-                           recipe=recipe, seed=seed)
-
-
-def truncate_records(records: list, size: int, seed: int, label: str) -> list:
-    """Uniform random subset of exactly `size`, order preserved."""
-    if len(records) < size:
-        raise BuildError(
-            f"{label}: only {len(records)} records available for target "
-            f"{size}", achieved=len(records))
-    if len(records) == size:
-        return list(records)
-    rng = random.Random(derive_seed(seed, "truncate", label))
-    keep = sorted(rng.sample(range(len(records)), size))
-    return [records[i] for i in keep]
-
-
-def _settings(config: PipelineConfig) -> TaskSettings:
-    return TaskSettings(
-        temperature_closed_qa=config.temperature_closed_qa,
-        temperature_summarization=config.temperature_summarization,
-        temperature_conversation=config.temperature_conversation,
-        temperature_multiple_choice=config.temperature_multiple_choice,
-        qa_pairs=config.tasks_qa_pairs,
-        language=config.run_target_language,
-    )
-
-
-def _policy(config: PipelineConfig) -> ContextPolicy:
-    return ContextPolicy(
-        p_wiki=config.context_p_wiki,
-        wiki_top_k=config.context_wiki_top_k,
-        temperature=config.temperature_context,
-    )
-
-
-def _topic_kwargs(config: PipelineConfig) -> dict:
-    return {
-        "batch_size": config.topics_per_batch,
-        "temperature": config.temperature_topics,
-        "culture": config.run_culture,
-        "retry_limit": config.budget_retry_limit,
-    }
+# The generated variants: default general-topic count (None: the config's
+# cultural and general counts), dedup, transforms.
+_GENERATED = {
+    VARIANT_FULL: (None, True, ()),
+    VARIANT_FLUENCY_ONLY: (constants.TOPICS_FLUENCY_ONLY, False, ()),
+    VARIANT_DIVERSITY_ONLY: (constants.TOPICS_DIVERSITY_ONLY, True,
+                             ("round_trip",)),
+}
+GENERATED_VARIANTS = tuple(_GENERATED)
 
 
 def generate_pass(gateway, seed: int, topics: list[Topic], *,
@@ -171,165 +60,49 @@ def generate_pass(gateway, seed: int, topics: list[Topic], *,
                   max_workers: int | None = None
                   ) -> tuple[list[InstructionRecord],
                              list[GenerationFailure]]:
-    """One context + one record batch per topic, in parallel.
+    """One context + one record batch per topic: the pipeline's contexts
+    and instructions stage bodies, composed.
 
     Output order is by topic index, not completion order; ids and seeds
     are derived from the topic index and round, so reruns are identical.
     """
-    if max_workers is None:
-        max_workers = getattr(getattr(gateway, "budget", None),
-                              "max_concurrent", 4)
-
-    def one(offset: int):
-        topic = topics[offset]
-        key = f"t{start_index + offset:04d}-r{round_no:02d}"
-        ctx = acquire_context(topic, gateway, seed, key, policy)
-        return generate_for_context(ctx, gateway, seed, key,
-                                    settings=settings, tasks=tasks)
-
-    results: list = [None] * len(topics)
-    if not topics:
-        return [], []
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        for offset, value in enumerate(pool.map(one, range(len(topics)))):
-            results[offset] = value
-    records: list[InstructionRecord] = []
-    failures: list[GenerationFailure] = []
-    for recs, fails in results:
-        records.extend(recs)
-        failures.extend(fails)
-    return records, failures
-
-
-def _extend_topics(gateway, seed: int, category: str, count: int,
-                   seen: set[str], extension_no: int, config: PipelineConfig
-                   ) -> list[Topic]:
-    start_batch = (_EXTENSION_BATCH_BASE
-                   + extension_no * _EXTENSION_BATCH_STRIDE)
-    fresh = generate_topics(category, count, gateway, seed,
-                            start_batch=start_batch,
-                            **_topic_kwargs(config))
-    unique: list[Topic] = []
-    for topic in fresh.topics:
-        norm = normalize_topic(topic.text)
-        if norm in seen:
-            continue
-        seen.add(norm)
-        unique.append(topic)
-    return unique
-
-
-def _dedup_pool(records: list[InstructionRecord], gateway,
-                config: PipelineConfig, seed: int
-                ) -> list[InstructionRecord]:
-    result = dedup_filter(records, gateway,
-                          threshold=config.dedup_threshold,
-                          mode=config.dedup_mode,
-                          index_kind=config.dedup_index_kind,
-                          seed=seed)
-    return result.kept
-
-
-def _generate_corpus(gateway, seed: int, size: int, *, cultural: int,
-                     general: int, dedup_on: bool, config: PipelineConfig,
-                     extend: bool, label: str,
-                     max_extensions: int = 20,
-                     ) -> list[InstructionRecord]:
-    """Generate at least `size` records, extending or re-rolling topics.
-
-    extend=True grows the topic set in the original category ratio on
-    shortfall (new topics, same pipeline); extend=False keeps the topic
-    set fixed and runs additional rounds over it with fresh seeds.
-    """
-    settings = _settings(config)
-    policy = _policy(config)
-    topic_set = build_topic_set(gateway, seed, general=general,
-                                cultural=cultural, **_topic_kwargs(config))
-    topics = list(topic_set.topics)
-    seen = {normalize_topic(t.text) for t in topics}
-    records, failures = generate_pass(gateway, seed, topics,
-                                      policy=policy, settings=settings)
-    for failure in failures:
-        logger.warning("%s: %s generation failed for %s: %s", label,
-                       failure.task, failure.key, failure.reason)
-    pool = (_dedup_pool(records, gateway, config, seed)
-            if dedup_on else sorted(records, key=lambda r: r.id))
-    attempt = 0
-    while len(pool) < size and attempt < max_extensions:
-        attempt += 1
-        deficit = size - len(pool)
-        add_total = max(1, math.ceil(deficit / RECORDS_PER_TOPIC))
-        if extend:
-            if cultural + general > 0:
-                add_cultural = round(add_total * cultural
-                                     / (cultural + general))
-            else:
-                add_cultural = 0
-            add_general = add_total - add_cultural
-            new_topics: list[Topic] = []
-            for category, count in ((CULTURAL, add_cultural),
-                                    (GENERAL, add_general)):
-                if count > 0:
-                    new_topics.extend(_extend_topics(
-                        gateway, seed, category, count, seen, attempt,
-                        config))
-            if not new_topics:
-                continue
-            new_records, fails = generate_pass(
-                gateway, seed, new_topics, start_index=len(topics),
-                policy=policy, settings=settings)
-            topics.extend(new_topics)
-        else:
-            new_records, fails = generate_pass(
-                gateway, seed, topics, round_no=attempt,
-                policy=policy, settings=settings)
-        for failure in fails:
-            logger.warning("%s: %s generation failed for %s: %s", label,
-                           failure.task, failure.key, failure.reason)
-        records.extend(new_records)
-        pool = (_dedup_pool(records, gateway, config, seed)
-                if dedup_on else sorted(records, key=lambda r: r.id))
-    if len(pool) < size:
-        raise BuildError(
-            f"{label}: {len(pool)} records after {attempt} topic "
-            f"extensions, target {size}", achieved=len(pool))
-    return pool
+    workers = max_workers or gateway.budget.max_concurrent
+    contexts = acquire_contexts(topics, gateway, seed, policy, workers,
+                                start_index, round_no)
+    return generate_records(contexts, gateway, seed, settings, workers, tasks)
 
 
 # -- field transforms --------------------------------------------------------
+
+def _map_text(record: InstructionRecord, fn, step: str,
+              **changes) -> InstructionRecord:
+    """fn applied to every text field, `step` appended to the lineage."""
+    return replace(
+        record,
+        instruction=fn(record.instruction),
+        context=fn(record.context) if record.context else None,
+        output=fn(record.output),
+        lineage=record.lineage + (step,),
+        **changes,
+    )
+
 
 def round_trip_translate(record: InstructionRecord, gateway,
                          pivot: str = constants.PIVOT_LANGUAGE
                          ) -> InstructionRecord:
     """Translate every text field to the pivot language and back."""
     lang = record.language
-
-    def bounce(text: str) -> str:
-        return gateway.translate(gateway.translate(text, lang, pivot),
-                                 pivot, lang)
-
-    return replace(
-        record,
-        instruction=bounce(record.instruction),
-        context=bounce(record.context) if record.context else None,
-        output=bounce(record.output),
-        lineage=record.lineage + (f"round_trip({pivot})",),
-    )
+    return _map_text(
+        record, lambda text: gateway.translate(
+            gateway.translate(text, lang, pivot), pivot, lang),
+        f"round_trip({pivot})")
 
 
 def translate_record(record: InstructionRecord, gateway, source: str,
                      target: str) -> InstructionRecord:
-    def step(text: str) -> str:
-        return gateway.translate(text, source, target)
-
-    return replace(
-        record,
-        instruction=step(record.instruction),
-        context=step(record.context) if record.context else None,
-        output=step(record.output),
-        language=target,
-        lineage=record.lineage + (f"translate({source}->{target})",),
-    )
+    return _map_text(
+        record, lambda text: gateway.translate(text, source, target),
+        f"translate({source}->{target})", language=target)
 
 
 def _paraphrase_variants(record: InstructionRecord, gateway, count: int
@@ -357,83 +130,93 @@ def _paraphrase_variants(record: InstructionRecord, gateway, count: int
     return variants
 
 
-def _sample_records(records, count: int, seed: int, label: str) -> list:
-    if count > len(records):
-        raise BuildError(
-            f"{label}: cannot sample {count} of {len(records)} records",
-            achieved=len(records))
-    rng = random.Random(derive_seed(seed, "sample", label))
-    keep = sorted(rng.sample(range(len(records)), count))
-    return [records[i] for i in keep]
+def _paraphrase_fanout(records: list[InstructionRecord], gateway,
+                       config: PipelineConfig, label: str, to_pivot: bool
+                       ) -> list[InstructionRecord]:
+    """Each record plus its paraphrases, made in the pivot language (after
+    translating there first when to_pivot) and translated to the target."""
+    pivot, target = config.run_pivot_language, config.run_target_language
+    out: list[InstructionRecord] = []
+    for record in records:
+        source = record
+        if to_pivot:
+            source = translate_record(replace(record, flags=None), gateway,
+                                      target, pivot)
+        try:
+            variants = _paraphrase_variants(source, gateway,
+                                            config.paraphrase_count)
+        except ProviderError as exc:
+            raise BuildError(
+                f"{label}: paraphrase failed for {record.id}: {exc}",
+                achieved=len(out)) from exc
+        out.extend(translate_record(v, gateway, pivot, target)
+                   for v in variants)
+    return out
 
 
 # -- variant builders --------------------------------------------------------
 
-def build_full(gateway, seed: int, size: int = constants.DATASET_SIZE,
-               config: PipelineConfig | None = None) -> DatasetManifest:
-    """All three properties on: cultural+general topics, dedup, no
-    degradation."""
+def build_generated(variant: str, gateway, seed: int,
+                    size: int = constants.DATASET_SIZE,
+                    config: PipelineConfig | None = None,
+                    topics_general: int | None = None,
+                    workdir_parent: str | None = None) -> DatasetManifest:
+    """One of the generated variants: `size` records under `seed`.
+
+    The variant's topic counts and dedup setting replace the config's:
+    full keeps the config's cultural and general counts, fluency_only and
+    diversity_only use `topics_general` general topics (their default when
+    None). The pipeline's checkpointed stages then run in a temporary
+    directory under workdir_parent (the system default when None), removed
+    on return. fluency_only re-rolls its fixed topics instead of extending
+    them, for at most ceil(size / topics) + 10 rounds.
+    """
     config = config or default_config()
-    cultural = config.topics_cultural
-    general = config.topics_general
-    pool = _generate_corpus(gateway, seed, size, cultural=cultural,
-                            general=general, dedup_on=True, config=config,
-                            extend=True, label=VARIANT_FULL)
-    final = truncate_records(pool, size, seed, VARIANT_FULL)
-    recipe = Recipe(variant=VARIANT_FULL, topics_cultural=cultural,
-                    topics_general=general, dedup=True)
-    return finish_manifest(final, recipe, size, seed)
+    default_general, dedup, transforms = _GENERATED[variant]
+    if default_general is None:
+        cultural, general = config.topics_cultural, config.topics_general
+    else:
+        cultural = 0
+        general = (default_general if topics_general is None
+                   else topics_general)
+    reroll = variant == VARIANT_FLUENCY_ONLY
+    max_epochs = (math.ceil(size / max(1, general)) + 10 if reroll
+                  else MAX_EPOCHS)
+    build_config = replace(config, run_seed=seed, dataset_size=size,
+                           topics_cultural=cultural, topics_general=general,
+                           dedup_enabled=dedup)
+    with tempfile.TemporaryDirectory(prefix=".seedforge-",
+                                     dir=workdir_parent) as workdir:
+        pool = build_pool(build_config, workdir, gateway=gateway,
+                          max_epochs=max_epochs, reroll=reroll)
+    records = truncate_records(pool, size, seed, variant)
+    if "round_trip" in transforms:
+        # The bounce is a final degradation step, after dedup.
+        bounced = []
+        for record in records:
+            try:
+                bounced.append(round_trip_translate(
+                    record, gateway, pivot=config.run_pivot_language))
+            except ProviderError as exc:
+                logger.warning("%s: dropping %s, translation failed: %s",
+                               variant, record.id, exc)
+        if len(bounced) != size:
+            raise BuildError(
+                f"{variant}: {len(bounced)} records survived round-trip "
+                f"translation, target {size}", achieved=len(bounced))
+        records = bounced
+    recipe = Recipe(variant=variant, topics_cultural=cultural,
+                    topics_general=general, dedup=dedup,
+                    transforms=transforms)
+    return finish_manifest(records, recipe, size, seed)
 
 
-def build_fluency_only(gateway, seed: int, size: int,
-                       config: PipelineConfig | None = None,
-                       topics_general: int = constants.TOPICS_FLUENCY_ONLY
-                       ) -> DatasetManifest:
-    """Ten general topics, re-rolled over rounds, no dedup, no cultural
-    prompt."""
-    config = config or default_config()
-    rounds_needed = math.ceil(size / max(1, topics_general)) + 10
-    pool = _generate_corpus(gateway, seed, size, cultural=0,
-                            general=topics_general, dedup_on=False,
-                            config=config, extend=False,
-                            label=VARIANT_FLUENCY_ONLY,
-                            max_extensions=rounds_needed)
-    final = truncate_records(pool, size, seed, VARIANT_FLUENCY_ONLY)
-    recipe = Recipe(variant=VARIANT_FLUENCY_ONLY, topics_cultural=0,
-                    topics_general=topics_general, dedup=False)
-    return finish_manifest(final, recipe, size, seed)
-
-
-def build_diversity_only(gateway, seed: int, size: int,
-                         config: PipelineConfig | None = None,
-                         topics_general: int = constants.
-                         TOPICS_DIVERSITY_ONLY) -> DatasetManifest:
-    """General topics with dedup, then round-trip translation to damage
-    fluency. Dedup runs before translation: the bounce is a final
-    degradation step, not part of generation."""
-    config = config or default_config()
-    pool = _generate_corpus(gateway, seed, size, cultural=0,
-                            general=topics_general, dedup_on=True,
-                            config=config, extend=True,
-                            label=VARIANT_DIVERSITY_ONLY)
-    chosen = truncate_records(pool, size, seed, VARIANT_DIVERSITY_ONLY)
-    bounced: list[InstructionRecord] = []
-    for record in chosen:
-        try:
-            bounced.append(round_trip_translate(
-                record, gateway, pivot=config.run_pivot_language))
-        except ProviderError as exc:
-            logger.warning("%s: dropping %s, translation failed: %s",
-                           VARIANT_DIVERSITY_ONLY, record.id, exc)
-    if len(bounced) != size:
-        raise BuildError(
-            f"{VARIANT_DIVERSITY_ONLY}: {len(bounced)} records survived "
-            f"round-trip translation, target {size}",
-            achieved=len(bounced))
-    recipe = Recipe(variant=VARIANT_DIVERSITY_ONLY, topics_cultural=0,
-                    topics_general=topics_general, dedup=True,
-                    transforms=("round_trip",))
-    return finish_manifest(bounced, recipe, size, seed)
+# full: cultural + general topics, dedup, no degradation. fluency_only:
+# ten general topics re-rolled over rounds, no dedup. diversity_only:
+# general topics with dedup, then round-trip translation.
+build_full = partial(build_generated, VARIANT_FULL)
+build_fluency_only = partial(build_generated, VARIANT_FLUENCY_ONLY)
+build_diversity_only = partial(build_generated, VARIANT_DIVERSITY_ONLY)
 
 
 def build_culture_only(full: DatasetManifest, gateway, seed: int,
@@ -447,25 +230,10 @@ def build_culture_only(full: DatasetManifest, gateway, seed: int,
         sample_count = full.target_size // constants.SAMPLE_DIVISOR
     if sample_count < 1:
         raise ValidationError("sample_count must be >= 1")
-    count = config.paraphrase_count
-    sampled = _sample_records(list(full.records), sample_count, seed,
-                              VARIANT_CULTURE_ONLY)
-    target = config.run_target_language
-    pivot = config.run_pivot_language
-    out: list[InstructionRecord] = []
-    for record in sampled:
-        base = replace(record, flags=None)
-        pivoted = translate_record(base, gateway, target, pivot)
-        try:
-            variants = _paraphrase_variants(pivoted, gateway, count)
-        except ProviderError as exc:
-            raise BuildError(
-                f"{VARIANT_CULTURE_ONLY}: paraphrase failed for "
-                f"{record.id}: {exc}",
-                achieved=len(out)) from exc
-        out.extend(translate_record(v, gateway, pivot, target)
-                   for v in variants)
-    size = sample_count * (count + 1)
+    sampled = truncate_records(list(full.records), sample_count, seed,
+                               VARIANT_CULTURE_ONLY, stream="sample")
+    out = _paraphrase_fanout(sampled, gateway, config, VARIANT_CULTURE_ONLY,
+                             to_pivot=True)
     recipe = Recipe(variant=VARIANT_CULTURE_ONLY,
                     topics_cultural=full.recipe.topics_cultural,
                     topics_general=full.recipe.topics_general,
@@ -473,7 +241,7 @@ def build_culture_only(full: DatasetManifest, gateway, seed: int,
                     transforms=("translate_pivot", "paraphrase",
                                 "translate_target"),
                     source=f"derived:{full.recipe.variant}")
-    return finish_manifest(out, recipe, size, seed)
+    return finish_manifest(out, recipe, len(out), seed)
 
 
 def load_external_corpus(path: str,
@@ -487,22 +255,14 @@ def load_external_corpus(path: str,
     skip: silently shrinking an external corpus would skew sampling.
     """
     records: list[InstructionRecord] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"{path} line {line_no}: {exc}") from None
-            instruction, output = _adapt_external_row(row, path, line_no)
-            records.append(InstructionRecord(
-                id=f"ext-{len(records):05d}", task=CONVERSATION,
-                instruction=instruction, context=None, output=output,
-                topic=Topic(text="external corpus", category=GENERAL),
-                language=pivot, lineage=("external",),
-                provenance={"source_line": line_no}))
+    for line_no, row in read_jsonl_lines(path):
+        instruction, output = _adapt_external_row(row, path, line_no)
+        records.append(InstructionRecord(
+            id=f"ext-{len(records):05d}", task=CONVERSATION,
+            instruction=instruction, context=None, output=output,
+            topic=Topic(text="external corpus", category=GENERAL),
+            language=pivot, lineage=("external",),
+            provenance={"source_line": line_no}))
     if not records:
         raise ValidationError(f"{path}: no usable rows")
     return records
@@ -547,71 +307,12 @@ def build_no_properties(external: list[InstructionRecord], gateway,
     config = config or default_config()
     if sample_count is None:
         sample_count = constants.DATASET_SIZE // constants.SAMPLE_DIVISOR
-    count = config.paraphrase_count
-    sampled = _sample_records(external, sample_count, seed,
-                              VARIANT_NO_PROPERTIES)
-    pivot = config.run_pivot_language
-    target = config.run_target_language
-    out: list[InstructionRecord] = []
-    for record in sampled:
-        try:
-            variants = _paraphrase_variants(record, gateway, count)
-        except ProviderError as exc:
-            raise BuildError(
-                f"{VARIANT_NO_PROPERTIES}: paraphrase failed for "
-                f"{record.id}: {exc}",
-                achieved=len(out)) from exc
-        out.extend(translate_record(v, gateway, pivot, target)
-                   for v in variants)
-    size = sample_count * (count + 1)
+    sampled = truncate_records(external, sample_count, seed,
+                               VARIANT_NO_PROPERTIES, stream="sample")
+    out = _paraphrase_fanout(sampled, gateway, config, VARIANT_NO_PROPERTIES,
+                             to_pivot=False)
     recipe = Recipe(variant=VARIANT_NO_PROPERTIES, topics_cultural=0,
                     topics_general=0, dedup=False,
                     transforms=("paraphrase", "translate_target"),
                     source="external")
-    return finish_manifest(out, recipe, size, seed)
-
-
-# -- manifest persistence ----------------------------------------------------
-
-def write_manifest(manifest: DatasetManifest, path: str,
-                   config_echo: dict | None = None) -> str:
-    """Records to `path`, metadata to `path`.meta.json; returns the
-    records digest, which is the manifest hash."""
-    digest = write_records(list(manifest.records), path)
-    meta = {
-        "flags": asdict(manifest.flags),
-        "recipe": asdict(manifest.recipe),
-        "record_count": len(manifest.records),
-        "records_sha256": digest,
-        "seed": manifest.seed,
-        "target_size": manifest.target_size,
-        "config": config_echo,
-    }
-    blob = json.dumps(meta, sort_keys=True, ensure_ascii=False, indent=2)
-    tmp = f"{path}.meta.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(blob + "\n")
-    os.replace(tmp, f"{path}.meta.json")
-    return digest
-
-
-def read_manifest(path: str) -> DatasetManifest:
-    with open(f"{path}.meta.json", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    actual = file_sha256(path)
-    if actual != meta["records_sha256"]:
-        raise ValidationError(
-            f"{path}: records digest {actual[:12]} does not match the "
-            f"manifest ({meta['records_sha256'][:12]})")
-    records = tuple(read_records(path))
-    recipe_data = dict(meta["recipe"])
-    recipe_data["transforms"] = tuple(recipe_data.get("transforms", ()))
-    recipe = Recipe(**recipe_data)
-    return DatasetManifest(records=records,
-                           flags=PropertyFlags(**meta["flags"]),
-                           target_size=meta["target_size"],
-                           recipe=recipe, seed=meta["seed"])
-
-
-def manifest_hash(path: str) -> str:
-    return file_sha256(path)
+    return finish_manifest(out, recipe, len(out), seed)

@@ -13,27 +13,27 @@ shortfall, 1 anything else.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 
-from seedforge import ablations, constants
-from seedforge.config import PipelineConfig, default_config, load_config
-from seedforge.contexts import (ContextPolicy, acquire_context,
-                                context_from_dict, context_to_dict)
-from seedforge.dedup import dedup_filter
+from seedforge import ablations
+from seedforge.config import (PipelineConfig, default_config, load_config,
+                              with_overrides)
 from seedforge.errors import (BuildError, ConfigError, ProviderError,
                               SeedforgeError)
 from seedforge.evalreport import (aggregate_report, join_pairs,
                                   load_predictions, load_references,
                                   render_report)
-from seedforge.instructions import (GENERATION_TASKS, TaskSettings,
-                                    generate_for_context)
-from seedforge.pipeline import MANIFEST_FILE, build_gateway, run_pipeline
-from seedforge.records import read_records, write_records
+from seedforge.instructions import GENERATION_TASKS
+from seedforge.pipeline import (MANIFEST_FILE, acquire_contexts,
+                                build_gateway, context_policy, dedup_records,
+                                epoch_topics, generate_records, read_contexts,
+                                read_topics, run_pipeline, task_settings,
+                                write_contexts, write_topics)
+from seedforge.records import (read_json, read_records, write_json,
+                               write_records)
 from seedforge.tokenizers import TOKENIZERS
-from seedforge.topics import Topic, build_topic_set
 
 logger = logging.getLogger(__name__)
 
@@ -45,122 +45,65 @@ _VARIANT_BY_FLAG = {
     "none": ablations.VARIANT_NO_PROPERTIES,
 }
 
-
-def _load_cfg(path: str | None) -> PipelineConfig:
-    return load_config(path) if path else default_config()
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2,
-                  sort_keys=True)
-        handle.write("\n")
+# Command-line options that override a config key.
+_OVERRIDES = {"seed": "run.seed", "size": "dataset.size",
+              "general": "topics.general", "cultural": "topics.cultural",
+              "p_wiki": "context.p_wiki", "threshold": "dedup.threshold"}
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
-
-
-def _write_jsonl(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False,
-                                    separators=(",", ":")) + "\n")
+def _load_cfg(args) -> PipelineConfig:
+    """The config file (or the defaults) with the command's overrides,
+    checked like config-file values."""
+    path = getattr(args, "config", None)
+    config = load_config(path) if path else default_config()
+    overrides = {key: getattr(args, name) for name, key in _OVERRIDES.items()
+                 if getattr(args, name, None) is not None}
+    return with_overrides(config, overrides, where="command line: ")
 
 
 def cmd_topics(args) -> int:
-    config = _load_cfg(args.config)
-    gateway = build_gateway(config)
-    general = args.general if args.general is not None \
-        else config.topics_general
-    cultural = args.cultural if args.cultural is not None \
-        else config.topics_cultural
-    seed = args.seed if args.seed is not None else config.run_seed
-    topic_set = build_topic_set(
-        gateway, seed, general=general, cultural=cultural,
-        batch_size=config.topics_per_batch,
-        temperature=config.temperature_topics,
-        culture=config.run_culture,
-        retry_limit=config.budget_retry_limit)
-    _write_json(args.out, [
-        {"text": t.text, "category": t.category, "batch_id": t.batch_id}
-        for t in topic_set.topics])
-    print(f"{len(topic_set.topics)} topics -> {args.out}")
+    config = _load_cfg(args)
+    topics = epoch_topics(config, build_gateway(config))
+    write_topics(topics, args.out)
+    print(f"{len(topics)} topics -> {args.out}")
     return 0
 
 
 def cmd_contexts(args) -> int:
-    config = _load_cfg(args.config)
-    gateway = build_gateway(config)
-    seed = args.seed if args.seed is not None else config.run_seed
-    p_wiki = args.p_wiki if args.p_wiki is not None else config.context_p_wiki
-    policy = ContextPolicy(p_wiki=p_wiki,
-                           wiki_top_k=config.context_wiki_top_k,
-                           temperature=config.temperature_context)
-    with open(args.topics, encoding="utf-8") as handle:
-        topic_rows = json.load(handle)
-    topics = [Topic(text=r["text"], category=r["category"],
-                    batch_id=r.get("batch_id", 0)) for r in topic_rows]
-    rows = []
-    for index, topic in enumerate(topics):
-        key = f"t{index:04d}-r00"
-        doc = acquire_context(topic, gateway, seed, key, policy)
-        rows.append({"key": key, **context_to_dict(doc)})
-    _write_jsonl(args.out, rows)
-    print(f"{len(rows)} contexts -> {args.out}")
+    config = _load_cfg(args)
+    contexts = acquire_contexts(read_topics(args.topics),
+                                build_gateway(config), config.run_seed,
+                                context_policy(config),
+                                config.budget_max_concurrent)
+    write_contexts(contexts, args.out)
+    print(f"{len(contexts)} contexts -> {args.out}")
     return 0
 
 
 def cmd_generate(args) -> int:
-    config = _load_cfg(args.config)
-    gateway = build_gateway(config)
-    seed = args.seed if args.seed is not None else config.run_seed
+    config = _load_cfg(args)
     tasks = tuple(args.tasks.split(",")) if args.tasks else GENERATION_TASKS
     unknown = set(tasks) - set(GENERATION_TASKS)
     if unknown:
         raise ConfigError(f"unknown tasks: {', '.join(sorted(unknown))}")
-    settings = TaskSettings(
-        temperature_closed_qa=config.temperature_closed_qa,
-        temperature_summarization=config.temperature_summarization,
-        temperature_conversation=config.temperature_conversation,
-        temperature_multiple_choice=config.temperature_multiple_choice,
-        qa_pairs=config.tasks_qa_pairs,
-        language=config.run_target_language)
-    records = []
-    failed = 0
-    for row in _read_jsonl(args.contexts):
-        doc = context_from_dict(row)
-        recs, failures = generate_for_context(
-            doc, gateway, seed, row["key"], settings=settings, tasks=tasks)
-        records.extend(recs)
-        failed += len(failures)
-        for failure in failures:
-            logger.warning("%s failed for %s: %s", failure.task,
-                           failure.key, failure.reason)
+    records, failures = generate_records(
+        read_contexts(args.contexts), build_gateway(config),
+        config.run_seed, task_settings(config), config.budget_max_concurrent,
+        tasks)
     write_records(records, args.out)
     print(f"{len(records)} records -> {args.out}"
-          + (f" ({failed} task failures skipped)" if failed else ""))
+          + (f" ({len(failures)} task failures skipped)" if failures
+             else ""))
     return 0
 
 
 def cmd_dedup(args) -> int:
-    config = _load_cfg(args.config)
-    gateway = build_gateway(config)
-    threshold = args.threshold if args.threshold is not None \
-        else config.dedup_threshold
-    records = read_records(args.infile)
-    result = dedup_filter(records, gateway, threshold=threshold,
-                          mode=config.dedup_mode,
-                          index_kind=config.dedup_index_kind,
-                          seed=config.run_seed)
+    config = _load_cfg(args)
+    result = dedup_records(read_records(args.infile), build_gateway(config),
+                           config)
     write_records(result.kept, args.out)
     if args.removals:
-        _write_json(args.removals, [
+        write_json(args.removals, [
             {"record_id": r.record_id, "nearest_id": r.nearest_id,
              "similarity": r.similarity} for r in result.removed])
     print(f"{len(result.kept)} kept, {len(result.removed)} removed "
@@ -169,18 +112,13 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _load_cfg(args.config)
+    config = _load_cfg(args)
     gateway = build_gateway(config)
-    seed = args.seed if args.seed is not None else config.run_seed
-    size = args.size if args.size is not None else config.dataset_size
     variant = _VARIANT_BY_FLAG[args.variant]
-    if variant == ablations.VARIANT_FULL:
-        manifest = ablations.build_full(gateway, seed, size, config)
-    elif variant == ablations.VARIANT_FLUENCY_ONLY:
-        manifest = ablations.build_fluency_only(gateway, seed, size, config)
-    elif variant == ablations.VARIANT_DIVERSITY_ONLY:
-        manifest = ablations.build_diversity_only(gateway, seed, size,
-                                                  config)
+    if variant in ablations.GENERATED_VARIANTS:
+        manifest = ablations.build_generated(
+            variant, gateway, config.run_seed, config.dataset_size, config,
+            workdir_parent=os.path.dirname(os.path.abspath(args.out)))
     elif variant == ablations.VARIANT_CULTURE_ONLY:
         if not args.source:
             raise ConfigError(
@@ -188,8 +126,8 @@ def cmd_ablate(args) -> int:
                 "manifest to sample from)")
         full = ablations.read_manifest(args.source)
         manifest = ablations.build_culture_only(
-            full, gateway, seed, config,
-            sample_count=_sample_count(size, config))
+            full, gateway, config.run_seed, config,
+            sample_count=_sample_count(config))
     else:
         if not args.external:
             raise ConfigError(
@@ -198,8 +136,8 @@ def cmd_ablate(args) -> int:
         corpus = ablations.load_external_corpus(
             args.external, pivot=config.run_pivot_language)
         manifest = ablations.build_no_properties(
-            corpus, gateway, seed, config,
-            sample_count=_sample_count(size, config))
+            corpus, gateway, config.run_seed, config,
+            sample_count=_sample_count(config))
     digest = ablations.write_manifest(manifest, args.out,
                                       config_echo=config.effective())
     print(f"{len(manifest.records)} records ({variant}) -> {args.out}")
@@ -207,8 +145,8 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _sample_count(size: int, config: PipelineConfig) -> int:
-    fanout = config.paraphrase_count + 1
+def _sample_count(config: PipelineConfig) -> int:
+    size, fanout = config.dataset_size, config.paraphrase_count + 1
     if size % fanout != 0:
         raise ConfigError(
             f"size {size} is not a multiple of the paraphrase fan-out "
@@ -217,7 +155,7 @@ def _sample_count(size: int, config: PipelineConfig) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_cfg(args.config)
+    config = _load_cfg(args)
     gateway = build_gateway(config)
     references = load_references(args.refs)
     pairs_by_system = {}
@@ -230,15 +168,13 @@ def cmd_eval(args) -> int:
                                            load_predictions(pred_path))
     report = aggregate_report(pairs_by_system, gateway,
                               tokenizer_name=args.tokenizer)
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(f"report -> {args.out}")
     return 0
 
 
 def cmd_report(args) -> int:
-    with open(args.infile, encoding="utf-8") as handle:
-        report = json.load(handle)
-    text = render_report(report)
+    text = render_report(read_json(args.infile))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -249,7 +185,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load_cfg(args.config)
+    config = _load_cfg(args)
     manifest = run_pipeline(config, args.workdir)
     path = os.path.join(args.workdir, MANIFEST_FILE)
     print(f"{len(manifest.records)} records -> {path}")

@@ -21,8 +21,6 @@ from dataclasses import dataclass, fields
 from seedforge import constants
 from seedforge.errors import ConfigError
 
-_UNBOUNDED = float("inf")
-
 
 def _num(lo, hi):
     def check(value):
@@ -68,7 +66,7 @@ SCHEMA: dict[str, tuple] = {
     "run.seed": (0, int, _non_negative),
     "run.target_language": (constants.TARGET_LANGUAGE, str, _non_empty),
     "run.pivot_language": (constants.PIVOT_LANGUAGE, str, _non_empty),
-    "run.culture": ("Thai", str, _non_empty),
+    "run.culture": (constants.CULTURE, str, _non_empty),
     "dataset.size": (constants.DATASET_SIZE, int, _positive),
     "topics.cultural": (constants.TOPICS_CULTURAL, int, _non_negative),
     "topics.general": (constants.TOPICS_GENERAL, int, _non_negative),
@@ -195,39 +193,52 @@ def _parse_value(key: str, raw: str, line_no: int):
         return raw
 
 
-def _coerce(key: str, value, line_no: int):
+def _coerce(key: str, value, where: str):
     _, want, validate = SCHEMA[key]
     if want is float and isinstance(value, int) and not isinstance(
             value, bool):
         value = float(value)
     if want is not type(value):
         raise ConfigError(
-            f"line {line_no}: {key} expects {want.__name__}, "
+            f"{where}{key} expects {want.__name__}, "
             f"got {type(value).__name__} ({value!r})")
     try:
         validate(value)
     except ValueError as exc:
-        raise ConfigError(f"line {line_no}: {key} {exc}") from None
+        raise ConfigError(f"{where}{key} {exc}") from None
     return value
 
 
+def _build(values: dict) -> PipelineConfig:
+    return PipelineConfig(**{_field_name(k): v for k, v in values.items()})
+
+
+def with_overrides(config: PipelineConfig, overrides: dict,
+                   where: str = "") -> PipelineConfig:
+    """config with {dotted key: value} overrides, each coerced and
+    validated exactly like a value read from a config file. `where`
+    prefixes error messages (e.g. "command line: ")."""
+    values = config.effective()
+    for key, value in overrides.items():
+        if key not in SCHEMA:
+            raise ConfigError(f"{where}unknown config key {key!r}")
+        values[key] = _coerce(key, value, where)
+    return _build(values)
+
+
 _FIELD_TO_KEY = {_field_name(key): key for key in SCHEMA}
+_DEFAULTS = _build({key: spec[0] for key, spec in SCHEMA.items()})
 
 
 def default_config(**overrides) -> PipelineConfig:
     """The defaults, optionally overridden by field name
     (e.g. dataset_size=50)."""
-    values = {key: spec[0] for key, spec in SCHEMA.items()}
-    for name, value in overrides.items():
-        dotted = _FIELD_TO_KEY.get(name)
-        if dotted is None:
-            raise ConfigError(f"unknown config key {name!r}")
-        values[dotted] = _coerce(dotted, value, 0)
-    return PipelineConfig(**{_field_name(k): v for k, v in values.items()})
+    return with_overrides(_DEFAULTS, {_FIELD_TO_KEY.get(name, name): value
+                                      for name, value in overrides.items()})
 
 
 def parse_config(text: str) -> PipelineConfig:
-    values = {key: spec[0] for key, spec in SCHEMA.items()}
+    values = _DEFAULTS.effective()
     seen: set[str] = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -244,8 +255,9 @@ def parse_config(text: str) -> PipelineConfig:
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         seen.add(key)
-        values[key] = _coerce(key, _parse_value(key, raw, line_no), line_no)
-    return PipelineConfig(**{_field_name(k): v for k, v in values.items()})
+        values[key] = _coerce(key, _parse_value(key, raw, line_no),
+                              f"line {line_no}: ")
+    return _build(values)
 
 
 def load_config(path: str) -> PipelineConfig:

@@ -46,3 +46,4 @@ MAX_TOKENS = 1024
 
 TARGET_LANGUAGE = "th"
 PIVOT_LANGUAGE = "en"
+CULTURE = "Thai"  # the culture cultural topics are anchored to

@@ -134,27 +134,22 @@ def wiki_context(topic: Topic, gateway, rng: random.Random,
     falls back to a generated context, noted in provenance, so a topic never
     silently drops out of the pipeline.
     """
+    def fallback() -> ContextDoc:
+        style = rng.choice(CONTEXT_STYLES)
+        doc = generate_context(topic, style, gateway, policy, seed=seed)
+        return doc.with_topic(topic, extra={"wiki_fallback": True})
+
     refs = gateway.wiki_search(topic.text, limit=policy.wiki_top_k)
     if not refs:
         logger.info("wiki search empty for %r, falling back to generation",
                     topic.text)
-        style = rng.choice(CONTEXT_STYLES)
-        doc = generate_context(topic, style, gateway, policy, seed=seed)
-        provenance = dict(doc.provenance)
-        provenance["wiki_fallback"] = True
-        return ContextDoc(body=doc.body, source=doc.source, topic=topic,
-                          provenance=provenance)
+        return fallback()
     ref = refs[rng.randrange(len(refs))]
     sections = gateway.wiki_fetch_sections(ref)
     if not sections:
         logger.info("article %r has no usable sections, falling back to "
                     "generation", ref.title)
-        style = rng.choice(CONTEXT_STYLES)
-        doc = generate_context(topic, style, gateway, policy, seed=seed)
-        provenance = dict(doc.provenance)
-        provenance["wiki_fallback"] = True
-        return ContextDoc(body=doc.body, source=doc.source, topic=topic,
-                          provenance=provenance)
+        return fallback()
     section = sections[rng.randrange(len(sections))]
     return section.with_topic(topic, extra={
         "source": WIKI,

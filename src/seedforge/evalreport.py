@@ -12,7 +12,6 @@ the text was split. Every report is labeled with the tokenizer mode.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from statistics import mean
@@ -20,6 +19,7 @@ from statistics import mean
 from seedforge import metrics
 from seedforge.errors import (AlignmentError, CapabilityError,
                               DegenerateTestError, ValidationError)
+from seedforge.records import read_jsonl_lines
 from seedforge.stats import wilcoxon_rank_sum
 from seedforge.tokenizers import Tokenizer, get_tokenizer
 
@@ -285,26 +285,18 @@ def aggregate_report(pairs_by_system: dict[str, list[EvalPair]], gateway,
 
 def _load_jsonl(path: str, required: tuple[str, ...]) -> list[dict]:
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
+    for line_no, row in read_jsonl_lines(path):
+        if not isinstance(row, dict):
+            raise ValidationError(
+                f"{path} line {line_no}: row is not an object")
+        for key in required:
+            if key not in row:
                 raise ValidationError(
-                    f"{path} line {line_no}: {exc}") from None
-            if not isinstance(row, dict):
+                    f"{path} line {line_no}: missing {key!r}")
+            if not isinstance(row[key], str):
                 raise ValidationError(
-                    f"{path} line {line_no}: row is not an object")
-            for key in required:
-                if key not in row:
-                    raise ValidationError(
-                        f"{path} line {line_no}: missing {key!r}")
-                if not isinstance(row[key], str):
-                    raise ValidationError(
-                        f"{path} line {line_no}: {key!r} must be a string")
-            rows.append(row)
+                    f"{path} line {line_no}: {key!r} must be a string")
+        rows.append(row)
     if not rows:
         raise ValidationError(f"{path}: no rows")
     return rows

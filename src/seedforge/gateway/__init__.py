@@ -28,7 +28,7 @@ from seedforge.gateway.cache import NullCache, ResponseCache, request_key
 from seedforge.gateway.mock import (MockEmbedder, MockParaphraser,
                                     MockTextGenerator, MockTranslator,
                                     MockWikiClient)
-from seedforge.gateway.ratelimit import NullLimiter, RateLimiter
+from seedforge.gateway.ratelimit import RateLimiter
 from seedforge.gateway.types import (EmbeddingVector, GenRequest,
                                      ProviderBudget, WikiArticleRef)
 

@@ -66,10 +66,3 @@ class RateLimiter:
         with self._lock:
             now = self._clock()
             return sum(1 for t in self._stamps if now - t < WINDOW_SECONDS)
-
-
-class NullLimiter:
-    """No-op stand-in used for in-process providers."""
-
-    def acquire(self) -> None:
-        return

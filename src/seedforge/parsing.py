@@ -114,23 +114,6 @@ def extract_string_list(raw: str) -> list[str]:
     raise ParseError("no parseable list of strings found", raw=raw)
 
 
-def extract_dict(raw: str, required_keys: tuple[str, ...]) -> dict:
-    """Find the first braced dict containing all required string values."""
-    if not raw or not raw.strip():
-        raise ParseError("empty output where a dict was expected", raw=raw)
-    text = strip_code_fences(raw)
-    for span in balanced_spans(text, "{", "}"):
-        value = loads_lenient(span)
-        if not isinstance(value, dict):
-            continue
-        if all(isinstance(value.get(k), str) and value[k].strip()
-               for k in required_keys):
-            return {k: str(v).strip() if isinstance(v, str) else v
-                    for k, v in value.items()}
-    raise ParseError(
-        f"no dict with keys {list(required_keys)} found", raw=raw)
-
-
 def extract_dict_list(raw: str, required_keys: tuple[str, ...]) -> list[dict]:
     """Find the first bracketed list of dicts, each carrying required_keys.
 

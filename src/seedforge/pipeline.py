@@ -1,13 +1,17 @@
-"""Resumable staged pipeline runner.
+"""Resumable staged pipeline runner: the one build engine.
 
-A run is unrolled into a linear chain of stages per extension epoch
-(topics, contexts, instructions, dedup) plus one final manifest stage.
-Each stage persists its outputs under the working directory and records a
-digest in checkpoints.json; the digest chains the stage name, the
-content-relevant config, and the upstream stage digest, so a rerun skips
-exactly the stages whose inputs are unchanged and whose outputs still
-verify. Operational settings (budget, cache) do not enter the digest:
-changing them never invalidates work.
+A build is unrolled into a linear chain of stages per extension epoch
+(topics, contexts, instructions, dedup) plus, for `run`, one final
+manifest stage. Each stage persists its outputs under the working
+directory and records a digest in checkpoints.json; the digest chains the
+stage name, the content-relevant config, and the upstream stage digest, so
+a rerun skips exactly the stages whose inputs are unchanged and whose
+outputs still verify. Operational settings (budget, cache) do not enter
+the digest: changing them never invalidates work.
+
+The stage bodies are plain functions shared with the CLI stage commands,
+and the generated ablation variants run the same epoch loop through
+`build_pool`.
 
 Determinism: all randomness is derived from (run.seed, stage path), never
 from wall clock or completion order, so a run interrupted at any stage
@@ -23,22 +27,26 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
 
-from seedforge.ablations import (RECORDS_PER_TOPIC, VARIANT_FULL,
-                                 DatasetManifest, Recipe, finish_manifest,
-                                 read_manifest, truncate_records,
-                                 write_manifest)
+from seedforge import constants
 from seedforge.config import PipelineConfig
 from seedforge.contexts import (ContextDoc, ContextPolicy, acquire_context,
                                 context_from_dict, context_to_dict)
-from seedforge.dedup import dedup_filter
+from seedforge.dedup import DedupResult, dedup_filter
 from seedforge.errors import (BuildError, ConfigError, LockError,
                               SeedforgeError)
 from seedforge.gateway import Gateway, ProviderBudget
 from seedforge.gateway.http import (HttpCompletionClient, HttpEmbedder,
                                     HttpParaphraser, HttpTranslator,
                                     MediaWikiClient)
-from seedforge.instructions import TaskSettings, generate_for_context
-from seedforge.records import (file_sha256, read_records, write_records)
+from seedforge.instructions import (GENERATION_TASKS, GenerationFailure,
+                                    InstructionRecord, TaskSettings,
+                                    generate_for_context)
+from seedforge.manifest import (VARIANT_FULL, DatasetManifest, Recipe,
+                                finish_manifest, read_manifest,
+                                truncate_records, write_manifest)
+from seedforge.records import (file_sha256, read_json, read_jsonl,
+                               read_records, write_json, write_jsonl,
+                               write_records)
 from seedforge.topics import (CULTURAL, GENERAL, Topic, build_topic_set,
                               generate_topics, normalize_topic)
 
@@ -50,6 +58,11 @@ MANIFEST_FILE = "manifest.jsonl"
 
 MAX_EPOCHS = 20
 
+# A topic contributes at most 5 QA + summary + conversation + MC records.
+RECORDS_PER_TOPIC = constants.QA_PAIRS_PER_CONTEXT + 3
+
+# Extension topic batches start here so they can never collide with the
+# batch numbers of the initial topic set.
 _EXTENSION_BATCH_BASE = 1000
 _EXTENSION_BATCH_STRIDE = 100
 
@@ -186,48 +199,148 @@ class _Checkpoints:
 
     def record(self, stage: str, digest: str, outputs: dict) -> None:
         self.stages[stage] = {"digest": digest, "outputs": outputs}
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.stages, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, self.path)
+        write_json(self.path, self.stages)
 
 
 def _chain(stage: str, config_digest: str, upstream: str) -> str:
     return sha256(f"{stage}\n{config_digest}\n{upstream}".encode()).hexdigest()
 
 
-def _write_json(path: str, payload) -> str:
-    blob = json.dumps(payload, ensure_ascii=False, sort_keys=True,
-                      indent=2) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(blob)
-    os.replace(tmp, path)
-    return file_sha256(path)
+# -- settings from config ----------------------------------------------------
+
+def topic_kwargs(config: PipelineConfig) -> dict:
+    return {"batch_size": config.topics_per_batch,
+            "temperature": config.temperature_topics,
+            "culture": config.run_culture,
+            "retry_limit": config.budget_retry_limit}
 
 
-def _write_jsonl(path: str, rows: list[dict]) -> str:
-    blob = "".join(json.dumps(r, ensure_ascii=False, separators=(",", ":"))
-                   + "\n" for r in rows)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(blob)
-    os.replace(tmp, path)
-    return file_sha256(path)
+def context_policy(config: PipelineConfig) -> ContextPolicy:
+    return ContextPolicy(p_wiki=config.context_p_wiki,
+                         wiki_top_k=config.context_wiki_top_k,
+                         temperature=config.temperature_context)
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+def task_settings(config: PipelineConfig) -> TaskSettings:
+    return TaskSettings(
+        temperature_closed_qa=config.temperature_closed_qa,
+        temperature_summarization=config.temperature_summarization,
+        temperature_conversation=config.temperature_conversation,
+        temperature_multiple_choice=config.temperature_multiple_choice,
+        qa_pairs=config.tasks_qa_pairs,
+        language=config.run_target_language)
+
+
+# -- stage bodies, shared with the CLI stage commands --------------------------
+
+def parallel_map(fn, count: int, workers: int) -> list:
+    """fn(0..count-1) on up to `workers` threads, results in index order."""
+    if count == 0:
+        return []
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        return list(pool.map(fn, range(count)))
+
+
+def epoch_topics(config: PipelineConfig, gateway, epoch: int = 0,
+                 deficit: int = 0, seen: frozenset[str] = frozenset()
+                 ) -> list[Topic]:
+    """Epoch 0: the configured topic set. Later epochs: enough new topics,
+    in the configured category ratio, to cover `deficit` records; topics
+    already in `seen` (normalized) or in the other category are dropped."""
+    kwargs = topic_kwargs(config)
+    if epoch == 0:
+        return list(build_topic_set(
+            gateway, config.run_seed, general=config.topics_general,
+            cultural=config.topics_cultural, **kwargs).topics)
+    add_total = max(1, math.ceil(deficit / RECORDS_PER_TOPIC))
+    total = config.topics_cultural + config.topics_general
+    add_cultural = (round(add_total * config.topics_cultural / total)
+                    if total else 0)
+    start = _EXTENSION_BATCH_BASE + epoch * _EXTENSION_BATCH_STRIDE
+    taken = set(seen)
+    topics: list[Topic] = []
+    for category, count in ((CULTURAL, add_cultural),
+                            (GENERAL, add_total - add_cultural)):
+        if count <= 0:
+            continue
+        fresh = generate_topics(category, count, gateway, config.run_seed,
+                                start_batch=start, **kwargs)
+        for topic in fresh.topics:
+            norm = normalize_topic(topic.text)
+            if norm not in taken:
+                taken.add(norm)
+                topics.append(topic)
+    return topics
+
+
+def acquire_contexts(topics: list[Topic], gateway, seed: int,
+                     policy: ContextPolicy, workers: int,
+                     start_index: int = 0, round_no: int = 0
+                     ) -> list[tuple[str, ContextDoc]]:
+    """One keyed context per topic; keys come from the topic index and
+    round, never from completion order."""
+    def one(offset: int):
+        key = f"t{start_index + offset:04d}-r{round_no:02d}"
+        return key, acquire_context(topics[offset], gateway, seed, key,
+                                    policy)
+
+    return parallel_map(one, len(topics), workers)
+
+
+def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
+                     seed: int, settings: TaskSettings, workers: int,
+                     tasks: tuple[str, ...] = GENERATION_TASKS
+                     ) -> tuple[list[InstructionRecord],
+                                list[GenerationFailure]]:
+    """Records for every keyed context, in context order. Failed tasks are
+    logged and returned; they never abort the stage."""
+    def one(i: int):
+        key, doc = contexts[i]
+        return generate_for_context(doc, gateway, seed, key,
+                                    settings=settings, tasks=tasks)
+
+    records: list[InstructionRecord] = []
+    failures: list[GenerationFailure] = []
+    for recs, fails in parallel_map(one, len(contexts), workers):
+        records.extend(recs)
+        failures.extend(fails)
+    for failure in failures:
+        logger.warning("%s failed for %s: %s", failure.task, failure.key,
+                       failure.reason)
+    return records, failures
+
+
+def dedup_records(records: list, gateway,
+                  config: PipelineConfig) -> DedupResult:
+    return dedup_filter(records, gateway, threshold=config.dedup_threshold,
+                        mode=config.dedup_mode,
+                        index_kind=config.dedup_index_kind,
+                        seed=config.run_seed)
+
+
+# -- stage files, shared with the CLI stage commands -------------------------
+
+def write_topics(topics: list[Topic], path: str) -> str:
+    return write_json(path, [{"text": t.text, "category": t.category,
+                              "batch_id": t.batch_id} for t in topics])
+
+
+def read_topics(path: str) -> list[Topic]:
+    return [Topic(text=r["text"], category=r["category"],
+                  batch_id=r.get("batch_id", 0)) for r in read_json(path)]
+
+
+def write_contexts(contexts: list[tuple[str, ContextDoc]], path: str) -> str:
+    return write_jsonl(path, [{"key": key, **context_to_dict(doc)}
+                              for key, doc in contexts])
+
+
+def read_contexts(path: str) -> list[tuple[str, ContextDoc]]:
+    return [(row["key"], context_from_dict(row)) for row in read_jsonl(path)]
 
 
 class _Run:
-    """State threaded through one run_pipeline invocation."""
+    """State threaded through one build in one working directory."""
 
     def __init__(self, config: PipelineConfig, workdir: str, gateway,
                  stage_hook):
@@ -235,20 +348,13 @@ class _Run:
         self.workdir = workdir
         self.gateway = gateway
         self.hook = stage_hook
+        self.workers = max(1, config.budget_max_concurrent)
         self.checkpoints = _Checkpoints(workdir)
         self.config_digest = config.content_digest()
         self.upstream = "origin"
 
     def path(self, name: str) -> str:
         return os.path.join(self.workdir, name)
-
-    def _map(self, fn, count: int) -> list:
-        """Run fn(0..count-1) concurrently, results in index order."""
-        if count == 0:
-            return []
-        workers = max(1, self.config.budget_max_concurrent)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
 
     def stage(self, name: str, compute, load):
         """Execute or skip one stage.
@@ -263,160 +369,113 @@ class _Run:
         digest = _chain(name, self.config_digest, self.upstream)
         if self.checkpoints.fresh(name, digest):
             logger.info("stage %s: up to date, skipping", name)
-            outputs = self.checkpoints.stages[name]["outputs"]
-            self.upstream = _chain(name, digest,
-                                   json.dumps(outputs, sort_keys=True))
-            return load()
-        if self.hook is not None:
-            self.hook(name)
-        logger.info("stage %s: running", name)
-        try:
-            value, outputs = compute()
-        except SeedforgeError as exc:
-            if not hasattr(exc, "stage"):
-                exc.stage = name
-            logger.error("stage %s failed: %s", name, exc)
-            raise
-        self.checkpoints.record(name, digest, outputs)
+            value = load()
+        else:
+            if self.hook is not None:
+                self.hook(name)
+            logger.info("stage %s: running", name)
+            try:
+                value, outputs = compute()
+            except SeedforgeError as exc:
+                if not hasattr(exc, "stage"):
+                    exc.stage = name
+                logger.error("stage %s failed: %s", name, exc)
+                raise
+            self.checkpoints.record(name, digest, outputs)
+        outputs = self.checkpoints.stages[name]["outputs"]
         self.upstream = _chain(name, digest,
                                json.dumps(outputs, sort_keys=True))
         return value
 
-    # -- stage bodies --------------------------------------------------------
+    def file_stage(self, name: str, fname: str, compute, write, read):
+        """A stage whose value is saved to one file: write(value, path)
+        returns the file's sha256, read(path) loads the value back."""
+        path = self.path(fname)
+
+        def run():
+            value = compute()
+            return value, {fname: write(value, path)}
+
+        return self.stage(name, run, lambda: read(path))
 
     def topics_stage(self, epoch: int, deficit: int,
                      seen: set[str]) -> list[Topic]:
-        cfg = self.config
         name = f"topics-{epoch:02d}"
-        fname = f"{name}.json"
-        kwargs = {"batch_size": cfg.topics_per_batch,
-                  "temperature": cfg.temperature_topics,
-                  "culture": cfg.run_culture,
-                  "retry_limit": cfg.budget_retry_limit}
-
-        def compute():
-            if epoch == 0:
-                topic_set = build_topic_set(
-                    self.gateway, cfg.run_seed, general=cfg.topics_general,
-                    cultural=cfg.topics_cultural, **kwargs)
-                topics = list(topic_set.topics)
-            else:
-                add_total = max(1, math.ceil(deficit / RECORDS_PER_TOPIC))
-                total = cfg.topics_cultural + cfg.topics_general
-                add_cultural = (round(add_total * cfg.topics_cultural / total)
-                                if total else 0)
-                add_general = add_total - add_cultural
-                start = (_EXTENSION_BATCH_BASE
-                         + epoch * _EXTENSION_BATCH_STRIDE)
-                topics = []
-                for category, count in ((CULTURAL, add_cultural),
-                                        (GENERAL, add_general)):
-                    if count > 0:
-                        fresh = generate_topics(
-                            category, count, self.gateway, cfg.run_seed,
-                            start_batch=start, **kwargs)
-                        topics.extend(t for t in fresh.topics
-                                      if normalize_topic(t.text) not in seen)
-            rows = [{"text": t.text, "category": t.category,
-                     "batch_id": t.batch_id} for t in topics]
-            sha = _write_json(self.path(fname), rows)
-            return topics, {fname: sha}
-
-        def load():
-            rows = json.loads(
-                open(self.path(fname), encoding="utf-8").read())
-            return [Topic(text=r["text"], category=r["category"],
-                          batch_id=r["batch_id"]) for r in rows]
-
-        return self.stage(name, compute, load)
+        return self.file_stage(
+            name, f"{name}.json",
+            lambda: epoch_topics(self.config, self.gateway, epoch, deficit,
+                                 frozenset(seen)),
+            write_topics, read_topics)
 
     def contexts_stage(self, epoch: int, topics: list[Topic],
-                       start_index: int) -> list[tuple[str, ContextDoc]]:
-        cfg = self.config
+                       start_index: int, round_no: int
+                       ) -> list[tuple[str, ContextDoc]]:
         name = f"contexts-{epoch:02d}"
-        fname = f"{name}.jsonl"
-        policy = ContextPolicy(p_wiki=cfg.context_p_wiki,
-                               wiki_top_k=cfg.context_wiki_top_k,
-                               temperature=cfg.temperature_context)
-
-        def compute():
-            def one(offset: int):
-                key = f"t{start_index + offset:04d}-r00"
-                return key, acquire_context(topics[offset], self.gateway,
-                                            cfg.run_seed, key, policy)
-
-            keyed = self._map(one, len(topics))
-            rows = [{"key": k, **context_to_dict(d)} for k, d in keyed]
-            sha = _write_jsonl(self.path(fname), rows)
-            return keyed, {fname: sha}
-
-        def load():
-            return [(row["key"], context_from_dict(row))
-                    for row in _read_jsonl(self.path(fname))]
-
-        return self.stage(name, compute, load)
+        return self.file_stage(
+            name, f"{name}.jsonl",
+            lambda: acquire_contexts(topics, self.gateway,
+                                     self.config.run_seed,
+                                     context_policy(self.config),
+                                     self.workers, start_index, round_no),
+            write_contexts, read_contexts)
 
     def instructions_stage(self, epoch: int,
                            contexts: list[tuple[str, ContextDoc]]) -> list:
-        cfg = self.config
         name = f"instructions-{epoch:02d}"
-        fname = f"{name}.jsonl"
-        settings = TaskSettings(
-            temperature_closed_qa=cfg.temperature_closed_qa,
-            temperature_summarization=cfg.temperature_summarization,
-            temperature_conversation=cfg.temperature_conversation,
-            temperature_multiple_choice=cfg.temperature_multiple_choice,
-            qa_pairs=cfg.tasks_qa_pairs,
-            language=cfg.run_target_language)
-
-        def compute():
-            def one(i: int):
-                key, doc = contexts[i]
-                return generate_for_context(doc, self.gateway, cfg.run_seed,
-                                            key, settings=settings)
-
-            records = []
-            for recs, failures in self._map(one, len(contexts)):
-                records.extend(recs)
-                for failure in failures:
-                    logger.warning("%s: %s failed for %s: %s", name,
-                                   failure.task, failure.key, failure.reason)
-            sha = write_records(records, self.path(fname))
-            return records, {fname: sha}
-
-        def load():
-            return read_records(self.path(fname))
-
-        return self.stage(name, compute, load)
+        return self.file_stage(
+            name, f"{name}.jsonl",
+            lambda: generate_records(contexts, self.gateway,
+                                     self.config.run_seed,
+                                     task_settings(self.config),
+                                     self.workers)[0],
+            write_records, read_records)
 
     def dedup_stage(self, epoch: int, cumulative: list) -> list:
+        return self.file_stage(
+            f"dedup-{epoch:02d}", f"pool-{epoch:02d}.jsonl",
+            lambda: dedup_records(cumulative, self.gateway, self.config).kept,
+            write_records, read_records)
+
+    def build_pool(self, max_epochs: int, reroll: bool) -> list:
+        """The epoch loop: grow the record pool until it holds
+        dataset.size records.
+
+        Each epoch past the first adds new topics sized to the shortfall,
+        or, with reroll, runs the first epoch's topics again under a fresh
+        round number. The pool is the dedup stage's output, or with dedup
+        off the id-sorted union of all records (not written to disk).
+        """
         cfg = self.config
-        name = f"dedup-{epoch:02d}"
-        fname = f"pool-{epoch:02d}.jsonl"
-
-        def compute():
-            if cfg.dedup_enabled:
-                result = dedup_filter(cumulative, self.gateway,
-                                      threshold=cfg.dedup_threshold,
-                                      mode=cfg.dedup_mode,
-                                      index_kind=cfg.dedup_index_kind,
-                                      seed=cfg.run_seed)
-                pool = result.kept
-                logger.info("%s: %d kept, %d removed", name, len(pool),
-                            len(result.removed))
+        all_records: list = []
+        all_topics: list[Topic] = []
+        seen: set[str] = set()
+        pool: list = []
+        for epoch in range(max_epochs + 1):
+            deficit = cfg.dataset_size - len(pool)
+            if epoch > 0 and deficit <= 0:
+                break
+            if reroll and epoch > 0:
+                topics, start, round_no = all_topics, 0, epoch
             else:
-                pool = sorted(cumulative, key=lambda r: r.id)
-            sha = write_records(pool, self.path(fname))
-            return pool, {fname: sha}
-
-        def load():
-            return read_records(self.path(fname))
-
-        return self.stage(name, compute, load)
+                topics = self.topics_stage(epoch, deficit, seen)
+                if epoch > 0 and not topics:
+                    continue
+                seen.update(normalize_topic(t.text) for t in topics)
+                start, round_no = len(all_topics), 0
+                all_topics.extend(topics)
+            contexts = self.contexts_stage(epoch, topics, start, round_no)
+            all_records.extend(self.instructions_stage(epoch, contexts))
+            pool = (self.dedup_stage(epoch, all_records)
+                    if cfg.dedup_enabled
+                    else sorted(all_records, key=lambda r: r.id))
+        if len(pool) < cfg.dataset_size:
+            raise BuildError(
+                f"{len(pool)} records after {max_epochs} topic extensions, "
+                f"target {cfg.dataset_size}", achieved=len(pool))
+        return pool
 
     def manifest_stage(self, pool: list) -> DatasetManifest:
         cfg = self.config
-        name = "manifest"
 
         def compute():
             final = truncate_records(pool, cfg.dataset_size, cfg.run_seed,
@@ -437,42 +496,41 @@ class _Run:
         def load():
             return read_manifest(self.path(MANIFEST_FILE))
 
-        return self.stage(name, compute, load)
+        return self.stage("manifest", compute, load)
+
+
+def _in_workdir(config: PipelineConfig, workdir: str, gateway, stage_hook,
+                body):
+    os.makedirs(workdir, exist_ok=True)
+    if gateway is None:
+        gateway = build_gateway(config)
+    with WorkdirLock(workdir):
+        return body(_Run(config, workdir, gateway, stage_hook))
+
+
+def build_pool(config: PipelineConfig, workdir: str, gateway=None,
+               stage_hook=None, max_epochs: int = MAX_EPOCHS,
+               reroll: bool = False) -> list:
+    """Run the checkpointed generation stages under workdir and return the
+    record pool (at least config.dataset_size records, id order).
+
+    gateway defaults to one built from config; passing the caller's
+    gateway keeps every request under its one rate limiter. Raises
+    BuildError when the target size is unreachable within max_epochs.
+    """
+    return _in_workdir(config, workdir, gateway, stage_hook,
+                       lambda run: run.build_pool(max_epochs, reroll))
 
 
 def run_pipeline(config: PipelineConfig, workdir: str,
-                 stage_hook=None, max_epochs: int = MAX_EPOCHS
-                 ) -> DatasetManifest:
+                 stage_hook=None, max_epochs: int = MAX_EPOCHS,
+                 gateway=None) -> DatasetManifest:
     """Produce the configured dataset under workdir, resuming prior work.
 
     stage_hook(name) is called before each stage that actually executes;
     skipped stages stay silent. Raises BuildError when the target size is
     unreachable within max_epochs extension rounds.
     """
-    os.makedirs(workdir, exist_ok=True)
-    gateway = build_gateway(config)
-    with WorkdirLock(workdir):
-        run = _Run(config, workdir, gateway, stage_hook)
-        all_records: list = []
-        all_topics: list[Topic] = []
-        seen: set[str] = set()
-        pool: list = []
-        for epoch in range(max_epochs + 1):
-            deficit = config.dataset_size - len(pool)
-            if epoch > 0 and deficit <= 0:
-                break
-            topics = run.topics_stage(epoch, deficit, seen)
-            if epoch > 0 and not topics:
-                continue
-            seen.update(normalize_topic(t.text) for t in topics)
-            contexts = run.contexts_stage(epoch, topics,
-                                          start_index=len(all_topics))
-            all_topics.extend(topics)
-            records = run.instructions_stage(epoch, contexts)
-            all_records.extend(records)
-            pool = run.dedup_stage(epoch, all_records)
-        if len(pool) < config.dataset_size:
-            raise BuildError(
-                f"{len(pool)} records after {max_epochs} topic extensions, "
-                f"target {config.dataset_size}", achieved=len(pool))
-        return run.manifest_stage(pool)
+    return _in_workdir(
+        config, workdir, gateway, stage_hook,
+        lambda run: run.manifest_stage(run.build_pool(max_epochs, False)))

@@ -90,6 +90,55 @@ def _encode(record: InstructionRecord) -> bytes:
     return line.encode("utf-8")
 
 
+def _write_atomic(path: str, blob: bytes) -> str:
+    """Replace `path` with `blob` in one rename; returns its sha256."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(blob)
+    os.replace(tmp, path)
+    return hashlib.sha256(blob).hexdigest()
+
+
+def write_json(path: str, payload) -> str:
+    """Indented, key-sorted UTF-8 JSON, written atomically; returns its
+    sha256."""
+    blob = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    return _write_atomic(path, (blob + "\n").encode("utf-8"))
+
+
+def write_jsonl(path: str, rows: list[dict]) -> str:
+    """One compact JSON object per line, written atomically; returns its
+    sha256."""
+    blob = "".join(json.dumps(row, ensure_ascii=False, separators=(",", ":"))
+                   + "\n" for row in rows)
+    return _write_atomic(path, blob.encode("utf-8"))
+
+
+def read_json(path: str):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def read_jsonl_lines(path: str) -> list[tuple[int, object]]:
+    """(line number, value) for every non-blank line; malformed JSON
+    raises ValidationError naming the line."""
+    rows = []
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append((line_no, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValidationError(
+                    f"{path} line {line_no}: {exc}") from None
+    return rows
+
+
+def read_jsonl(path: str) -> list:
+    return [row for _, row in read_jsonl_lines(path)]
+
+
 def write_records(records: list[InstructionRecord], path: str) -> str:
     """Write one JSONL file atomically; returns its sha256 hex digest."""
     seen: set[str] = set()
@@ -99,12 +148,8 @@ def write_records(records: list[InstructionRecord], path: str) -> str:
             raise ValidationError(f"duplicate record id {record.id}")
         seen.add(record.id)
         chunks.append(_encode(record))
-    blob = b"\n".join(chunks) + (b"\n" if chunks else b"")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-    os.replace(tmp, path)
-    return hashlib.sha256(blob).hexdigest()
+    return _write_atomic(path, b"\n".join(chunks) + (b"\n" if chunks
+                                                     else b""))
 
 
 def read_records(path: str) -> list[InstructionRecord]:

@@ -8,7 +8,6 @@ makes reruns and resumed runs byte-identical.
 from __future__ import annotations
 
 import hashlib
-import random
 
 
 def derive_seed(*parts) -> int:
@@ -16,7 +15,3 @@ def derive_seed(*parts) -> int:
     tag = ":".join(str(p) for p in parts)
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def derive_rng(*parts) -> random.Random:
-    return random.Random(derive_seed(*parts))

@@ -10,7 +10,7 @@ requested count is reached.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from seedforge import constants
 from seedforge.errors import (GenerationExhaustedError, ParseError,
@@ -24,8 +24,6 @@ logger = logging.getLogger(__name__)
 GENERAL = "general"
 CULTURAL = "cultural"
 CATEGORIES = (GENERAL, CULTURAL)
-
-DEFAULT_CULTURE = "Thai"
 
 # The tail is shared verbatim between both category prompts.
 _TOPIC_PROMPT_TAIL = (
@@ -71,11 +69,9 @@ class Topic:
 
 @dataclass(frozen=True)
 class TopicSet:
-    """Merged, deduplicated topics plus the counts that were asked for."""
+    """Merged, deduplicated topics."""
 
     topics: tuple[Topic, ...]
-    requested_general: int = 0
-    requested_cultural: int = 0
 
     def by_category(self, category: str) -> list[Topic]:
         return [t for t in self.topics if t.category == category]
@@ -83,7 +79,7 @@ class TopicSet:
 
 def render_topic_prompt(category: str,
                         count: int = constants.TOPICS_PER_BATCH,
-                        culture: str = DEFAULT_CULTURE) -> str:
+                        culture: str = constants.CULTURE) -> str:
     """Build the batch prompt for one category.
 
     Defaults reproduce the recipe prompts byte for byte; count and culture
@@ -137,7 +133,7 @@ def dedup_topics(topics: list[Topic]) -> list[Topic]:
 def generate_topics(category: str, n: int, gateway, seed: int,
                     batch_size: int = constants.TOPICS_PER_BATCH,
                     temperature: float = constants.TEMPERATURE_TOPIC,
-                    culture: str = DEFAULT_CULTURE,
+                    culture: str = constants.CULTURE,
                     retry_limit: int = constants.RETRY_LIMIT,
                     start_batch: int = 0) -> TopicSet:
     """Request topic batches until n unique topics exist, then truncate to n.
@@ -183,11 +179,7 @@ def generate_topics(category: str, n: int, gateway, seed: int,
                                    batch_id=batch_id - 1))
             gained += 1
         barren = 0 if gained else barren + 1
-    fragment = tuple(collected[:n])
-    return TopicSet(
-        topics=fragment,
-        requested_general=n if category == GENERAL else 0,
-        requested_cultural=n if category == CULTURAL else 0)
+    return TopicSet(topics=tuple(collected[:n]))
 
 
 def build_topic_set(gateway, seed: int, general: int, cultural: int,
@@ -230,5 +222,4 @@ def build_topic_set(gateway, seed: int, general: int, cultural: int,
         if quota[t.category] > 0:
             quota[t.category] -= 1
             final.append(t)
-    return TopicSet(topics=tuple(final), requested_general=general,
-                    requested_cultural=cultural)
+    return TopicSet(topics=tuple(final))

@@ -8,7 +8,7 @@ import pytest
 from seedforge.ablations import read_manifest
 from seedforge.cli import main
 from seedforge.errors import ValidationError
-from seedforge.records import read_records
+from seedforge.records import file_sha256, read_records
 
 CONF = """\
 run.seed = 42
@@ -130,6 +130,32 @@ class TestStageChain:
         assert len(survivors) + len(removed) == 32
         assert f"{len(survivors)} kept, {len(removed)} removed" in out
 
+    def test_stage_commands_write_the_run_files(self, tmp_path, conf):
+        workdir = str(tmp_path / "work")
+        assert main(["run", "--config", conf, "--workdir", workdir]) == 0
+        topics = str(tmp_path / "topics.json")
+        contexts = str(tmp_path / "contexts.jsonl")
+        records = str(tmp_path / "records.jsonl")
+        assert main(["topics", "--config", conf, "--out", topics]) == 0
+        assert main(["contexts", "--config", conf, "--topics", topics,
+                     "--out", contexts]) == 0
+        assert main(["generate", "--config", conf, "--contexts", contexts,
+                     "--out", records]) == 0
+        for mine, theirs in ((topics, "topics-00.json"),
+                             (contexts, "contexts-00.jsonl"),
+                             (records, "instructions-00.jsonl")):
+            assert file_sha256(mine) == file_sha256(
+                os.path.join(workdir, theirs)), theirs
+
+    def test_out_of_range_p_wiki_exits_2(self, tmp_path, conf, capsys):
+        topics = str(tmp_path / "topics.json")
+        assert main(["topics", "--config", conf, "--general", "1",
+                     "--cultural", "0", "--out", topics]) == 0
+        code = main(["contexts", "--config", conf, "--topics", topics,
+                     "--p-wiki", "7", "--out", str(tmp_path / "c.jsonl")])
+        assert code == 2
+        assert "context.p_wiki" in capsys.readouterr().err
+
     def test_generate_task_subset(self, tmp_path, conf):
         topics = str(tmp_path / "topics.json")
         contexts = str(tmp_path / "contexts.jsonl")
@@ -169,6 +195,29 @@ class TestAblate:
         assert len(culture.records) == 50
         assert (culture.flags.fluency, culture.flags.culture,
                 culture.flags.diversity) == (False, True, False)
+
+    def test_meta_echoes_the_overridden_size(self, tmp_path):
+        conf = tmp_path / "big.conf"
+        conf.write_text(CONF.replace("dataset.size = 50",
+                                     "dataset.size = 1000"),
+                        encoding="utf-8")
+        out = str(tmp_path / "full.jsonl")
+        assert main(["ablate", "--config", str(conf), "--variant", "full",
+                     "--size", "50", "--out", out]) == 0
+        with open(out + ".meta.json", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        assert meta["target_size"] == 50
+        assert meta["config"]["dataset.size"] == 50
+
+    @pytest.mark.parametrize("variant", ["full", "fluency", "diversity"])
+    def test_generated_variant_leaves_only_its_outputs(self, tmp_path, conf,
+                                                       variant):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = str(out_dir / "v.jsonl")
+        assert main(["ablate", "--config", conf, "--variant", variant,
+                     "--size", "50", "--out", out]) == 0
+        assert sorted(os.listdir(out_dir)) == ["v.jsonl", "v.jsonl.meta.json"]
 
     def test_culture_without_source_exits_2(self, tmp_path, conf, capsys):
         code = main(["ablate", "--config", conf, "--variant", "culture",

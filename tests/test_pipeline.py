@@ -11,7 +11,8 @@ from seedforge.errors import BuildError, ConfigError, LockError
 from seedforge.gateway.http import HttpCompletionClient, HttpTranslator
 from seedforge.gateway.mock import MockTextGenerator
 from seedforge.pipeline import (CHECKPOINT_FILE, LOCK_FILE, MANIFEST_FILE,
-                                WorkdirLock, build_gateway, run_pipeline)
+                                WorkdirLock, build_gateway, epoch_topics,
+                                run_pipeline)
 from seedforge.records import file_sha256
 
 SMALL = default_config(topics_cultural=8, topics_general=6, dataset_size=50,
@@ -155,6 +156,25 @@ class TestRunPipeline:
             run_pipeline(SMALL, str(tmp_path))
         assert err.value.stage == "topics-00"
         assert not os.path.exists(os.path.join(str(tmp_path), LOCK_FILE))
+
+
+class TestExtensionTopics:
+    """An extension epoch drops a new topic already seen in an earlier
+    epoch, and one that both categories of the same epoch returned."""
+
+    CONFIG = default_config(topics_cultural=1, topics_general=1)
+
+    def test_topic_in_both_categories_is_kept_once(self, scripted):
+        gateway = scripted(['["วัดพระแก้ว"]', '["วัดพระแก้ว", "ทะเล"]'])
+        topics = epoch_topics(self.CONFIG, gateway, epoch=1, deficit=16)
+        assert [(t.text, t.category) for t in topics] == [
+            ("วัดพระแก้ว", "cultural")]
+
+    def test_topic_from_an_earlier_epoch_is_dropped(self, scripted):
+        gateway = scripted(['["วัดพระแก้ว"]', '["ทะเล"]'])
+        topics = epoch_topics(self.CONFIG, gateway, epoch=1, deficit=16,
+                              seen=frozenset({"ทะเล"}))
+        assert [t.text for t in topics] == ["วัดพระแก้ว"]
 
 
 class TestWorkdirLock:
