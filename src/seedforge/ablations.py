@@ -187,8 +187,8 @@ def build_generated(variant: str, gateway, seed: int,
                            dedup_enabled=dedup)
     with tempfile.TemporaryDirectory(prefix=".seedforge-",
                                      dir=workdir_parent) as workdir:
-        pool = build_pool(build_config, workdir, gateway=gateway,
-                          max_epochs=max_epochs, reroll=reroll)
+        pool = build_pool(build_config, workdir, gateway, max_epochs,
+                          reroll)
     records = truncate_records(pool, size, seed, variant)
     if "round_trip" in transforms:
         # The bounce is a final degradation step, after dedup.

@@ -44,7 +44,7 @@ from seedforge.instructions import (GENERATION_TASKS, GenerationFailure,
 from seedforge.manifest import (VARIANT_FULL, DatasetManifest, Recipe,
                                 finish_manifest, read_manifest,
                                 truncate_records, write_manifest)
-from seedforge.records import (file_sha256, read_json, read_jsonl,
+from seedforge.records import (file_sha256, read_json, read_jsonl_lines,
                                read_records, write_json, write_jsonl,
                                write_records)
 from seedforge.topics import (CULTURAL, GENERAL, Topic, build_topic_set,
@@ -242,7 +242,8 @@ def parallel_map(fn, count: int, workers: int) -> list:
 
 
 def epoch_topics(config: PipelineConfig, gateway, epoch: int = 0,
-                 deficit: int = 0, seen: frozenset[str] = frozenset()
+                 deficit: int = 0,
+                 seen: set[str] | frozenset[str] = frozenset()
                  ) -> list[Topic]:
     """Epoch 0: the configured topic set. Later epochs: enough new topics,
     in the configured category ratio, to cover `deficit` records; topics
@@ -336,7 +337,8 @@ def write_contexts(contexts: list[tuple[str, ContextDoc]], path: str) -> str:
 
 
 def read_contexts(path: str) -> list[tuple[str, ContextDoc]]:
-    return [(row["key"], context_from_dict(row)) for row in read_jsonl(path)]
+    return [(row["key"], context_from_dict(row))
+            for _, row in read_jsonl_lines(path)]
 
 
 class _Run:
@@ -404,7 +406,7 @@ class _Run:
         return self.file_stage(
             name, f"{name}.json",
             lambda: epoch_topics(self.config, self.gateway, epoch, deficit,
-                                 frozenset(seen)),
+                                 seen),
             write_topics, read_topics)
 
     def contexts_stage(self, epoch: int, topics: list[Topic],
@@ -499,38 +501,32 @@ class _Run:
         return self.stage("manifest", compute, load)
 
 
-def _in_workdir(config: PipelineConfig, workdir: str, gateway, stage_hook,
-                body):
+def _locked(config: PipelineConfig, workdir: str, gateway, stage_hook,
+            body):
     os.makedirs(workdir, exist_ok=True)
-    if gateway is None:
-        gateway = build_gateway(config)
     with WorkdirLock(workdir):
         return body(_Run(config, workdir, gateway, stage_hook))
 
 
-def build_pool(config: PipelineConfig, workdir: str, gateway=None,
-               stage_hook=None, max_epochs: int = MAX_EPOCHS,
-               reroll: bool = False) -> list:
-    """Run the checkpointed generation stages under workdir and return the
-    record pool (at least config.dataset_size records, id order).
-
-    gateway defaults to one built from config; passing the caller's
-    gateway keeps every request under its one rate limiter. Raises
-    BuildError when the target size is unreachable within max_epochs.
-    """
-    return _in_workdir(config, workdir, gateway, stage_hook,
-                       lambda run: run.build_pool(max_epochs, reroll))
+def build_pool(config: PipelineConfig, workdir: str, gateway,
+               max_epochs: int = MAX_EPOCHS, reroll: bool = False) -> list:
+    """Run the checkpointed generation stages under workdir through the
+    caller's gateway and return the record pool (at least
+    config.dataset_size records, id order). Raises BuildError when the
+    target size is unreachable within max_epochs."""
+    return _locked(config, workdir, gateway, None,
+                   lambda run: run.build_pool(max_epochs, reroll))
 
 
 def run_pipeline(config: PipelineConfig, workdir: str,
-                 stage_hook=None, max_epochs: int = MAX_EPOCHS,
-                 gateway=None) -> DatasetManifest:
+                 stage_hook=None, max_epochs: int = MAX_EPOCHS
+                 ) -> DatasetManifest:
     """Produce the configured dataset under workdir, resuming prior work.
 
     stage_hook(name) is called before each stage that actually executes;
     skipped stages stay silent. Raises BuildError when the target size is
     unreachable within max_epochs extension rounds.
     """
-    return _in_workdir(
-        config, workdir, gateway, stage_hook,
+    return _locked(
+        config, workdir, build_gateway(config), stage_hook,
         lambda run: run.manifest_stage(run.build_pool(max_epochs, False)))

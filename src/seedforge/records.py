@@ -135,10 +135,6 @@ def read_jsonl_lines(path: str) -> list[tuple[int, object]]:
     return rows
 
 
-def read_jsonl(path: str) -> list:
-    return [row for _, row in read_jsonl_lines(path)]
-
-
 def write_records(records: list[InstructionRecord], path: str) -> str:
     """Write one JSONL file atomically; returns its sha256 hex digest."""
     seen: set[str] = set()
