@@ -202,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=False):
-        p.add_argument("--config", required=config_required,
-                       help="flat dotted-key config file")
+    def common(p):
+        p.add_argument("--config", help="flat dotted-key config file")
         p.add_argument("--seed", type=int, help="override run.seed")
 
     p = sub.add_parser("topics", help="generate the topic set")
@@ -296,8 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         stage = getattr(exc, "stage", None)
         if stage:
             print(f"error in stage {stage}: {exc}", file=sys.stderr)
-            print("completed stages are checkpointed; rerun the same "
-                  "command to resume", file=sys.stderr)
+            if args.command == "run":  # ablate's workdir is temporary
+                print("completed stages are checkpointed; rerun the same "
+                      "command to resume", file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1

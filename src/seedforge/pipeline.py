@@ -231,7 +231,7 @@ def task_settings(config: PipelineConfig) -> TaskSettings:
         language=config.run_target_language)
 
 
-# -- stage bodies, shared with the CLI stage commands --------------------------
+# -- stage bodies, shared with the CLI stage commands -------------------------
 
 def parallel_map(fn, count: int, workers: int) -> list:
     """fn(0..count-1) on up to `workers` threads, results in index order."""
@@ -350,7 +350,7 @@ class _Run:
         self.workdir = workdir
         self.gateway = gateway
         self.hook = stage_hook
-        self.workers = max(1, config.budget_max_concurrent)
+        self.workers = config.budget_max_concurrent
         self.checkpoints = _Checkpoints(workdir)
         self.config_digest = config.content_digest()
         self.upstream = "origin"

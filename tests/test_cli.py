@@ -219,6 +219,19 @@ class TestAblate:
                      "--size", "50", "--out", out]) == 0
         assert sorted(os.listdir(out_dir)) == ["v.jsonl", "v.jsonl.meta.json"]
 
+    def test_stage_error_offers_no_resume(self, tmp_path, conf, capsys,
+                                          monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValidationError("topic generator speaks in riddles")
+
+        monkeypatch.setattr("seedforge.pipeline.build_topic_set", boom)
+        code = main(["ablate", "--config", conf, "--variant", "full",
+                     "--size", "50", "--out", str(tmp_path / "f.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error in stage topics-00" in err
+        assert "resume" not in err
+
     def test_culture_without_source_exits_2(self, tmp_path, conf, capsys):
         code = main(["ablate", "--config", conf, "--variant", "culture",
                      "--size", "50", "--out", str(tmp_path / "c.jsonl")])
