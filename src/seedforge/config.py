@@ -89,8 +89,6 @@ SCHEMA: dict[str, tuple] = {
     "dedup.enabled": (True, bool, _any),
     "dedup.threshold": (constants.DEDUP_THRESHOLD, float, _threshold),
     "dedup.mode": ("keep_first", str, _choice("keep_first", "full_set")),
-    "dedup.index_kind": ("auto", str,
-                         _choice("auto", "exact", "approximate")),
     "paraphrase.count": (constants.PARAPHRASE_COUNT, int, _positive),
     "budget.requests_per_minute": (constants.REQUESTS_PER_MINUTE, int,
                                    _positive),
@@ -145,7 +143,6 @@ class PipelineConfig:
     dedup_enabled: bool
     dedup_threshold: float
     dedup_mode: str
-    dedup_index_kind: str
     paraphrase_count: int
     budget_requests_per_minute: int
     budget_max_concurrent: int

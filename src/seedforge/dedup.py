@@ -1,24 +1,32 @@
 """Semantic near-duplicate removal.
 
-Records are embedded once (instruction, context, and output joined by
-newlines), then filtered in ascending id order: a record is dropped when its
-nearest already-kept predecessor is strictly above the similarity threshold.
-Earlier ids always win, which makes the pass deterministic and idempotent.
+Records are embedded by their sample text (instruction, context, and
+output joined by newlines), then filtered in ascending id order: a record
+is dropped when an earlier record in the comparison pool is strictly above
+the similarity threshold. Earlier ids always win, which makes the pass
+deterministic and idempotent.
 
-Two neighbour indexes back the filter. The exact one scans a matrix product
-and is the default at the corpus sizes this pipeline produces; the
-approximate one is a small navigable-graph index built incrementally, kept
-for corpora large enough that the quadratic scan hurts. Its recall is
-measured in the tests, not assumed.
+The search is one exact blocked scan: the unit vectors are multiplied a
+block of rows at a time against every earlier row, so at most about
+`SLAB_ELEMENTS` similarities are alive at once. The over-threshold pairs of
+a block are resolved in one pass in id order before the next block starts.
+
+A similarity counts as above the threshold only when it exceeds it by more
+than `TIE_TOLERANCE`. Pairs whose cosine sits at the threshold (the mock
+embedder's integer bag-of-words vectors produce them) would otherwise flip
+with the BLAS summation order, and with it the manifest bytes. Among
+candidates within the same tolerance of the highest similarity the
+earliest id is reported as the nearest.
+
+Callers that already hold embeddings for some of the records (a pipeline
+epoch re-deduplicating its earlier pool plus new records) pass them as
+`known`; only the other records are embedded.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-import random
-from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +39,14 @@ KEEP_FIRST = "keep_first"
 FULL_SET = "full_set"
 DEDUP_MODES = (KEEP_FIRST, FULL_SET)
 
-EXACT = "exact"
-APPROXIMATE = "approximate"
-INDEX_KINDS = (EXACT, APPROXIMATE)
+# A similarity is above the threshold only beyond threshold + TIE_TOLERANCE.
+# Far above float64 rounding of a unit-vector dot product, far below any
+# threshold a user would tell apart.
+TIE_TOLERANCE = 1e-12
 
-# Below this corpus size "auto" always takes the exact scan.
-EXACT_FALLBACK_LIMIT = 50_000
+# Similarities held at once by the scan: block rows x compared rows.
+SLAB_ELEMENTS = 2 ** 19
+MIN_BLOCK_ROWS = 16
 
 
 def sample_text(record) -> str:
@@ -61,28 +71,12 @@ def cosine(a, b) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
-def _as_unit_vector(vector, dim: int, owner: str) -> np.ndarray:
-    vec = np.asarray(vector, dtype=np.float64)
-    if vec.shape != (dim,):
-        raise ProtocolError(
-            f"vector for {owner} has shape {vec.shape}, index holds "
-            f"dimension {dim}")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValidationError(f"zero-norm vector for {owner}")
-    return vec / norm
-
-
-def _normalized_matrix(vectors, ids=None) -> np.ndarray:
-    mat = np.asarray([v.values if hasattr(v, "values") else v
-                      for v in vectors], dtype=np.float64)
-    if mat.ndim != 2:
-        raise ProtocolError("embeddings do not share one dimension")
+def _normalized_matrix(mat: np.ndarray, ids: list[str]) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
-        which = ids[bad[0]] if ids is not None else int(bad[0])
-        raise ValidationError(f"zero-norm embedding for record {which}")
+        raise ValidationError(
+            f"zero-norm embedding for record {ids[int(bad[0])]}")
     return mat / norms[:, None]
 
 
@@ -98,261 +92,95 @@ class Removal:
 
 @dataclass
 class DedupResult:
+    """kept and removed partition the input. vectors holds the raw
+    embedding of every input record, one row per record in id order."""
+
     kept: list
     removed: list[Removal]
     threshold: float
     mode: str = KEEP_FIRST
+    vectors: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     @property
     def removed_ids(self) -> set[str]:
         return {r.record_id for r in self.removed}
 
 
-class ExactIndex:
-    """Brute-force cosine nearest neighbour over unit vectors."""
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValidationError("index needs dim >= 1")
-        self.dim = dim
-        self._ids: list[str] = []
-        self._rows: list[np.ndarray] = []
-        self._mat: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def insert(self, record_id: str, vector) -> None:
-        self._rows.append(_as_unit_vector(vector, self.dim, record_id))
-        self._ids.append(record_id)
-        self._mat = None
-
-    def nearest(self, vector, k: int = 1,
-                exclude: str | None = None) -> list[tuple[str, float]]:
-        if not self._ids:
-            return []
-        query = _as_unit_vector(vector, self.dim, "query")
-        if self._mat is None:
-            self._mat = np.vstack(self._rows)
-        sims = self._mat @ query
-        order = np.argsort(-sims, kind="stable")
-        out: list[tuple[str, float]] = []
-        for idx in order:
-            rid = self._ids[int(idx)]
-            if rid == exclude:
-                continue
-            out.append((rid, float(sims[int(idx)])))
-            if len(out) == k:
-                break
-        return out
-
-
-class HnswIndex:
-    """Insert-only approximate nearest-neighbour index over unit vectors.
-
-    Hierarchical layers with geometrically thinning membership: greedy
-    descent from the top layer, then a bounded beam search on layer 0.
-    Similarity is cosine (vectors are stored normalized), so bigger means
-    closer throughout.
-    """
-
-    def __init__(self, dim: int, m: int = 16, ef_construction: int = 200,
-                 ef_search: int = 128, seed: int = 0):
-        if dim < 1 or m < 2:
-            raise ValidationError("index needs dim >= 1 and m >= 2")
-        self.dim = dim
-        self.m = m
-        self.m0 = 2 * m
-        self.ef_construction = ef_construction
-        self.ef_search = ef_search
-        self._inv_log_m = 1.0 / math.log(m)
-        self._rng = random.Random(seed)
-        self._vectors: list[np.ndarray] = []
-        self._ids: list[str] = []
-        self._levels: list[int] = []
-        # one adjacency dict per layer: node -> list of neighbour nodes
-        self._links: list[dict[int, list[int]]] = []
-        self._entry: int | None = None
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    def _draw_level(self) -> int:
-        u = self._rng.random()
-        while u <= 0.0:  # random() can return 0.0; log(0) must not happen
-            u = self._rng.random()
-        return int(-math.log(u) * self._inv_log_m)
-
-    def _sim(self, query: np.ndarray, node: int) -> float:
-        return float(np.dot(query, self._vectors[node]))
-
-    def _search_layer(self, query: np.ndarray, entries: list[int], ef: int,
-                      layer: int) -> list[tuple[float, int]]:
-        visited = set(entries)
-        candidates = [(-self._sim(query, e), e) for e in entries]
-        results = [(-neg, e) for neg, e in candidates]
-        heapify(candidates)
-        heapify(results)
-        graph = self._links[layer]
-        while candidates:
-            neg, node = heappop(candidates)
-            if len(results) >= ef and -neg < results[0][0]:
-                break
-            for nb in graph.get(node, ()):
-                if nb in visited:
-                    continue
-                visited.add(nb)
-                s = self._sim(query, nb)
-                if len(results) < ef or s > results[0][0]:
-                    heappush(candidates, (-s, nb))
-                    heappush(results, (s, nb))
-                    if len(results) > ef:
-                        heappop(results)
-        return results
-
-    def _shrink(self, layer: int, node: int, cap: int) -> None:
-        links = self._links[layer][node]
-        if len(links) <= cap:
-            return
-        vec = self._vectors[node]
-        links.sort(key=lambda nb: -float(np.dot(vec, self._vectors[nb])))
-        del links[cap:]
-
-    def _greedy_descend(self, vec: np.ndarray, entry: int, top: int,
-                        stop_layer: int) -> int:
-        for layer in range(top, stop_layer, -1):
-            improved = True
-            while improved:
-                improved = False
-                best = self._sim(vec, entry)
-                for nb in self._links[layer].get(entry, ()):
-                    s = self._sim(vec, nb)
-                    if s > best:
-                        best, entry, improved = s, nb, True
-        return entry
-
-    def insert(self, record_id: str, vector) -> None:
-        vec = _as_unit_vector(vector, self.dim, record_id)
-        node = len(self._vectors)
-        level = self._draw_level()
-        self._vectors.append(vec)
-        self._ids.append(record_id)
-        self._levels.append(level)
-        # Layers above the pre-insert top hold no other members yet, so
-        # search and link only up to old_top; above it the node merely
-        # becomes the new entry point.
-        old_top = len(self._links) - 1
-        while len(self._links) <= level:
-            self._links.append({})
-        for layer in range(level + 1):
-            self._links[layer][node] = []
-        if node == 0:
-            self._entry = node
-            return
-        entry = self._greedy_descend(vec, self._entry, old_top, level)
-        entries = [entry]
-        for layer in range(min(level, old_top), -1, -1):
-            found = self._search_layer(vec, entries, self.ef_construction,
-                                       layer)
-            found.sort(reverse=True)
-            cap = self.m0 if layer == 0 else self.m
-            neighbours = [n for _, n in found[:cap] if n != node]
-            self._links[layer][node] = list(neighbours)
-            for nb in neighbours:
-                self._links[layer][nb].append(node)
-                self._shrink(layer, nb, cap)
-            entries = [n for _, n in found] or entries
-        if self._levels[node] > self._levels[self._entry]:
-            self._entry = node
-
-    def nearest(self, vector, k: int = 1,
-                exclude: str | None = None) -> list[tuple[str, float]]:
-        """The k most similar inserted records, best first."""
-        if self._entry is None:
-            return []
-        vec = _as_unit_vector(vector, self.dim, "query")
-        entry = self._greedy_descend(vec, self._entry,
-                                     len(self._links) - 1, 0)
-        want = k + (1 if exclude is not None else 0)
-        found = self._search_layer(vec, [entry],
-                                   max(self.ef_search, want), 0)
-        found.sort(reverse=True)
-        out: list[tuple[str, float]] = []
-        for s, n in found:
-            if self._ids[n] == exclude:
-                continue
-            out.append((self._ids[n], s))
-            if len(out) == k:
-                break
-        return out
-
-
-def build_index(vectors: list[tuple[str, object]], kind: str = EXACT,
-                seed: int = 0):
-    """An index over (id, vector) pairs supporting nearest-with-exclusion."""
-    if kind not in INDEX_KINDS:
-        raise ValidationError(f"unknown index kind {kind!r}")
-    if not vectors:
-        raise ValidationError("cannot index zero vectors")
-    first = np.asarray(vectors[0][1], dtype=np.float64)
-    dim = int(first.shape[0]) if first.ndim == 1 else 0
-    if dim < 1:
-        raise ProtocolError("vectors must be one-dimensional")
-    index = (ExactIndex(dim) if kind == EXACT
-             else HnswIndex(dim, seed=seed))
-    for record_id, vec in vectors:
-        index.insert(record_id, vec)
-    return index
+def block_rows(n: int) -> int:
+    """Rows per scan block for n records: about SLAB_ELEMENTS // n."""
+    return max(MIN_BLOCK_ROWS, SLAB_ELEMENTS // max(n, 1))
 
 
 def _dedup_exact(ids: list[str], mat: np.ndarray, threshold: float,
-                 mode: str) -> tuple[list[int], list[Removal]]:
+                 mode: str, block: int | None = None
+                 ) -> tuple[list[int], list[Removal]]:
+    """Blocked scan over unit rows `mat` (id order). Returns the kept row
+    indexes and the removals, both in id order."""
     n = len(ids)
-    kept: list[int] = []
+    block = block or block_rows(n)
+    cut = threshold + TIE_TOLERANCE
+    keep = np.ones(n, dtype=bool)
     removed: list[Removal] = []
-    kept_rows = np.empty_like(mat)
-    for i in range(n):
-        if mode == KEEP_FIRST:
-            pool = kept_rows[:len(kept)]
-        else:
-            pool = mat[:i]
-        if len(pool):
-            sims = pool @ mat[i]
-            j = int(np.argmax(sims))
-            if float(sims[j]) > threshold:
-                nearest = ids[kept[j]] if mode == KEEP_FIRST else ids[j]
-                removed.append(Removal(record_id=ids[i], nearest_id=nearest,
-                                       similarity=float(sims[j])))
-                continue
-        if mode == KEEP_FIRST:
-            kept_rows[len(kept)] = mat[i]
-        kept.append(i)
-    return kept, removed
-
-
-def _dedup_approx(ids: list[str], mat: np.ndarray, threshold: float,
-                  mode: str, seed: int) -> tuple[list[int], list[Removal]]:
-    index = HnswIndex(dim=mat.shape[1], seed=seed)
-    kept: list[int] = []
-    removed: list[Removal] = []
-    for i in range(len(ids)):
-        hit = index.nearest(mat[i], k=1)
-        if hit and hit[0][1] > threshold:
-            removed.append(Removal(record_id=ids[i], nearest_id=hit[0][0],
-                                   similarity=hit[0][1]))
-            if mode == FULL_SET:
-                index.insert(ids[i], mat[i])
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        slab = mat[start:stop] @ mat[:stop].T
+        # (r, j) compares row start + r with row j; keep only j < start + r.
+        rows, cols = np.nonzero(np.tril(slab > cut, k=start - 1))
+        if not rows.size:
             continue
-        kept.append(i)
-        index.insert(ids[i], mat[i])
-    return kept, removed
+        sims = slab[rows, cols]
+        firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+        for lo, hi in zip(firsts, np.append(firsts[1:], rows.size)):
+            js, ss = cols[lo:hi], sims[lo:hi]
+            if mode == KEEP_FIRST:
+                live = keep[js]
+                js, ss = js[live], ss[live]
+                if not js.size:
+                    continue
+            # js ascend, so argmax of the mask is the earliest of the ties.
+            best = int(np.argmax(ss >= ss.max() - TIE_TOLERANCE))
+            i = start + int(rows[lo])
+            keep[i] = False
+            removed.append(Removal(record_id=ids[i],
+                                   nearest_id=ids[int(js[best])],
+                                   similarity=float(ss[best])))
+    return np.flatnonzero(keep).tolist(), removed
+
+
+def _embeddings(records: list, gateway,
+                known: tuple[list[str], np.ndarray] | None) -> np.ndarray:
+    """Raw embeddings of id-sorted records as one (n, d) array: rows of
+    `known` (ids, vectors) where it has the id, the gateway for the rest."""
+    positions = {rid: k for k, rid in enumerate(known[0])} if known else {}
+    have = [i for i, r in enumerate(records) if r.id in positions]
+    missing = [i for i, r in enumerate(records) if r.id not in positions]
+    parts = []
+    if missing:
+        fresh = np.asarray(
+            gateway.embed([sample_text(records[i]) for i in missing]),
+            dtype=np.float64)
+        parts.append((missing, fresh))
+    if have:
+        parts.append((have, known[1][[positions[records[i].id]
+                                      for i in have]]))
+    if any(vecs.ndim != 2 or len(vecs) != len(rows) for rows, vecs in parts):
+        raise ProtocolError("embeddings are not one vector per record")
+    dims = {vecs.shape[1] for _, vecs in parts}
+    if len(dims) != 1:
+        raise ProtocolError(f"embeddings do not share one dimension: "
+                            f"{sorted(dims)}")
+    if len(parts) == 1:
+        return parts[0][1]
+    mat = np.empty((len(records), dims.pop()), dtype=np.float64)
+    for rows, vecs in parts:
+        mat[rows] = vecs
+    return mat
 
 
 def dedup_filter(records: list, gateway, *,
                  threshold: float = constants.DEDUP_THRESHOLD,
-                 mode: str = KEEP_FIRST, index_kind: str = "auto",
-                 seed: int = 0,
-                 exact_fallback_limit: int = EXACT_FALLBACK_LIMIT
+                 mode: str = KEEP_FIRST,
+                 known: tuple[list[str], np.ndarray] | None = None
                  ) -> DedupResult:
     """Drop records whose nearest predecessor is strictly above threshold.
 
@@ -360,15 +188,13 @@ def dedup_filter(records: list, gateway, *,
     mode selects the comparison pool: keep_first measures against the
     records already kept (a removed record cannot knock out later ones),
     full_set against every earlier record regardless of its fate.
-    index_kind "auto" scans exactly up to exact_fallback_limit records and
-    switches to the approximate index beyond that.
+    known: (ids, raw vectors) of records embedded before; those records
+    are not embedded again.
     """
     if mode not in DEDUP_MODES:
         raise ValidationError(f"unknown dedup mode {mode!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold {threshold} outside (0, 1]")
-    if index_kind not in ("auto",) + INDEX_KINDS:
-        raise ValidationError(f"unknown index kind {index_kind!r}")
     if not records:
         return DedupResult(kept=[], removed=[], threshold=threshold,
                            mode=mode)
@@ -376,16 +202,11 @@ def dedup_filter(records: list, gateway, *,
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate record ids in dedup input")
-    vectors = gateway.embed([sample_text(r) for r in records])
-    mat = _normalized_matrix(vectors, ids)
-    if index_kind == "auto":
-        index_kind = (EXACT if len(records) <= exact_fallback_limit
-                      else APPROXIMATE)
-    if index_kind == EXACT:
-        kept_idx, removed = _dedup_exact(ids, mat, threshold, mode)
-    else:
-        kept_idx, removed = _dedup_approx(ids, mat, threshold, mode, seed)
-    logger.info("dedup kept %d of %d records (threshold %.3f, %s, %s)",
-                len(kept_idx), len(records), threshold, mode, index_kind)
+    vectors = _embeddings(records, gateway, known)
+    kept_idx, removed = _dedup_exact(
+        ids, _normalized_matrix(vectors, ids), threshold, mode)
+    logger.info("dedup kept %d of %d records (threshold %.3f, %s)",
+                len(kept_idx), len(records), threshold, mode)
     return DedupResult(kept=[records[i] for i in kept_idx],
-                       removed=removed, threshold=threshold, mode=mode)
+                       removed=removed, threshold=threshold, mode=mode,
+                       vectors=vectors)

@@ -8,8 +8,9 @@ concurrency cap. Callers see plain typed methods and never deal with
 transport concerns.
 
 Thread safety: all public methods may be called concurrently; the semaphore
-bounds in-flight provider calls, the limiter and stats take internal locks,
-and cache writes are atomic.
+bounds in-flight provider attempts (a call waiting out its backoff holds no
+slot), the limiter and stats take internal locks, and cache writes are
+atomic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import time
 from collections import Counter
 from typing import Callable
 
+import numpy as np
+
 from seedforge import constants
 from seedforge.errors import (ConfigError, ProtocolError,
                               RetryableProviderError, ValidationError)
@@ -29,13 +32,27 @@ from seedforge.gateway.mock import (MockEmbedder, MockParaphraser,
                                     MockTextGenerator, MockTranslator,
                                     MockWikiClient)
 from seedforge.gateway.ratelimit import RateLimiter
-from seedforge.gateway.types import (EmbeddingVector, GenRequest,
-                                     ProviderBudget, WikiArticleRef)
+from seedforge.gateway.types import (GenRequest, ProviderBudget,
+                                     WikiArticleRef)
 
 logger = logging.getLogger(__name__)
 
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_MAX_SECONDS = 30.0
+
+
+def _embedding_rows(payload: list) -> np.ndarray:
+    """One embedding batch as a (rows, dimension) float64 array."""
+    try:
+        block = np.array(payload, dtype=np.float64)
+    except ValueError:
+        raise ProtocolError(
+            "mixed embedding dimensions within one batch") from None
+    if block.ndim != 2 or block.shape[1] == 0:
+        raise ProtocolError(
+            f"embedding batch of shape {block.shape} is not one vector "
+            f"per text")
+    return block
 
 
 class GatewayStats:
@@ -110,10 +127,11 @@ class Gateway:
 
     def _call(self, op: str, provider, fn: Callable, chars: int = 0):
         """Run one provider call under the concurrency, rate, and retry
-        policy. Rate limiting applies per attempt, remote providers only."""
+        policy. Rate limiting applies per attempt, remote providers only.
+        Each attempt holds a concurrency slot; the backoff sleep does not."""
         attempt = 0
-        with self._semaphore:
-            while True:
+        while True:
+            with self._semaphore:
                 try:
                     if provider.remote:
                         self._limiter.acquire()
@@ -134,7 +152,7 @@ class Gateway:
                     logger.warning("%s attempt %d failed (%s), retrying in "
                                    "%.2fs", op, attempt, exc, delay)
                     self.stats.count_retry()
-                    self._sleep(delay)
+            self._sleep(delay)
 
     def _cached(self, op: str, provider, params: dict, fn: Callable,
                 chars: int = 0):
@@ -159,30 +177,39 @@ class Gateway:
             lambda: self.generator.complete(request),
             chars=len(request.prompt))
 
-    def embed(self, texts: list[str]) -> list[EmbeddingVector]:
-        """Embed texts in order, chunked at the provider's batch size."""
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """Embed texts in order, chunked at the provider's batch size.
+
+        Returns one (len(texts), dimension) float64 array, checked once
+        for a shared dimension and finite values."""
         for i, text in enumerate(texts):
             if not text or not text.strip():
                 raise ValidationError(f"text #{i} to embed is empty")
+        if not texts:
+            return np.empty((0, 0))
         size = max(1, self.embedder.batch_size)
-        vectors: list[EmbeddingVector] = []
+        mat = None
         for start in range(0, len(texts), size):
             chunk = texts[start:start + size]
             payload = self._cached(
                 "embed", self.embedder, {"texts": chunk},
-                lambda c=chunk: [list(v.values)
+                lambda c=chunk: [v.values
                                  for v in self.embedder.embed_batch(c)],
                 chars=sum(len(t) for t in chunk))
             if len(payload) != len(chunk):
                 raise ProtocolError(
                     f"embedding count mismatch: {len(payload)} != {len(chunk)}")
-            vectors.extend(
-                EmbeddingVector(tuple(float(x) for x in values))
-                for values in payload)
-        dims = {v.dimension for v in vectors}
-        if len(dims) > 1:
-            raise ProtocolError(f"mixed embedding dimensions {sorted(dims)}")
-        return vectors
+            block = _embedding_rows(payload)
+            if mat is None:
+                mat = np.empty((len(texts), block.shape[1]))
+            elif block.shape[1] != mat.shape[1]:
+                raise ProtocolError(
+                    f"mixed embedding dimensions "
+                    f"{sorted({mat.shape[1], block.shape[1]})}")
+            mat[start:start + len(chunk)] = block
+        if not np.isfinite(mat).all():
+            raise ValidationError("embedding contains a non-finite value")
+        return mat
 
     @property
     def supports_token_embeddings(self) -> bool:

@@ -3,9 +3,13 @@
 Cache keys are the sha256 of a canonical JSON encoding of the request:
 provider id, operation name, and normalized parameters (prompt text included
 verbatim). One file per key; the file body is the JSON-encoded response
-payload. Writes go through a temp file and os.replace, so a crashed writer
-never leaves a truncated entry behind and concurrent writers of the same key
-are harmless (last replace wins with identical bytes).
+payload.
+
+Every write goes to its own temp file in the cache directory (mkstemp) and
+is moved into place with os.replace. A crashed writer therefore never
+leaves a truncated entry, and concurrent writers of one key, in one process
+or several, never share a temp file: each replace installs a complete
+entry and the last one wins.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -50,11 +55,15 @@ class ResponseCache:
             return None
 
     def put(self, key: str, payload: Any) -> None:
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp",
+                                   dir=self.directory)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, ensure_ascii=False)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 class NullCache:

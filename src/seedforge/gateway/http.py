@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Protocol
 
+import numpy as np
+
 from seedforge.contexts import WIKI, ContextDoc, ContextSource
 from seedforge.errors import (ConfigError, NotFoundError, ProtocolError,
                               ProviderError, RetryableProviderError,
@@ -198,6 +200,10 @@ class HttpEmbedder(Embedder):
         dims = {v.dimension for v in vectors}
         if len(dims) > 1:
             raise ProtocolError(f"mixed embedding dimensions {sorted(dims)}")
+        # Checked here, not only in the gateway, so a bad response is
+        # never written to the response cache.
+        if not np.isfinite([v.values for v in vectors]).all():
+            raise ValidationError("embedding contains a non-finite value")
         if vectors:
             if self._dimension is None:
                 self._dimension = vectors[0].dimension

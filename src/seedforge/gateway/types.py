@@ -6,7 +6,6 @@ these objects and must never mutate shared state through them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from seedforge import constants
@@ -39,16 +38,10 @@ class GenRequest:
 
 @dataclass(frozen=True)
 class EmbeddingVector:
-    """A fixed-length real vector. Values are finite by construction."""
+    """One embedding as a provider returns it. The gateway assembles a
+    batch into one array and checks shape and finiteness there, once."""
 
     values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValidationError("embedding must have at least one dimension")
-        for x in self.values:
-            if not math.isfinite(x):
-                raise ValidationError("embedding contains a non-finite value")
 
     @property
     def dimension(self) -> int:

@@ -383,8 +383,8 @@ def bert_like_score(pred: str, ref: str, gateway,
         return Score(1.0, 1.0, 1.0)
     if not pred_tokens or not ref_tokens:
         return Score(0.0, 0.0, 0.0)
-    vectors = gateway.embed(pred_tokens + ref_tokens)
-    mat = np.asarray([v.values for v in vectors], dtype=np.float64)
+    mat = np.asarray(gateway.embed(pred_tokens + ref_tokens),
+                     dtype=np.float64)
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms == 0.0):
         raise ValidationError("embedder returned a zero vector for a token")

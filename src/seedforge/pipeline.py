@@ -7,7 +7,9 @@ directory and records a digest in checkpoints.json; the digest chains the
 stage name, the content-relevant config, and the upstream stage digest, so
 a rerun skips exactly the stages whose inputs are unchanged and whose
 outputs still verify. Operational settings (budget, cache) do not enter
-the digest: changing them never invalidates work.
+the digest: changing them never invalidates work. Each dedup stage also
+saves the embeddings of its input (vectors-NN.npy), so a later epoch
+embeds only its new records.
 
 The stage bodies are plain functions shared with the CLI stage commands,
 and the generated ablation variants run the same epoch loop through
@@ -26,6 +28,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
+
+import numpy as np
 
 from seedforge import constants
 from seedforge.config import PipelineConfig
@@ -311,12 +315,11 @@ def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
     return records, failures
 
 
-def dedup_records(records: list, gateway,
-                  config: PipelineConfig) -> DedupResult:
+def dedup_records(records: list, gateway, config: PipelineConfig,
+                  known: tuple[list[str], np.ndarray] | None = None
+                  ) -> DedupResult:
     return dedup_filter(records, gateway, threshold=config.dedup_threshold,
-                        mode=config.dedup_mode,
-                        index_kind=config.dedup_index_kind,
-                        seed=config.run_seed)
+                        mode=config.dedup_mode, known=known)
 
 
 # -- stage files, shared with the CLI stage commands -------------------------
@@ -341,6 +344,15 @@ def read_contexts(path: str) -> list[tuple[str, ContextDoc]]:
             for _, row in read_jsonl_lines(path)]
 
 
+def write_vectors(vectors: np.ndarray, path: str) -> str:
+    """One float64 array as .npy, replaced atomically; returns its sha256."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as handle:
+        np.save(handle, vectors, allow_pickle=False)
+    os.replace(tmp, path)
+    return file_sha256(path)
+
+
 class _Run:
     """State threaded through one build in one working directory."""
 
@@ -354,6 +366,8 @@ class _Run:
         self.checkpoints = _Checkpoints(workdir)
         self.config_digest = config.content_digest()
         self.upstream = "origin"
+        # (ids, file name) of the last dedup stage's input vectors
+        self.prior_vectors: tuple[list[str], str] | None = None
 
     def path(self, name: str) -> str:
         return os.path.join(self.workdir, name)
@@ -433,10 +447,29 @@ class _Run:
             write_records, read_records)
 
     def dedup_stage(self, epoch: int, cumulative: list) -> list:
-        return self.file_stage(
-            f"dedup-{epoch:02d}", f"pool-{epoch:02d}.jsonl",
-            lambda: dedup_records(cumulative, self.gateway, self.config).kept,
-            write_records, read_records)
+        """Dedup of every record so far. Besides the pool it saves the raw
+        embedding of each input record, in id order, as vectors-NN.npy;
+        the next epoch's dedup reads them and embeds only its new
+        records."""
+        pool_file = f"pool-{epoch:02d}.jsonl"
+        vectors_file = f"vectors-{epoch:02d}.npy"
+        prior = self.prior_vectors
+
+        def compute():
+            known = (prior[0], np.load(self.path(prior[1]),
+                                       allow_pickle=False)
+                     ) if prior else None
+            result = dedup_records(cumulative, self.gateway, self.config,
+                                   known)
+            return result.kept, {
+                pool_file: write_records(result.kept, self.path(pool_file)),
+                vectors_file: write_vectors(result.vectors,
+                                            self.path(vectors_file))}
+
+        pool = self.stage(f"dedup-{epoch:02d}", compute,
+                          lambda: read_records(self.path(pool_file)))
+        self.prior_vectors = (sorted(r.id for r in cumulative), vectors_file)
+        return pool
 
     def build_pool(self, max_epochs: int, reroll: bool) -> list:
         """The epoch loop: grow the record pool until it holds

@@ -1,4 +1,5 @@
-"""Near-duplicate filtering: cosine, both indexes, and the keep-first rule.
+"""Near-duplicate filtering: cosine, the blocked scan, the keep-first
+rule, and threshold ties.
 
 The heavyweight planted-duplicate run lives in the acceptance suite; here the
 same oracle is cross-checked at a size where failures are easy to read.
@@ -10,10 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from seedforge.dedup import (APPROXIMATE, EXACT, FULL_SET, KEEP_FIRST,
-                             DedupResult, ExactIndex, HnswIndex, Removal,
-                             build_index, cosine, dedup_filter, sample_text)
+from seedforge.dedup import (FULL_SET, KEEP_FIRST, TIE_TOLERANCE,
+                             DedupResult, Removal, _dedup_exact, block_rows,
+                             cosine, dedup_filter, sample_text)
 from seedforge.errors import ProtocolError, ValidationError
+from seedforge.gateway.mock import MockEmbedder
 
 
 def rec(record_id, text):
@@ -28,7 +30,7 @@ class VecGateway:
         self.table = table
 
     def embed(self, texts):
-        return [self.table[t] for t in texts]
+        return np.array([self.table[t] for t in texts], dtype=np.float64)
 
 
 def table_gateway(pairs):
@@ -73,106 +75,9 @@ class TestSampleText:
         assert sample_text(rec("x", "i")) == "i\n\no"
 
 
-class TestExactIndex:
-    def test_nearest_values(self):
-        idx = ExactIndex(dim=2)
-        idx.insert("east", [1, 0])
-        idx.insert("north", [0, 1])
-        idx.insert("diag", [1, 1])
-        hits = idx.nearest([1, 0.1], k=3)
-        assert [h[0] for h in hits] == ["east", "diag", "north"]
-        assert hits[0][1] == pytest.approx(1 / math.sqrt(1.01))
-
-    def test_exclusion(self):
-        idx = ExactIndex(dim=2)
-        idx.insert("a", [1, 0])
-        idx.insert("b", [0.9, 0.1])
-        assert idx.nearest([1, 0], k=1)[0][0] == "a"
-        assert idx.nearest([1, 0], k=1, exclude="a")[0][0] == "b"
-
-    def test_k_larger_than_size(self):
-        idx = ExactIndex(dim=2)
-        idx.insert("a", [1, 0])
-        assert len(idx.nearest([1, 0], k=5)) == 1
-
-    def test_empty_index(self):
-        assert ExactIndex(dim=3).nearest([1, 0, 0]) == []
-
-    def test_dim_mismatch(self):
-        idx = ExactIndex(dim=2)
-        with pytest.raises(ProtocolError):
-            idx.insert("a", [1, 0, 0])
-        idx.insert("a", [1, 0])
-        with pytest.raises(ProtocolError):
-            idx.nearest([1, 0, 0])
-
-    def test_zero_vector(self):
-        with pytest.raises(ValidationError):
-            ExactIndex(dim=2).insert("a", [0, 0])
-
-
 def random_unit(rng, n, dim):
     mat = rng.normal(size=(n, dim))
     return mat / np.linalg.norm(mat, axis=1)[:, None]
-
-
-class TestHnswIndex:
-    def test_basic_nearest_and_exclusion(self):
-        idx = HnswIndex(dim=2, seed=0)
-        idx.insert("east", [1, 0])
-        idx.insert("north", [0, 1])
-        idx.insert("diag", [1, 1])
-        assert idx.nearest([1, 0.1], k=1)[0][0] == "east"
-        assert idx.nearest([1, 0.1], k=1, exclude="east")[0][0] == "diag"
-        assert idx.nearest([1, 0], k=10, exclude=None)[0][1] == (
-            pytest.approx(1.0))
-
-    def test_empty_index(self):
-        assert HnswIndex(dim=4).nearest([1, 0, 0, 0]) == []
-
-    def test_recall_against_exact(self):
-        rng = np.random.default_rng(11)
-        base = random_unit(rng, 400, 24)
-        queries = random_unit(rng, 80, 24)
-        exact = ExactIndex(dim=24)
-        approx = HnswIndex(dim=24, seed=3)
-        for i, v in enumerate(base):
-            exact.insert(f"v{i:04d}", v)
-            approx.insert(f"v{i:04d}", v)
-        hits = sum(
-            approx.nearest(q, k=1)[0][0] == exact.nearest(q, k=1)[0][0]
-            for q in queries)
-        assert hits / len(queries) >= 0.95
-
-    def test_insertion_order_does_not_hide_duplicates(self):
-        # The one query pattern dedup relies on: the twin of a vector must
-        # be found even among many decoys.
-        rng = np.random.default_rng(5)
-        decoys = random_unit(rng, 200, 16)
-        idx = HnswIndex(dim=16, seed=1)
-        for i, v in enumerate(decoys):
-            idx.insert(f"d{i:04d}", v)
-        target = decoys[57]
-        hit = idx.nearest(target, k=1)
-        assert hit[0][0] == "d0057"
-        assert hit[0][1] == pytest.approx(1.0)
-
-
-class TestBuildIndex:
-    def test_kind_dispatch(self):
-        pairs = [("a", [1.0, 0.0]), ("b", [0.0, 1.0])]
-        assert isinstance(build_index(pairs, kind=EXACT), ExactIndex)
-        assert isinstance(build_index(pairs, kind=APPROXIMATE), HnswIndex)
-
-    def test_rejects_unknown_kind_and_empty(self):
-        with pytest.raises(ValidationError):
-            build_index([("a", [1.0])], kind="fuzzy")
-        with pytest.raises(ValidationError):
-            build_index([], kind=EXACT)
-
-    def test_rejects_scalar_vectors(self):
-        with pytest.raises(ProtocolError):
-            build_index([("a", 1.0)], kind=EXACT)
 
 
 def angled(theta):
@@ -249,8 +154,6 @@ class TestDedupFilter:
             dedup_filter(records, gw, threshold=0.0)
         with pytest.raises(ValidationError):
             dedup_filter(records, gw, threshold=1.5)
-        with pytest.raises(ValidationError):
-            dedup_filter(records, gw, index_kind="fuzzy")
 
     def test_zero_norm_embedding_names_the_record(self):
         records, gw = table_gateway([(rec("rz", "z"), [0.0, 0.0])])
@@ -283,7 +186,7 @@ class TestDedupFilter:
 
 
 def oracle_keep_first(ids, unit_rows, threshold):
-    """Quadratic restatement of the rule, written without the index."""
+    """Quadratic restatement of the rule, written without the scan."""
     order = sorted(range(len(ids)), key=lambda i: ids[i])
     kept, removed = [], {}
     for i in order:
@@ -316,7 +219,7 @@ class TestOracleEquivalence:
     def test_exact_filter_matches_oracle(self):
         ids, base, records, gw = self.planted_corpus()
         want_kept, want_removed = oracle_keep_first(ids, base, 0.95)
-        result = dedup_filter(records, gw, index_kind=EXACT)
+        result = dedup_filter(records, gw)
         assert [r.id for r in result.kept] == want_kept
         assert result.removed_ids == set(want_removed)
         for removal in result.removed:
@@ -324,20 +227,178 @@ class TestOracleEquivalence:
             assert removal.nearest_id == nearest
             assert removal.similarity == pytest.approx(sim, abs=1e-9)
 
-    def test_approximate_filter_matches_on_separated_corpus(self):
-        ids, base, records, gw = self.planted_corpus()
-        exact = dedup_filter(records, gw, index_kind=EXACT)
-        approx = dedup_filter(records, gw, index_kind=APPROXIMATE, seed=5)
-        assert [r.id for r in approx.kept] == [r.id for r in exact.kept]
-        assert approx.removed_ids == exact.removed_ids
 
-    def test_auto_switches_on_corpus_size(self):
-        ids, base, records, gw = self.planted_corpus(n=60, dups=8)
-        small_limit = dedup_filter(records, gw, index_kind="auto",
-                                   exact_fallback_limit=10, seed=5)
-        approx = dedup_filter(records, gw, index_kind=APPROXIMATE, seed=5)
-        assert [r.id for r in small_limit.kept] == [
-            r.id for r in approx.kept]
-        default = dedup_filter(records, gw, index_kind="auto")
-        exact = dedup_filter(records, gw, index_kind=EXACT)
-        assert [r.id for r in default.kept] == [r.id for r in exact.kept]
+def per_row_reference(ids, unit, threshold, mode):
+    """The rule one row at a time: row i against the kept rows
+    (keep_first) or every earlier row (full_set). Over the threshold means
+    beyond threshold + TIE_TOLERANCE; the nearest is the earliest row
+    within TIE_TOLERANCE of the best similarity."""
+    kept, removed = [], []
+    for i in range(len(ids)):
+        pool = kept if mode == KEEP_FIRST else list(range(i))
+        sims = unit[pool] @ unit[i] if pool else np.empty(0)
+        over = [k for k, sim in enumerate(sims)
+                if sim > threshold + TIE_TOLERANCE]
+        if not over:
+            kept.append(i)
+            continue
+        best = max(sims[k] for k in over)
+        k = next(k for k in over if sims[k] >= best - TIE_TOLERANCE)
+        removed.append(Removal(ids[i], ids[pool[k]], float(sims[k])))
+    return kept, removed
+
+
+def chained_corpus():
+    """32 random rows plus an angle chain at rows 5..8: each chain step is
+    just above 0.95 from the previous one, two steps are far below. Row 6
+    (a removal under both modes) is the last row of a 7-row block, row 7
+    the first of the next."""
+    rng = np.random.default_rng(3)
+    unit = random_unit(rng, 32, 8)
+    axis, other = random_unit(rng, 2, 8)
+    ortho = other - (other @ axis) * axis
+    ortho /= np.linalg.norm(ortho)
+    for step, row in enumerate(range(5, 9)):
+        theta = step * STEP
+        unit[row] = math.cos(theta) * axis + math.sin(theta) * ortho
+    noisy = unit[20] + 0.01 * rng.normal(size=8)
+    unit[27] = noisy / np.linalg.norm(noisy)
+    ids = [f"r{i:03d}" for i in range(len(unit))]
+    return ids, unit
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    def test_equals_per_row_reference(self, mode, block):
+        ids, unit = chained_corpus()
+        want_kept, want_removed = per_row_reference(ids, unit, 0.95, mode)
+        kept, removed = _dedup_exact(ids, unit, 0.95, mode, block=block)
+        assert kept == want_kept
+        assert [(r.record_id, r.nearest_id) for r in removed] == [
+            (r.record_id, r.nearest_id) for r in want_removed]
+        for got, want in zip(removed, want_removed):
+            assert got.similarity == pytest.approx(want.similarity,
+                                                   abs=1e-12)
+
+    def test_the_chain_crosses_a_block_boundary(self):
+        ids, unit = chained_corpus()
+        _, keep_first = _dedup_exact(ids, unit, 0.95, KEEP_FIRST, block=7)
+        _, full_set = _dedup_exact(ids, unit, 0.95, FULL_SET, block=7)
+        assert [(r.record_id, r.nearest_id) for r in keep_first] == [
+            ("r006", "r005"), ("r008", "r007"), ("r027", "r020")]
+        assert [(r.record_id, r.nearest_id) for r in full_set] == [
+            ("r006", "r005"), ("r007", "r006"), ("r008", "r007"),
+            ("r027", "r020")]
+
+    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
+    def test_planted_corpus_at_every_block_size(self, mode):
+        rng = np.random.default_rng(8)
+        unit = random_unit(rng, 150, 16)
+        for k in range(30):
+            noisy = unit[k] + 0.05 * rng.normal(size=16)
+            unit[149 - k] = noisy / np.linalg.norm(noisy)
+        ids = [f"r{i:03d}" for i in range(150)]
+        want = per_row_reference(ids, unit, 0.9, mode)
+        for block in (1, 7, 64, 151):
+            kept, removed = _dedup_exact(ids, unit, 0.9, mode, block=block)
+            assert kept == want[0]
+            assert [r.nearest_id for r in removed] == [
+                r.nearest_id for r in want[1]]
+
+    def test_block_rows_bound_the_slab(self):
+        assert block_rows(5_000) == 2 ** 19 // 5_000
+        assert block_rows(10 ** 6) == 16
+        assert block_rows(1) == 2 ** 19
+
+
+def distinct_bucket_words(embedder, count):
+    """Words that each land in a bucket of their own under embedder."""
+    words, buckets = [], set()
+    for k in range(1000):
+        word = f"w{k}"
+        (vec,) = embedder.embed_batch([word])
+        bucket = int(np.flatnonzero(vec.values)[0])
+        if bucket not in buckets:
+            buckets.add(bucket)
+            words.append(word)
+            if len(words) == count:
+                return words
+    raise AssertionError("not enough distinct buckets")
+
+
+class TestThresholdTies:
+    """Texts of five one-bucket words sharing four: their mock cosine is
+    4/5, exactly the threshold, and the float result of the dot product
+    depends on summation order."""
+
+    def corpus(self):
+        words = distinct_bucket_words(MockEmbedder(dim=256), 30)
+        records = []
+        for g in range(5):
+            common = " ".join(words[6 * g:6 * g + 4])
+            for tail in (4, 5):
+                records.append(rec(f"g{g}-{tail}",
+                                   f"{common} {words[6 * g + tail]}"))
+        # rec() gives every record the output "o", a sixth shared word;
+        # drop it so only the five instruction words are embedded.
+        for r in records:
+            r.output = ""
+        return records
+
+    def test_records_sit_exactly_at_the_threshold(self, gateway):
+        records = self.corpus()
+        mat = gateway.embed([sample_text(r) for r in records])
+        for a, b in zip(mat[0::2], mat[1::2]):
+            assert cosine(a, b) == pytest.approx(0.8, abs=1e-15)
+
+    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
+    def test_every_block_size_keeps_the_ties(self, gateway, mode):
+        records = sorted(self.corpus(), key=lambda r: r.id)
+        ids = [r.id for r in records]
+        mat = gateway.embed([sample_text(r) for r in records])
+        unit = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+        for block in (1, 2, 3, 7, len(ids)):
+            kept, removed = _dedup_exact(ids, unit, 0.8, mode, block=block)
+            assert kept == list(range(len(ids)))
+            assert removed == []
+            kept, removed = _dedup_exact(ids, unit, 0.8 - 1e-9, mode,
+                                         block=block)
+            assert [r.record_id for r in removed] == ids[1::2]
+
+
+class CountingGateway(VecGateway):
+    def __init__(self, table):
+        super().__init__(table)
+        self.embedded = []
+
+    def embed(self, texts):
+        self.embedded.extend(texts)
+        return super().embed(texts)
+
+
+class TestKnownVectors:
+    def test_only_unknown_records_are_embedded(self):
+        records, gw = TestDedupFilter().chain()
+        gw = CountingGateway(gw.table)
+        first = dedup_filter(records[:2], gw)
+        gw.embedded.clear()
+        known = ([r.id for r in records[:2]], first.vectors)
+        again = dedup_filter(records, gw, known=known)
+        assert gw.embedded == [sample_text(records[2])]
+        plain = dedup_filter(records, VecGateway(gw.table))
+        assert [r.id for r in again.kept] == [r.id for r in plain.kept]
+        assert again.removed == plain.removed
+        assert np.array_equal(again.vectors, plain.vectors)
+
+    def test_vectors_follow_id_order(self):
+        records, gw = TestDedupFilter().chain()
+        result = dedup_filter(list(reversed(records)), gw)
+        want = [gw.table[sample_text(r)] for r in records]
+        assert np.array_equal(result.vectors, np.array(want))
+
+    def test_dimension_disagreement_is_protocol_error(self):
+        records, gw = TestDedupFilter().chain()
+        with pytest.raises(ProtocolError, match="dimension"):
+            dedup_filter(records, gw,
+                         known=(["r0"], np.array([[1.0, 0.0, 0.0]])))

@@ -1,6 +1,7 @@
 """Gateway policy and mock provider contracts."""
 
 import math
+import sys
 import threading
 
 import pytest
@@ -91,9 +92,9 @@ class TestGatewayOperations:
     def test_embed_preserves_order_across_batches(self, gateway):
         texts = [f"text number {i}" for i in range(150)]
         vectors = gateway.embed(texts)
-        assert len(vectors) == 150
+        assert vectors.shape == (150, 256)
         single = gateway.embed([texts[137]])[0]
-        assert vectors[137].values == single.values
+        assert vectors[137].tolist() == single.tolist()
 
     def test_embed_rejects_empty_text(self, gateway):
         with pytest.raises(ValidationError, match="#1"):
@@ -166,6 +167,24 @@ class TestRetryPolicy:
             failures=10, retry_limit=2)
         with pytest.raises(RetryableProviderError):
             gw.translate("x", "th", "en")
+
+    def test_backoff_releases_the_concurrency_slot(self):
+        gw = Gateway.mock(budget=ProviderBudget(
+            requests_per_minute=10**9, max_concurrent=1, retry_limit=1))
+        gw.translator = FlakyProvider(MockTranslator(), failures=1)
+        other = []
+
+        def sleep(_delay):
+            # Another call during the backoff must get the only slot.
+            thread = threading.Thread(target=lambda: other.append(
+                gw.complete(GenRequest(prompt="echo:y", temperature=0.1))))
+            thread.start()
+            thread.join(timeout=5)
+            other.append(thread.is_alive())
+
+        gw._sleep = sleep
+        assert gw.translate("x", "th", "en") == "en⟨x⟩"
+        assert other == ["y", False]
 
     def test_backoff_grows_per_attempt(self):
         gw, sleeps = self._gateway_with_flaky_translator(
@@ -244,6 +263,37 @@ class TestCache:
         out = gw2.complete(GenRequest(prompt="echo:x", temperature=0.1,
                                       seed=0))
         assert out == "x"
+
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        keys = [request_key("p", "op", {"k": k}) for k in range(5)]
+        errors = []
+
+        def writer(t):
+            try:
+                for n in range(200):
+                    key = keys[n % 5]
+                    cache.put(key, {"payload": [key, "ค่า" * 50]})
+            except Exception as exc:  # noqa: BLE001 - collected, asserted
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,))
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for key in keys:
+            assert cache.get(key) == {"payload": [key, "ค่า" * 50]}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{key}.json" for key in keys)
 
 
 class TestConcurrency:

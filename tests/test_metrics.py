@@ -8,8 +8,8 @@ unit runs fast.
 
 import math
 import random
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from seedforge.errors import CapabilityError, ValidationError
@@ -275,8 +275,7 @@ class FakeEmbedGateway:
         self.supports_token_embeddings = supports
 
     def embed(self, texts):
-        return [SimpleNamespace(values=list(self.table[t]))
-                for t in texts]
+        return np.array([self.table[t] for t in texts], dtype=np.float64)
 
 
 class TestBertLike:

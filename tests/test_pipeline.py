@@ -4,16 +4,18 @@ import json
 import os
 import subprocess
 
+import numpy as np
 import pytest
 
 from seedforge.config import default_config
+from seedforge.dedup import sample_text
 from seedforge.errors import BuildError, ConfigError, LockError
 from seedforge.gateway.http import HttpCompletionClient, HttpTranslator
-from seedforge.gateway.mock import MockTextGenerator
+from seedforge.gateway.mock import MockEmbedder, MockTextGenerator
 from seedforge.pipeline import (CHECKPOINT_FILE, LOCK_FILE, MANIFEST_FILE,
                                 WorkdirLock, build_gateway, epoch_topics,
                                 run_pipeline)
-from seedforge.records import file_sha256
+from seedforge.records import file_sha256, read_records
 
 SMALL = default_config(topics_cultural=8, topics_general=6, dataset_size=50,
                        run_seed=42)
@@ -156,6 +158,76 @@ class TestRunPipeline:
             run_pipeline(SMALL, str(tmp_path))
         assert err.value.stage == "topics-00"
         assert not os.path.exists(os.path.join(str(tmp_path), LOCK_FILE))
+
+
+class TestIncrementalDedup:
+    """Each dedup stage saves its input vectors; the next epoch embeds
+    only its own new records."""
+
+    TINY = default_config(topics_cultural=1, topics_general=1,
+                          dataset_size=30, run_seed=5)
+
+    @pytest.fixture
+    def embedded(self, monkeypatch):
+        texts = []
+        original = MockEmbedder.embed_batch
+
+        def counting(self, batch):
+            texts.extend(batch)
+            return original(self, batch)
+
+        monkeypatch.setattr(MockEmbedder, "embed_batch", counting)
+        return texts
+
+    @staticmethod
+    def epoch_texts(workdir, epoch):
+        return sorted(sample_text(r) for r in read_records(
+            os.path.join(str(workdir), f"instructions-{epoch:02d}.jsonl")))
+
+    def test_every_record_is_embedded_once(self, tmp_path, embedded):
+        executed = []
+        run_pipeline(self.TINY, str(tmp_path), stage_hook=executed.append)
+        assert "dedup-01" in executed and "dedup-02" not in executed
+        assert sorted(embedded) == sorted(self.epoch_texts(tmp_path, 0)
+                                          + self.epoch_texts(tmp_path, 1))
+        vectors = np.load(os.path.join(str(tmp_path), "vectors-01.npy"),
+                          allow_pickle=False)
+        assert vectors.shape == (len(embedded), 256)
+
+    def test_rerun_of_dedup_01_embeds_only_epoch_1(self, tmp_path,
+                                                     embedded):
+        clean = str(tmp_path / "clean")
+        run_pipeline(self.TINY, clean)
+        workdir = str(tmp_path / "resumed")
+        run_pipeline(self.TINY, workdir)
+        ckpt = os.path.join(workdir, CHECKPOINT_FILE)
+        with open(ckpt, encoding="utf-8") as handle:
+            stages = json.load(handle)
+        del stages["dedup-01"]
+        with open(ckpt, "w", encoding="utf-8") as handle:
+            json.dump(stages, handle)
+        embedded.clear()
+        executed = []
+        run_pipeline(self.TINY, workdir, stage_hook=executed.append)
+        assert executed == ["dedup-01"]
+        assert sorted(embedded) == self.epoch_texts(workdir, 1)
+        for name in (MANIFEST_FILE, "pool-01.jsonl", "vectors-01.npy"):
+            assert (file_sha256(os.path.join(workdir, name))
+                    == file_sha256(os.path.join(clean, name)))
+
+    def test_tampered_vectors_rerun_their_dedup(self, tmp_path, embedded):
+        run_pipeline(self.TINY, str(tmp_path))
+        before = file_sha256(manifest_path(tmp_path))
+        target = os.path.join(str(tmp_path), "vectors-00.npy")
+        with open(target, "r+b") as handle:
+            handle.seek(-8, os.SEEK_END)
+            handle.write(b"\x01" * 8)
+        embedded.clear()
+        executed = []
+        run_pipeline(self.TINY, str(tmp_path), stage_hook=executed.append)
+        assert executed == ["dedup-00"]
+        assert sorted(embedded) == self.epoch_texts(tmp_path, 0)
+        assert file_sha256(manifest_path(tmp_path)) == before
 
 
 class TestExtensionTopics:

@@ -36,7 +36,6 @@ PINNED_DEFAULTS = {
     "dedup.enabled": True,
     "dedup.threshold": 0.95,
     "dedup.mode": "keep_first",
-    "dedup.index_kind": "auto",
     "paraphrase.count": 4,
     "budget.requests_per_minute": 60,
     "budget.max_concurrent": 4,
