@@ -75,6 +75,80 @@ class TestSampleText:
         assert sample_text(rec("x", "i")) == "i\n\no"
 
 
+def unit_rows(rows):
+    mat = np.array(rows, dtype=np.float64)
+    return mat / np.linalg.norm(mat, axis=1, keepdims=True)
+
+
+class TestExactIndex:
+    """The exact nearest-predecessor search, which is the blocked scan:
+    exact similarities, no self-match, blocks larger than the corpus, an
+    empty corpus, and rejected dimensions and zero vectors."""
+
+    def test_nearest_values(self):
+        ids = ["a-east", "b-north", "c-diag", "d-query"]
+        unit = unit_rows([[1, 0], [0, 1], [1, 1], [1, 0.1]])
+        for block in (1, 3, 8):
+            kept, removed = _dedup_exact(ids, unit, 0.95, FULL_SET,
+                                         block=block)
+            assert kept == [0, 1, 2]
+            (hit,) = removed
+            assert (hit.record_id, hit.nearest_id) == ("d-query", "a-east")
+            assert hit.similarity == pytest.approx(1 / math.sqrt(1.01),
+                                                   abs=1e-12)
+
+    def test_exclusion(self):
+        # A record is never its own nearest: the self-similarity of 1.0
+        # lies on the diagonal the scan leaves out.
+        unit = unit_rows([[1, 0], [1, 0]])
+        for mode in (KEEP_FIRST, FULL_SET):
+            for block in (1, 2):
+                assert _dedup_exact(["a"], unit[:1], 0.95, mode,
+                                    block=block) == ([0], [])
+                kept, removed = _dedup_exact(["a", "b"], unit, 0.95, mode,
+                                             block=block)
+                assert kept == [0]
+                (hit,) = removed
+                assert (hit.record_id, hit.nearest_id) == ("b", "a")
+                assert hit.similarity == pytest.approx(1.0)
+
+    def test_k_larger_than_size(self):
+        ids = ["a", "b", "c"]
+        unit = unit_rows([[1, 0], [0.99, 0.1], [0, 1]])
+        for block in (3, 100, 2 ** 19):
+            kept, removed = _dedup_exact(ids, unit, 0.95, KEEP_FIRST,
+                                         block=block)
+            assert kept == [0, 2]
+            assert [(r.record_id, r.nearest_id) for r in removed] == [
+                ("b", "a")]
+
+    def test_empty_index(self):
+        for mode in (KEEP_FIRST, FULL_SET):
+            assert _dedup_exact([], np.empty((0, 3)), 0.95, mode) == (
+                [], [])
+
+    def test_dim_mismatch(self):
+        records, gw = table_gateway([(rec("r0", "a"), [1.0, 0.0]),
+                                     (rec("r1", "b"), [0.0, 1.0])])
+        with pytest.raises(ProtocolError, match="dimension"):
+            dedup_filter(records, gw,
+                         known=(["r1"], np.array([[0.0, 1.0, 0.0]])))
+        flat = SimpleNamespace(embed=lambda texts: np.zeros(len(texts)))
+        with pytest.raises(ProtocolError):
+            dedup_filter(records, flat)
+        short = SimpleNamespace(embed=lambda texts: np.ones((1, 2)))
+        with pytest.raises(ProtocolError):
+            dedup_filter(records, short)
+
+    def test_zero_vector(self):
+        # A zero row is rejected where it enters, fresh or already known.
+        records, gw = table_gateway([(rec("r0", "a"), [1.0, 0.0]),
+                                     (rec("r1", "b"), [0.0, 1.0])])
+        with pytest.raises(ValidationError, match="r0"):
+            dedup_filter(records, gw,
+                         known=(["r0"], np.array([[0.0, 0.0]])))
+
+
 def random_unit(rng, n, dim):
     mat = rng.normal(size=(n, dim))
     return mat / np.linalg.norm(mat, axis=1)[:, None]
