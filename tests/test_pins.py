@@ -1,11 +1,11 @@
-"""Pinned sha256 digests of mock builds.
+"""Pinned sha256 digests of mock builds and of a mock eval report.
 
-Refactors must leave the bytes of `run`'s manifest and of every `ablate`
-variant unchanged. The config forces the interesting paths at a small
-size: 9 topics fall short of 100 records, so `run` and `ablate full` run
-an extension epoch and `ablate fluency` re-rolls its 10 topics; a dedup
-threshold of 0.8 makes dedup remove records. If a digest must change,
-the change that moves it says why.
+Refactors must leave the bytes of `run`'s manifest, of every `ablate`
+variant and of the report `eval` writes unchanged. The config forces the
+interesting paths at a small size: 9 topics fall short of 100 records, so
+`run` and `ablate full` run an extension epoch and `ablate fluency`
+re-rolls its 10 topics; a dedup threshold of 0.8 makes dedup remove
+records. If a digest must change, the change that moves it says why.
 """
 
 import json
@@ -88,3 +88,55 @@ def test_run_manifest_and_meta(built):
 def test_ablate_records(built, variant):
     _, out = built
     assert file_sha256(out[variant]) == ABLATE[variant]
+
+
+# -- eval report --------------------------------------------------------------
+
+# Two systems over five pairs. The summarization texts span several lines,
+# so rouge_lsum takes its own path; one prediction is empty; several texts
+# repeat tokens.
+EVAL_REFS = [
+    ("cq0", "closed_qa", "culture", "แมว แมว นั่ง บน เสื่อ แมว"),
+    ("cq1", "closed_qa", "general", "น้ำ ไหล ลง สู่ ทะเล"),
+    ("oq0", "open_qa", "culture", "วัด นี้ สร้าง ใน สมัย อยุธยา ตอน ต้น"),
+    ("sm0", "summarization", "culture",
+     "งาน วัด มี ทุก ปี\nคน มา ไหว้ พระ\nแล้ว กิน ขนม ขนม ไทย"),
+    ("sm1", "summarization", "general",
+     "ฝน ตก หนัก\nถนน น้ำ ท่วม ถนน"),
+]
+EVAL_PREDS = {
+    "tuned": {
+        "cq0": "แมว นั่ง บน เสื่อ แมว แมว",
+        "cq1": "น้ำ ไหล ลง ทะเล",
+        "oq0": "วัด นี้ สร้าง สมัย อยุธยา",
+        "sm0": "คน มา ไหว้ พระ\nงาน วัด มี ทุก ปี\nกิน ขนม ไทย",
+        "sm1": "ฝน ตก หนัก มาก\nถนน ท่วม",
+    },
+    "base": {
+        "cq0": "หมา หมา วิ่ง",
+        "cq1": "",
+        "oq0": "วัด วัด วัด เก่า",
+        "sm0": "งาน ปี นี้ สนุก",
+        "sm1": "ฝน\nตก\nหนัก",
+    },
+}
+EVAL_REPORT = (
+    "31d8b71694c5522cccfc18c3e7422dbcb922601c3fb2bb51e2e07f2198d32af9")
+
+
+def test_eval_report(tmp_path):
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text("".join(
+        json.dumps({"id": i, "task": task, "test_set": test_set,
+                    "reference": text}, ensure_ascii=False) + "\n"
+        for i, task, test_set, text in EVAL_REFS), encoding="utf-8")
+    argv = ["eval", "--refs", str(refs)]
+    for system, preds in EVAL_PREDS.items():
+        path = tmp_path / f"{system}.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": i, "prediction": text}, ensure_ascii=False)
+            + "\n" for i, text in preds.items()), encoding="utf-8")
+        argv += ["--pred", str(path)]
+    out = str(tmp_path / "report.json")
+    assert main(argv + ["--out", out]) == 0
+    assert file_sha256(out) == EVAL_REPORT
