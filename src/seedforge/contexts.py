@@ -39,7 +39,8 @@ CONTEXT_STYLES = (
     "how-to article",
 )
 
-# Not part of the published recipe; override via context.prompt_template.
+# Not part of the published recipe. No config key sets it; code that
+# builds its own ContextPolicy can pass prompt_template.
 DEFAULT_CONTEXT_TEMPLATE = (
     "Generate a {style} related to the topic {topic}. Write in Thai.")
 

@@ -16,9 +16,11 @@ import logging
 from dataclasses import dataclass
 from statistics import mean
 
+import numpy as np
+
 from seedforge import metrics
-from seedforge.errors import (AlignmentError, CapabilityError,
-                              DegenerateTestError, ValidationError)
+from seedforge.errors import (AlignmentError, DegenerateTestError,
+                              ValidationError)
 from seedforge.records import read_jsonl_lines
 from seedforge.stats import wilcoxon_rank_sum
 from seedforge.tokenizers import Tokenizer, get_tokenizer
@@ -63,15 +65,32 @@ class EvalPair:
                 f"pair {self.id}: unknown test set {self.test_set!r}")
 
 
+def _one_token_line(text: str, tokenizer: Tokenizer) -> bool:
+    """Whether rouge_lsum sees text as rouge_l does: at most one line
+    yields tokens, and together they are the tokens of the whole text."""
+    lines = [t for t in (tokenizer(s) for s in text.splitlines()
+                         if s.strip()) if t]
+    return len(lines) <= 1 and (lines[0] if lines else []) == tokenizer(text)
+
+
 def score_pair(pair: EvalPair, gateway, tokenizer: Tokenizer,
                with_bert: bool = True) -> dict:
-    """Every metric for one pair. Empty texts are scored, not rejected."""
+    """Every metric for one pair. Empty texts are scored, not rejected.
+
+    When neither side has more than one line with tokens, rouge_lsum's
+    hits are rouge_l's LCS over the same denominators, so rouge_l's score
+    is reused instead of recomputed."""
     pred, ref = pair.prediction, pair.reference
+    rouge_l = metrics.rouge_l(pred, ref, tokenizer).f1
+    if _one_token_line(pred, tokenizer) and _one_token_line(ref, tokenizer):
+        rouge_lsum = rouge_l
+    else:
+        rouge_lsum = metrics.rouge_lsum(pred, ref, tokenizer).f1
     scores = {
         "rouge1_f1": metrics.rouge_n(pred, ref, 1, tokenizer).f1,
         "rouge2_f1": metrics.rouge_n(pred, ref, 2, tokenizer).f1,
-        "rouge_l_f1": metrics.rouge_l(pred, ref, tokenizer).f1,
-        "rouge_lsum_f1": metrics.rouge_lsum(pred, ref, tokenizer).f1,
+        "rouge_l_f1": rouge_l,
+        "rouge_lsum_f1": rouge_lsum,
         "bleu_sentence": metrics.bleu([pred], [ref], tokenizer=tokenizer,
                                       smooth=True),
         "chrf": metrics.chrf(pred, ref),
@@ -142,26 +161,66 @@ def _mean_scores(rows: list[dict], keys: list[str]) -> dict:
             for key in keys if all(key in row for row in rows)}
 
 
-def _score_system(pairs: list[EvalPair], gateway, tokenizer: Tokenizer,
-                  notes: list[str], system: str) -> dict:
-    with_bert = bool(getattr(gateway, "supports_token_embeddings", False))
+class _Memo:
+    """A tokenizer that splits each distinct text once. Callers share the
+    returned lists and must not mutate them."""
+
+    def __init__(self, tokenizer: Tokenizer):
+        self._tokenizer = tokenizer
+        self._tokens: dict[str, list[str]] = {}
+
+    def __call__(self, text: str) -> list[str]:
+        tokens = self._tokens.get(text)
+        if tokens is None:
+            tokens = self._tokens[text] = self._tokenizer(text)
+        return tokens
+
+
+class _TokenVectors:
+    """Raw embeddings of a report's distinct tokens, one provider request
+    per batch of them, standing in for the gateway in bert_like_score.
+
+    Providers embed each input on its own, so a token's row is the one a
+    per-pair request would return and the scores do not change. Holds
+    distinct tokens x dimension float64 values."""
+
+    supports_token_embeddings = True
+
+    def __init__(self, gateway, tokens: list[str]):
+        self._index = {token: i for i, token in enumerate(tokens)}
+        self._raw = np.asarray(gateway.embed(tokens), dtype=np.float64)
+
+    def embed(self, tokens: list[str]) -> np.ndarray:
+        return self._raw[[self._index[t] for t in tokens]]
+
+
+def _token_vectors(pairs_by_system: dict[str, list[EvalPair]], gateway,
+                   tokenizer: Tokenizer) -> _TokenVectors:
+    """Embed the sorted distinct tokens of every pair, across systems,
+    that bert_like_score embeds: those with tokens on both sides."""
+    vocabulary: set[str] = set()
+    for pairs in pairs_by_system.values():
+        for pair in pairs:
+            pred = tokenizer(pair.prediction)
+            ref = tokenizer(pair.reference)
+            if pred and ref:
+                vocabulary.update(pred)
+                vocabulary.update(ref)
+    return _TokenVectors(gateway, sorted(vocabulary))
+
+
+def _score_system(pairs: list[EvalPair], vectors: _TokenVectors | None,
+                  tokenizer: Tokenizer, notes: list[str],
+                  system: str) -> dict:
+    with_bert = vectors is not None
     if not with_bert:
         note = (f"{system}: embedding provider has no token-level "
                 f"embeddings; bert_like_f1 skipped")
         logger.warning(note)
         notes.append(note)
-    per_pair = {}
-    for pair in pairs:
-        try:
-            per_pair[pair.id] = score_pair(pair, gateway, tokenizer,
-                                           with_bert=with_bert)
-        except CapabilityError as exc:
-            # Provider claimed token embeddings but refused them.
-            with_bert = False
-            notes.append(f"{system}: bert_like_f1 skipped ({exc})")
-            per_pair = {p.id: score_pair(p, gateway, tokenizer, False)
-                        for p in pairs}
-            break
+    per_pair = {pair.id: score_pair(pair, vectors, tokenizer,
+                                    with_bert=with_bert)
+                for pair in pairs}
     keys = [k for k in METRIC_KEYS if k != "bert_like_f1" or with_bert]
     parts = _partition(pairs)
     by_task_test_set = {
@@ -260,7 +319,10 @@ def aggregate_report(pairs_by_system: dict[str, list[EvalPair]], gateway,
     rendered as empty rows.
     """
     _check_alignment(pairs_by_system)
-    tokenizer = get_tokenizer(tokenizer_name)
+    tokenizer = _Memo(get_tokenizer(tokenizer_name))
+    vectors = None
+    if getattr(gateway, "supports_token_embeddings", False):
+        vectors = _token_vectors(pairs_by_system, gateway, tokenizer)
     notes: list[str] = []
     first = next(iter(pairs_by_system.values()))
     present = {p.task for p in first}
@@ -276,7 +338,7 @@ def aggregate_report(pairs_by_system: dict[str, list[EvalPair]], gateway,
     }
     for system, pairs in pairs_by_system.items():
         report["per_system"][system] = _score_system(
-            pairs, gateway, tokenizer, notes, system)
+            pairs, vectors, tokenizer, notes, system)
     report["comparisons"] = _compare(pairs_by_system, report, notes)
     return report
 

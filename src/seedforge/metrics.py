@@ -19,6 +19,7 @@ Conventions that differ between published implementations are pinned here:
 
 from __future__ import annotations
 
+import heapq
 import math
 import unicodedata
 from collections import Counter
@@ -254,33 +255,38 @@ def _meteor_alignment(pred_tokens: list[str], ref_tokens: list[str]
     up matched min(pred count, ref count) times, which is the maximum any
     alignment can achieve, while long runs stay contiguous to keep the
     chunk count honest.
+
+    Every matching (i, j) waits in a heap keyed by (-run length, i, j).
+    Taking positions only shortens runs, so a stored length is an upper
+    bound: a popped entry whose run is still that long is the longest,
+    leftmost free run; a shorter one goes back with its new length.
     """
     pred_free = [True] * len(pred_tokens)
     ref_free = [True] * len(ref_tokens)
+    positions: dict[str, list[int]] = {}
+    for j, token in enumerate(ref_tokens):
+        positions.setdefault(token, []).append(j)
+    runs: dict[tuple[int, int], int] = {}
+    for i in range(len(pred_tokens) - 1, -1, -1):
+        for j in positions.get(pred_tokens[i], ()):
+            runs[i, j] = runs.get((i + 1, j + 1), 0) + 1
+    heap = [(-length, i, j) for (i, j), length in runs.items()]
+    heapq.heapify(heap)
     pairs: list[tuple[int, int]] = []
-    while True:
-        best_len = 0
-        best: tuple[int, int] | None = None
-        for i in range(len(pred_tokens)):
-            if not pred_free[i]:
-                continue
-            for j in range(len(ref_tokens)):
-                if not ref_free[j] or pred_tokens[i] != ref_tokens[j]:
-                    continue
-                length = 0
-                while (i + length < len(pred_tokens)
-                       and j + length < len(ref_tokens)
-                       and pred_free[i + length] and ref_free[j + length]
-                       and pred_tokens[i + length]
-                       == ref_tokens[j + length]):
-                    length += 1
-                if length > best_len:
-                    best_len = length
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        for k in range(best_len):
+    while heap:
+        stored, i, j = heapq.heappop(heap)
+        if not (pred_free[i] and ref_free[j]):
+            continue
+        length = 1
+        while (i + length < len(pred_tokens)
+               and j + length < len(ref_tokens)
+               and pred_free[i + length] and ref_free[j + length]
+               and pred_tokens[i + length] == ref_tokens[j + length]):
+            length += 1
+        if length < -stored:
+            heapq.heappush(heap, (-length, i, j))
+            continue
+        for k in range(length):
             pred_free[i + k] = False
             ref_free[j + k] = False
             pairs.append((i + k, j + k))

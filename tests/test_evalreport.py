@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from seedforge import metrics
 from seedforge.errors import AlignmentError, ValidationError
 from seedforge.evalreport import (EVAL_TASKS, METRIC_KEYS, EvalPair,
                                   aggregate_report, generation_lengths,
                                   join_pairs, load_predictions,
                                   load_references, render_report, score_pair)
-from seedforge.tokenizers import get_tokenizer
+from seedforge.gateway import Gateway
+from seedforge.tokenizers import TOKENIZERS, get_tokenizer
 
 TOK = get_tokenizer("unicode_words")
 
@@ -75,6 +77,18 @@ class TestScorePair:
         assert scores["rouge1_f1"] == 0.0
         assert scores["meteor"] == 0.0
         assert scores["squad_f1"] == 0.0
+
+    @pytest.mark.parametrize("name", sorted(TOKENIZERS))
+    def test_rouge_lsum_copied_only_when_equal(self, name):
+        tokenizer = get_tokenizer(name)
+        texts = ["", " \n ", "ก ข ค", "ก ข ค\n", "\n\nข ก\n \n",
+                 "ก ข\nค ก", "ค\nก\nข ข"]
+        for pred in texts:
+            for ref in texts:
+                got = score_pair(pair(prediction=pred, reference=ref),
+                                 None, tokenizer, with_bert=False)
+                assert got["rouge_lsum_f1"] == metrics.rouge_lsum(
+                    pred, ref, tokenizer).f1
 
 
 class TestGenerationLengths:
@@ -163,6 +177,65 @@ class TestAggregateReport:
         assert any("bert_like_f1 skipped" in n for n in report["notes"])
         assert [c["metric"] for c in report["comparisons"]] == [
             "prediction_length"]
+
+
+class CountingGateway:
+    """The mock gateway, recording the texts of every embed request."""
+
+    def __init__(self, supports_token_embeddings=True):
+        self.supports_token_embeddings = supports_token_embeddings
+        self.inner = Gateway.mock()
+        self.requests = []
+
+    def embed(self, texts):
+        self.requests.append(list(texts))
+        return self.inner.embed(texts)
+
+
+def vocabulary_systems():
+    """Two systems with repeated tokens, multi-line texts, an empty
+    prediction, and one pair whose empty reference keeps its prediction's
+    tokens out of bert_like_score."""
+    systems = {
+        "tuned": grid_pairs(lambda t, s, i, ref: f"{ref} {ref}"),
+        "base": grid_pairs(
+            lambda t, s, i, ref: "" if i == 0 else f"เดา {t}\nลำดับ {i} {i}"),
+    }
+    for system, prediction in (("tuned", "เฉพาะ คู่ นี้"),
+                               ("base", "เฉพาะ\nคู่")):
+        systems[system].append(EvalPair(
+            id="no-ref", task="open_qa", test_set="general",
+            prediction=prediction, reference=""))
+    return systems
+
+
+class TestTokenVocabulary:
+    def test_each_distinct_token_embedded_once(self):
+        systems = vocabulary_systems()
+        counting = CountingGateway()
+        report = aggregate_report(systems, counting)
+        scored = {t for pairs in systems.values() for p in pairs
+                  if TOK(p.prediction) and TOK(p.reference)
+                  for t in TOK(p.prediction) + TOK(p.reference)}
+        assert "เฉพาะ" not in scored
+        assert counting.requests == [sorted(scored)]
+        gateway = Gateway.mock()
+        for system, pairs in systems.items():
+            rows = report["per_system"][system]["per_pair"]
+            for p in pairs:
+                assert rows[p.id] == score_pair(p, gateway, TOK)
+
+    def test_no_token_embeddings_no_embed_request(self):
+        counting = CountingGateway(supports_token_embeddings=False)
+        report = aggregate_report(vocabulary_systems(), counting)
+        assert counting.requests == []
+        assert report["notes"] == [
+            "tasks absent from input: brainstorming, classification, "
+            "creative_writing, multiple_choice",
+            "tuned: embedding provider has no token-level embeddings; "
+            "bert_like_f1 skipped",
+            "base: embedding provider has no token-level embeddings; "
+            "bert_like_f1 skipped"]
 
 
 REF_ROWS = """\

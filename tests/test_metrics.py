@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from seedforge import metrics
 from seedforge.errors import CapabilityError, ValidationError
 from seedforge.metrics import (Score, bert_like_score, bleu, chrf, meteor,
                                rouge_l, rouge_lsum, rouge_n, squad_f1)
@@ -131,6 +132,17 @@ class TestRougeLsum:
     def test_blank_lines_ignored(self):
         assert rouge_lsum("a b\n\n \n", "a b").f1 == 1.0
 
+    @pytest.mark.parametrize("name", sorted(TOKENIZERS))
+    def test_single_line_equals_rouge_l_exactly(self, name):
+        tokenizer = get_tokenizer(name)
+        rng = random.Random(f"lsum-{name}")
+        for trial in range(300):
+            pred, ref = (" ".join(rng.choice("abc ก ข")
+                                  for _ in range(rng.randint(0, 25)))
+                         for _ in range(2))
+            assert (rouge_lsum(pred, ref, tokenizer).f1
+                    == rouge_l(pred, ref, tokenizer).f1)
+
 
 class TestBleu:
     def test_pinned_value(self):
@@ -234,6 +246,66 @@ class TestMeteor:
 
     def test_tokenizer_parameter(self):
         assert meteor("กขคง", "กขคง", tokenizer=characters) == 0.9921875
+
+
+def _all_pairs_alignment(pred_tokens, ref_tokens):
+    """The alignment as first written: every round compares every free
+    (i, j) and keeps the first strictly longer run."""
+    pred_free = [True] * len(pred_tokens)
+    ref_free = [True] * len(ref_tokens)
+    pairs = []
+    while True:
+        best_len = 0
+        best = None
+        for i in range(len(pred_tokens)):
+            if not pred_free[i]:
+                continue
+            for j in range(len(ref_tokens)):
+                if not ref_free[j] or pred_tokens[i] != ref_tokens[j]:
+                    continue
+                length = 0
+                while (i + length < len(pred_tokens)
+                       and j + length < len(ref_tokens)
+                       and pred_free[i + length] and ref_free[j + length]
+                       and pred_tokens[i + length]
+                       == ref_tokens[j + length]):
+                    length += 1
+                if length > best_len:
+                    best_len = length
+                    best = (i, j)
+        if best is None:
+            break
+        i, j = best
+        for k in range(best_len):
+            pred_free[i + k] = False
+            ref_free[j + k] = False
+            pairs.append((i + k, j + k))
+    pairs.sort()
+    return pairs
+
+
+class TestMeteorAlignment:
+    """Three words over up to 30 positions make many runs of equal
+    length, so the tie rule decides most rounds."""
+
+    @staticmethod
+    def sequences():
+        rng = random.Random(1909)
+        for trial in range(400):
+            yield tuple([rng.choice("xyz") for _ in range(rng.randint(0, 30))]
+                        for _ in range(2))
+
+    def test_matches_all_pairs_search(self):
+        for pred, ref in self.sequences():
+            assert (metrics._meteor_alignment(pred, ref)
+                    == _all_pairs_alignment(pred, ref))
+
+    def test_meteor_scores_unchanged(self, monkeypatch):
+        texts = [(" ".join(p), " ".join(r)) for p, r in self.sequences()]
+        got = [meteor(p, r) for p, r in texts]
+        monkeypatch.setattr(metrics, "_meteor_alignment",
+                            _all_pairs_alignment)
+        assert got == [meteor(p, r) for p, r in texts]
 
 
 class TestSquadF1:
