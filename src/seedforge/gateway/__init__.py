@@ -5,7 +5,8 @@ translation, paraphrasing, wiki) and applies the operational policy in one
 place: a content-addressed response cache, sliding-window rate limiting for
 remote providers, bounded retries with exponential backoff and jitter, and a
 concurrency cap. Callers see plain typed methods and never deal with
-transport concerns.
+transport concerns. Every reply passes its op's one check before it is
+cached or returned, and so does every cache hit.
 
 Thread safety: all public methods may be called concurrently; the semaphore
 bounds in-flight provider attempts (a call waiting out its backoff holds no
@@ -28,9 +29,9 @@ from seedforge import constants
 from seedforge.errors import (ConfigError, ProtocolError,
                               RetryableProviderError, ValidationError)
 from seedforge.gateway.cache import NullCache, ResponseCache, request_key
-from seedforge.gateway.mock import (MockEmbedder, MockParaphraser,
-                                    MockTextGenerator, MockTranslator,
-                                    MockWikiClient)
+from seedforge.gateway.mock import (DEFAULT_PAIRS, MockEmbedder,
+                                    MockParaphraser, MockTextGenerator,
+                                    MockTranslator, MockWikiClient)
 from seedforge.gateway.ratelimit import RateLimiter
 from seedforge.gateway.types import (GenRequest, ProviderBudget,
                                      WikiArticleRef)
@@ -41,18 +42,34 @@ BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_MAX_SECONDS = 30.0
 
 
-def _embedding_rows(payload: list) -> np.ndarray:
-    """One embedding batch as a (rows, dimension) float64 array."""
+def _embedding_rows(payload, count: int) -> np.ndarray:
+    """One embedding batch as a checked (count, dimension) float64 array."""
     try:
         block = np.array(payload, dtype=np.float64)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ProtocolError(
             "mixed embedding dimensions within one batch") from None
     if block.ndim != 2 or block.shape[1] == 0:
         raise ProtocolError(
             f"embedding batch of shape {block.shape} is not one vector "
             f"per text")
+    if len(block) != count:
+        raise ProtocolError(f"asked for {count} embeddings, got {len(block)}")
+    if not np.isfinite(block).all():
+        raise ValidationError("embedding contains a non-finite value")
     return block
+
+
+def _completion(payload) -> str:
+    if not isinstance(payload, str):
+        raise ProtocolError("completion provider returned no text")
+    return payload
+
+
+def _translation(payload) -> str:
+    if not isinstance(payload, str) or not payload:
+        raise ProtocolError("translator returned empty text")
+    return payload
 
 
 class GatewayStats:
@@ -112,12 +129,14 @@ class Gateway:
 
     @classmethod
     def mock(cls, budget: ProviderBudget | None = None, cache_dir=None,
-             embed_dim: int = 256, paraphrase_seed: int = 0) -> "Gateway":
+             embed_dim: int = 256, paraphrase_seed: int = 0,
+             language_pairs: frozenset[tuple[str, str]] = DEFAULT_PAIRS
+             ) -> "Gateway":
         """Fully offline gateway wired to the deterministic mock providers."""
         return cls(
             generator=MockTextGenerator(),
             embedder=MockEmbedder(dim=embed_dim),
-            translator=MockTranslator(),
+            translator=MockTranslator(language_pairs),
             paraphraser=MockParaphraser(seed=paraphrase_seed),
             wiki=MockWikiClient(),
             budget=budget or ProviderBudget(requests_per_minute=10**9),
@@ -155,15 +174,28 @@ class Gateway:
             self._sleep(delay)
 
     def _cached(self, op: str, provider, params: dict, fn: Callable,
-                chars: int = 0):
+                decode: Callable, chars: int = 0):
+        """decode(payload) of one request, the payload read from the cache
+        or fetched by fn. decode checks a payload and turns it into typed
+        values; a fresh payload is cached only after it passes, and a
+        cached one that fails is requested again and overwritten."""
         key = request_key(provider.provider_id, op, params)
         hit = self._cache.get(key)
         if hit is not None:
-            self.stats.count_hit(op)
-            return hit["payload"]
+            try:
+                value = decode(hit["payload"])
+            # Decoders raise ProtocolError or ValidationError (a
+            # ValueError); a damaged entry can also fail on its shape.
+            except (ProtocolError, LookupError, TypeError, ValueError) as exc:
+                logger.warning("cached %s reply %s fails its check (%s); "
+                               "requesting it again", op, key[:12], exc)
+            else:
+                self.stats.count_hit(op)
+                return value
         payload = self._call(op, provider, fn, chars)
+        value = decode(payload)
         self._cache.put(key, {"payload": payload})
-        return payload
+        return value
 
     # -- operations --------------------------------------------------------
 
@@ -174,14 +206,15 @@ class Gateway:
                   "seed": request.seed}
         return self._cached(
             "complete", self.generator, params,
-            lambda: self.generator.complete(request),
+            lambda: self.generator.complete(request), _completion,
             chars=len(request.prompt))
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """Embed texts in order, chunked at the provider's batch size.
 
-        Returns one (len(texts), dimension) float64 array, checked once
-        for a shared dimension and finite values."""
+        Returns one (len(texts), dimension) float64 array. Each batch is
+        checked once, before it is cached, for its row count, one
+        dimension and finite values."""
         for i, text in enumerate(texts):
             if not text or not text.strip():
                 raise ValidationError(f"text #{i} to embed is empty")
@@ -191,15 +224,12 @@ class Gateway:
         mat = None
         for start in range(0, len(texts), size):
             chunk = texts[start:start + size]
-            payload = self._cached(
+            block = self._cached(
                 "embed", self.embedder, {"texts": chunk},
                 lambda c=chunk: [v.values
                                  for v in self.embedder.embed_batch(c)],
+                lambda payload, n=len(chunk): _embedding_rows(payload, n),
                 chars=sum(len(t) for t in chunk))
-            if len(payload) != len(chunk):
-                raise ProtocolError(
-                    f"embedding count mismatch: {len(payload)} != {len(chunk)}")
-            block = _embedding_rows(payload)
             if mat is None:
                 mat = np.empty((len(texts), block.shape[1]))
             elif block.shape[1] != mat.shape[1]:
@@ -207,8 +237,6 @@ class Gateway:
                     f"mixed embedding dimensions "
                     f"{sorted({mat.shape[1], block.shape[1]})}")
             mat[start:start + len(chunk)] = block
-        if not np.isfinite(mat).all():
-            raise ValidationError("embedding contains a non-finite value")
         return mat
 
     @property
@@ -223,13 +251,10 @@ class Gateway:
                 f"language pair {source_lang}->{target_lang} is not "
                 f"supported by {self.translator.provider_id}")
         params = {"text": text, "source": source_lang, "target": target_lang}
-        result = self._cached(
+        return self._cached(
             "translate", self.translator, params,
             lambda: self.translator.translate(text, source_lang, target_lang),
-            chars=len(text))
-        if not result:
-            raise ProtocolError("translator returned empty text")
-        return result
+            _translation, chars=len(text))
 
     def paraphrase(self, text: str, count: int,
                    controls: dict | None = None) -> list[str]:
@@ -237,17 +262,24 @@ class Gateway:
             raise ValidationError("cannot paraphrase empty text")
         if count < 1:
             raise ValidationError("paraphrase count must be >= 1")
+
+        def decode(variants) -> list[str]:
+            if not isinstance(variants, list) or not all(
+                    isinstance(v, str) and v for v in variants):
+                raise ProtocolError(
+                    "paraphrase provider returned a bad payload")
+            if len(variants) != count:
+                raise ProtocolError(
+                    f"asked for {count} paraphrases, got {len(variants)}")
+            if text in variants:
+                raise ProtocolError("paraphrase provider echoed the input")
+            return variants
+
         params = {"text": text, "count": count, "controls": controls or {}}
-        variants = self._cached(
+        return self._cached(
             "paraphrase", self.paraphraser, params,
             lambda: self.paraphraser.paraphrase(text, count, controls),
-            chars=len(text))
-        if len(variants) != count:
-            raise ProtocolError(
-                f"asked for {count} paraphrases, got {len(variants)}")
-        if any(v == text for v in variants):
-            raise ProtocolError("paraphrase provider echoed the input")
-        return list(variants)
+            decode, chars=len(text))
 
     def wiki_search(self, query: str, limit: int = constants.WIKI_TOP_K
                     ) -> list[WikiArticleRef]:
@@ -255,32 +287,35 @@ class Gateway:
             raise ValidationError("wiki search query must be non-empty")
         if limit < 1:
             raise ValidationError("wiki search limit must be >= 1")
-        payload = self._cached(
+        return self._cached(
             "wiki_search", self.wiki, {"query": query, "limit": limit},
             lambda: [
                 {"title": r.title, "page_id": r.page_id, "rank": r.rank}
                 for r in self.wiki.search(query, limit)
             ],
+            lambda payload: [WikiArticleRef(**row) for row in payload],
             chars=len(query))
-        return [WikiArticleRef(**row) for row in payload]
 
     def wiki_fetch_sections(self, ref: WikiArticleRef) -> list:
         # Imported here, not at module top: contexts depends on gateway.types,
         # so a top-level import would be circular.
         from seedforge.contexts import ContextDoc, ContextSource
 
-        payload = self._cached(
+        def decode(payload) -> list[ContextDoc]:
+            return [
+                ContextDoc(body=row["body"],
+                           source=ContextSource(kind="wiki", title=ref.title,
+                                                section=row["section"]),
+                           provenance=dict(row["provenance"]))
+                for row in payload
+            ]
+
+        return self._cached(
             "wiki_sections", self.wiki,
             {"title": ref.title, "page_id": ref.page_id},
             lambda: [
                 {"body": d.body, "section": d.source.section,
                  "provenance": d.provenance}
                 for d in self.wiki.fetch_sections(ref)
-            ])
-        return [
-            ContextDoc(body=row["body"],
-                       source=ContextSource(kind="wiki", title=ref.title,
-                                            section=row["section"]),
-                       provenance=dict(row["provenance"]))
-            for row in payload
-        ]
+            ],
+            decode)

@@ -47,11 +47,9 @@ class ResponseCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
-        except FileNotFoundError:
-            return None
-        except json.JSONDecodeError:
-            # A half-written legacy entry; treat as a miss and let the
-            # caller overwrite it atomically.
+        except (FileNotFoundError, json.JSONDecodeError):
+            # A missing or half-written entry is a miss; the caller
+            # overwrites it atomically.
             return None
 
     def put(self, key: str, payload: Any) -> None:

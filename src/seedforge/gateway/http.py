@@ -12,35 +12,23 @@ variable name travels through the code, the secret itself never does.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 from seedforge.contexts import WIKI, ContextDoc, ContextSource
 from seedforge.errors import (ConfigError, NotFoundError, ProtocolError,
-                              ProviderError, RetryableProviderError,
-                              ValidationError)
+                              ProviderError, RetryableProviderError)
 from seedforge.gateway.providers import (Embedder, Paraphraser, TextGenerator,
                                          Translator, WikiClient)
 from seedforge.gateway.types import EmbeddingVector, GenRequest, WikiArticleRef
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class HttpResponse:
     status: int
     body: str
-
-    def json(self):
-        try:
-            return json.loads(self.body)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"provider returned non-JSON body: {exc}")
 
 
 class HttpTransport(Protocol):
@@ -69,25 +57,48 @@ class RequestsTransport:
         return HttpResponse(status=response.status_code, body=response.text)
 
 
-def _check_status(response: HttpResponse, what: str) -> None:
-    if response.status == 429 or response.status >= 500:
-        raise RetryableProviderError(
-            f"{what} returned HTTP {response.status}")
-    if not 200 <= response.status < 300:
-        raise ProviderError(
-            f"{what} returned HTTP {response.status}: {response.body[:200]}")
+class _HttpClient:
+    """The one request path of every HTTP provider: credential lookup,
+    the Bearer header, the transport call, status mapping and JSON body
+    decoding. `what` names the capability in error messages."""
+
+    def __init__(self, what: str, api_key_env: str,
+                 transport: HttpTransport | None, timeout: float):
+        self._what = what
+        # No api_key_env means the endpoint is unauthenticated (local
+        # OpenAI-compatible servers); a named but unset variable is an error.
+        self._api_key = os.environ.get(api_key_env, "") if api_key_env else ""
+        if api_key_env and not self._api_key:
+            raise ConfigError(
+                f"{what} provider requires credential in environment "
+                f"variable {api_key_env!r}, which is empty or unset")
+        self._transport = transport or RequestsTransport()
+        self.timeout = timeout
+
+    def _request(self, method: str, url: str, *, params: dict | None = None,
+                 json_body: dict | None = None, headers: dict | None = None):
+        """Send one request and return its decoded JSON body. headers
+        defaults to Bearer auth when a credential is configured."""
+        if headers is None:
+            headers = ({"Authorization": f"Bearer {self._api_key}"}
+                       if self._api_key else {})
+        response = self._transport.request(
+            method, url, params=params, json_body=json_body, headers=headers,
+            timeout=self.timeout)
+        status = response.status
+        if status == 429 or status >= 500:
+            raise RetryableProviderError(
+                f"{self._what} endpoint returned HTTP {status}")
+        if not 200 <= status < 300:
+            raise ProviderError(f"{self._what} endpoint returned HTTP "
+                                f"{status}: {response.body[:200]}")
+        try:
+            return json.loads(response.body)
+        except json.JSONDecodeError as exc:
+            raise ProtocolError(f"provider returned non-JSON body: {exc}")
 
 
-def _require_env(var_name: str, what: str) -> str:
-    value = os.environ.get(var_name, "")
-    if not value:
-        raise ConfigError(
-            f"{what} requires credential in environment variable "
-            f"{var_name!r}, which is empty or unset")
-    return value
-
-
-class HttpCompletionClient(TextGenerator):
+class HttpCompletionClient(_HttpClient, TextGenerator):
     """Chat-completion client for OpenAI-style or Anthropic-style endpoints.
 
     style="openai": POST {base}/v1/chat/completions, Bearer auth.
@@ -99,49 +110,34 @@ class HttpCompletionClient(TextGenerator):
                  timeout: float = 120.0):
         if style not in ("openai", "anthropic"):
             raise ConfigError(f"unknown completion endpoint style {style!r}")
+        super().__init__("completion", api_key_env, transport, timeout)
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.style = style
-        self.timeout = timeout
-        # No api_key_env means the endpoint is unauthenticated (local
-        # OpenAI-compatible servers); a named but unset variable is an error.
-        self._api_key = (_require_env(api_key_env, "completion provider")
-                         if api_key_env else "")
-        self._transport = transport or RequestsTransport()
 
     @property
     def provider_id(self) -> str:
         return f"{self.style}:{self.model}"
 
     def complete(self, request: GenRequest) -> str:
+        body = {
+            "model": self.model,
+            "messages": [{"role": "user", "content": request.prompt}],
+            "temperature": request.temperature,
+            "max_tokens": request.max_tokens,
+        }
         if self.style == "openai":
-            url = f"{self.base_url}/v1/chat/completions"
-            headers = ({"Authorization": f"Bearer {self._api_key}"}
-                       if self._api_key else {})
-            body = {
-                "model": self.model,
-                "messages": [{"role": "user", "content": request.prompt}],
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
-            }
             if request.seed is not None:
                 body["seed"] = request.seed
+            payload = self._request(
+                "POST", f"{self.base_url}/v1/chat/completions",
+                json_body=body)
         else:
-            url = f"{self.base_url}/v1/messages"
             headers = {"anthropic-version": "2023-06-01"}
             if self._api_key:
                 headers["x-api-key"] = self._api_key
-            body = {
-                "model": self.model,
-                "messages": [{"role": "user", "content": request.prompt}],
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
-            }
-        response = self._transport.request(
-            "POST", url, json_body=body, headers=headers,
-            timeout=self.timeout)
-        _check_status(response, "completion endpoint")
-        payload = response.json()
+            payload = self._request("POST", f"{self.base_url}/v1/messages",
+                                    json_body=body, headers=headers)
         try:
             if self.style == "openai":
                 return payload["choices"][0]["message"]["content"]
@@ -151,70 +147,36 @@ class HttpCompletionClient(TextGenerator):
             raise ProtocolError(f"unexpected completion payload shape: {exc}")
 
 
-class HttpEmbedder(Embedder):
-    """OpenAI-style embeddings endpoint: POST {base}/v1/embeddings."""
+class HttpEmbedder(_HttpClient, Embedder):
+    """OpenAI-style embeddings endpoint: POST {base}/v1/embeddings.
+
+    Only decodes the reply; the gateway checks the row count, the
+    dimension and finiteness of every batch before caching it."""
 
     def __init__(self, base_url: str, model: str, api_key_env: str,
-                 batch_size: int = 64, token_embeddings: bool = True,
                  transport: HttpTransport | None = None,
                  timeout: float = 120.0):
+        super().__init__("embedding", api_key_env, transport, timeout)
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.batch_size = batch_size
-        self.supports_token_embeddings = token_embeddings
-        self.timeout = timeout
-        self._api_key = (_require_env(api_key_env, "embedding provider")
-                         if api_key_env else "")
-        self._transport = transport or RequestsTransport()
-        self._dimension: int | None = None
 
     @property
     def provider_id(self) -> str:
         return f"embed:{self.model}"
 
-    @property
-    def dimension(self) -> int:
-        if self._dimension is None:
-            raise ProtocolError("embedding dimension unknown before first call")
-        return self._dimension
-
     def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        headers = ({"Authorization": f"Bearer {self._api_key}"}
-                   if self._api_key else {})
-        response = self._transport.request(
+        payload = self._request(
             "POST", f"{self.base_url}/v1/embeddings",
-            json_body={"model": self.model, "input": texts},
-            headers=headers,
-            timeout=self.timeout)
-        _check_status(response, "embedding endpoint")
-        payload = response.json()
+            json_body={"model": self.model, "input": texts})
         try:
             rows = sorted(payload["data"], key=lambda r: r["index"])
-            vectors = [EmbeddingVector(tuple(float(x) for x in r["embedding"]))
-                       for r in rows]
+            return [EmbeddingVector(tuple(float(x) for x in r["embedding"]))
+                    for r in rows]
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"unexpected embedding payload shape: {exc}")
-        if len(vectors) != len(texts):
-            raise ProtocolError(
-                f"asked for {len(texts)} embeddings, got {len(vectors)}")
-        dims = {v.dimension for v in vectors}
-        if len(dims) > 1:
-            raise ProtocolError(f"mixed embedding dimensions {sorted(dims)}")
-        # Checked here, not only in the gateway, so a bad response is
-        # never written to the response cache.
-        if not np.isfinite([v.values for v in vectors]).all():
-            raise ValidationError("embedding contains a non-finite value")
-        if vectors:
-            if self._dimension is None:
-                self._dimension = vectors[0].dimension
-            elif self._dimension != vectors[0].dimension:
-                raise ProtocolError(
-                    f"embedding dimension changed from {self._dimension} "
-                    f"to {vectors[0].dimension}")
-        return vectors
 
 
-class HttpTranslator(Translator):
+class HttpTranslator(_HttpClient, Translator):
     """Generic JSON translation endpoint.
 
     Expects POST {base_url} with {"text", "source", "target"} returning
@@ -222,17 +184,13 @@ class HttpTranslator(Translator):
     documented in the README.
     """
 
-    def __init__(self, base_url: str, api_key_env: str | None = None,
-                 pairs: frozenset[tuple[str, str]] = frozenset(
-                     {("th", "en"), ("en", "th")}),
+    def __init__(self, base_url: str, api_key_env: str = "", *,
+                 pairs: frozenset[tuple[str, str]],
                  transport: HttpTransport | None = None,
                  timeout: float = 120.0):
+        super().__init__("translation", api_key_env, transport, timeout)
         self.base_url = base_url
-        self.timeout = timeout
         self._pairs = pairs
-        self._api_key = (_require_env(api_key_env, "translation provider")
-                         if api_key_env else None)
-        self._transport = transport or RequestsTransport()
 
     @property
     def provider_id(self) -> str:
@@ -243,34 +201,25 @@ class HttpTranslator(Translator):
         return self._pairs
 
     def translate(self, text: str, source_lang: str, target_lang: str) -> str:
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        response = self._transport.request(
+        payload = self._request(
             "POST", self.base_url,
             json_body={"text": text, "source": source_lang,
-                       "target": target_lang},
-            headers=headers, timeout=self.timeout)
-        _check_status(response, "translation endpoint")
-        payload = response.json()
-        translation = payload.get("translation")
-        if not isinstance(translation, str) or not translation:
-            raise ProtocolError("translation endpoint returned no text")
-        return translation
+                       "target": target_lang})
+        try:
+            return payload["translation"]
+        except (KeyError, TypeError) as exc:
+            raise ProtocolError(f"unexpected translation payload shape: {exc}")
 
 
-class HttpParaphraser(Paraphraser):
+class HttpParaphraser(_HttpClient, Paraphraser):
     """Generic JSON paraphrase endpoint: POST {base_url} with
     {"text", "count", "controls"} returning {"paraphrases": [...]}."""
 
-    def __init__(self, base_url: str, api_key_env: str | None = None,
+    def __init__(self, base_url: str, api_key_env: str = "",
                  transport: HttpTransport | None = None,
                  timeout: float = 120.0):
+        super().__init__("paraphrase", api_key_env, transport, timeout)
         self.base_url = base_url
-        self.timeout = timeout
-        self._api_key = (_require_env(api_key_env, "paraphrase provider")
-                         if api_key_env else None)
-        self._transport = transport or RequestsTransport()
 
     @property
     def provider_id(self) -> str:
@@ -278,21 +227,14 @@ class HttpParaphraser(Paraphraser):
 
     def paraphrase(self, text: str, count: int,
                    controls: dict | None = None) -> list[str]:
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        response = self._transport.request(
+        payload = self._request(
             "POST", self.base_url,
             json_body={"text": text, "count": count,
-                       "controls": controls or {}},
-            headers=headers, timeout=self.timeout)
-        _check_status(response, "paraphrase endpoint")
-        payload = response.json()
-        variants = payload.get("paraphrases")
-        if not isinstance(variants, list) or not all(
-                isinstance(v, str) and v for v in variants):
-            raise ProtocolError("paraphrase endpoint returned a bad payload")
-        return variants
+                       "controls": controls or {}})
+        try:
+            return payload["paraphrases"]
+        except (KeyError, TypeError) as exc:
+            raise ProtocolError(f"unexpected paraphrase payload shape: {exc}")
 
 
 _WIKITEXT_RULES = (
@@ -327,7 +269,7 @@ def strip_wikitext(text: str) -> str:
     return "\n".join(line for line in lines if line).strip()
 
 
-class MediaWikiClient(WikiClient):
+class MediaWikiClient(_HttpClient, WikiClient):
     """MediaWiki Action API client (list=search and action=parse).
 
     Section splitting follows the API's own section index: index 0 is the
@@ -338,20 +280,16 @@ class MediaWikiClient(WikiClient):
     def __init__(self, api_url: str,
                  transport: HttpTransport | None = None,
                  timeout: float = 60.0):
+        super().__init__("wiki", "", transport, timeout)
         self.api_url = api_url
-        self.timeout = timeout
-        self._transport = transport or RequestsTransport()
 
     @property
     def provider_id(self) -> str:
         return f"mediawiki:{self.api_url}"
 
     def _get(self, params: dict) -> dict:
-        response = self._transport.request(
-            "GET", self.api_url, params={**params, "format": "json"},
-            timeout=self.timeout)
-        _check_status(response, "wiki endpoint")
-        payload = response.json()
+        payload = self._request("GET", self.api_url,
+                                params={**params, "format": "json"})
         if "error" in payload:
             info = payload["error"].get("info", "unknown error")
             code = payload["error"].get("code", "")
@@ -361,21 +299,18 @@ class MediaWikiClient(WikiClient):
         return payload
 
     def search(self, query: str, limit: int) -> list[WikiArticleRef]:
-        if not query.strip():
-            raise ValidationError("wiki search query must be non-empty")
         payload = self._get({
             "action": "query", "list": "search", "srsearch": query,
             "srlimit": limit,
         })
         try:
-            hits = payload["query"]["search"]
+            return [
+                WikiArticleRef(title=h["title"], page_id=int(h["pageid"]),
+                               rank=i)
+                for i, h in enumerate(payload["query"]["search"])
+            ]
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"unexpected search payload shape: {exc}")
-        return [
-            WikiArticleRef(title=h["title"], page_id=int(h["pageid"]),
-                           rank=i)
-            for i, h in enumerate(hits)
-        ]
 
     def _section_wikitext(self, page_id: int, index: int) -> str:
         payload = self._get({

@@ -18,11 +18,17 @@ import random
 import re
 import threading
 
+from seedforge import constants
 from seedforge.errors import RetryableProviderError, ValidationError
 from seedforge.gateway.providers import (Embedder, Paraphraser, TextGenerator,
                                          Translator, WikiClient)
 from seedforge.gateway.types import EmbeddingVector, GenRequest, WikiArticleRef
 from seedforge.seeding import derive_seed
+
+# The default target language and its pivot, both ways.
+DEFAULT_PAIRS = frozenset({
+    (constants.TARGET_LANGUAGE, constants.PIVOT_LANGUAGE),
+    (constants.PIVOT_LANGUAGE, constants.TARGET_LANGUAGE)})
 
 _SYLLABLES = (
     "ka", "ri", "to", "na", "sel", "mor", "vin", "dra", "lu", "pek",
@@ -155,10 +161,6 @@ class MockEmbedder(Embedder):
     def provider_id(self) -> str:
         return f"mock:embed:{self._dim}"
 
-    @property
-    def dimension(self) -> int:
-        return self._dim
-
     def _vector(self, text: str) -> EmbeddingVector:
         values = [0.0] * self._dim
         words = text.split()
@@ -190,8 +192,7 @@ class MockTranslator(Translator):
 
     remote = False
 
-    def __init__(self, pairs: frozenset[tuple[str, str]] = frozenset(
-            {("th", "en"), ("en", "th")})):
+    def __init__(self, pairs: frozenset[tuple[str, str]] = DEFAULT_PAIRS):
         self._pairs = pairs
 
     @property

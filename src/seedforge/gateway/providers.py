@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from seedforge.gateway.types import EmbeddingVector, GenRequest, WikiArticleRef
 
 
-class TextGenerator(ABC):
+class Provider(ABC):
     remote: bool = True
 
     @property
@@ -23,6 +23,8 @@ class TextGenerator(ABC):
     def provider_id(self) -> str:
         """Stable identifier used in cache keys, e.g. 'openai:gpt-x'."""
 
+
+class TextGenerator(Provider):
     @abstractmethod
     def complete(self, request: GenRequest) -> str:
         """Return the completion text for one request.
@@ -33,36 +35,22 @@ class TextGenerator(ABC):
         """
 
 
-class Embedder(ABC):
-    remote: bool = True
+class Embedder(Provider):
     batch_size: int = 64
     supports_token_embeddings: bool = True
 
-    @property
-    @abstractmethod
-    def provider_id(self) -> str: ...
-
-    @property
-    @abstractmethod
-    def dimension(self) -> int: ...
-
     @abstractmethod
     def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        """Embed up to batch_size texts, preserving order.
+        """Embed up to batch_size texts, preserving order. The gateway
+        checks the count, the dimension and finiteness of the result.
 
         Raises:
-            ProtocolError: mixed or unexpected dimensions in the response.
+            ProtocolError: the response cannot be decoded.
             RetryableProviderError: transient transport failure.
         """
 
 
-class Translator(ABC):
-    remote: bool = True
-
-    @property
-    @abstractmethod
-    def provider_id(self) -> str: ...
-
+class Translator(Provider):
     @property
     @abstractmethod
     def language_pairs(self) -> frozenset[tuple[str, str]]:
@@ -74,33 +62,18 @@ class Translator(ABC):
         language tags (a degraded round trip must stay observable)."""
 
 
-class Paraphraser(ABC):
-    remote: bool = True
-
-    @property
-    @abstractmethod
-    def provider_id(self) -> str: ...
-
+class Paraphraser(Provider):
     @abstractmethod
     def paraphrase(self, text: str, count: int,
                    controls: dict | None = None) -> list[str]:
         """Return `count` paraphrases of text, each distinct from the input.
 
         controls is an opaque pass-through for endpoint-specific quality/
-        diversity knobs.
-
-        Raises:
-            ProtocolError: fewer than count variants came back.
+        diversity knobs. The gateway checks the count and the echo.
         """
 
 
-class WikiClient(ABC):
-    remote: bool = True
-
-    @property
-    @abstractmethod
-    def provider_id(self) -> str: ...
-
+class WikiClient(Provider):
     @abstractmethod
     def search(self, query: str, limit: int) -> list[WikiArticleRef]:
         """Full-text search, provider ranking preserved. May be empty."""

@@ -43,10 +43,6 @@ class EmbeddingVector:
 
     values: tuple[float, ...]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class WikiArticleRef:

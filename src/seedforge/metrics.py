@@ -80,6 +80,19 @@ def _lcs_table(a: list[str], b: list[str]) -> list[list[int]]:
     return table
 
 
+def _lcs_length(a: list[str], b: list[str]) -> int:
+    """The last cell of _lcs_table(a, b), from two rolling rows."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        row = [0]
+        left = 0
+        for y, diag, up in zip(b, prev, prev[1:]):
+            left = diag + 1 if x == y else (up if up > left else left)
+            row.append(left)
+        prev = row
+    return prev[-1]
+
+
 def _lcs_indices(a: list[str], b: list[str]) -> set[int]:
     """Indices into a of one longest common subsequence with b."""
     table = _lcs_table(a, b)
@@ -104,8 +117,7 @@ def rouge_l(pred: str, ref: str,
     ref_tokens = tokenizer(ref)
     if not pred_tokens or not ref_tokens:
         return Score(0.0, 0.0, 0.0)
-    lcs = _lcs_table(pred_tokens, ref_tokens)[len(pred_tokens)][
-        len(ref_tokens)]
+    lcs = _lcs_length(pred_tokens, ref_tokens)
     precision = lcs / len(pred_tokens)
     recall = lcs / len(ref_tokens)
     return Score(precision, recall, _fmeasure(precision, recall))

@@ -78,10 +78,14 @@ def build_gateway(config: PipelineConfig) -> Gateway:
         max_concurrent=config.budget_max_concurrent,
         retry_limit=config.budget_retry_limit)
     cache_dir = config.cache_dir or None
+    pivot = config.run_pivot_language
+    target = config.run_target_language
+    pairs = frozenset({(target, pivot), (pivot, target)})
     if config.provider_kind == "mock":
         return Gateway.mock(budget=budget, cache_dir=cache_dir,
                             embed_dim=config.provider_embed_dim,
-                            paraphrase_seed=config.run_seed)
+                            paraphrase_seed=config.run_seed,
+                            language_pairs=pairs)
     for key, value in (("provider.generator.base_url",
                         config.provider_generator_base_url),
                        ("provider.embedder.base_url",
@@ -101,11 +105,8 @@ def build_gateway(config: PipelineConfig) -> Gateway:
         base_url=config.provider_embedder_base_url,
         model=config.provider_embedder_model,
         api_key_env=config.provider_embedder_api_key_env)
-    pivot = config.run_pivot_language
-    target = config.run_target_language
-    translator = HttpTranslator(
-        base_url=config.provider_translator_url,
-        pairs=frozenset({(target, pivot), (pivot, target)}))
+    translator = HttpTranslator(base_url=config.provider_translator_url,
+                                pairs=pairs)
     paraphraser = HttpParaphraser(base_url=config.provider_paraphraser_url)
     wiki = MediaWikiClient(api_url=config.provider_wiki_api_url)
     return Gateway(generator=generator, embedder=embedder,

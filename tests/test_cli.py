@@ -232,6 +232,18 @@ class TestAblate:
         assert "error in stage topics-00" in err
         assert "resume" not in err
 
+    def test_diversity_in_another_target_language(self, tmp_path):
+        conf = tmp_path / "lo.conf"
+        conf.write_text(CONF + "run.target_language = lo\n",
+                        encoding="utf-8")
+        out = str(tmp_path / "d.jsonl")
+        assert main(["ablate", "--config", str(conf), "--variant",
+                     "diversity", "--size", "50", "--out", out]) == 0
+        records = read_manifest(out).records
+        assert len(records) == 50
+        assert all(r.language == "lo" for r in records)
+        assert all("round_trip(en)" in r.lineage for r in records)
+
     def test_culture_without_source_exits_2(self, tmp_path, conf, capsys):
         code = main(["ablate", "--config", conf, "--variant", "culture",
                      "--size", "50", "--out", str(tmp_path / "c.jsonl")])

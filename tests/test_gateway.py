@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,8 @@ from seedforge.gateway.mock import (FlakyProvider, MockEmbedder,
                                     MockParaphraser, MockTranslator,
                                     ScriptedTextGenerator)
 from seedforge.gateway.ratelimit import RateLimiter
-from seedforge.gateway.types import GenRequest, ProviderBudget
+from seedforge.gateway.types import (EmbeddingVector, GenRequest,
+                                     ProviderBudget, WikiArticleRef)
 
 
 def _cosine(a, b):
@@ -294,6 +296,122 @@ class TestCache:
             assert cache.get(key) == {"payload": [key, "ค่า" * 50]}
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             f"{key}.json" for key in keys)
+
+
+class BadOnce:
+    """Wraps a provider: the first call of `method` returns spoil(reply),
+    later calls pass the reply through. Counts the calls of `method`."""
+
+    def __init__(self, inner, method, spoil):
+        self._inner = inner
+        self._method = method
+        self._spoil = spoil
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name != self._method:
+            return attr
+
+        def wrapper(*args, **kwargs):
+            self.calls += 1
+            reply = attr(*args, **kwargs)
+            return self._spoil(reply) if self.calls == 1 else reply
+
+        return wrapper
+
+
+ARTICLE = WikiArticleRef("Alpha", 7, 0)
+
+# op, provider attribute, provider method, how the first reply goes bad,
+# the gateway call, its cache params, and a bad payload to plant.
+POISON_CASES = {
+    "complete": (
+        "generator", "complete", lambda out: None,
+        lambda gw: gw.complete(GenRequest(prompt="echo:x", temperature=0.1,
+                                          max_tokens=9)),
+        {"prompt": "echo:x", "temperature": 0.1, "max_tokens": 9,
+         "seed": None}, ["x"]),
+    "translate": (
+        "translator", "translate", lambda out: "",
+        lambda gw: gw.translate("x", "th", "en"),
+        {"text": "x", "source": "th", "target": "en"}, ""),
+    "paraphrase": (
+        "paraphraser", "paraphrase", lambda out: out[:-1],
+        lambda gw: gw.paraphrase("x", 3),
+        {"text": "x", "count": 3, "controls": {}}, ["x", "y", "z"]),
+    "embed": (
+        "embedder", "embed_batch",
+        lambda out: out[:-1] + [EmbeddingVector((math.nan,) * 256)],
+        lambda gw: gw.embed(["a b", "c d"]).tolist(),
+        {"texts": ["a b", "c d"]}, [[1.0, 0.0]]),
+    "wiki_search": (
+        "wiki", "search",
+        lambda refs: [SimpleNamespace(title="", page_id=1, rank=0)],
+        lambda gw: gw.wiki_search("topic", limit=3),
+        {"query": "topic", "limit": 3},
+        [{"title": "", "page_id": 1, "rank": 0}]),
+    "wiki_sections": (
+        "wiki", "fetch_sections",
+        lambda docs: [SimpleNamespace(
+            body=" ", source=SimpleNamespace(section=""), provenance={})],
+        lambda gw: gw.wiki_fetch_sections(ARTICLE),
+        {"title": "Alpha", "page_id": 7},
+        [{"body": "", "section": "", "provenance": {}}]),
+}
+
+
+class TestCachePoisoning:
+    """A reply that fails its check is never cached, and a cached one that
+    fails it is requested again."""
+
+    @staticmethod
+    def _gateway(tmp_path, attr, provider):
+        gw = Gateway.mock(cache_dir=tmp_path)
+        setattr(gw, attr, provider)
+        return gw
+
+    @pytest.mark.parametrize("op", sorted(POISON_CASES))
+    def test_bad_reply_is_requested_again(self, op, tmp_path):
+        attr, method, spoil, call, _, _ = POISON_CASES[op]
+        clean = call(Gateway.mock())
+        provider = BadOnce(getattr(Gateway.mock(), attr), method, spoil)
+        with pytest.raises((ProtocolError, ValidationError)):
+            call(self._gateway(tmp_path, attr, provider))
+        assert call(self._gateway(tmp_path, attr, provider)) == clean
+        assert provider.calls == 2
+        # the good reply is the one cached
+        gw = self._gateway(tmp_path, attr, provider)
+        assert call(gw) == clean
+        assert provider.calls == 2
+        assert gw.stats.snapshot()["cache_hits"] == {op: 1}
+
+    @pytest.mark.parametrize("op", sorted(POISON_CASES))
+    def test_bad_cache_entry_is_overwritten(self, op, tmp_path):
+        attr, method, _, call, params, planted = POISON_CASES[op]
+        clean = call(Gateway.mock())
+        inner = getattr(Gateway.mock(), attr)
+        key = request_key(inner.provider_id, op, params)
+        cache = ResponseCache(tmp_path)
+        cache.put(key, {"payload": planted})
+        provider = BadOnce(inner, method, lambda reply: reply)
+        gw = self._gateway(tmp_path, attr, provider)
+        assert call(gw) == clean
+        assert provider.calls == 1
+        stats = gw.stats.snapshot()
+        assert stats["provider_calls"] == {op: 1}
+        assert stats["cache_hits"] == {}
+        assert cache.get(key) != {"payload": planted}
+        assert call(self._gateway(tmp_path, attr, provider)) == clean
+        assert provider.calls == 1
+
+    def test_damaged_entry_shape_is_a_miss(self, tmp_path):
+        params = {"text": "x", "source": "th", "target": "en"}
+        key = request_key("mock:translate", "translate", params)
+        ResponseCache(tmp_path).put(key, {"not_payload": "en⟨x⟩"})
+        gw = Gateway.mock(cache_dir=tmp_path)
+        assert gw.translate("x", "th", "en") == "en⟨x⟩"
+        assert gw.stats.snapshot()["provider_calls"] == {"translate": 1}
 
 
 class TestConcurrency:

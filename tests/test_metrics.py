@@ -104,6 +104,15 @@ class TestRougeL:
     def test_tokenizer_parameter(self):
         assert rouge_l("กคข", "กขค", tokenizer=characters).f1 == 2 / 3
 
+    def test_lcs_length_equals_the_full_table(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            alphabet = "abcdefgh"[:rng.randint(1, 8)]
+            a = [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
+            b = [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
+            assert metrics._lcs_length(a, b) == (
+                metrics._lcs_table(a, b)[-1][-1])
+
 
 class TestRougeLsum:
     @pytest.mark.parametrize("pred,ref", [

@@ -9,9 +9,12 @@ import pytest
 
 from seedforge.config import default_config
 from seedforge.dedup import sample_text
+from seedforge import pipeline
 from seedforge.errors import BuildError, ConfigError, LockError
+from seedforge.gateway import Gateway
 from seedforge.gateway.http import HttpCompletionClient, HttpTranslator
-from seedforge.gateway.mock import MockEmbedder, MockTextGenerator
+from seedforge.gateway.mock import (FlakyProvider, MockEmbedder,
+                                    MockTextGenerator)
 from seedforge.pipeline import (CHECKPOINT_FILE, LOCK_FILE, MANIFEST_FILE,
                                 WorkdirLock, build_gateway, epoch_topics,
                                 run_pipeline)
@@ -158,6 +161,36 @@ class TestRunPipeline:
             run_pipeline(SMALL, str(tmp_path))
         assert err.value.stage == "topics-00"
         assert not os.path.exists(os.path.join(str(tmp_path), LOCK_FILE))
+
+
+class TestDeterminismUnderFaults:
+    PROVIDERS = ("generator", "embedder", "translator", "paraphraser", "wiki")
+
+    def test_flaky_providers_leave_the_same_manifest(self, tmp_path,
+                                                     monkeypatch):
+        run_pipeline(SMALL, str(tmp_path / "clean"))
+        clean_build = pipeline.build_gateway
+        built = []
+
+        def flaky_build(config):
+            clean = clean_build(config)
+            gateway = Gateway(
+                **{name: FlakyProvider(getattr(clean, name), failures=3)
+                   for name in self.PROVIDERS},
+                budget=clean.budget, sleep=lambda seconds: None)
+            built.append(gateway)
+            return gateway
+
+        monkeypatch.setattr(pipeline, "build_gateway", flaky_build)
+        run_pipeline(SMALL, str(tmp_path / "flaky"))
+        (gateway,) = built
+        assert gateway.stats.retries > 0
+        # every provider the run uses failed its first three calls
+        for name in ("generator", "embedder", "wiki"):
+            assert getattr(gateway, name).attempts > 3
+        with open(manifest_path(tmp_path / "clean"), "rb") as clean, \
+                open(manifest_path(tmp_path / "flaky"), "rb") as flaky:
+            assert flaky.read() == clean.read()
 
 
 class TestIncrementalDedup:
