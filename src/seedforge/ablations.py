@@ -1,14 +1,16 @@
 """Property-controlled dataset variants.
 
-Five builders produce datasets that differ in three properties: fluency
-(no degrading transforms applied), cultural context (cultural topics in the
-mix), and diversity (near-duplicate filtering on). The flags on a manifest
-are always derived from its recipe (see seedforge.manifest).
+Five variants differ in three properties: fluency (no degrading transforms
+applied), cultural context (cultural topics in the mix), and diversity
+(near-duplicate filtering on). One table, VARIANT_TABLE, says how each is
+built and `build_variant` builds all five from it. The flags on a manifest
+are always derived from its recipe (see seedforge.manifest), and the
+recipe's transforms are the steps that ran, in order.
 
-The three generated variants are fixed topic and dedup settings for the
-pipeline's checkpointed epoch loop, which runs in a temporary working
-directory, followed by a truncation and the variant's transforms. The
-other two derive from a full build or from an external corpus.
+The generated variants run the pipeline's checkpointed epoch loop in a
+temporary working directory with the row's topic counts and dedup setting,
+then share `run`'s pool-to-manifest step. The other two sample a full
+build's manifest or an external corpus.
 
 Degradations are deliberate: round-trip translation simulates a machine
 translated corpus, and paraphrase fan-out shrinks semantic diversity while
@@ -17,16 +19,15 @@ multiplying size. Both reuse the gateway's translator and paraphraser.
 
 from __future__ import annotations
 
-import logging
 import math
 import tempfile
-from dataclasses import replace
-from functools import partial
+from dataclasses import dataclass, replace
 
 from seedforge import constants
-from seedforge.config import PipelineConfig, default_config
+from seedforge.config import PipelineConfig
 from seedforge.contexts import ContextPolicy
-from seedforge.errors import BuildError, ProviderError, ValidationError
+from seedforge.errors import (BuildError, ConfigError, ProviderError,
+                              ValidationError)
 from seedforge.instructions import (CONVERSATION, GENERATION_TASKS,
                                     GenerationFailure, InstructionRecord,
                                     TaskSettings)
@@ -36,21 +37,47 @@ from seedforge.manifest import (  # noqa: F401 - re-exported
     PropertyFlags, Recipe, derive_flags, finish_manifest, manifest_hash,
     read_manifest, truncate_records, write_manifest)
 from seedforge.pipeline import (MAX_EPOCHS, acquire_contexts, build_pool,
-                                generate_records)
+                                generate_records, manifest_from_pool)
 from seedforge.records import read_jsonl_lines
 from seedforge.topics import GENERAL, Topic
 
-logger = logging.getLogger(__name__)
+# Where a variant's records come from.
+GENERATED = "generated"  # the pipeline's epoch loop
+DERIVED = "derived"  # a sample of a full build's manifest
+EXTERNAL = "external"  # a sample of an adapted external corpus
 
-# The generated variants: default general-topic count (None: the config's
-# cultural and general counts), dedup, transforms.
-_GENERATED = {
-    VARIANT_FULL: (None, True, ()),
-    VARIANT_FLUENCY_ONLY: (constants.TOPICS_FLUENCY_ONLY, False, ()),
-    VARIANT_DIVERSITY_ONLY: (constants.TOPICS_DIVERSITY_ONLY, True,
-                             ("round_trip",)),
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """How one variant is built.
+
+    topics: (cultural, general) counts, or None for the counts its records
+    were made under: the config's when generated, the source manifest's
+    when derived. reroll: re-run the first epoch's topics under new round
+    numbers instead of adding topics.
+    """
+    source: str
+    topics: tuple[int, int] | None
+    dedup: bool
+    transforms: tuple[str, ...] = ()
+    reroll: bool = False
+
+
+VARIANT_TABLE = {
+    VARIANT_FULL: VariantSpec(GENERATED, None, dedup=True),
+    VARIANT_FLUENCY_ONLY: VariantSpec(
+        GENERATED, (0, constants.TOPICS_FLUENCY_ONLY), dedup=False,
+        reroll=True),
+    VARIANT_DIVERSITY_ONLY: VariantSpec(
+        GENERATED, (0, constants.TOPICS_DIVERSITY_ONLY), dedup=True,
+        transforms=("round_trip",)),
+    VARIANT_CULTURE_ONLY: VariantSpec(
+        DERIVED, None, dedup=False,
+        transforms=("translate_pivot", "paraphrase", "translate_target")),
+    VARIANT_NO_PROPERTIES: VariantSpec(
+        EXTERNAL, (0, 0), dedup=False,
+        transforms=("paraphrase", "translate_target")),
 }
-GENERATED_VARIANTS = tuple(_GENERATED)
 
 
 def generate_pass(gateway, seed: int, topics: list[Topic], *,
@@ -130,118 +157,93 @@ def _paraphrase_variants(record: InstructionRecord, gateway, count: int
     return variants
 
 
-def _paraphrase_fanout(records: list[InstructionRecord], gateway,
-                       config: PipelineConfig, label: str, to_pivot: bool
-                       ) -> list[InstructionRecord]:
-    """Each record plus its paraphrases, made in the pivot language (after
-    translating there first when to_pivot) and translated to the target."""
+def _run_transforms(records: list[InstructionRecord], recipe: Recipe,
+                    gateway, config: PipelineConfig
+                    ) -> list[InstructionRecord]:
+    """Run the recipe's transforms in order, each over every record. A
+    provider failure on any record fails the build."""
     pivot, target = config.run_pivot_language, config.run_target_language
-    out: list[InstructionRecord] = []
-    for record in records:
-        source = record
-        if to_pivot:
-            source = translate_record(replace(record, flags=None), gateway,
-                                      target, pivot)
-        try:
-            variants = _paraphrase_variants(source, gateway,
-                                            config.paraphrase_count)
-        except ProviderError as exc:
-            raise BuildError(
-                f"{label}: paraphrase failed for {record.id}: {exc}",
-                achieved=len(out)) from exc
-        out.extend(translate_record(v, gateway, pivot, target)
-                   for v in variants)
-    return out
-
-
-# -- variant builders --------------------------------------------------------
-
-def build_generated(variant: str, gateway, seed: int,
-                    size: int = constants.DATASET_SIZE,
-                    config: PipelineConfig | None = None,
-                    topics_general: int | None = None,
-                    workdir_parent: str | None = None) -> DatasetManifest:
-    """One of the generated variants: `size` records under `seed`.
-
-    The variant's topic counts and dedup setting replace the config's:
-    full keeps the config's cultural and general counts, fluency_only and
-    diversity_only use `topics_general` general topics (their default when
-    None). The pipeline's checkpointed stages then run in a temporary
-    directory under workdir_parent (the system default when None), removed
-    on return. fluency_only re-rolls its fixed topics instead of extending
-    them, for at most ceil(size / topics) + 10 rounds.
-    """
-    config = config or default_config()
-    default_general, dedup, transforms = _GENERATED[variant]
-    if default_general is None:
-        cultural, general = config.topics_cultural, config.topics_general
-    else:
-        cultural = 0
-        general = (default_general if topics_general is None
-                   else topics_general)
-    reroll = variant == VARIANT_FLUENCY_ONLY
-    max_epochs = (math.ceil(size / max(1, general)) + 10 if reroll
-                  else MAX_EPOCHS)
-    build_config = replace(config, run_seed=seed, dataset_size=size,
-                           topics_cultural=cultural, topics_general=general,
-                           dedup_enabled=dedup)
-    with tempfile.TemporaryDirectory(prefix=".seedforge-",
-                                     dir=workdir_parent) as workdir:
-        pool = build_pool(build_config, workdir, gateway, max_epochs,
-                          reroll)
-    records = truncate_records(pool, size, seed, variant)
-    if "round_trip" in transforms:
-        # The bounce is a final degradation step, after dedup.
-        bounced = []
+    for step in recipe.transforms:
+        out: list[InstructionRecord] = []
         for record in records:
             try:
-                bounced.append(round_trip_translate(
-                    record, gateway, pivot=config.run_pivot_language))
+                if step == "round_trip":
+                    out.append(round_trip_translate(record, gateway,
+                                                    pivot=pivot))
+                elif step == "paraphrase":
+                    out.extend(_paraphrase_variants(
+                        record, gateway, config.paraphrase_count))
+                elif step == "translate_pivot":
+                    out.append(translate_record(record, gateway, target,
+                                                pivot))
+                else:  # translate_target
+                    out.append(translate_record(record, gateway, pivot,
+                                                target))
             except ProviderError as exc:
-                logger.warning("%s: dropping %s, translation failed: %s",
-                               variant, record.id, exc)
-        if len(bounced) != size:
-            raise BuildError(
-                f"{variant}: {len(bounced)} records survived round-trip "
-                f"translation, target {size}", achieved=len(bounced))
-        records = bounced
+                raise BuildError(
+                    f"{recipe.variant}: {step} failed for {record.id}: "
+                    f"{exc}", achieved=len(out)) from exc
+        records = out
+    return records
+
+
+def build_variant(variant: str, gateway, config: PipelineConfig,
+                  source=None, workdir_parent: str | None = None
+                  ) -> DatasetManifest:
+    """The variant's manifest of config.dataset_size records under
+    config.run_seed, built as its VARIANT_TABLE row says.
+
+    Generated variants run the pipeline's checkpointed stages in a
+    temporary directory under workdir_parent (the system default when
+    None), removed on return; a re-rolling variant runs at most
+    ceil(size / topics) + 10 rounds. A derived variant needs the full
+    build's DatasetManifest as `source`, an external one the records of
+    `load_external_corpus`; each samples dataset.size / (paraphrase.count
+    + 1) of them, which the paraphrase fan-out multiplies back to size.
+    """
+    spec = VARIANT_TABLE[variant]
+    size, seed = config.dataset_size, config.run_seed
+    if spec.source == GENERATED:
+        cultural, general = spec.topics or (config.topics_cultural,
+                                            config.topics_general)
+        config = replace(config, topics_cultural=cultural,
+                         topics_general=general, dedup_enabled=spec.dedup)
+        max_epochs = (math.ceil(size / max(1, general)) + 10 if spec.reroll
+                      else MAX_EPOCHS)
+        with tempfile.TemporaryDirectory(prefix=".seedforge-",
+                                         dir=workdir_parent) as workdir:
+            pool = build_pool(config, workdir, gateway, max_epochs,
+                              spec.reroll)
+        return manifest_from_pool(
+            pool, config, variant, spec.transforms,
+            lambda records, recipe: _run_transforms(records, recipe,
+                                                    gateway, config))
+    if spec.source == DERIVED:
+        if not isinstance(source, DatasetManifest):
+            raise ConfigError(f"{variant} requires --source (a full-build "
+                              f"manifest to sample from)")
+        records = list(source.records)
+        origin = f"derived:{source.recipe.variant}"
+        cultural, general = spec.topics or (source.recipe.topics_cultural,
+                                            source.recipe.topics_general)
+    else:
+        if not isinstance(source, list):
+            raise ConfigError(f"{variant} requires --external (a "
+                              f"prompt/response JSONL corpus)")
+        records, origin = source, EXTERNAL
+        cultural, general = spec.topics
+    fanout = config.paraphrase_count + 1
+    if size % fanout:
+        raise ConfigError(f"size {size} is not a multiple of the paraphrase "
+                          f"fan-out {fanout}")
     recipe = Recipe(variant=variant, topics_cultural=cultural,
-                    topics_general=general, dedup=dedup,
-                    transforms=transforms)
-    return finish_manifest(records, recipe, size, seed)
-
-
-# full: cultural + general topics, dedup, no degradation. fluency_only:
-# ten general topics re-rolled over rounds, no dedup. diversity_only:
-# general topics with dedup, then round-trip translation.
-build_full = partial(build_generated, VARIANT_FULL)
-build_fluency_only = partial(build_generated, VARIANT_FLUENCY_ONLY)
-build_diversity_only = partial(build_generated, VARIANT_DIVERSITY_ONLY)
-
-
-def build_culture_only(full: DatasetManifest, gateway, seed: int,
-                       config: PipelineConfig | None = None,
-                       sample_count: int | None = None) -> DatasetManifest:
-    """Sample from a full build, then degrade diversity and fluency:
-    translate to the pivot, paraphrase each sample 4 times, translate all
-    of it back. Size is 5x the sample by construction."""
-    config = config or default_config()
-    if sample_count is None:
-        sample_count = full.target_size // constants.SAMPLE_DIVISOR
-    if sample_count < 1:
-        raise ValidationError("sample_count must be >= 1")
-    sampled = truncate_records(list(full.records), sample_count, seed,
-                               VARIANT_CULTURE_ONLY, stream="sample")
-    out = _paraphrase_fanout(sampled, gateway, config, VARIANT_CULTURE_ONLY,
-                             to_pivot=True)
-    recipe = Recipe(variant=VARIANT_CULTURE_ONLY,
-                    topics_cultural=full.recipe.topics_cultural,
-                    topics_general=full.recipe.topics_general,
-                    dedup=False,
-                    transforms=("translate_pivot", "paraphrase",
-                                "translate_target"),
-                    source=f"derived:{full.recipe.variant}")
-    return finish_manifest(out, recipe, len(out), seed)
+                    topics_general=general, dedup=spec.dedup,
+                    transforms=spec.transforms, source=origin)
+    sampled = truncate_records(records, size // fanout, seed, variant,
+                               stream="sample")
+    return finish_manifest(
+        _run_transforms(sampled, recipe, gateway, config), recipe, size,
+        seed)
 
 
 def load_external_corpus(path: str,
@@ -297,22 +299,3 @@ def _adapt_external_row(row, path: str, line_no: int) -> tuple[str, str]:
         raise ValidationError(
             f"{path} line {line_no}: row has no output field")
     return prompt, response
-
-
-def build_no_properties(external: list[InstructionRecord], gateway,
-                        seed: int, config: PipelineConfig | None = None,
-                        sample_count: int | None = None) -> DatasetManifest:
-    """External corpus, paraphrased 4x and translated to the target
-    language. No generated topics, no dedup, no fluency."""
-    config = config or default_config()
-    if sample_count is None:
-        sample_count = constants.DATASET_SIZE // constants.SAMPLE_DIVISOR
-    sampled = truncate_records(external, sample_count, seed,
-                               VARIANT_NO_PROPERTIES, stream="sample")
-    out = _paraphrase_fanout(sampled, gateway, config, VARIANT_NO_PROPERTIES,
-                             to_pivot=False)
-    recipe = Recipe(variant=VARIANT_NO_PROPERTIES, topics_cultural=0,
-                    topics_general=0, dedup=False,
-                    transforms=("paraphrase", "translate_target"),
-                    source="external")
-    return finish_manifest(out, recipe, len(out), seed)

@@ -113,45 +113,21 @@ def cmd_dedup(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_cfg(args)
-    gateway = build_gateway(config)
     variant = _VARIANT_BY_FLAG[args.variant]
-    if variant in ablations.GENERATED_VARIANTS:
-        manifest = ablations.build_generated(
-            variant, gateway, config.run_seed, config.dataset_size, config,
-            workdir_parent=os.path.dirname(os.path.abspath(args.out)))
-    elif variant == ablations.VARIANT_CULTURE_ONLY:
-        if not args.source:
-            raise ConfigError(
-                "--variant culture requires --source (a full-build "
-                "manifest to sample from)")
-        full = ablations.read_manifest(args.source)
-        manifest = ablations.build_culture_only(
-            full, gateway, config.run_seed, config,
-            sample_count=_sample_count(config))
-    else:
-        if not args.external:
-            raise ConfigError(
-                "--variant none requires --external (a prompt/response "
-                "JSONL corpus)")
-        corpus = ablations.load_external_corpus(
+    source = None
+    if args.source:
+        source = ablations.read_manifest(args.source)
+    elif args.external:
+        source = ablations.load_external_corpus(
             args.external, pivot=config.run_pivot_language)
-        manifest = ablations.build_no_properties(
-            corpus, gateway, config.run_seed, config,
-            sample_count=_sample_count(config))
+    manifest = ablations.build_variant(
+        variant, build_gateway(config), config, source,
+        workdir_parent=os.path.dirname(os.path.abspath(args.out)))
     digest = ablations.write_manifest(manifest, args.out,
                                       config_echo=config.effective())
     print(f"{len(manifest.records)} records ({variant}) -> {args.out}")
     print(f"sha256 {digest}")
     return 0
-
-
-def _sample_count(config: PipelineConfig) -> int:
-    size, fanout = config.dataset_size, config.paraphrase_count + 1
-    if size % fanout != 0:
-        raise ConfigError(
-            f"size {size} is not a multiple of the paraphrase fan-out "
-            f"{fanout}")
-    return size // fanout
 
 
 def cmd_eval(args) -> int:

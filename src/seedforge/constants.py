@@ -36,7 +36,6 @@ DEDUP_THRESHOLD = 0.95  # records strictly above this cosine are dropped
 # Dataset assembly.
 DATASET_SIZE = 5000
 PARAPHRASE_COUNT = 4
-SAMPLE_DIVISOR = 5  # paraphrase fan-out: n sampled originals -> 5n records
 
 # Provider budget defaults.
 REQUESTS_PER_MINUTE = 60

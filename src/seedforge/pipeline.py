@@ -13,7 +13,7 @@ embeds only its new records.
 
 The stage bodies are plain functions shared with the CLI stage commands,
 and the generated ablation variants run the same epoch loop through
-`build_pool`.
+`build_pool` and the same final step, `manifest_from_pool`.
 
 Determinism: all randomness is derived from (run.seed, stage path), never
 from wall clock or completion order, so a run interrupted at any stage
@@ -22,6 +22,7 @@ boundary resumes to a byte-identical manifest.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -37,7 +38,7 @@ from seedforge.contexts import (ContextDoc, ContextPolicy, acquire_context,
                                 context_from_dict, context_to_dict)
 from seedforge.dedup import DedupResult, dedup_filter
 from seedforge.errors import (BuildError, ConfigError, LockError,
-                              SeedforgeError)
+                              ParseError, SeedforgeError)
 from seedforge.gateway import Gateway, ProviderBudget
 from seedforge.gateway.http import (HttpCompletionClient, HttpEmbedder,
                                     HttpParaphraser, HttpTranslator,
@@ -49,8 +50,8 @@ from seedforge.manifest import (VARIANT_FULL, DatasetManifest, Recipe,
                                 finish_manifest, read_manifest,
                                 truncate_records, write_manifest)
 from seedforge.records import (file_sha256, read_json, read_jsonl_lines,
-                               read_records, write_json, write_jsonl,
-                               write_records)
+                               read_records, write_atomic, write_json,
+                               write_jsonl, write_records)
 from seedforge.topics import (CULTURAL, GENERAL, Topic, build_topic_set,
                               generate_topics, normalize_topic)
 
@@ -186,11 +187,9 @@ class _Checkpoints:
         self.stages: dict = {}
         if os.path.exists(self.path):
             try:
-                with open(self.path, encoding="utf-8") as handle:
-                    self.stages = json.load(handle)
-            except (json.JSONDecodeError, UnicodeDecodeError):
+                self.stages = read_json(self.path)
+            except ParseError:
                 logger.warning("unreadable %s, starting over", self.path)
-                self.stages = {}
 
     def fresh(self, stage: str, digest: str) -> bool:
         entry = self.stages.get(stage)
@@ -347,11 +346,28 @@ def read_contexts(path: str) -> list[tuple[str, ContextDoc]]:
 
 def write_vectors(vectors: np.ndarray, path: str) -> str:
     """One float64 array as .npy, replaced atomically; returns its sha256."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
-        np.save(handle, vectors, allow_pickle=False)
-    os.replace(tmp, path)
-    return file_sha256(path)
+    blob = io.BytesIO()
+    np.save(blob, vectors, allow_pickle=False)
+    return write_atomic(path, blob.getvalue())
+
+
+def manifest_from_pool(pool: list, config: PipelineConfig,
+                       variant: str = VARIANT_FULL,
+                       transforms: tuple[str, ...] = (),
+                       apply=None) -> DatasetManifest:
+    """The manifest of a generated build: dataset.size records drawn from
+    the pool under the variant's random stream, a recipe built from the
+    effective config, and apply(records, recipe), which runs the recipe's
+    transforms, before the flags are stamped."""
+    records = truncate_records(pool, config.dataset_size, config.run_seed,
+                               variant)
+    recipe = Recipe(variant=variant, topics_cultural=config.topics_cultural,
+                    topics_general=config.topics_general,
+                    dedup=config.dedup_enabled, transforms=transforms)
+    if apply is not None:
+        records = apply(records, recipe)
+    return finish_manifest(records, recipe, config.dataset_size,
+                           config.run_seed)
 
 
 class _Run:
@@ -514,14 +530,7 @@ class _Run:
         cfg = self.config
 
         def compute():
-            final = truncate_records(pool, cfg.dataset_size, cfg.run_seed,
-                                     VARIANT_FULL)
-            recipe = Recipe(variant=VARIANT_FULL,
-                            topics_cultural=cfg.topics_cultural,
-                            topics_general=cfg.topics_general,
-                            dedup=cfg.dedup_enabled)
-            manifest = finish_manifest(final, recipe, cfg.dataset_size,
-                                       cfg.run_seed)
+            manifest = manifest_from_pool(pool, cfg)
             mpath = self.path(MANIFEST_FILE)
             sha = write_manifest(manifest, mpath,
                                  config_echo=cfg.effective())

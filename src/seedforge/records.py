@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterable, Iterator
 
 from seedforge.errors import ParseError, ValidationError
 from seedforge.instructions import InstructionRecord
@@ -84,13 +85,7 @@ def record_from_dict(data: dict, where: str = "record") -> InstructionRecord:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def _encode(record: InstructionRecord) -> bytes:
-    data = record_to_dict(record)
-    line = json.dumps(data, ensure_ascii=False, separators=(",", ":"))
-    return line.encode("utf-8")
-
-
-def _write_atomic(path: str, blob: bytes) -> str:
+def write_atomic(path: str, blob: bytes) -> str:
     """Replace `path` with `blob` in one rename; returns its sha256."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as handle:
@@ -103,56 +98,33 @@ def write_json(path: str, payload) -> str:
     """Indented, key-sorted UTF-8 JSON, written atomically; returns its
     sha256."""
     blob = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
-    return _write_atomic(path, (blob + "\n").encode("utf-8"))
+    return write_atomic(path, (blob + "\n").encode("utf-8"))
 
 
-def write_jsonl(path: str, rows: list[dict]) -> str:
+def write_jsonl(path: str, rows: Iterable[dict]) -> str:
     """One compact JSON object per line, written atomically; returns its
     sha256."""
     blob = "".join(json.dumps(row, ensure_ascii=False, separators=(",", ":"))
                    + "\n" for row in rows)
-    return _write_atomic(path, blob.encode("utf-8"))
+    return write_atomic(path, blob.encode("utf-8"))
 
 
 def read_json(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def read_jsonl_lines(path: str) -> list[tuple[int, object]]:
-    """(line number, value) for every non-blank line; malformed JSON
-    raises ValidationError naming the line."""
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append((line_no, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"{path} line {line_no}: {exc}") from None
-    return rows
-
-
-def write_records(records: list[InstructionRecord], path: str) -> str:
-    """Write one JSONL file atomically; returns its sha256 hex digest."""
-    seen: set[str] = set()
-    chunks: list[bytes] = []
-    for record in records:
-        if record.id in seen:
-            raise ValidationError(f"duplicate record id {record.id}")
-        seen.add(record.id)
-        chunks.append(_encode(record))
-    return _write_atomic(path, b"\n".join(chunks) + (b"\n" if chunks
-                                                     else b""))
-
-
-def read_records(path: str) -> list[InstructionRecord]:
+    """One JSON document; bad UTF-8 or bad JSON raises ParseError naming
+    the file."""
     with open(path, "rb") as handle:
         raw = handle.read()
-    records: list[InstructionRecord] = []
-    seen: set[str] = set()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
+def read_jsonl_lines(path: str) -> Iterator[tuple[int, object]]:
+    """(line number, value) for every non-blank line; bad UTF-8 or bad
+    JSON raises ParseError naming the line."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
     for line_no, line in enumerate(raw.split(b"\n"), start=1):
         if not line.strip():
             continue
@@ -162,9 +134,26 @@ def read_records(path: str) -> list[InstructionRecord]:
             raise ParseError(f"{path} line {line_no}: not valid UTF-8 "
                              f"({exc})") from None
         try:
-            data = json.loads(text)
+            value = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path} line {line_no}: {exc}") from None
+        yield line_no, value
+
+
+def write_records(records: list[InstructionRecord], path: str) -> str:
+    """Write one JSONL file atomically; returns its sha256 hex digest."""
+    seen: set[str] = set()
+    for record in records:
+        if record.id in seen:
+            raise ValidationError(f"duplicate record id {record.id}")
+        seen.add(record.id)
+    return write_jsonl(path, (record_to_dict(r) for r in records))
+
+
+def read_records(path: str) -> list[InstructionRecord]:
+    records: list[InstructionRecord] = []
+    seen: set[str] = set()
+    for line_no, data in read_jsonl_lines(path):
         record = record_from_dict(data, where=f"{path} line {line_no}")
         if record.id in seen:
             raise ValidationError(

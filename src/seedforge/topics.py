@@ -188,21 +188,26 @@ def build_topic_set(gateway, seed: int, general: int, cultural: int,
 
     Cross-category collisions shrink a category below its requested count;
     that category is topped up (continuing its batch numbering) until the
-    merged set satisfies both counts.
+    merged set satisfies both counts, for at most `retry_limit` rounds.
     """
     general_topics = list(generate_topics(
         GENERAL, general, gateway, seed, **kwargs).topics)
     cultural_topics = list(generate_topics(
         CULTURAL, cultural, gateway, seed, **kwargs).topics)
     merged = dedup_topics(cultural_topics + general_topics)
-    for _ in range(constants.RETRY_LIMIT):
-        counts = {GENERAL: 0, CULTURAL: 0}
-        for t in merged:
-            counts[t.category] += 1
-        if counts[GENERAL] >= general and counts[CULTURAL] >= cultural:
+    quota = {GENERAL: general, CULTURAL: cultural}
+    retry_limit = kwargs.get("retry_limit", constants.RETRY_LIMIT)
+    for top_up in range(retry_limit + 1):
+        deficits = {category: want - sum(t.category == category
+                                         for t in merged)
+                    for category, want in quota.items()}
+        if max(deficits.values()) <= 0:
             break
-        for category, want in ((GENERAL, general), (CULTURAL, cultural)):
-            deficit = want - counts[category]
+        if top_up == retry_limit:
+            raise GenerationExhaustedError(
+                "could not satisfy per-category topic counts after merging",
+                collected=len(merged))
+        for category, deficit in deficits.items():
             if deficit <= 0:
                 continue
             next_batch = 1 + max(
@@ -211,13 +216,8 @@ def build_topic_set(gateway, seed: int, general: int, cultural: int,
             extra = generate_topics(category, deficit, gateway, seed,
                                     start_batch=next_batch, **kwargs)
             merged = dedup_topics(merged + list(extra.topics))
-    else:
-        raise GenerationExhaustedError(
-            "could not satisfy per-category topic counts after merging",
-            collected=len(merged))
     # Trim overflow per category while preserving order.
     final: list[Topic] = []
-    quota = {GENERAL: general, CULTURAL: cultural}
     for t in merged:
         if quota[t.category] > 0:
             quota[t.category] -= 1

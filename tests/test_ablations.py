@@ -1,14 +1,15 @@
 """Dataset variant builders: flag derivation, transforms, manifests."""
 
+from dataclasses import replace
+
 import pytest
 
-from seedforge import constants
+from seedforge import ablations, constants
 from seedforge.ablations import (Recipe, VARIANT_CULTURE_ONLY,
                                  VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
                                  VARIANT_FULL, VARIANT_NO_PROPERTIES,
-                                 DatasetManifest, PropertyFlags, build_culture_only,
-                                 build_diversity_only, build_fluency_only,
-                                 build_full, build_no_properties, derive_flags,
+                                 VARIANT_TABLE, VARIANTS, DatasetManifest,
+                                 PropertyFlags, build_variant, derive_flags,
                                  finish_manifest, generate_pass,
                                  load_external_corpus, manifest_hash,
                                  read_manifest, round_trip_translate,
@@ -16,12 +17,33 @@ from seedforge.ablations import (Recipe, VARIANT_CULTURE_ONLY,
                                  write_manifest)
 from seedforge.config import default_config
 from seedforge.contexts import ContextPolicy
-from seedforge.errors import BuildError, ValidationError
+from seedforge.errors import (BuildError, ConfigError, ParseError,
+                              ProtocolError, ValidationError)
 from seedforge.gateway import Gateway
 from seedforge.instructions import InstructionRecord, TaskSettings
 from seedforge.topics import CULTURAL, GENERAL, Topic
 
 SMALL = default_config(topics_cultural=8, topics_general=6, dataset_size=50)
+
+
+def small(**overrides):
+    """SMALL with overrides by field name, checked like config values."""
+    return default_config(**{"topics_cultural": 8, "topics_general": 6,
+                             "dataset_size": 50, **overrides})
+
+
+def with_topics(monkeypatch, variant, general):
+    """Give a generated variant's table row `general` general topics, so a
+    test can build it without the row's full topic count."""
+    monkeypatch.setitem(VARIANT_TABLE, variant,
+                        replace(VARIANT_TABLE[variant], topics=(0, general)))
+
+
+def external_corpus(tmp_path, rows):
+    path = tmp_path / "ext.jsonl"
+    path.write_text("".join(f'{{"prompt": "q{i}", "response": "a{i}"}}\n'
+                            for i in range(rows)), encoding="utf-8")
+    return load_external_corpus(str(path))
 
 
 def small_settings():
@@ -182,7 +204,7 @@ class TestGeneratePass:
 
 class TestBuildFull:
     def test_small_build(self, gateway):
-        manifest = build_full(gateway, seed=42, size=50, config=SMALL)
+        manifest = build_variant(VARIANT_FULL, gateway, small(run_seed=42))
         assert len(manifest.records) == 50
         assert manifest.flags == PropertyFlags(True, True, True)
         assert manifest.recipe.variant == VARIANT_FULL
@@ -195,34 +217,37 @@ class TestBuildFull:
             assert record.language == "th"
 
     def test_identical_across_fresh_gateways(self):
-        first = build_full(Gateway.mock(), seed=42, size=50, config=SMALL)
-        second = build_full(Gateway.mock(), seed=42, size=50, config=SMALL)
+        first = build_variant(VARIANT_FULL, Gateway.mock(),
+                              small(run_seed=42))
+        second = build_variant(VARIANT_FULL, Gateway.mock(),
+                               small(run_seed=42))
         assert first.records == second.records
 
     def test_seed_changes_output(self, gateway):
-        a = build_full(Gateway.mock(), seed=1, size=50, config=SMALL)
-        b = build_full(Gateway.mock(), seed=2, size=50, config=SMALL)
+        a = build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=1))
+        b = build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=2))
         assert a.records != b.records
 
 
 class TestBuildFluencyOnly:
     def test_rerolls_fixed_topics_until_size(self):
-        manifest = build_fluency_only(Gateway.mock(), seed=7, size=70,
-                                      config=SMALL, topics_general=5)
-        assert len(manifest.records) == 70
+        manifest = build_variant(VARIANT_FLUENCY_ONLY, Gateway.mock(),
+                                 small(run_seed=7, dataset_size=100))
+        assert len(manifest.records) == 100
         assert manifest.flags == PropertyFlags(True, False, False)
         rounds = {r.id.split("-")[1] for r in manifest.records}
-        assert len(rounds) > 1  # 5 topics yield 40 records per round
+        assert len(rounds) > 1  # 10 topics yield 80 records per round
         topics = {r.id.split("-")[0] for r in manifest.records}
-        assert topics <= {f"t{i:04d}" for i in range(5)}
+        assert topics <= {f"t{i:04d}" for i in range(10)}
         for record in manifest.records:
             assert record.topic.category == GENERAL
 
 
 class TestBuildDiversityOnly:
-    def test_extends_topics_and_bounces_text(self):
-        manifest = build_diversity_only(Gateway.mock(), seed=9, size=40,
-                                        config=SMALL, topics_general=4)
+    def test_extends_topics_and_bounces_text(self, monkeypatch):
+        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 4)
+        manifest = build_variant(VARIANT_DIVERSITY_ONLY, Gateway.mock(),
+                                 small(run_seed=9, dataset_size=40))
         assert len(manifest.records) == 40
         assert manifest.flags == PropertyFlags(False, False, True)
         indexes = {int(r.id[1:5]) for r in manifest.records}
@@ -235,13 +260,14 @@ class TestBuildDiversityOnly:
 
 @pytest.fixture(scope="module")
 def full():
-    return build_full(Gateway.mock(), seed=42, size=50, config=SMALL)
+    return build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
 
 
 class TestBuildCultureOnly:
 
     def test_default_sample_yields_five_per_record(self, full, gateway):
-        manifest = build_culture_only(full, gateway, seed=42, config=SMALL)
+        manifest = build_variant(VARIANT_CULTURE_ONLY, gateway,
+                                 small(run_seed=42), full)
         # 50 // 5 sampled, each kept alongside 4 paraphrases
         assert manifest.target_size == 50
         assert len(manifest.records) == 50
@@ -255,7 +281,8 @@ class TestBuildCultureOnly:
             assert sorted(suffixes) == ["p00", "p01", "p02", "p03", "p04"]
 
     def test_lineage_chains_follow_recipe(self, full, gateway):
-        manifest = build_culture_only(full, gateway, seed=42, config=SMALL)
+        manifest = build_variant(VARIANT_CULTURE_ONLY, gateway,
+                                 small(run_seed=42), full)
         for record in manifest.records:
             suffix = record.id.rsplit("-", 1)[1]
             if suffix == "p00":
@@ -276,26 +303,37 @@ class TestBuildCultureOnly:
                 "fluency": False, "culture": True, "diversity": False}
 
     def test_recipe_names_its_source(self, full, gateway):
-        manifest = build_culture_only(full, gateway, seed=42, config=SMALL)
+        manifest = build_variant(VARIANT_CULTURE_ONLY, gateway,
+                                 small(run_seed=42), full)
         assert manifest.recipe.source == "derived:full"
         assert manifest.recipe.transforms == (
             "translate_pivot", "paraphrase", "translate_target")
 
     def test_explicit_sample_count(self, full, gateway):
-        manifest = build_culture_only(full, gateway, seed=1, config=SMALL,
-                                      sample_count=3)
+        # dataset.size 15 samples 3 originals
+        manifest = build_variant(VARIANT_CULTURE_ONLY, gateway,
+                                 small(run_seed=1, dataset_size=15), full)
         assert len(manifest.records) == 15
+        assert len({r.id.rpartition("-")[0] for r in manifest.records}) == 3
 
     def test_oversample_reports_achieved(self, full, gateway):
         with pytest.raises(BuildError) as err:
-            build_culture_only(full, gateway, seed=1, config=SMALL,
-                               sample_count=500)
+            build_variant(VARIANT_CULTURE_ONLY, gateway,
+                          small(run_seed=1, dataset_size=2500), full)
         assert err.value.achieved == 50
 
     def test_zero_sample_rejected(self, full, gateway):
-        with pytest.raises(ValidationError):
-            build_culture_only(full, gateway, seed=1, config=SMALL,
-                               sample_count=0)
+        # 4 // 5 would sample nothing; no size off the fan-out is accepted
+        with pytest.raises(ConfigError, match="fan-out 5"):
+            build_variant(VARIANT_CULTURE_ONLY, gateway,
+                          small(run_seed=1, dataset_size=4), full)
+
+    def test_needs_a_manifest_source(self, gateway, tmp_path):
+        with pytest.raises(ConfigError, match="requires --source"):
+            build_variant(VARIANT_CULTURE_ONLY, gateway, SMALL)
+        with pytest.raises(ConfigError, match="requires --source"):
+            build_variant(VARIANT_CULTURE_ONLY, gateway, SMALL,
+                          external_corpus(tmp_path, 12))
 
 
 EXTERNAL_ROWS = """\
@@ -329,7 +367,7 @@ class TestExternalCorpus:
         path = tmp_path / "ext.jsonl"
         path.write_text('{"prompt": "a", "response": "b"}\n{oops\n',
                         encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2"):
+        with pytest.raises(ParseError, match="line 2"):
             load_external_corpus(str(path))
 
     def test_non_object_row(self, tmp_path):
@@ -347,13 +385,9 @@ class TestExternalCorpus:
 
 class TestBuildNoProperties:
     def test_translates_paraphrased_external_rows(self, tmp_path, gateway):
-        path = tmp_path / "ext.jsonl"
-        rows = "\n".join(
-            f'{{"prompt": "q{i}", "response": "a{i}"}}' for i in range(12))
-        path.write_text(rows + "\n", encoding="utf-8")
-        external = load_external_corpus(str(path))
-        manifest = build_no_properties(external, gateway, seed=3,
-                                       config=SMALL, sample_count=4)
+        manifest = build_variant(VARIANT_NO_PROPERTIES, gateway,
+                                 small(run_seed=3, dataset_size=20),
+                                 external_corpus(tmp_path, 12))
         assert len(manifest.records) == 20
         assert manifest.flags == PropertyFlags(False, False, False)
         assert manifest.recipe.source == "external"
@@ -363,10 +397,16 @@ class TestBuildNoProperties:
             assert record.lineage[-1] == "translate(en->th)"
             assert record.instruction.startswith("th⟨")
 
+    def test_needs_an_external_corpus(self, full, gateway):
+        with pytest.raises(ConfigError, match="requires --external"):
+            build_variant(VARIANT_NO_PROPERTIES, gateway, SMALL)
+        with pytest.raises(ConfigError, match="requires --external"):
+            build_variant(VARIANT_NO_PROPERTIES, gateway, SMALL, full)
+
 
 class TestManifestPersistence:
     def test_write_read_round_trip(self, tmp_path, gateway):
-        manifest = build_full(gateway, seed=42, size=50, config=SMALL)
+        manifest = build_variant(VARIANT_FULL, gateway, small(run_seed=42))
         path = str(tmp_path / "full.jsonl")
         digest = write_manifest(manifest, path,
                                 config_echo=SMALL.effective())
@@ -379,7 +419,7 @@ class TestManifestPersistence:
         assert loaded.target_size == manifest.target_size
 
     def test_tampering_is_detected(self, tmp_path, gateway):
-        manifest = build_full(gateway, seed=42, size=50, config=SMALL)
+        manifest = build_variant(VARIANT_FULL, gateway, small(run_seed=42))
         path = str(tmp_path / "full.jsonl")
         write_manifest(manifest, path)
         with open(path, "ab") as handle:
@@ -388,32 +428,95 @@ class TestManifestPersistence:
             read_manifest(path)
 
     def test_rewrite_is_byte_identical(self, tmp_path, gateway):
-        manifest = build_full(gateway, seed=42, size=50, config=SMALL)
+        manifest = build_variant(VARIANT_FULL, gateway, small(run_seed=42))
         a = str(tmp_path / "a.jsonl")
         b = str(tmp_path / "b.jsonl")
         assert write_manifest(manifest, a) == write_manifest(manifest, b)
 
 
+def build_all_five(tmp_path):
+    """Every variant at 50 records under seed 42; culture samples full,
+    none samples a 10-row external corpus."""
+    full = build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
+    sources = {VARIANT_CULTURE_ONLY: full,
+               VARIANT_NO_PROPERTIES: external_corpus(tmp_path, 10)}
+    return {variant: full if variant == VARIANT_FULL else build_variant(
+        variant, Gateway.mock(), small(run_seed=42), sources.get(variant))
+        for variant in VARIANTS}
+
+
+def transform_of(step: str, pivot: str = "en") -> str | None:
+    """The recipe transform that appends `step` to a lineage, if any."""
+    if step.startswith("round_trip("):
+        return "round_trip"
+    if step == "original" or step.startswith("paraphrase("):
+        return "paraphrase"
+    if step.startswith("translate("):
+        return ("translate_pivot" if step.endswith(f"->{pivot})")
+                else "translate_target")
+    return None
+
+
+class TestVariantTable:
+    def test_lineage_ends_with_the_recipe_transforms(self, tmp_path,
+                                                      monkeypatch):
+        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 7)
+        for variant, manifest in build_all_five(tmp_path).items():
+            transforms = list(manifest.recipe.transforms)
+            assert transforms == list(VARIANT_TABLE[variant].transforms)
+            for record in manifest.records:
+                steps = [transform_of(step) for step in record.lineage]
+                cut = len(steps) - len(transforms)
+                assert steps[cut:] == transforms, (variant, record.lineage)
+                assert not any(steps[:cut]), (variant, record.lineage)
+
+    def test_transforms_are_called_through_module_globals(self, tmp_path,
+                                                          monkeypatch):
+        calls = {"round_trip_translate": 0, "translate_record": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(ablations, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(ablations, name, counted)
+        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 7)
+        full = build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
+        sources = {VARIANT_CULTURE_ONLY: full,
+                   VARIANT_NO_PROPERTIES: external_corpus(tmp_path, 10)}
+        # (round trips, translations): each of 50 records bounced once;
+        # 10 samples to the pivot and 50 variants back; 50 variants to the
+        # target.
+        expected = {VARIANT_DIVERSITY_ONLY: (50, 0),
+                    VARIANT_CULTURE_ONLY: (0, 60),
+                    VARIANT_NO_PROPERTIES: (0, 50)}
+        for variant, want in expected.items():
+            calls.update(round_trip_translate=0, translate_record=0)
+            build_variant(variant, Gateway.mock(), small(run_seed=42),
+                          sources.get(variant))
+            assert (calls["round_trip_translate"],
+                    calls["translate_record"]) == want, variant
+
+    def test_provider_failure_in_a_transform_fails_the_build(self, full,
+                                                             monkeypatch):
+        gw = Gateway.mock()
+
+        def down(text, count, controls=None):
+            raise ProtocolError("paraphraser down")
+
+        monkeypatch.setattr(gw, "paraphrase", down)
+        with pytest.raises(BuildError, match="paraphrase failed for") as err:
+            build_variant(VARIANT_CULTURE_ONLY, gw, small(run_seed=42), full)
+        assert err.value.achieved == 0
+
+
 class TestFiveVariantFlagMatrix:
     """The headline property table: one row per variant."""
 
-    def test_matrix(self, tmp_path):
-        gw = Gateway.mock()
-        full = build_full(gw, seed=42, size=50, config=SMALL)
-        fluency = build_fluency_only(Gateway.mock(), seed=42, size=50,
-                                     config=SMALL, topics_general=5)
-        diversity = build_diversity_only(Gateway.mock(), seed=42, size=50,
-                                         config=SMALL, topics_general=7)
-        culture = build_culture_only(full, gw, seed=42, config=SMALL)
-        path = tmp_path / "ext.jsonl"
-        rows = "\n".join(
-            f'{{"prompt": "q{i}", "response": "a{i}"}}' for i in range(10))
-        path.write_text(rows + "\n", encoding="utf-8")
-        nothing = build_no_properties(load_external_corpus(str(path)), gw,
-                                      seed=42, config=SMALL, sample_count=10)
+    def test_matrix(self, tmp_path, monkeypatch):
+        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 7)
         got = {m.recipe.variant: (m.flags.fluency, m.flags.culture,
                                   m.flags.diversity)
-               for m in (full, fluency, diversity, culture, nothing)}
+               for m in build_all_five(tmp_path).values()}
         assert got == {
             "full": (True, True, True),
             "fluency_only": (True, False, False),
@@ -425,5 +528,4 @@ class TestFiveVariantFlagMatrix:
 
 def test_records_per_topic_matches_task_layout():
     assert constants.QA_PAIRS_PER_CONTEXT == 5
-    assert constants.SAMPLE_DIVISOR == 5
     assert constants.PARAPHRASE_COUNT == 4

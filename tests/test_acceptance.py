@@ -10,6 +10,7 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,9 +18,10 @@ import pytest
 from scipy.stats import chi2
 
 from seedforge import constants, metrics
-from seedforge.ablations import (build_culture_only, build_diversity_only,
-                                 build_fluency_only, build_full,
-                                 build_no_properties, derive_flags,
+from seedforge.ablations import (VARIANT_CULTURE_ONLY,
+                                 VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
+                                 VARIANT_FULL, VARIANT_NO_PROPERTIES,
+                                 VARIANT_TABLE, build_variant, derive_flags,
                                  load_external_corpus, manifest_hash)
 from seedforge.cli import main as cli_main
 from seedforge.config import default_config
@@ -315,11 +317,11 @@ def test_criterion_5_end_to_end_run(tmp_path):
             f"{elapsed:.1f}s, sha256 {hash_a[:12]}")
 
 
-def test_criterion_6_variant_recipes(tmp_path):
+def test_criterion_6_variant_recipes(tmp_path, monkeypatch):
     failures = []
     gw = Gateway.mock()
-    full = build_full(gw, seed=42, size=50, config=SMALL)
-    culture = build_culture_only(full, gw, seed=42, config=SMALL)
+    full = build_variant(VARIANT_FULL, gw, SMALL)
+    culture = build_variant(VARIANT_CULTURE_ONLY, gw, SMALL, full)
     if len(culture.records) != 50:
         failures.append(f"culture-only built {len(culture.records)} "
                         f"records from 10 samples, expected 50")
@@ -345,17 +347,19 @@ def test_criterion_6_variant_recipes(tmp_path):
     corpus_path.write_text("".join(
         f'{{"prompt": "q{i}", "response": "a{i}"}}\n' for i in range(12)),
         encoding="utf-8")
+    # 7 general topics instead of the row's 750 keep the build small.
+    monkeypatch.setitem(VARIANT_TABLE, VARIANT_DIVERSITY_ONLY, replace(
+        VARIANT_TABLE[VARIANT_DIVERSITY_ONLY], topics=(0, 7)))
     variants = {
         "full": full,
-        "fluency_only": build_fluency_only(Gateway.mock(), seed=42, size=50,
-                                           config=SMALL, topics_general=5),
-        "diversity_only": build_diversity_only(Gateway.mock(), seed=42,
-                                               size=50, config=SMALL,
-                                               topics_general=7),
+        "fluency_only": build_variant(VARIANT_FLUENCY_ONLY, Gateway.mock(),
+                                      SMALL),
+        "diversity_only": build_variant(VARIANT_DIVERSITY_ONLY,
+                                        Gateway.mock(), SMALL),
         "culture_only": culture,
-        "no_properties": build_no_properties(
-            load_external_corpus(str(corpus_path)), gw, seed=42,
-            config=SMALL, sample_count=10),
+        "no_properties": build_variant(
+            VARIANT_NO_PROPERTIES, gw, SMALL,
+            load_external_corpus(str(corpus_path))),
     }
     expected = {
         "full": (True, True, True),
@@ -454,7 +458,6 @@ def test_criterion_8_default_constants():
         (constants.MAX_TOKENS, 1024, "MAX_TOKENS"),
         (constants.TOPICS_FLUENCY_ONLY, 10, "TOPICS_FLUENCY_ONLY"),
         (constants.TOPICS_DIVERSITY_ONLY, 750, "TOPICS_DIVERSITY_ONLY"),
-        (constants.SAMPLE_DIVISOR, 5, "SAMPLE_DIVISOR"),
         (constants.SUMMARY_STYLES,
          ("bullet points", "paragraphs", "numbered lists"),
          "SUMMARY_STYLES"),

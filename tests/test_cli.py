@@ -341,3 +341,36 @@ class TestEvalReport:
         code = main(["report", "--in", str(tmp_path / "ghost.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestBadInputFiles:
+    """Undecodable or malformed input exits 1 with a message naming the
+    file, not with a traceback."""
+
+    def test_eval_refs_with_a_bad_byte(self, tmp_path, capsys):
+        refs, rows = write_refs(tmp_path)
+        with open(refs, "ab") as handle:
+            handle.write(b'{"id": "\xff"}\n')
+        preds = write_preds(tmp_path / "tuned.jsonl", rows)
+        code = main(["eval", "--pred", preds, "--refs", refs,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"{refs} line 7: not valid UTF-8" in capsys.readouterr().err
+
+    def test_ablate_external_with_a_bad_byte(self, tmp_path, conf, capsys):
+        corpus = tmp_path / "ext.jsonl"
+        corpus.write_bytes(b'{"prompt": "q", "response": "a"}\n'
+                           b'{"prompt": "\xff", "response": "a"}\n')
+        code = main(["ablate", "--config", conf, "--variant", "none",
+                     "--size", "5", "--external", str(corpus),
+                     "--out", str(tmp_path / "n.jsonl")])
+        assert code == 1
+        assert f"{corpus} line 2: not valid UTF-8" in (
+            capsys.readouterr().err)
+
+    def test_report_on_truncated_json(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('{"systems": ["a", ', encoding="utf-8")
+        code = main(["report", "--in", str(report)])
+        assert code == 1
+        assert f"{report}: not valid JSON" in capsys.readouterr().err

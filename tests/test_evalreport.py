@@ -5,7 +5,7 @@ import math
 import pytest
 
 from seedforge import metrics
-from seedforge.errors import AlignmentError, ValidationError
+from seedforge.errors import AlignmentError, ParseError, ValidationError
 from seedforge.evalreport import (EVAL_TASKS, METRIC_KEYS, EvalPair,
                                   aggregate_report, generation_lengths,
                                   join_pairs, load_predictions,
@@ -281,7 +281,7 @@ class TestLoaders:
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id": "a", "prediction": "x"}\n{oops\n',
                         encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2"):
+        with pytest.raises(ParseError, match="line 2"):
             load_predictions(str(path))
 
 

@@ -84,6 +84,13 @@ def test_run_manifest_and_meta(built):
     assert file_sha256(manifest + ".meta.json") == RUN_META
 
 
+def test_ablate_full_writes_the_bytes_of_run(built):
+    manifest, out = built
+    assert file_sha256(out["full"]) == file_sha256(manifest)
+    assert (file_sha256(out["full"] + ".meta.json")
+            == file_sha256(manifest + ".meta.json"))
+
+
 @pytest.mark.parametrize("variant", list(ABLATE))
 def test_ablate_records(built, variant):
     _, out = built

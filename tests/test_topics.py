@@ -143,6 +143,23 @@ class TestBuildTopicSet:
         b = build_topic_set(gateway, 3, general=6, cultural=4)
         assert [t.text for t in a.topics] == [t.text for t in b.topics]
 
+    # General "a" and "c" collide with cultural ones; three one-topic
+    # top-ups follow, and only the last one fills the general quota.
+    COLLIDING = ['["a","b"]', '["a","c"]', '["a"]', '["c"]', '["d"]']
+
+    def test_last_top_up_is_checked(self, scripted):
+        gw = scripted(self.COLLIDING)
+        merged = build_topic_set(gw, 1, general=2, cultural=2)
+        assert [t.text for t in merged.by_category(GENERAL)] == ["b", "d"]
+        assert [t.text for t in merged.by_category(CULTURAL)] == ["a", "c"]
+        assert gw.generator.calls == 5
+
+    def test_top_ups_bounded_by_callers_retry_limit(self, scripted):
+        gw = scripted(self.COLLIDING)
+        with pytest.raises(GenerationExhaustedError, match="per-category"):
+            build_topic_set(gw, 1, general=2, cultural=2, retry_limit=2)
+        assert gw.generator.calls == 4
+
     def test_by_category_partition(self):
         topic_set = TopicSet(topics=(
             Topic("a", GENERAL, 0), Topic("b", CULTURAL, 0)))
