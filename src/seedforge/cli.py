@@ -31,8 +31,8 @@ from seedforge.pipeline import (MANIFEST_FILE, acquire_contexts,
                                 epoch_topics, generate_records, read_contexts,
                                 read_topics, run_pipeline, task_settings,
                                 write_contexts, write_topics)
-from seedforge.records import (read_json, read_records, write_json,
-                               write_records)
+from seedforge.records import (parsing, read_json, read_records,
+                               write_json, write_records)
 from seedforge.tokenizers import TOKENIZERS
 
 logger = logging.getLogger(__name__)
@@ -150,7 +150,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    text = render_report(read_json(args.infile))
+    report = read_json(args.infile)
+    with parsing(args.infile, "an eval report"):
+        text = render_report(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

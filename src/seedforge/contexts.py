@@ -39,8 +39,7 @@ CONTEXT_STYLES = (
     "how-to article",
 )
 
-# Not part of the published recipe. No config key sets it; code that
-# builds its own ContextPolicy can pass prompt_template.
+# Not part of the published recipe.
 DEFAULT_CONTEXT_TEMPLATE = (
     "Generate a {style} related to the topic {topic}. Write in Thai.")
 
@@ -87,7 +86,6 @@ class ContextPolicy:
     p_wiki: float = constants.P_WIKI
     wiki_top_k: int = constants.WIKI_TOP_K
     temperature: float = constants.TEMPERATURE_CONTEXT
-    prompt_template: str = DEFAULT_CONTEXT_TEMPLATE
 
     def __post_init__(self):
         if not 0.0 <= self.p_wiki <= 1.0:
@@ -110,7 +108,7 @@ def generate_context(topic: Topic, style: str, gateway,
     """Ask the completion provider for a document in the given style."""
     if style not in CONTEXT_STYLES:
         raise ValidationError(f"style {style!r} is not a known context style")
-    prompt = policy.prompt_template.format(style=style, topic=topic.text)
+    prompt = DEFAULT_CONTEXT_TEMPLATE.format(style=style, topic=topic.text)
     request = GenRequest(prompt=prompt, temperature=policy.temperature,
                          seed=seed)
     body = gateway.complete(request)

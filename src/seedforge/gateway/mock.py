@@ -269,7 +269,8 @@ class MockWikiClient(WikiClient):
 
 
 class ScriptedTextGenerator(TextGenerator):
-    """Returns a fixed sequence of responses, ignoring the prompt.
+    """Returns a fixed sequence of responses, ignoring the prompt, and
+    keeps every request it answered in `requests`.
 
     Raises when the script runs dry unless loop=True. Thread-safe.
     """
@@ -279,8 +280,8 @@ class ScriptedTextGenerator(TextGenerator):
     def __init__(self, responses: list[str], loop: bool = False):
         self._responses = list(responses)
         self._loop = loop
-        self._i = 0
         self._lock = threading.Lock()
+        self.requests: list[GenRequest] = []
 
     @property
     def provider_id(self) -> str:
@@ -288,17 +289,15 @@ class ScriptedTextGenerator(TextGenerator):
 
     @property
     def calls(self) -> int:
-        return self._i
+        return len(self.requests)
 
     def complete(self, request: GenRequest) -> str:
         with self._lock:
-            if self._i >= len(self._responses):
-                if not self._loop:
-                    raise AssertionError("scripted generator exhausted")
-                self._i = 0
-            response = self._responses[self._i]
-            self._i += 1
-        return response
+            i = len(self.requests)
+            if i >= len(self._responses) and not self._loop:
+                raise AssertionError("scripted generator exhausted")
+            self.requests.append(request)
+        return self._responses[i % len(self._responses)]
 
 
 class FlakyProvider:

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, replace
 
 from seedforge.errors import BuildError, ValidationError
 from seedforge.instructions import InstructionRecord
-from seedforge.records import (file_sha256, read_json, read_records,
-                               write_json, write_records)
+from seedforge.records import (file_sha256, parsing, read_json,
+                               read_records, write_json, write_records)
 from seedforge.seeding import derive_seed
 
 VARIANT_FULL = "full"
@@ -129,20 +129,22 @@ def write_manifest(manifest: DatasetManifest, path: str,
 
 
 def read_manifest(path: str) -> DatasetManifest:
-    meta = read_json(f"{path}.meta.json")
+    meta_path = f"{path}.meta.json"
+    meta = read_json(meta_path)
+    with parsing(meta_path, "a manifest meta file"):
+        expected = str(meta["records_sha256"])
+        recipe_data = dict(meta["recipe"])
+        recipe_data["transforms"] = tuple(recipe_data.get("transforms", ()))
+        recipe = Recipe(**recipe_data)
+        flags = PropertyFlags(**meta["flags"])
+        target_size, seed = meta["target_size"], meta["seed"]
     actual = file_sha256(path)
-    if actual != meta["records_sha256"]:
+    if actual != expected:
         raise ValidationError(
             f"{path}: records digest {actual[:12]} does not match the "
-            f"manifest ({meta['records_sha256'][:12]})")
-    records = tuple(read_records(path))
-    recipe_data = dict(meta["recipe"])
-    recipe_data["transforms"] = tuple(recipe_data.get("transforms", ()))
-    recipe = Recipe(**recipe_data)
-    return DatasetManifest(records=records,
-                           flags=PropertyFlags(**meta["flags"]),
-                           target_size=meta["target_size"],
-                           recipe=recipe, seed=meta["seed"])
+            f"manifest ({expected[:12]})")
+    return DatasetManifest(records=tuple(read_records(path)), flags=flags,
+                           target_size=target_size, recipe=recipe, seed=seed)
 
 
 def manifest_hash(path: str) -> str:

@@ -49,11 +49,11 @@ from seedforge.instructions import (GENERATION_TASKS, GenerationFailure,
 from seedforge.manifest import (VARIANT_FULL, DatasetManifest, Recipe,
                                 finish_manifest, read_manifest,
                                 truncate_records, write_manifest)
-from seedforge.records import (file_sha256, read_json, read_jsonl_lines,
-                               read_records, write_atomic, write_json,
-                               write_jsonl, write_records)
-from seedforge.topics import (CULTURAL, GENERAL, Topic, build_topic_set,
-                              generate_topics, normalize_topic)
+from seedforge.records import (file_sha256, parsing, read_json,
+                               read_jsonl_lines, read_records, write_atomic,
+                               write_json, write_jsonl, write_records)
+from seedforge.topics import (CULTURAL, GENERAL, Topic, generate_topics,
+                              normalize_topic)
 
 logger = logging.getLogger(__name__)
 
@@ -249,33 +249,27 @@ def epoch_topics(config: PipelineConfig, gateway, epoch: int = 0,
                  deficit: int = 0,
                  seen: set[str] | frozenset[str] = frozenset()
                  ) -> list[Topic]:
-    """Epoch 0: the configured topic set. Later epochs: enough new topics,
-    in the configured category ratio, to cover `deficit` records; topics
-    already in `seen` (normalized) or in the other category are dropped."""
-    kwargs = topic_kwargs(config)
+    """Epoch 0: the configured topic counts. Later epochs: enough new
+    topics, in the configured category ratio, to cover `deficit` records.
+    Cultural topics are collected first, then general ones, against one
+    set of normalized keys seeded from `seen`, so no topic repeats across
+    categories or epochs and each category gets exactly its count."""
     if epoch == 0:
-        return list(build_topic_set(
-            gateway, config.run_seed, general=config.topics_general,
-            cultural=config.topics_cultural, **kwargs).topics)
-    add_total = max(1, math.ceil(deficit / RECORDS_PER_TOPIC))
-    total = config.topics_cultural + config.topics_general
-    add_cultural = (round(add_total * config.topics_cultural / total)
+        cultural, general = config.topics_cultural, config.topics_general
+        start = 0
+    else:
+        add_total = max(1, math.ceil(deficit / RECORDS_PER_TOPIC))
+        total = config.topics_cultural + config.topics_general
+        cultural = (round(add_total * config.topics_cultural / total)
                     if total else 0)
-    start = _EXTENSION_BATCH_BASE + epoch * _EXTENSION_BATCH_STRIDE
+        general = add_total - cultural
+        start = _EXTENSION_BATCH_BASE + epoch * _EXTENSION_BATCH_STRIDE
     taken = set(seen)
-    topics: list[Topic] = []
-    for category, count in ((CULTURAL, add_cultural),
-                            (GENERAL, add_total - add_cultural)):
-        if count <= 0:
-            continue
-        fresh = generate_topics(category, count, gateway, config.run_seed,
-                                start_batch=start, **kwargs)
-        for topic in fresh.topics:
-            norm = normalize_topic(topic.text)
-            if norm not in taken:
-                taken.add(norm)
-                topics.append(topic)
-    return topics
+    return [topic
+            for category, count in ((CULTURAL, cultural), (GENERAL, general))
+            for topic in generate_topics(
+                category, count, gateway, config.run_seed, taken=taken,
+                start_batch=start, **topic_kwargs(config))]
 
 
 def acquire_contexts(topics: list[Topic], gateway, seed: int,
@@ -330,8 +324,10 @@ def write_topics(topics: list[Topic], path: str) -> str:
 
 
 def read_topics(path: str) -> list[Topic]:
-    return [Topic(text=r["text"], category=r["category"],
-                  batch_id=r.get("batch_id", 0)) for r in read_json(path)]
+    rows = read_json(path)
+    with parsing(path, "a topics file"):
+        return [Topic(text=r["text"], category=r["category"],
+                      batch_id=r.get("batch_id", 0)) for r in rows]
 
 
 def write_contexts(contexts: list[tuple[str, ContextDoc]], path: str) -> str:
@@ -340,8 +336,9 @@ def write_contexts(contexts: list[tuple[str, ContextDoc]], path: str) -> str:
 
 
 def read_contexts(path: str) -> list[tuple[str, ContextDoc]]:
-    return [(row["key"], context_from_dict(row))
-            for _, row in read_jsonl_lines(path)]
+    with parsing(path, "a contexts file"):
+        return [(row["key"], context_from_dict(row))
+                for _, row in read_jsonl_lines(path)]
 
 
 def write_vectors(vectors: np.ndarray, path: str) -> str:
@@ -510,8 +507,6 @@ class _Run:
                 topics, start, round_no = all_topics, 0, epoch
             else:
                 topics = self.topics_stage(epoch, deficit, seen)
-                if epoch > 0 and not topics:
-                    continue
                 seen.update(normalize_topic(t.text) for t in topics)
                 start, round_no = len(all_topics), 0
                 all_topics.extend(topics)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 
 from seedforge.errors import ParseError, ValidationError
 from seedforge.instructions import InstructionRecord
@@ -118,6 +119,18 @@ def read_json(path: str):
         return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
+@contextmanager
+def parsing(path: str, what: str):
+    """Turn a KeyError, TypeError or ValueError raised while building
+    values from the parsed contents of `path` into a ParseError naming
+    the file and what it should have held."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not {what} ({type(exc).__name__}: "
+                         f"{exc})") from None
 
 
 def read_jsonl_lines(path: str) -> Iterator[tuple[int, object]]:

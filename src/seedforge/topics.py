@@ -3,8 +3,10 @@
 Topics are short free-form phrases produced by the completion provider in two
 categories: "general" (anything at all) and "cultural" (anchored to the
 target culture through a persona preamble). Batches are requested at high
-temperature, parsed leniently, and deduplicated case-insensitively until the
-requested count is reached.
+temperature and parsed leniently. Each category is collected against one
+set of normalized topic keys shared with the other category and with
+earlier epochs: a topic already claimed is skipped, and collection stops at
+exactly the requested count.
 """
 
 from __future__ import annotations
@@ -67,16 +69,6 @@ class Topic:
             raise ValidationError(f"unknown topic category {self.category!r}")
 
 
-@dataclass(frozen=True)
-class TopicSet:
-    """Merged, deduplicated topics."""
-
-    topics: tuple[Topic, ...]
-
-    def by_category(self, category: str) -> list[Topic]:
-        return [t for t in self.topics if t.category == category]
-
-
 def render_topic_prompt(category: str,
                         count: int = constants.TOPICS_PER_BATCH,
                         culture: str = constants.CULTURE) -> str:
@@ -108,47 +100,29 @@ def normalize_topic(text: str) -> str:
     return " ".join(text.split()).casefold()
 
 
-def dedup_topics(topics: list[Topic]) -> list[Topic]:
-    """Drop duplicate topics, keeping the first occurrence.
-
-    Duplicates are detected on the normalized text across all categories;
-    a collision between categories is logged, not an error.
-    """
-    kept: list[Topic] = []
-    seen: dict[str, Topic] = {}
-    for topic in topics:
-        key = normalize_topic(topic.text)
-        first = seen.get(key)
-        if first is None:
-            seen[key] = topic
-            kept.append(topic)
-            continue
-        if first.category != topic.category:
-            logger.warning(
-                "topic %r appears in both %s and %s; keeping the %s one",
-                topic.text, first.category, topic.category, first.category)
-    return kept
-
-
 def generate_topics(category: str, n: int, gateway, seed: int,
+                    taken: set[str] | None = None,
                     batch_size: int = constants.TOPICS_PER_BATCH,
                     temperature: float = constants.TEMPERATURE_TOPIC,
                     culture: str = constants.CULTURE,
                     retry_limit: int = constants.RETRY_LIMIT,
-                    start_batch: int = 0) -> TopicSet:
-    """Request topic batches until n unique topics exist, then truncate to n.
+                    start_batch: int = 0) -> list[Topic]:
+    """Request topic batches until exactly n new topics are collected.
 
-    Each batch gets a seed derived from (seed, category, batch index), so a
-    parse failure or an all-duplicates batch is retried under a fresh seed
-    simply by moving to the next batch index. retry_limit bounds consecutive
-    non-productive batches, after which GenerationExhaustedError reports how
-    many topics were collected.
+    `taken` holds the normalized keys of topics already claimed, by this
+    category or any other; a taken topic is skipped, and each kept topic
+    is added to it, so callers share one set across categories and
+    epochs. Each batch gets a seed derived from (seed, category, batch
+    index), so a parse failure or a batch of only taken topics is retried
+    under a fresh seed simply by moving to the next batch index.
+    retry_limit bounds consecutive non-productive batches, after which
+    GenerationExhaustedError reports how many topics were collected.
     """
     if n < 0:
         raise ValidationError("topic count must be >= 0")
+    taken = set() if taken is None else taken
     prompt = render_topic_prompt(category, count=batch_size, culture=culture)
     collected: list[Topic] = []
-    seen: set[str] = set()
     batch_id = start_batch
     barren = 0
     while len(collected) < n:
@@ -172,54 +146,13 @@ def generate_topics(category: str, n: int, gateway, seed: int,
         gained = 0
         for text in texts:
             key = normalize_topic(text)
-            if key in seen:
+            if key in taken:
                 continue
-            seen.add(key)
+            taken.add(key)
             collected.append(Topic(text=text, category=category,
                                    batch_id=batch_id - 1))
             gained += 1
+            if len(collected) == n:
+                break
         barren = 0 if gained else barren + 1
-    return TopicSet(topics=tuple(collected[:n]))
-
-
-def build_topic_set(gateway, seed: int, general: int, cultural: int,
-                    **kwargs) -> TopicSet:
-    """Generate both categories and merge them under global dedup.
-
-    Cross-category collisions shrink a category below its requested count;
-    that category is topped up (continuing its batch numbering) until the
-    merged set satisfies both counts, for at most `retry_limit` rounds.
-    """
-    general_topics = list(generate_topics(
-        GENERAL, general, gateway, seed, **kwargs).topics)
-    cultural_topics = list(generate_topics(
-        CULTURAL, cultural, gateway, seed, **kwargs).topics)
-    merged = dedup_topics(cultural_topics + general_topics)
-    quota = {GENERAL: general, CULTURAL: cultural}
-    retry_limit = kwargs.get("retry_limit", constants.RETRY_LIMIT)
-    for top_up in range(retry_limit + 1):
-        deficits = {category: want - sum(t.category == category
-                                         for t in merged)
-                    for category, want in quota.items()}
-        if max(deficits.values()) <= 0:
-            break
-        if top_up == retry_limit:
-            raise GenerationExhaustedError(
-                "could not satisfy per-category topic counts after merging",
-                collected=len(merged))
-        for category, deficit in deficits.items():
-            if deficit <= 0:
-                continue
-            next_batch = 1 + max(
-                (t.batch_id for t in merged if t.category == category),
-                default=-1)
-            extra = generate_topics(category, deficit, gateway, seed,
-                                    start_batch=next_batch, **kwargs)
-            merged = dedup_topics(merged + list(extra.topics))
-    # Trim overflow per category while preserving order.
-    final: list[Topic] = []
-    for t in merged:
-        if quota[t.category] > 0:
-            quota[t.category] -= 1
-            final.append(t)
-    return TopicSet(topics=tuple(final))
+    return collected

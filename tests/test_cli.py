@@ -81,7 +81,7 @@ class TestRun:
         def boom(*args, **kwargs):
             raise ValidationError("topic generator speaks in riddles")
 
-        monkeypatch.setattr("seedforge.pipeline.build_topic_set", boom)
+        monkeypatch.setattr("seedforge.pipeline.generate_topics", boom)
         code = main(["run", "--config", conf,
                      "--workdir", str(tmp_path / "w")])
         assert code == 1
@@ -224,7 +224,7 @@ class TestAblate:
         def boom(*args, **kwargs):
             raise ValidationError("topic generator speaks in riddles")
 
-        monkeypatch.setattr("seedforge.pipeline.build_topic_set", boom)
+        monkeypatch.setattr("seedforge.pipeline.generate_topics", boom)
         code = main(["ablate", "--config", conf, "--variant", "full",
                      "--size", "50", "--out", str(tmp_path / "f.jsonl")])
         assert code == 1
@@ -374,3 +374,46 @@ class TestBadInputFiles:
         code = main(["report", "--in", str(report)])
         assert code == 1
         assert f"{report}: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ['[{"text": "x"}]', '{"a": 1}'])
+    def test_contexts_on_a_malformed_topics_file(self, tmp_path, conf,
+                                                 capsys, content):
+        topics = tmp_path / "t.json"
+        topics.write_text(content, encoding="utf-8")
+        code = main(["contexts", "--config", conf, "--topics", str(topics),
+                     "--out", str(tmp_path / "c.jsonl")])
+        assert code == 1
+        assert f"{topics}: not a topics file" in capsys.readouterr().err
+
+    def test_generate_on_a_context_row_without_a_key(self, tmp_path, conf,
+                                                     capsys):
+        contexts = tmp_path / "c.jsonl"
+        contexts.write_text('{"a": 1}\n', encoding="utf-8")
+        code = main(["generate", "--config", conf, "--contexts",
+                     str(contexts), "--out", str(tmp_path / "r.jsonl")])
+        assert code == 1
+        assert (f"{contexts}: not a contexts file (KeyError: 'key')"
+                in capsys.readouterr().err)
+
+    def test_ablate_source_whose_meta_has_no_recipe(self, tmp_path, conf,
+                                                    capsys):
+        source = tmp_path / "full.jsonl"
+        source.write_text("", encoding="utf-8")
+        meta = tmp_path / "full.jsonl.meta.json"
+        meta.write_text(json.dumps({"records_sha256": "0" * 64,
+                                    "target_size": 0, "seed": 0,
+                                    "flags": {}}), encoding="utf-8")
+        code = main(["ablate", "--config", conf, "--variant", "culture",
+                     "--size", "5", "--source", str(source),
+                     "--out", str(tmp_path / "c.jsonl")])
+        assert code == 1
+        assert (f"{meta}: not a manifest meta file (KeyError: 'recipe')"
+                in capsys.readouterr().err)
+
+    def test_report_on_an_object_that_is_not_a_report(self, tmp_path,
+                                                     capsys):
+        report = tmp_path / "report.json"
+        report.write_text('{"a": 1}', encoding="utf-8")
+        code = main(["report", "--in", str(report)])
+        assert code == 1
+        assert f"{report}: not an eval report" in capsys.readouterr().err

@@ -61,9 +61,13 @@ class TestGeneratedContexts:
 
     def test_template_receives_topic_and_style(self, scripted):
         gw = scripted(["เนื้อหา"])
-        policy = ContextPolicy(prompt_template="{style}//{topic}")
-        doc = generate_context(TOPIC, "song", gw, policy, seed=0)
+        policy = ContextPolicy(temperature=0.5)
+        doc = generate_context(TOPIC, "song", gw, policy, seed=9)
         assert doc.body == "เนื้อหา"
+        [request] = gw.generator.requests
+        assert request.prompt == ("Generate a song related to the topic "
+                                  "ตลาดน้ำ. Write in Thai.")
+        assert (request.temperature, request.seed) == (0.5, 9)
 
 
 class TestWikiContexts:

@@ -10,7 +10,8 @@ import pytest
 from seedforge.config import default_config
 from seedforge.dedup import sample_text
 from seedforge import pipeline
-from seedforge.errors import BuildError, ConfigError, LockError
+from seedforge.errors import (BuildError, ConfigError,
+                              GenerationExhaustedError, LockError)
 from seedforge.gateway import Gateway
 from seedforge.gateway.http import HttpCompletionClient, HttpTranslator
 from seedforge.gateway.mock import (FlakyProvider, MockEmbedder,
@@ -156,7 +157,7 @@ class TestRunPipeline:
         def boom(*args, **kwargs):
             raise BuildError("provider went away", achieved=0)
 
-        monkeypatch.setattr("seedforge.pipeline.build_topic_set", boom)
+        monkeypatch.setattr("seedforge.pipeline.generate_topics", boom)
         with pytest.raises(BuildError) as err:
             run_pipeline(SMALL, str(tmp_path))
         assert err.value.stage == "topics-00"
@@ -264,22 +265,29 @@ class TestIncrementalDedup:
 
 
 class TestExtensionTopics:
-    """An extension epoch drops a new topic already seen in an earlier
-    epoch, and one that both categories of the same epoch returned."""
+    """An extension epoch skips a new topic already seen in an earlier
+    epoch, or claimed by the other category of the same epoch, and
+    refills the category from its next batch."""
 
     CONFIG = default_config(topics_cultural=1, topics_general=1)
 
     def test_topic_in_both_categories_is_kept_once(self, scripted):
-        gateway = scripted(['["วัดพระแก้ว"]', '["วัดพระแก้ว", "ทะเล"]'])
+        gateway = scripted(['["วัดพระแก้ว"]', '["วัดพระแก้ว"]', '["ทะเล"]'])
         topics = epoch_topics(self.CONFIG, gateway, epoch=1, deficit=16)
-        assert [(t.text, t.category) for t in topics] == [
-            ("วัดพระแก้ว", "cultural")]
+        assert [(t.text, t.category, t.batch_id) for t in topics] == [
+            ("วัดพระแก้ว", "cultural", 1100), ("ทะเล", "general", 1101)]
 
     def test_topic_from_an_earlier_epoch_is_dropped(self, scripted):
-        gateway = scripted(['["วัดพระแก้ว"]', '["ทะเล"]'])
+        gateway = scripted(['["วัดพระแก้ว"]', '["ทะเล"]', '["ตลาดน้ำ"]'])
         topics = epoch_topics(self.CONFIG, gateway, epoch=1, deficit=16,
                               seen=frozenset({"ทะเล"}))
-        assert [t.text for t in topics] == ["วัดพระแก้ว"]
+        assert [t.text for t in topics] == ["วัดพระแก้ว", "ตลาดน้ำ"]
+
+    def test_only_seen_topics_exhaust_the_extension(self, scripted):
+        gateway = scripted(['["ทะเล"]'], loop=True)
+        with pytest.raises(GenerationExhaustedError, match="0/1 cultural"):
+            epoch_topics(self.CONFIG, gateway, epoch=1, deficit=16,
+                         seen=frozenset({"ทะเล"}))
 
 
 class TestWorkdirLock:

@@ -6,10 +6,11 @@ import pytest
 
 from seedforge.errors import (GenerationExhaustedError, ParseError,
                               ValidationError)
-from seedforge.topics import (CULTURAL, GENERAL, Topic, TopicSet,
-                              build_topic_set, dedup_topics,
-                              generate_topics, normalize_topic,
-                              parse_topic_list, render_topic_prompt)
+from seedforge.config import default_config
+from seedforge.pipeline import epoch_topics
+from seedforge.topics import (CULTURAL, GENERAL, generate_topics,
+                              normalize_topic, parse_topic_list,
+                              render_topic_prompt)
 
 
 class TestPrompts:
@@ -69,46 +70,54 @@ class TestDedup:
     def test_normalize_collapses_case_and_spaces(self):
         assert normalize_topic("  Thai   Food ") == "thai food"
 
-    def test_keep_first_within_category(self):
-        topics = [Topic("Thai food", GENERAL, 0),
-                  Topic("thai  food", GENERAL, 1),
-                  Topic("Floating markets", GENERAL, 1)]
-        kept = dedup_topics(topics)
-        assert [t.text for t in kept] == ["Thai food", "Floating markets"]
-        assert kept[0].batch_id == 0
+    def test_keep_first_within_category(self, scripted):
+        gw = scripted(['["Thai food"]', '["thai  food", "Floating markets"]'])
+        topics = generate_topics(GENERAL, 2, gw, seed=0)
+        assert [t.text for t in topics] == ["Thai food", "Floating markets"]
+        assert [t.batch_id for t in topics] == [0, 1]
 
-    def test_cross_category_collision_keeps_first(self, caplog):
-        topics = [Topic("Songkran", CULTURAL, 0),
-                  Topic("songkran", GENERAL, 0)]
-        kept = dedup_topics(topics)
-        assert len(kept) == 1
-        assert kept[0].category == CULTURAL
+    def test_cross_category_collision_keeps_first(self, scripted):
+        gw = scripted(['["Songkran"]', '["songkran", "Loy Krathong"]'])
+        taken: set[str] = set()
+        cultural = generate_topics(CULTURAL, 1, gw, seed=0, taken=taken)
+        general = generate_topics(GENERAL, 1, gw, seed=0, taken=taken)
+        assert [t.text for t in cultural] == ["Songkran"]
+        assert [t.text for t in general] == ["Loy Krathong"]
+        assert taken == {"songkran", "loy krathong"}
+
+    def test_stops_at_exactly_n(self, scripted):
+        gw = scripted(['["a", "b", "c"]'])
+        taken: set[str] = set()
+        topics = generate_topics(GENERAL, 2, gw, seed=0, taken=taken)
+        assert [t.text for t in topics] == ["a", "b"]
+        # a topic past the count is left free for the next category
+        assert taken == {"a", "b"}
 
 
 class TestGeneration:
     def test_collects_requested_count(self, gateway):
-        topic_set = generate_topics(GENERAL, 45, gateway, seed=1)
-        assert len(topic_set.topics) == 45
-        assert len({normalize_topic(t.text) for t in topic_set.topics}) == 45
-        assert all(t.category == GENERAL for t in topic_set.topics)
+        topics = generate_topics(GENERAL, 45, gateway, seed=1)
+        assert len(topics) == 45
+        assert len({normalize_topic(t.text) for t in topics}) == 45
+        assert all(t.category == GENERAL for t in topics)
 
     def test_deterministic_for_seed(self, gateway):
         a = generate_topics(GENERAL, 30, gateway, seed=7)
         b = generate_topics(GENERAL, 30, gateway, seed=7)
-        assert [t.text for t in a.topics] == [t.text for t in b.topics]
+        assert [t.text for t in a] == [t.text for t in b]
         c = generate_topics(GENERAL, 30, gateway, seed=8)
-        assert [t.text for t in a.topics] != [t.text for t in c.topics]
+        assert [t.text for t in a] != [t.text for t in c]
 
     def test_start_batch_changes_output(self, gateway):
         a = generate_topics(GENERAL, 10, gateway, seed=7, start_batch=0)
         b = generate_topics(GENERAL, 10, gateway, seed=7, start_batch=1000)
-        assert [t.text for t in a.topics] != [t.text for t in b.topics]
+        assert [t.text for t in a] != [t.text for t in b]
 
     def test_unparseable_batches_are_skipped(self, scripted):
         gw = scripted(["not a list",
                        json.dumps(["หนึ่ง", "สอง", "สาม"])])
-        topic_set = generate_topics(GENERAL, 3, gw, seed=0)
-        assert [t.text for t in topic_set.topics] == ["หนึ่ง", "สอง", "สาม"]
+        topics = generate_topics(GENERAL, 3, gw, seed=0)
+        assert [t.text for t in topics] == ["หนึ่ง", "สอง", "สาม"]
 
     def test_duplicate_only_batches_count_against_retry(self, scripted):
         same = json.dumps(["only topic"])
@@ -119,48 +128,62 @@ class TestGeneration:
 
     def test_batch_id_recorded_per_batch(self, scripted):
         gw = scripted([json.dumps(["a", "b"]), json.dumps(["c"])])
-        topic_set = generate_topics(GENERAL, 3, gw, seed=0, batch_size=2)
-        assert [t.batch_id for t in topic_set.topics] == [0, 0, 1]
+        topics = generate_topics(GENERAL, 3, gw, seed=0, batch_size=2)
+        assert [t.batch_id for t in topics] == [0, 0, 1]
 
     def test_zero_topics_allowed(self, gateway):
-        assert generate_topics(GENERAL, 0, gateway, seed=0).topics == ()
+        assert generate_topics(GENERAL, 0, gateway, seed=0) == []
 
     def test_negative_count_rejected(self, gateway):
         with pytest.raises(ValidationError):
             generate_topics(GENERAL, -1, gateway, seed=0)
 
 
-class TestBuildTopicSet:
+def by_category(topics, category):
+    return [t.text for t in topics if t.category == category]
+
+
+class TestEpochTopics:
+    """Epoch 0 collects cultural topics, then general ones, against one
+    seen set."""
+
     def test_counts_satisfied_per_category(self, gateway):
-        merged = build_topic_set(gateway, 11, general=12, cultural=9)
-        assert len(merged.by_category(GENERAL)) == 12
-        assert len(merged.by_category(CULTURAL)) == 9
-        texts = [normalize_topic(t.text) for t in merged.topics]
+        config = default_config(run_seed=11, topics_general=12,
+                                topics_cultural=9)
+        topics = epoch_topics(config, gateway)
+        assert len(by_category(topics, GENERAL)) == 12
+        assert len(by_category(topics, CULTURAL)) == 9
+        texts = [normalize_topic(t.text) for t in topics]
         assert len(set(texts)) == len(texts)
 
     def test_deterministic(self, gateway):
-        a = build_topic_set(gateway, 3, general=6, cultural=4)
-        b = build_topic_set(gateway, 3, general=6, cultural=4)
-        assert [t.text for t in a.topics] == [t.text for t in b.topics]
+        config = default_config(run_seed=3, topics_general=6,
+                                topics_cultural=4)
+        a = epoch_topics(config, gateway)
+        b = epoch_topics(config, gateway)
+        assert [t.text for t in a] == [t.text for t in b]
 
-    # General "a" and "c" collide with cultural ones; three one-topic
-    # top-ups follow, and only the last one fills the general quota.
-    COLLIDING = ['["a","b"]', '["a","c"]', '["a"]', '["c"]', '["d"]']
+    CONFIG = default_config(run_seed=1, topics_general=2, topics_cultural=2)
 
-    def test_last_top_up_is_checked(self, scripted):
-        gw = scripted(self.COLLIDING)
-        merged = build_topic_set(gw, 1, general=2, cultural=2)
-        assert [t.text for t in merged.by_category(GENERAL)] == ["b", "d"]
-        assert [t.text for t in merged.by_category(CULTURAL)] == ["a", "c"]
-        assert gw.generator.calls == 5
+    def test_cross_category_collisions_refill_without_repeating(self,
+                                                               scripted):
+        # General's "a" and "c" are already taken; its next two batches
+        # bring nothing new, and the one after fills it.
+        gw = scripted(['["a","b"]', '["a","c"]', '["a"]', '["c"]', '["d"]'])
+        topics = epoch_topics(self.CONFIG, gw)
+        assert by_category(topics, CULTURAL) == ["a", "b"]
+        assert by_category(topics, GENERAL) == ["c", "d"]
+        sent = [(r.prompt, r.seed) for r in gw.generator.requests]
+        assert len(sent) == 5
+        assert len(set(sent)) == len(sent)
 
-    def test_top_ups_bounded_by_callers_retry_limit(self, scripted):
-        gw = scripted(self.COLLIDING)
-        with pytest.raises(GenerationExhaustedError, match="per-category"):
-            build_topic_set(gw, 1, general=2, cultural=2, retry_limit=2)
+    def test_barren_batches_bounded_by_retry_limit(self, scripted):
+        config = default_config(run_seed=1, topics_general=2,
+                                topics_cultural=2, budget_retry_limit=2)
+        gw = scripted(['["a","b"]'], loop=True)
+        with pytest.raises(GenerationExhaustedError,
+                           match="0/2 general") as err:
+            epoch_topics(config, gw)
+        assert err.value.collected == 0
+        # one cultural batch, then retry_limit + 1 barren general ones
         assert gw.generator.calls == 4
-
-    def test_by_category_partition(self):
-        topic_set = TopicSet(topics=(
-            Topic("a", GENERAL, 0), Topic("b", CULTURAL, 0)))
-        assert [t.text for t in topic_set.by_category(CULTURAL)] == ["b"]
