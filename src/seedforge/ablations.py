@@ -25,12 +25,10 @@ from dataclasses import dataclass, replace
 
 from seedforge import constants
 from seedforge.config import PipelineConfig
-from seedforge.contexts import ContextPolicy
 from seedforge.errors import (BuildError, ConfigError, ProviderError,
                               ValidationError)
 from seedforge.instructions import (CONVERSATION, GENERATION_TASKS,
-                                    GenerationFailure, InstructionRecord,
-                                    TaskSettings)
+                                    GenerationFailure, InstructionRecord)
 from seedforge.manifest import (  # noqa: F401 - re-exported
     VARIANT_CULTURE_ONLY, VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
     VARIANT_FULL, VARIANT_NO_PROPERTIES, VARIANTS, DatasetManifest,
@@ -80,11 +78,9 @@ VARIANT_TABLE = {
 }
 
 
-def generate_pass(gateway, seed: int, topics: list[Topic], *,
+def generate_pass(gateway, config: PipelineConfig, topics: list[Topic], *,
                   start_index: int = 0, round_no: int = 0,
-                  policy: ContextPolicy, settings: TaskSettings,
-                  tasks: tuple[str, ...] = GENERATION_TASKS,
-                  max_workers: int | None = None
+                  tasks: tuple[str, ...] = GENERATION_TASKS
                   ) -> tuple[list[InstructionRecord],
                              list[GenerationFailure]]:
     """One context + one record batch per topic: the pipeline's contexts
@@ -93,10 +89,9 @@ def generate_pass(gateway, seed: int, topics: list[Topic], *,
     Output order is by topic index, not completion order; ids and seeds
     are derived from the topic index and round, so reruns are identical.
     """
-    workers = max_workers or gateway.budget.max_concurrent
-    contexts = acquire_contexts(topics, gateway, seed, policy, workers,
-                                start_index, round_no)
-    return generate_records(contexts, gateway, seed, settings, workers, tasks)
+    contexts = acquire_contexts(topics, gateway, config, start_index,
+                                round_no)
+    return generate_records(contexts, gateway, config, tasks)
 
 
 # -- field transforms --------------------------------------------------------

@@ -27,10 +27,9 @@ from seedforge.evalreport import (aggregate_report, join_pairs,
                                   render_report)
 from seedforge.instructions import GENERATION_TASKS
 from seedforge.pipeline import (MANIFEST_FILE, acquire_contexts,
-                                build_gateway, context_policy, dedup_records,
-                                epoch_topics, generate_records, read_contexts,
-                                read_topics, run_pipeline, task_settings,
-                                write_contexts, write_topics)
+                                build_gateway, dedup_records, epoch_topics,
+                                generate_records, read_contexts, read_topics,
+                                run_pipeline, write_contexts, write_topics)
 from seedforge.records import (parsing, read_json, read_records,
                                write_json, write_records)
 from seedforge.tokenizers import TOKENIZERS
@@ -72,9 +71,7 @@ def cmd_topics(args) -> int:
 def cmd_contexts(args) -> int:
     config = _load_cfg(args)
     contexts = acquire_contexts(read_topics(args.topics),
-                                build_gateway(config), config.run_seed,
-                                context_policy(config),
-                                config.budget_max_concurrent)
+                                build_gateway(config), config)
     write_contexts(contexts, args.out)
     print(f"{len(contexts)} contexts -> {args.out}")
     return 0
@@ -87,9 +84,7 @@ def cmd_generate(args) -> int:
     if unknown:
         raise ConfigError(f"unknown tasks: {', '.join(sorted(unknown))}")
     records, failures = generate_records(
-        read_contexts(args.contexts), build_gateway(config),
-        config.run_seed, task_settings(config), config.budget_max_concurrent,
-        tasks)
+        read_contexts(args.contexts), build_gateway(config), config, tasks)
     write_records(records, args.out)
     print(f"{len(records)} records -> {args.out}"
           + (f" ({len(failures)} task failures skipped)" if failures

@@ -1,8 +1,13 @@
 """Pipeline-wide default hyperparameters.
 
-These are the published defaults of the generation recipe. Config files may
-override any of them; everything downstream reads the effective config, not
-this module, so the values here are authoritative only for defaults.
+These are the published defaults of the generation recipe, and the config
+schema takes its defaults from them. Stage bodies take the effective
+PipelineConfig and read every value that has a config key from it; such a
+value appears here only as the default of a helper whose pipeline callers
+pass the config's value (the prompt renderers, dedup_filter, the pivot of
+the translate transforms). Values without a config key are read from here:
+the summary styles, the generated ablation variants' topic counts, and the
+records-per-topic estimate that sizes extension epochs.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from seedforge import constants
+from seedforge.config import PipelineConfig
 from seedforge.errors import GenerationError, ValidationError
 from seedforge.gateway.types import GenRequest
 from seedforge.seeding import derive_seed
-from seedforge.topics import Topic
+from seedforge.topics import Topic, topic_from_dict, topic_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -81,36 +81,16 @@ class ContextDoc:
                           provenance=provenance)
 
 
-@dataclass(frozen=True)
-class ContextPolicy:
-    p_wiki: float = constants.P_WIKI
-    wiki_top_k: int = constants.WIKI_TOP_K
-    temperature: float = constants.TEMPERATURE_CONTEXT
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_wiki <= 1.0:
-            raise ValidationError("p_wiki must be in [0, 1]")
-        if self.wiki_top_k < 1:
-            raise ValidationError("wiki_top_k must be >= 1")
-
-
-def choose_source(policy: ContextPolicy, rng: random.Random) -> str:
-    """Bernoulli(p_wiki) draw: WIKI with probability p_wiki, else GENERATED.
-
-    p_wiki=1.0 always picks the wiki, 0.0 never does.
-    """
-    return WIKI if rng.random() < policy.p_wiki else GENERATED
-
-
 def generate_context(topic: Topic, style: str, gateway,
-                     policy: ContextPolicy = ContextPolicy(),
+                     config: PipelineConfig,
                      seed: int | None = None) -> ContextDoc:
-    """Ask the completion provider for a document in the given style."""
+    """Ask the completion provider for a document in the given style, at
+    temperature.context."""
     if style not in CONTEXT_STYLES:
         raise ValidationError(f"style {style!r} is not a known context style")
     prompt = DEFAULT_CONTEXT_TEMPLATE.format(style=style, topic=topic.text)
-    request = GenRequest(prompt=prompt, temperature=policy.temperature,
-                         seed=seed)
+    request = GenRequest(prompt=prompt,
+                         temperature=config.temperature_context, seed=seed)
     body = gateway.complete(request)
     if not body or not body.strip():
         raise GenerationError(
@@ -120,25 +100,26 @@ def generate_context(topic: Topic, style: str, gateway,
         source=ContextSource(kind=GENERATED, style=style),
         topic=topic,
         provenance={"source": GENERATED, "style": style,
-                    "temperature": policy.temperature, "seed": seed})
+                    "temperature": config.temperature_context,
+                    "seed": seed})
 
 
 def wiki_context(topic: Topic, gateway, rng: random.Random,
-                 policy: ContextPolicy = ContextPolicy(),
+                 config: PipelineConfig,
                  seed: int | None = None) -> ContextDoc:
     """Search the wiki for the topic and pick one article section.
 
-    The article is drawn uniformly from the top search hits and the section
-    uniformly from that article's sections (lead included). An empty search
-    falls back to a generated context, noted in provenance, so a topic never
-    silently drops out of the pipeline.
+    The article is drawn uniformly from the top context.wiki_top_k search
+    hits and the section uniformly from that article's sections (lead
+    included). An empty search falls back to a generated context, noted in
+    provenance, so a topic never silently drops out of the pipeline.
     """
     def fallback() -> ContextDoc:
         style = rng.choice(CONTEXT_STYLES)
-        doc = generate_context(topic, style, gateway, policy, seed=seed)
+        doc = generate_context(topic, style, gateway, config, seed=seed)
         return doc.with_topic(topic, extra={"wiki_fallback": True})
 
-    refs = gateway.wiki_search(topic.text, limit=policy.wiki_top_k)
+    refs = gateway.wiki_search(topic.text, limit=config.context_wiki_top_k)
     if not refs:
         logger.info("wiki search empty for %r, falling back to generation",
                     topic.text)
@@ -160,32 +141,29 @@ def wiki_context(topic: Topic, gateway, rng: random.Random,
     })
 
 
-def acquire_context(topic: Topic, gateway, build_seed: int, key: str,
-                    policy: ContextPolicy = ContextPolicy()) -> ContextDoc:
-    """One deterministic context for a topic.
+def acquire_context(topic: Topic, gateway, config: PipelineConfig,
+                    key: str) -> ContextDoc:
+    """One deterministic context for a topic: from the wiki with
+    probability context.p_wiki, else generated in a uniformly drawn style.
 
-    key is a stable path (e.g. "ctx/0007/r00"); all random choices flow from
-    (build_seed, key), never from call order.
+    key is the topic's stage key (e.g. "t0007-r00"); every random choice
+    flows from (run.seed, key), never from call order.
     """
-    rng = random.Random(derive_seed(build_seed, key))
-    gen_seed = derive_seed(build_seed, key, "completion")
-    if choose_source(policy, rng) == WIKI:
-        return wiki_context(topic, gateway, rng, policy, seed=gen_seed)
+    rng = random.Random(derive_seed(config.run_seed, key))
+    gen_seed = derive_seed(config.run_seed, key, "completion")
+    if rng.random() < config.context_p_wiki:
+        return wiki_context(topic, gateway, rng, config, seed=gen_seed)
     style = rng.choice(CONTEXT_STYLES)
-    return generate_context(topic, style, gateway, policy, seed=gen_seed)
+    return generate_context(topic, style, gateway, config, seed=gen_seed)
 
 
 def context_to_dict(doc: ContextDoc) -> dict:
     """Plain-dict form for JSONL persistence between pipeline stages."""
-    topic = None
-    if doc.topic is not None:
-        topic = {"text": doc.topic.text, "category": doc.topic.category,
-                 "batch_id": doc.topic.batch_id}
     return {
         "body": doc.body,
         "source": {"kind": doc.source.kind, "title": doc.source.title,
                    "section": doc.source.section, "style": doc.source.style},
-        "topic": topic,
+        "topic": None if doc.topic is None else topic_to_dict(doc.topic),
         "provenance": doc.provenance,
     }
 
@@ -193,19 +171,14 @@ def context_to_dict(doc: ContextDoc) -> dict:
 def context_from_dict(data: dict) -> ContextDoc:
     try:
         source = data["source"]
-        topic_data = data["topic"]
-        topic = None
-        if topic_data is not None:
-            topic = Topic(text=topic_data["text"],
-                          category=topic_data["category"],
-                          batch_id=int(topic_data.get("batch_id", 0)))
+        topic = data["topic"]
         return ContextDoc(
             body=data["body"],
             source=ContextSource(kind=source["kind"],
                                  title=source.get("title"),
                                  section=source.get("section"),
                                  style=source.get("style")),
-            topic=topic,
+            topic=None if topic is None else topic_from_dict(topic),
             provenance=dict(data.get("provenance", {})),
         )
     except (KeyError, TypeError) as exc:

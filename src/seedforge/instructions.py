@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from seedforge import constants
+from seedforge.config import PipelineConfig
 from seedforge.contexts import ContextDoc
 from seedforge.errors import (GenerationError, ParseError, ValidationError)
 from seedforge.gateway.types import GenRequest
@@ -126,16 +127,6 @@ class GenerationFailure:
     topic_text: str
     reason: str
     raw_excerpt: str = ""
-
-
-@dataclass(frozen=True)
-class TaskSettings:
-    temperature_closed_qa: float = constants.TEMPERATURE_CLOSED_QA
-    temperature_summarization: float = constants.TEMPERATURE_SUMMARIZATION
-    temperature_conversation: float = constants.TEMPERATURE_CONVERSATION
-    temperature_multiple_choice: float = constants.TEMPERATURE_MULTIPLE_CHOICE
-    qa_pairs: int = constants.QA_PAIRS_PER_CONTEXT
-    language: str = constants.TARGET_LANGUAGE
 
 
 def find_ordinal_reference(texts) -> str | None:
@@ -406,17 +397,19 @@ def _prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
 
 
-def _generate_parsed(gateway, prompt: str, temperature: float,
-                     build_seed: int, key: str, task: str, parse):
-    """Call the provider, parse, retry once under a fresh seed.
+def _generate_parsed(gateway, config: PipelineConfig, prompt: str, key: str,
+                     task: str, parse):
+    """Call the provider at temperature.<task>, parse, retry once under a
+    fresh seed.
 
     Returns (value, provenance). Raises GenerationError when the retry also
     fails; the caller records a failure entry and moves on.
     """
+    temperature = getattr(config, f"temperature_{task}")
     last_error: Exception | None = None
     raw = ""
     for attempt in range(2):
-        seed = derive_seed(build_seed, key, task, attempt)
+        seed = derive_seed(config.run_seed, key, task, attempt)
         raw = gateway.complete(GenRequest(
             prompt=prompt, temperature=temperature, seed=seed))
         try:
@@ -438,10 +431,9 @@ def _generate_parsed(gateway, prompt: str, temperature: float,
         f"(raw starts {raw[:80]!r})")
 
 
-def gen_closed_qa(ctx: ContextDoc, gateway, build_seed: int, key: str,
-                  settings: TaskSettings = TaskSettings()
-                  ) -> list[InstructionRecord]:
-    """Exactly settings.qa_pairs records per context, or GenerationError.
+def gen_closed_qa(ctx: ContextDoc, gateway, config: PipelineConfig,
+                  key: str) -> list[InstructionRecord]:
+    """Exactly tasks.qa_pairs records per context, or GenerationError.
 
     A payload with the wrong pair count is treated the same as a parse
     failure: one retry, then the whole context is skipped for this task.
@@ -449,78 +441,72 @@ def gen_closed_qa(ctx: ContextDoc, gateway, build_seed: int, key: str,
     """
     if ctx.topic is None:
         raise ValidationError("context document has no topic attached")
-    prompt = render_closed_qa_prompt(ctx.body, pairs=settings.qa_pairs)
+    want = config.tasks_qa_pairs
+    prompt = render_closed_qa_prompt(ctx.body, pairs=want)
 
     def parse(raw: str) -> list[tuple[str, str]]:
         pairs = parse_qa_pairs(raw)
-        if len(pairs) != settings.qa_pairs:
-            raise ParseError(
-                f"expected {settings.qa_pairs} pairs, got {len(pairs)}",
-                raw=raw)
+        if len(pairs) != want:
+            raise ParseError(f"expected {want} pairs, got {len(pairs)}",
+                             raw=raw)
         return pairs
 
-    pairs, provenance = _generate_parsed(
-        gateway, prompt, settings.temperature_closed_qa, build_seed, key,
-        CLOSED_QA, parse)
+    pairs, provenance = _generate_parsed(gateway, config, prompt, key,
+                                         CLOSED_QA, parse)
     provenance["context"] = dict(ctx.provenance)
     return [
         InstructionRecord(
             id=f"{key}-{CLOSED_QA}-{i:02d}", task=CLOSED_QA,
             instruction=question, context=ctx.body, output=answer,
-            topic=ctx.topic, language=settings.language,
+            topic=ctx.topic, language=config.run_target_language,
             provenance=provenance)
         for i, (question, answer) in enumerate(pairs)
     ]
 
 
-def gen_summarization(ctx: ContextDoc, gateway, build_seed: int, key: str,
-                      settings: TaskSettings = TaskSettings()
-                      ) -> list[InstructionRecord]:
+def gen_summarization(ctx: ContextDoc, gateway, config: PipelineConfig,
+                      key: str) -> list[InstructionRecord]:
     """One summary record; the style is drawn uniformly per record."""
     if ctx.topic is None:
         raise ValidationError("context document has no topic attached")
-    rng = random.Random(derive_seed(build_seed, key, "summary-style"))
+    rng = random.Random(derive_seed(config.run_seed, key, "summary-style"))
     style = rng.choice(constants.SUMMARY_STYLES)
     prompt = render_summarization_prompt(style, ctx.topic.text, ctx.body)
     (summary, instruction), provenance = _generate_parsed(
-        gateway, prompt, settings.temperature_summarization, build_seed, key,
-        SUMMARIZATION, parse_summary_payload)
+        gateway, config, prompt, key, SUMMARIZATION, parse_summary_payload)
     provenance["summary_style"] = style
     provenance["context"] = dict(ctx.provenance)
     return [InstructionRecord(
         id=f"{key}-{SUMMARIZATION}-00", task=SUMMARIZATION,
         instruction=instruction, context=ctx.body, output=summary,
-        topic=ctx.topic, language=settings.language, provenance=provenance)]
+        topic=ctx.topic, language=config.run_target_language,
+        provenance=provenance)]
 
 
-def gen_conversation(topic: Topic, gateway, build_seed: int, key: str,
-                     settings: TaskSettings = TaskSettings()
-                     ) -> list[InstructionRecord]:
+def gen_conversation(topic: Topic, gateway, config: PipelineConfig,
+                     key: str) -> list[InstructionRecord]:
     """One user/assistant exchange grounded in the topic alone."""
     prompt = render_conversation_prompt(topic.text)
     (user, assistant), provenance = _generate_parsed(
-        gateway, prompt, settings.temperature_conversation, build_seed, key,
-        CONVERSATION, parse_conversation)
+        gateway, config, prompt, key, CONVERSATION, parse_conversation)
     return [InstructionRecord(
         id=f"{key}-{CONVERSATION}-00", task=CONVERSATION,
         instruction=user, context=None, output=assistant, topic=topic,
-        language=settings.language, provenance=provenance)]
+        language=config.run_target_language, provenance=provenance)]
 
 
-def gen_multiple_choice(ctx: ContextDoc, gateway, build_seed: int, key: str,
-                        settings: TaskSettings = TaskSettings()
-                        ) -> tuple[McQuestion, dict]:
+def gen_multiple_choice(ctx: ContextDoc, gateway, config: PipelineConfig,
+                        key: str) -> tuple[McQuestion, dict]:
     """A validated, not-yet-shuffled question plus its call provenance."""
     if ctx.topic is None:
         raise ValidationError("context document has no topic attached")
     prompt = render_multiple_choice_prompt(ctx.body)
-    return _generate_parsed(
-        gateway, prompt, settings.temperature_multiple_choice, build_seed,
-        key, MULTIPLE_CHOICE, parse_multiple_choice)
+    return _generate_parsed(gateway, config, prompt, key, MULTIPLE_CHOICE,
+                            parse_multiple_choice)
 
 
-def mc_to_record(question: McQuestion, ctx: ContextDoc, build_seed: int,
-                 key: str, settings: TaskSettings = TaskSettings(),
+def mc_to_record(question: McQuestion, ctx: ContextDoc,
+                 config: PipelineConfig, key: str,
                  provenance: dict | None = None) -> InstructionRecord:
     """Render a (shuffled) question into a record.
 
@@ -537,15 +523,14 @@ def mc_to_record(question: McQuestion, ctx: ContextDoc, build_seed: int,
         id=f"{key}-{MULTIPLE_CHOICE}-00", task=MULTIPLE_CHOICE,
         instruction=instruction, context=ctx.body,
         output=question.answer_text, topic=ctx.topic,
-        language=settings.language, provenance=meta)
+        language=config.run_target_language, provenance=meta)
 
 
-def generate_for_context(ctx: ContextDoc, gateway, build_seed: int, key: str,
-                         settings: TaskSettings = TaskSettings(),
-                         tasks: tuple[str, ...] = GENERATION_TASKS
+def generate_for_context(ctx: ContextDoc, gateway, config: PipelineConfig,
+                         key: str, tasks: tuple[str, ...] = GENERATION_TASKS
                          ) -> tuple[list[InstructionRecord],
                                     list[GenerationFailure]]:
-    """Run the configured task generators against one context.
+    """Run the given task generators against one context.
 
     Failures are collected, not raised: a context that defeats one task can
     still contribute records for the others.
@@ -563,21 +548,19 @@ def generate_for_context(ctx: ContextDoc, gateway, build_seed: int, key: str,
     for task in tasks:
         try:
             if task == CLOSED_QA:
-                records.extend(gen_closed_qa(
-                    ctx, gateway, build_seed, key, settings))
+                records.extend(gen_closed_qa(ctx, gateway, config, key))
             elif task == SUMMARIZATION:
-                records.extend(gen_summarization(
-                    ctx, gateway, build_seed, key, settings))
+                records.extend(gen_summarization(ctx, gateway, config, key))
             elif task == CONVERSATION:
-                records.extend(gen_conversation(
-                    ctx.topic, gateway, build_seed, key, settings))
+                records.extend(gen_conversation(ctx.topic, gateway, config,
+                                                key))
             elif task == MULTIPLE_CHOICE:
-                question, provenance = gen_multiple_choice(
-                    ctx, gateway, build_seed, key, settings)
-                rng = random.Random(derive_seed(build_seed, key, "mc-shuffle"))
-                shuffled = shuffle_choices(question, rng)
+                question, provenance = gen_multiple_choice(ctx, gateway,
+                                                           config, key)
+                rng = random.Random(derive_seed(config.run_seed, key,
+                                                "mc-shuffle"))
                 records.append(mc_to_record(
-                    shuffled, ctx, build_seed, key, settings,
+                    shuffle_choices(question, rng), ctx, config, key,
                     provenance=provenance))
             else:
                 raise ValidationError(f"unknown task {task!r}")

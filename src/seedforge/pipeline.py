@@ -11,8 +11,9 @@ the digest: changing them never invalidates work. Each dedup stage also
 saves the embeddings of its input (vectors-NN.npy), so a later epoch
 embeds only its new records.
 
-The stage bodies are plain functions shared with the CLI stage commands,
-and the generated ablation variants run the same epoch loop through
+The stage bodies are plain functions shared with the CLI stage commands.
+Each takes the effective PipelineConfig and reads its settings from it.
+The generated ablation variants run the same epoch loop through
 `build_pool` and the same final step, `manifest_from_pool`.
 
 Determinism: all randomness is derived from (run.seed, stage path), never
@@ -34,7 +35,7 @@ import numpy as np
 
 from seedforge import constants
 from seedforge.config import PipelineConfig
-from seedforge.contexts import (ContextDoc, ContextPolicy, acquire_context,
+from seedforge.contexts import (ContextDoc, acquire_context,
                                 context_from_dict, context_to_dict)
 from seedforge.dedup import DedupResult, dedup_filter
 from seedforge.errors import (BuildError, ConfigError, LockError,
@@ -44,8 +45,7 @@ from seedforge.gateway.http import (HttpCompletionClient, HttpEmbedder,
                                     HttpParaphraser, HttpTranslator,
                                     MediaWikiClient)
 from seedforge.instructions import (GENERATION_TASKS, GenerationFailure,
-                                    InstructionRecord, TaskSettings,
-                                    generate_for_context)
+                                    InstructionRecord, generate_for_context)
 from seedforge.manifest import (VARIANT_FULL, DatasetManifest, Recipe,
                                 finish_manifest, read_manifest,
                                 truncate_records, write_manifest)
@@ -53,7 +53,8 @@ from seedforge.records import (file_sha256, parsing, read_json,
                                read_jsonl_lines, read_records, write_atomic,
                                write_json, write_jsonl, write_records)
 from seedforge.topics import (CULTURAL, GENERAL, Topic, generate_topics,
-                              normalize_topic)
+                              normalize_topic, topic_from_dict,
+                              topic_to_dict)
 
 logger = logging.getLogger(__name__)
 
@@ -210,31 +211,6 @@ def _chain(stage: str, config_digest: str, upstream: str) -> str:
     return sha256(f"{stage}\n{config_digest}\n{upstream}".encode()).hexdigest()
 
 
-# -- settings from config ----------------------------------------------------
-
-def topic_kwargs(config: PipelineConfig) -> dict:
-    return {"batch_size": config.topics_per_batch,
-            "temperature": config.temperature_topics,
-            "culture": config.run_culture,
-            "retry_limit": config.budget_retry_limit}
-
-
-def context_policy(config: PipelineConfig) -> ContextPolicy:
-    return ContextPolicy(p_wiki=config.context_p_wiki,
-                         wiki_top_k=config.context_wiki_top_k,
-                         temperature=config.temperature_context)
-
-
-def task_settings(config: PipelineConfig) -> TaskSettings:
-    return TaskSettings(
-        temperature_closed_qa=config.temperature_closed_qa,
-        temperature_summarization=config.temperature_summarization,
-        temperature_conversation=config.temperature_conversation,
-        temperature_multiple_choice=config.temperature_multiple_choice,
-        qa_pairs=config.tasks_qa_pairs,
-        language=config.run_target_language)
-
-
 # -- stage bodies, shared with the CLI stage commands -------------------------
 
 def parallel_map(fn, count: int, workers: int) -> list:
@@ -267,40 +243,38 @@ def epoch_topics(config: PipelineConfig, gateway, epoch: int = 0,
     taken = set(seen)
     return [topic
             for category, count in ((CULTURAL, cultural), (GENERAL, general))
-            for topic in generate_topics(
-                category, count, gateway, config.run_seed, taken=taken,
-                start_batch=start, **topic_kwargs(config))]
+            for topic in generate_topics(category, count, gateway, config,
+                                         taken=taken, start_batch=start)]
 
 
-def acquire_contexts(topics: list[Topic], gateway, seed: int,
-                     policy: ContextPolicy, workers: int,
+def acquire_contexts(topics: list[Topic], gateway, config: PipelineConfig,
                      start_index: int = 0, round_no: int = 0
                      ) -> list[tuple[str, ContextDoc]]:
-    """One keyed context per topic; keys come from the topic index and
-    round, never from completion order."""
+    """One keyed context per topic, on budget.max_concurrent threads; keys
+    come from the topic index and round, never from completion order."""
     def one(offset: int):
         key = f"t{start_index + offset:04d}-r{round_no:02d}"
-        return key, acquire_context(topics[offset], gateway, seed, key,
-                                    policy)
+        return key, acquire_context(topics[offset], gateway, config, key)
 
-    return parallel_map(one, len(topics), workers)
+    return parallel_map(one, len(topics), config.budget_max_concurrent)
 
 
 def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
-                     seed: int, settings: TaskSettings, workers: int,
+                     config: PipelineConfig,
                      tasks: tuple[str, ...] = GENERATION_TASKS
                      ) -> tuple[list[InstructionRecord],
                                 list[GenerationFailure]]:
-    """Records for every keyed context, in context order. Failed tasks are
-    logged and returned; they never abort the stage."""
+    """Records for every keyed context, in context order, on
+    budget.max_concurrent threads. Failed tasks are logged and returned;
+    they never abort the stage."""
     def one(i: int):
         key, doc = contexts[i]
-        return generate_for_context(doc, gateway, seed, key,
-                                    settings=settings, tasks=tasks)
+        return generate_for_context(doc, gateway, config, key, tasks)
 
     records: list[InstructionRecord] = []
     failures: list[GenerationFailure] = []
-    for recs, fails in parallel_map(one, len(contexts), workers):
+    for recs, fails in parallel_map(one, len(contexts),
+                                    config.budget_max_concurrent):
         records.extend(recs)
         failures.extend(fails)
     for failure in failures:
@@ -319,15 +293,13 @@ def dedup_records(records: list, gateway, config: PipelineConfig,
 # -- stage files, shared with the CLI stage commands -------------------------
 
 def write_topics(topics: list[Topic], path: str) -> str:
-    return write_json(path, [{"text": t.text, "category": t.category,
-                              "batch_id": t.batch_id} for t in topics])
+    return write_json(path, [topic_to_dict(t) for t in topics])
 
 
 def read_topics(path: str) -> list[Topic]:
     rows = read_json(path)
     with parsing(path, "a topics file"):
-        return [Topic(text=r["text"], category=r["category"],
-                      batch_id=r.get("batch_id", 0)) for r in rows]
+        return [topic_from_dict(row) for row in rows]
 
 
 def write_contexts(contexts: list[tuple[str, ContextDoc]], path: str) -> str:
@@ -336,9 +308,11 @@ def write_contexts(contexts: list[tuple[str, ContextDoc]], path: str) -> str:
 
 
 def read_contexts(path: str) -> list[tuple[str, ContextDoc]]:
-    with parsing(path, "a contexts file"):
-        return [(row["key"], context_from_dict(row))
-                for _, row in read_jsonl_lines(path)]
+    contexts = []
+    for line_no, row in read_jsonl_lines(path):
+        with parsing(path, "a contexts file", line_no):
+            contexts.append((row["key"], context_from_dict(row)))
+    return contexts
 
 
 def write_vectors(vectors: np.ndarray, path: str) -> str:
@@ -376,7 +350,6 @@ class _Run:
         self.workdir = workdir
         self.gateway = gateway
         self.hook = stage_hook
-        self.workers = config.budget_max_concurrent
         self.checkpoints = _Checkpoints(workdir)
         self.config_digest = config.content_digest()
         self.upstream = "origin"
@@ -443,10 +416,8 @@ class _Run:
         name = f"contexts-{epoch:02d}"
         return self.file_stage(
             name, f"{name}.jsonl",
-            lambda: acquire_contexts(topics, self.gateway,
-                                     self.config.run_seed,
-                                     context_policy(self.config),
-                                     self.workers, start_index, round_no),
+            lambda: acquire_contexts(topics, self.gateway, self.config,
+                                     start_index, round_no),
             write_contexts, read_contexts)
 
     def instructions_stage(self, epoch: int,
@@ -455,9 +426,7 @@ class _Run:
         return self.file_stage(
             name, f"{name}.jsonl",
             lambda: generate_records(contexts, self.gateway,
-                                     self.config.run_seed,
-                                     task_settings(self.config),
-                                     self.workers)[0],
+                                     self.config)[0],
             write_records, read_records)
 
     def dedup_stage(self, epoch: int, cumulative: list) -> list:

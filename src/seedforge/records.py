@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from seedforge.errors import ParseError, ValidationError
 from seedforge.instructions import InstructionRecord
-from seedforge.topics import Topic
+from seedforge.topics import topic_from_dict, topic_to_dict
 
 _KEY_ORDER = ("id", "task", "instruction", "context", "output", "topic",
               "language", "lineage", "flags", "provenance")
@@ -41,9 +41,7 @@ def record_to_dict(record: InstructionRecord) -> dict:
         "instruction": record.instruction,
         "context": record.context,
         "output": record.output,
-        "topic": {"text": record.topic.text,
-                  "category": record.topic.category,
-                  "batch_id": record.topic.batch_id},
+        "topic": topic_to_dict(record.topic),
         "language": record.language,
         "lineage": list(record.lineage),
         "flags": flags,
@@ -62,9 +60,7 @@ def record_from_dict(data: dict, where: str = "record") -> InstructionRecord:
     if not isinstance(topic_data, dict):
         raise ParseError(f"{where}: topic must be an object")
     try:
-        topic = Topic(text=topic_data.get("text", ""),
-                      category=topic_data.get("category", ""),
-                      batch_id=int(topic_data.get("batch_id", 0)))
+        topic = topic_from_dict(topic_data)
         lineage = data["lineage"]
         if (not isinstance(lineage, list)
                 or not all(isinstance(x, str) for x in lineage)):
@@ -82,6 +78,8 @@ def record_from_dict(data: dict, where: str = "record") -> InstructionRecord:
             lineage=tuple(lineage), flags=flags, provenance=provenance)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
+    except KeyError as exc:
+        raise ParseError(f"{where}: topic has no {exc} key") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -122,15 +120,16 @@ def read_json(path: str):
 
 
 @contextmanager
-def parsing(path: str, what: str):
+def parsing(path: str, what: str, line_no: int | None = None):
     """Turn a KeyError, TypeError or ValueError raised while building
     values from the parsed contents of `path` into a ParseError naming
-    the file and what it should have held."""
+    the file, what it should have held and, if given, the line."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
+        at = f" at line {line_no}" if line_no else ""
         raise ParseError(f"{path}: not {what} ({type(exc).__name__}: "
-                         f"{exc})") from None
+                         f"{exc}){at}") from None
 
 
 def read_jsonl_lines(path: str) -> Iterator[tuple[int, object]]:

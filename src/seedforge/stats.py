@@ -10,6 +10,7 @@ toward zero so swapping the samples flips the statistic's sign exactly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -44,13 +45,6 @@ def _midranks(pooled: list[float]) -> list[float]:
     return ranks
 
 
-def _tie_sizes(pooled: list[float]) -> list[int]:
-    sizes: list[int] = []
-    for value in sorted(set(pooled)):
-        sizes.append(sum(1 for v in pooled if v == value))
-    return sizes
-
-
 def _normal_sf(z: float) -> float:
     """P(Z > z) for a standard normal."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -81,7 +75,7 @@ def wilcoxon_rank_sum(a, b, method: str = "auto") -> RankSumResult:
     rank_sum = sum(ranks[:n1])
 
     mean = n1 * (total + 1) / 2.0
-    tie_term = sum(t ** 3 - t for t in _tie_sizes(pooled))
+    tie_term = sum(t ** 3 - t for t in Counter(pooled).values())
     variance = (n1 * n2 / 12.0) * (
         (total + 1) - tie_term / (total * (total - 1)))
     if variance <= 0.0:

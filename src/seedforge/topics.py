@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass
 
 from seedforge import constants
+from seedforge.config import PipelineConfig
 from seedforge.errors import (GenerationExhaustedError, ParseError,
                               ValidationError)
 from seedforge.gateway.types import GenRequest
@@ -69,6 +70,20 @@ class Topic:
             raise ValidationError(f"unknown topic category {self.category!r}")
 
 
+def topic_to_dict(topic: Topic) -> dict:
+    """The one JSON form of a topic, in topics, contexts and record files."""
+    return {"text": topic.text, "category": topic.category,
+            "batch_id": topic.batch_id}
+
+
+def topic_from_dict(data: dict) -> Topic:
+    """Inverse of topic_to_dict. A missing batch_id reads as 0 and a
+    numeric string as its integer; a missing text or category raises
+    KeyError, a row that is not an object TypeError."""
+    return Topic(text=data["text"], category=data["category"],
+                 batch_id=int(data.get("batch_id", 0)))
+
+
 def render_topic_prompt(category: str,
                         count: int = constants.TOPICS_PER_BATCH,
                         culture: str = constants.CULTURE) -> str:
@@ -100,40 +115,38 @@ def normalize_topic(text: str) -> str:
     return " ".join(text.split()).casefold()
 
 
-def generate_topics(category: str, n: int, gateway, seed: int,
+def generate_topics(category: str, n: int, gateway, config: PipelineConfig,
                     taken: set[str] | None = None,
-                    batch_size: int = constants.TOPICS_PER_BATCH,
-                    temperature: float = constants.TEMPERATURE_TOPIC,
-                    culture: str = constants.CULTURE,
-                    retry_limit: int = constants.RETRY_LIMIT,
                     start_batch: int = 0) -> list[Topic]:
     """Request topic batches until exactly n new topics are collected.
 
     `taken` holds the normalized keys of topics already claimed, by this
     category or any other; a taken topic is skipped, and each kept topic
     is added to it, so callers share one set across categories and
-    epochs. Each batch gets a seed derived from (seed, category, batch
-    index), so a parse failure or a batch of only taken topics is retried
-    under a fresh seed simply by moving to the next batch index.
-    retry_limit bounds consecutive non-productive batches, after which
-    GenerationExhaustedError reports how many topics were collected.
+    epochs. Each batch asks for topics.per_batch topics about run.culture
+    at temperature.topics, under a seed derived from (run.seed, category,
+    batch index), so a parse failure or a batch of only taken topics is
+    retried under a fresh seed simply by moving to the next batch index.
+    budget.retry_limit bounds consecutive non-productive batches, after
+    which GenerationExhaustedError reports how many topics were collected.
     """
     if n < 0:
         raise ValidationError("topic count must be >= 0")
     taken = set() if taken is None else taken
-    prompt = render_topic_prompt(category, count=batch_size, culture=culture)
+    prompt = render_topic_prompt(category, count=config.topics_per_batch,
+                                 culture=config.run_culture)
     collected: list[Topic] = []
     batch_id = start_batch
     barren = 0
     while len(collected) < n:
-        if barren > retry_limit:
+        if barren > config.budget_retry_limit:
             raise GenerationExhaustedError(
                 f"topic generation stalled after {batch_id - start_batch} "
                 f"batches ({len(collected)}/{n} {category} topics)",
                 collected=len(collected))
         request = GenRequest(
-            prompt=prompt, temperature=temperature,
-            seed=derive_seed(seed, "topics", category, batch_id))
+            prompt=prompt, temperature=config.temperature_topics,
+            seed=derive_seed(config.run_seed, "topics", category, batch_id))
         raw = gateway.complete(request)
         batch_id += 1
         try:

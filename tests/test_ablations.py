@@ -16,11 +16,10 @@ from seedforge.ablations import (Recipe, VARIANT_CULTURE_ONLY,
                                  translate_record, truncate_records,
                                  write_manifest)
 from seedforge.config import default_config
-from seedforge.contexts import ContextPolicy
 from seedforge.errors import (BuildError, ConfigError, ParseError,
                               ProtocolError, ValidationError)
 from seedforge.gateway import Gateway
-from seedforge.instructions import InstructionRecord, TaskSettings
+from seedforge.instructions import InstructionRecord
 from seedforge.topics import CULTURAL, GENERAL, Topic
 
 SMALL = default_config(topics_cultural=8, topics_general=6, dataset_size=50)
@@ -44,14 +43,6 @@ def external_corpus(tmp_path, rows):
     path.write_text("".join(f'{{"prompt": "q{i}", "response": "a{i}"}}\n'
                             for i in range(rows)), encoding="utf-8")
     return load_external_corpus(str(path))
-
-
-def small_settings():
-    return TaskSettings(temperature_closed_qa=0.35,
-                        temperature_summarization=0.35,
-                        temperature_conversation=0.8,
-                        temperature_multiple_choice=0.4,
-                        qa_pairs=5, language="th")
 
 
 class TestDeriveFlags:
@@ -182,23 +173,22 @@ class TestManifestInvariants:
 class TestGeneratePass:
     def test_order_and_determinism(self, gateway):
         topics = [Topic(f"หัวข้อ {i}", GENERAL) for i in range(3)]
-        policy = ContextPolicy(p_wiki=0.5, wiki_top_k=10, temperature=0.8)
         records, failures = generate_pass(
-            gateway, 11, topics, policy=policy, settings=small_settings())
+            gateway, default_config(run_seed=11), topics)
         assert not failures
         assert len(records) == 24
         prefixes = [r.id.split("-")[0] for r in records]
         assert prefixes == sorted(prefixes)
-        again, _ = generate_pass(Gateway.mock(), 11, topics, policy=policy,
-                                 settings=small_settings(), max_workers=1)
+        again, _ = generate_pass(
+            Gateway.mock(),
+            default_config(run_seed=11, budget_max_concurrent=1), topics)
         assert again == records
 
     def test_start_index_and_round_in_keys(self, gateway):
         topics = [Topic("ก", GENERAL)]
-        policy = ContextPolicy(p_wiki=0.0, wiki_top_k=10, temperature=0.8)
-        records, _ = generate_pass(gateway, 11, topics, start_index=7,
-                                   round_no=2, policy=policy,
-                                   settings=small_settings())
+        config = default_config(run_seed=11, context_p_wiki=0.0)
+        records, _ = generate_pass(gateway, config, topics, start_index=7,
+                                   round_no=2)
         assert records[0].id.startswith("t0007-r02-")
 
 

@@ -29,8 +29,7 @@ from seedforge.dedup import cosine, dedup_filter, sample_text
 from seedforge.errors import ParseError, ValidationError
 from seedforge.gateway import Gateway
 from seedforge.instructions import (GENERATION_TASKS, McQuestion,
-                                    TaskSettings, generate_for_context,
-                                    shuffle_choices)
+                                    generate_for_context, shuffle_choices)
 from seedforge.pipeline import MANIFEST_FILE, run_pipeline
 from seedforge.stats import wilcoxon_rank_sum
 from seedforge.tokenizers import get_tokenizer
@@ -388,7 +387,7 @@ def test_criterion_6_variant_recipes(tmp_path, monkeypatch):
 
 def test_criterion_7_parser_corpus(scripted):
     failures = []
-    settings = TaskSettings()
+    config = default_config(run_seed=11)
     total = 0
     for task in GENERATION_TASKS:
         fixtures = CORPUS[task]
@@ -413,7 +412,7 @@ def test_criterion_7_parser_corpus(scripted):
             gw = scripted([raw, raw])
             try:
                 records, fails = generate_for_context(
-                    make_ctx(), gw, 11, "t0000-r00", settings, tasks=(task,))
+                    make_ctx(), gw, config, "t0000-r00", tasks=(task,))
             except Exception as exc:  # noqa: BLE001
                 failures.append(f"{task} fixture {i} crashed the "
                                 f"generator: {type(exc).__name__}: {exc}")

@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
+from seedforge.config import default_config
 from seedforge.contexts import (CONTEXT_STYLES, GENERATED, WIKI, ContextDoc,
-                                ContextPolicy, ContextSource,
-                                acquire_context, choose_source,
+                                ContextSource, acquire_context,
                                 context_from_dict, context_to_dict,
                                 generate_context, wiki_context)
 from seedforge.errors import ValidationError
@@ -16,6 +16,14 @@ from seedforge.gateway.types import WikiArticleRef
 from seedforge.topics import GENERAL, Topic
 
 TOPIC = Topic(text="ตลาดน้ำ", category=GENERAL)
+DEFAULTS = default_config()
+
+
+def drew_wiki(doc) -> bool:
+    """Whether the source draw picked the wiki (a wiki miss falls back to a
+    generated document, marked in provenance)."""
+    return (doc.source.kind == WIKI
+            or bool(doc.provenance.get("wiki_fallback")))
 
 
 class TestSourceChoice:
@@ -23,31 +31,27 @@ class TestSourceChoice:
         assert len(CONTEXT_STYLES) == 13
         assert len(set(CONTEXT_STYLES)) == 13
 
-    def test_extreme_probabilities(self):
-        rng = random.Random(0)
-        all_wiki = ContextPolicy(p_wiki=1.0)
-        none_wiki = ContextPolicy(p_wiki=0.0)
-        assert all(choose_source(all_wiki, rng) == WIKI
-                   for _ in range(50))
-        assert all(choose_source(none_wiki, rng) == GENERATED
-                   for _ in range(50))
+    def test_extreme_probabilities(self, gateway):
+        all_wiki = default_config(context_p_wiki=1.0)
+        none_wiki = default_config(context_p_wiki=0.0)
+        assert all(drew_wiki(acquire_context(TOPIC, gateway, all_wiki,
+                                             f"k{i}"))
+                   for i in range(50))
+        assert not any(drew_wiki(acquire_context(TOPIC, gateway, none_wiki,
+                                                 f"k{i}"))
+                       for i in range(50))
 
-    def test_half_probability_is_roughly_balanced(self):
-        rng = random.Random(123)
-        policy = ContextPolicy(p_wiki=0.5)
-        draws = Counter(choose_source(policy, rng) for _ in range(4000))
-        assert abs(draws[WIKI] - 2000) < 150
-
-    def test_policy_validation(self):
-        with pytest.raises(ValidationError):
-            ContextPolicy(p_wiki=1.5)
-        with pytest.raises(ValidationError):
-            ContextPolicy(wiki_top_k=0)
+    def test_half_probability_is_roughly_balanced(self, gateway):
+        config = default_config(run_seed=123, context_p_wiki=0.5)
+        draws = Counter(drew_wiki(acquire_context(TOPIC, gateway, config,
+                                                  f"k{i}"))
+                        for i in range(2000))
+        assert abs(draws[True] - 1000) < 110
 
 
 class TestGeneratedContexts:
     def test_document_carries_style_and_provenance(self, gateway):
-        doc = generate_context(TOPIC, "poem", gateway, seed=4)
+        doc = generate_context(TOPIC, "poem", gateway, DEFAULTS, seed=4)
         assert doc.source.kind == GENERATED
         assert doc.source.style == "poem"
         assert doc.topic == TOPIC
@@ -57,12 +61,12 @@ class TestGeneratedContexts:
 
     def test_unknown_style_rejected(self, gateway):
         with pytest.raises(ValidationError):
-            generate_context(TOPIC, "opera", gateway)
+            generate_context(TOPIC, "opera", gateway, DEFAULTS)
 
     def test_template_receives_topic_and_style(self, scripted):
         gw = scripted(["เนื้อหา"])
-        policy = ContextPolicy(temperature=0.5)
-        doc = generate_context(TOPIC, "song", gw, policy, seed=9)
+        config = default_config(temperature_context=0.5)
+        doc = generate_context(TOPIC, "song", gw, config, seed=9)
         assert doc.body == "เนื้อหา"
         [request] = gw.generator.requests
         assert request.prompt == ("Generate a song related to the topic "
@@ -74,14 +78,14 @@ class TestWikiContexts:
     def test_wiki_section_choice_is_seeded(self, gateway):
         rng1 = random.Random(99)
         rng2 = random.Random(99)
-        a = wiki_context(TOPIC, gateway, rng1, seed=1)
-        b = wiki_context(TOPIC, gateway, rng2, seed=1)
+        a = wiki_context(TOPIC, gateway, rng1, DEFAULTS, seed=1)
+        b = wiki_context(TOPIC, gateway, rng2, DEFAULTS, seed=1)
         assert a.body == b.body
         assert a.provenance == b.provenance
 
     def test_wiki_provenance_is_complete(self, gateway):
         rng = random.Random(5)
-        doc = wiki_context(TOPIC, gateway, rng, seed=1)
+        doc = wiki_context(TOPIC, gateway, rng, DEFAULTS, seed=1)
         if doc.source.kind == WIKI:
             for key in ("title", "page_id", "search_rank", "n_candidates",
                         "n_sections"):
@@ -95,7 +99,8 @@ class TestWikiContexts:
                 return []
 
         gateway.wiki = NoHits()
-        doc = wiki_context(TOPIC, gateway, random.Random(1), seed=2)
+        doc = wiki_context(TOPIC, gateway, random.Random(1), DEFAULTS,
+                           seed=2)
         assert doc.source.kind == GENERATED
         assert doc.provenance["wiki_fallback"] is True
         assert doc.topic == TOPIC
@@ -106,7 +111,8 @@ class TestWikiContexts:
                 return []
 
         gateway.wiki = Hollow()
-        doc = wiki_context(TOPIC, gateway, random.Random(1), seed=2)
+        doc = wiki_context(TOPIC, gateway, random.Random(1), DEFAULTS,
+                           seed=2)
         assert doc.source.kind == GENERATED
         assert doc.provenance["wiki_fallback"] is True
 
@@ -120,29 +126,31 @@ class TestWikiContexts:
 
         gateway.wiki = Recording()
         wiki_context(TOPIC, gateway, random.Random(1),
-                     ContextPolicy(wiki_top_k=7), seed=0)
+                     default_config(context_wiki_top_k=7), seed=0)
         assert calls == [7]
 
 
 class TestAcquireContext:
     def test_key_determinism(self, gateway):
-        a = acquire_context(TOPIC, gateway, 42, "t0001-r00")
-        b = acquire_context(TOPIC, gateway, 42, "t0001-r00")
+        config = default_config(run_seed=42)
+        a = acquire_context(TOPIC, gateway, config, "t0001-r00")
+        b = acquire_context(TOPIC, gateway, config, "t0001-r00")
         assert a.body == b.body
         assert a.source == b.source
 
     def test_key_independence(self, gateway):
-        a = acquire_context(TOPIC, gateway, 42, "t0001-r00")
-        b = acquire_context(TOPIC, gateway, 42, "t0002-r00")
+        config = default_config(run_seed=42)
+        a = acquire_context(TOPIC, gateway, config, "t0001-r00")
+        b = acquire_context(TOPIC, gateway, config, "t0002-r00")
         assert (a.body, a.source) != (b.body, b.source)
 
     def test_p_wiki_extremes_respected(self, gateway):
-        wiki_only = ContextPolicy(p_wiki=1.0)
-        gen_only = ContextPolicy(p_wiki=0.0)
+        wiki_only = default_config(run_seed=1, context_p_wiki=1.0)
+        gen_only = default_config(run_seed=1, context_p_wiki=0.0)
         for i in range(10):
-            doc = acquire_context(TOPIC, gateway, 1, f"k{i}", gen_only)
+            doc = acquire_context(TOPIC, gateway, gen_only, f"k{i}")
             assert doc.source.kind == GENERATED
-            doc = acquire_context(TOPIC, gateway, 1, f"k{i}", wiki_only)
+            doc = acquire_context(TOPIC, gateway, wiki_only, f"k{i}")
             assert doc.source.kind == WIKI or \
                 doc.provenance.get("wiki_fallback")
 
@@ -151,7 +159,8 @@ class TestAcquireContext:
         # on the query, so a single unlucky topic would skew one way.
         kinds = Counter(
             acquire_context(Topic(text=f"หัวข้อ {i}", category=GENERAL),
-                            gateway, 7, f"n{i:03d}").source.kind
+                            gateway, default_config(run_seed=7),
+                            f"n{i:03d}").source.kind
             for i in range(60))
         assert kinds[WIKI] > 5
         assert kinds[GENERATED] > 5
@@ -172,7 +181,8 @@ class TestValidationAndSerialization:
                        source=ContextSource(kind=GENERATED, style="poem"))
 
     def test_dict_round_trip(self, gateway):
-        doc = acquire_context(TOPIC, gateway, 42, "t0000-r00")
+        doc = acquire_context(TOPIC, gateway, default_config(run_seed=42),
+                              "t0000-r00")
         again = context_from_dict(context_to_dict(doc))
         assert again == doc
 

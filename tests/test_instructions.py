@@ -12,12 +12,13 @@ import random
 import pytest
 
 from seedforge import constants
+from seedforge.config import default_config
 from seedforge.contexts import ContextDoc, ContextSource
 from seedforge.errors import GenerationError, ParseError, ValidationError
 from seedforge.instructions import (CLOSED_QA, CONVERSATION, GENERATION_TASKS,
                                     MULTIPLE_CHOICE, SUMMARIZATION,
                                     GenerationFailure, InstructionRecord,
-                                    McQuestion, TaskSettings,
+                                    McQuestion,
                                     find_ordinal_reference, gen_closed_qa,
                                     gen_conversation, gen_multiple_choice,
                                     gen_summarization, generate_for_context,
@@ -467,6 +468,7 @@ class TestRecordValidation:
 
 VALID_QA_5 = json.dumps([{"question": f"Q{i}?", "answer": f"A{i}"}
                          for i in range(5)])
+SEVEN = default_config(run_seed=7)
 VALID_SUMMARY = '{"summary": "S.", "instruction": "Summarize."}'
 VALID_CONV = "Input: hi there Output: hello back"
 VALID_MC = _mc_raw()
@@ -475,7 +477,7 @@ VALID_MC = _mc_raw()
 class TestGenerators:
     def test_closed_qa_against_mock(self, gateway):
         ctx = make_ctx()
-        records = gen_closed_qa(ctx, gateway, 7, "t0001-r00")
+        records = gen_closed_qa(ctx, gateway, SEVEN, "t0001-r00")
         assert [r.id for r in records] == [
             f"t0001-r00-closed_qa-{i:02d}" for i in range(5)]
         for rec in records:
@@ -492,8 +494,9 @@ class TestGenerators:
         payload = json.dumps([{"question": "q?", "answer": "a"},
                               {"question": "q2?", "answer": "b"}])
         gw = scripted([payload])
-        records = gen_closed_qa(make_ctx(), gw, 7, "t0001-r00",
-                                TaskSettings(qa_pairs=2))
+        records = gen_closed_qa(make_ctx(), gw,
+                                default_config(run_seed=7, tasks_qa_pairs=2),
+                                "t0001-r00")
         assert len(records) == 2
 
     def test_closed_qa_wrong_count_fails_whole_batch(self, scripted):
@@ -501,12 +504,12 @@ class TestGenerators:
                             for i in range(3)])
         gw = scripted([three, three])
         with pytest.raises(GenerationError):
-            gen_closed_qa(make_ctx(), gw, 7, "t0001-r00")
+            gen_closed_qa(make_ctx(), gw, SEVEN, "t0001-r00")
         assert gw.generator.calls == 2
 
     def test_retry_succeeds_on_second_attempt(self, scripted):
         gw = scripted(["garbage with no list", VALID_QA_5])
-        records = gen_closed_qa(make_ctx(), gw, 7, "t0001-r00")
+        records = gen_closed_qa(make_ctx(), gw, SEVEN, "t0001-r00")
         assert len(records) == 5
         assert records[0].provenance["attempt"] == 1
         assert records[0].provenance["seed"] == derive_seed(
@@ -516,11 +519,11 @@ class TestGenerators:
     def test_retry_exhaustion_raises(self, scripted):
         gw = scripted(["junk", "more junk"])
         with pytest.raises(GenerationError, match="failed twice"):
-            gen_closed_qa(make_ctx(), gw, 7, "t0001-r00")
+            gen_closed_qa(make_ctx(), gw, SEVEN, "t0001-r00")
 
     def test_summarization_against_mock(self, gateway):
         ctx = make_ctx()
-        (rec,) = gen_summarization(ctx, gateway, 7, "t0001-r00")
+        (rec,) = gen_summarization(ctx, gateway, SEVEN, "t0001-r00")
         assert rec.id == "t0001-r00-summarization-00"
         style = rec.provenance["summary_style"]
         assert style in constants.SUMMARY_STYLES
@@ -531,7 +534,7 @@ class TestGenerators:
 
     def test_conversation_against_mock(self, gateway):
         topic = Topic("อาหารไทย", CULTURAL)
-        (rec,) = gen_conversation(topic, gateway, 7, "t0002-r00")
+        (rec,) = gen_conversation(topic, gateway, SEVEN, "t0002-r00")
         assert rec.id == "t0002-r00-conversation-00"
         assert rec.context is None
         assert rec.topic == topic
@@ -541,7 +544,7 @@ class TestGenerators:
 
     def test_multiple_choice_against_mock(self, gateway):
         ctx = make_ctx()
-        question, provenance = gen_multiple_choice(ctx, gateway, 7,
+        question, provenance = gen_multiple_choice(ctx, gateway, SEVEN,
                                                    "t0003-r00")
         assert len(question.choices) == 4
         # The resolved choice must sit inside the answer text.
@@ -554,10 +557,10 @@ class TestGenerators:
 
     def test_mc_record_round_trip(self, gateway):
         ctx = make_ctx()
-        question, provenance = gen_multiple_choice(ctx, gateway, 7,
+        question, provenance = gen_multiple_choice(ctx, gateway, SEVEN,
                                                    "t0003-r00")
         shuffled = shuffle_choices(question, random.Random(4))
-        rec = mc_to_record(shuffled, ctx, 7, "t0003-r00",
+        rec = mc_to_record(shuffled, ctx, SEVEN, "t0003-r00",
                            provenance=provenance)
         got_q, got_choices = split_rendered_mc(rec.instruction)
         assert got_q == shuffled.question
@@ -568,7 +571,7 @@ class TestGenerators:
         assert rec.output == question.answer_text
 
     def test_generate_for_context_full_set(self, gateway):
-        records, failures = generate_for_context(make_ctx(), gateway, 7,
+        records, failures = generate_for_context(make_ctx(), gateway, SEVEN,
                                                  "t0004-r00")
         assert failures == []
         assert len(records) == constants.QA_PAIRS_PER_CONTEXT + 3
@@ -584,25 +587,25 @@ class TestGenerators:
 
     def test_generate_for_context_deterministic(self):
         from seedforge.gateway import Gateway
-        a, _ = generate_for_context(make_ctx(), Gateway.mock(), 7,
+        a, _ = generate_for_context(make_ctx(), Gateway.mock(), SEVEN,
                                     "t0004-r00")
-        b, _ = generate_for_context(make_ctx(), Gateway.mock(), 7,
+        b, _ = generate_for_context(make_ctx(), Gateway.mock(), SEVEN,
                                     "t0004-r00")
         assert a == b
 
     def test_generate_for_context_seed_divergence(self):
         from seedforge.gateway import Gateway
-        a, _ = generate_for_context(make_ctx(), Gateway.mock(), 7,
+        a, _ = generate_for_context(make_ctx(), Gateway.mock(), SEVEN,
                                     "t0004-r00")
-        b, _ = generate_for_context(make_ctx(), Gateway.mock(), 8,
-                                    "t0004-r00")
+        b, _ = generate_for_context(make_ctx(), Gateway.mock(),
+                                    default_config(run_seed=8), "t0004-r00")
         assert [r.instruction for r in a] != [r.instruction for r in b]
 
     def test_failures_collected_not_raised(self, scripted):
         gw = scripted([VALID_QA_5, VALID_SUMMARY,
                        "not a conversation", "still not one",
                        VALID_MC])
-        records, failures = generate_for_context(make_ctx(), gw, 7,
+        records, failures = generate_for_context(make_ctx(), gw, SEVEN,
                                                  "t0005-r00")
         assert len(records) == 7
         assert CONVERSATION not in {r.task for r in records}
@@ -616,13 +619,13 @@ class TestGenerators:
 
     def test_task_subset(self, gateway):
         records, failures = generate_for_context(
-            make_ctx(), gateway, 7, "t0006-r00", tasks=(CONVERSATION,))
+            make_ctx(), gateway, SEVEN, "t0006-r00", tasks=(CONVERSATION,))
         assert failures == []
         assert [r.task for r in records] == [CONVERSATION]
 
     def test_unknown_task_rejected(self, gateway):
         with pytest.raises(ValidationError):
-            generate_for_context(make_ctx(), gateway, 7, "t0007-r00",
+            generate_for_context(make_ctx(), gateway, SEVEN, "t0007-r00",
                                  tasks=("poetry",))
 
     def test_context_without_topic_rejected(self, gateway):
@@ -630,9 +633,9 @@ class TestGenerators:
                           source=ContextSource(kind="generated",
                                                style="poem"))
         with pytest.raises(ValidationError):
-            generate_for_context(bare, gateway, 7, "t0008-r00")
+            generate_for_context(bare, gateway, SEVEN, "t0008-r00")
         with pytest.raises(ValidationError):
-            gen_closed_qa(bare, gateway, 7, "t0008-r00")
+            gen_closed_qa(bare, gateway, SEVEN, "t0008-r00")
 
 
 # -- parser corpus -----------------------------------------------------------
@@ -895,11 +898,11 @@ class TestParserCorpus:
 
     @pytest.mark.parametrize("task", GENERATION_TASKS)
     def test_generator_path_never_leaks_or_partials(self, task, scripted):
-        settings = TaskSettings()
+        config = default_config(run_seed=11)
         for i, raw in enumerate(CORPUS[task]):
             gw = scripted([raw, raw])
             records, failures = generate_for_context(
-                make_ctx(), gw, 11, "t0000-r00", settings, tasks=(task,))
+                make_ctx(), gw, config, "t0000-r00", tasks=(task,))
             label = f"{task} fixture {i}: {raw[:50]!r}"
             assert bool(records) != bool(failures), label
             for rec in records:
@@ -908,7 +911,7 @@ class TestParserCorpus:
                 assert rec.id.startswith(f"t0000-r00-{task}"), label
             if task == CLOSED_QA and records:
                 # All five or nothing; never a partial batch.
-                assert len(records) == settings.qa_pairs, label
+                assert len(records) == config.tasks_qa_pairs, label
             if task == MULTIPLE_CHOICE and records:
                 rec = records[0]
                 _, choices = split_rendered_mc(rec.instruction)

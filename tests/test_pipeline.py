@@ -2,24 +2,36 @@
 
 import json
 import os
+import re
 import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from seedforge.config import default_config
+from seedforge.config import default_config, with_overrides
+from seedforge.contexts import WIKI
 from seedforge.dedup import sample_text
 from seedforge import pipeline
 from seedforge.errors import (BuildError, ConfigError,
-                              GenerationExhaustedError, LockError)
+                              GenerationExhaustedError, LockError, ParseError)
 from seedforge.gateway import Gateway
 from seedforge.gateway.http import HttpCompletionClient, HttpTranslator
 from seedforge.gateway.mock import (FlakyProvider, MockEmbedder,
                                     MockTextGenerator)
+from seedforge.instructions import (CLOSED_QA, CONVERSATION,
+                                    MULTIPLE_CHOICE, SUMMARIZATION)
 from seedforge.pipeline import (CHECKPOINT_FILE, LOCK_FILE, MANIFEST_FILE,
-                                WorkdirLock, build_gateway, epoch_topics,
-                                run_pipeline)
-from seedforge.records import file_sha256, read_records
+                                WorkdirLock, acquire_contexts, build_gateway,
+                                epoch_topics, generate_records, read_contexts,
+                                read_topics, run_pipeline, write_contexts,
+                                write_topics)
+from seedforge.records import file_sha256, read_records, write_records
+from seedforge.topics import GENERAL, Topic
+
+from test_contexts import drew_wiki
+from test_instructions import (VALID_CONV, VALID_MC, VALID_QA_5,
+                               VALID_SUMMARY, make_ctx)
 
 SMALL = default_config(topics_cultural=8, topics_general=6, dataset_size=50,
                        run_seed=42)
@@ -288,6 +300,124 @@ class TestExtensionTopics:
         with pytest.raises(GenerationExhaustedError, match="0/1 cultural"):
             epoch_topics(self.CONFIG, gateway, epoch=1, deficit=16,
                          seen=frozenset({"ทะเล"}))
+
+
+def run_topics(config, scripted):
+    """Cultural topics only; every batch is unparseable, so the stage
+    stops after budget.retry_limit + 1 requests."""
+    gateway = scripted(["no list"], loop=True)
+    with pytest.raises(GenerationExhaustedError):
+        epoch_topics(with_overrides(config, {"topics.general": 0,
+                                             "topics.cultural": 1}), gateway)
+    return gateway.generator.requests, []
+
+
+def run_contexts(config, scripted):
+    gateway = scripted(["เนื้อหา"], loop=True)
+    topics = [Topic(f"หัวข้อ {i}", GENERAL) for i in range(8)]
+    contexts = acquire_contexts(topics, gateway, config)
+    return gateway.generator.requests, [doc for _, doc in contexts]
+
+
+def run_task(task, reply):
+    def run(config, scripted):
+        gateway = scripted([reply], loop=True)
+        records, _ = generate_records([("t0000-r00", make_ctx())], gateway,
+                                      config, (task,))
+        return gateway.generator.requests, records
+    return run
+
+
+def temperatures(requests, out):
+    return {r.temperature for r in requests}
+
+
+# key, override, stage body, the values the requests or the output show
+COPIED_KEYS = [
+    ("topics.per_batch", 7, run_topics,
+     lambda reqs, out: {int(re.search(r"generate (\d+) ", r.prompt)[1])
+                        for r in reqs}),
+    ("temperature.topics", 0.5, run_topics, temperatures),
+    ("run.culture", "Lao", run_topics,
+     lambda reqs, out: {re.search(r"native (\w+) person", r.prompt)[1]
+                        for r in reqs}),
+    ("budget.retry_limit", 1, run_topics,
+     lambda reqs, out: {len(reqs) - 1}),
+    ("context.p_wiki", 0.0, run_contexts,
+     lambda reqs, out: {float(drew_wiki(d)) for d in out}),
+    ("context.p_wiki", 1.0, run_contexts,
+     lambda reqs, out: {float(drew_wiki(d)) for d in out}),
+    ("context.wiki_top_k", 3, run_contexts,
+     lambda reqs, out: {d.provenance["n_candidates"] for d in out
+                        if d.source.kind == WIKI}),
+    ("temperature.context", 0.5, run_contexts, temperatures),
+    ("temperature.closed_qa", 0.9, run_task(CLOSED_QA, VALID_QA_5),
+     temperatures),
+    ("temperature.summarization", 0.9,
+     run_task(SUMMARIZATION, VALID_SUMMARY), temperatures),
+    ("temperature.conversation", 0.1, run_task(CONVERSATION, VALID_CONV),
+     temperatures),
+    ("temperature.multiple_choice", 0.9,
+     run_task(MULTIPLE_CHOICE, VALID_MC), temperatures),
+    ("tasks.qa_pairs", 2, run_task(CLOSED_QA, VALID_QA_5),
+     lambda reqs, out: {int(re.search(r"Generate (\d+) questions",
+                                      r.prompt)[1]) for r in reqs}),
+    ("run.target_language", "lo", run_task(CONVERSATION, VALID_CONV),
+     lambda reqs, out: {r.language for r in out}),
+]
+
+
+class TestStageBodiesReadTheConfig:
+    """Each key a stage body reads reaches the requests it sends or the
+    values it returns."""
+
+    @pytest.mark.parametrize(
+        "key,value,run,shown", COPIED_KEYS,
+        ids=[f"{key}={value}" for key, value, _, _ in COPIED_KEYS])
+    def test_override_arrives(self, scripted, key, value, run, shown):
+        config = with_overrides(default_config(run_seed=5), {key: value})
+        requests, out = run(config, scripted)
+        assert requests or out
+        assert shown(requests, out) == {value}
+
+
+class TestTopicRows:
+    """Topics, contexts and record files hold a topic in one JSON form."""
+
+    def test_string_batch_id_reads_as_int(self, tmp_path):
+        path = tmp_path / "topics.json"
+        path.write_text('[{"text": "ทะเล", "category": "general", '
+                        '"batch_id": "7"}]', encoding="utf-8")
+        [topic] = read_topics(str(path))
+        assert topic.batch_id == 7
+
+    def test_topic_without_text_is_rejected_on_every_read_path(
+            self, tmp_path):
+        """Each reader names the file, and the line where rows have one."""
+        doc = make_ctx()
+        [record], _ = generate_records([("t0000-r00", doc)], Gateway.mock(),
+                                       default_config(), (CONVERSATION,))
+        cases = [
+            (write_topics, [doc.topic], read_topics, "topics.json",
+             "not a topics file"),
+            (write_contexts, [("t0000-r00", doc), ("t0001-r00", doc)],
+             read_contexts, "contexts.jsonl",
+             "not a contexts file .* at line 2"),
+            (write_records, [replace(record, id="r0"), record],
+             read_records, "records.jsonl", "line 2: topic has no 'text'"),
+        ]
+        for write, rows, read, name, message in cases:
+            path = str(tmp_path / name)
+            write(rows, path)
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            # the last "text" key in each file is the last row's topic text
+            at = text.rindex('"text"')
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text[:at] + '"gone"' + text[at + len('"text"'):])
+            with pytest.raises(ParseError,
+                               match=f"{re.escape(path)}.*{message}"):
+                read(path)
 
 
 class TestWorkdirLock:

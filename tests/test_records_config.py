@@ -108,6 +108,12 @@ context.p_wiki = 1
             parse_config("dedup.threshold = 0\n")
         assert parse_config("dedup.threshold = 1\n").dedup_threshold == 1.0
 
+    def test_context_ranges(self):
+        with pytest.raises(ConfigError, match="line 1: context.p_wiki"):
+            parse_config("context.p_wiki = 1.5\n")
+        with pytest.raises(ConfigError, match="line 1: context.wiki_top_k"):
+            parse_config("context.wiki_top_k = 0\n")
+
     def test_types_enforced(self):
         with pytest.raises(ConfigError, match="expects int"):
             parse_config("dataset.size = 5.5\n")

@@ -12,6 +12,8 @@ from seedforge.topics import (CULTURAL, GENERAL, generate_topics,
                               normalize_topic, parse_topic_list,
                               render_topic_prompt)
 
+DEFAULTS = default_config()
+
 
 class TestPrompts:
     def test_general_prompt_text(self):
@@ -72,15 +74,15 @@ class TestDedup:
 
     def test_keep_first_within_category(self, scripted):
         gw = scripted(['["Thai food"]', '["thai  food", "Floating markets"]'])
-        topics = generate_topics(GENERAL, 2, gw, seed=0)
+        topics = generate_topics(GENERAL, 2, gw, DEFAULTS)
         assert [t.text for t in topics] == ["Thai food", "Floating markets"]
         assert [t.batch_id for t in topics] == [0, 1]
 
     def test_cross_category_collision_keeps_first(self, scripted):
         gw = scripted(['["Songkran"]', '["songkran", "Loy Krathong"]'])
         taken: set[str] = set()
-        cultural = generate_topics(CULTURAL, 1, gw, seed=0, taken=taken)
-        general = generate_topics(GENERAL, 1, gw, seed=0, taken=taken)
+        cultural = generate_topics(CULTURAL, 1, gw, DEFAULTS, taken=taken)
+        general = generate_topics(GENERAL, 1, gw, DEFAULTS, taken=taken)
         assert [t.text for t in cultural] == ["Songkran"]
         assert [t.text for t in general] == ["Loy Krathong"]
         assert taken == {"songkran", "loy krathong"}
@@ -88,7 +90,7 @@ class TestDedup:
     def test_stops_at_exactly_n(self, scripted):
         gw = scripted(['["a", "b", "c"]'])
         taken: set[str] = set()
-        topics = generate_topics(GENERAL, 2, gw, seed=0, taken=taken)
+        topics = generate_topics(GENERAL, 2, gw, DEFAULTS, taken=taken)
         assert [t.text for t in topics] == ["a", "b"]
         # a topic past the count is left free for the next category
         assert taken == {"a", "b"}
@@ -96,47 +98,52 @@ class TestDedup:
 
 class TestGeneration:
     def test_collects_requested_count(self, gateway):
-        topics = generate_topics(GENERAL, 45, gateway, seed=1)
+        topics = generate_topics(GENERAL, 45, gateway,
+                                 default_config(run_seed=1))
         assert len(topics) == 45
         assert len({normalize_topic(t.text) for t in topics}) == 45
         assert all(t.category == GENERAL for t in topics)
 
     def test_deterministic_for_seed(self, gateway):
-        a = generate_topics(GENERAL, 30, gateway, seed=7)
-        b = generate_topics(GENERAL, 30, gateway, seed=7)
+        seven = default_config(run_seed=7)
+        a = generate_topics(GENERAL, 30, gateway, seven)
+        b = generate_topics(GENERAL, 30, gateway, seven)
         assert [t.text for t in a] == [t.text for t in b]
-        c = generate_topics(GENERAL, 30, gateway, seed=8)
+        c = generate_topics(GENERAL, 30, gateway, default_config(run_seed=8))
         assert [t.text for t in a] != [t.text for t in c]
 
     def test_start_batch_changes_output(self, gateway):
-        a = generate_topics(GENERAL, 10, gateway, seed=7, start_batch=0)
-        b = generate_topics(GENERAL, 10, gateway, seed=7, start_batch=1000)
+        seven = default_config(run_seed=7)
+        a = generate_topics(GENERAL, 10, gateway, seven, start_batch=0)
+        b = generate_topics(GENERAL, 10, gateway, seven, start_batch=1000)
         assert [t.text for t in a] != [t.text for t in b]
 
     def test_unparseable_batches_are_skipped(self, scripted):
         gw = scripted(["not a list",
                        json.dumps(["หนึ่ง", "สอง", "สาม"])])
-        topics = generate_topics(GENERAL, 3, gw, seed=0)
+        topics = generate_topics(GENERAL, 3, gw, DEFAULTS)
         assert [t.text for t in topics] == ["หนึ่ง", "สอง", "สาม"]
 
     def test_duplicate_only_batches_count_against_retry(self, scripted):
         same = json.dumps(["only topic"])
         gw = scripted([same] * 10, loop=True)
         with pytest.raises(GenerationExhaustedError) as err:
-            generate_topics(GENERAL, 5, gw, seed=0, retry_limit=2)
+            generate_topics(GENERAL, 5, gw,
+                            default_config(budget_retry_limit=2))
         assert err.value.collected == 1
 
     def test_batch_id_recorded_per_batch(self, scripted):
         gw = scripted([json.dumps(["a", "b"]), json.dumps(["c"])])
-        topics = generate_topics(GENERAL, 3, gw, seed=0, batch_size=2)
+        topics = generate_topics(GENERAL, 3, gw,
+                                 default_config(topics_per_batch=2))
         assert [t.batch_id for t in topics] == [0, 0, 1]
 
     def test_zero_topics_allowed(self, gateway):
-        assert generate_topics(GENERAL, 0, gateway, seed=0) == []
+        assert generate_topics(GENERAL, 0, gateway, DEFAULTS) == []
 
     def test_negative_count_rejected(self, gateway):
         with pytest.raises(ValidationError):
-            generate_topics(GENERAL, -1, gateway, seed=0)
+            generate_topics(GENERAL, -1, gateway, DEFAULTS)
 
 
 def by_category(topics, category):
