@@ -83,6 +83,8 @@ def cmd_generate(args) -> int:
     unknown = set(tasks) - set(GENERATION_TASKS)
     if unknown:
         raise ConfigError(f"unknown tasks: {', '.join(sorted(unknown))}")
+    if len(set(tasks)) != len(tasks):
+        raise ConfigError(f"repeated task in --tasks {args.tasks}")
     records, failures = generate_records(
         read_contexts(args.contexts), build_gateway(config), config, tasks)
     write_records(records, args.out)

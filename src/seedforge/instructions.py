@@ -1,11 +1,13 @@
 """Instruction generation.
 
-Four task generators turn a topic plus (for three of them) a context document
-into instruction records: closed question answering, summarization, a single
-conversation turn, and multiple choice. Each generator renders its fixed
-prompt, calls the completion provider at the task's temperature, parses the
-output leniently, and retries once under a fresh seed before giving up with a
-logged failure. A failed context never yields partial records for that task.
+Four tasks turn a topic plus (for three of them) a context document into
+instruction records: closed question answering, summarization, a single
+conversation turn, and multiple choice. `_TASKS` maps each task to its
+fixed prompt, its temperature and a parser that turns the provider's output
+into record rows. `generate_for_context` runs every task the same way: it
+calls the provider, parses the output leniently, retries once under a fresh
+seed, and builds the records in one place. A task that still fails is
+logged as a failure, so a context never yields partial records for it.
 """
 
 from __future__ import annotations
@@ -113,9 +115,10 @@ class McQuestion:
                 f"correct_index {self.correct_index} out of range")
         if not self.answer_text.strip():
             raise ValidationError("answer text must be non-empty")
-        hit = find_ordinal_reference(self.choices)
+        hit = find_ordinal_reference(self.choices + (self.answer_text,))
         if hit:
-            raise ValidationError(f"choice contains ordinal wording: {hit!r}")
+            raise ValidationError(f"ordinal wording {hit!r} in a choice or "
+                                  f"the answer")
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,6 @@ class GenerationFailure:
     key: str
     topic_text: str
     reason: str
-    raw_excerpt: str = ""
 
 
 def find_ordinal_reference(texts) -> str | None:
@@ -272,9 +274,10 @@ def _strip_brackets(text: str) -> str:
     return text
 
 
-def _resolve_correct_choice(choices: list[str], answer_text: str) -> int:
+def _resolve_correct_choice(choices: list[str],
+                            answer_text: str) -> int | None:
     """Pick the choice contained in the answer, preferring the longest
-    match; ties go to the earliest choice."""
+    match; ties go to the earliest choice. None when no choice is there."""
     def norm(s: str) -> str:
         return " ".join(s.split()).casefold()
 
@@ -286,20 +289,16 @@ def _resolve_correct_choice(choices: list[str], answer_text: str) -> int:
             key = (len(needle), -i)
             if best is None or key > best[0]:
                 best = (key, i)
-    if best is None:
-        raise ParseError(
-            "correct choice is not locatable inside the answer text",
-            raw=answer_text)
-    return best[1]
+    return None if best is None else best[1]
 
 
 def parse_multiple_choice(raw: str) -> McQuestion:
     """Question/Choices/Answer blocks into a validated McQuestion.
 
     Choice lines are dash-prefixed; wrapping brackets are stripped.
-    Ordinal wording anywhere in the choices or answer raises
-    ValidationError rather than ParseError so the two failure kinds stay
-    distinguishable in logs.
+    McQuestion rejects repeated choices and ordinal wording in the choices
+    or answer with ValidationError rather than ParseError, so the two
+    failure kinds stay distinguishable in logs.
     """
     if not raw or not raw.strip():
         raise ParseError("empty output where a question was expected",
@@ -340,18 +339,20 @@ def parse_multiple_choice(raw: str) -> McQuestion:
     if len(choices) < 2:
         raise ParseError(f"found {len(choices)} choices, need at least 2",
                          raw=raw)
-    if len(set(choices)) != len(choices):
-        raise ValidationError("duplicate choices in generated question")
     answer_text = _strip_brackets(text[a_marks[0].end():].strip())
     if not answer_text:
         raise ParseError("empty answer text", raw=raw)
-    hit = find_ordinal_reference(list(choices) + [answer_text])
-    if hit:
-        raise ValidationError(
-            f"ordinal wording {hit!r} found in generated question")
     correct = _resolve_correct_choice(choices, answer_text)
-    return McQuestion(question=question, choices=tuple(choices),
-                      answer_text=answer_text, correct_index=correct)
+    # Validated before the answer is located, so a question that is both
+    # invalid and unresolvable raises ValidationError.
+    checked = McQuestion(question=question, choices=tuple(choices),
+                         answer_text=answer_text,
+                         correct_index=0 if correct is None else correct)
+    if correct is None:
+        raise ParseError(
+            "correct choice is not locatable inside the answer text",
+            raw=answer_text)
+    return checked
 
 
 def shuffle_choices(question: McQuestion, rng: random.Random) -> McQuestion:
@@ -393,21 +394,15 @@ def split_rendered_mc(instruction: str) -> tuple[str, tuple[str, ...]]:
 
 # -- generation -------------------------------------------------------------
 
-def _prompt_hash(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
-
-
-def _generate_parsed(gateway, config: PipelineConfig, prompt: str, key: str,
-                     task: str, parse):
-    """Call the provider at temperature.<task>, parse, retry once under a
-    fresh seed.
+def _generate_parsed(gateway, config: PipelineConfig, key: str, task: str,
+                     prompt: str, temperature: float, parse):
+    """Call the provider at `temperature`, parse, retry once under a fresh
+    seed.
 
     Returns (value, provenance). Raises GenerationError when the retry also
     fails; the caller records a failure entry and moves on.
     """
-    temperature = getattr(config, f"temperature_{task}")
     last_error: Exception | None = None
-    raw = ""
     for attempt in range(2):
         seed = derive_seed(config.run_seed, key, task, attempt)
         raw = gateway.complete(GenRequest(
@@ -419,151 +414,105 @@ def _generate_parsed(gateway, config: PipelineConfig, prompt: str, key: str,
             logger.warning("%s generation for %s failed to parse "
                            "(attempt %d): %s", task, key, attempt + 1, exc)
             continue
-        provenance = {
-            "temperature": temperature,
-            "seed": seed,
-            "attempt": attempt,
-            "prompt_sha256": _prompt_hash(prompt),
-        }
-        return value, provenance
+        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
+        return value, {"temperature": temperature, "seed": seed,
+                       "attempt": attempt, "prompt_sha256": digest}
     raise GenerationError(
         f"{task} generation for {key} failed twice: {last_error} "
         f"(raw starts {raw[:80]!r})")
 
 
-def gen_closed_qa(ctx: ContextDoc, gateway, config: PipelineConfig,
-                  key: str) -> list[InstructionRecord]:
-    """Exactly tasks.qa_pairs records per context, or GenerationError.
+# Each task maps (ctx, config, key) to (prompt, temperature, parse); parse
+# returns one (instruction, output, extra provenance) row per record. It
+# looks the parsers up as module globals, so wrapped attributes see calls.
 
-    A payload with the wrong pair count is treated the same as a parse
-    failure: one retry, then the whole context is skipped for this task.
-    Never returns a partial batch.
-    """
-    if ctx.topic is None:
-        raise ValidationError("context document has no topic attached")
+def _closed_qa(ctx: ContextDoc, config: PipelineConfig, key: str):
+    """Exactly tasks.qa_pairs rows. A payload with the wrong pair count is
+    treated the same as a parse failure, so a batch is never partial."""
     want = config.tasks_qa_pairs
-    prompt = render_closed_qa_prompt(ctx.body, pairs=want)
 
-    def parse(raw: str) -> list[tuple[str, str]]:
+    def parse(raw: str) -> list[tuple[str, str, dict]]:
         pairs = parse_qa_pairs(raw)
         if len(pairs) != want:
             raise ParseError(f"expected {want} pairs, got {len(pairs)}",
                              raw=raw)
-        return pairs
+        return [(question, answer, {}) for question, answer in pairs]
 
-    pairs, provenance = _generate_parsed(gateway, config, prompt, key,
-                                         CLOSED_QA, parse)
-    provenance["context"] = dict(ctx.provenance)
-    return [
-        InstructionRecord(
-            id=f"{key}-{CLOSED_QA}-{i:02d}", task=CLOSED_QA,
-            instruction=question, context=ctx.body, output=answer,
-            topic=ctx.topic, language=config.run_target_language,
-            provenance=provenance)
-        for i, (question, answer) in enumerate(pairs)
-    ]
+    return (render_closed_qa_prompt(ctx.body, pairs=want),
+            config.temperature_closed_qa, parse)
 
 
-def gen_summarization(ctx: ContextDoc, gateway, config: PipelineConfig,
-                      key: str) -> list[InstructionRecord]:
-    """One summary record; the style is drawn uniformly per record."""
-    if ctx.topic is None:
-        raise ValidationError("context document has no topic attached")
+def _summarization(ctx: ContextDoc, config: PipelineConfig, key: str):
+    """One summary; the style is drawn uniformly per record."""
     rng = random.Random(derive_seed(config.run_seed, key, "summary-style"))
     style = rng.choice(constants.SUMMARY_STYLES)
-    prompt = render_summarization_prompt(style, ctx.topic.text, ctx.body)
-    (summary, instruction), provenance = _generate_parsed(
-        gateway, config, prompt, key, SUMMARIZATION, parse_summary_payload)
-    provenance["summary_style"] = style
-    provenance["context"] = dict(ctx.provenance)
-    return [InstructionRecord(
-        id=f"{key}-{SUMMARIZATION}-00", task=SUMMARIZATION,
-        instruction=instruction, context=ctx.body, output=summary,
-        topic=ctx.topic, language=config.run_target_language,
-        provenance=provenance)]
+
+    def parse(raw: str) -> list[tuple[str, str, dict]]:
+        summary, instruction = parse_summary_payload(raw)
+        return [(instruction, summary, {"summary_style": style})]
+
+    return (render_summarization_prompt(style, ctx.topic.text, ctx.body),
+            config.temperature_summarization, parse)
 
 
-def gen_conversation(topic: Topic, gateway, config: PipelineConfig,
-                     key: str) -> list[InstructionRecord]:
+def _conversation(ctx: ContextDoc, config: PipelineConfig, key: str):
     """One user/assistant exchange grounded in the topic alone."""
-    prompt = render_conversation_prompt(topic.text)
-    (user, assistant), provenance = _generate_parsed(
-        gateway, config, prompt, key, CONVERSATION, parse_conversation)
-    return [InstructionRecord(
-        id=f"{key}-{CONVERSATION}-00", task=CONVERSATION,
-        instruction=user, context=None, output=assistant, topic=topic,
-        language=config.run_target_language, provenance=provenance)]
+    def parse(raw: str) -> list[tuple[str, str, dict]]:
+        return [(*parse_conversation(raw), {})]
+
+    return (render_conversation_prompt(ctx.topic.text),
+            config.temperature_conversation, parse)
 
 
-def gen_multiple_choice(ctx: ContextDoc, gateway, config: PipelineConfig,
-                        key: str) -> tuple[McQuestion, dict]:
-    """A validated, not-yet-shuffled question plus its call provenance."""
-    if ctx.topic is None:
-        raise ValidationError("context document has no topic attached")
-    prompt = render_multiple_choice_prompt(ctx.body)
-    return _generate_parsed(gateway, config, prompt, key, MULTIPLE_CHOICE,
-                            parse_multiple_choice)
+def _multiple_choice(ctx: ContextDoc, config: PipelineConfig, key: str):
+    """One question with its choices shuffled under (run.seed, key). The
+    instruction is the question plus dash-prefixed choices;
+    split_rendered_mc inverts it."""
+    def parse(raw: str) -> list[tuple[str, str, dict]]:
+        rng = random.Random(derive_seed(config.run_seed, key, "mc-shuffle"))
+        question = shuffle_choices(parse_multiple_choice(raw), rng)
+        return [(render_mc_instruction(question), question.answer_text,
+                 {"correct_index": question.correct_index})]
+
+    return (render_multiple_choice_prompt(ctx.body),
+            config.temperature_multiple_choice, parse)
 
 
-def mc_to_record(question: McQuestion, ctx: ContextDoc,
-                 config: PipelineConfig, key: str,
-                 provenance: dict | None = None) -> InstructionRecord:
-    """Render a (shuffled) question into a record.
-
-    The instruction is the question plus dash-prefixed choices; rendering
-    and split_rendered_mc are exact inverses for validated questions.
-    """
-    if ctx.topic is None:
-        raise ValidationError("context document has no topic attached")
-    instruction = render_mc_instruction(question)
-    meta = dict(provenance or {})
-    meta["correct_index"] = question.correct_index
-    meta["context"] = dict(ctx.provenance)
-    return InstructionRecord(
-        id=f"{key}-{MULTIPLE_CHOICE}-00", task=MULTIPLE_CHOICE,
-        instruction=instruction, context=ctx.body,
-        output=question.answer_text, topic=ctx.topic,
-        language=config.run_target_language, provenance=meta)
+_TASKS = {CLOSED_QA: _closed_qa, SUMMARIZATION: _summarization,
+          CONVERSATION: _conversation, MULTIPLE_CHOICE: _multiple_choice}
 
 
 def generate_for_context(ctx: ContextDoc, gateway, config: PipelineConfig,
                          key: str, tasks: tuple[str, ...] = GENERATION_TASKS
                          ) -> tuple[list[InstructionRecord],
                                     list[GenerationFailure]]:
-    """Run the given task generators against one context.
+    """Run the given tasks against one context.
 
+    Unknown and repeated tasks are rejected before any provider call.
     Failures are collected, not raised: a context that defeats one task can
     still contribute records for the others.
     """
     if ctx.topic is None:
         raise ValidationError("context document has no topic attached")
+    if not set(tasks) <= set(_TASKS) or len(set(tasks)) != len(tasks):
+        raise ValidationError(f"unknown or repeated task in {tasks!r}")
     records: list[InstructionRecord] = []
     failures: list[GenerationFailure] = []
-
-    def note_failure(task: str, exc: Exception) -> None:
-        failures.append(GenerationFailure(
-            task=task, key=key, topic_text=ctx.topic.text,
-            reason=str(exc)[:200]))
-
     for task in tasks:
         try:
-            if task == CLOSED_QA:
-                records.extend(gen_closed_qa(ctx, gateway, config, key))
-            elif task == SUMMARIZATION:
-                records.extend(gen_summarization(ctx, gateway, config, key))
-            elif task == CONVERSATION:
-                records.extend(gen_conversation(ctx.topic, gateway, config,
-                                                key))
-            elif task == MULTIPLE_CHOICE:
-                question, provenance = gen_multiple_choice(ctx, gateway,
-                                                           config, key)
-                rng = random.Random(derive_seed(config.run_seed, key,
-                                                "mc-shuffle"))
-                records.append(mc_to_record(
-                    shuffle_choices(question, rng), ctx, config, key,
-                    provenance=provenance))
-            else:
-                raise ValidationError(f"unknown task {task!r}")
+            rows, provenance = _generate_parsed(
+                gateway, config, key, task, *_TASKS[task](ctx, config, key))
         except GenerationError as exc:
-            note_failure(task, exc)
+            failures.append(GenerationFailure(
+                task=task, key=key, topic_text=ctx.topic.text,
+                reason=str(exc)[:200]))
+            continue
+        source = ({"context": dict(ctx.provenance)}
+                  if task in CONTEXT_TASKS else {})
+        records.extend(InstructionRecord(
+            id=f"{key}-{task}-{i:02d}", task=task, instruction=instruction,
+            context=ctx.body if source else None, output=output,
+            topic=ctx.topic, language=config.run_target_language,
+            provenance={**provenance, **extra, **source})
+            for i, (instruction, output, extra) in enumerate(rows))
     return records, failures

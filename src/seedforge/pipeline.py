@@ -119,9 +119,9 @@ def build_gateway(config: PipelineConfig) -> Gateway:
 class WorkdirLock:
     """Single-writer guard on a working directory.
 
-    The lock file records the owner pid; a lock whose process is gone is
-    stale and silently reclaimed, so a crashed run never wedges the
-    directory.
+    The lock file records the owner pid; a lock whose process is gone, or
+    whose file holds no positive integer pid, is stale and silently
+    reclaimed, so a crashed run never wedges the directory.
     """
 
     def __init__(self, workdir: str):
@@ -151,12 +151,14 @@ class WorkdirLock:
     def _is_stale(self) -> bool:
         try:
             with open(self.path, encoding="utf-8") as handle:
-                pid = int(json.load(handle)["pid"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+                pid = json.load(handle)["pid"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return True
+        if type(pid) is not int or pid <= 0:
             return True
         try:
             os.kill(pid, 0)
-        except ProcessLookupError:
+        except (ProcessLookupError, OverflowError):
             return True
         except PermissionError:
             return False
@@ -188,7 +190,13 @@ class _Checkpoints:
         self.stages: dict = {}
         if os.path.exists(self.path):
             try:
-                self.stages = read_json(self.path)
+                stages = read_json(self.path)
+                if not isinstance(stages, dict) or not all(
+                        isinstance(entry, dict)
+                        and isinstance(entry.get("outputs", {}), dict)
+                        for entry in stages.values()):
+                    raise ParseError(f"{self.path}: not a stage ledger")
+                self.stages = stages
             except ParseError:
                 logger.warning("unreadable %s, starting over", self.path)
 

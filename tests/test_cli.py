@@ -179,6 +179,22 @@ class TestStageChain:
         assert code == 2
         assert "unknown tasks: haiku" in capsys.readouterr().err
 
+    def test_generate_repeated_task_exits_2(self, tmp_path, conf, capsys):
+        topics = str(tmp_path / "topics.json")
+        contexts = str(tmp_path / "contexts.jsonl")
+        records = tmp_path / "records.jsonl"
+        main(["topics", "--config", conf, "--general", "2",
+              "--cultural", "0", "--out", topics])
+        main(["contexts", "--config", conf, "--topics", topics,
+              "--out", contexts])
+        capsys.readouterr()
+        code = main(["generate", "--config", conf, "--contexts", contexts,
+                     "--tasks", "closed_qa,closed_qa", "--out",
+                     str(records)])
+        assert code == 2
+        assert "repeated task" in capsys.readouterr().err
+        assert not records.exists()
+
 
 class TestAblate:
     def test_full_then_culture(self, tmp_path, conf):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from seedforge import constants
+from seedforge import constants, instructions
 from seedforge.config import default_config
 from seedforge.contexts import ContextDoc, ContextSource
 from seedforge.errors import GenerationError, ParseError, ValidationError
@@ -19,10 +19,8 @@ from seedforge.instructions import (CLOSED_QA, CONVERSATION, GENERATION_TASKS,
                                     MULTIPLE_CHOICE, SUMMARIZATION,
                                     GenerationFailure, InstructionRecord,
                                     McQuestion,
-                                    find_ordinal_reference, gen_closed_qa,
-                                    gen_conversation, gen_multiple_choice,
-                                    gen_summarization, generate_for_context,
-                                    mc_to_record, parse_conversation,
+                                    find_ordinal_reference,
+                                    generate_for_context, parse_conversation,
                                     parse_multiple_choice, parse_qa_pairs,
                                     parse_summary_payload,
                                     render_closed_qa_prompt,
@@ -474,10 +472,19 @@ VALID_CONV = "Input: hi there Output: hello back"
 VALID_MC = _mc_raw()
 
 
+def generate(ctx, gateway, config, key, task):
+    """Records of one task; GenerationError when the task fails twice."""
+    records, failures = generate_for_context(ctx, gateway, config, key,
+                                             tasks=(task,))
+    if failures:
+        raise GenerationError(failures[0].reason)
+    return records
+
+
 class TestGenerators:
     def test_closed_qa_against_mock(self, gateway):
         ctx = make_ctx()
-        records = gen_closed_qa(ctx, gateway, SEVEN, "t0001-r00")
+        records = generate(ctx, gateway, SEVEN, "t0001-r00", CLOSED_QA)
         assert [r.id for r in records] == [
             f"t0001-r00-closed_qa-{i:02d}" for i in range(5)]
         for rec in records:
@@ -494,9 +501,9 @@ class TestGenerators:
         payload = json.dumps([{"question": "q?", "answer": "a"},
                               {"question": "q2?", "answer": "b"}])
         gw = scripted([payload])
-        records = gen_closed_qa(make_ctx(), gw,
-                                default_config(run_seed=7, tasks_qa_pairs=2),
-                                "t0001-r00")
+        records = generate(make_ctx(), gw,
+                           default_config(run_seed=7, tasks_qa_pairs=2),
+                           "t0001-r00", CLOSED_QA)
         assert len(records) == 2
 
     def test_closed_qa_wrong_count_fails_whole_batch(self, scripted):
@@ -504,12 +511,12 @@ class TestGenerators:
                             for i in range(3)])
         gw = scripted([three, three])
         with pytest.raises(GenerationError):
-            gen_closed_qa(make_ctx(), gw, SEVEN, "t0001-r00")
+            generate(make_ctx(), gw, SEVEN, "t0001-r00", CLOSED_QA)
         assert gw.generator.calls == 2
 
     def test_retry_succeeds_on_second_attempt(self, scripted):
         gw = scripted(["garbage with no list", VALID_QA_5])
-        records = gen_closed_qa(make_ctx(), gw, SEVEN, "t0001-r00")
+        records = generate(make_ctx(), gw, SEVEN, "t0001-r00", CLOSED_QA)
         assert len(records) == 5
         assert records[0].provenance["attempt"] == 1
         assert records[0].provenance["seed"] == derive_seed(
@@ -519,11 +526,11 @@ class TestGenerators:
     def test_retry_exhaustion_raises(self, scripted):
         gw = scripted(["junk", "more junk"])
         with pytest.raises(GenerationError, match="failed twice"):
-            gen_closed_qa(make_ctx(), gw, SEVEN, "t0001-r00")
+            generate(make_ctx(), gw, SEVEN, "t0001-r00", CLOSED_QA)
 
     def test_summarization_against_mock(self, gateway):
         ctx = make_ctx()
-        (rec,) = gen_summarization(ctx, gateway, SEVEN, "t0001-r00")
+        (rec,) = generate(ctx, gateway, SEVEN, "t0001-r00", SUMMARIZATION)
         assert rec.id == "t0001-r00-summarization-00"
         style = rec.provenance["summary_style"]
         assert style in constants.SUMMARY_STYLES
@@ -533,35 +540,34 @@ class TestGenerators:
             constants.TEMPERATURE_SUMMARIZATION)
 
     def test_conversation_against_mock(self, gateway):
-        topic = Topic("อาหารไทย", CULTURAL)
-        (rec,) = gen_conversation(topic, gateway, SEVEN, "t0002-r00")
+        ctx = make_ctx(topic_text="อาหารไทย")
+        (rec,) = generate(ctx, gateway, SEVEN, "t0002-r00", CONVERSATION)
         assert rec.id == "t0002-r00-conversation-00"
         assert rec.context is None
-        assert rec.topic == topic
+        assert rec.topic == ctx.topic
         assert rec.instruction and rec.output
         assert rec.provenance["temperature"] == (
             constants.TEMPERATURE_CONVERSATION)
 
     def test_multiple_choice_against_mock(self, gateway):
-        ctx = make_ctx()
-        question, provenance = gen_multiple_choice(ctx, gateway, SEVEN,
-                                                   "t0003-r00")
-        assert len(question.choices) == 4
+        (rec,) = generate(make_ctx(), gateway, SEVEN, "t0003-r00",
+                          MULTIPLE_CHOICE)
+        _, choices = split_rendered_mc(rec.instruction)
+        assert len(choices) == 4
         # The resolved choice must sit inside the answer text.
-        norm = " ".join(question.answer_text.split()).casefold()
+        norm = " ".join(rec.output.split()).casefold()
         assert " ".join(
-            question.choices[question.correct_index].split()
+            choices[rec.provenance["correct_index"]].split()
         ).casefold() in norm
-        assert provenance["temperature"] == (
+        assert rec.provenance["temperature"] == (
             constants.TEMPERATURE_MULTIPLE_CHOICE)
 
-    def test_mc_record_round_trip(self, gateway):
-        ctx = make_ctx()
-        question, provenance = gen_multiple_choice(ctx, gateway, SEVEN,
-                                                   "t0003-r00")
-        shuffled = shuffle_choices(question, random.Random(4))
-        rec = mc_to_record(shuffled, ctx, SEVEN, "t0003-r00",
-                           provenance=provenance)
+    def test_mc_record_round_trip(self, scripted):
+        question = parse_multiple_choice(VALID_MC)
+        (rec,) = generate(make_ctx(), scripted([VALID_MC]), SEVEN,
+                          "t0003-r00", MULTIPLE_CHOICE)
+        shuffled = shuffle_choices(question, random.Random(
+            derive_seed(7, "t0003-r00", "mc-shuffle")))
         got_q, got_choices = split_rendered_mc(rec.instruction)
         assert got_q == shuffled.question
         assert got_choices == shuffled.choices
@@ -623,19 +629,47 @@ class TestGenerators:
         assert failures == []
         assert [r.task for r in records] == [CONVERSATION]
 
-    def test_unknown_task_rejected(self, gateway):
-        with pytest.raises(ValidationError):
-            generate_for_context(make_ctx(), gateway, SEVEN, "t0007-r00",
-                                 tasks=("poetry",))
+    def test_unknown_task_rejected(self, scripted):
+        gw = scripted([VALID_CONV])
+        with pytest.raises(ValidationError, match="poetry"):
+            generate_for_context(make_ctx(), gw, SEVEN, "t0007-r00",
+                                 tasks=(CONVERSATION, "poetry"))
+        assert gw.generator.calls == 0
+
+    def test_repeated_task_rejected_before_any_call(self, scripted):
+        gw = scripted([VALID_QA_5], loop=True)
+        with pytest.raises(ValidationError, match="repeated task"):
+            generate_for_context(make_ctx(), gw, SEVEN, "t0007-r00",
+                                 tasks=(CLOSED_QA, CLOSED_QA))
+        assert gw.generator.calls == 0
 
     def test_context_without_topic_rejected(self, gateway):
         bare = ContextDoc(body="text",
                           source=ContextSource(kind="generated",
                                                style="poem"))
-        with pytest.raises(ValidationError):
-            generate_for_context(bare, gateway, SEVEN, "t0008-r00")
-        with pytest.raises(ValidationError):
-            gen_closed_qa(bare, gateway, SEVEN, "t0008-r00")
+        for tasks in (GENERATION_TASKS,) + tuple(
+                (task,) for task in GENERATION_TASKS):
+            with pytest.raises(ValidationError):
+                generate_for_context(bare, gateway, SEVEN, "t0008-r00",
+                                     tasks=tasks)
+
+    def test_parsers_called_through_module_attributes(self, gateway,
+                                                      monkeypatch):
+        # Tracing wraps the module attributes; a parser held anywhere else
+        # would hide its calls from the wrapper.
+        calls = {}
+        for name in ("parse_qa_pairs", "parse_summary_payload",
+                     "parse_conversation", "parse_multiple_choice"):
+            def counting(raw, _name=name, _fn=getattr(instructions, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(raw)
+            monkeypatch.setattr(instructions, name, counting)
+        records, failures = generate_for_context(make_ctx(), gateway, SEVEN,
+                                                 "t0009-r00")
+        assert failures == []
+        assert calls == {"parse_qa_pairs": 1, "parse_summary_payload": 1,
+                         "parse_conversation": 1,
+                         "parse_multiple_choice": 1}
 
 
 # -- parser corpus -----------------------------------------------------------

@@ -135,6 +135,26 @@ class TestRunPipeline:
         assert executed == FIRST_RUN_STAGES
         assert file_sha256(manifest_path(tmp_path)) == before
 
+    @pytest.mark.parametrize("ledger", [
+        lambda stages: [],
+        lambda stages: {**stages, "topics-00": 5},
+        lambda stages: {**stages, "topics-00": {
+            **stages["topics-00"], "outputs": ["topics-00.json"]}},
+    ], ids=["list", "entry-not-object", "outputs-not-object"])
+    def test_wrong_shape_checkpoints_recompute_same_bytes(self, tmp_path,
+                                                          ledger):
+        run_pipeline(SMALL, str(tmp_path))
+        before = file_sha256(manifest_path(tmp_path))
+        ckpt = os.path.join(str(tmp_path), CHECKPOINT_FILE)
+        with open(ckpt, encoding="utf-8") as handle:
+            stages = json.load(handle)
+        with open(ckpt, "w", encoding="utf-8") as handle:
+            json.dump(ledger(stages), handle)
+        executed = []
+        run_pipeline(SMALL, str(tmp_path), stage_hook=executed.append)
+        assert executed == FIRST_RUN_STAGES
+        assert file_sha256(manifest_path(tmp_path)) == before
+
     def test_tampered_intermediate_reruns_only_that_stage(self, tmp_path):
         run_pipeline(SMALL, str(tmp_path))
         before = file_sha256(manifest_path(tmp_path))
@@ -448,6 +468,17 @@ class TestWorkdirLock:
             handle.write("???")
         manifest = run_pipeline(SMALL, str(tmp_path))
         assert len(manifest.records) == 50
+
+    @pytest.mark.parametrize("content", [
+        "[1]", '{"pid": null}', '{"pid": 0}', '{"pid": true}',
+        '{"pid": 100000000000000000000}'])
+    def test_wrong_shape_lock_is_reclaimed(self, tmp_path, content):
+        path = os.path.join(str(tmp_path), LOCK_FILE)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+        with WorkdirLock(str(tmp_path)):
+            with open(path, encoding="utf-8") as handle:
+                assert json.load(handle) == {"pid": os.getpid()}
 
 
 class TestBuildGateway:
