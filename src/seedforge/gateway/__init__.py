@@ -147,19 +147,17 @@ class Gateway:
     def _call(self, op: str, provider, fn: Callable, chars: int = 0):
         """Run one provider call under the concurrency, rate, and retry
         policy. Rate limiting applies per attempt, remote providers only.
-        Each attempt holds a concurrency slot; the backoff sleep does not."""
+        Each attempt holds a concurrency slot; the backoff sleep does not.
+        Every attempt is counted, whether it succeeds or fails."""
         attempt = 0
         while True:
             with self._semaphore:
+                if provider.remote:
+                    self._limiter.acquire()
                 try:
-                    if provider.remote:
-                        self._limiter.acquire()
-                    result = fn()
-                    self.stats.count_call(op, chars)
-                    return result
+                    return fn()
                 except RetryableProviderError as exc:
                     attempt += 1
-                    self.stats.count_call(op, chars)
                     if attempt > self.budget.retry_limit:
                         logger.error("%s failed after %d attempts: %s",
                                      op, attempt, exc)
@@ -171,6 +169,8 @@ class Gateway:
                     logger.warning("%s attempt %d failed (%s), retrying in "
                                    "%.2fs", op, attempt, exc, delay)
                     self.stats.count_retry()
+                finally:
+                    self.stats.count_call(op, chars)
             self._sleep(delay)
 
     def _cached(self, op: str, provider, params: dict, fn: Callable,

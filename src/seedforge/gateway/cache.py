@@ -47,9 +47,10 @@ class ResponseCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            # A missing or half-written entry is a miss; the caller
-            # overwrites it atomically.
+        except (FileNotFoundError, ValueError):
+            # A missing or damaged entry (bad JSON or bytes that are not
+            # UTF-8, both ValueErrors) is a miss; the caller overwrites it
+            # atomically.
             return None
 
     def put(self, key: str, payload: Any) -> None:

@@ -23,6 +23,7 @@ boundary resumes to a byte-identical manifest.
 
 from __future__ import annotations
 
+import fcntl
 import io
 import json
 import logging
@@ -117,60 +118,36 @@ def build_gateway(config: PipelineConfig) -> Gateway:
 
 
 class WorkdirLock:
-    """Single-writer guard on a working directory.
+    """Single-writer guard on a working directory: an exclusive flock on
+    LOCK_FILE, held for the life of the open file descriptor.
 
-    The lock file records the owner pid; a lock whose process is gone, or
-    whose file holds no positive integer pid, is stale and silently
-    reclaimed, so a crashed run never wedges the directory.
+    The kernel drops the lock when its holder closes the file or dies, so
+    a killed run never wedges the directory, whatever pid its rerun gets.
+    The file itself stays in place and its content means nothing; it is
+    never read or unlinked, because a process that opened the old file
+    could then lock an orphaned inode while another locks a new one.
+    Needs POSIX fcntl.
     """
 
     def __init__(self, workdir: str):
         self.path = os.path.join(workdir, LOCK_FILE)
-        self._held = False
+        self._fd: int | None = None
 
     def acquire(self) -> None:
-        for _ in range(2):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._is_stale():
-                    try:
-                        os.unlink(self.path)
-                    except FileNotFoundError:
-                        pass
-                    continue
-                raise LockError(
-                    f"{self.path} is held by a live process; remove the "
-                    f"file only if you are sure no run is active")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump({"pid": os.getpid()}, handle)
-            self._held = True
-            return
-        raise LockError(f"could not acquire {self.path}")
-
-    def _is_stale(self) -> bool:
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT)
         try:
-            with open(self.path, encoding="utf-8") as handle:
-                pid = json.load(handle)["pid"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return True
-        if type(pid) is not int or pid <= 0:
-            return True
-        try:
-            os.kill(pid, 0)
-        except (ProcessLookupError, OverflowError):
-            return True
-        except PermissionError:
-            return False
-        return False
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise LockError(
+                f"{self.path} is held by a live process; wait for that "
+                f"run to finish or stop it") from None
+        self._fd = fd
 
     def release(self) -> None:
-        if self._held:
-            try:
-                os.unlink(self.path)
-            except FileNotFoundError:
-                pass
-            self._held = False
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def __enter__(self) -> "WorkdirLock":
         self.acquire()

@@ -413,6 +413,15 @@ class TestCachePoisoning:
         assert gw.translate("x", "th", "en") == "en⟨x⟩"
         assert gw.stats.snapshot()["provider_calls"] == {"translate": 1}
 
+    def test_entry_that_is_not_utf8_is_a_miss(self, tmp_path):
+        params = {"text": "x", "source": "th", "target": "en"}
+        key = request_key("mock:translate", "translate", params)
+        (tmp_path / f"{key}.json").write_bytes(b"\xff\xfe{")
+        gw = Gateway.mock(cache_dir=tmp_path)
+        assert gw.translate("x", "th", "en") == "en⟨x⟩"
+        assert gw.stats.snapshot()["provider_calls"] == {"translate": 1}
+        assert ResponseCache(tmp_path).get(key) == {"payload": "en⟨x⟩"}
+
 
 class TestConcurrency:
     def test_semaphore_bounds_in_flight_calls(self):

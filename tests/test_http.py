@@ -492,3 +492,13 @@ class TestRetriesThroughGateway:
             gateway.complete(GenRequest(prompt="p", temperature=0.5))
         assert len(transport.requests) == 1
         assert sleeps == []
+
+    @pytest.mark.parametrize("status", [400, 404])
+    def test_fatal_status_is_counted(self, status):
+        gateway = _gateway(FakeTransport((status, "no")))
+        with pytest.raises(ProviderError, match=str(status)):
+            gateway.translate("xy", "th", "en")
+        stats = gateway.stats.snapshot()
+        assert stats["provider_calls"] == {"translate": 1}
+        assert stats["request_chars"] == 2
+        assert stats["retries"] == 0

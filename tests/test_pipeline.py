@@ -3,7 +3,9 @@
 import json
 import os
 import re
+import signal
 import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +42,16 @@ FIRST_RUN_STAGES = ["topics-00", "contexts-00", "instructions-00",
                     "dedup-00", "manifest"]
 
 
+# Child interpreter: holds the workdir lock until it is killed.
+HOLD_LOCK = """
+import sys
+from seedforge.pipeline import WorkdirLock
+WorkdirLock(sys.argv[1]).acquire()
+print("ready", flush=True)
+sys.stdin.read()
+"""
+
+
 def manifest_path(workdir):
     return os.path.join(str(workdir), MANIFEST_FILE)
 
@@ -53,7 +65,8 @@ class TestRunPipeline:
         assert os.path.exists(manifest_path(tmp_path))
         assert os.path.exists(manifest_path(tmp_path) + ".meta.json")
         assert os.path.exists(os.path.join(str(tmp_path), CHECKPOINT_FILE))
-        assert not os.path.exists(os.path.join(str(tmp_path), LOCK_FILE))
+        with WorkdirLock(str(tmp_path)):
+            pass
 
     def test_meta_echoes_config(self, tmp_path):
         run_pipeline(SMALL, str(tmp_path))
@@ -98,7 +111,8 @@ class TestRunPipeline:
 
         with pytest.raises(Interrupt):
             run_pipeline(SMALL, workdir, stage_hook=bomb)
-        assert not os.path.exists(os.path.join(workdir, LOCK_FILE))
+        with WorkdirLock(workdir):
+            pass
         executed = []
         run_pipeline(SMALL, workdir, stage_hook=executed.append)
         assert executed == ["dedup-00", "manifest"]
@@ -193,7 +207,8 @@ class TestRunPipeline:
         with pytest.raises(BuildError) as err:
             run_pipeline(SMALL, str(tmp_path))
         assert err.value.stage == "topics-00"
-        assert not os.path.exists(os.path.join(str(tmp_path), LOCK_FILE))
+        with WorkdirLock(str(tmp_path)):
+            pass
 
 
 class TestDeterminismUnderFaults:
@@ -477,8 +492,41 @@ class TestWorkdirLock:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content)
         with WorkdirLock(str(tmp_path)):
-            with open(path, encoding="utf-8") as handle:
-                assert json.load(handle) == {"pid": os.getpid()}
+            pass
+
+    def test_lock_naming_this_pid_does_not_block_a_rerun(self, tmp_path):
+        run_pipeline(SMALL, str(tmp_path))
+        with open(os.path.join(str(tmp_path), LOCK_FILE), "w",
+                  encoding="utf-8") as handle:
+            json.dump({"pid": os.getpid()}, handle)
+        executed = []
+        run_pipeline(SMALL, str(tmp_path), stage_hook=executed.append)
+        assert executed == []
+
+    def test_lock_held_by_another_process_until_it_is_killed(self, tmp_path):
+        clean = str(tmp_path / "clean")
+        run_pipeline(SMALL, clean)
+        workdir = str(tmp_path / "work")
+        os.makedirs(workdir)
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        child = subprocess.Popen(
+            [sys.executable, "-c", HOLD_LOCK, workdir],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        try:
+            assert child.stdout.readline() == "ready\n"
+            with pytest.raises(LockError, match="live process"):
+                run_pipeline(SMALL, workdir)
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stdin.close()
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+        assert os.path.exists(os.path.join(workdir, LOCK_FILE))
+        run_pipeline(SMALL, workdir)
+        assert (file_sha256(manifest_path(workdir))
+                == file_sha256(manifest_path(clean)))
 
 
 class TestBuildGateway:
