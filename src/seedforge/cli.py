@@ -20,6 +20,7 @@ import sys
 from seedforge import ablations
 from seedforge.config import (PipelineConfig, default_config, load_config,
                               with_overrides)
+from seedforge.dedup import write_removals
 from seedforge.errors import (BuildError, ConfigError, ProviderError,
                               SeedforgeError)
 from seedforge.evalreport import (aggregate_report, join_pairs,
@@ -100,9 +101,7 @@ def cmd_dedup(args) -> int:
                            config)
     write_records(result.kept, args.out)
     if args.removals:
-        write_json(args.removals, [
-            {"record_id": r.record_id, "nearest_id": r.nearest_id,
-             "similarity": r.similarity} for r in result.removed])
+        write_removals(result.removed, args.removals)
     print(f"{len(result.kept)} kept, {len(result.removed)} removed "
           f"-> {args.out}")
     return 0

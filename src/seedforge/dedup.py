@@ -6,10 +6,12 @@ is dropped when an earlier record in the comparison pool is strictly above
 the similarity threshold. Earlier ids always win, which makes the pass
 deterministic and idempotent.
 
-The search is one exact blocked scan: the unit vectors are multiplied a
-block of rows at a time against every earlier row, so at most about
-`SLAB_ELEMENTS` similarities are alive at once. The over-threshold pairs of
-a block are resolved in one pass in id order before the next block starts.
+The search is one exact tiled scan. The raw vectors are assembled once into
+a preallocated matrix and normalised in place; the scan then multiplies a
+block of rows at a time against the earlier rows, one column tile at a
+time, so at most about `SLAB_ELEMENTS` similarities are alive at once. The
+over-threshold pairs of a row block are resolved in one pass in id order
+before the next block starts.
 
 A similarity counts as above the threshold only when it exceeds it by more
 than `TIE_TOLERANCE`. Pairs whose cosine sits at the threshold (the mock
@@ -18,20 +20,27 @@ with the BLAS summation order, and with it the manifest bytes. Among
 candidates within the same tolerance of the highest similarity the
 earliest id is reported as the nearest.
 
-Callers that already hold embeddings for some of the records (a pipeline
-epoch re-deduplicating its earlier pool plus new records) pass them as
-`known`; only the other records are embedded.
+A record's fate depends only on records with smaller ids. Callers that
+deduplicated some of the records before (a pipeline epoch adding records
+to its earlier pool) pass them as `known`: their ids, raw vectors and
+removals. Only the other records are embedded. When every other record
+sorts after every known id, the known decisions stand and only the new
+rows are scanned, against the kept known rows under keep_first or all of
+them under full_set. Otherwise every record is scanned again, still from
+the known vectors.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from seedforge import constants
 from seedforge.errors import ProtocolError, ValidationError
+from seedforge.records import parsing, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +53,7 @@ DEDUP_MODES = (KEEP_FIRST, FULL_SET)
 # threshold a user would tell apart.
 TIE_TOLERANCE = 1e-12
 
-# Similarities held at once by the scan: block rows x compared rows.
+# Similarities held at once by the scan: block rows x tile columns.
 SLAB_ELEMENTS = 2 ** 19
 MIN_BLOCK_ROWS = 16
 
@@ -56,28 +65,18 @@ def sample_text(record) -> str:
                       record.output])
 
 
-def cosine(a, b) -> float:
-    """Cosine similarity with hard errors instead of NaN conventions."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.ndim != 1 or va.shape != vb.shape:
-        raise ValidationError(
-            f"cosine needs two vectors of one shape, got {va.shape} "
-            f"and {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine is undefined for a zero vector")
-    return float(np.dot(va, vb) / (na * nb))
-
-
-def _normalized_matrix(mat: np.ndarray, ids: list[str]) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise ValidationError(
-            f"zero-norm embedding for record {ids[int(bad[0])]}")
-    return mat / norms[:, None]
+def _normalize_in_place(mat: np.ndarray, ids: list[str]) -> None:
+    """Scale every row to unit length, a slab of rows at a time, so the
+    squares that the norms are summed from never take a second matrix."""
+    step = max(1, SLAB_ELEMENTS // max(mat.shape[1], 1))
+    for lo in range(0, len(mat), step):
+        rows = mat[lo:lo + step]
+        norms = np.linalg.norm(rows, axis=1)
+        bad = np.flatnonzero(norms == 0.0)
+        if bad.size:
+            raise ValidationError(
+                f"zero-norm embedding for record {ids[lo + int(bad[0])]}")
+        rows /= norms[:, None]
 
 
 @dataclass(frozen=True)
@@ -90,10 +89,22 @@ class Removal:
     similarity: float
 
 
+@dataclass(frozen=True)
+class Known:
+    """Records deduplicated before under the same threshold and mode: their
+    ids, their raw vectors as row blocks whose rows, concatenated, follow
+    `ids`, and the removals among them."""
+
+    ids: list[str]
+    vectors: list[np.ndarray]
+    removed: list[Removal]
+
+
 @dataclass
 class DedupResult:
     """kept and removed partition the input. vectors holds the raw
-    embedding of every input record, one row per record in id order."""
+    embedding of every input record not in `known`, one row per record in
+    id order."""
 
     kept: list
     removed: list[Removal]
@@ -106,32 +117,76 @@ class DedupResult:
         return {r.record_id for r in self.removed}
 
 
-def block_rows(n: int) -> int:
-    """Rows per scan block for n records: about SLAB_ELEMENTS // n."""
-    return max(MIN_BLOCK_ROWS, SLAB_ELEMENTS // max(n, 1))
+def write_removals(removed: list[Removal], path: str) -> str:
+    """Removals as one JSON list of {record_id, nearest_id, similarity},
+    written atomically; returns its sha256."""
+    return write_json(path, [asdict(r) for r in removed])
+
+
+def read_removals(path: str) -> list[Removal]:
+    rows = read_json(path)
+    removed = []
+    with parsing(path, "a removals file"):
+        for row in rows:
+            ids = (row["record_id"], row["nearest_id"])
+            if not all(isinstance(rid, str) for rid in ids):
+                raise TypeError(f"record ids must be strings, got {ids}")
+            removed.append(Removal(*ids, float(row["similarity"])))
+    return removed
+
+
+def block_rows(width: int) -> int:
+    """Rows per scan tile when a tile spans `width` columns: about
+    SLAB_ELEMENTS // width."""
+    return max(MIN_BLOCK_ROWS, SLAB_ELEMENTS // max(width, 1))
+
+
+def tile_width(n: int) -> int:
+    """Columns per scan tile for n rows. Tiles twice as wide as tall
+    measured slightly faster than square ones."""
+    return max(1, min(n, math.isqrt(2 * SLAB_ELEMENTS)))
 
 
 def _dedup_exact(ids: list[str], mat: np.ndarray, threshold: float,
-                 mode: str, block: int | None = None
+                 mode: str, start: int = 0, block: int | None = None,
+                 width: int | None = None
                  ) -> tuple[list[int], list[Removal]]:
-    """Blocked scan over unit rows `mat` (id order). Returns the kept row
-    indexes and the removals, both in id order."""
+    """Tiled scan over unit rows `mat` (id order). Rows before `start` are
+    earlier decisions: compared with, never scanned, and kept under
+    keep_first. Each later row is compared with every row before it.
+    Returns the kept row indexes from `start` on and the removals, both in
+    id order. A tile is `block` rows by `width` columns."""
     n = len(ids)
-    block = block or block_rows(n)
+    width = width or tile_width(n)
+    block = block or block_rows(width)
     cut = threshold + TIE_TOLERANCE
     keep = np.ones(n, dtype=bool)
     removed: list[Removal] = []
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        slab = mat[start:stop] @ mat[:stop].T
-        # (r, j) compares row start + r with row j; keep only j < start + r.
-        rows, cols = np.nonzero(np.tril(slab > cut, k=start - 1))
-        if not rows.size:
+    # Every tile is computed into this one buffer.
+    buf = np.empty(max(0, min(block, n - start)) * width)
+    for lo in range(start, n, block):
+        hi = min(n, lo + block)
+        hits = []
+        # Row lo + r meets column c0 + c only if c0 + c < lo + r.
+        for c0 in range(0, hi - 1, width):
+            c1 = min(hi - 1, c0 + width)
+            tile = buf[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
+            np.matmul(mat[lo:hi], mat[c0:c1].T, out=tile)
+            over = tile > cut
+            if c1 > lo:
+                over = np.tril(over, k=lo - c0 - 1)
+            rows, cols = np.nonzero(over)
+            if rows.size:
+                hits.append((rows, cols + c0, tile[rows, cols]))
+        if not hits:
             continue
-        sims = slab[rows, cols]
+        rows, cols, sims = (np.concatenate(part) for part in zip(*hits))
+        if len(hits) > 1:
+            order = np.lexsort((cols, rows))
+            rows, cols, sims = rows[order], cols[order], sims[order]
         firsts = np.flatnonzero(np.diff(rows, prepend=-1))
-        for lo, hi in zip(firsts, np.append(firsts[1:], rows.size)):
-            js, ss = cols[lo:hi], sims[lo:hi]
+        for a, b in zip(firsts, np.append(firsts[1:], rows.size)):
+            js, ss = cols[a:b], sims[a:b]
             if mode == KEEP_FIRST:
                 live = keep[js]
                 js, ss = js[live], ss[live]
@@ -139,57 +194,64 @@ def _dedup_exact(ids: list[str], mat: np.ndarray, threshold: float,
                     continue
             # js ascend, so argmax of the mask is the earliest of the ties.
             best = int(np.argmax(ss >= ss.max() - TIE_TOLERANCE))
-            i = start + int(rows[lo])
+            i = lo + int(rows[a])
             keep[i] = False
             removed.append(Removal(record_id=ids[i],
                                    nearest_id=ids[int(js[best])],
                                    similarity=float(ss[best])))
-    return np.flatnonzero(keep).tolist(), removed
+    return (start + np.flatnonzero(keep[start:])).tolist(), removed
 
 
-def _embeddings(records: list, gateway,
-                known: tuple[list[str], np.ndarray] | None) -> np.ndarray:
-    """Raw embeddings of id-sorted records as one (n, d) array: rows of
-    `known` (ids, vectors) where it has the id, the gateway for the rest."""
-    positions = {rid: k for k, rid in enumerate(known[0])} if known else {}
-    have = [i for i, r in enumerate(records) if r.id in positions]
-    missing = [i for i, r in enumerate(records) if r.id not in positions]
-    parts = []
-    if missing:
-        fresh = np.asarray(
-            gateway.embed([sample_text(records[i]) for i in missing]),
-            dtype=np.float64)
-        parts.append((missing, fresh))
-    if have:
-        parts.append((have, known[1][[positions[records[i].id]
-                                      for i in have]]))
-    if any(vecs.ndim != 2 or len(vecs) != len(rows) for rows, vecs in parts):
+def _matrix(ids: list[str], rows: list[int], known: Known,
+            fresh_rows: list[int], fresh: np.ndarray) -> np.ndarray:
+    """The comparison matrix, allocated once: row p holds the raw vector
+    of record rows[p]. Both `rows` and `fresh_rows` ascend; the records at
+    fresh_rows take the rows of `fresh` in order, the others their rows
+    in the known blocks."""
+    blocks = [np.asarray(b, dtype=np.float64) for b in known.vectors]
+    bounds = np.cumsum([0] + [len(b) for b in blocks])
+    if bounds[-1] != len(known.ids):
+        raise ProtocolError(f"{bounds[-1]} known vectors for "
+                            f"{len(known.ids)} known ids")
+    if any(b.ndim != 2 for b in blocks):
         raise ProtocolError("embeddings are not one vector per record")
-    dims = {vecs.shape[1] for _, vecs in parts}
-    if len(dims) != 1:
+    dims = {b.shape[1] for b in blocks + [fresh] if len(b)}
+    if len(dims) > 1:
         raise ProtocolError(f"embeddings do not share one dimension: "
                             f"{sorted(dims)}")
-    if len(parts) == 1:
-        return parts[0][1]
-    mat = np.empty((len(records), dims.pop()), dtype=np.float64)
-    for rows, vecs in parts:
-        mat[rows] = vecs
+    mat = np.empty((len(rows), dims.pop() if dims else 0), dtype=np.float64)
+    is_fresh = set(fresh_rows)
+    if fresh_rows:
+        mat[[p for p, r in enumerate(rows) if r in is_fresh]] = fresh
+    known_at = {rid: k for k, rid in enumerate(known.ids)}
+    dest = np.array([p for p, r in enumerate(rows) if r not in is_fresh],
+                    dtype=np.intp)
+    src = np.array([known_at[ids[rows[p]]] for p in dest], dtype=np.intp)
+    owner = np.searchsorted(bounds, src, side="right") - 1
+    for b, block in enumerate(blocks):
+        mine = owner == b
+        to, frm = dest[mine], src[mine] - bounds[b]
+        if to.size and to[-1] - to[0] + 1 == to.size:
+            # A contiguous run of rows is filled without a temporary copy.
+            np.take(block, frm, axis=0, out=mat[to[0]:to[-1] + 1])
+        else:
+            mat[to] = block[frm]
     return mat
 
 
 def dedup_filter(records: list, gateway, *,
                  threshold: float = constants.DEDUP_THRESHOLD,
                  mode: str = KEEP_FIRST,
-                 known: tuple[list[str], np.ndarray] | None = None
-                 ) -> DedupResult:
+                 known: Known | None = None) -> DedupResult:
     """Drop records whose nearest predecessor is strictly above threshold.
 
     Records are processed in ascending id order regardless of input order.
     mode selects the comparison pool: keep_first measures against the
     records already kept (a removed record cannot knock out later ones),
     full_set against every earlier record regardless of its fate.
-    known: (ids, raw vectors) of records embedded before; those records
-    are not embedded again.
+    known: records deduplicated before, under the same threshold and mode.
+    They are not embedded again, and when every other record sorts after
+    them their decisions stand and only the other records are scanned.
     """
     if mode not in DEDUP_MODES:
         raise ValidationError(f"unknown dedup mode {mode!r}")
@@ -202,11 +264,40 @@ def dedup_filter(records: list, gateway, *,
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate record ids in dedup input")
-    vectors = _embeddings(records, gateway, known)
-    kept_idx, removed = _dedup_exact(
-        ids, _normalized_matrix(vectors, ids), threshold, mode)
+    known = known or Known([], [], [])
+    known_ids = set(known.ids)
+    if len(known_ids) != len(known.ids):
+        raise ValidationError("duplicate record ids in known rows")
+    fresh_rows = [i for i, rid in enumerate(ids) if rid not in known_ids]
+    fresh = np.empty((0, 0))
+    if fresh_rows:
+        fresh = np.asarray(gateway.embed([sample_text(records[i])
+                                          for i in fresh_rows]),
+                           dtype=np.float64)
+        if fresh.ndim != 2 or len(fresh) != len(fresh_rows):
+            raise ProtocolError("embeddings are not one vector per record")
+    decided = len(ids) - len(fresh_rows)
+    if decided == len(known.ids) and (not fresh_rows
+                                      or fresh_rows[0] == decided):
+        # Every known id is a record, and sorts before every fresh one.
+        gone = {r.record_id for r in known.removed}
+        stand = [i for i in range(decided) if ids[i] not in gone]
+        base = list(range(decided)) if mode == FULL_SET else stand
+        rows, start = base + fresh_rows, len(base)
+        kept = [records[i] for i in stand]
+        removed = list(known.removed)
+    else:
+        logger.info("dedup: new ids do not all follow the %d known ids; "
+                    "scanning all %d records", len(known.ids), len(ids))
+        rows, start, kept, removed = list(range(len(ids))), 0, [], []
+    row_ids = [ids[r] for r in rows]
+    mat = _matrix(ids, rows, known, fresh_rows, fresh)
+    _normalize_in_place(mat, row_ids)
+    kept_at, new_removals = _dedup_exact(row_ids, mat, threshold, mode,
+                                         start)
+    kept += [records[rows[p]] for p in kept_at]
+    removed += new_removals
     logger.info("dedup kept %d of %d records (threshold %.3f, %s)",
-                len(kept_idx), len(records), threshold, mode)
-    return DedupResult(kept=[records[i] for i in kept_idx],
-                       removed=removed, threshold=threshold, mode=mode,
-                       vectors=vectors)
+                len(kept), len(records), threshold, mode)
+    return DedupResult(kept=kept, removed=removed, threshold=threshold,
+                       mode=mode, vectors=fresh)

@@ -81,16 +81,22 @@ def _lcs_table(a: list[str], b: list[str]) -> list[list[int]]:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    """The last cell of _lcs_table(a, b), from two rolling rows."""
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        row = [0]
-        left = 0
-        for y, diag, up in zip(b, prev, prev[1:]):
-            left = diag + 1 if x == y else (up if up > left else left)
-            row.append(left)
-        prev = row
-    return prev[-1]
+    """The last cell of _lcs_table(a, b), bit-parallel (Allison & Dix
+    1986, in the form of Hyyrö 2004).
+
+    Bit j of masks[t] is set where b[j] == t. v starts as len(b) ones and
+    after each token of a holds a zero at every column where a row of the
+    table steps up, so the LCS length is the count of its zero bits.
+    """
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _lcs_indices(a: list[str], b: list[str]) -> set[int]:

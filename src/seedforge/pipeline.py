@@ -7,9 +7,16 @@ directory and records a digest in checkpoints.json; the digest chains the
 stage name, the content-relevant config, and the upstream stage digest, so
 a rerun skips exactly the stages whose inputs are unchanged and whose
 outputs still verify. Operational settings (budget, cache) do not enter
-the digest: changing them never invalidates work. Each dedup stage also
-saves the embeddings of its input (vectors-NN.npy), so a later epoch
-embeds only its new records.
+the digest: changing them never invalidates work.
+
+Each dedup stage embeds and scans only its epoch's new records. Extension
+topics take indexes after every earlier topic, so every new id sorts after
+every earlier one, and the earlier decisions stand (see
+`dedup.dedup_filter`, which falls back to a full scan when the order does
+not hold, as under reroll). A dedup stage writes every removal so far
+(removed-NN.json) and the raw embeddings of its epoch's records
+(vectors-NN.npy); a later dedup stage that runs hands both back as
+`known`. The pool is the instruction records minus the latest removals.
 
 The stage bodies are plain functions shared with the CLI stage commands.
 Each takes the effective PipelineConfig and reads its settings from it.
@@ -38,7 +45,8 @@ from seedforge import constants
 from seedforge.config import PipelineConfig
 from seedforge.contexts import (ContextDoc, acquire_context,
                                 context_from_dict, context_to_dict)
-from seedforge.dedup import DedupResult, dedup_filter
+from seedforge.dedup import (DedupResult, Known, Removal, dedup_filter,
+                             read_removals, write_removals)
 from seedforge.errors import (BuildError, ConfigError, LockError,
                               ParseError, SeedforgeError)
 from seedforge.gateway import Gateway, ProviderBudget
@@ -177,11 +185,16 @@ class _Checkpoints:
             except ParseError:
                 logger.warning("unreadable %s, starting over", self.path)
 
-    def fresh(self, stage: str, digest: str) -> bool:
+    def fresh(self, stage: str, digest: str, names: tuple[str, ...]) -> bool:
+        """The stage's entry has this digest, names exactly the files
+        `names`, and each still has its recorded sha256."""
         entry = self.stages.get(stage)
         if not entry or entry.get("digest") != digest:
             return False
-        for name, expected in entry.get("outputs", {}).items():
+        outputs = entry.get("outputs", {})
+        if sorted(outputs) != sorted(names):
+            return False
+        for name, expected in outputs.items():
             path = os.path.join(self.workdir, name)
             if not os.path.exists(path) or file_sha256(path) != expected:
                 return False
@@ -269,8 +282,7 @@ def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
 
 
 def dedup_records(records: list, gateway, config: PipelineConfig,
-                  known: tuple[list[str], np.ndarray] | None = None
-                  ) -> DedupResult:
+                  known: Known | None = None) -> DedupResult:
     return dedup_filter(records, gateway, threshold=config.dedup_threshold,
                         mode=config.dedup_mode, known=known)
 
@@ -338,24 +350,29 @@ class _Run:
         self.checkpoints = _Checkpoints(workdir)
         self.config_digest = config.content_digest()
         self.upstream = "origin"
-        # (ids, file name) of the last dedup stage's input vectors
-        self.prior_vectors: tuple[list[str], str] | None = None
+        # What the dedup stages so far decided: their records' ids, in the
+        # row order of their vector files, and the removals.
+        self.dedup_ids: list[str] = []
+        self.vector_files: list[str] = []
+        self.removals: list[Removal] = []
 
     def path(self, name: str) -> str:
         return os.path.join(self.workdir, name)
 
-    def stage(self, name: str, compute, load):
+    def stage(self, name: str, compute, load, names: tuple[str, ...]):
         """Execute or skip one stage.
 
-        compute() -> (value, {filename: sha}); load() rebuilds the value
-        from the files of a previously completed stage. The stage hook
-        fires only when compute runs. The chain digest handed to the next
-        stage covers this stage's actual output hashes, so downstream
-        stages are invalidated by changed content, not only by changed
-        inputs.
+        compute() -> (value, {filename: sha}) for the files `names`;
+        load() rebuilds the value from the files of a previously completed
+        stage. A ledger entry that names other files is stale, so a
+        workdir written by a layout with other stage files reruns those
+        stages. The stage hook fires only when compute runs. The chain
+        digest handed to the next stage covers this stage's actual output
+        hashes, so downstream stages are invalidated by changed content,
+        not only by changed inputs.
         """
         digest = _chain(name, self.config_digest, self.upstream)
-        if self.checkpoints.fresh(name, digest):
+        if self.checkpoints.fresh(name, digest, names):
             logger.info("stage %s: up to date, skipping", name)
             value = load()
         else:
@@ -384,7 +401,7 @@ class _Run:
             value = compute()
             return value, {fname: write(value, path)}
 
-        return self.stage(name, run, lambda: read(path))
+        return self.stage(name, run, lambda: read(path), (fname,))
 
     def topics_stage(self, epoch: int, deficit: int,
                      seen: set[str]) -> list[Topic]:
@@ -414,29 +431,38 @@ class _Run:
                                      self.config)[0],
             write_records, read_records)
 
-    def dedup_stage(self, epoch: int, cumulative: list) -> list:
-        """Dedup of every record so far. Besides the pool it saves the raw
-        embedding of each input record, in id order, as vectors-NN.npy;
-        the next epoch's dedup reads them and embeds only its new
-        records."""
-        pool_file = f"pool-{epoch:02d}.jsonl"
+    def dedup_stage(self, epoch: int, cumulative: list, new: list) -> list:
+        """Dedup of every record so far, given the earlier dedup stages'
+        decisions: only the epoch's `new` records are embedded and, while
+        their ids follow the earlier ones, scanned. Writes every removal
+        so far as removed-NN.json and the raw embeddings of the new
+        records, in id order, as vectors-NN.npy. Vector files are read
+        only when a later dedup stage runs."""
+        removed_file = f"removed-{epoch:02d}.json"
         vectors_file = f"vectors-{epoch:02d}.npy"
-        prior = self.prior_vectors
 
         def compute():
-            known = (prior[0], np.load(self.path(prior[1]),
-                                       allow_pickle=False)
-                     ) if prior else None
+            known = Known(self.dedup_ids,
+                          [np.load(self.path(name), allow_pickle=False)
+                           for name in self.vector_files], self.removals)
             result = dedup_records(cumulative, self.gateway, self.config,
                                    known)
-            return result.kept, {
-                pool_file: write_records(result.kept, self.path(pool_file)),
+            return (result.kept, result.removed), {
+                removed_file: write_removals(result.removed,
+                                             self.path(removed_file)),
                 vectors_file: write_vectors(result.vectors,
                                             self.path(vectors_file))}
 
-        pool = self.stage(f"dedup-{epoch:02d}", compute,
-                          lambda: read_records(self.path(pool_file)))
-        self.prior_vectors = (sorted(r.id for r in cumulative), vectors_file)
+        def load():
+            removed = read_removals(self.path(removed_file))
+            gone = {r.record_id for r in removed}
+            return sorted((r for r in cumulative if r.id not in gone),
+                          key=lambda r: r.id), removed
+
+        pool, self.removals = self.stage(f"dedup-{epoch:02d}", compute,
+                                         load, (removed_file, vectors_file))
+        self.dedup_ids += sorted(r.id for r in new)
+        self.vector_files.append(vectors_file)
         return pool
 
     def build_pool(self, max_epochs: int, reroll: bool) -> list:
@@ -465,8 +491,9 @@ class _Run:
                 start, round_no = len(all_topics), 0
                 all_topics.extend(topics)
             contexts = self.contexts_stage(epoch, topics, start, round_no)
-            all_records.extend(self.instructions_stage(epoch, contexts))
-            pool = (self.dedup_stage(epoch, all_records)
+            records = self.instructions_stage(epoch, contexts)
+            all_records.extend(records)
+            pool = (self.dedup_stage(epoch, all_records, records)
                     if cfg.dedup_enabled
                     else sorted(all_records, key=lambda r: r.id))
         if len(pool) < cfg.dataset_size:
@@ -477,20 +504,21 @@ class _Run:
 
     def manifest_stage(self, pool: list) -> DatasetManifest:
         cfg = self.config
+        meta_name = MANIFEST_FILE + ".meta.json"
 
         def compute():
             manifest = manifest_from_pool(pool, cfg)
             mpath = self.path(MANIFEST_FILE)
             sha = write_manifest(manifest, mpath,
                                  config_echo=cfg.effective())
-            meta_name = MANIFEST_FILE + ".meta.json"
             return manifest, {MANIFEST_FILE: sha,
                               meta_name: file_sha256(self.path(meta_name))}
 
         def load():
             return read_manifest(self.path(MANIFEST_FILE))
 
-        return self.stage("manifest", compute, load)
+        return self.stage("manifest", compute, load,
+                          (MANIFEST_FILE, meta_name))
 
 
 def _locked(config: PipelineConfig, workdir: str, gateway, stage_hook,

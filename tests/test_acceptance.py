@@ -25,7 +25,7 @@ from seedforge.ablations import (VARIANT_CULTURE_ONLY,
                                  load_external_corpus, manifest_hash)
 from seedforge.cli import main as cli_main
 from seedforge.config import default_config
-from seedforge.dedup import cosine, dedup_filter, sample_text
+from seedforge.dedup import dedup_filter, sample_text
 from seedforge.errors import ParseError, ValidationError
 from seedforge.gateway import Gateway
 from seedforge.instructions import (GENERATION_TASKS, McQuestion,
@@ -134,7 +134,15 @@ def test_criterion_2_metric_fixtures_identity_range():
         failures.append("meteor transposition fixture not exactly 0.5")
     if metrics.meteor("a b c d", "a b c d") != 0.9921875:
         failures.append("meteor identity fixture not exactly 0.9921875")
-    if abs(cosine((1.0, 1.0), (1.0, 0.0)) - 1 / math.sqrt(2)) > 1e-9:
+    pair = np.array([[1.0, 1.0], [1.0, 0.0]])
+    cos = pair[0] @ pair[1] / np.prod(np.linalg.norm(pair, axis=1))
+    pair_records = [SimpleNamespace(id=f"c{i}", instruction=str(i),
+                                    context=None, output="") for i in (0, 1)]
+    removal = dedup_filter(pair_records,
+                           SimpleNamespace(embed=lambda texts: pair),
+                           threshold=0.7).removed
+    if (abs(cos - 1 / math.sqrt(2)) > 1e-9 or len(removal) != 1
+            or abs(removal[0].similarity - cos) > 1e-9):
         failures.append("cosine fixture off by more than 1e-9")
 
     rng = random.Random(20260816)

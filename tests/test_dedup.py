@@ -1,20 +1,23 @@
-"""Near-duplicate filtering: cosine, the blocked scan, the keep-first
-rule, and threshold ties.
+"""Near-duplicate filtering: the tiled scan, the keep-first rule,
+threshold ties, and the incremental scan over known rows.
 
 The heavyweight planted-duplicate run lives in the acceptance suite; here the
 same oracle is cross-checked at a size where failures are easy to read.
 """
 
+import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from seedforge.dedup import (FULL_SET, KEEP_FIRST, TIE_TOLERANCE,
-                             DedupResult, Removal, _dedup_exact, block_rows,
-                             cosine, dedup_filter, sample_text)
-from seedforge.errors import ProtocolError, ValidationError
+from seedforge import dedup
+from seedforge.dedup import (DEDUP_MODES, FULL_SET, KEEP_FIRST, TIE_TOLERANCE,
+                             DedupResult, Known, Removal, _dedup_exact,
+                             block_rows, dedup_filter, read_removals,
+                             sample_text, tile_width, write_removals)
+from seedforge.errors import ParseError, ProtocolError, ValidationError
 from seedforge.gateway.mock import MockEmbedder
 
 
@@ -38,31 +41,6 @@ def table_gateway(pairs):
     records = [r for r, _ in pairs]
     table = {sample_text(r): v for (r, v) in pairs}
     return records, VecGateway(table)
-
-
-class TestCosine:
-    def test_known_value(self):
-        assert abs(cosine([1, 1], [1, 0]) - 1 / math.sqrt(2)) < 1e-9
-
-    def test_extremes(self):
-        assert cosine([2, 0], [5, 0]) == pytest.approx(1.0)
-        assert cosine([1, 0], [0, 3]) == pytest.approx(0.0)
-        assert cosine([1, 0], [-2, 0]) == pytest.approx(-1.0)
-
-    def test_scale_invariant(self):
-        a, b = [0.3, 0.7, -0.2], [0.1, 0.5, 0.9]
-        assert cosine(a, b) == pytest.approx(
-            cosine([x * 10 for x in a], [x * 0.01 for x in b]))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValidationError):
-            cosine([0, 0], [1, 0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            cosine([1, 0], [1, 0, 0])
-        with pytest.raises(ValidationError):
-            cosine([[1, 0], [0, 1]], [[1, 0], [0, 1]])
 
 
 class TestSampleText:
@@ -132,7 +110,8 @@ class TestExactIndex:
                                      (rec("r1", "b"), [0.0, 1.0])])
         with pytest.raises(ProtocolError, match="dimension"):
             dedup_filter(records, gw,
-                         known=(["r1"], np.array([[0.0, 1.0, 0.0]])))
+                         known=Known(["r1"], [np.array([[0.0, 1.0, 0.0]])],
+                                     []))
         flat = SimpleNamespace(embed=lambda texts: np.zeros(len(texts)))
         with pytest.raises(ProtocolError):
             dedup_filter(records, flat)
@@ -146,7 +125,7 @@ class TestExactIndex:
                                      (rec("r1", "b"), [0.0, 1.0])])
         with pytest.raises(ValidationError, match="r0"):
             dedup_filter(records, gw,
-                         known=(["r0"], np.array([[0.0, 0.0]])))
+                         known=Known(["r0"], [np.array([[0.0, 0.0]])], []))
 
 
 def random_unit(rng, n, dim):
@@ -233,6 +212,38 @@ class TestDedupFilter:
         records, gw = table_gateway([(rec("rz", "z"), [0.0, 0.0])])
         with pytest.raises(ValidationError, match="rz"):
             dedup_filter(records, gw)
+
+    def test_removal_similarity_is_the_cosine(self):
+        # cos 45 degrees between [1, 1] and [1, 0]; scaled parallel rows
+        # meet at 1.0; orthogonal and opposite rows stay at any threshold.
+        records, gw = table_gateway([(rec("r0", "a"), [1.0, 1.0]),
+                                     (rec("r1", "b"), [1.0, 0.0])])
+        (hit,) = dedup_filter(records, gw, threshold=0.7).removed
+        assert abs(hit.similarity - 1 / math.sqrt(2)) < 1e-9
+        records, gw = table_gateway([(rec("r0", "a"), [2.0, 0.0]),
+                                     (rec("r1", "b"), [5.0, 0.0]),
+                                     (rec("r2", "c"), [0.0, 3.0]),
+                                     (rec("r3", "d"), [0.0, -2.0])])
+        result = dedup_filter(records, gw, threshold=1e-9, mode=FULL_SET)
+        assert [(r.record_id, r.nearest_id) for r in result.removed] == [
+            ("r1", "r0")]
+        assert result.removed[0].similarity == pytest.approx(1.0)
+
+    def test_raw_vector_scale_does_not_matter(self):
+        ids, base, records, gw = TestOracleEquivalence().planted_corpus(
+            n=60, dups=10, dim=8)
+        scales = np.linspace(0.01, 100.0, len(ids))
+        scaled = VecGateway({sample_text(r): (base[i] * scales[i]).tolist()
+                             for i, r in enumerate(records)})
+        for mode in DEDUP_MODES:
+            plain = dedup_filter(records, gw, mode=mode)
+            other = dedup_filter(records, scaled, mode=mode)
+            assert [r.id for r in other.kept] == [r.id for r in plain.kept]
+            assert [(r.record_id, r.nearest_id) for r in other.removed] == [
+                (r.record_id, r.nearest_id) for r in plain.removed]
+            for got, want in zip(other.removed, plain.removed):
+                assert got.similarity == pytest.approx(want.similarity,
+                                                       abs=1e-12)
 
     def test_scalar_embeddings_rejected(self):
         records, gw = table_gateway([(rec("r0", "a"), 1.0),
@@ -384,6 +395,8 @@ class TestBlockedScan:
         assert block_rows(5_000) == 2 ** 19 // 5_000
         assert block_rows(10 ** 6) == 16
         assert block_rows(1) == 2 ** 19
+        assert tile_width(5_000) == 1024 and tile_width(300) == 300
+        assert block_rows(tile_width(10 ** 6)) * 1024 == 2 ** 19
 
 
 def distinct_bucket_words(embedder, count):
@@ -424,7 +437,8 @@ class TestThresholdTies:
         records = self.corpus()
         mat = gateway.embed([sample_text(r) for r in records])
         for a, b in zip(mat[0::2], mat[1::2]):
-            assert cosine(a, b) == pytest.approx(0.8, abs=1e-15)
+            cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert cos == pytest.approx(0.8, abs=1e-15)
 
     @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
     def test_every_block_size_keeps_the_ties(self, gateway, mode):
@@ -451,19 +465,36 @@ class CountingGateway(VecGateway):
         return super().embed(texts)
 
 
+def known_from(result: DedupResult, records) -> Known:
+    """The Known rows of an earlier dedup_filter call over `records`."""
+    return Known(sorted(r.id for r in records), [result.vectors],
+                 result.removed)
+
+
 class TestKnownVectors:
     def test_only_unknown_records_are_embedded(self):
         records, gw = TestDedupFilter().chain()
         gw = CountingGateway(gw.table)
         first = dedup_filter(records[:2], gw)
         gw.embedded.clear()
-        known = ([r.id for r in records[:2]], first.vectors)
-        again = dedup_filter(records, gw, known=known)
+        again = dedup_filter(records, gw,
+                             known=known_from(first, records[:2]))
         assert gw.embedded == [sample_text(records[2])]
         plain = dedup_filter(records, VecGateway(gw.table))
         assert [r.id for r in again.kept] == [r.id for r in plain.kept]
         assert again.removed == plain.removed
-        assert np.array_equal(again.vectors, plain.vectors)
+        assert np.array_equal(again.vectors, plain.vectors[2:])
+
+    def test_all_records_known_embeds_nothing(self):
+        records, gw = TestDedupFilter().chain()
+        gw = CountingGateway(gw.table)
+        first = dedup_filter(records, gw)
+        gw.embedded.clear()
+        again = dedup_filter(records, gw, known=known_from(first, records))
+        assert gw.embedded == []
+        assert [r.id for r in again.kept] == [r.id for r in first.kept]
+        assert again.removed == first.removed
+        assert len(again.vectors) == 0
 
     def test_vectors_follow_id_order(self):
         records, gw = TestDedupFilter().chain()
@@ -475,4 +506,120 @@ class TestKnownVectors:
         records, gw = TestDedupFilter().chain()
         with pytest.raises(ProtocolError, match="dimension"):
             dedup_filter(records, gw,
-                         known=(["r0"], np.array([[1.0, 0.0, 0.0]])))
+                         known=Known(["r0"], [np.array([[1.0, 0.0, 0.0]])],
+                                     []))
+
+    def test_vector_rows_must_match_known_ids(self):
+        records, gw = TestDedupFilter().chain()
+        with pytest.raises(ProtocolError, match="known"):
+            dedup_filter(records, gw,
+                         known=Known(["r0", "r1"], [np.ones((1, 2))], []))
+
+
+def planted_epochs(seed, n_old, n_new, dim=12, dups=12):
+    """Unit rows for n_old + n_new ids, with near-duplicates planted
+    within each epoch and across the boundary, in both directions of
+    id order; a chain of them crosses the boundary too."""
+    rng = np.random.default_rng(seed)
+    unit = random_unit(rng, n_old + n_new, dim)
+    for k in range(dups):
+        src = int(rng.integers(0, n_old + n_new - 1))
+        dst = int(rng.integers(src + 1, n_old + n_new))
+        noisy = unit[src] + 0.05 * rng.normal(size=dim)
+        unit[dst] = noisy / np.linalg.norm(noisy)
+    axis, other = random_unit(rng, 2, dim)
+    ortho = other - (other @ axis) * axis
+    ortho /= np.linalg.norm(ortho)
+    for step, row in enumerate(range(n_old - 2, n_old + 2)):
+        theta = step * STEP
+        unit[row] = math.cos(theta) * axis + math.sin(theta) * ortho
+    ids = [f"t{i:04d}-r00" for i in range(n_old + n_new)]
+    return ids, unit
+
+
+class TestIncrementalScan:
+    """A second dedup_filter over earlier rows plus new rows gives what
+    one full scan of all rows gives."""
+
+    def epochs(self, seed, n_old=70, n_new=50):
+        ids, unit = planted_epochs(seed, n_old, n_new)
+        records = [rec(rid, f"text {rid}") for rid in ids]
+        gw = CountingGateway({sample_text(r): unit[i].tolist()
+                              for i, r in enumerate(records)})
+        return ids, unit, records[:n_old], records[n_old:], gw
+
+    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
+    @pytest.mark.parametrize("slab", [2 ** 4, 2 ** 7, 2 ** 10, 2 ** 19])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_the_full_scan(self, monkeypatch, mode, slab, seed):
+        monkeypatch.setattr(dedup, "SLAB_ELEMENTS", slab)
+        ids, unit, old, new, gw = self.epochs(seed)
+        want_kept, want_removed = _dedup_exact(ids, unit, 0.9, mode)
+        assert want_removed, "the corpus plants no removal"
+        first = dedup_filter(old, gw, threshold=0.9, mode=mode)
+        gw.embedded.clear()
+        result = dedup_filter(old + new, gw, threshold=0.9, mode=mode,
+                              known=known_from(first, old))
+        assert gw.embedded == [sample_text(r) for r in new]
+        assert [r.id for r in result.kept] == [ids[i] for i in want_kept]
+        assert [(r.record_id, r.nearest_id) for r in result.removed] == [
+            (r.record_id, r.nearest_id) for r in want_removed]
+        for got, want in zip(result.removed, want_removed):
+            assert got.similarity == pytest.approx(want.similarity,
+                                                   abs=1e-12)
+        assert result.vectors.shape == (len(new), unit.shape[1])
+
+    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
+    def test_scan_from_start_at_every_tile_shape(self, mode):
+        ids, unit = planted_epochs(4, 60, 40)
+        want = per_row_reference(ids, unit, 0.9, mode)
+        kept_old = [i for i in want[0] if i < 60]
+        rows = (list(range(60)) if mode == FULL_SET else kept_old) + list(
+            range(60, 100))
+        start = len(rows) - 40
+        for block, width in ((1, 1), (3, 7), (16, 5), (7, 200), (200, 9)):
+            kept, removed = _dedup_exact([ids[r] for r in rows], unit[rows],
+                                         0.9, mode, start, block, width)
+            assert [rows[p] for p in kept] == [i for i in want[0]
+                                               if i >= 60]
+            assert [(r.record_id, r.nearest_id) for r in removed] == [
+                (r.record_id, r.nearest_id) for r in want[1]
+                if r.record_id >= ids[60]]
+
+    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
+    def test_interleaved_ids_fall_back_to_the_full_scan(self, mode, caplog):
+        ids, unit, _, _, gw = self.epochs(5)
+        records = [rec(rid, f"text {rid}") for rid in ids]
+        old, new = records[0::2], records[1::2]
+        first = dedup_filter(old, gw, threshold=0.9, mode=mode)
+        gw.embedded.clear()
+        with caplog.at_level("INFO", logger="seedforge.dedup"):
+            result = dedup_filter(records, gw, threshold=0.9, mode=mode,
+                                  known=known_from(first, old))
+        assert "scanning all" in caplog.text
+        assert gw.embedded == [sample_text(r) for r in new]
+        plain = dedup_filter(records, VecGateway(gw.table), threshold=0.9,
+                             mode=mode)
+        assert [r.id for r in result.kept] == [r.id for r in plain.kept]
+        assert result.removed == plain.removed
+
+
+class TestRemovalsFile:
+    def test_round_trip(self, tmp_path):
+        path = str(tmp_path / "removed.json")
+        removed = [Removal("b", "a", 0.9731), Removal("d", "c", 1.0)]
+        sha = write_removals(removed, path)
+        assert len(sha) == 64
+        assert read_removals(path) == removed
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle)[0] == {
+                "record_id": "b", "nearest_id": "a", "similarity": 0.9731}
+
+    @pytest.mark.parametrize("body", ['{"a": 1}', '[{"record_id": "b"}]',
+                                      '[{"record_id": 1, "nearest_id": "a",'
+                                      ' "similarity": 0.9}]', "[1]"])
+    def test_malformed_file_is_a_parse_error(self, tmp_path, body):
+        path = tmp_path / "removed.json"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ParseError, match="removals"):
+            read_removals(str(path))

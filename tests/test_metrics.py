@@ -105,11 +105,19 @@ class TestRougeL:
         assert rouge_l("กคข", "กขค", tokenizer=characters).f1 == 2 / 3
 
     def test_lcs_length_equals_the_full_table(self):
+        # Random lists up to 150 tokens span several 64-bit words of the
+        # bit vectors; small alphabets repeat tokens heavily.
         rng = random.Random(11)
+        words = ["วัด", "แม่น้ำ", "a", "ab", "", " "]
+        edge = [([], []), ([], ["a"]), (["a"], []), (["a"] * 70, ["a"] * 3),
+                (["a", "b"] * 40, ["b", "a"] * 40), (words, words[::-1])]
         for _ in range(400):
-            alphabet = "abcdefgh"[:rng.randint(1, 8)]
-            a = [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
-            b = [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
+            alphabet = (words if rng.random() < 0.2
+                        else "abcdefgh"[:rng.randint(1, 8)])
+            edge.append(tuple(
+                [rng.choice(alphabet) for _ in range(rng.randint(0, 150))]
+                for _ in range(2)))
+        for a, b in edge:
             assert metrics._lcs_length(a, b) == (
                 metrics._lcs_table(a, b)[-1][-1])
 

@@ -13,7 +13,7 @@ import pytest
 
 from seedforge.config import default_config, with_overrides
 from seedforge.contexts import WIKI
-from seedforge.dedup import sample_text
+from seedforge.dedup import dedup_filter, read_removals, sample_text
 from seedforge import pipeline
 from seedforge.errors import (BuildError, ConfigError,
                               GenerationExhaustedError, LockError, ParseError)
@@ -242,8 +242,8 @@ class TestDeterminismUnderFaults:
 
 
 class TestIncrementalDedup:
-    """Each dedup stage saves its input vectors; the next epoch embeds
-    only its own new records."""
+    """Each dedup stage saves its epoch's vectors and every removal so far;
+    the next epoch embeds and scans only its own new records."""
 
     TINY = default_config(topics_cultural=1, topics_general=1,
                           dataset_size=30, run_seed=5)
@@ -271,9 +271,12 @@ class TestIncrementalDedup:
         assert "dedup-01" in executed and "dedup-02" not in executed
         assert sorted(embedded) == sorted(self.epoch_texts(tmp_path, 0)
                                           + self.epoch_texts(tmp_path, 1))
-        vectors = np.load(os.path.join(str(tmp_path), "vectors-01.npy"),
-                          allow_pickle=False)
-        assert vectors.shape == (len(embedded), 256)
+        for epoch in (0, 1):
+            vectors = np.load(os.path.join(str(tmp_path),
+                                           f"vectors-{epoch:02d}.npy"),
+                              allow_pickle=False)
+            assert vectors.shape == (len(self.epoch_texts(tmp_path, epoch)),
+                                     256)
 
     def test_rerun_of_dedup_01_embeds_only_epoch_1(self, tmp_path,
                                                      embedded):
@@ -292,9 +295,87 @@ class TestIncrementalDedup:
         run_pipeline(self.TINY, workdir, stage_hook=executed.append)
         assert executed == ["dedup-01"]
         assert sorted(embedded) == self.epoch_texts(workdir, 1)
-        for name in (MANIFEST_FILE, "pool-01.jsonl", "vectors-01.npy"):
+        for name in (MANIFEST_FILE, "removed-01.json", "vectors-01.npy"):
             assert (file_sha256(os.path.join(workdir, name))
                     == file_sha256(os.path.join(clean, name)))
+
+    def test_pins_run_writes_new_rows_and_no_pool(self, tmp_path):
+        config = default_config(topics_cultural=5, topics_general=4,
+                                dataset_size=100, dedup_threshold=0.8,
+                                run_seed=42)
+        run_pipeline(config, str(tmp_path))
+        names = os.listdir(str(tmp_path))
+        assert not [n for n in names if n.startswith("pool-")]
+        epochs = sorted(n for n in names if n.startswith("instructions-"))
+        assert len(epochs) >= 2
+        gateway = build_gateway(config)
+        removed = []
+        for epoch in range(len(epochs)):
+            records = sorted(read_records(os.path.join(
+                str(tmp_path), f"instructions-{epoch:02d}.jsonl")),
+                key=lambda r: r.id)
+            vectors = np.load(os.path.join(str(tmp_path),
+                                           f"vectors-{epoch:02d}.npy"),
+                              allow_pickle=False)
+            assert np.array_equal(
+                vectors, gateway.embed([sample_text(r) for r in records]))
+            later = read_removals(os.path.join(str(tmp_path),
+                                               f"removed-{epoch:02d}.json"))
+            assert later[:len(removed)] == removed
+            removed = later
+        assert removed, "threshold 0.8 removes records"
+
+    def test_skipped_dedup_hands_its_pool_to_a_stage_that_runs(
+            self, tmp_path):
+        # Only the manifest reruns, from the pool that the skipped dedup
+        # stages rebuild out of the instruction files and removed-NN.json.
+        config = replace(self.TINY, dedup_threshold=0.8)
+        workdir = str(tmp_path)
+        run_pipeline(config, workdir)
+        assert read_removals(os.path.join(workdir, "removed-01.json"))
+        before = file_sha256(manifest_path(tmp_path))
+        os.remove(manifest_path(tmp_path))
+        executed = []
+        run_pipeline(config, workdir, stage_hook=executed.append)
+        assert executed == ["manifest"]
+        assert file_sha256(manifest_path(tmp_path)) == before
+
+    def test_ledger_naming_other_files_reruns_the_stage(self, tmp_path):
+        # A workdir whose dedup entries name the files of an older layout
+        # (pool-NN.jsonl in place of removed-NN.json) reruns them once.
+        workdir = str(tmp_path)
+        run_pipeline(self.TINY, workdir)
+        before = file_sha256(manifest_path(tmp_path))
+        ckpt = os.path.join(workdir, CHECKPOINT_FILE)
+        with open(ckpt, encoding="utf-8") as handle:
+            stages = json.load(handle)
+        for epoch in (0, 1):
+            removed = os.path.join(workdir, f"removed-{epoch:02d}.json")
+            os.remove(removed)
+            pool = os.path.join(workdir, f"pool-{epoch:02d}.jsonl")
+            outputs = stages[f"dedup-{epoch:02d}"]["outputs"]
+            del outputs[f"removed-{epoch:02d}.json"]
+            outputs[os.path.basename(pool)] = write_records([], pool)
+        with open(ckpt, "w", encoding="utf-8") as handle:
+            json.dump(stages, handle)
+        executed = []
+        run_pipeline(self.TINY, workdir, stage_hook=executed.append)
+        assert executed == ["dedup-00", "dedup-01"]
+        assert file_sha256(manifest_path(tmp_path)) == before
+
+    def test_reroll_takes_the_full_scan(self, tmp_path, caplog):
+        config = replace(self.TINY, dedup_threshold=0.8)
+        with caplog.at_level("INFO", logger="seedforge.dedup"):
+            pool = pipeline.build_pool(config, str(tmp_path),
+                                       build_gateway(config), reroll=True)
+        assert "scanning all" in caplog.text
+        records = [r for name in sorted(os.listdir(str(tmp_path)))
+                   if name.startswith("instructions-")
+                   for r in read_records(os.path.join(str(tmp_path), name))]
+        assert len(records) > len(self.epoch_texts(tmp_path, 0))
+        full = dedup_filter(records, build_gateway(config), threshold=0.8)
+        assert full.removed
+        assert [r.id for r in pool] == [r.id for r in full.kept]
 
     def test_tampered_vectors_rerun_their_dedup(self, tmp_path, embedded):
         run_pipeline(self.TINY, str(tmp_path))
