@@ -141,6 +141,29 @@ def angled(theta):
 STEP = math.acos(0.96)
 
 
+class TestCosine:
+    """The similarity a removal reports is the cosine of the raw vectors."""
+
+    def test_known_value(self):
+        # cos 45 degrees between [1, 1] and [1, 0]
+        records, gw = table_gateway([(rec("r0", "a"), [1.0, 1.0]),
+                                     (rec("r1", "b"), [1.0, 0.0])])
+        (hit,) = dedup_filter(records, gw, threshold=0.7).removed
+        assert abs(hit.similarity - 1 / math.sqrt(2)) < 1e-9
+
+    def test_extremes(self):
+        # scaled parallel rows meet at 1.0; orthogonal and opposite rows
+        # stay at any threshold.
+        records, gw = table_gateway([(rec("r0", "a"), [2.0, 0.0]),
+                                     (rec("r1", "b"), [5.0, 0.0]),
+                                     (rec("r2", "c"), [0.0, 3.0]),
+                                     (rec("r3", "d"), [0.0, -2.0])])
+        result = dedup_filter(records, gw, threshold=1e-9, mode=FULL_SET)
+        assert [(r.record_id, r.nearest_id) for r in result.removed] == [
+            ("r1", "r0")]
+        assert result.removed[0].similarity == pytest.approx(1.0)
+
+
 class TestDedupFilter:
     def chain(self):
         # r0 and r1 are mutual near-dups; r2 duplicates r1 but not r0.
@@ -212,22 +235,6 @@ class TestDedupFilter:
         records, gw = table_gateway([(rec("rz", "z"), [0.0, 0.0])])
         with pytest.raises(ValidationError, match="rz"):
             dedup_filter(records, gw)
-
-    def test_removal_similarity_is_the_cosine(self):
-        # cos 45 degrees between [1, 1] and [1, 0]; scaled parallel rows
-        # meet at 1.0; orthogonal and opposite rows stay at any threshold.
-        records, gw = table_gateway([(rec("r0", "a"), [1.0, 1.0]),
-                                     (rec("r1", "b"), [1.0, 0.0])])
-        (hit,) = dedup_filter(records, gw, threshold=0.7).removed
-        assert abs(hit.similarity - 1 / math.sqrt(2)) < 1e-9
-        records, gw = table_gateway([(rec("r0", "a"), [2.0, 0.0]),
-                                     (rec("r1", "b"), [5.0, 0.0]),
-                                     (rec("r2", "c"), [0.0, 3.0]),
-                                     (rec("r3", "d"), [0.0, -2.0])])
-        result = dedup_filter(records, gw, threshold=1e-9, mode=FULL_SET)
-        assert [(r.record_id, r.nearest_id) for r in result.removed] == [
-            ("r1", "r0")]
-        assert result.removed[0].similarity == pytest.approx(1.0)
 
     def test_raw_vector_scale_does_not_matter(self):
         ids, base, records, gw = TestOracleEquivalence().planted_corpus(
