@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from seedforge.config import PipelineConfig
 from seedforge.errors import GenerationError, ValidationError
@@ -66,19 +66,12 @@ class ContextSource:
 class ContextDoc:
     body: str
     source: ContextSource
-    topic: Topic | None = None
+    topic: Topic
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.body or not self.body.strip():
             raise ValidationError("context body must be non-empty")
-
-    def with_topic(self, topic: Topic, extra: dict | None = None) -> "ContextDoc":
-        provenance = dict(self.provenance)
-        if extra:
-            provenance.update(extra)
-        return ContextDoc(body=self.body, source=self.source, topic=topic,
-                          provenance=provenance)
 
 
 def generate_context(topic: Topic, style: str, gateway,
@@ -117,7 +110,8 @@ def wiki_context(topic: Topic, gateway, rng: random.Random,
     def fallback() -> ContextDoc:
         style = rng.choice(CONTEXT_STYLES)
         doc = generate_context(topic, style, gateway, config, seed=seed)
-        return doc.with_topic(topic, extra={"wiki_fallback": True})
+        return replace(doc, provenance={**doc.provenance,
+                                        "wiki_fallback": True})
 
     refs = gateway.wiki_search(topic.text, limit=config.context_wiki_top_k)
     if not refs:
@@ -131,14 +125,15 @@ def wiki_context(topic: Topic, gateway, rng: random.Random,
                     "generation", ref.title)
         return fallback()
     section = sections[rng.randrange(len(sections))]
-    return section.with_topic(topic, extra={
-        "source": WIKI,
-        "title": ref.title,
-        "page_id": ref.page_id,
-        "search_rank": ref.rank,
-        "n_candidates": len(refs),
-        "n_sections": len(sections),
-    })
+    return ContextDoc(
+        body=section.body,
+        source=ContextSource(kind=WIKI, title=ref.title,
+                             section=section.section),
+        topic=topic,
+        provenance={**section.provenance, "source": WIKI,
+                    "title": ref.title, "page_id": ref.page_id,
+                    "search_rank": ref.rank, "n_candidates": len(refs),
+                    "n_sections": len(sections)})
 
 
 def acquire_context(topic: Topic, gateway, config: PipelineConfig,
@@ -161,25 +156,16 @@ def context_to_dict(doc: ContextDoc) -> dict:
     """Plain-dict form for JSONL persistence between pipeline stages."""
     return {
         "body": doc.body,
-        "source": {"kind": doc.source.kind, "title": doc.source.title,
-                   "section": doc.source.section, "style": doc.source.style},
-        "topic": None if doc.topic is None else topic_to_dict(doc.topic),
+        "source": asdict(doc.source),
+        "topic": topic_to_dict(doc.topic),
         "provenance": doc.provenance,
     }
 
 
 def context_from_dict(data: dict) -> ContextDoc:
-    try:
-        source = data["source"]
-        topic = data["topic"]
-        return ContextDoc(
-            body=data["body"],
-            source=ContextSource(kind=source["kind"],
-                                 title=source.get("title"),
-                                 section=source.get("section"),
-                                 style=source.get("style")),
-            topic=None if topic is None else topic_from_dict(topic),
-            provenance=dict(data.get("provenance", {})),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed context row: {exc}") from None
+    return ContextDoc(
+        body=data["body"],
+        source=ContextSource(**data["source"]),
+        topic=topic_from_dict(data["topic"]),
+        provenance=dict(data.get("provenance", {})),
+    )

@@ -34,7 +34,7 @@ from seedforge.gateway.mock import (DEFAULT_PAIRS, MockEmbedder,
                                     MockTranslator, MockWikiClient)
 from seedforge.gateway.ratelimit import RateLimiter
 from seedforge.gateway.types import (GenRequest, ProviderBudget,
-                                     WikiArticleRef)
+                                     WikiArticleRef, WikiSection)
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,15 @@ def _embedding_rows(payload, count: int) -> np.ndarray:
     if not np.isfinite(block).all():
         raise ValidationError("embedding contains a non-finite value")
     return block
+
+
+def _decoded(decode: Callable, entry: dict):
+    """decode(entry["payload"]). A lookup or type error there means the
+    reply or the cache entry has the wrong shape: a ProtocolError."""
+    try:
+        return decode(entry["payload"])
+    except (LookupError, TypeError) as exc:
+        raise ProtocolError(f"reply of unexpected shape: {exc}") from None
 
 
 def _completion(payload) -> str:
@@ -183,18 +192,17 @@ class Gateway:
         hit = self._cache.get(key)
         if hit is not None:
             try:
-                value = decode(hit["payload"])
-            # Decoders raise ProtocolError or ValidationError (a
-            # ValueError); a damaged entry can also fail on its shape.
-            except (ProtocolError, LookupError, TypeError, ValueError) as exc:
+                value = _decoded(decode, hit)
+            # ValidationError is a ValueError
+            except (ProtocolError, ValueError) as exc:
                 logger.warning("cached %s reply %s fails its check (%s); "
                                "requesting it again", op, key[:12], exc)
             else:
                 self.stats.count_hit(op)
                 return value
-        payload = self._call(op, provider, fn, chars)
-        value = decode(payload)
-        self._cache.put(key, {"payload": payload})
+        entry = {"payload": self._call(op, provider, fn, chars)}
+        value = _decoded(decode, entry)
+        self._cache.put(key, entry)
         return value
 
     # -- operations --------------------------------------------------------
@@ -289,33 +297,13 @@ class Gateway:
             raise ValidationError("wiki search limit must be >= 1")
         return self._cached(
             "wiki_search", self.wiki, {"query": query, "limit": limit},
-            lambda: [
-                {"title": r.title, "page_id": r.page_id, "rank": r.rank}
-                for r in self.wiki.search(query, limit)
-            ],
-            lambda payload: [WikiArticleRef(**row) for row in payload],
+            lambda: self.wiki.search(query, limit),
+            lambda rows: [WikiArticleRef(**row) for row in rows],
             chars=len(query))
 
-    def wiki_fetch_sections(self, ref: WikiArticleRef) -> list:
-        # Imported here, not at module top: contexts depends on gateway.types,
-        # so a top-level import would be circular.
-        from seedforge.contexts import ContextDoc, ContextSource
-
-        def decode(payload) -> list[ContextDoc]:
-            return [
-                ContextDoc(body=row["body"],
-                           source=ContextSource(kind="wiki", title=ref.title,
-                                                section=row["section"]),
-                           provenance=dict(row["provenance"]))
-                for row in payload
-            ]
-
+    def wiki_fetch_sections(self, ref: WikiArticleRef) -> list[WikiSection]:
         return self._cached(
             "wiki_sections", self.wiki,
             {"title": ref.title, "page_id": ref.page_id},
-            lambda: [
-                {"body": d.body, "section": d.source.section,
-                 "provenance": d.provenance}
-                for d in self.wiki.fetch_sections(ref)
-            ],
-            decode)
+            lambda: self.wiki.fetch_sections(ref),
+            lambda rows: [WikiSection(**row) for row in rows])

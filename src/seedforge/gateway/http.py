@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol
 
-from seedforge.contexts import WIKI, ContextDoc, ContextSource
 from seedforge.errors import (ConfigError, NotFoundError, ProtocolError,
                               ProviderError, RetryableProviderError)
 from seedforge.gateway.providers import (Embedder, Paraphraser, TextGenerator,
@@ -55,6 +55,15 @@ class RequestsTransport:
         except self._requests.RequestException as exc:
             raise RetryableProviderError(f"transport failure: {exc}")
         return HttpResponse(status=response.status_code, body=response.text)
+
+
+@contextmanager
+def _reading(what: str):
+    """Raise a lookup, type or value error as a ProtocolError on `what`."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"unexpected {what} payload shape: {exc}")
 
 
 class _HttpClient:
@@ -138,13 +147,11 @@ class HttpCompletionClient(_HttpClient, TextGenerator):
                 headers["x-api-key"] = self._api_key
             payload = self._request("POST", f"{self.base_url}/v1/messages",
                                     json_body=body, headers=headers)
-        try:
+        with _reading("completion"):
             if self.style == "openai":
                 return payload["choices"][0]["message"]["content"]
             parts = payload["content"]
             return "".join(p["text"] for p in parts if p.get("type") == "text")
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"unexpected completion payload shape: {exc}")
 
 
 class HttpEmbedder(_HttpClient, Embedder):
@@ -168,12 +175,10 @@ class HttpEmbedder(_HttpClient, Embedder):
         payload = self._request(
             "POST", f"{self.base_url}/v1/embeddings",
             json_body={"model": self.model, "input": texts})
-        try:
+        with _reading("embedding"):
             rows = sorted(payload["data"], key=lambda r: r["index"])
             return [EmbeddingVector(tuple(float(x) for x in r["embedding"]))
                     for r in rows]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"unexpected embedding payload shape: {exc}")
 
 
 class HttpTranslator(_HttpClient, Translator):
@@ -205,10 +210,8 @@ class HttpTranslator(_HttpClient, Translator):
             "POST", self.base_url,
             json_body={"text": text, "source": source_lang,
                        "target": target_lang})
-        try:
+        with _reading("translation"):
             return payload["translation"]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"unexpected translation payload shape: {exc}")
 
 
 class HttpParaphraser(_HttpClient, Paraphraser):
@@ -231,10 +234,8 @@ class HttpParaphraser(_HttpClient, Paraphraser):
             "POST", self.base_url,
             json_body={"text": text, "count": count,
                        "controls": controls or {}})
-        try:
+        with _reading("paraphrase"):
             return payload["paraphrases"]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"unexpected paraphrase payload shape: {exc}")
 
 
 _WIKITEXT_RULES = (
@@ -298,38 +299,22 @@ class MediaWikiClient(_HttpClient, WikiClient):
             raise ProviderError(f"wiki API error {code}: {info}")
         return payload
 
-    def search(self, query: str, limit: int) -> list[WikiArticleRef]:
+    def search(self, query: str, limit: int) -> list[dict]:
         payload = self._get({
             "action": "query", "list": "search", "srsearch": query,
             "srlimit": limit,
         })
-        try:
-            return [
-                WikiArticleRef(title=h["title"], page_id=int(h["pageid"]),
-                               rank=i)
-                for i, h in enumerate(payload["query"]["search"])
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"unexpected search payload shape: {exc}")
+        with _reading("search"):
+            return [{"title": h["title"], "page_id": int(h["pageid"]),
+                     "rank": i}
+                    for i, h in enumerate(payload["query"]["search"])]
 
-    def _section_wikitext(self, page_id: int, index: int) -> str:
-        payload = self._get({
-            "action": "parse", "pageid": page_id, "prop": "wikitext",
-            "section": index,
-        })
-        try:
-            return payload["parse"]["wikitext"]["*"]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"unexpected wikitext payload shape: {exc}")
-
-    def fetch_sections(self, ref: WikiArticleRef) -> list[ContextDoc]:
+    def fetch_sections(self, ref: WikiArticleRef) -> list[dict]:
         payload = self._get({
             "action": "parse", "pageid": ref.page_id, "prop": "sections",
         })
-        try:
+        with _reading("sections"):
             listed = payload["parse"]["sections"]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"unexpected sections payload shape: {exc}")
         plan: list[tuple[int, str]] = [(0, "")]
         for entry in listed:
             try:
@@ -337,14 +322,13 @@ class MediaWikiClient(_HttpClient, WikiClient):
             except (KeyError, TypeError, ValueError):
                 continue  # interwiki-transcluded sections have no index
             plan.append((index, str(entry.get("line", ""))))
-        docs = []
+        rows = []
         for index, heading in plan:
-            body = strip_wikitext(self._section_wikitext(ref.page_id, index))
-            if not body:
-                continue
-            docs.append(ContextDoc(
-                body=body,
-                source=ContextSource(kind=WIKI, title=ref.title,
-                                     section=heading),
-                provenance={"section_index": index, "page_id": ref.page_id}))
-        return docs
+            payload = self._get({"action": "parse", "pageid": ref.page_id,
+                                 "prop": "wikitext", "section": index})
+            with _reading("wikitext"):
+                body = strip_wikitext(payload["parse"]["wikitext"]["*"])
+            if body:
+                rows.append({"body": body, "section": heading, "provenance": {
+                    "section_index": index, "page_id": ref.page_id}})
+        return rows

@@ -237,35 +237,23 @@ class MockWikiClient(WikiClient):
     def provider_id(self) -> str:
         return "mock:wiki"
 
-    def search(self, query: str, limit: int) -> list[WikiArticleRef]:
+    def search(self, query: str, limit: int) -> list[dict]:
         rng = random.Random(derive_seed("mockwiki", query))
         if rng.random() < 0.05:
             return []
-        refs = []
-        for rank in range(limit):
-            title = _phrase(rng, rng.randint(1, 3)).title()
-            refs.append(WikiArticleRef(
-                title=title, page_id=rng.randrange(1, 10**7), rank=rank))
-        return refs
+        return [{"title": _phrase(rng, rng.randint(1, 3)).title(),
+                 "page_id": rng.randrange(1, 10**7), "rank": rank}
+                for rank in range(limit)]
 
-    def fetch_sections(self, ref: WikiArticleRef) -> list:
-        # Local import; contexts depends on gateway.types.
-        from seedforge.contexts import WIKI, ContextDoc, ContextSource
-
+    def fetch_sections(self, ref: WikiArticleRef) -> list[dict]:
         rng = random.Random(
             derive_seed("mockwiki-sections", ref.title, ref.page_id))
         headings = [""]
         headings += [_phrase(rng, rng.randint(1, 2)).capitalize()
                      for _ in range(rng.randint(0, 4))]
-        docs = []
-        for index, heading in enumerate(headings):
-            body = _paragraph(rng, rng.randint(2, 4))
-            docs.append(ContextDoc(
-                body=body,
-                source=ContextSource(kind=WIKI, title=ref.title,
-                                     section=heading),
-                provenance={"section_index": index}))
-        return docs
+        return [{"body": _paragraph(rng, rng.randint(2, 4)),
+                 "section": heading, "provenance": {"section_index": index}}
+                for index, heading in enumerate(headings)]
 
 
 class ScriptedTextGenerator(TextGenerator):

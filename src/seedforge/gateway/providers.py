@@ -75,15 +75,15 @@ class Paraphraser(Provider):
 
 class WikiClient(Provider):
     @abstractmethod
-    def search(self, query: str, limit: int) -> list[WikiArticleRef]:
-        """Full-text search, provider ranking preserved. May be empty."""
+    def search(self, query: str, limit: int) -> list[dict]:
+        """Full-text search as {"title", "page_id", "rank"} rows, keys in
+        that order, provider ranking preserved (rank 0-based). May be empty."""
 
     @abstractmethod
-    def fetch_sections(self, ref: WikiArticleRef) -> list:
-        """Return one context document per article section, lead first.
-
-        Elements are seedforge.contexts.ContextDoc with topic unset; the
-        context engine attaches the topic.
+    def fetch_sections(self, ref: WikiArticleRef) -> list[dict]:
+        """One {"body", "section", "provenance"} row per article section,
+        keys in that order, lead first: section is the heading ("" for the
+        lead) and provenance a JSON object. The gateway checks the rows.
 
         Raises:
             NotFoundError: the article no longer exists.

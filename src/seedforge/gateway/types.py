@@ -1,12 +1,12 @@
 """Value types passed across the provider boundary.
 
-Everything here is immutable; provider implementations receive and return
-these objects and must never mutate shared state through them.
+Everything here is immutable: the requests providers receive and the
+replies they or the gateway return. No one mutates shared state through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from seedforge import constants
 from seedforge.errors import ValidationError
@@ -58,6 +58,21 @@ class WikiArticleRef:
             raise ValidationError("article title must be non-empty")
         if self.rank < 0:
             raise ValidationError("rank must be >= 0")
+
+
+@dataclass(frozen=True)
+class WikiSection:
+    """An article section from a wiki provider; section "" is the lead."""
+
+    body: str
+    section: str
+    provenance: dict
+
+    def __post_init__(self):
+        if not isinstance(self.body, str) or not self.body.strip():
+            raise ValidationError("section body must be non-empty")
+        if not isinstance(self.provenance, dict):
+            raise TypeError("section provenance must be an object")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from seedforge.config import PipelineConfig
 from seedforge.contexts import ContextDoc
 from seedforge.errors import (GenerationError, ParseError, ValidationError)
 from seedforge.gateway.types import GenRequest
-from seedforge.parsing import (balanced_spans, extract_dict_list,
-                               loads_lenient, strip_code_fences)
+from seedforge.parsing import (extract_dict_list, first_picked,
+                               strip_code_fences)
 from seedforge.seeding import derive_seed
 from seedforge.topics import Topic
 
@@ -217,14 +217,9 @@ def parse_summary_payload(raw: str) -> tuple[str, str]:
     A summary delivered as a list of strings (bullet output drifts that way)
     is joined with newlines; anything else non-string is rejected.
     """
-    if not raw or not raw.strip():
-        raise ParseError("empty output where a summary dict was expected",
-                         raw=raw)
-    text = strip_code_fences(raw)
-    for span in balanced_spans(text, "{", "}"):
-        value = loads_lenient(span)
+    def pick(value, span):
         if not isinstance(value, dict):
-            continue
+            return None
         summary = value.get("summary")
         instruction = value.get("instruction")
         if isinstance(summary, list) and all(
@@ -233,8 +228,10 @@ def parse_summary_payload(raw: str) -> tuple[str, str]:
         if (isinstance(summary, str) and summary.strip()
                 and isinstance(instruction, str) and instruction.strip()):
             return summary.strip(), instruction.strip()
-    raise ParseError("no dict with 'summary' and 'instruction' found",
-                     raw=raw)
+        return None
+
+    return first_picked(raw, "{}", pick, "a summary dict",
+                        "no dict with 'summary' and 'instruction' found")
 
 
 _TAG_RE = re.compile(r"</?format>", re.IGNORECASE)
@@ -492,8 +489,6 @@ def generate_for_context(ctx: ContextDoc, gateway, config: PipelineConfig,
     Failures are collected, not raised: a context that defeats one task can
     still contribute records for the others.
     """
-    if ctx.topic is None:
-        raise ValidationError("context document has no topic attached")
     if not set(tasks) <= set(_TASKS) or len(set(tasks)) != len(tasks):
         raise ValidationError(f"unknown or repeated task in {tasks!r}")
     records: list[InstructionRecord] = []

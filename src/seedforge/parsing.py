@@ -90,28 +90,39 @@ def _split_flat_list(fragment: str) -> list[str] | None:
     return items or None
 
 
+def first_picked(raw: str, brackets: str, pick, expected: str,
+                 missing: str):
+    """The first non-None pick(loads_lenient(span), span) over the
+    balanced `brackets` spans of raw, code fences stripped. Blank raw or
+    no picked span raises ParseError."""
+    if not raw or not raw.strip():
+        raise ParseError(f"empty output where {expected} was expected",
+                         raw=raw)
+    for span in balanced_spans(strip_code_fences(raw), *brackets):
+        picked = pick(loads_lenient(span), span)
+        if picked is not None:
+            return picked
+    raise ParseError(missing, raw=raw)
+
+
 def extract_string_list(raw: str) -> list[str]:
     """Find the first bracketed list of strings in raw model output.
 
     Items are stripped of surrounding whitespace and quotes; empty items are
     dropped. Raises ParseError when no list can be recovered.
     """
-    if not raw or not raw.strip():
-        raise ParseError("empty output where a list was expected", raw=raw)
-    text = strip_code_fences(raw)
-    for span in balanced_spans(text, "[", "]"):
-        value = loads_lenient(span)
-        if isinstance(value, list) and value and all(
-                isinstance(x, str) for x in value):
-            items = [x.strip() for x in value if x.strip()]
-            if items:
-                return items
-        if value is None:
-            items = _split_flat_list(span)
-            if items:
-                logger.debug("recovered list via flat split: %.60s", span)
-                return items
-    raise ParseError("no parseable list of strings found", raw=raw)
+    def pick(value, span):
+        if isinstance(value, list) and all(isinstance(x, str) for x in value):
+            return [x.strip() for x in value if x.strip()] or None
+        if value is not None:
+            return None
+        items = _split_flat_list(span)
+        if items:
+            logger.debug("recovered list via flat split: %.60s", span)
+        return items
+
+    return first_picked(raw, "[]", pick, "a list",
+                        "no parseable list of strings found")
 
 
 def extract_dict_list(raw: str, required_keys: tuple[str, ...]) -> list[dict]:
@@ -120,24 +131,17 @@ def extract_dict_list(raw: str, required_keys: tuple[str, ...]) -> list[dict]:
     Every element must validate; a list with one malformed element is
     rejected as a whole rather than silently truncated.
     """
-    if not raw or not raw.strip():
-        raise ParseError("empty output where a list was expected", raw=raw)
-    text = strip_code_fences(raw)
-    for span in balanced_spans(text, "[", "]"):
-        value = loads_lenient(span)
-        if not isinstance(value, list) or not value:
-            continue
-        if not all(isinstance(x, dict) for x in value):
-            continue
-        ok = all(
-            all(isinstance(x.get(k), str) and x[k].strip()
-                for k in required_keys)
-            for x in value)
-        if ok:
-            return [
-                {k: v.strip() if isinstance(v, str) else v
+    def pick(value, span):
+        if not isinstance(value, list) or not value or not all(
+                isinstance(x, dict) and all(
+                    isinstance(x.get(k), str) and x[k].strip()
+                    for k in required_keys)
+                for x in value):
+            return None
+        return [{k: v.strip() if isinstance(v, str) else v
                  for k, v in x.items()}
-                for x in value
-            ]
-    raise ParseError(
-        f"no list of dicts with keys {list(required_keys)} found", raw=raw)
+                for x in value]
+
+    return first_picked(
+        raw, "[]", pick, "a list",
+        f"no list of dicts with keys {list(required_keys)} found")

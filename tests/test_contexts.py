@@ -178,7 +178,8 @@ class TestValidationAndSerialization:
     def test_empty_body_rejected(self):
         with pytest.raises(ValidationError):
             ContextDoc(body="  ",
-                       source=ContextSource(kind=GENERATED, style="poem"))
+                       source=ContextSource(kind=GENERATED, style="poem"),
+                       topic=TOPIC)
 
     def test_dict_round_trip(self, gateway):
         doc = acquire_context(TOPIC, gateway, default_config(run_seed=42),
@@ -187,26 +188,29 @@ class TestValidationAndSerialization:
         assert again == doc
 
     def test_round_trip_without_topic(self):
+        # every context carries its topic; a row without one is refused
         doc = ContextDoc(body="เนื้อหา",
                          source=ContextSource(kind=GENERATED, style="email"),
-                         provenance={"seed": 1})
-        assert context_from_dict(context_to_dict(doc)) == doc
+                         topic=TOPIC, provenance={"seed": 1})
+        with pytest.raises(TypeError):
+            context_from_dict({**context_to_dict(doc), "topic": None})
 
     def test_malformed_dict_raises(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(KeyError):
             context_from_dict({"body": "x"})
 
 
 class TestMockWiki:
     def test_refs_have_ranks_in_order(self):
         wiki = MockWikiClient()
-        refs = wiki.search("ประเพณีไทย", 5)
-        if refs:
-            assert [r.rank for r in refs] == list(range(len(refs)))
+        rows = wiki.search("ประเพณีไทย", 5)
+        assert [list(r) for r in rows] == [["title", "page_id", "rank"]] * 5
+        assert [r["rank"] for r in rows] == list(range(5))
 
     def test_sections_include_lead(self):
         wiki = MockWikiClient()
         ref = WikiArticleRef(title="Any", page_id=1234, rank=0)
-        sections = wiki.fetch_sections(ref)
-        assert sections[0].source.section == ""
-        assert all(s.body.strip() for s in sections)
+        rows = wiki.fetch_sections(ref)
+        assert rows[0]["section"] == ""
+        assert all(list(r) == ["body", "section", "provenance"]
+                   and r["body"].strip() for r in rows)

@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-from types import SimpleNamespace
 
 import pytest
 
@@ -323,8 +322,14 @@ class BadOnce:
 
 ARTICLE = WikiArticleRef("Alpha", 7, 0)
 
-# op, provider attribute, provider method, how the first reply goes bad,
-# the gateway call, its cache params, and a bad payload to plant.
+# op[/variant], provider attribute, provider method, how the first reply
+# goes bad, the gateway call, its cache params, and a bad payload to plant.
+SEARCH = ("wiki", "search")
+SEARCH_CALL = (lambda gw: gw.wiki_search("topic", limit=3),
+               {"query": "topic", "limit": 3})
+SECTIONS = ("wiki", "fetch_sections")
+SECTIONS_CALL = (lambda gw: gw.wiki_fetch_sections(ARTICLE),
+                 {"title": "Alpha", "page_id": 7})
 POISON_CASES = {
     "complete": (
         "generator", "complete", lambda out: None,
@@ -346,18 +351,28 @@ POISON_CASES = {
         lambda gw: gw.embed(["a b", "c d"]).tolist(),
         {"texts": ["a b", "c d"]}, [[1.0, 0.0]]),
     "wiki_search": (
-        "wiki", "search",
-        lambda refs: [SimpleNamespace(title="", page_id=1, rank=0)],
-        lambda gw: gw.wiki_search("topic", limit=3),
-        {"query": "topic", "limit": 3},
+        *SEARCH, lambda rows: [{**rows[0], "title": ""}], *SEARCH_CALL,
         [{"title": "", "page_id": 1, "rank": 0}]),
+    "wiki_search/missing_key": (
+        *SEARCH, lambda rows: [{"title": r["title"], "rank": r["rank"]}
+                               for r in rows], *SEARCH_CALL,
+        [{"title": "Alpha", "rank": 0}]),
+    "wiki_search/not_an_object": (
+        *SEARCH, lambda rows: [list(r.values()) for r in rows],
+        *SEARCH_CALL, [["Alpha", 7, 0]]),
     "wiki_sections": (
-        "wiki", "fetch_sections",
-        lambda docs: [SimpleNamespace(
-            body=" ", source=SimpleNamespace(section=""), provenance={})],
-        lambda gw: gw.wiki_fetch_sections(ARTICLE),
-        {"title": "Alpha", "page_id": 7},
+        *SECTIONS, lambda rows: [{**rows[0], "body": " "}], *SECTIONS_CALL,
         [{"body": "", "section": "", "provenance": {}}]),
+    "wiki_sections/missing_key": (
+        *SECTIONS, lambda rows: [{"body": r["body"], "section": r["section"]}
+                                 for r in rows], *SECTIONS_CALL,
+        [{"body": "Text.", "section": ""}]),
+    "wiki_sections/not_an_object": (
+        *SECTIONS, lambda rows: [r["body"] for r in rows], *SECTIONS_CALL,
+        ["Text."]),
+    "wiki_sections/provenance_not_an_object": (
+        *SECTIONS, lambda rows: [{**rows[0], "provenance": 3}],
+        *SECTIONS_CALL, [{"body": "Text.", "section": "", "provenance": []}]),
 }
 
 
@@ -371,9 +386,10 @@ class TestCachePoisoning:
         setattr(gw, attr, provider)
         return gw
 
-    @pytest.mark.parametrize("op", sorted(POISON_CASES))
-    def test_bad_reply_is_requested_again(self, op, tmp_path):
-        attr, method, spoil, call, _, _ = POISON_CASES[op]
+    @pytest.mark.parametrize("case", sorted(POISON_CASES))
+    def test_bad_reply_is_requested_again(self, case, tmp_path):
+        op = case.split("/")[0]
+        attr, method, spoil, call, _, _ = POISON_CASES[case]
         clean = call(Gateway.mock())
         provider = BadOnce(getattr(Gateway.mock(), attr), method, spoil)
         with pytest.raises((ProtocolError, ValidationError)):
@@ -386,9 +402,10 @@ class TestCachePoisoning:
         assert provider.calls == 2
         assert gw.stats.snapshot()["cache_hits"] == {op: 1}
 
-    @pytest.mark.parametrize("op", sorted(POISON_CASES))
-    def test_bad_cache_entry_is_overwritten(self, op, tmp_path):
-        attr, method, _, call, params, planted = POISON_CASES[op]
+    @pytest.mark.parametrize("case", sorted(POISON_CASES))
+    def test_bad_cache_entry_is_overwritten(self, case, tmp_path):
+        op = case.split("/")[0]
+        attr, method, _, call, params, planted = POISON_CASES[case]
         clean = call(Gateway.mock())
         inner = getattr(Gateway.mock(), attr)
         key = request_key(inner.provider_id, op, params)

@@ -19,7 +19,8 @@ from seedforge.gateway.http import (HttpCompletionClient, HttpEmbedder,
                                     HttpParaphraser, HttpResponse,
                                     HttpTranslator, MediaWikiClient,
                                     strip_wikitext)
-from seedforge.gateway.types import GenRequest, ProviderBudget, WikiArticleRef
+from seedforge.gateway.types import (GenRequest, ProviderBudget,
+                                     WikiArticleRef, WikiSection)
 
 PAIRS = frozenset({("th", "en"), ("en", "th")})
 KEY_VAR = "SEEDFORGE_TEST_HTTP_KEY"
@@ -341,9 +342,9 @@ class TestMediaWiki:
             {"title": "Beta", "pageid": 12}]}}))
         client = _clients(transport)["wiki"]
         assert client.provider_id == "mediawiki:http://wiki.test/w/api.php"
-        refs = client.search("ไทย", 2)
-        assert refs == [WikiArticleRef("Alpha", 11, 0),
-                        WikiArticleRef("Beta", 12, 1)]
+        rows = client.search("ไทย", 2)
+        assert rows == [{"title": "Alpha", "page_id": 11, "rank": 0},
+                        {"title": "Beta", "page_id": 12, "rank": 1}]
         (request,) = transport.requests
         assert request == {
             "method": "GET", "url": "http://wiki.test/w/api.php",
@@ -361,13 +362,15 @@ class TestMediaWiki:
             _ok({"parse": {"wikitext": {"*": "== History ==\nOld [[a|b]]."}}}),
             _ok({"parse": {"wikitext": {"*": "== Empty ==\n{{stub}}"}}}))
         client = _clients(transport)["wiki"]
-        docs = client.fetch_sections(WikiArticleRef("Alpha", 11, 0))
-        assert [(d.body, d.source.section, d.provenance) for d in docs] == [
-            ("Lead text.", "", {"section_index": 0, "page_id": 11}),
-            ("Old b.", "History", {"section_index": 1, "page_id": 11}),
+        rows = client.fetch_sections(WikiArticleRef("Alpha", 11, 0))
+        assert rows == [
+            {"body": "Lead text.", "section": "",
+             "provenance": {"section_index": 0, "page_id": 11}},
+            {"body": "Old b.", "section": "History",
+             "provenance": {"section_index": 1, "page_id": 11}},
         ]
-        assert all(d.source.kind == "wiki" and d.source.title == "Alpha"
-                   for d in docs)
+        assert [list(r) for r in rows] == [
+            ["body", "section", "provenance"]] * 2
         params = [r["params"] for r in transport.requests]
         assert params == [
             {"action": "parse", "pageid": 11, "prop": "sections",
@@ -388,9 +391,9 @@ class TestMediaWiki:
         gateway = _gateway(transport)
         (ref,) = gateway.wiki_search("q", limit=1)
         assert ref == WikiArticleRef("Alpha", 11, 0)
-        (doc,) = gateway.wiki_fetch_sections(ref)
-        assert (doc.body, doc.source.title, doc.source.section) == (
-            "Body.", "Alpha", "")
+        (section,) = gateway.wiki_fetch_sections(ref)
+        assert section == WikiSection(
+            "Body.", "", {"section_index": 0, "page_id": 11})
 
     @pytest.mark.parametrize("code", ["missingtitle", "nosuchpageid"])
     def test_missing_article_is_not_found(self, code):
