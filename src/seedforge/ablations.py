@@ -19,9 +19,11 @@ multiplying size. Both reuse the gateway's translator and paraphraser.
 
 from __future__ import annotations
 
+import functools
 import math
 import tempfile
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 from seedforge import constants
 from seedforge.config import PipelineConfig
@@ -156,24 +158,33 @@ def _run_transforms(records: list[InstructionRecord], recipe: Recipe,
                     gateway, config: PipelineConfig
                     ) -> list[InstructionRecord]:
     """Run the recipe's transforms in order, each over every record. A
-    provider failure on any record fails the build."""
+    provider failure on any record fails the build.
+
+    Each step sends each distinct translate or paraphrase request once:
+    records made from one context share its passage, so the step sees the
+    gateway through a memo that lives as long as the step. A failed
+    request is not memoized. Records share a memoized paraphrase list,
+    which the transforms only read."""
     pivot, target = config.run_pivot_language, config.run_target_language
     for step in recipe.transforms:
+        gateway_once = SimpleNamespace(
+            translate=functools.cache(gateway.translate),
+            paraphrase=functools.cache(gateway.paraphrase))
         out: list[InstructionRecord] = []
         for record in records:
             try:
                 if step == "round_trip":
-                    out.append(round_trip_translate(record, gateway,
+                    out.append(round_trip_translate(record, gateway_once,
                                                     pivot=pivot))
                 elif step == "paraphrase":
                     out.extend(_paraphrase_variants(
-                        record, gateway, config.paraphrase_count))
+                        record, gateway_once, config.paraphrase_count))
                 elif step == "translate_pivot":
-                    out.append(translate_record(record, gateway, target,
-                                                pivot))
+                    out.append(translate_record(record, gateway_once,
+                                                target, pivot))
                 else:  # translate_target
-                    out.append(translate_record(record, gateway, pivot,
-                                                target))
+                    out.append(translate_record(record, gateway_once,
+                                                pivot, target))
             except ProviderError as exc:
                 raise BuildError(
                     f"{recipe.variant}: {step} failed for {record.id}: "

@@ -59,10 +59,11 @@ class RequestsTransport:
 
 @contextmanager
 def _reading(what: str):
-    """Raise a lookup, type or value error as a ProtocolError on `what`."""
+    """Raise a lookup, type, value or attribute error as a ProtocolError
+    on `what`."""
     try:
         yield
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise ProtocolError(f"unexpected {what} payload shape: {exc}")
 
 
@@ -292,8 +293,9 @@ class MediaWikiClient(_HttpClient, WikiClient):
         payload = self._request("GET", self.api_url,
                                 params={**params, "format": "json"})
         if "error" in payload:
-            info = payload["error"].get("info", "unknown error")
-            code = payload["error"].get("code", "")
+            with _reading("error"):
+                info = payload["error"].get("info", "unknown error")
+                code = payload["error"].get("code", "")
             if code in ("missingtitle", "nosuchpageid"):
                 raise NotFoundError(f"wiki article not found: {info}")
             raise ProviderError(f"wiki API error {code}: {info}")

@@ -18,6 +18,8 @@ import random
 import re
 import threading
 
+import numpy as np
+
 from seedforge import constants
 from seedforge.errors import RetryableProviderError, ValidationError
 from seedforge.gateway.providers import (Embedder, Paraphraser, TextGenerator,
@@ -161,26 +163,42 @@ class MockEmbedder(Embedder):
     def provider_id(self) -> str:
         return f"mock:embed:{self._dim}"
 
-    def _vector(self, text: str) -> EmbeddingVector:
-        values = [0.0] * self._dim
-        words = text.split()
-        if not words:
-            raise ValidationError("cannot embed whitespace-only text")
-        for word in words:
-            h = int.from_bytes(
-                hashlib.sha256(word.encode("utf-8")).digest()[:8], "big")
-            sign = 1.0 if h & 1 else -1.0
-            values[(h >> 1) % self._dim] += sign
-        norm = sum(v * v for v in values) ** 0.5
-        if norm == 0.0:
-            # Hash signs cancelled out; nudge one bucket so the vector stays
-            # usable for cosine similarity.
-            values[0] = 1.0
-            norm = 1.0
-        return EmbeddingVector(tuple(v / norm for v in values))
+    def _slot(self, word: str) -> int:
+        """bucket * 2, plus 1 when the word's sign is +1."""
+        h = int.from_bytes(hashlib.sha256(word.encode("utf-8")).digest()[:8],
+                           "big")
+        return (h >> 1) % self._dim * 2 + (h & 1)
 
     def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        return [self._vector(t) for t in texts]
+        """Each distinct word of the batch is hashed once to a signed
+        bucket; one bincount sums the signs of every (text, bucket)."""
+        split = [text.split() for text in texts]
+        if not all(split):
+            raise ValidationError("cannot embed whitespace-only text")
+        if not texts:
+            return []
+        words = [word for row in split for word in row]
+        signed = {word: self._slot(word) for word in set(words)}
+        slot = np.fromiter(map(signed.__getitem__, words), np.int64,
+                           len(words))
+        flat = (np.repeat(np.arange(len(texts)) * self._dim,
+                          [len(row) for row in split]) + (slot >> 1))
+        # Sums of +-1.0 are exact integers, so the order of adds is moot.
+        values = np.bincount(flat, weights=(slot & 1) * 2.0 - 1.0,
+                             minlength=len(texts) * self._dim
+                             ).reshape(len(texts), self._dim)
+        # Each norm is Python's `** 0.5` of the exact sum of squares, as
+        # in the one-text-at-a-time rule, so vectors stay bit-identical.
+        norms = []
+        for row, total in zip(values, np.einsum("ij,ij->i", values,
+                                                values).tolist()):
+            if total == 0.0:
+                # Hash signs cancelled out; nudge one bucket so the vector
+                # stays usable for cosine similarity.
+                row[0] = total = 1.0
+            norms.append(total ** 0.5)
+        values /= np.array(norms)[:, None]
+        return [EmbeddingVector(tuple(row.tolist())) for row in values]
 
 
 class MockTranslator(Translator):

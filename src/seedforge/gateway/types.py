@@ -54,6 +54,12 @@ class WikiArticleRef:
     rank: int
 
     def __post_init__(self):
+        if not isinstance(self.title, str):
+            raise TypeError("article title must be a string")
+        for name in ("page_id", "rank"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer")
         if not self.title:
             raise ValidationError("article title must be non-empty")
         if self.rank < 0:

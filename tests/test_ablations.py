@@ -1,6 +1,8 @@
 """Dataset variant builders: flag derivation, transforms, manifests."""
 
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -497,6 +499,56 @@ class TestVariantTable:
         with pytest.raises(BuildError, match="paraphrase failed for") as err:
             build_variant(VARIANT_CULTURE_ONLY, gw, small(run_seed=42), full)
         assert err.value.achieved == 0
+
+
+def counting_gateway():
+    """A mock gateway that counts the translate and paraphrase requests
+    reaching it, by (op, positional args), in `requests`."""
+    gw = Gateway.mock()
+    gw.requests = Counter()
+    for op in ("translate", "paraphrase"):
+        def counted(*args, _op=op, _fn=getattr(gw, op)):
+            gw.requests[_op, args] += 1
+            return _fn(*args)
+        setattr(gw, op, counted)
+    return gw
+
+
+class TestTransformMemo:
+    """Records made from one context share its passage, so a step sees
+    the same text many times; it sends each distinct request once."""
+
+    @staticmethod
+    def _build(variant, gateway, full, monkeypatch):
+        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 7)
+        return build_variant(variant, gateway, small(run_seed=42),
+                             full if variant == VARIANT_CULTURE_ONLY
+                             else None)
+
+    @pytest.mark.parametrize("variant", [VARIANT_CULTURE_ONLY,
+                                         VARIANT_DIVERSITY_ONLY])
+    def test_each_distinct_request_reaches_the_gateway_once(
+            self, variant, full, monkeypatch):
+        gw = counting_gateway()
+        self._build(variant, gw, full, monkeypatch)
+        # No request recurs across these recipes' steps: each step has its
+        # own op or language direction. So once per build is once per step.
+        assert gw.requests
+        assert set(gw.requests.values()) == {1}
+
+    @pytest.mark.parametrize("variant", [VARIANT_CULTURE_ONLY,
+                                         VARIANT_DIVERSITY_ONLY])
+    def test_records_equal_a_build_without_the_memo(self, variant, full,
+                                                    monkeypatch, tmp_path):
+        memoized = self._build(variant, Gateway.mock(), full, monkeypatch)
+        monkeypatch.setattr(ablations, "functools",
+                            SimpleNamespace(cache=lambda fn: fn))
+        gw = counting_gateway()
+        plain = self._build(variant, gw, full, monkeypatch)
+        assert max(gw.requests.values()) > 1  # the memo has work to do
+        assert plain == memoized
+        assert (write_manifest(plain, str(tmp_path / "plain.jsonl"))
+                == write_manifest(memoized, str(tmp_path / "memo.jsonl")))
 
 
 class TestFiveVariantFlagMatrix:

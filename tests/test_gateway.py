@@ -1,5 +1,7 @@
 """Gateway policy and mock provider contracts."""
 
+import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -25,6 +27,33 @@ def _cosine(a, b):
     return dot / (na * nb)
 
 
+def _reference_vector(text, dim):
+    """The mock embedder's rule, one token at a time: each word adds its
+    sha256 sign to its sha256 bucket, then the row is L2 normalized."""
+    values = [0.0] * dim
+    for word in text.split():
+        h = int.from_bytes(hashlib.sha256(word.encode("utf-8")).digest()[:8],
+                           "big")
+        values[(h >> 1) % dim] += 1.0 if h & 1 else -1.0
+    norm = sum(v * v for v in values) ** 0.5
+    if norm == 0.0:
+        values[0] = 1.0
+        norm = 1.0
+    return tuple(v / norm for v in values)
+
+
+def _cancelling_text(dim):
+    """Two words in one bucket with opposite signs."""
+    seen = {}  # (bucket, sign bit) -> word
+    for i in itertools.count():
+        word = f"w{i}"
+        h = int.from_bytes(hashlib.sha256(word.encode()).digest()[:8], "big")
+        bucket = (h >> 1) % dim
+        if (bucket, 1 - (h & 1)) in seen:
+            return f"{seen[bucket, 1 - (h & 1)]} {word}"
+        seen[bucket, h & 1] = word
+
+
 class TestMockProviders:
     def test_translator_tags_target_language(self):
         t = MockTranslator()
@@ -44,6 +73,23 @@ class TestMockProviders:
         # and across instances: no hidden state
         c = MockEmbedder(dim=64).embed_batch(["สวัสดี ชาวโลก"])[0]
         assert c.values == a.values
+
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_embedder_matches_the_per_token_rule(self, dim):
+        cancelling = _cancelling_text(dim)
+        texts = ["สวัสดี ชาวโลก ภาษาไทย", "ภาษาไทย ภาษาไทย ภาษาไทย x",
+                 "a b a b a c", cancelling, "สวัสดี", cancelling + " "
+                 + cancelling, "  spaced\tout\nwords  "]
+        assert _reference_vector(cancelling, dim)[0] == 1.0
+        got = MockEmbedder(dim=dim).embed_batch(texts)
+        assert [v.values for v in got] == [_reference_vector(t, dim)
+                                           for t in texts]
+        assert all(type(x) is float for v in got for x in v.values)
+
+    def test_embedder_rejects_a_whitespace_text_in_a_batch(self):
+        with pytest.raises(ValidationError, match="whitespace-only"):
+            MockEmbedder().embed_batch(["a b", " \t", "c"])
+        assert MockEmbedder().embed_batch([]) == []
 
     def test_embedder_one_word_edit_stays_close(self):
         e = MockEmbedder()
@@ -357,6 +403,9 @@ POISON_CASES = {
         *SEARCH, lambda rows: [{"title": r["title"], "rank": r["rank"]}
                                for r in rows], *SEARCH_CALL,
         [{"title": "Alpha", "rank": 0}]),
+    "wiki_search/wrong_types": (
+        *SEARCH, lambda rows: [{"title": 5, "page_id": "x", "rank": 0}],
+        *SEARCH_CALL, [{"title": 5, "page_id": "x", "rank": 0}]),
     "wiki_search/not_an_object": (
         *SEARCH, lambda rows: [list(r.values()) for r in rows],
         *SEARCH_CALL, [["Alpha", 7, 0]]),

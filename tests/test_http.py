@@ -190,6 +190,7 @@ class TestCompletion:
         ("openai", {"nothing": 1}),
         ("anthropic", {"content": [{"type": "text"}]}),
         ("anthropic", {"other": 1}),
+        ("anthropic", {"content": ["hi"]}),
     ])
     def test_unexpected_shape_is_protocol_error(self, name, body):
         transport = FakeTransport(_ok(body))
@@ -415,6 +416,11 @@ class TestMediaWiki:
     def test_unexpected_search_shape_is_protocol_error(self, body):
         transport = FakeTransport(_ok(body))
         with pytest.raises(ProtocolError, match="search payload"):
+            _clients(transport)["wiki"].search("q", 3)
+
+    def test_error_that_is_not_an_object_is_protocol_error(self):
+        transport = FakeTransport(_ok({"error": "boom"}))
+        with pytest.raises(ProtocolError, match="error payload"):
             _clients(transport)["wiki"].search("q", 3)
 
 
