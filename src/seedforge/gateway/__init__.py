@@ -10,8 +10,8 @@ cached or returned, and so does every cache hit.
 
 Thread safety: all public methods may be called concurrently; the semaphore
 bounds in-flight provider attempts (a call waiting out its backoff holds no
-slot), the limiter and stats take internal locks, and cache writes are
-atomic.
+slot), the limiter and stats take internal locks, and the response cache
+appends each frame under a thread lock and an exclusive flock on its log.
 """
 
 from __future__ import annotations
@@ -187,7 +187,9 @@ class Gateway:
         """decode(payload) of one request, the payload read from the cache
         or fetched by fn. decode checks a payload and turns it into typed
         values; a fresh payload is cached only after it passes, and a
-        cached one that fails is requested again and overwritten."""
+        cached one that fails is requested again and overwritten. A
+        decoded array (an embedding batch) is cached as itself, the
+        checked float64 block, and decode checks it again on a hit."""
         key = request_key(provider.provider_id, op, params)
         hit = self._cache.get(key)
         if hit is not None:
@@ -202,7 +204,8 @@ class Gateway:
                 return value
         entry = {"payload": self._call(op, provider, fn, chars)}
         value = _decoded(decode, entry)
-        self._cache.put(key, entry)
+        self._cache.put(key, {"payload": value}
+                        if isinstance(value, np.ndarray) else entry)
         return value
 
     # -- operations --------------------------------------------------------

@@ -59,11 +59,12 @@ class RequestsTransport:
 
 @contextmanager
 def _reading(what: str):
-    """Raise a lookup, type, value or attribute error as a ProtocolError
-    on `what`."""
+    """Raise a lookup, type, value, attribute or overflow error as a
+    ProtocolError on `what`."""
     try:
         yield
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise ProtocolError(f"unexpected {what} payload shape: {exc}")
 
 
@@ -158,8 +159,9 @@ class HttpCompletionClient(_HttpClient, TextGenerator):
 class HttpEmbedder(_HttpClient, Embedder):
     """OpenAI-style embeddings endpoint: POST {base}/v1/embeddings.
 
-    Only decodes the reply; the gateway checks the row count, the
-    dimension and finiteness of every batch before caching it."""
+    Decodes the reply, whose rows must carry the indexes 0..n-1 and only
+    JSON numbers; the gateway checks the row count, the dimension and
+    finiteness of every batch before caching it."""
 
     def __init__(self, base_url: str, model: str, api_key_env: str,
                  transport: HttpTransport | None = None,
@@ -178,8 +180,18 @@ class HttpEmbedder(_HttpClient, Embedder):
             json_body={"model": self.model, "input": texts})
         with _reading("embedding"):
             rows = sorted(payload["data"], key=lambda r: r["index"])
-            return [EmbeddingVector(tuple(float(x) for x in r["embedding"]))
-                    for r in rows]
+            indexes = [r["index"] for r in rows]
+            if (indexes != list(range(len(rows)))
+                    or not all(type(i) is int for i in indexes)):
+                raise ProtocolError(
+                    f"embedding rows are indexed {indexes}, not 0..n-1")
+            vectors = [r["embedding"] for r in rows]
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for vector in vectors for x in vector):
+                raise ProtocolError("embedding holds a value that is not a "
+                                    "number")
+            return [EmbeddingVector(tuple(map(float, vector)))
+                    for vector in vectors]
 
 
 class HttpTranslator(_HttpClient, Translator):
@@ -292,6 +304,9 @@ class MediaWikiClient(_HttpClient, WikiClient):
     def _get(self, params: dict) -> dict:
         payload = self._request("GET", self.api_url,
                                 params={**params, "format": "json"})
+        if not isinstance(payload, dict):
+            raise ProtocolError(f"unexpected wiki payload shape: "
+                                f"{type(payload).__name__}, not an object")
         if "error" in payload:
             with _reading("error"):
                 info = payload["error"].get("info", "unknown error")

@@ -46,8 +46,13 @@ def _fmeasure(precision: float, recall: float) -> float:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n])
-                   for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
+
+
+def _overlap(a: Counter, b: Counter) -> int:
+    """Clipped overlap: the smaller count of each shared n-gram, summed."""
+    shared = a.keys() & b.keys()
+    return sum(map(min, (a[g] for g in shared), (b[g] for g in shared)))
 
 
 # -- ROUGE ------------------------------------------------------------------
@@ -63,7 +68,7 @@ def rouge_n(pred: str, ref: str, n: int = 1,
     ref_total = sum(ref_grams.values())
     if pred_total == 0 or ref_total == 0:
         return Score(0.0, 0.0, 0.0)
-    overlap = sum((pred_grams & ref_grams).values())
+    overlap = _overlap(pred_grams, ref_grams)
     precision = overlap / pred_total
     recall = overlap / ref_total
     return Score(precision, recall, _fmeasure(precision, recall))
@@ -201,8 +206,8 @@ def bleu(preds: list[str] | str, refs: list[str] | str, max_order: int = 4,
             if slots <= 0:
                 continue
             denominators[n - 1] += slots
-            overlap = _ngrams(pred_tokens, n) & _ngrams(ref_tokens, n)
-            numerators[n - 1] += sum(overlap.values())
+            numerators[n - 1] += _overlap(_ngrams(pred_tokens, n),
+                                          _ngrams(ref_tokens, n))
     log_sum = 0.0
     effective = 0
     for num, den in zip(numerators, denominators):
@@ -240,15 +245,13 @@ def chrf(pred: str, ref: str, max_order: int = 6, beta: float = 2.0) -> float:
     precisions: list[float] = []
     recalls: list[float] = []
     for n in range(1, max_order + 1):
-        pred_grams = Counter(pred_chars[i:i + n]
-                             for i in range(len(pred_chars) - n + 1))
-        ref_grams = Counter(ref_chars[i:i + n]
-                            for i in range(len(ref_chars) - n + 1))
-        pred_total = sum(pred_grams.values())
-        ref_total = sum(ref_grams.values())
-        if pred_total == 0 or ref_total == 0:
-            continue
-        overlap = sum((pred_grams & ref_grams).values())
+        pred_total = len(pred_chars) - n + 1
+        ref_total = len(ref_chars) - n + 1
+        if pred_total <= 0 or ref_total <= 0:
+            break
+        overlap = _overlap(
+            Counter(pred_chars[i:i + n] for i in range(pred_total)),
+            Counter(ref_chars[i:i + n] for i in range(ref_total)))
         precisions.append(overlap / pred_total)
         recalls.append(overlap / ref_total)
     if not precisions:
@@ -378,7 +381,7 @@ def squad_f1(pred: str, ref: str,
         return 1.0
     if not pred_tokens or not ref_tokens:
         return 0.0
-    overlap = sum((Counter(pred_tokens) & Counter(ref_tokens)).values())
+    overlap = _overlap(Counter(pred_tokens), Counter(ref_tokens))
     if overlap == 0:
         return 0.0
     precision = overlap / len(pred_tokens)

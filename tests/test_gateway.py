@@ -2,16 +2,23 @@
 
 import hashlib
 import itertools
+import json
 import math
+import os
+import struct
+import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
+import seedforge
 from seedforge.errors import (ConfigError, ProtocolError,
                               RetryableProviderError, ValidationError)
 from seedforge.gateway import Gateway, GatewayStats
-from seedforge.gateway.cache import ResponseCache, request_key
+from seedforge.gateway.cache import (JSON_KIND, RESPONSE_LOG, ROWS_KIND,
+                                    ResponseCache, request_key)
 from seedforge.gateway.mock import (FlakyProvider, MockEmbedder,
                                     MockParaphraser, MockTranslator,
                                     ScriptedTextGenerator)
@@ -272,6 +279,36 @@ class TestRateLimiter:
         assert limiter.in_window() == 1
 
 
+LOG_HEADER = struct.Struct("<32s32sBI")  # key, body sha256, kind, length
+
+
+def log_frames(directory):
+    """(hex key, kind, body) of every frame of the response log, read
+    independently of ResponseCache. Fails unless the whole log scans
+    clean: every frame whole and its body's sha256 right."""
+    data = (directory / RESPONSE_LOG).read_bytes()
+    frames, offset = [], 0
+    while offset < len(data):
+        key, digest, kind, length = LOG_HEADER.unpack_from(data, offset)
+        body = data[offset + LOG_HEADER.size:offset + LOG_HEADER.size
+                    + length]
+        assert len(body) == length
+        assert hashlib.sha256(body).digest() == digest
+        assert kind in (JSON_KIND, ROWS_KIND)
+        frames.append((key.hex(), kind, body))
+        offset += LOG_HEADER.size + length
+    return frames
+
+
+def append_frame(directory, key, kind, body, digest=None):
+    """Append one frame with the given body, and its true sha256 unless
+    `digest` is given."""
+    with open(directory / RESPONSE_LOG, "ab") as fh:
+        fh.write(LOG_HEADER.pack(bytes.fromhex(key),
+                                 digest or hashlib.sha256(body).digest(),
+                                 kind, len(body)) + body)
+
+
 class TestCache:
     def test_response_cache_round_trip(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -339,8 +376,11 @@ class TestCache:
         assert errors == []
         for key in keys:
             assert cache.get(key) == {"payload": [key, "ค่า" * 50]}
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            f"{key}.json" for key in keys)
+        # one log, every frame whole, none interleaved
+        assert [p.name for p in tmp_path.iterdir()] == [RESPONSE_LOG]
+        frames = log_frames(tmp_path)
+        assert len(frames) == 800
+        assert {key for key, _, _ in frames} == set(keys)
 
 
 class BadOnce:
@@ -467,7 +507,10 @@ class TestCachePoisoning:
         stats = gw.stats.snapshot()
         assert stats["provider_calls"] == {op: 1}
         assert stats["cache_hits"] == {}
-        assert cache.get(key) != {"payload": planted}
+        payload = cache.get(key)["payload"]
+        if isinstance(payload, np.ndarray):  # embed batches are rows frames
+            payload = payload.tolist()
+        assert payload != planted
         assert call(self._gateway(tmp_path, attr, provider)) == clean
         assert provider.calls == 1
 
@@ -482,11 +525,172 @@ class TestCachePoisoning:
     def test_entry_that_is_not_utf8_is_a_miss(self, tmp_path):
         params = {"text": "x", "source": "th", "target": "en"}
         key = request_key("mock:translate", "translate", params)
-        (tmp_path / f"{key}.json").write_bytes(b"\xff\xfe{")
+        append_frame(tmp_path, key, JSON_KIND, b"\xff\xfe{")
         gw = Gateway.mock(cache_dir=tmp_path)
         assert gw.translate("x", "th", "en") == "en⟨x⟩"
         assert gw.stats.snapshot()["provider_calls"] == {"translate": 1}
         assert ResponseCache(tmp_path).get(key) == {"payload": "en⟨x⟩"}
+
+
+TRANSLATE_X = ({"text": "x", "source": "th", "target": "en"}, "en⟨x⟩")
+
+# Child interpreter: waits for a line on stdin, then appends 500 entries to
+# the cache directory argv[1]. Even n are keys every writer shares. Exits 3
+# unless its own cache object reads back every key only it wrote.
+APPEND_ENTRIES = """
+import sys
+from seedforge.gateway.cache import ResponseCache, request_key
+cache = ResponseCache(sys.argv[1])
+name = sys.argv[2]
+sys.stdin.readline()
+own = {}
+for n in range(500):
+    key = request_key("p", "op", {"n": n, "by": name if n % 2 else ""})
+    entry = {"payload": [name, n, "ค่า" * 200]}
+    cache.put(key, entry)
+    if n % 2:
+        own[key] = entry
+sys.exit(0 if all(cache.get(k) == e for k, e in own.items()) else 3)
+"""
+
+
+def _rows_body(rows, dim, values):
+    return struct.pack("<QQ", rows, dim) + np.asarray(
+        values, dtype="<f8").tobytes()
+
+
+class TestResponseLog:
+    """One append-only log per cache directory: torn and damaged tails,
+    writers sharing a directory, and embeddings stored as float64 rows."""
+
+    @staticmethod
+    def _translate(gw, text):
+        return gw.translate(text, "th", "en")
+
+    @pytest.mark.parametrize("keep", [LOG_HEADER.size - 5,
+                                      LOG_HEADER.size + 3])
+    def test_torn_last_frame_is_dropped_and_requested_again(self, tmp_path,
+                                                            keep):
+        gw = Gateway.mock(cache_dir=tmp_path)
+        self._translate(gw, "a")
+        self._translate(gw, "b")
+        log = tmp_path / RESPONSE_LOG
+        last = LOG_HEADER.size + len(log_frames(tmp_path)[-1][2])
+        os.truncate(log, log.stat().st_size - last + keep)
+        gw = Gateway.mock(cache_dir=tmp_path)
+        assert self._translate(gw, "a") == "en⟨a⟩"
+        assert self._translate(gw, "b") == "en⟨b⟩"
+        stats = gw.stats.snapshot()
+        assert stats["provider_calls"] == {"translate": 1}
+        assert stats["cache_hits"] == {"translate": 1}
+        assert len(log_frames(tmp_path)) == 2
+
+    def test_body_with_a_bad_sha256_is_a_miss(self, tmp_path):
+        params, reply = TRANSLATE_X
+        key = request_key("mock:translate", "translate", params)
+        append_frame(tmp_path, key, JSON_KIND,
+                     b'{"payload": "forged"}', digest=bytes(32))
+        gw = Gateway.mock(cache_dir=tmp_path)
+        assert self._translate(gw, "x") == reply
+        assert gw.stats.snapshot()["provider_calls"] == {"translate": 1}
+        # the frame appended in the damaged one's place wins
+        good = json.dumps({"payload": reply}, ensure_ascii=False).encode()
+        assert log_frames(tmp_path) == [(key, JSON_KIND, good)]
+        gw = Gateway.mock(cache_dir=tmp_path)
+        assert self._translate(gw, "x") == reply
+        assert gw.stats.snapshot()["provider_calls"] == {}
+
+    def test_a_damaged_frame_ends_the_log(self, tmp_path):
+        keys = [request_key("p", "op", {"n": n}) for n in range(4)]
+        cache = ResponseCache(tmp_path)
+        cache.put(keys[0], {"payload": 0})
+        append_frame(tmp_path, keys[1], JSON_KIND, b'{"payload": 1}',
+                     digest=bytes(32))
+        append_frame(tmp_path, keys[2], JSON_KIND, b'{"payload": 2}')
+        cache = ResponseCache(tmp_path)
+        assert [cache.get(key) for key in keys[:3]] == [
+            {"payload": 0}, None, None]
+        cache.put(keys[3], {"payload": 3})
+        assert [key for key, _, _ in log_frames(tmp_path)] == [
+            keys[0], keys[3]]
+
+    def test_two_caches_on_one_directory_see_each_others_appends(
+            self, tmp_path):
+        one, two = (request_key("p", "op", {"n": n}) for n in (1, 2))
+        a, b = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        a.put(one, {"payload": "one"})
+        assert b.get(one) == {"payload": "one"}
+        b.put(two, {"payload": "two"})
+        b.put(one, {"payload": "uno"})
+        assert a.get(two) == {"payload": "two"}
+        assert a.get(one) == {"payload": "uno"}  # the later frame wins
+        a.put(two, {"payload": "dos"})
+        assert b.get(two) == {"payload": "dos"}
+        assert len(log_frames(tmp_path)) == 4
+
+    def test_two_processes_append_to_one_directory(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(seedforge.__file__))
+        names = ("left", "right")
+        children = [subprocess.Popen(
+            [sys.executable, "-c", APPEND_ENTRIES, str(tmp_path), name],
+            stdin=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src}) for name in names]
+        try:
+            for child in children:
+                child.stdin.write("go\n")
+                child.stdin.flush()
+        finally:
+            for child in children:
+                child.stdin.close()
+                child.wait(timeout=60)
+        assert [child.returncode for child in children] == [0, 0]
+        assert len(log_frames(tmp_path)) == 1000
+        cache = ResponseCache(tmp_path)
+        for name in names:
+            for n in range(500):
+                key = request_key("p", "op",
+                                  {"n": n, "by": name if n % 2 else ""})
+                writer, number, _ = cache.get(key)["payload"]
+                assert number == n
+                assert writer == name or n % 2 == 0
+
+    def test_embed_hit_is_bit_identical_to_the_cold_call(self, tmp_path):
+        texts = [f"word{i} other{i % 7} คำ{i % 3}" for i in range(150)]
+        cold = Gateway.mock(cache_dir=tmp_path).embed(texts)
+        assert [kind for _, kind, _ in log_frames(tmp_path)] == [
+            ROWS_KIND] * 3
+        gw = Gateway.mock(cache_dir=tmp_path)
+        warm = gw.embed(texts)
+        stats = gw.stats.snapshot()
+        assert stats["provider_calls"] == {}
+        assert stats["cache_hits"] == {"embed": 3}
+        assert (warm.dtype, warm.shape) == (cold.dtype, cold.shape)
+        assert warm.tobytes() == cold.tobytes()
+        assert warm.flags.writeable
+
+    @pytest.mark.parametrize("body", [
+        _rows_body(2, 2, [[1.0, 0.0], [0.0, math.nan]]),
+        _rows_body(1, 2, [[1.0, 0.0]]),
+        _rows_body(2, 0, []),
+        _rows_body(2, 2, [[1.0, 0.0]]),
+        b"\x02",
+    ], ids=["non_finite", "row_count", "no_dimension", "short", "no_shape"])
+    def test_rows_frame_that_fails_its_check_is_a_miss(self, tmp_path, body):
+        texts = ["a b", "c d"]
+        key = request_key("mock:embed:256", "embed", {"texts": texts})
+        append_frame(tmp_path, key, ROWS_KIND, body)
+        gw = Gateway.mock(cache_dir=tmp_path)
+        assert gw.embed(texts).tolist() == Gateway.mock().embed(
+            texts).tolist()
+        assert gw.stats.snapshot()["provider_calls"] == {"embed": 1}
+
+    def test_per_key_files_of_an_old_cache_are_not_read(self, tmp_path):
+        params, reply = TRANSLATE_X
+        key = request_key("mock:translate", "translate", params)
+        (tmp_path / f"{key}.json").write_text('{"payload": "en⟨old⟩"}')
+        gw = Gateway.mock(cache_dir=tmp_path)
+        assert self._translate(gw, "x") == reply
+        assert gw.stats.snapshot()["provider_calls"] == {"translate": 1}
 
 
 class TestConcurrency:

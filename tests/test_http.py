@@ -256,6 +256,28 @@ class TestEmbedding:
         with pytest.raises(error):
             _gateway(transport).embed(["a", "b"])
 
+    @pytest.mark.parametrize("data", [
+        # two rows both labelled 0, one of a string and a bool: one text
+        # would get another row's vector, coerced to floats
+        [{"index": 0, "embedding": [1.0, 0.0]},
+         {"index": 0, "embedding": ["0.5", True]}],
+        [{"index": 0, "embedding": [1.0, 0.0]},
+         {"index": 2, "embedding": [0.5, 1.0]}],
+        [{"index": 1, "embedding": [1.0, 0.0]},
+         {"index": True, "embedding": [0.5, 1.0]}],
+        [{"index": 0, "embedding": [1.0, 0.0]},
+         {"index": 1, "embedding": ["0.5", True]}],
+        [{"index": 0, "embedding": [1.0, 0.0]},
+         {"index": 1, "embedding": [0.5, None]}],
+        [{"index": 0, "embedding": [1.0, 0.0]},
+         {"index": 1, "embedding": [0.5, 10 ** 400]}],
+    ], ids=["repeated_index", "index_gap", "bool_index", "str_and_bool",
+            "null_value", "int_beyond_float"])
+    def test_mislabelled_or_non_numeric_rows_are_protocol_errors(self, data):
+        transport = FakeTransport(_ok({"data": data}))
+        with pytest.raises(ProtocolError):
+            _gateway(transport).embed(["a", "b"])
+
 
 class TestTranslator:
     def test_request_and_reply(self, monkeypatch):
@@ -416,6 +438,13 @@ class TestMediaWiki:
     def test_unexpected_search_shape_is_protocol_error(self, body):
         transport = FakeTransport(_ok(body))
         with pytest.raises(ProtocolError, match="search payload"):
+            _clients(transport)["wiki"].search("q", 3)
+
+    @pytest.mark.parametrize("body", [5, [1], None],
+                             ids=["number", "list", "null"])
+    def test_reply_that_is_not_an_object_is_protocol_error(self, body):
+        transport = FakeTransport(_ok(body))
+        with pytest.raises(ProtocolError, match="wiki payload"):
             _clients(transport)["wiki"].search("q", 3)
 
     def test_error_that_is_not_an_object_is_protocol_error(self):

@@ -32,6 +32,7 @@ from seedforge.records import file_sha256, read_records, write_records
 from seedforge.topics import GENERAL, Topic
 
 from test_contexts import drew_wiki
+from test_gateway import LOG_HEADER, log_frames
 from test_instructions import (VALID_CONV, VALID_MC, VALID_QA_5,
                                VALID_SUMMARY, make_ctx)
 
@@ -239,6 +240,59 @@ class TestDeterminismUnderFaults:
         with open(manifest_path(tmp_path / "clean"), "rb") as clean, \
                 open(manifest_path(tmp_path / "flaky"), "rb") as flaky:
             assert flaky.read() == clean.read()
+
+
+class TestWarmRebuild:
+    """A rebuild into a fresh workdir from a filled `cache.dir`."""
+
+    @pytest.fixture
+    def gateways(self, monkeypatch):
+        built = []
+        clean_build = pipeline.build_gateway
+
+        def recording_build(config):
+            built.append(clean_build(config))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline, "build_gateway", recording_build)
+        return built
+
+    @staticmethod
+    def calls(gateway):
+        return sum(gateway.stats.snapshot()["provider_calls"].values())
+
+    def test_rebuild_makes_no_provider_calls(self, tmp_path, gateways):
+        config = replace(SMALL, cache_dir=str(tmp_path / "cache"))
+        run_pipeline(SMALL, str(tmp_path / "uncached"))
+        run_pipeline(config, str(tmp_path / "cold"))
+        run_pipeline(config, str(tmp_path / "warm"))
+        _, cold, warm = gateways
+        assert self.calls(cold) > 0
+        assert self.calls(warm) == 0
+        cold_stats = cold.stats.snapshot()
+        assert sum(warm.stats.snapshot()["cache_hits"].values()) == (
+            self.calls(cold) + sum(cold_stats["cache_hits"].values()))
+        want = file_sha256(manifest_path(tmp_path / "uncached"))
+        for name in ("cold", "warm"):
+            assert file_sha256(manifest_path(tmp_path / name)) == want
+
+    def test_log_cut_mid_frame_rebuilds_the_same_bytes(self, tmp_path,
+                                                       gateways):
+        cache = tmp_path / "cache"
+        config = replace(SMALL, cache_dir=str(cache))
+        run_pipeline(config, str(tmp_path / "cold"))
+        frames = log_frames(cache)
+        middle = len(frames) // 2
+        cut = sum(LOG_HEADER.size + len(body)
+                  for _, _, body in frames[:middle])
+        os.truncate(cache / "responses.log",
+                    cut + LOG_HEADER.size + len(frames[middle][2]) // 2)
+        run_pipeline(config, str(tmp_path / "warm"))
+        cold, warm = gateways
+        assert 0 < self.calls(warm) < self.calls(cold)
+        assert (file_sha256(manifest_path(tmp_path / "warm"))
+                == file_sha256(manifest_path(tmp_path / "cold")))
+        assert len(log_frames(cache)) >= len(frames)
 
 
 class TestIncrementalDedup:
