@@ -70,7 +70,9 @@ class ContextDoc:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.body or not self.body.strip():
+        if not isinstance(self.body, str):
+            raise TypeError("context body must be a string")
+        if not self.body.strip():
             raise ValidationError("context body must be non-empty")
 
 

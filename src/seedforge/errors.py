@@ -34,11 +34,6 @@ class NotFoundError(ProviderError):
     """A referenced remote object no longer exists (deleted wiki article)."""
 
 
-class CapabilityError(ProviderError):
-    """The configured provider cannot perform the requested operation,
-    e.g. token-level embeddings from a sentence-only endpoint."""
-
-
 class ParseError(SeedforgeError):
     """Model output could not be turned into a structured value.
 

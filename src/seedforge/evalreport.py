@@ -12,7 +12,6 @@ the text was split. Every report is labeled with the tokenizer mode.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from statistics import mean
 
@@ -24,8 +23,6 @@ from seedforge.errors import (AlignmentError, DegenerateTestError,
 from seedforge.records import read_jsonl_lines
 from seedforge.stats import wilcoxon_rank_sum
 from seedforge.tokenizers import Tokenizer, get_tokenizer
-
-logger = logging.getLogger(__name__)
 
 EVAL_TASKS = ("brainstorming", "classification", "closed_qa",
               "creative_writing", "open_qa", "multiple_choice",
@@ -73,8 +70,7 @@ def _one_token_line(text: str, tokenizer: Tokenizer) -> bool:
     return len(lines) <= 1 and (lines[0] if lines else []) == tokenizer(text)
 
 
-def score_pair(pair: EvalPair, gateway, tokenizer: Tokenizer,
-               with_bert: bool = True) -> dict:
+def score_pair(pair: EvalPair, gateway, tokenizer: Tokenizer) -> dict:
     """Every metric for one pair. Empty texts are scored, not rejected.
 
     When neither side has more than one line with tokens, rouge_lsum's
@@ -86,7 +82,7 @@ def score_pair(pair: EvalPair, gateway, tokenizer: Tokenizer,
         rouge_lsum = rouge_l
     else:
         rouge_lsum = metrics.rouge_lsum(pred, ref, tokenizer).f1
-    scores = {
+    return {
         "rouge1_f1": metrics.rouge_n(pred, ref, 1, tokenizer).f1,
         "rouge2_f1": metrics.rouge_n(pred, ref, 2, tokenizer).f1,
         "rouge_l_f1": rouge_l,
@@ -96,11 +92,9 @@ def score_pair(pair: EvalPair, gateway, tokenizer: Tokenizer,
         "chrf": metrics.chrf(pred, ref),
         "meteor": metrics.meteor(pred, ref, tokenizer=tokenizer),
         "squad_f1": metrics.squad_f1(pred, ref),
+        "bert_like_f1": metrics.bert_like_score(pred, ref, gateway,
+                                                tokenizer).f1,
     }
-    if with_bert:
-        scores["bert_like_f1"] = metrics.bert_like_score(
-            pred, ref, gateway, tokenizer).f1
-    return scores
 
 
 def generation_lengths(pairs: list[EvalPair], tokenizer: Tokenizer) -> dict:
@@ -156,9 +150,8 @@ def _partition(pairs: list[EvalPair]) -> dict:
     return out
 
 
-def _mean_scores(rows: list[dict], keys: list[str]) -> dict:
-    return {key: mean(row[key] for row in rows)
-            for key in keys if all(key in row for row in rows)}
+def _mean_scores(rows: list[dict]) -> dict:
+    return {key: mean(row[key] for row in rows) for key in METRIC_KEYS}
 
 
 class _Memo:
@@ -184,8 +177,6 @@ class _TokenVectors:
     per-pair request would return and the scores do not change. Holds
     distinct tokens x dimension float64 values."""
 
-    supports_token_embeddings = True
-
     def __init__(self, gateway, tokens: list[str]):
         self._index = {token: i for i, token in enumerate(tokens)}
         self._raw = np.asarray(gateway.embed(tokens), dtype=np.float64)
@@ -209,30 +200,21 @@ def _token_vectors(pairs_by_system: dict[str, list[EvalPair]], gateway,
     return _TokenVectors(gateway, sorted(vocabulary))
 
 
-def _score_system(pairs: list[EvalPair], vectors: _TokenVectors | None,
-                  tokenizer: Tokenizer, notes: list[str],
-                  system: str) -> dict:
-    with_bert = vectors is not None
-    if not with_bert:
-        note = (f"{system}: embedding provider has no token-level "
-                f"embeddings; bert_like_f1 skipped")
-        logger.warning(note)
-        notes.append(note)
-    per_pair = {pair.id: score_pair(pair, vectors, tokenizer,
-                                    with_bert=with_bert)
+def _score_system(pairs: list[EvalPair], vectors: _TokenVectors,
+                  tokenizer: Tokenizer) -> dict:
+    per_pair = {pair.id: score_pair(pair, vectors, tokenizer)
                 for pair in pairs}
-    keys = [k for k in METRIC_KEYS if k != "bert_like_f1" or with_bert]
     parts = _partition(pairs)
     by_task_test_set = {
         f"{task}/{test_set}": _mean_scores(
-            [per_pair[p.id] for p in group], keys)
+            [per_pair[p.id] for p in group])
         for (task, test_set), group in sorted(parts.items())}
     by_test_set = {}
     for test_set in TEST_SETS:
         group = [p for p in pairs if p.test_set == test_set]
         if group:
             by_test_set[test_set] = _mean_scores(
-                [per_pair[p.id] for p in group], keys)
+                [per_pair[p.id] for p in group])
     corpus_bleu = {
         "by_test_set": {
             test_set: metrics.bleu(
@@ -250,7 +232,7 @@ def _score_system(pairs: list[EvalPair], vectors: _TokenVectors | None,
         "per_pair": per_pair,
         "by_task_test_set": by_task_test_set,
         "by_test_set": by_test_set,
-        "overall": _mean_scores(list(per_pair.values()), keys),
+        "overall": _mean_scores(list(per_pair.values())),
         "corpus_bleu": corpus_bleu,
         "lengths": generation_lengths(pairs, tokenizer),
     }
@@ -274,14 +256,8 @@ def _compare(pairs_by_system: dict, report: dict, notes: list[str]) -> list:
                 values = []
                 for system in (sys_a, sys_b):
                     rows = report["per_system"][system]["per_pair"]
-                    if any(COMPARISON_METRIC not in rows[pid]
-                           for pid in ids):
-                        values = None
-                        break
                     values.append([rows[pid][COMPARISON_METRIC]
                                    for pid in ids])
-                if values is None:
-                    continue
                 comparisons.append(_run_test(entry, *values, notes))
             lengths_a = report["per_system"][sys_a]["lengths"]["per_pair"]
             lengths_b = report["per_system"][sys_b]["lengths"]["per_pair"]
@@ -320,9 +296,7 @@ def aggregate_report(pairs_by_system: dict[str, list[EvalPair]], gateway,
     """
     _check_alignment(pairs_by_system)
     tokenizer = _Memo(get_tokenizer(tokenizer_name))
-    vectors = None
-    if getattr(gateway, "supports_token_embeddings", False):
-        vectors = _token_vectors(pairs_by_system, gateway, tokenizer)
+    vectors = _token_vectors(pairs_by_system, gateway, tokenizer)
     notes: list[str] = []
     first = next(iter(pairs_by_system.values()))
     present = {p.task for p in first}
@@ -337,8 +311,8 @@ def aggregate_report(pairs_by_system: dict[str, list[EvalPair]], gateway,
         "footer": _FOOTER,
     }
     for system, pairs in pairs_by_system.items():
-        report["per_system"][system] = _score_system(
-            pairs, vectors, tokenizer, notes, system)
+        report["per_system"][system] = _score_system(pairs, vectors,
+                                                     tokenizer)
     report["comparisons"] = _compare(pairs_by_system, report, notes)
     return report
 
@@ -346,7 +320,10 @@ def aggregate_report(pairs_by_system: dict[str, list[EvalPair]], gateway,
 # -- file loading -------------------------------------------------------------
 
 def _load_jsonl(path: str, required: tuple[str, ...]) -> list[dict]:
+    """Rows with a string under each required key and distinct ids;
+    required starts with "id" and ends with the row's text key."""
     rows = []
+    seen: set[str] = set()
     for line_no, row in read_jsonl_lines(path):
         if not isinstance(row, dict):
             raise ValidationError(
@@ -358,6 +335,10 @@ def _load_jsonl(path: str, required: tuple[str, ...]) -> list[dict]:
             if not isinstance(row[key], str):
                 raise ValidationError(
                     f"{path} line {line_no}: {key!r} must be a string")
+        if row["id"] in seen:
+            raise ValidationError(f"{path} line {line_no}: duplicate "
+                                  f"{required[-1]} id {row['id']!r}")
+        seen.add(row["id"])
         rows.append(row)
     if not rows:
         raise ValidationError(f"{path}: no rows")
@@ -372,13 +353,7 @@ def load_references(path: str) -> list[dict]:
 def load_predictions(path: str) -> dict[str, str]:
     """Rows of {id, prediction} -> id-keyed map."""
     rows = _load_jsonl(path, ("id", "prediction"))
-    out = {}
-    for row in rows:
-        if row["id"] in out:
-            raise ValidationError(
-                f"{path}: duplicate prediction id {row['id']!r}")
-        out[row["id"]] = row["prediction"]
-    return out
+    return {row["id"]: row["prediction"] for row in rows}
 
 
 def join_pairs(references: list[dict],

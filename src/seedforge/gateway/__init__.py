@@ -250,10 +250,6 @@ class Gateway:
             mat[start:start + len(chunk)] = block
         return mat
 
-    @property
-    def supports_token_embeddings(self) -> bool:
-        return bool(getattr(self.embedder, "supports_token_embeddings", False))
-
     def translate(self, text: str, source_lang: str, target_lang: str) -> str:
         if not text:
             raise ValidationError("cannot translate empty text")
@@ -267,8 +263,7 @@ class Gateway:
             lambda: self.translator.translate(text, source_lang, target_lang),
             _translation, chars=len(text))
 
-    def paraphrase(self, text: str, count: int,
-                   controls: dict | None = None) -> list[str]:
+    def paraphrase(self, text: str, count: int) -> list[str]:
         if not text:
             raise ValidationError("cannot paraphrase empty text")
         if count < 1:
@@ -286,10 +281,10 @@ class Gateway:
                 raise ProtocolError("paraphrase provider echoed the input")
             return variants
 
-        params = {"text": text, "count": count, "controls": controls or {}}
+        params = {"text": text, "count": count}
         return self._cached(
             "paraphrase", self.paraphraser, params,
-            lambda: self.paraphraser.paraphrase(text, count, controls),
+            lambda: self.paraphraser.paraphrase(text, count),
             decode, chars=len(text))
 
     def wiki_search(self, query: str, limit: int = constants.WIKI_TOP_K

@@ -229,7 +229,7 @@ class HttpTranslator(_HttpClient, Translator):
 
 class HttpParaphraser(_HttpClient, Paraphraser):
     """Generic JSON paraphrase endpoint: POST {base_url} with
-    {"text", "count", "controls"} returning {"paraphrases": [...]}."""
+    {"text", "count"} returning {"paraphrases": [...]}."""
 
     def __init__(self, base_url: str, api_key_env: str = "",
                  transport: HttpTransport | None = None,
@@ -241,12 +241,9 @@ class HttpParaphraser(_HttpClient, Paraphraser):
     def provider_id(self) -> str:
         return f"paraphrase:{self.base_url}"
 
-    def paraphrase(self, text: str, count: int,
-                   controls: dict | None = None) -> list[str]:
+    def paraphrase(self, text: str, count: int) -> list[str]:
         payload = self._request(
-            "POST", self.base_url,
-            json_body={"text": text, "count": count,
-                       "controls": controls or {}})
+            "POST", self.base_url, json_body={"text": text, "count": count})
         with _reading("paraphrase"):
             return payload["paraphrases"]
 

@@ -235,8 +235,7 @@ class MockParaphraser(Paraphraser):
     def provider_id(self) -> str:
         return f"mock:paraphrase:{self.seed}"
 
-    def paraphrase(self, text: str, count: int,
-                   controls: dict | None = None) -> list[str]:
+    def paraphrase(self, text: str, count: int) -> list[str]:
         variants = []
         for i in range(count):
             tag = derive_seed(self.seed, "paraphrase", text, i) % 0xFFFFFF

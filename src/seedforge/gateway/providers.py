@@ -37,7 +37,6 @@ class TextGenerator(Provider):
 
 class Embedder(Provider):
     batch_size: int = 64
-    supports_token_embeddings: bool = True
 
     @abstractmethod
     def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
@@ -64,13 +63,9 @@ class Translator(Provider):
 
 class Paraphraser(Provider):
     @abstractmethod
-    def paraphrase(self, text: str, count: int,
-                   controls: dict | None = None) -> list[str]:
+    def paraphrase(self, text: str, count: int) -> list[str]:
         """Return `count` paraphrases of text, each distinct from the input.
-
-        controls is an opaque pass-through for endpoint-specific quality/
-        diversity knobs. The gateway checks the count and the echo.
-        """
+        The gateway checks the count and the echo."""
 
 
 class WikiClient(Provider):

@@ -75,6 +75,11 @@ class InstructionRecord:
     flags: dict | None = None
 
     def __post_init__(self):
+        for name in ("id", "instruction", "output", "language"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"record {name} must be a string")
+        if self.context is not None and not isinstance(self.context, str):
+            raise TypeError("record context must be a string or null")
         if self.task not in GENERATION_TASKS:
             raise ValidationError(f"unknown task {self.task!r}")
         if not self.id:

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from seedforge.errors import CapabilityError, ValidationError
+from seedforge.errors import ValidationError
 from seedforge.tokenizers import Tokenizer, unicode_words
 
 
@@ -353,30 +353,24 @@ def meteor(pred: str, ref: str, alpha: float = 0.9, beta: float = 3.0,
 
 # -- extractive QA token F1 -------------------------------------------------
 
-_ENGLISH_ARTICLES = frozenset({"a", "an", "the"})
-
-
-def _squad_normalize(text: str, strip_english_articles: bool) -> list[str]:
+def _squad_normalize(text: str) -> list[str]:
     lowered = text.casefold()
     cleaned = "".join(
         " " if unicodedata.category(ch).startswith("P") else ch
         for ch in lowered)
     tokens = cleaned.split()
-    if strip_english_articles:
-        tokens = [t for t in tokens if t not in _ENGLISH_ARTICLES]
     return tokens
 
 
-def squad_f1(pred: str, ref: str,
-             strip_english_articles: bool = False) -> float:
+def squad_f1(pred: str, ref: str) -> float:
     """Bag-of-token F1 after casefolding and punctuation removal.
 
-    Article stripping is opt-in: it only makes sense for English text and
-    changes scores on short answers, so the default keeps every token.
-    Both sides normalizing to nothing counts as a perfect match.
+    Articles are kept: SQuAD's English article stripping does not apply to
+    other languages. Both sides normalizing to nothing counts as a perfect
+    match.
     """
-    pred_tokens = _squad_normalize(pred, strip_english_articles)
-    ref_tokens = _squad_normalize(ref, strip_english_articles)
+    pred_tokens = _squad_normalize(pred)
+    ref_tokens = _squad_normalize(ref)
     if not pred_tokens and not ref_tokens:
         return 1.0
     if not pred_tokens or not ref_tokens:
@@ -401,9 +395,6 @@ def bert_like_score(pred: str, ref: str, gateway,
     absolute values incomparable with published model-based scores; only
     within-run comparisons are meaningful.
     """
-    if not gateway.supports_token_embeddings:
-        raise CapabilityError(
-            "the configured embedder does not embed single tokens")
     pred_tokens = tokenizer(pred)
     ref_tokens = tokenizer(ref)
     if not pred_tokens and not ref_tokens:

@@ -64,7 +64,9 @@ class Topic:
     batch_id: int = 0
 
     def __post_init__(self):
-        if not self.text or not self.text.strip():
+        if not isinstance(self.text, str):
+            raise TypeError("topic text must be a string")
+        if not self.text.strip():
             raise ValidationError("topic text must be non-empty")
         if self.category not in CATEGORIES:
             raise ValidationError(f"unknown topic category {self.category!r}")

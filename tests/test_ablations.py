@@ -492,7 +492,7 @@ class TestVariantTable:
                                                              monkeypatch):
         gw = Gateway.mock()
 
-        def down(text, count, controls=None):
+        def down(text, count):
             raise ProtocolError("paraphraser down")
 
         monkeypatch.setattr(gw, "paraphrase", down)

@@ -391,7 +391,9 @@ class TestBadInputFiles:
         assert code == 1
         assert f"{report}: not valid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", ['[{"text": "x"}]', '{"a": 1}'])
+    @pytest.mark.parametrize("content", [
+        '[{"text": "x"}]', '{"a": 1}',
+        '[{"text": 5, "category": "general"}]'])
     def test_contexts_on_a_malformed_topics_file(self, tmp_path, conf,
                                                  capsys, content):
         topics = tmp_path / "t.json"
@@ -410,6 +412,43 @@ class TestBadInputFiles:
         assert code == 1
         assert (f"{contexts}: not a contexts file (KeyError: 'key')"
                 in capsys.readouterr().err)
+
+    def test_generate_on_a_context_whose_body_is_not_text(self, tmp_path,
+                                                          conf, capsys):
+        contexts = tmp_path / "c.jsonl"
+        contexts.write_text(json.dumps(
+            {"key": "t0000-r00", "body": 5,
+             "source": {"kind": "wiki", "title": "T", "section": "",
+                        "style": None},
+             "topic": {"text": "x", "category": "general", "batch_id": 0},
+             "provenance": {}}) + "\n", encoding="utf-8")
+        code = main(["generate", "--config", conf, "--contexts",
+                     str(contexts), "--out", str(tmp_path / "r.jsonl")])
+        assert code == 1
+        assert (f"{contexts}: not a contexts file (TypeError: context body "
+                f"must be a string) at line 1" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("field, message", [
+        ("instruction", "record instruction must be a string"),
+        ("topic", "topic text must be a string")])
+    def test_dedup_on_a_record_with_a_number_for_text(
+            self, tmp_path, conf, capsys, field, message):
+        row = {"id": "t0000-r00-conversation-0", "task": "conversation",
+               "instruction": "q", "context": None, "output": "a",
+               "topic": {"text": "x", "category": "general", "batch_id": 0},
+               "language": "th", "lineage": ["generated"], "flags": None,
+               "provenance": {}}
+        if field == "topic":
+            row["topic"]["text"] = 5
+        else:
+            row[field] = 5
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        code = main(["dedup", "--config", conf, "--in", str(records),
+                     "--out", str(tmp_path / "kept.jsonl"),
+                     "--removals", str(tmp_path / "removals.json")])
+        assert code == 1
+        assert f"{records} line 1: {message}" in capsys.readouterr().err
 
     def test_ablate_source_whose_meta_has_no_recipe(self, tmp_path, conf,
                                                     capsys):

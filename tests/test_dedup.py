@@ -523,10 +523,11 @@ class TestKnownVectors:
                          known=Known(["r0", "r1"], [np.ones((1, 2))], []))
 
 
-def planted_epochs(seed, n_old, n_new, dim=12, dups=12):
-    """Unit rows for n_old + n_new ids, with near-duplicates planted
-    within each epoch and across the boundary, in both directions of
-    id order; a chain of them crosses the boundary too."""
+def planted_epochs(seed, n_old, n_new, dim=12, dups=12, first=0):
+    """Unit rows for n_old + n_new ids from topic index first on, with
+    near-duplicates planted within each epoch and across the boundary, in
+    both directions of id order; a chain of them crosses the boundary
+    too."""
     rng = np.random.default_rng(seed)
     unit = random_unit(rng, n_old + n_new, dim)
     for k in range(dups):
@@ -540,7 +541,7 @@ def planted_epochs(seed, n_old, n_new, dim=12, dups=12):
     for step, row in enumerate(range(n_old - 2, n_old + 2)):
         theta = step * STEP
         unit[row] = math.cos(theta) * axis + math.sin(theta) * ortho
-    ids = [f"t{i:04d}-r00" for i in range(n_old + n_new)]
+    ids = [f"t{first + i:04d}-r00" for i in range(n_old + n_new)]
     return ids, unit
 
 
@@ -548,8 +549,8 @@ class TestIncrementalScan:
     """A second dedup_filter over earlier rows plus new rows gives what
     one full scan of all rows gives."""
 
-    def epochs(self, seed, n_old=70, n_new=50):
-        ids, unit = planted_epochs(seed, n_old, n_new)
+    def epochs(self, seed, n_old=70, n_new=50, first=0):
+        ids, unit = planted_epochs(seed, n_old, n_new, first=first)
         records = [rec(rid, f"text {rid}") for rid in ids]
         gw = CountingGateway({sample_text(r): unit[i].tolist()
                               for i, r in enumerate(records)})
@@ -595,20 +596,26 @@ class TestIncrementalScan:
 
     @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
     def test_interleaved_ids_fall_back_to_the_full_scan(self, mode, caplog):
-        ids, unit, _, _, gw = self.epochs(5)
-        records = [rec(rid, f"text {rid}") for rid in ids]
-        old, new = records[0::2], records[1::2]
-        first = dedup_filter(old, gw, threshold=0.9, mode=mode)
-        gw.embedded.clear()
-        with caplog.at_level("INFO", logger="seedforge.dedup"):
-            result = dedup_filter(records, gw, threshold=0.9, mode=mode,
-                                  known=known_from(first, old))
-        assert "scanning all" in caplog.text
-        assert gw.embedded == [sample_text(r) for r in new]
-        plain = dedup_filter(records, VecGateway(gw.table), threshold=0.9,
-                             mode=mode)
-        assert [r.id for r in result.kept] == [r.id for r in plain.kept]
-        assert result.removed == plain.removed
+        # Old and new ids alternate; then old ids run up to t9999 and the
+        # new ones, from t10000 on, sort before all of them.
+        for first_topic in (0, 9930):
+            _, _, old, new, gw = self.epochs(5, first=first_topic)
+            if not first_topic:
+                records = old + new
+                old, new = records[0::2], records[1::2]
+            records = old + new
+            first = dedup_filter(old, gw, threshold=0.9, mode=mode)
+            gw.embedded.clear()
+            caplog.clear()
+            with caplog.at_level("INFO", logger="seedforge.dedup"):
+                result = dedup_filter(records, gw, threshold=0.9, mode=mode,
+                                      known=known_from(first, old))
+            assert "scanning all" in caplog.text
+            assert gw.embedded == [sample_text(r) for r in new]
+            plain = dedup_filter(records, VecGateway(gw.table),
+                                 threshold=0.9, mode=mode)
+            assert [r.id for r in result.kept] == [r.id for r in plain.kept]
+            assert result.removed == plain.removed
 
 
 class TestRemovalsFile:

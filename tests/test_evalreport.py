@@ -60,33 +60,27 @@ class TestScorePair:
         assert scores["meteor"] == 1 - 0.5 / 2 ** 3
         assert scores["bert_like_f1"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_without_bert(self, gateway):
-        scores = score_pair(pair(), gateway, TOK, with_bert=False)
-        assert "bert_like_f1" not in scores
-        assert set(scores) == set(METRIC_KEYS) - {"bert_like_f1"}
-
     def test_empty_prediction_is_scored(self, gateway):
-        scores = score_pair(pair(prediction=""), gateway, TOK,
-                            with_bert=False)
+        scores = score_pair(pair(prediction=""), gateway, TOK)
         assert scores["rouge1_f1"] == 0.0
         assert scores["bleu_sentence"] == 0.0
 
     def test_disjoint_texts_bottom_out(self, gateway):
         scores = score_pair(pair(prediction="ก ข", reference="ค ง"),
-                            gateway, TOK, with_bert=False)
+                            gateway, TOK)
         assert scores["rouge1_f1"] == 0.0
         assert scores["meteor"] == 0.0
         assert scores["squad_f1"] == 0.0
 
     @pytest.mark.parametrize("name", sorted(TOKENIZERS))
-    def test_rouge_lsum_copied_only_when_equal(self, name):
+    def test_rouge_lsum_copied_only_when_equal(self, name, gateway):
         tokenizer = get_tokenizer(name)
         texts = ["", " \n ", "ก ข ค", "ก ข ค\n", "\n\nข ก\n \n",
                  "ก ข\nค ก", "ค\nก\nข ข"]
         for pred in texts:
             for ref in texts:
                 got = score_pair(pair(prediction=pred, reference=ref),
-                                 None, tokenizer, with_bert=False)
+                                 gateway, tokenizer)
                 assert got["rouge_lsum_f1"] == metrics.rouge_lsum(
                     pred, ref, tokenizer).f1
 
@@ -162,28 +156,11 @@ class TestAggregateReport:
         with pytest.raises(ValidationError, match="no systems"):
             aggregate_report({}, gateway)
 
-    def test_capability_skip_drops_metric_not_report(self):
-        class NoTokens:
-            supports_token_embeddings = False
-
-        report = aggregate_report(
-            {"a": grid_pairs(lambda t, s, i, ref: ref),
-             "b": grid_pairs(lambda t, s, i, ref: "อื่น และ สั้น")},
-            NoTokens())
-        for system in ("a", "b"):
-            overall = report["per_system"][system]["overall"]
-            assert "bert_like_f1" not in overall
-            assert "rouge1_f1" in overall
-        assert any("bert_like_f1 skipped" in n for n in report["notes"])
-        assert [c["metric"] for c in report["comparisons"]] == [
-            "prediction_length"]
-
 
 class CountingGateway:
     """The mock gateway, recording the texts of every embed request."""
 
-    def __init__(self, supports_token_embeddings=True):
-        self.supports_token_embeddings = supports_token_embeddings
+    def __init__(self):
         self.inner = Gateway.mock()
         self.requests = []
 
@@ -225,18 +202,6 @@ class TestTokenVocabulary:
             for p in pairs:
                 assert rows[p.id] == score_pair(p, gateway, TOK)
 
-    def test_no_token_embeddings_no_embed_request(self):
-        counting = CountingGateway(supports_token_embeddings=False)
-        report = aggregate_report(vocabulary_systems(), counting)
-        assert counting.requests == []
-        assert report["notes"] == [
-            "tasks absent from input: brainstorming, classification, "
-            "creative_writing, multiple_choice",
-            "tuned: embedding provider has no token-level embeddings; "
-            "bert_like_f1 skipped",
-            "base: embedding provider has no token-level embeddings; "
-            "bert_like_f1 skipped"]
-
 
 REF_ROWS = """\
 {"id": "a", "task": "closed_qa", "test_set": "culture", "reference": "แมว"}
@@ -263,6 +228,14 @@ class TestLoaders:
         path.write_text('{"id": "a", "prediction": 5}\n', encoding="utf-8")
         with pytest.raises(ValidationError, match="must be a string"):
             load_predictions(str(path))
+
+    def test_duplicate_reference_id_names_the_refs_line(self, tmp_path):
+        path = tmp_path / "refs.jsonl"
+        path.write_text(REF_ROWS + REF_ROWS.splitlines()[0] + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=f"{path} line 3: duplicate reference id 'a'"):
+            load_references(str(path))
 
     def test_duplicate_prediction_id(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -329,12 +302,12 @@ class TestRenderReport:
         else:
             pytest.fail("rouge1_f1 row missing")
 
-    def test_capability_gap_renders_dashes(self):
-        class NoTokens:
-            supports_token_embeddings = False
-
+    def test_capability_gap_renders_dashes(self, gateway):
         report = aggregate_report(
-            {"a": grid_pairs(lambda t, s, i, ref: ref)}, NoTokens())
+            {"a": grid_pairs(lambda t, s, i, ref: ref)}, gateway)
+        scores = report["per_system"]["a"]
+        for means in [scores["overall"], *scores["by_test_set"].values()]:
+            del means["bert_like_f1"]
         text = render_report(report)
         bert_rows = [line for line in text.splitlines()
                      if line.startswith("bert_like_f1")]

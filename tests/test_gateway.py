@@ -164,8 +164,8 @@ class TestGatewayOperations:
 
     def test_paraphrase_count_mismatch_is_protocol_error(self, gateway):
         class Short(MockParaphraser):
-            def paraphrase(self, text, count, controls=None):
-                return super().paraphrase(text, count - 1, controls)
+            def paraphrase(self, text, count):
+                return super().paraphrase(text, count - 1)
 
         gateway.paraphraser = Short()
         with pytest.raises(ProtocolError, match="asked for 3"):
@@ -173,7 +173,7 @@ class TestGatewayOperations:
 
     def test_paraphrase_echo_is_protocol_error(self, gateway):
         class Echo(MockParaphraser):
-            def paraphrase(self, text, count, controls=None):
+            def paraphrase(self, text, count):
                 return [text] * count
 
         gateway.paraphraser = Echo()
@@ -430,7 +430,7 @@ POISON_CASES = {
     "paraphrase": (
         "paraphraser", "paraphrase", lambda out: out[:-1],
         lambda gw: gw.paraphrase("x", 3),
-        {"text": "x", "count": 3, "controls": {}}, ["x", "y", "z"]),
+        {"text": "x", "count": 3}, ["x", "y", "z"]),
     "embed": (
         "embedder", "embed_batch",
         lambda out: out[:-1] + [EmbeddingVector((math.nan,) * 256)],

@@ -234,7 +234,6 @@ class TestEmbedding:
     def test_class_defaults(self):
         client = _clients(FakeTransport())["embed"]
         assert client.batch_size == 64
-        assert client.supports_token_embeddings is True
         assert client.remote is True
 
     def test_missing_field_is_protocol_error(self):
@@ -326,15 +325,15 @@ class TestParaphraser:
         client = _clients(transport, KEY_VAR)["paraphrase"]
         assert client.provider_id == "paraphrase:http://pp.test/paraphrase"
         assert client.paraphrase("x", 2) == ["a", "b"]
-        assert client.paraphrase("y", 1, {"diversity": 0.5}) == ["c"]
+        assert client.paraphrase("y", 1) == ["c"]
         first, second = transport.requests
         assert first == {
             "method": "POST", "url": "http://pp.test/paraphrase",
             "params": None,
-            "json": {"text": "x", "count": 2, "controls": {}},
+            "json": {"text": "x", "count": 2},
             "headers": {"Authorization": "Bearer sekrit"},
             "timeout": 120.0}
-        assert second["json"]["controls"] == {"diversity": 0.5}
+        assert second["json"] == {"text": "y", "count": 1}
 
     def test_gateway_round_trip(self):
         transport = FakeTransport(_ok({"paraphrases": ["a", "b"]}))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from seedforge import metrics
-from seedforge.errors import CapabilityError, ValidationError
+from seedforge.errors import ValidationError
 from seedforge.metrics import (Score, bert_like_score, bleu, chrf, meteor,
                                rouge_l, rouge_lsum, rouge_n, squad_f1)
 from seedforge.tokenizers import (TOKENIZERS, characters, get_tokenizer,
@@ -331,8 +331,6 @@ class TestSquadF1:
 
     def test_articles_kept_by_default(self):
         assert squad_f1("the cat", "cat") == pytest.approx(2 / 3)
-        assert squad_f1("the cat", "cat",
-                        strip_english_articles=True) == 1.0
 
     def test_punctuation_and_case_folded(self):
         assert squad_f1("Cat!", "cat") == 1.0
@@ -359,9 +357,8 @@ class TestSquadF1:
 class FakeEmbedGateway:
     """Returns preset vectors per token, mimicking the gateway surface."""
 
-    def __init__(self, table, supports=True):
+    def __init__(self, table):
         self.table = table
-        self.supports_token_embeddings = supports
 
     def embed(self, texts):
         return np.array([self.table[t] for t in texts], dtype=np.float64)
@@ -390,11 +387,6 @@ class TestBertLike:
     def test_empty_conventions(self, gateway):
         assert bert_like_score("", "", gateway=gateway) == Score(1, 1, 1)
         assert bert_like_score("", "x", gateway=gateway).f1 == 0.0
-
-    def test_capability_gate(self):
-        gw = FakeEmbedGateway({}, supports=False)
-        with pytest.raises(CapabilityError):
-            bert_like_score("a", "b", gateway=gw)
 
     def test_zero_vector_rejected(self):
         gw = FakeEmbedGateway({"x": (0, 0)})

@@ -5,10 +5,13 @@ reads from the constants module, so comparing against those constants would
 test nothing.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from seedforge.config import (PipelineConfig, default_config, load_config,
-                              parse_config)
+from seedforge.config import (SCHEMA, PipelineConfig, default_config,
+                              load_config, parse_config)
 from seedforge.errors import ConfigError, ParseError, ValidationError
 from seedforge.instructions import InstructionRecord
 from seedforge.records import (file_sha256, read_records, record_from_dict,
@@ -63,6 +66,25 @@ class TestDefaults:
             "run.culture", "dataset.size"]
         assert len(effective) == len(
             PipelineConfig.__dataclass_fields__)
+
+    def test_readme_table_matches_the_schema(self):
+        readme = Path(__file__).parents[1] / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | default | meaning |") + 2
+        table = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            key, default = (cell.strip() for cell in line.split("|")[1:3])
+            table[key] = default
+        assert list(table) == list(SCHEMA)
+        for key, (default, _, _) in SCHEMA.items():
+            if key == "cache.dir":
+                want = "(off)"
+            else:
+                want = default if isinstance(default, str) else json.dumps(
+                    default)
+            assert table[key] == want, key
 
     def test_override_by_field_name(self):
         cfg = default_config(dataset_size=50, run_seed=42)
