@@ -110,6 +110,12 @@ def cmd_dedup(args) -> int:
 def cmd_ablate(args) -> int:
     config = _load_cfg(args)
     variant = _VARIANT_BY_FLAG[args.variant]
+    reads = ablations.VARIANT_TABLE[variant].source
+    for flag, kind in (("source", ablations.DERIVED),
+                       ("external", ablations.EXTERNAL)):
+        if getattr(args, flag) and reads != kind:
+            raise ConfigError(f"--variant {args.variant} does not read "
+                              f"--{flag}")
     source = None
     if args.source:
         source = ablations.read_manifest(args.source)

@@ -88,7 +88,6 @@ SCHEMA: dict[str, tuple] = {
     "tasks.qa_pairs": (constants.QA_PAIRS_PER_CONTEXT, int, _positive),
     "dedup.enabled": (True, bool, _any),
     "dedup.threshold": (constants.DEDUP_THRESHOLD, float, _threshold),
-    "dedup.mode": ("keep_first", str, _choice("keep_first", "full_set")),
     "paraphrase.count": (constants.PARAPHRASE_COUNT, int, _positive),
     "budget.requests_per_minute": (constants.REQUESTS_PER_MINUTE, int,
                                    _positive),
@@ -142,7 +141,6 @@ class PipelineConfig:
     tasks_qa_pairs: int
     dedup_enabled: bool
     dedup_threshold: float
-    dedup_mode: str
     paraphrase_count: int
     budget_requests_per_minute: int
     budget_max_concurrent: int

@@ -52,14 +52,19 @@ class ContextSource:
     style: str | None = None      # generated only
 
     def __post_init__(self):
+        for name in ("title", "section", "style"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise TypeError(f"source {name} must be a string or null")
         if self.kind not in (WIKI, GENERATED):
             raise ValidationError(f"unknown context source kind {self.kind!r}")
         if self.kind == GENERATED and self.style not in CONTEXT_STYLES:
             raise ValidationError(
                 f"generated context style {self.style!r} is not one of the "
                 f"{len(CONTEXT_STYLES)} known styles")
-        if self.kind == WIKI and not self.title:
-            raise ValidationError("wiki context source requires a title")
+        if self.kind == GENERATED and {self.title, self.section} != {None}:
+            raise ValidationError("generated source has no title or section")
+        if self.kind == WIKI and (not self.title or self.section is None):
+            raise ValidationError("wiki source requires a title and section")
 
 
 @dataclass(frozen=True)

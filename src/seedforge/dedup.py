@@ -2,9 +2,9 @@
 
 Records are embedded by their sample text (instruction, context, and
 output joined by newlines), then filtered in ascending id order: a record
-is dropped when an earlier record in the comparison pool is strictly above
-the similarity threshold. Earlier ids always win, which makes the pass
-deterministic and idempotent.
+is dropped when an already-kept record is strictly above the similarity
+threshold (keep-first: a removed record cannot knock out later ones).
+Earlier ids always win, which makes the pass deterministic and idempotent.
 
 The search is one exact tiled scan. The raw vectors are assembled once into
 a preallocated matrix and normalised in place; the scan then multiplies a
@@ -25,9 +25,8 @@ deduplicated some of the records before (a pipeline epoch adding records
 to its earlier pool) pass them as `known`: their ids, raw vectors and
 removals. Only the other records are embedded. When every other record
 sorts after every known id, the known decisions stand and only the new
-rows are scanned, against the kept known rows under keep_first or all of
-them under full_set. Otherwise every record is scanned again, still from
-the known vectors.
+rows are scanned, against the kept known rows. Otherwise every record is
+scanned again, still from the known vectors.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ from seedforge.errors import ProtocolError, ValidationError
 from seedforge.records import parsing, read_json, write_json
 
 logger = logging.getLogger(__name__)
-
-KEEP_FIRST = "keep_first"
-FULL_SET = "full_set"
-DEDUP_MODES = (KEEP_FIRST, FULL_SET)
 
 # A similarity is above the threshold only beyond threshold + TIE_TOLERANCE.
 # Far above float64 rounding of a unit-vector dot product, far below any
@@ -81,8 +76,8 @@ def _normalize_in_place(mat: np.ndarray, ids: list[str]) -> None:
 
 @dataclass(frozen=True)
 class Removal:
-    """Why a record was dropped. nearest_id is a kept record under
-    keep_first; under full_set it can itself be a removed one."""
+    """Why a record was dropped: nearest_id is the kept record it
+    duplicates."""
 
     record_id: str
     nearest_id: str
@@ -91,7 +86,7 @@ class Removal:
 
 @dataclass(frozen=True)
 class Known:
-    """Records deduplicated before under the same threshold and mode: their
+    """Records deduplicated before under the same threshold: their
     ids, their raw vectors as row blocks whose rows, concatenated, follow
     `ids`, and the removals among them."""
 
@@ -108,13 +103,7 @@ class DedupResult:
 
     kept: list
     removed: list[Removal]
-    threshold: float
-    mode: str = KEEP_FIRST
     vectors: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-
-    @property
-    def removed_ids(self) -> set[str]:
-        return {r.record_id for r in self.removed}
 
 
 def write_removals(removed: list[Removal], path: str) -> str:
@@ -148,12 +137,12 @@ def tile_width(n: int) -> int:
 
 
 def _dedup_exact(ids: list[str], mat: np.ndarray, threshold: float,
-                 mode: str, start: int = 0, block: int | None = None,
+                 start: int = 0, block: int | None = None,
                  width: int | None = None
                  ) -> tuple[list[int], list[Removal]]:
     """Tiled scan over unit rows `mat` (id order). Rows before `start` are
-    earlier decisions: compared with, never scanned, and kept under
-    keep_first. Each later row is compared with every row before it.
+    kept earlier decisions: compared with, never scanned. Each later row is
+    compared with every kept row before it.
     Returns the kept row indexes from `start` on and the removals, both in
     id order. A tile is `block` rows by `width` columns."""
     n = len(ids)
@@ -187,11 +176,10 @@ def _dedup_exact(ids: list[str], mat: np.ndarray, threshold: float,
         firsts = np.flatnonzero(np.diff(rows, prepend=-1))
         for a, b in zip(firsts, np.append(firsts[1:], rows.size)):
             js, ss = cols[a:b], sims[a:b]
-            if mode == KEEP_FIRST:
-                live = keep[js]
-                js, ss = js[live], ss[live]
-                if not js.size:
-                    continue
+            live = keep[js]
+            js, ss = js[live], ss[live]
+            if not js.size:
+                continue
             # js ascend, so argmax of the mask is the earliest of the ties.
             best = int(np.argmax(ss >= ss.max() - TIE_TOLERANCE))
             i = lo + int(rows[a])
@@ -241,25 +229,20 @@ def _matrix(ids: list[str], rows: list[int], known: Known,
 
 def dedup_filter(records: list, gateway, *,
                  threshold: float = constants.DEDUP_THRESHOLD,
-                 mode: str = KEEP_FIRST,
                  known: Known | None = None) -> DedupResult:
-    """Drop records whose nearest predecessor is strictly above threshold.
+    """Drop records whose nearest kept predecessor is strictly above
+    threshold.
 
-    Records are processed in ascending id order regardless of input order.
-    mode selects the comparison pool: keep_first measures against the
-    records already kept (a removed record cannot knock out later ones),
-    full_set against every earlier record regardless of its fate.
-    known: records deduplicated before, under the same threshold and mode.
+    Records are processed in ascending id order regardless of input order,
+    each measured against the records already kept.
+    known: records deduplicated before, under the same threshold.
     They are not embedded again, and when every other record sorts after
     them their decisions stand and only the other records are scanned.
     """
-    if mode not in DEDUP_MODES:
-        raise ValidationError(f"unknown dedup mode {mode!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold {threshold} outside (0, 1]")
     if not records:
-        return DedupResult(kept=[], removed=[], threshold=threshold,
-                           mode=mode)
+        return DedupResult(kept=[], removed=[])
     records = sorted(records, key=lambda r: r.id)
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
@@ -282,8 +265,7 @@ def dedup_filter(records: list, gateway, *,
         # Every known id is a record, and sorts before every fresh one.
         gone = {r.record_id for r in known.removed}
         stand = [i for i in range(decided) if ids[i] not in gone]
-        base = list(range(decided)) if mode == FULL_SET else stand
-        rows, start = base + fresh_rows, len(base)
+        rows, start = stand + fresh_rows, len(stand)
         kept = [records[i] for i in stand]
         removed = list(known.removed)
     else:
@@ -293,11 +275,9 @@ def dedup_filter(records: list, gateway, *,
     row_ids = [ids[r] for r in rows]
     mat = _matrix(ids, rows, known, fresh_rows, fresh)
     _normalize_in_place(mat, row_ids)
-    kept_at, new_removals = _dedup_exact(row_ids, mat, threshold, mode,
-                                         start)
+    kept_at, new_removals = _dedup_exact(row_ids, mat, threshold, start)
     kept += [records[rows[p]] for p in kept_at]
     removed += new_removals
-    logger.info("dedup kept %d of %d records (threshold %.3f, %s)",
-                len(kept), len(records), threshold, mode)
-    return DedupResult(kept=kept, removed=removed, threshold=threshold,
-                       mode=mode, vectors=fresh)
+    logger.info("dedup kept %d of %d records (threshold %.3f)",
+                len(kept), len(records), threshold)
+    return DedupResult(kept=kept, removed=removed, vectors=fresh)

@@ -77,6 +77,8 @@ class WikiSection:
     def __post_init__(self):
         if not isinstance(self.body, str) or not self.body.strip():
             raise ValidationError("section body must be non-empty")
+        if not isinstance(self.section, str):
+            raise TypeError("section heading must be a string")
         if not isinstance(self.provenance, dict):
             raise TypeError("section provenance must be an object")
 
@@ -85,7 +87,9 @@ class WikiSection:
 class ProviderBudget:
     """Operational limits applied to remote providers.
 
-    requests_per_minute bounds issued requests in any sliding 60 s window.
+    requests_per_minute bounds provider calls in any sliding 60 s window;
+    a wiki sections call is 1 + k HTTP requests (the section list, then
+    each of its k sections) under one limiter slot.
     max_concurrent bounds in-flight provider calls. retry_limit is the number
     of re-attempts after the first failure of a retryable call.
     """

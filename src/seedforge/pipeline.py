@@ -284,7 +284,7 @@ def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
 def dedup_records(records: list, gateway, config: PipelineConfig,
                   known: Known | None = None) -> DedupResult:
     return dedup_filter(records, gateway, threshold=config.dedup_threshold,
-                        mode=config.dedup_mode, known=known)
+                        known=known)
 
 
 # -- stage files, shared with the CLI stage commands -------------------------
@@ -305,11 +305,13 @@ def write_contexts(contexts: list[tuple[str, ContextDoc]], path: str) -> str:
 
 
 def read_contexts(path: str) -> list[tuple[str, ContextDoc]]:
-    contexts = []
+    contexts: dict[str, ContextDoc] = {}
     for line_no, row in read_jsonl_lines(path):
         with parsing(path, "a contexts file", line_no):
-            contexts.append((row["key"], context_from_dict(row)))
-    return contexts
+            if row["key"] in contexts:
+                raise ValueError(f"repeated context key {row['key']!r}")
+            contexts[row["key"]] = context_from_dict(row)
+    return list(contexts.items())
 
 
 def write_vectors(vectors: np.ndarray, path: str) -> str:

@@ -8,6 +8,7 @@ import pytest
 from seedforge.ablations import read_manifest
 from seedforge.cli import main
 from seedforge.errors import ValidationError
+from seedforge.gateway.mock import MockTextGenerator
 from seedforge.records import file_sha256, read_records
 
 CONF = """\
@@ -285,6 +286,24 @@ class TestAblate:
         assert len(manifest.records) == 50
         assert manifest.flags == type(manifest.flags)(False, False, False)
 
+    @pytest.mark.parametrize("variant, given, unread", [
+        ("full", ["--external"], "--external"),
+        ("fluency", ["--external"], "--external"),
+        ("diversity", ["--external"], "--external"),
+        ("culture", ["--source", "--external"], "--external"),
+        ("none", ["--source", "--external"], "--source")])
+    def test_an_input_the_variant_does_not_read_exits_2(
+            self, tmp_path, conf, capsys, variant, given, unread):
+        out = tmp_path / "v.jsonl"
+        argv = ["ablate", "--config", conf, "--variant", variant,
+                "--size", "50", "--out", str(out)]
+        for flag in given:
+            argv += [flag, str(tmp_path / f"{flag[2:]}.jsonl")]
+        assert main(argv) == 2
+        assert f"--variant {variant} does not read {unread}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_size_not_multiple_of_fanout_exits_2(self, tmp_path, conf,
                                                  capsys):
         full_path = str(tmp_path / "full.jsonl")
@@ -427,6 +446,43 @@ class TestBadInputFiles:
         assert code == 1
         assert (f"{contexts}: not a contexts file (TypeError: context body "
                 f"must be a string) at line 1" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("source", [
+        {"kind": "wiki", "title": 5, "section": []},
+        {"kind": "generated", "title": ["x"], "section": None,
+         "style": "poem"}])
+    def test_generate_on_a_context_source_with_a_non_string_field(
+            self, tmp_path, conf, capsys, source):
+        contexts = tmp_path / "c.jsonl"
+        row = {"key": "t0000-r00", "body": "b", "source": source,
+               "topic": {"text": "x", "category": "general", "batch_id": 0}}
+        contexts.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        code = main(["generate", "--config", conf, "--contexts",
+                     str(contexts), "--out", str(tmp_path / "r.jsonl")])
+        assert code == 1
+        assert (f"{contexts}: not a contexts file (TypeError: source "
+                f"title must be a string or null) at line 1"
+                in capsys.readouterr().err)
+
+    def test_generate_on_a_repeated_context_key(self, tmp_path, conf, capsys,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(MockTextGenerator, "complete",
+                            lambda self, request: calls.append(request))
+        source = {"kind": "generated", "style": "poem"}
+        topic = {"text": "x", "category": "general", "batch_id": 0}
+        contexts = tmp_path / "c.jsonl"
+        contexts.write_text("".join(
+            json.dumps({"key": "t0000-r00", "body": body, "source": source,
+                        "topic": topic}) + "\n"
+            for body in ("one", "two")), encoding="utf-8")
+        code = main(["generate", "--config", conf, "--contexts",
+                     str(contexts), "--out", str(tmp_path / "r.jsonl")])
+        assert code == 1
+        assert (f"{contexts}: not a contexts file (ValueError: repeated "
+                f"context key 't0000-r00') at line 2"
+                in capsys.readouterr().err)
+        assert calls == []
 
     @pytest.mark.parametrize("field, message", [
         ("instruction", "record instruction must be a string"),

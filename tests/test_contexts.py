@@ -174,6 +174,16 @@ class TestValidationAndSerialization:
             ContextSource(kind=GENERATED, style="opera")
         with pytest.raises(ValidationError):
             ContextSource(kind=WIKI, title=None)
+        with pytest.raises(ValidationError):
+            ContextSource(kind=WIKI, title="T")
+        with pytest.raises(ValidationError):
+            ContextSource(kind=GENERATED, title="T", style="poem")
+
+    @pytest.mark.parametrize("field", ["title", "section", "style"])
+    def test_context_source_fields_are_strings(self, field):
+        fields = {"title": "T", "section": "", "style": None, field: 5}
+        with pytest.raises(TypeError, match=f"source {field} must be"):
+            ContextSource(kind=WIKI, **fields)
 
     def test_empty_body_rejected(self):
         with pytest.raises(ValidationError):

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from seedforge import dedup
-from seedforge.dedup import (DEDUP_MODES, FULL_SET, KEEP_FIRST, TIE_TOLERANCE,
-                             DedupResult, Known, Removal, _dedup_exact,
-                             block_rows, dedup_filter, read_removals,
-                             sample_text, tile_width, write_removals)
+from seedforge.dedup import (TIE_TOLERANCE, DedupResult, Known, Removal,
+                             _dedup_exact, block_rows, dedup_filter,
+                             read_removals, sample_text, tile_width,
+                             write_removals)
 from seedforge.errors import ParseError, ProtocolError, ValidationError
 from seedforge.gateway.mock import MockEmbedder
 
@@ -67,8 +67,7 @@ class TestExactIndex:
         ids = ["a-east", "b-north", "c-diag", "d-query"]
         unit = unit_rows([[1, 0], [0, 1], [1, 1], [1, 0.1]])
         for block in (1, 3, 8):
-            kept, removed = _dedup_exact(ids, unit, 0.95, FULL_SET,
-                                         block=block)
+            kept, removed = _dedup_exact(ids, unit, 0.95, block=block)
             assert kept == [0, 1, 2]
             (hit,) = removed
             assert (hit.record_id, hit.nearest_id) == ("d-query", "a-east")
@@ -79,31 +78,26 @@ class TestExactIndex:
         # A record is never its own nearest: the self-similarity of 1.0
         # lies on the diagonal the scan leaves out.
         unit = unit_rows([[1, 0], [1, 0]])
-        for mode in (KEEP_FIRST, FULL_SET):
-            for block in (1, 2):
-                assert _dedup_exact(["a"], unit[:1], 0.95, mode,
-                                    block=block) == ([0], [])
-                kept, removed = _dedup_exact(["a", "b"], unit, 0.95, mode,
-                                             block=block)
-                assert kept == [0]
-                (hit,) = removed
-                assert (hit.record_id, hit.nearest_id) == ("b", "a")
-                assert hit.similarity == pytest.approx(1.0)
+        for block in (1, 2):
+            assert _dedup_exact(["a"], unit[:1], 0.95, block=block) == (
+                [0], [])
+            kept, removed = _dedup_exact(["a", "b"], unit, 0.95, block=block)
+            assert kept == [0]
+            (hit,) = removed
+            assert (hit.record_id, hit.nearest_id) == ("b", "a")
+            assert hit.similarity == pytest.approx(1.0)
 
     def test_k_larger_than_size(self):
         ids = ["a", "b", "c"]
         unit = unit_rows([[1, 0], [0.99, 0.1], [0, 1]])
         for block in (3, 100, 2 ** 19):
-            kept, removed = _dedup_exact(ids, unit, 0.95, KEEP_FIRST,
-                                         block=block)
+            kept, removed = _dedup_exact(ids, unit, 0.95, block=block)
             assert kept == [0, 2]
             assert [(r.record_id, r.nearest_id) for r in removed] == [
                 ("b", "a")]
 
     def test_empty_index(self):
-        for mode in (KEEP_FIRST, FULL_SET):
-            assert _dedup_exact([], np.empty((0, 3)), 0.95, mode) == (
-                [], [])
+        assert _dedup_exact([], np.empty((0, 3)), 0.95) == ([], [])
 
     def test_dim_mismatch(self):
         records, gw = table_gateway([(rec("r0", "a"), [1.0, 0.0]),
@@ -158,7 +152,7 @@ class TestCosine:
                                      (rec("r1", "b"), [5.0, 0.0]),
                                      (rec("r2", "c"), [0.0, 3.0]),
                                      (rec("r3", "d"), [0.0, -2.0])])
-        result = dedup_filter(records, gw, threshold=1e-9, mode=FULL_SET)
+        result = dedup_filter(records, gw, threshold=1e-9)
         assert [(r.record_id, r.nearest_id) for r in result.removed] == [
             ("r1", "r0")]
         assert result.removed[0].similarity == pytest.approx(1.0)
@@ -176,19 +170,12 @@ class TestDedupFilter:
 
     def test_keep_first_measures_against_kept_only(self):
         records, gw = self.chain()
-        result = dedup_filter(records, gw, mode=KEEP_FIRST)
+        result = dedup_filter(records, gw)
+        # r2 is above the threshold only against the removed r1.
         assert [r.id for r in result.kept] == ["r0", "r2"]
-        assert result.removed_ids == {"r1"}
-        assert result.removed[0].nearest_id == "r0"
-        assert result.removed[0].similarity == pytest.approx(0.96)
-
-    def test_full_set_measures_against_removed_too(self):
-        records, gw = self.chain()
-        result = dedup_filter(records, gw, mode=FULL_SET)
-        assert [r.id for r in result.kept] == ["r0"]
-        assert result.removed_ids == {"r1", "r2"}
-        by_id = {r.record_id: r for r in result.removed}
-        assert by_id["r2"].nearest_id == "r1"
+        (hit,) = result.removed
+        assert (hit.record_id, hit.nearest_id) == ("r1", "r0")
+        assert hit.similarity == pytest.approx(0.96)
 
     def test_threshold_boundary_is_strict(self):
         pairs = [
@@ -204,7 +191,7 @@ class TestDedupFilter:
         records, gw = self.chain()
         result = dedup_filter(list(reversed(records)), gw)
         assert [r.id for r in result.kept] == ["r0", "r2"]
-        assert result.removed_ids == {"r1"}
+        assert [r.record_id for r in result.removed] == ["r1"]
 
     def test_idempotent(self):
         records, gw = self.chain()
@@ -225,8 +212,6 @@ class TestDedupFilter:
     def test_parameter_validation(self):
         records, gw = self.chain()
         with pytest.raises(ValidationError):
-            dedup_filter(records, gw, mode="keep_last")
-        with pytest.raises(ValidationError):
             dedup_filter(records, gw, threshold=0.0)
         with pytest.raises(ValidationError):
             dedup_filter(records, gw, threshold=1.5)
@@ -242,15 +227,14 @@ class TestDedupFilter:
         scales = np.linspace(0.01, 100.0, len(ids))
         scaled = VecGateway({sample_text(r): (base[i] * scales[i]).tolist()
                              for i, r in enumerate(records)})
-        for mode in DEDUP_MODES:
-            plain = dedup_filter(records, gw, mode=mode)
-            other = dedup_filter(records, scaled, mode=mode)
-            assert [r.id for r in other.kept] == [r.id for r in plain.kept]
-            assert [(r.record_id, r.nearest_id) for r in other.removed] == [
-                (r.record_id, r.nearest_id) for r in plain.removed]
-            for got, want in zip(other.removed, plain.removed):
-                assert got.similarity == pytest.approx(want.similarity,
-                                                       abs=1e-12)
+        plain = dedup_filter(records, gw)
+        other = dedup_filter(records, scaled)
+        assert [r.id for r in other.kept] == [r.id for r in plain.kept]
+        assert [(r.record_id, r.nearest_id) for r in other.removed] == [
+            (r.record_id, r.nearest_id) for r in plain.removed]
+        for got, want in zip(other.removed, plain.removed):
+            assert got.similarity == pytest.approx(want.similarity,
+                                                   abs=1e-12)
 
     def test_scalar_embeddings_rejected(self):
         records, gw = table_gateway([(rec("r0", "a"), 1.0),
@@ -272,8 +256,6 @@ class TestDedupFilter:
         records, gw = self.chain()
         result = dedup_filter(records, gw)
         assert isinstance(result, DedupResult)
-        assert result.threshold == pytest.approx(0.95)
-        assert result.mode == KEEP_FIRST
         assert all(isinstance(r, Removal) for r in result.removed)
 
 
@@ -313,22 +295,20 @@ class TestOracleEquivalence:
         want_kept, want_removed = oracle_keep_first(ids, base, 0.95)
         result = dedup_filter(records, gw)
         assert [r.id for r in result.kept] == want_kept
-        assert result.removed_ids == set(want_removed)
+        assert {r.record_id for r in result.removed} == set(want_removed)
         for removal in result.removed:
             nearest, sim = want_removed[removal.record_id]
             assert removal.nearest_id == nearest
             assert removal.similarity == pytest.approx(sim, abs=1e-9)
 
 
-def per_row_reference(ids, unit, threshold, mode):
-    """The rule one row at a time: row i against the kept rows
-    (keep_first) or every earlier row (full_set). Over the threshold means
-    beyond threshold + TIE_TOLERANCE; the nearest is the earliest row
-    within TIE_TOLERANCE of the best similarity."""
+def per_row_reference(ids, unit, threshold):
+    """The rule one row at a time: row i against the kept rows. Over the
+    threshold means beyond threshold + TIE_TOLERANCE; the nearest is the
+    earliest row within TIE_TOLERANCE of the best similarity."""
     kept, removed = [], []
     for i in range(len(ids)):
-        pool = kept if mode == KEEP_FIRST else list(range(i))
-        sims = unit[pool] @ unit[i] if pool else np.empty(0)
+        sims = unit[kept] @ unit[i] if kept else np.empty(0)
         over = [k for k, sim in enumerate(sims)
                 if sim > threshold + TIE_TOLERANCE]
         if not over:
@@ -336,15 +316,15 @@ def per_row_reference(ids, unit, threshold, mode):
             continue
         best = max(sims[k] for k in over)
         k = next(k for k in over if sims[k] >= best - TIE_TOLERANCE)
-        removed.append(Removal(ids[i], ids[pool[k]], float(sims[k])))
+        removed.append(Removal(ids[i], ids[kept[k]], float(sims[k])))
     return kept, removed
 
 
 def chained_corpus():
     """32 random rows plus an angle chain at rows 5..8: each chain step is
     just above 0.95 from the previous one, two steps are far below. Row 6
-    (a removal under both modes) is the last row of a 7-row block, row 7
-    the first of the next."""
+    (a removal) is the last row of a 7-row block, row 7 (kept, since its
+    only near predecessor is the removed row 6) the first of the next."""
     rng = np.random.default_rng(3)
     unit = random_unit(rng, 32, 8)
     axis, other = random_unit(rng, 2, 8)
@@ -360,12 +340,11 @@ def chained_corpus():
 
 
 class TestBlockedScan:
-    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
     @pytest.mark.parametrize("block", [1, 7, 40])
-    def test_equals_per_row_reference(self, mode, block):
+    def test_equals_per_row_reference(self, block):
         ids, unit = chained_corpus()
-        want_kept, want_removed = per_row_reference(ids, unit, 0.95, mode)
-        kept, removed = _dedup_exact(ids, unit, 0.95, mode, block=block)
+        want_kept, want_removed = per_row_reference(ids, unit, 0.95)
+        kept, removed = _dedup_exact(ids, unit, 0.95, block=block)
         assert kept == want_kept
         assert [(r.record_id, r.nearest_id) for r in removed] == [
             (r.record_id, r.nearest_id) for r in want_removed]
@@ -375,25 +354,20 @@ class TestBlockedScan:
 
     def test_the_chain_crosses_a_block_boundary(self):
         ids, unit = chained_corpus()
-        _, keep_first = _dedup_exact(ids, unit, 0.95, KEEP_FIRST, block=7)
-        _, full_set = _dedup_exact(ids, unit, 0.95, FULL_SET, block=7)
-        assert [(r.record_id, r.nearest_id) for r in keep_first] == [
+        _, removed = _dedup_exact(ids, unit, 0.95, block=7)
+        assert [(r.record_id, r.nearest_id) for r in removed] == [
             ("r006", "r005"), ("r008", "r007"), ("r027", "r020")]
-        assert [(r.record_id, r.nearest_id) for r in full_set] == [
-            ("r006", "r005"), ("r007", "r006"), ("r008", "r007"),
-            ("r027", "r020")]
 
-    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
-    def test_planted_corpus_at_every_block_size(self, mode):
+    def test_planted_corpus_at_every_block_size(self):
         rng = np.random.default_rng(8)
         unit = random_unit(rng, 150, 16)
         for k in range(30):
             noisy = unit[k] + 0.05 * rng.normal(size=16)
             unit[149 - k] = noisy / np.linalg.norm(noisy)
         ids = [f"r{i:03d}" for i in range(150)]
-        want = per_row_reference(ids, unit, 0.9, mode)
+        want = per_row_reference(ids, unit, 0.9)
         for block in (1, 7, 64, 151):
-            kept, removed = _dedup_exact(ids, unit, 0.9, mode, block=block)
+            kept, removed = _dedup_exact(ids, unit, 0.9, block=block)
             assert kept == want[0]
             assert [r.nearest_id for r in removed] == [
                 r.nearest_id for r in want[1]]
@@ -447,18 +421,16 @@ class TestThresholdTies:
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
             assert cos == pytest.approx(0.8, abs=1e-15)
 
-    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
-    def test_every_block_size_keeps_the_ties(self, gateway, mode):
+    def test_every_block_size_keeps_the_ties(self, gateway):
         records = sorted(self.corpus(), key=lambda r: r.id)
         ids = [r.id for r in records]
         mat = gateway.embed([sample_text(r) for r in records])
         unit = mat / np.linalg.norm(mat, axis=1, keepdims=True)
         for block in (1, 2, 3, 7, len(ids)):
-            kept, removed = _dedup_exact(ids, unit, 0.8, mode, block=block)
+            kept, removed = _dedup_exact(ids, unit, 0.8, block=block)
             assert kept == list(range(len(ids)))
             assert removed == []
-            kept, removed = _dedup_exact(ids, unit, 0.8 - 1e-9, mode,
-                                         block=block)
+            kept, removed = _dedup_exact(ids, unit, 0.8 - 1e-9, block=block)
             assert [r.record_id for r in removed] == ids[1::2]
 
 
@@ -556,17 +528,16 @@ class TestIncrementalScan:
                               for i, r in enumerate(records)})
         return ids, unit, records[:n_old], records[n_old:], gw
 
-    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
     @pytest.mark.parametrize("slab", [2 ** 4, 2 ** 7, 2 ** 10, 2 ** 19])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_equals_the_full_scan(self, monkeypatch, mode, slab, seed):
+    def test_equals_the_full_scan(self, monkeypatch, slab, seed):
         monkeypatch.setattr(dedup, "SLAB_ELEMENTS", slab)
         ids, unit, old, new, gw = self.epochs(seed)
-        want_kept, want_removed = _dedup_exact(ids, unit, 0.9, mode)
+        want_kept, want_removed = _dedup_exact(ids, unit, 0.9)
         assert want_removed, "the corpus plants no removal"
-        first = dedup_filter(old, gw, threshold=0.9, mode=mode)
+        first = dedup_filter(old, gw, threshold=0.9)
         gw.embedded.clear()
-        result = dedup_filter(old + new, gw, threshold=0.9, mode=mode,
+        result = dedup_filter(old + new, gw, threshold=0.9,
                               known=known_from(first, old))
         assert gw.embedded == [sample_text(r) for r in new]
         assert [r.id for r in result.kept] == [ids[i] for i in want_kept]
@@ -577,25 +548,21 @@ class TestIncrementalScan:
                                                    abs=1e-12)
         assert result.vectors.shape == (len(new), unit.shape[1])
 
-    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
-    def test_scan_from_start_at_every_tile_shape(self, mode):
+    def test_scan_from_start_at_every_tile_shape(self):
         ids, unit = planted_epochs(4, 60, 40)
-        want = per_row_reference(ids, unit, 0.9, mode)
-        kept_old = [i for i in want[0] if i < 60]
-        rows = (list(range(60)) if mode == FULL_SET else kept_old) + list(
-            range(60, 100))
+        want = per_row_reference(ids, unit, 0.9)
+        rows = [i for i in want[0] if i < 60] + list(range(60, 100))
         start = len(rows) - 40
         for block, width in ((1, 1), (3, 7), (16, 5), (7, 200), (200, 9)):
             kept, removed = _dedup_exact([ids[r] for r in rows], unit[rows],
-                                         0.9, mode, start, block, width)
+                                         0.9, start, block, width)
             assert [rows[p] for p in kept] == [i for i in want[0]
                                                if i >= 60]
             assert [(r.record_id, r.nearest_id) for r in removed] == [
                 (r.record_id, r.nearest_id) for r in want[1]
                 if r.record_id >= ids[60]]
 
-    @pytest.mark.parametrize("mode", [KEEP_FIRST, FULL_SET])
-    def test_interleaved_ids_fall_back_to_the_full_scan(self, mode, caplog):
+    def test_interleaved_ids_fall_back_to_the_full_scan(self, caplog):
         # Old and new ids alternate; then old ids run up to t9999 and the
         # new ones, from t10000 on, sort before all of them.
         for first_topic in (0, 9930):
@@ -604,16 +571,16 @@ class TestIncrementalScan:
                 records = old + new
                 old, new = records[0::2], records[1::2]
             records = old + new
-            first = dedup_filter(old, gw, threshold=0.9, mode=mode)
+            first = dedup_filter(old, gw, threshold=0.9)
             gw.embedded.clear()
             caplog.clear()
             with caplog.at_level("INFO", logger="seedforge.dedup"):
-                result = dedup_filter(records, gw, threshold=0.9, mode=mode,
+                result = dedup_filter(records, gw, threshold=0.9,
                                       known=known_from(first, old))
             assert "scanning all" in caplog.text
             assert gw.embedded == [sample_text(r) for r in new]
             plain = dedup_filter(records, VecGateway(gw.table),
-                                 threshold=0.9, mode=mode)
+                                 threshold=0.9)
             assert [r.id for r in result.kept] == [r.id for r in plain.kept]
             assert result.removed == plain.removed
 

@@ -60,3 +60,46 @@ def test_gateway_imports_only_errors_constants_and_seeding():
               if name.split(".")[0] == "seedforge"
               and not (name + ".").startswith(GATEWAY_MAY_IMPORT)]
     assert upward == []
+
+
+def unused_imports(text):
+    """(line, name) of every name an import in `text` binds that the
+    module never reads. An import statement marked `# noqa: F401` is a
+    re-export and is skipped, and so is `from __future__ import ...`."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    bound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_unused_imports_finds_a_planted_one():
+    text = ("import os\nimport json  # noqa: F401\nfrom a.b import c as d\n"
+            "from __future__ import annotations\nimport x.y\n\n"
+            "def f():\n    import re\n    return x.y.z(os.sep)\n")
+    assert unused_imports(text) == [(3, "d"), (8, "re")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # An __init__.py may import names only to re-export them.
+    found = [path for path in sources(ROOT)
+             if os.path.basename(path) != "__init__.py"]
+    assert len(found) > 20
+    unused = []
+    for path in found:
+        with open(path, encoding="utf-8") as handle:
+            unused += [f"{os.path.relpath(path, ROOT)}:{line} imports "
+                       f"{name}" for line, name in unused_imports(
+                           handle.read())]
+    assert unused == []

@@ -459,6 +459,9 @@ POISON_CASES = {
     "wiki_sections/not_an_object": (
         *SECTIONS, lambda rows: [r["body"] for r in rows], *SECTIONS_CALL,
         ["Text."]),
+    "wiki_sections/heading_not_text": (
+        *SECTIONS, lambda rows: [{**rows[0], "section": 5}],
+        *SECTIONS_CALL, [{"body": "Text.", "section": 5, "provenance": {}}]),
     "wiki_sections/provenance_not_an_object": (
         *SECTIONS, lambda rows: [{**rows[0], "provenance": 3}],
         *SECTIONS_CALL, [{"body": "Text.", "section": "", "provenance": []}]),

@@ -28,9 +28,10 @@ dedup.threshold = 0.8
 RUN_MANIFEST = (
     "d0c929e79d180930d546d92bc35ce8798879ee80baab61e48fd72de44888966e")
 # The metadata echoes every config key. It moved when the
-# `dedup.index_kind` key was removed; the records digest did not.
+# `dedup.index_kind` key was removed and again when the `dedup.mode` key
+# was removed; the records digest did not.
 RUN_META = (
-    "d26777147c0769a0c287f252b8452e50563599d44305528b0aeca7b38c1a836f")
+    "b00a9af7c5bf2683a6fb3d28531ba603dd46c439f086186fa114a44a2c05de96")
 ABLATE = {
     "full":
         "d0c929e79d180930d546d92bc35ce8798879ee80baab61e48fd72de44888966e",

@@ -38,7 +38,6 @@ PINNED_DEFAULTS = {
     "tasks.qa_pairs": 5,
     "dedup.enabled": True,
     "dedup.threshold": 0.95,
-    "dedup.mode": "keep_first",
     "paraphrase.count": 4,
     "budget.requests_per_minute": 60,
     "budget.max_concurrent": 4,
@@ -144,9 +143,14 @@ context.p_wiki = 1
         with pytest.raises(ConfigError, match="expects bool"):
             parse_config("dedup.enabled = 1\n")
 
+    def test_dedup_mode_is_an_unknown_key(self):
+        # Keep-first is the only dedup policy; the old key is not aliased.
+        for value in ("keep_first", "full_set"):
+            with pytest.raises(ConfigError,
+                               match="line 1: unknown config key"):
+                parse_config(f"dedup.mode = {value}\n")
+
     def test_choice_keys(self):
-        with pytest.raises(ConfigError, match="dedup.mode"):
-            parse_config("dedup.mode = keep_last\n")
         with pytest.raises(ConfigError, match="provider.kind"):
             parse_config("provider.kind = carrier_pigeon\n")
 
