@@ -29,13 +29,13 @@ from seedforge import constants
 from seedforge.config import PipelineConfig
 from seedforge.errors import (BuildError, ConfigError, ProviderError,
                               ValidationError)
-from seedforge.instructions import (CONVERSATION, GENERATION_TASKS,
-                                    GenerationFailure, InstructionRecord)
+from seedforge.instructions import (CONVERSATION, GenerationFailure,
+                                    InstructionRecord)
 from seedforge.manifest import (  # noqa: F401 - re-exported
     VARIANT_CULTURE_ONLY, VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
     VARIANT_FULL, VARIANT_NO_PROPERTIES, VARIANTS, DatasetManifest,
-    PropertyFlags, Recipe, derive_flags, finish_manifest, manifest_hash,
-    read_manifest, truncate_records, write_manifest)
+    PropertyFlags, Recipe, derive_flags, finish_manifest, read_manifest,
+    truncate_records, write_manifest)
 from seedforge.pipeline import (MAX_EPOCHS, acquire_contexts, build_pool,
                                 generate_records, manifest_from_pool)
 from seedforge.records import read_jsonl_lines
@@ -81,8 +81,7 @@ VARIANT_TABLE = {
 
 
 def generate_pass(gateway, config: PipelineConfig, topics: list[Topic], *,
-                  start_index: int = 0, round_no: int = 0,
-                  tasks: tuple[str, ...] = GENERATION_TASKS
+                  start_index: int = 0, round_no: int = 0
                   ) -> tuple[list[InstructionRecord],
                              list[GenerationFailure]]:
     """One context + one record batch per topic: the pipeline's contexts
@@ -93,7 +92,7 @@ def generate_pass(gateway, config: PipelineConfig, topics: list[Topic], *,
     """
     contexts = acquire_contexts(topics, gateway, config, start_index,
                                 round_no)
-    return generate_records(contexts, gateway, config, tasks)
+    return generate_records(contexts, gateway, config)
 
 
 # -- field transforms --------------------------------------------------------
@@ -213,21 +212,24 @@ def build_variant(variant: str, gateway, config: PipelineConfig,
         cultural, general = spec.topics or (config.topics_cultural,
                                             config.topics_general)
         config = replace(config, topics_cultural=cultural,
-                         topics_general=general, dedup_enabled=spec.dedup)
+                         topics_general=general)
         max_epochs = (math.ceil(size / max(1, general)) + 10 if spec.reroll
                       else MAX_EPOCHS)
         with tempfile.TemporaryDirectory(prefix=".seedforge-",
                                          dir=workdir_parent) as workdir:
             pool = build_pool(config, workdir, gateway, max_epochs,
-                              spec.reroll)
+                              spec.reroll, spec.dedup)
         return manifest_from_pool(
-            pool, config, variant, spec.transforms,
+            pool, config, variant, spec.dedup, spec.transforms,
             lambda records, recipe: _run_transforms(records, recipe,
                                                     gateway, config))
     if spec.source == DERIVED:
         if not isinstance(source, DatasetManifest):
             raise ConfigError(f"{variant} requires --source (a full-build "
                               f"manifest to sample from)")
+        if source.recipe.variant != VARIANT_FULL:
+            raise ConfigError(f"{variant} samples a {VARIANT_FULL} build, "
+                              f"not a {source.recipe.variant} manifest")
         records = list(source.records)
         origin = f"derived:{source.recipe.variant}"
         cultural, general = spec.topics or (source.recipe.topics_cultural,

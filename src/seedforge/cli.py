@@ -166,10 +166,10 @@ def cmd_report(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load_cfg(args)
-    manifest = run_pipeline(config, args.workdir)
+    digest = run_pipeline(config, args.workdir)
     path = os.path.join(args.workdir, MANIFEST_FILE)
-    print(f"{len(manifest.records)} records -> {path}")
-    print(f"sha256 {ablations.manifest_hash(path)}")
+    print(f"{config.dataset_size} records -> {path}")
+    print(f"sha256 {digest}")
     return 0
 
 
@@ -259,6 +259,13 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
     try:
+        # A missing output directory fails before any provider call.
+        for path in filter(None, (getattr(args, "out", None),
+                                  getattr(args, "removals", None))):
+            folder = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(folder):
+                raise ConfigError(f"output directory {folder} does not "
+                                  f"exist")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

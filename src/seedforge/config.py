@@ -86,7 +86,6 @@ SCHEMA: dict[str, tuple] = {
     "temperature.context": (constants.TEMPERATURE_CONTEXT, float,
                             _num(0.0, 1.0)),
     "tasks.qa_pairs": (constants.QA_PAIRS_PER_CONTEXT, int, _positive),
-    "dedup.enabled": (True, bool, _any),
     "dedup.threshold": (constants.DEDUP_THRESHOLD, float, _threshold),
     "paraphrase.count": (constants.PARAPHRASE_COUNT, int, _positive),
     "budget.requests_per_minute": (constants.REQUESTS_PER_MINUTE, int,
@@ -139,7 +138,6 @@ class PipelineConfig:
     temperature_multiple_choice: float
     temperature_context: float
     tasks_qa_pairs: int
-    dedup_enabled: bool
     dedup_threshold: float
     paraphrase_count: int
     budget_requests_per_minute: int

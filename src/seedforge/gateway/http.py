@@ -40,9 +40,9 @@ class HttpTransport(Protocol):
 class RequestsTransport:
     """Default transport, a thin wrapper over requests.Session."""
 
-    def __init__(self, session=None):
+    def __init__(self):
         import requests
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._requests = requests
 
     def request(self, method: str, url: str, *, params: dict | None = None,
@@ -74,7 +74,7 @@ class _HttpClient:
     decoding. `what` names the capability in error messages."""
 
     def __init__(self, what: str, api_key_env: str,
-                 transport: HttpTransport | None, timeout: float):
+                 transport: HttpTransport | None, timeout: float = 120.0):
         self._what = what
         # No api_key_env means the endpoint is unauthenticated (local
         # OpenAI-compatible servers); a named but unset variable is an error.
@@ -117,11 +117,11 @@ class HttpCompletionClient(_HttpClient, TextGenerator):
     """
 
     def __init__(self, base_url: str, model: str, api_key_env: str,
-                 style: str = "openai", transport: HttpTransport | None = None,
-                 timeout: float = 120.0):
+                 style: str = "openai",
+                 transport: HttpTransport | None = None):
         if style not in ("openai", "anthropic"):
             raise ConfigError(f"unknown completion endpoint style {style!r}")
-        super().__init__("completion", api_key_env, transport, timeout)
+        super().__init__("completion", api_key_env, transport)
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.style = style
@@ -164,9 +164,8 @@ class HttpEmbedder(_HttpClient, Embedder):
     finiteness of every batch before caching it."""
 
     def __init__(self, base_url: str, model: str, api_key_env: str,
-                 transport: HttpTransport | None = None,
-                 timeout: float = 120.0):
-        super().__init__("embedding", api_key_env, transport, timeout)
+                 transport: HttpTransport | None = None):
+        super().__init__("embedding", api_key_env, transport)
         self.base_url = base_url.rstrip("/")
         self.model = model
 
@@ -204,9 +203,8 @@ class HttpTranslator(_HttpClient, Translator):
 
     def __init__(self, base_url: str, api_key_env: str = "", *,
                  pairs: frozenset[tuple[str, str]],
-                 transport: HttpTransport | None = None,
-                 timeout: float = 120.0):
-        super().__init__("translation", api_key_env, transport, timeout)
+                 transport: HttpTransport | None = None):
+        super().__init__("translation", api_key_env, transport)
         self.base_url = base_url
         self._pairs = pairs
 
@@ -232,9 +230,8 @@ class HttpParaphraser(_HttpClient, Paraphraser):
     {"text", "count"} returning {"paraphrases": [...]}."""
 
     def __init__(self, base_url: str, api_key_env: str = "",
-                 transport: HttpTransport | None = None,
-                 timeout: float = 120.0):
-        super().__init__("paraphrase", api_key_env, transport, timeout)
+                 transport: HttpTransport | None = None):
+        super().__init__("paraphrase", api_key_env, transport)
         self.base_url = base_url
 
     @property
@@ -288,10 +285,8 @@ class MediaWikiClient(_HttpClient, WikiClient):
     stripped body is empty are dropped.
     """
 
-    def __init__(self, api_url: str,
-                 transport: HttpTransport | None = None,
-                 timeout: float = 60.0):
-        super().__init__("wiki", "", transport, timeout)
+    def __init__(self, api_url: str, transport: HttpTransport | None = None):
+        super().__init__("wiki", "", transport, timeout=60.0)
         self.api_url = api_url
 
     @property

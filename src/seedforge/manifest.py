@@ -145,7 +145,3 @@ def read_manifest(path: str) -> DatasetManifest:
             f"manifest ({expected[:12]})")
     return DatasetManifest(records=tuple(read_records(path)), flags=flags,
                            target_size=target_size, recipe=recipe, seed=seed)
-
-
-def manifest_hash(path: str) -> str:
-    return file_sha256(path)

@@ -230,12 +230,13 @@ def bleu(preds: list[str] | str, refs: list[str] | str, max_order: int = 4,
 
 # -- chrF -------------------------------------------------------------------
 
-def chrf(pred: str, ref: str, max_order: int = 6, beta: float = 2.0) -> float:
+def chrf(pred: str, ref: str) -> float:
     """Character n-gram F-score on a 0..100 scale.
 
     Whitespace is removed before n-gram extraction. Orders where either
     side has no n-grams are skipped; two empty texts score 100.
     """
+    max_order, beta = 6, 2.0
     pred_chars = "".join(pred.split())
     ref_chars = "".join(ref.split())
     if not pred_chars and not ref_chars:
@@ -325,15 +326,14 @@ def _count_chunks(pairs: list[tuple[int, int]]) -> int:
     return chunks
 
 
-def meteor(pred: str, ref: str, alpha: float = 0.9, beta: float = 3.0,
-           gamma: float = 0.5,
-           tokenizer: Tokenizer = unicode_words) -> float:
+def meteor(pred: str, ref: str, tokenizer: Tokenizer = unicode_words) -> float:
     """Exact-match variant: unigram F-mean discounted by fragmentation.
 
     score = F * (1 - gamma * (chunks / matches) ** beta) with
     F = P*R / (alpha*P + (1-alpha)*R). No stemming or synonymy stage, so
     the matcher is language-neutral.
     """
+    alpha, beta, gamma = 0.9, 3.0, 0.5
     pred_tokens = tokenizer(pred)
     ref_tokens = tokenizer(ref)
     if not pred_tokens or not ref_tokens:

@@ -56,8 +56,8 @@ from seedforge.gateway.http import (HttpCompletionClient, HttpEmbedder,
 from seedforge.instructions import (GENERATION_TASKS, GenerationFailure,
                                     InstructionRecord, generate_for_context)
 from seedforge.manifest import (VARIANT_FULL, DatasetManifest, Recipe,
-                                finish_manifest, read_manifest,
-                                truncate_records, write_manifest)
+                                finish_manifest, truncate_records,
+                                write_manifest)
 from seedforge.records import (file_sha256, parsing, read_json,
                                read_jsonl_lines, read_records, write_atomic,
                                write_json, write_jsonl, write_records)
@@ -322,18 +322,18 @@ def write_vectors(vectors: np.ndarray, path: str) -> str:
 
 
 def manifest_from_pool(pool: list, config: PipelineConfig,
-                       variant: str = VARIANT_FULL,
+                       variant: str = VARIANT_FULL, dedup: bool = True,
                        transforms: tuple[str, ...] = (),
                        apply=None) -> DatasetManifest:
     """The manifest of a generated build: dataset.size records drawn from
-    the pool under the variant's random stream, a recipe built from the
-    effective config, and apply(records, recipe), which runs the recipe's
+    the pool under the variant's random stream, a recipe from the config
+    and `dedup`, and apply(records, recipe), which runs the recipe's
     transforms, before the flags are stamped."""
     records = truncate_records(pool, config.dataset_size, config.run_seed,
                                variant)
     recipe = Recipe(variant=variant, topics_cultural=config.topics_cultural,
-                    topics_general=config.topics_general,
-                    dedup=config.dedup_enabled, transforms=transforms)
+                    topics_general=config.topics_general, dedup=dedup,
+                    transforms=transforms)
     if apply is not None:
         records = apply(records, recipe)
     return finish_manifest(records, recipe, config.dataset_size,
@@ -365,13 +365,13 @@ class _Run:
         """Execute or skip one stage.
 
         compute() -> (value, {filename: sha}) for the files `names`;
-        load() rebuilds the value from the files of a previously completed
-        stage. A ledger entry that names other files is stale, so a
-        workdir written by a layout with other stage files reruns those
-        stages. The stage hook fires only when compute runs. The chain
-        digest handed to the next stage covers this stage's actual output
-        hashes, so downstream stages are invalidated by changed content,
-        not only by changed inputs.
+        load() rebuilds the value of a previously completed stage from its
+        files or its ledger entry. A ledger entry that names other files
+        is stale, so a workdir written by a layout with other stage files
+        reruns those stages. The stage hook fires only when compute runs.
+        The chain digest handed to the next stage covers this stage's
+        actual output hashes, so downstream stages are invalidated by
+        changed content, not only by changed inputs.
         """
         digest = _chain(name, self.config_digest, self.upstream)
         if self.checkpoints.fresh(name, digest, names):
@@ -467,14 +467,14 @@ class _Run:
         self.vector_files.append(vectors_file)
         return pool
 
-    def build_pool(self, max_epochs: int, reroll: bool) -> list:
+    def build_pool(self, max_epochs: int, reroll: bool, dedup: bool) -> list:
         """The epoch loop: grow the record pool until it holds
         dataset.size records.
 
         Each epoch past the first adds new topics sized to the shortfall,
         or, with reroll, runs the first epoch's topics again under a fresh
-        round number. The pool is the dedup stage's output, or with dedup
-        off the id-sorted union of all records (not written to disk).
+        round number. The pool is the dedup stage's output, or without
+        dedup the id-sorted union of all records (not written to disk).
         """
         cfg = self.config
         all_records: list = []
@@ -495,8 +495,7 @@ class _Run:
             contexts = self.contexts_stage(epoch, topics, start, round_no)
             records = self.instructions_stage(epoch, contexts)
             all_records.extend(records)
-            pool = (self.dedup_stage(epoch, all_records, records)
-                    if cfg.dedup_enabled
+            pool = (self.dedup_stage(epoch, all_records, records) if dedup
                     else sorted(all_records, key=lambda r: r.id))
         if len(pool) < cfg.dataset_size:
             raise BuildError(
@@ -504,23 +503,23 @@ class _Run:
                 f"target {cfg.dataset_size}", achieved=len(pool))
         return pool
 
-    def manifest_stage(self, pool: list) -> DatasetManifest:
+    def manifest_stage(self, pool: list) -> str:
+        """Its value is the records sha256 in its ledger entry, which
+        `fresh` has just checked against the file when it skips."""
         cfg = self.config
         meta_name = MANIFEST_FILE + ".meta.json"
 
         def compute():
-            manifest = manifest_from_pool(pool, cfg)
-            mpath = self.path(MANIFEST_FILE)
-            sha = write_manifest(manifest, mpath,
+            sha = write_manifest(manifest_from_pool(pool, cfg),
+                                 self.path(MANIFEST_FILE),
                                  config_echo=cfg.effective())
-            return manifest, {MANIFEST_FILE: sha,
-                              meta_name: file_sha256(self.path(meta_name))}
+            return sha, {MANIFEST_FILE: sha,
+                         meta_name: file_sha256(self.path(meta_name))}
 
-        def load():
-            return read_manifest(self.path(MANIFEST_FILE))
-
-        return self.stage("manifest", compute, load,
-                          (MANIFEST_FILE, meta_name))
+        return self.stage(
+            "manifest", compute,
+            lambda: self.checkpoints.stages["manifest"]["outputs"][
+                MANIFEST_FILE], (MANIFEST_FILE, meta_name))
 
 
 def _locked(config: PipelineConfig, workdir: str, gateway, stage_hook,
@@ -531,19 +530,20 @@ def _locked(config: PipelineConfig, workdir: str, gateway, stage_hook,
 
 
 def build_pool(config: PipelineConfig, workdir: str, gateway,
-               max_epochs: int = MAX_EPOCHS, reroll: bool = False) -> list:
+               max_epochs: int = MAX_EPOCHS, reroll: bool = False,
+               dedup: bool = True) -> list:
     """Run the checkpointed generation stages under workdir through the
     caller's gateway and return the record pool (at least
     config.dataset_size records, id order). Raises BuildError when the
     target size is unreachable within max_epochs."""
     return _locked(config, workdir, gateway, None,
-                   lambda run: run.build_pool(max_epochs, reroll))
+                   lambda run: run.build_pool(max_epochs, reroll, dedup))
 
 
 def run_pipeline(config: PipelineConfig, workdir: str,
-                 stage_hook=None, max_epochs: int = MAX_EPOCHS
-                 ) -> DatasetManifest:
-    """Produce the configured dataset under workdir, resuming prior work.
+                 stage_hook=None, max_epochs: int = MAX_EPOCHS) -> str:
+    """Build the `full` dataset under workdir, resuming prior work, and
+    return its records sha256 as the manifest stage's ledger entry holds it.
 
     stage_hook(name) is called before each stage that actually executes;
     skipped stages stay silent. Raises BuildError when the target size is
@@ -551,4 +551,5 @@ def run_pipeline(config: PipelineConfig, workdir: str,
     """
     return _locked(
         config, workdir, build_gateway(config), stage_hook,
-        lambda run: run.manifest_stage(run.build_pool(max_epochs, False)))
+        lambda run: run.manifest_stage(
+            run.build_pool(max_epochs, False, True)))

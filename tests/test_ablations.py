@@ -13,8 +13,7 @@ from seedforge.ablations import (Recipe, VARIANT_CULTURE_ONLY,
                                  VARIANT_TABLE, VARIANTS, DatasetManifest,
                                  PropertyFlags, build_variant, derive_flags,
                                  finish_manifest, generate_pass,
-                                 load_external_corpus, manifest_hash,
-                                 read_manifest, round_trip_translate,
+                                 load_external_corpus, read_manifest, round_trip_translate,
                                  translate_record, truncate_records,
                                  write_manifest)
 from seedforge.config import default_config
@@ -22,6 +21,7 @@ from seedforge.errors import (BuildError, ConfigError, ParseError,
                               ProtocolError, ValidationError)
 from seedforge.gateway import Gateway
 from seedforge.instructions import InstructionRecord
+from seedforge.records import file_sha256
 from seedforge.topics import CULTURAL, GENERAL, Topic
 
 SMALL = default_config(topics_cultural=8, topics_general=6, dataset_size=50)
@@ -320,12 +320,19 @@ class TestBuildCultureOnly:
             build_variant(VARIANT_CULTURE_ONLY, gateway,
                           small(run_seed=1, dataset_size=4), full)
 
-    def test_needs_a_manifest_source(self, gateway, tmp_path):
+    def test_needs_a_manifest_source(self, full, gateway, tmp_path):
         with pytest.raises(ConfigError, match="requires --source"):
             build_variant(VARIANT_CULTURE_ONLY, gateway, SMALL)
         with pytest.raises(ConfigError, match="requires --source"):
             build_variant(VARIANT_CULTURE_ONLY, gateway, SMALL,
                           external_corpus(tmp_path, 12))
+        fluency = finish_manifest(
+            list(full.records),
+            replace(full.recipe, variant=VARIANT_FLUENCY_ONLY,
+                    topics_cultural=0, dedup=False), 50, 42)
+        with pytest.raises(ConfigError, match="not a fluency_only"):
+            build_variant(VARIANT_CULTURE_ONLY, gateway, SMALL, fluency)
+        assert gateway.stats.snapshot()["provider_calls"] == {}
 
 
 EXTERNAL_ROWS = """\
@@ -402,7 +409,7 @@ class TestManifestPersistence:
         path = str(tmp_path / "full.jsonl")
         digest = write_manifest(manifest, path,
                                 config_echo=SMALL.effective())
-        assert manifest_hash(path) == digest
+        assert file_sha256(path) == digest
         loaded = read_manifest(path)
         assert loaded.records == manifest.records
         assert loaded.flags == manifest.flags

@@ -22,7 +22,7 @@ from seedforge.ablations import (VARIANT_CULTURE_ONLY,
                                  VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
                                  VARIANT_FULL, VARIANT_NO_PROPERTIES,
                                  VARIANT_TABLE, build_variant, derive_flags,
-                                 load_external_corpus, manifest_hash)
+                                 load_external_corpus, read_manifest)
 from seedforge.cli import main as cli_main
 from seedforge.config import default_config
 from seedforge.dedup import dedup_filter, sample_text
@@ -31,6 +31,7 @@ from seedforge.gateway import Gateway
 from seedforge.instructions import (GENERATION_TASKS, McQuestion,
                                     generate_for_context, shuffle_choices)
 from seedforge.pipeline import MANIFEST_FILE, run_pipeline
+from seedforge.records import file_sha256
 from seedforge.stats import wilcoxon_rank_sum
 from seedforge.tokenizers import get_tokenizer
 
@@ -289,7 +290,8 @@ def test_criterion_5_end_to_end_run(tmp_path):
     manifest_a = os.path.join(str(tmp_path / "a"), MANIFEST_FILE)
     config = default_config(run_seed=42, topics_cultural=8,
                             topics_general=6, dataset_size=50)
-    manifest = run_pipeline(config, str(tmp_path / "a"))  # re-load, all skip
+    run_pipeline(config, str(tmp_path / "a"))  # all skip
+    manifest = read_manifest(manifest_a)
     if len(manifest.records) != 50:
         failures.append(f"{len(manifest.records)} records, expected 50")
     flags = (manifest.flags.fluency, manifest.flags.culture,
@@ -298,8 +300,8 @@ def test_criterion_5_end_to_end_run(tmp_path):
         failures.append(f"flags {flags}, expected (True, True, True)")
 
     cli_main(["run", "--config", conf, "--workdir", str(tmp_path / "b")])
-    hash_a = manifest_hash(manifest_a)
-    hash_b = manifest_hash(os.path.join(str(tmp_path / "b"), MANIFEST_FILE))
+    hash_a = file_sha256(manifest_a)
+    hash_b = file_sha256(os.path.join(str(tmp_path / "b"), MANIFEST_FILE))
     if hash_a != hash_b:
         failures.append("repeated runs differ")
 
@@ -316,7 +318,7 @@ def test_criterion_5_end_to_end_run(tmp_path):
                      "--workdir", str(tmp_path / "c")])
     if code != 0:
         failures.append(f"resumed run exited {code}")
-    hash_c = manifest_hash(os.path.join(str(tmp_path / "c"), MANIFEST_FILE))
+    hash_c = file_sha256(os.path.join(str(tmp_path / "c"), MANIFEST_FILE))
     if hash_c != hash_a:
         failures.append("interrupted-then-resumed run differs")
     _report(5, "mock end-to-end run: size, flags, byte-identical repeats "

@@ -9,6 +9,7 @@ from seedforge.ablations import read_manifest
 from seedforge.cli import main
 from seedforge.errors import ValidationError
 from seedforge.gateway.mock import MockTextGenerator
+from seedforge.pipeline import build_gateway
 from seedforge.records import file_sha256, read_records
 
 CONF = """\
@@ -326,6 +327,52 @@ class TestAblate:
         err = capsys.readouterr().err
         assert "build error" in err
         assert "achieved 50 records" in err
+
+
+class TestOutputDirectory:
+    """A command that writes a file finds a missing output directory
+    before any provider call."""
+
+    @pytest.fixture
+    def provider_calls(self, monkeypatch):
+        gateways = []
+
+        def capture(config):
+            gateways.append(build_gateway(config))
+            return gateways[-1]
+
+        monkeypatch.setattr("seedforge.cli.build_gateway", capture)
+        return lambda: sum(n for g in gateways
+                           for n in g.stats.snapshot()[
+                               "provider_calls"].values())
+
+    def test_topics(self, tmp_path, conf, capsys, provider_calls):
+        code = main(["topics", "--config", conf,
+                     "--out", str(tmp_path / "nodir" / "t.json")])
+        assert code == 2
+        assert (f"output directory {tmp_path / 'nodir'} does not exist"
+                in capsys.readouterr().err)
+        assert provider_calls() == 0
+
+    def test_ablate_culture(self, tmp_path, conf, capsys, provider_calls):
+        full = str(tmp_path / "full.jsonl")
+        assert main(["ablate", "--config", conf, "--variant", "full",
+                     "--size", "50", "--out", full]) == 0
+        before = provider_calls()
+        code = main(["ablate", "--config", conf, "--variant", "culture",
+                     "--size", "50", "--source", full,
+                     "--out", str(tmp_path / "nodir" / "c.jsonl")])
+        assert code == 2
+        assert "nodir does not exist" in capsys.readouterr().err
+        assert provider_calls() == before
+
+    def test_dedup_removals(self, tmp_path, conf, capsys):
+        code = main(["dedup", "--config", conf,
+                     "--in", str(tmp_path / "records.jsonl"),
+                     "--out", str(tmp_path / "kept.jsonl"),
+                     "--removals", str(tmp_path / "nodir" / "r.json")])
+        assert code == 2
+        assert "nodir does not exist" in capsys.readouterr().err
 
 
 class TestEvalReport:

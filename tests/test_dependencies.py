@@ -1,5 +1,6 @@
-"""The runtime stays on the standard library, numpy and requests, and the
-gateway never imports the pipeline modules built on top of it."""
+"""The runtime stays on the standard library, numpy and requests, the
+gateway never imports the pipeline modules built on top of it, and no
+module imports a name it never uses or offers a default nobody sets."""
 
 import ast
 import os
@@ -103,3 +104,129 @@ def test_no_module_imports_a_name_it_never_uses():
                        f"{name}" for line, name in unused_imports(
                            handle.read())]
     assert unused == []
+
+
+# The repository root: callers are searched in src/, bench/ and tests/.
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CALLER_DIRS = ("src", "bench", "tests")
+# Defaults that bind a value into a nested function when it is defined,
+# not options a caller may set: (file, function, parameter).
+BINDING_DEFAULTS = {("evalreport.py", "cell", "_ts")}
+
+
+def _name(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def defaulted_parameters(tree):
+    """(name, parameter, positional index or None, line) of every
+    parameter with a default. A method's index does not count `self`,
+    which a call through an attribute passes implicitly; an `__init__`
+    is named after its class, since callers call the class."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = owner is not None and not any(
+                    _name(d) == "staticmethod" for d in child.decorator_list)
+                name = (owner.name if owner is not None
+                        and child.name == "__init__" else child.name)
+                first = len(positional) - len(args.defaults)
+                for index in range(first, len(positional)):
+                    found.append((name, positional[index].arg,
+                                  index - bound, child.lineno))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((name, arg.arg, None, child.lineno))
+                visit(child, None)
+                continue
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def calls(tree):
+    """name -> [(positional count, keywords, *args present)] for every
+    call in `tree`; **kwargs shows as the keyword None. A
+    `super().__init__(...)` call counts as a call of each base class
+    named in the enclosing class statement."""
+    found: dict = {}
+
+    def visit(node, bases):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, [_name(base) for base in child.bases])
+                continue
+            if isinstance(child, ast.Call):
+                name = _name(child.func)
+                entry = (len(child.args), {k.arg for k in child.keywords},
+                         any(isinstance(a, ast.Starred) for a in child.args))
+                for target in ([b for b in bases if b]
+                               if name == "__init__" else [name]):
+                    found.setdefault(target, []).append(entry)
+            visit(child, bases)
+
+    visit(tree, [])
+    return found
+
+
+def unset_defaults(src_files, caller_files):
+    """`file:line name(parameter)` for every defaulted parameter of a
+    function in `src_files` that no call in `caller_files` passes, by
+    keyword, by position or through *args or **kwargs (the keyword
+    None)."""
+    index: dict = {}
+    for path in caller_files:
+        with open(path, encoding="utf-8") as handle:
+            for name, entries in calls(ast.parse(handle.read())).items():
+                index.setdefault(name, []).extend(entries)
+    unset = []
+    for path in src_files:
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        base = os.path.basename(path)
+        for name, param, position, line in defaulted_parameters(tree):
+            if (base, name, param) in BINDING_DEFAULTS:
+                continue
+            if not any(param in keywords or None in keywords
+                       or (position is not None
+                           and (starred or count > position))
+                       for count, keywords, starred in index.get(name, ())):
+                unset.append(f"{base}:{line} {name}({param})")
+    return unset
+
+
+def test_unset_defaults_finds_a_planted_one(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n\n"
+        "def g(e=0):\n    pass\n\n"
+        "class K:\n    def __init__(self, x=0, y=1):\n        pass\n\n"
+        "    def m(self, z=0):\n        pass\n\n"
+        "class L(K):\n    def __init__(self):\n"
+        "        super().__init__(1)\n")
+    caller = tmp_path / "use.py"
+    caller.write_text("f(0, c=1)\nf(*args)\ng(**kw)\nk.m(1)\n")
+    assert unset_defaults([str(src)], [str(src), str(caller)]) == [
+        "m.py:1 f(d)", "m.py:8 K(y)"]
+
+
+def test_every_default_is_set_by_some_call():
+    """A defaulted parameter that no caller sets is an option nobody
+    uses: make it a constant instead."""
+    src = sources(ROOT)
+    callers = [path for folder in CALLER_DIRS
+               for path in sources(os.path.join(REPO, folder))]
+    assert len(callers) > len(src) > 20
+    assert unset_defaults(src, callers) == []

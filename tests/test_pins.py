@@ -10,6 +10,7 @@ records. If a digest must change, the change that moves it says why.
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -28,10 +29,11 @@ dedup.threshold = 0.8
 RUN_MANIFEST = (
     "d0c929e79d180930d546d92bc35ce8798879ee80baab61e48fd72de44888966e")
 # The metadata echoes every config key. It moved when the
-# `dedup.index_kind` key was removed and again when the `dedup.mode` key
-# was removed; the records digest did not.
+# `dedup.index_kind` key was removed, again when the `dedup.mode` key was
+# removed, and a third time when the `dedup.enabled` key was removed; the
+# records digest did not.
 RUN_META = (
-    "b00a9af7c5bf2683a6fb3d28531ba603dd46c439f086186fa114a44a2c05de96")
+    "a7754009255cb17ffd61d1547fc61141d5abae623dc03ee1651b02ab66830a78")
 ABLATE = {
     "full":
         "d0c929e79d180930d546d92bc35ce8798879ee80baab61e48fd72de44888966e",
@@ -83,6 +85,32 @@ def test_run_manifest_and_meta(built):
     manifest, _ = built
     assert file_sha256(manifest) == RUN_MANIFEST
     assert file_sha256(manifest + ".meta.json") == RUN_META
+
+
+def test_noop_run_answers_from_its_ledger(tmp_path, monkeypatch, capsys):
+    """A rerun of a finished workdir prints the cold run's lines, with the
+    digest from the ledger, and parses no manifest."""
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    argv = ["run", "--config", str(conf), "--workdir", str(tmp_path / "w")]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    parsed = []
+
+    def counting(read):
+        def read_manifest(path):
+            parsed.append(path)
+            return read(path)
+        return read_manifest
+
+    for module in list(sys.modules.values()):
+        original = getattr(module, "read_manifest", None)
+        if module.__name__.startswith("seedforge") and original:
+            monkeypatch.setattr(module, "read_manifest", counting(original))
+    assert main(argv) == 0
+    assert parsed == []
+    assert capsys.readouterr().out == cold
+    assert cold.splitlines()[1] == f"sha256 {RUN_MANIFEST}"
 
 
 def test_ablate_full_writes_the_bytes_of_run(built):

@@ -23,6 +23,7 @@ from seedforge.gateway.mock import (FlakyProvider, MockEmbedder,
                                     MockTextGenerator)
 from seedforge.instructions import (CLOSED_QA, CONVERSATION,
                                     MULTIPLE_CHOICE, SUMMARIZATION)
+from seedforge.manifest import read_manifest
 from seedforge.pipeline import (CHECKPOINT_FILE, LOCK_FILE, MANIFEST_FILE,
                                 WorkdirLock, acquire_contexts, build_gateway,
                                 epoch_topics, generate_records, read_contexts,
@@ -59,7 +60,8 @@ def manifest_path(workdir):
 
 class TestRunPipeline:
     def test_produces_target_size_with_all_flags(self, tmp_path):
-        manifest = run_pipeline(SMALL, str(tmp_path))
+        run_pipeline(SMALL, str(tmp_path))
+        manifest = read_manifest(manifest_path(tmp_path))
         assert len(manifest.records) == 50
         assert (manifest.flags.fluency, manifest.flags.culture,
                 manifest.flags.diversity) == (True, True, True)
@@ -90,11 +92,11 @@ class TestRunPipeline:
         assert executed == FIRST_RUN_STAGES
         before = file_sha256(manifest_path(tmp_path))
         executed.clear()
-        manifest = run_pipeline(SMALL, str(tmp_path),
-                                stage_hook=executed.append)
+        digest = run_pipeline(SMALL, str(tmp_path),
+                              stage_hook=executed.append)
         assert executed == []
-        assert file_sha256(manifest_path(tmp_path)) == before
-        assert len(manifest.records) == 50
+        assert file_sha256(manifest_path(tmp_path)) == before == digest
+        assert len(read_manifest(manifest_path(tmp_path)).records) == 50
 
     def test_interrupt_then_resume_is_byte_identical(self, tmp_path):
         reference = str(tmp_path / "ref")
@@ -185,9 +187,8 @@ class TestRunPipeline:
         tiny = default_config(topics_cultural=1, topics_general=1,
                               dataset_size=30, run_seed=5)
         executed = []
-        manifest = run_pipeline(tiny, str(tmp_path / "a"),
-                                stage_hook=executed.append)
-        assert len(manifest.records) == 30
+        run_pipeline(tiny, str(tmp_path / "a"), stage_hook=executed.append)
+        assert len(read_manifest(manifest_path(tmp_path / "a")).records) == 30
         assert "topics-01" in executed
         run_pipeline(tiny, str(tmp_path / "b"))
         assert (file_sha256(manifest_path(tmp_path / "a"))
@@ -616,8 +617,8 @@ class TestWorkdirLock:
         path = os.path.join(str(tmp_path), LOCK_FILE)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("???")
-        manifest = run_pipeline(SMALL, str(tmp_path))
-        assert len(manifest.records) == 50
+        run_pipeline(SMALL, str(tmp_path))
+        assert len(read_manifest(manifest_path(tmp_path)).records) == 50
 
     @pytest.mark.parametrize("content", [
         "[1]", '{"pid": null}', '{"pid": 0}', '{"pid": true}',

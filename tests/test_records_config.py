@@ -36,7 +36,6 @@ PINNED_DEFAULTS = {
     "temperature.multiple_choice": 0.4,
     "temperature.context": 0.8,
     "tasks.qa_pairs": 5,
-    "dedup.enabled": True,
     "dedup.threshold": 0.95,
     "paraphrase.count": 4,
     "budget.requests_per_minute": 60,
@@ -105,13 +104,13 @@ run.seed = 7
 dataset.size = 100
 provider.kind = mock
 run.culture = "Lao"
-dedup.enabled = false
+dedup.threshold = 0.9
 context.p_wiki = 1
 """)
         assert cfg.run_seed == 7
         assert cfg.dataset_size == 100
         assert cfg.run_culture == "Lao"
-        assert cfg.dedup_enabled is False
+        assert cfg.dedup_threshold == 0.9
         assert cfg.context_p_wiki == 1.0
 
     def test_unknown_key_with_line_number(self):
@@ -140,15 +139,15 @@ context.p_wiki = 1
             parse_config("dataset.size = 5.5\n")
         with pytest.raises(ConfigError, match="expects int"):
             parse_config("run.seed = true\n")
-        with pytest.raises(ConfigError, match="expects bool"):
-            parse_config("dedup.enabled = 1\n")
 
     def test_dedup_mode_is_an_unknown_key(self):
-        # Keep-first is the only dedup policy; the old key is not aliased.
-        for value in ("keep_first", "full_set"):
+        # Keep-first is the only dedup policy and `run` always dedups;
+        # the old keys are not aliased.
+        for line in ("dedup.mode = keep_first", "dedup.mode = full_set",
+                     "dedup.enabled = false"):
             with pytest.raises(ConfigError,
                                match="line 1: unknown config key"):
-                parse_config(f"dedup.mode = {value}\n")
+                parse_config(f"{line}\n")
 
     def test_choice_keys(self):
         with pytest.raises(ConfigError, match="provider.kind"):
