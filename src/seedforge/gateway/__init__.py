@@ -4,9 +4,12 @@ One object fronts all external capabilities (completion, embeddings,
 translation, paraphrasing, wiki) and applies the operational policy in one
 place: a content-addressed response cache, sliding-window rate limiting for
 remote providers, bounded retries with exponential backoff and jitter, and a
-concurrency cap. Callers see plain typed methods and never deal with
-transport concerns. Every reply passes its op's one check before it is
-cached or returned, and so does every cache hit.
+concurrency cap. The cap is also the stage thread count, `concurrency`, but
+only when some provider is remote: in-process providers cannot overlap
+under the GIL, so the stages call them inline. Callers see plain typed
+methods and never deal with transport concerns. Every reply passes its
+op's one check before it is cached or returned, and so does every cache
+hit.
 
 Thread safety: all public methods may be called concurrently; the semaphore
 bounds in-flight provider attempts (a call waiting out its backoff holds no
@@ -135,6 +138,16 @@ class Gateway:
         self._sleep = sleep
         self._jitter = jitter_rng or random.Random(0)
         self._jitter_lock = threading.Lock()
+
+    @property
+    def concurrency(self) -> int:
+        """Worker threads a stage should run its provider calls on:
+        budget.max_concurrent when any provider is remote, else 1."""
+        providers = (self.generator, self.embedder, self.translator,
+                     self.paraphraser, self.wiki)
+        if any(provider.remote for provider in providers):
+            return self.budget.max_concurrent
+        return 1
 
     @classmethod
     def mock(cls, budget: ProviderBudget | None = None, cache_dir=None,

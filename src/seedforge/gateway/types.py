@@ -90,8 +90,10 @@ class ProviderBudget:
     requests_per_minute bounds provider calls in any sliding 60 s window;
     a wiki sections call is 1 + k HTTP requests (the section list, then
     each of its k sections) under one limiter slot.
-    max_concurrent bounds in-flight provider calls. retry_limit is the number
-    of re-attempts after the first failure of a retryable call.
+    max_concurrent bounds in-flight provider calls, and is the number of
+    threads the contexts and instructions stages run on when any provider
+    is remote; with local providers only they run inline. retry_limit is
+    the number of re-attempts after the first failure of a retryable call.
     """
 
     requests_per_minute: int = constants.REQUESTS_PER_MINUTE

@@ -212,10 +212,11 @@ def _chain(stage: str, config_digest: str, upstream: str) -> str:
 # -- stage bodies, shared with the CLI stage commands -------------------------
 
 def parallel_map(fn, count: int, workers: int) -> list:
-    """fn(0..count-1) on up to `workers` threads, results in index order."""
-    if count == 0:
-        return []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    """fn(0..count-1), results in index order: inline when one worker or
+    one item leaves nothing to overlap, else on up to `workers` threads."""
+    if min(workers, count) <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
 
 
@@ -248,13 +249,13 @@ def epoch_topics(config: PipelineConfig, gateway, epoch: int = 0,
 def acquire_contexts(topics: list[Topic], gateway, config: PipelineConfig,
                      start_index: int = 0, round_no: int = 0
                      ) -> list[tuple[str, ContextDoc]]:
-    """One keyed context per topic, on budget.max_concurrent threads; keys
+    """One keyed context per topic, on gateway.concurrency threads; keys
     come from the topic index and round, never from completion order."""
     def one(offset: int):
         key = f"t{start_index + offset:04d}-r{round_no:02d}"
         return key, acquire_context(topics[offset], gateway, config, key)
 
-    return parallel_map(one, len(topics), config.budget_max_concurrent)
+    return parallel_map(one, len(topics), gateway.concurrency)
 
 
 def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
@@ -263,7 +264,7 @@ def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
                      ) -> tuple[list[InstructionRecord],
                                 list[GenerationFailure]]:
     """Records for every keyed context, in context order, on
-    budget.max_concurrent threads. Failed tasks are logged and returned;
+    gateway.concurrency threads. Failed tasks are logged and returned;
     they never abort the stage."""
     def one(i: int):
         key, doc = contexts[i]
@@ -271,8 +272,7 @@ def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
 
     records: list[InstructionRecord] = []
     failures: list[GenerationFailure] = []
-    for recs, fails in parallel_map(one, len(contexts),
-                                    config.budget_max_concurrent):
+    for recs, fails in parallel_map(one, len(contexts), gateway.concurrency):
         records.extend(recs)
         failures.extend(fails)
     for failure in failures:

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from seedforge import constants
 from seedforge.errors import (ConfigError, NotFoundError, ProtocolError,
                               ProviderError, RetryableProviderError,
                               ValidationError)
@@ -70,7 +71,8 @@ def _clients(transport, key_env=""):
     }
 
 
-def _gateway(transport, key_env="", retry_limit=3, sleeps=None):
+def _gateway(transport, key_env="", retry_limit=3, sleeps=None,
+             max_concurrent=constants.MAX_CONCURRENT):
     c = _clients(transport, key_env)
     clock = [0.0]
 
@@ -84,6 +86,7 @@ def _gateway(transport, key_env="", retry_limit=3, sleeps=None):
         translator=c["translate"], paraphraser=c["paraphrase"],
         wiki=c["wiki"],
         budget=ProviderBudget(requests_per_minute=10**9,
+                              max_concurrent=max_concurrent,
                               retry_limit=retry_limit),
         clock=lambda: clock[0], sleep=sleep)
 

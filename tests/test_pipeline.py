@@ -6,12 +6,13 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from seedforge.config import default_config, with_overrides
+from seedforge.config import default_config, parse_config, with_overrides
 from seedforge.contexts import WIKI
 from seedforge.dedup import dedup_filter, read_removals, sample_text
 from seedforge import pipeline
@@ -34,8 +35,10 @@ from seedforge.topics import GENERAL, Topic
 
 from test_contexts import drew_wiki
 from test_gateway import LOG_HEADER, log_frames
+from test_http import FakeTransport, _gateway as http_gateway
 from test_instructions import (VALID_CONV, VALID_MC, VALID_QA_5,
                                VALID_SUMMARY, make_ctx)
+from test_pins import CONF as PINS_CONF, RUN_MANIFEST
 
 SMALL = default_config(topics_cultural=8, topics_general=6, dataset_size=50,
                        run_seed=42)
@@ -473,6 +476,108 @@ class TestExtensionTopics:
                          seen=frozenset({"ทะเล"}))
 
 
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a stage started a thread pool")
+
+
+class BarrierTransport(FakeTransport):
+    """Holds each request until `parties` are in flight at once, and keeps
+    the most it saw in flight."""
+
+    def __init__(self, parties, *replies):
+        super().__init__(*replies)
+        self._barrier = threading.Barrier(parties, timeout=5)
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.most_in_flight = 0
+
+    def request(self, *args, **kwargs):
+        with self._lock:
+            self._in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self._in_flight)
+        try:
+            self._barrier.wait()
+            return super().request(*args, **kwargs)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+
+def _generated_contexts(gateway, count):
+    """acquire_contexts of `count` topics, every context generated by one
+    completion request."""
+    topics = [Topic(f"หัวข้อ {i}", GENERAL) for i in range(count)]
+    config = default_config(run_seed=5, context_p_wiki=0.0)
+    return acquire_contexts(topics, gateway, config)
+
+
+def _completion(text):
+    return (200, {"choices": [{"message": {"content": text}}]})
+
+
+class TestStageThreads:
+    """The contexts and instructions stages use threads only when some
+    provider is remote; local providers run inline with the same bytes."""
+
+    PROVIDERS = TestDeterminismUnderFaults.PROVIDERS
+
+    def test_mock_build_starts_no_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NoPool)
+        run_pipeline(parse_config(PINS_CONF), str(tmp_path))
+        assert file_sha256(manifest_path(tmp_path)) == RUN_MANIFEST
+
+    def test_remote_providers_run_threaded_with_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        clean_build = pipeline.build_gateway
+
+        def remote_build(config):
+            gateway = clean_build(config)
+            for name in self.PROVIDERS:
+                getattr(gateway, name).remote = True
+            return gateway
+
+        pools = []
+        thread_pool = pipeline.ThreadPoolExecutor
+
+        def counting_pool(max_workers):
+            pools.append(max_workers)
+            return thread_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(pipeline, "build_gateway", remote_build)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool)
+        config = with_overrides(parse_config(PINS_CONF), {
+            "budget.max_concurrent": 4,
+            "budget.requests_per_minute": 10**9})
+        run_pipeline(config, str(tmp_path))
+        assert pools and set(pools) == {4}
+        assert file_sha256(manifest_path(tmp_path)) == RUN_MANIFEST
+
+    def test_one_slot_http_gateway_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NoPool)
+        gateway = http_gateway(
+            FakeTransport(*(_completion(f"เนื้อหา {i}") for i in range(3))),
+            max_concurrent=1)
+        assert gateway.concurrency == 1
+        contexts = _generated_contexts(gateway, 3)
+        assert [(key, doc.body) for key, doc in contexts] == [
+            (f"t{i:04d}-r00", f"เนื้อหา {i}") for i in range(3)]
+
+    @pytest.mark.parametrize("max_concurrent", [2, 4])
+    def test_http_gateway_fills_every_slot_and_no_more(self,
+                                                        max_concurrent):
+        count = 2 * max_concurrent
+        transport = BarrierTransport(
+            max_concurrent, *[_completion("เนื้อหา")] * count)
+        gateway = http_gateway(transport, max_concurrent=max_concurrent)
+        assert gateway.concurrency == max_concurrent
+        contexts = _generated_contexts(gateway, count)
+        assert [key for key, _ in contexts] == [
+            f"t{i:04d}-r00" for i in range(count)]
+        assert len(transport.requests) == count
+        assert transport.most_in_flight == max_concurrent
+
+
 def run_topics(config, scripted):
     """Cultural topics only; every batch is unparseable, so the stage
     stops after budget.retry_limit + 1 requests."""
@@ -670,6 +775,7 @@ class TestBuildGateway:
         gateway = build_gateway(SMALL)
         assert isinstance(gateway.generator, MockTextGenerator)
         assert gateway.budget.max_concurrent == 4
+        assert gateway.concurrency == 1
 
     def test_http_kind_requires_every_url(self):
         cfg = default_config(provider_kind="http")
@@ -695,6 +801,7 @@ class TestBuildGateway:
         gateway = build_gateway(cfg)
         assert isinstance(gateway.generator, HttpCompletionClient)
         assert isinstance(gateway.translator, HttpTranslator)
+        assert gateway.concurrency == cfg.budget_max_concurrent
 
     def test_named_but_unset_credential_is_an_error(self, monkeypatch):
         monkeypatch.delenv("NO_SUCH_KEY_VAR", raising=False)
