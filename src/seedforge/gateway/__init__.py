@@ -31,7 +31,7 @@ import numpy as np
 from seedforge import constants
 from seedforge.errors import (ConfigError, ProtocolError,
                               RetryableProviderError, ValidationError)
-from seedforge.gateway.cache import NullCache, ResponseCache, request_key
+from seedforge.gateway.cache import ResponseCache, request_key
 from seedforge.gateway.mock import (DEFAULT_PAIRS, MockEmbedder,
                                     MockParaphraser, MockTextGenerator,
                                     MockTranslator, MockWikiClient)
@@ -132,7 +132,7 @@ class Gateway:
         self.wiki = wiki
         self.budget = budget
         self.stats = GatewayStats()
-        self._cache = ResponseCache(cache_dir) if cache_dir else NullCache()
+        self._cache = ResponseCache(cache_dir) if cache_dir else None
         self._limiter = RateLimiter(budget.requests_per_minute, clock, sleep)
         self._semaphore = threading.BoundedSemaphore(budget.max_concurrent)
         self._sleep = sleep
@@ -202,7 +202,11 @@ class Gateway:
         values; a fresh payload is cached only after it passes, and a
         cached one that fails is requested again and overwritten. A
         decoded array (an embedding batch) is cached as itself, the
-        checked float64 block, and decode checks it again on a hit."""
+        checked float64 block, and decode checks it again on a hit.
+        Without a cache no request key is built."""
+        if self._cache is None:
+            return _decoded(decode,
+                            {"payload": self._call(op, provider, fn, chars)})
         key = request_key(provider.provider_id, op, params)
         hit = self._cache.get(key)
         if hit is not None:

@@ -152,12 +152,3 @@ class ResponseCache:
             finally:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
 
-
-class NullCache:
-    """Cache-less mode: every call reaches the provider."""
-
-    def get(self, key: str) -> None:
-        return None
-
-    def put(self, key: str, payload: Any) -> None:
-        return None

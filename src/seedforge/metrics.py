@@ -1,12 +1,16 @@
 """Text similarity metrics implemented from first principles.
 
-Everything here is deterministic and dependency-free apart from numpy in
-the embedding-based scorer. Word-level metrics take a tokenizer argument
-because Thai has no space-delimited words; the character tokenizer is the
-honest default there.
+Everything here is deterministic and depends on nothing but numpy, which
+counts n-grams and scores embeddings. Word-level metrics take a tokenizer
+argument because Thai has no space-delimited words; the character
+tokenizer is the honest default there.
 
 Conventions that differ between published implementations are pinned here:
 
+* every n-gram overlap (rouge_n, bleu, chrf, squad_f1) is clipped: each
+  distinct n-gram counts as often as it occurs on the side where it is
+  rarer. chrf counts characters with whitespace removed; the others count
+  tokens, and squad_f1 its own casefolded, punctuation-free tokens.
 * n-gram orders whose denominator is zero (the text is shorter than the
   order) are excluded from geometric or arithmetic means instead of
   contributing zero, so scoring a text against itself yields the maximum.
@@ -29,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from seedforge.errors import ValidationError
-from seedforge.tokenizers import Tokenizer, unicode_words
+from seedforge.tokenizers import SpaceOutTable, Tokenizer, unicode_words
 
 
 @dataclass(frozen=True)
@@ -45,14 +49,55 @@ def _fmeasure(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[k:] for k in range(n))))
+def _symbol_ids(a: str | list[str], b: str | list[str]
+                ) -> tuple[np.ndarray, int]:
+    """Dense ids 0..k-1 for the symbols of a followed by those of b, and
+    k. The symbols of a string are its characters, lone surrogates (which
+    JSON can carry) included; those of a list are its tokens."""
+    if isinstance(a, str):
+        # int64 like the keys: each dtype np.unique sorts pages in its own
+        # sort code, which shows in peak RSS
+        points = np.frombuffer((a + b).encode("utf-32-le", "surrogatepass"),
+                               dtype="<u4").astype(np.int64)
+        alphabet, ids = np.unique(points, return_inverse=True)
+        return ids, len(alphabet)
+    index: dict[str, int] = {}
+    ids = [index.setdefault(token, len(index)) for token in chain(a, b)]
+    return np.array(ids, dtype=np.int64), len(index)
 
 
-def _overlap(a: Counter, b: Counter) -> int:
-    """Clipped overlap: the smaller count of each shared n-gram, summed."""
-    shared = a.keys() & b.keys()
-    return sum(map(min, (a[g] for g in shared), (b[g] for g in shared)))
+def _clipped_overlaps(a: str | list[str], b: str | list[str],
+                      max_order: int) -> list[int]:
+    """Clipped n-gram overlap of two symbol sequences at each order
+    1..max_order: for each n-gram, the smaller of its counts in a and in
+    b, summed. An order that either side is too short for has overlap 0.
+
+    Every n-gram is a dense integer rank. The key of an order-n n-gram is
+    rank * k + id: the rank of its first n-1 symbols, then the id of its
+    last among the k symbols. One np.unique over both sides' keys ranks
+    them again, so a key stays below (len(a) + len(b)) * k at every order
+    and no alphabet can overflow int64. The overlap is the sum of the
+    elementwise minimum of the two sides' rank counts. Once an order
+    shares nothing, no longer n-gram can be shared either.
+    """
+    overlaps = [0] * max_order
+    ids, k = _symbol_ids(a, b)
+    ids_a, ids_b = ids[:len(a)], ids[len(a):]
+    rank_a, rank_b, distinct = ids_a, ids_b, k
+    for n in range(1, min(max_order, len(a), len(b)) + 1):
+        if n > 1:
+            keys = np.concatenate((rank_a[:-1] * k + ids_a[n - 1:],
+                                   rank_b[:-1] * k + ids_b[n - 1:]))
+            uniq, rank = np.unique(keys, return_inverse=True)
+            split = len(rank_a) - 1
+            rank_a, rank_b, distinct = rank[:split], rank[split:], len(uniq)
+        overlap = int(np.minimum(np.bincount(rank_a, minlength=distinct),
+                                 np.bincount(rank_b, minlength=distinct)
+                                 ).sum())
+        if not overlap:
+            break
+        overlaps[n - 1] = overlap
+    return overlaps
 
 
 # -- ROUGE ------------------------------------------------------------------
@@ -62,13 +107,13 @@ def rouge_n(pred: str, ref: str, n: int = 1,
     """Clipped n-gram overlap."""
     if n < 1:
         raise ValidationError(f"n-gram order must be >= 1, got {n}")
-    pred_grams = _ngrams(tokenizer(pred), n)
-    ref_grams = _ngrams(tokenizer(ref), n)
-    pred_total = sum(pred_grams.values())
-    ref_total = sum(ref_grams.values())
-    if pred_total == 0 or ref_total == 0:
+    pred_tokens = tokenizer(pred)
+    ref_tokens = tokenizer(ref)
+    pred_total = len(pred_tokens) - n + 1
+    ref_total = len(ref_tokens) - n + 1
+    if pred_total <= 0 or ref_total <= 0:
         return Score(0.0, 0.0, 0.0)
-    overlap = _overlap(pred_grams, ref_grams)
+    overlap = _clipped_overlaps(pred_tokens, ref_tokens, n)[n - 1]
     precision = overlap / pred_total
     recall = overlap / ref_total
     return Score(precision, recall, _fmeasure(precision, recall))
@@ -201,13 +246,10 @@ def bleu(preds: list[str] | str, refs: list[str] | str, max_order: int = 4,
         ref_tokens = tokenizer(ref)
         pred_len += len(pred_tokens)
         ref_len += len(ref_tokens)
-        for n in range(1, max_order + 1):
-            slots = len(pred_tokens) - n + 1
-            if slots <= 0:
-                continue
-            denominators[n - 1] += slots
-            numerators[n - 1] += _overlap(_ngrams(pred_tokens, n),
-                                          _ngrams(ref_tokens, n))
+        overlaps = _clipped_overlaps(pred_tokens, ref_tokens, max_order)
+        for n in range(1, min(max_order, len(pred_tokens)) + 1):
+            denominators[n - 1] += len(pred_tokens) - n + 1
+            numerators[n - 1] += overlaps[n - 1]
     log_sum = 0.0
     effective = 0
     for num, den in zip(numerators, denominators):
@@ -243,22 +285,12 @@ def chrf(pred: str, ref: str) -> float:
         return 100.0
     if not pred_chars or not ref_chars:
         return 0.0
-    precisions: list[float] = []
-    recalls: list[float] = []
-    for n in range(1, max_order + 1):
-        pred_total = len(pred_chars) - n + 1
-        ref_total = len(ref_chars) - n + 1
-        if pred_total <= 0 or ref_total <= 0:
-            break
-        overlap = _overlap(
-            Counter(pred_chars[i:i + n] for i in range(pred_total)),
-            Counter(ref_chars[i:i + n] for i in range(ref_total)))
-        precisions.append(overlap / pred_total)
-        recalls.append(overlap / ref_total)
-    if not precisions:
-        return 0.0
-    precision = sum(precisions) / len(precisions)
-    recall = sum(recalls) / len(recalls)
+    orders = min(max_order, len(pred_chars), len(ref_chars))
+    overlaps = _clipped_overlaps(pred_chars, ref_chars, orders)
+    precision = sum(overlap / (len(pred_chars) - n)
+                    for n, overlap in enumerate(overlaps)) / orders
+    recall = sum(overlap / (len(ref_chars) - n)
+                 for n, overlap in enumerate(overlaps)) / orders
     if precision + recall == 0.0:
         return 0.0
     beta2 = beta * beta
@@ -353,13 +385,12 @@ def meteor(pred: str, ref: str, tokenizer: Tokenizer = unicode_words) -> float:
 
 # -- extractive QA token F1 -------------------------------------------------
 
+_NOT_PUNCTUATION = SpaceOutTable(
+    lambda ch: not unicodedata.category(ch).startswith("P"))
+
+
 def _squad_normalize(text: str) -> list[str]:
-    lowered = text.casefold()
-    cleaned = "".join(
-        " " if unicodedata.category(ch).startswith("P") else ch
-        for ch in lowered)
-    tokens = cleaned.split()
-    return tokens
+    return text.casefold().translate(_NOT_PUNCTUATION).split()
 
 
 def squad_f1(pred: str, ref: str) -> float:
@@ -375,7 +406,7 @@ def squad_f1(pred: str, ref: str) -> float:
         return 1.0
     if not pred_tokens or not ref_tokens:
         return 0.0
-    overlap = _overlap(Counter(pred_tokens), Counter(ref_tokens))
+    overlap = _clipped_overlaps(pred_tokens, ref_tokens, 1)[0]
     if overlap == 0:
         return 0.0
     precision = overlap / len(pred_tokens)

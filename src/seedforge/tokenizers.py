@@ -22,21 +22,34 @@ def _is_word_char(ch: str) -> bool:
             or unicodedata.category(ch).startswith("M"))
 
 
+class SpaceOutTable(dict):
+    """A str.translate table that keeps the characters `keep` accepts and
+    maps every other character to a space.
+
+    Each code point is classified on its first lookup and remembered, so
+    the table holds only code points seen so far and nothing is built at
+    import.
+    """
+
+    def __init__(self, keep: Callable[[str], bool]):
+        super().__init__()
+        self._keep = keep
+
+    def __missing__(self, point: int) -> int:
+        mapped = point if self._keep(chr(point)) else 0x20
+        self[point] = mapped
+        return mapped
+
+
+_WORD_CHARS = SpaceOutTable(_is_word_char)
+
+
 def unicode_words(text: str) -> list[str]:
     """Runs of Unicode word characters, marks included. Thai text without
     spaces comes out as one token per run, which is crude but
-    deterministic."""
-    tokens: list[str] = []
-    run: list[str] = []
-    for ch in text:
-        if _is_word_char(ch):
-            run.append(ch)
-        elif run:
-            tokens.append("".join(run))
-            run.clear()
-    if run:
-        tokens.append("".join(run))
-    return tokens
+    deterministic. No word character is whitespace, so splitting at
+    whitespace after the translation splits exactly between runs."""
+    return text.translate(_WORD_CHARS).split()
 
 
 def characters(text: str) -> list[str]:

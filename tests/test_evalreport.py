@@ -1,5 +1,6 @@
 """Evaluation report: scoring, alignment, comparisons, rendering."""
 
+import inspect
 import math
 
 import pytest
@@ -83,6 +84,26 @@ class TestScorePair:
                                  gateway, tokenizer)
                 assert got["rouge_lsum_f1"] == metrics.rouge_lsum(
                     pred, ref, tokenizer).f1
+
+    def test_traced_metric_names_are_called_through_the_module(
+            self, gateway, monkeypatch):
+        """The traced eval wraps each name in bench.tracing.METRIC_FNS on
+        seedforge.metrics; a metric renamed or called around the module
+        attribute would lose its span without an error."""
+        from bench.tracing import METRIC_FNS
+        called = []
+        for name in METRIC_FNS:
+            fn = getattr(metrics, name, None)
+            assert inspect.isfunction(fn), name
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, counting)
+        score_pair(pair(prediction="ก ข\nค", reference="ค\nก ข"),
+                   gateway, TOK)
+        assert set(called) == set(METRIC_FNS)
 
 
 class TestGenerationLengths:

@@ -332,6 +332,18 @@ class TestCache:
         assert stats["provider_calls"]["complete"] == 1
         assert stats["cache_hits"]["complete"] == 1
 
+    def test_no_request_key_without_a_cache(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("request_key built without a cache")
+
+        monkeypatch.setattr("seedforge.gateway.request_key", refuse)
+        gw = Gateway.mock()
+        assert gw.complete(GenRequest(prompt="echo:hi", temperature=0.1,
+                                      seed=0)) == "hi"
+        assert gw.embed(["ก ข", "ค"]).shape == (2, 256)
+        assert gw.stats.snapshot()["provider_calls"] == {"complete": 1,
+                                                         "embed": 1}
+
     def test_cache_persists_across_gateways(self, tmp_path):
         # Cache keys include the provider id, so the second gateway's
         # generator must present the same identity as the first.

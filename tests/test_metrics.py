@@ -8,6 +8,8 @@ unit runs fast.
 
 import math
 import random
+import unicodedata
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -430,3 +432,226 @@ class TestIdentityAndRange:
             assert squad_f1(text, text) == 1.0
             m = len(unicode_words(text))
             assert meteor(text, text) == pytest.approx(1.0 - 0.5 / m ** 3)
+
+
+# -- the n-gram kernel against the Counter formulation ----------------------
+
+# Reference implementations: the Counter-of-tuples n-gram counting and the
+# per-character tokenizer loops that the integer-key kernel and the
+# str.translate tokenizers replaced. The kernel must give every metric the
+# same float, bit for bit.
+
+def _ref_ngrams(tokens, n):
+    return Counter(zip(*(tokens[k:] for k in range(n))))
+
+
+def _ref_overlap(a, b):
+    return sum((a & b).values())
+
+
+def _ref_is_word_char(ch):
+    return (ch == "_" or ch.isalnum()
+            or unicodedata.category(ch).startswith("M"))
+
+
+def _ref_unicode_words(text):
+    tokens, run = [], []
+    for ch in text:
+        if _ref_is_word_char(ch):
+            run.append(ch)
+        elif run:
+            tokens.append("".join(run))
+            run.clear()
+    if run:
+        tokens.append("".join(run))
+    return tokens
+
+
+def _ref_squad_normalize(text):
+    return "".join(" " if unicodedata.category(ch).startswith("P") else ch
+                   for ch in text.casefold()).split()
+
+
+def _ref_rouge_n(pred, ref, n, tokenizer):
+    pred_grams = _ref_ngrams(tokenizer(pred), n)
+    ref_grams = _ref_ngrams(tokenizer(ref), n)
+    pred_total = sum(pred_grams.values())
+    ref_total = sum(ref_grams.values())
+    if pred_total == 0 or ref_total == 0:
+        return Score(0.0, 0.0, 0.0)
+    overlap = _ref_overlap(pred_grams, ref_grams)
+    precision = overlap / pred_total
+    recall = overlap / ref_total
+    return Score(precision, recall, metrics._fmeasure(precision, recall))
+
+
+def _ref_bleu(preds, refs, max_order, tokenizer, smooth):
+    numerators = [0] * max_order
+    denominators = [0] * max_order
+    pred_len = ref_len = 0
+    for pred, ref in zip(preds, refs):
+        pred_tokens, ref_tokens = tokenizer(pred), tokenizer(ref)
+        pred_len += len(pred_tokens)
+        ref_len += len(ref_tokens)
+        for n in range(1, max_order + 1):
+            slots = len(pred_tokens) - n + 1
+            if slots <= 0:
+                continue
+            denominators[n - 1] += slots
+            numerators[n - 1] += _ref_overlap(_ref_ngrams(pred_tokens, n),
+                                              _ref_ngrams(ref_tokens, n))
+    log_sum = 0.0
+    effective = 0
+    for num, den in zip(numerators, denominators):
+        if den == 0:
+            continue
+        effective += 1
+        if smooth:
+            log_sum += math.log((num + 1) / (den + 1))
+        elif num == 0:
+            return 0.0
+        else:
+            log_sum += math.log(num / den)
+    if effective == 0 or pred_len == 0:
+        return 0.0
+    brevity = 1.0 if pred_len >= ref_len else math.exp(1.0 - ref_len
+                                                       / pred_len)
+    return math.exp(log_sum / effective) * brevity
+
+
+def _ref_chrf(pred, ref):
+    pred_chars = "".join(pred.split())
+    ref_chars = "".join(ref.split())
+    if not pred_chars and not ref_chars:
+        return 100.0
+    if not pred_chars or not ref_chars:
+        return 0.0
+    precisions, recalls = [], []
+    for n in range(1, 7):
+        pred_total = len(pred_chars) - n + 1
+        ref_total = len(ref_chars) - n + 1
+        if pred_total <= 0 or ref_total <= 0:
+            break
+        overlap = _ref_overlap(
+            Counter(pred_chars[i:i + n] for i in range(pred_total)),
+            Counter(ref_chars[i:i + n] for i in range(ref_total)))
+        precisions.append(overlap / pred_total)
+        recalls.append(overlap / ref_total)
+    precision = sum(precisions) / len(precisions)
+    recall = sum(recalls) / len(recalls)
+    if precision + recall == 0.0:
+        return 0.0
+    return 100.0 * 5.0 * precision * recall / (4.0 * precision + recall)
+
+
+def _ref_squad_f1(pred, ref):
+    pred_tokens = _ref_squad_normalize(pred)
+    ref_tokens = _ref_squad_normalize(ref)
+    if not pred_tokens and not ref_tokens:
+        return 1.0
+    if not pred_tokens or not ref_tokens:
+        return 0.0
+    overlap = _ref_overlap(Counter(pred_tokens), Counter(ref_tokens))
+    if overlap == 0:
+        return 0.0
+    return metrics._fmeasure(overlap / len(pred_tokens),
+                             overlap / len(ref_tokens))
+
+
+# Symbol pools a side is drawn from: a tiny alphabet repeats n-grams at
+# every order; the others add Thai with its combining marks, astral
+# characters, lone surrogates, punctuation and mixed whitespace.
+_KERNEL_POOLS = (
+    "ab ",
+    "กขค่ ั",
+    "aAbB1_ .,!?-\t\n",
+    "แมวนั่งบนเสื่อ 🙂🐘𝔸 𐏿\udc00 東京 ",
+    "".join(chr(c) for c in range(0x0E01, 0x0E5B)) + "  \n",
+)
+# More distinct characters than 1,448, the largest alphabet whose
+# sixth power fits in int64.
+_WIDE = "".join(chr(c) for c in range(0x4E00, 0x4E00 + 3000))
+
+
+def _kernel_text(rng, pool):
+    if rng.random() < 0.1:
+        return rng.choice(("", " ", "\n\t ", "a", "ab", "🙂", "\ud800"))
+    return "".join(rng.choice(pool) for _ in range(rng.randint(0, 60)))
+
+
+def _kernel_pairs():
+    rng = random.Random(1448)
+    pairs = []
+    for _ in range(400):
+        pool = rng.choice(_KERNEL_POOLS)
+        pred = _kernel_text(rng, pool)
+        ref = (_kernel_text(rng, pool) if rng.random() < 0.7
+               else pred[rng.randrange(len(pred) + 1):] + pred)
+        pairs.append((pred, ref))
+    wide = list(_WIDE)
+    for _ in range(4):
+        rng.shuffle(wide)
+        pred = "".join(wide[:2000])
+        pairs.append((pred, pred[500:] + "".join(wide[1000:2500])))
+    return pairs
+
+
+class TestNgramKernel:
+    pairs = _kernel_pairs()
+
+    @pytest.mark.parametrize("name", sorted(TOKENIZERS))
+    def test_rouge_n(self, name):
+        tokenizer = TOKENIZERS[name]
+        for pred, ref in self.pairs:
+            for n in (1, 2, 3):
+                assert (rouge_n(pred, ref, n, tokenizer)
+                        == _ref_rouge_n(pred, ref, n, tokenizer))
+
+    @pytest.mark.parametrize("name", sorted(TOKENIZERS))
+    def test_sentence_bleu(self, name):
+        tokenizer = TOKENIZERS[name]
+        for pred, ref in self.pairs:
+            for smooth in (False, True):
+                assert (bleu([pred], [ref], tokenizer=tokenizer,
+                             smooth=smooth)
+                        == _ref_bleu([pred], [ref], 4, tokenizer, smooth))
+
+    @pytest.mark.parametrize("name", sorted(TOKENIZERS))
+    def test_corpus_bleu(self, name):
+        tokenizer = TOKENIZERS[name]
+        rng = random.Random(name)
+        for _ in range(60):
+            chunk = rng.sample(self.pairs, rng.randint(1, 8))
+            preds = [p for p, _ in chunk]
+            refs = [r for _, r in chunk]
+            max_order = rng.randint(1, 6)
+            for smooth in (False, True):
+                assert (bleu(preds, refs, max_order, tokenizer, smooth)
+                        == _ref_bleu(preds, refs, max_order, tokenizer,
+                                     smooth))
+
+    def test_chrf(self):
+        for pred, ref in self.pairs:
+            assert chrf(pred, ref) == _ref_chrf(pred, ref)
+
+    def test_squad_f1(self):
+        for pred, ref in self.pairs:
+            assert squad_f1(pred, ref) == _ref_squad_f1(pred, ref)
+
+    def test_wide_alphabet_pairs_share_long_ngrams(self):
+        """The wide-alphabet pairs share order-6 n-grams, so the checks
+        above compare keys that a naive base**6 key could not hold: each
+        of the 1,495 6-grams of pred[500:] is in both sides."""
+        for pred, ref in self.pairs[-4:]:
+            assert len(set(pred + ref)) > 1448
+            assert metrics._clipped_overlaps(pred, ref, 6)[5] == 1495
+            assert 0.0 < chrf(pred, ref) < 100.0
+
+    def test_tokenizers_match_their_loops(self):
+        texts = [t for pair in self.pairs for t in pair] + [
+            "".join(chr(c) for c in range(start, start + 400))
+            for start in range(0, 0x30000, 0x1000)]
+        for text in texts:
+            assert unicode_words(text) == _ref_unicode_words(text)
+            assert (metrics._squad_normalize(text)
+                    == _ref_squad_normalize(text))

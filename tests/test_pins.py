@@ -10,11 +10,13 @@ records. If a digest must change, the change that moves it says why.
 
 import json
 import os
+import random
 import sys
 
 import pytest
 
 from seedforge.cli import main
+from seedforge.evalreport import EVAL_TASKS, TEST_SETS
 from seedforge.pipeline import CHECKPOINT_FILE, MANIFEST_FILE
 from seedforge.records import file_sha256, read_records
 
@@ -176,3 +178,76 @@ def test_eval_report(tmp_path):
     out = str(tmp_path / "report.json")
     assert main(argv + ["--out", out]) == 0
     assert file_sha256(out) == EVAL_REPORT
+
+
+# Sixty seeded pairs for two systems over every task and test set. Texts
+# mix Thai (with its combining marks), Latin in both cases, digits, CJK,
+# an astral emoji and punctuation; about half span several lines, and
+# some sides are empty or whitespace only. Pinned under `unicode_words`
+# and `characters`, which split these texts differently.
+SEEDED_EVAL_REPORT = {
+    "unicode_words":
+        "d88419b293920ddb8f78ecc08b422d342b113eefcd432b3405796a332b6a5f6e",
+    "characters":
+        "bc3101947ebbcff58e0b92393f3e4f38a9104853423eb5e783169a1427e8dca8",
+}
+
+_SEEDED_VOCABULARY = (
+    "แมว", "น้ำ", "ไหล", "วัด", "สร้าง", "อยุธยา", "ขนม", "ไทย", "ถนน",
+    "ท่วม", "กิน", "ปี", "the", "The", "cat", "Cat", "sat", "mat", "river",
+    "42", "2024", "๑๒", "東京", "水", "🐘", "café", "naïve", "a", "I",
+)
+_SEEDED_PUNCTUATION = (",", ".", "!", "?", "«", "»", "—", "(", ")", "ๆ")
+
+
+def _seeded_text(rng: random.Random) -> str:
+    if rng.random() < 0.05:
+        return rng.choice(("", " ", "\n \t"))
+    lines = []
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        words = []
+        for _ in range(rng.randint(1, 12)):
+            word = rng.choice(_SEEDED_VOCABULARY)
+            if rng.random() < 0.2:
+                word += rng.choice(_SEEDED_PUNCTUATION)
+            words.append(word)
+        joiner = rng.choice((" ", " ", " ", ""))
+        lines.append(joiner.join(words))
+    return "\n".join(lines)
+
+
+def _perturbed(text: str, rng: random.Random, rate: float) -> str:
+    out = []
+    for line in text.split("\n"):
+        words = [w if rng.random() >= rate else rng.choice(_SEEDED_VOCABULARY)
+                 for w in line.split(" ")]
+        if len(words) > 1 and rng.random() < rate:
+            words.pop(rng.randrange(len(words)))
+        out.append(" ".join(words))
+    return "\n".join(out)
+
+
+@pytest.mark.parametrize("tokenizer", list(SEEDED_EVAL_REPORT))
+def test_seeded_eval_report(tmp_path, tokenizer):
+    rng = random.Random(20261019)
+    refs, preds = [], {"close": [], "far": []}
+    for i in range(60):
+        pair_id = f"p{i:02d}"
+        ref = _seeded_text(rng)
+        refs.append({"id": pair_id, "task": EVAL_TASKS[i % len(EVAL_TASKS)],
+                     "test_set": TEST_SETS[i % 2], "reference": ref})
+        for system, rate in (("close", 0.2), ("far", 0.7)):
+            pred = (_seeded_text(rng) if rng.random() < 0.1
+                    else _perturbed(ref, rng, rate))
+            preds[system].append({"id": pair_id, "prediction": pred})
+    argv = ["eval", "--refs", str(tmp_path / "refs.jsonl"),
+            "--tokenizer", tokenizer]
+    for name, rows in [("refs", refs)] + list(preds.items()):
+        with open(tmp_path / f"{name}.jsonl", "w", encoding="utf-8") as f:
+            f.writelines(json.dumps(row, ensure_ascii=False) + "\n"
+                         for row in rows)
+        if name != "refs":
+            argv += ["--pred", str(tmp_path / f"{name}.jsonl")]
+    out = str(tmp_path / "report.json")
+    assert main(argv + ["--out", out]) == 0
+    assert file_sha256(out) == SEEDED_EVAL_REPORT[tokenizer]
