@@ -8,9 +8,10 @@ are always derived from its recipe (see seedforge.manifest), and the
 recipe's transforms are the steps that ran, in order.
 
 The generated variants run the pipeline's checkpointed epoch loop in a
-temporary working directory with the row's topic counts and dedup setting,
-then share `run`'s pool-to-manifest step. The other two sample a full
-build's manifest or an external corpus.
+temporary working directory with the row's topic counts and dedup setting;
+the other two take a full build's manifest or an external corpus. Every
+variant then ends the same way: a seeded sample of its records, a recipe
+from its row, the recipe's transforms, and the flags stamped.
 
 Degradations are deliberate: round-trip translation simulates a machine
 translated corpus, and paraphrase fan-out shrinks semantic diversity while
@@ -37,7 +38,7 @@ from seedforge.manifest import (  # noqa: F401 - re-exported
     PropertyFlags, Recipe, derive_flags, finish_manifest, read_manifest,
     truncate_records, write_manifest)
 from seedforge.pipeline import (MAX_EPOCHS, acquire_contexts, build_pool,
-                                generate_records, manifest_from_pool)
+                                generate_records)
 from seedforge.records import read_jsonl_lines
 from seedforge.topics import GENERAL, Topic
 
@@ -203,8 +204,10 @@ def build_variant(variant: str, gateway, config: PipelineConfig,
     None), removed on return; a re-rolling variant runs at most
     ceil(size / topics) + 10 rounds. A derived variant needs the full
     build's DatasetManifest as `source`, an external one the records of
-    `load_external_corpus`; each samples dataset.size / (paraphrase.count
-    + 1) of them, which the paraphrase fan-out multiplies back to size.
+    `load_external_corpus`. Every variant then samples size / fan-out of
+    its records (the "truncate" stream when generated, else "sample"),
+    runs its transforms and has its flags stamped; the fan-out is
+    paraphrase.count + 1 when the transforms paraphrase, else 1.
     """
     spec = VARIANT_TABLE[variant]
     size, seed = config.dataset_size, config.run_seed
@@ -217,20 +220,17 @@ def build_variant(variant: str, gateway, config: PipelineConfig,
                       else MAX_EPOCHS)
         with tempfile.TemporaryDirectory(prefix=".seedforge-",
                                          dir=workdir_parent) as workdir:
-            pool = build_pool(config, workdir, gateway, max_epochs,
-                              spec.reroll, spec.dedup)
-        return manifest_from_pool(
-            pool, config, variant, spec.dedup, spec.transforms,
-            lambda records, recipe: _run_transforms(records, recipe,
-                                                    gateway, config))
-    if spec.source == DERIVED:
+            records = build_pool(config, workdir, gateway, max_epochs,
+                                 spec.reroll, spec.dedup)
+        origin, stream = GENERATED, "truncate"
+    elif spec.source == DERIVED:
         if not isinstance(source, DatasetManifest):
             raise ConfigError(f"{variant} requires --source (a full-build "
                               f"manifest to sample from)")
         if source.recipe.variant != VARIANT_FULL:
             raise ConfigError(f"{variant} samples a {VARIANT_FULL} build, "
                               f"not a {source.recipe.variant} manifest")
-        records = list(source.records)
+        records, stream = list(source.records), "sample"
         origin = f"derived:{source.recipe.variant}"
         cultural, general = spec.topics or (source.recipe.topics_cultural,
                                             source.recipe.topics_general)
@@ -238,9 +238,10 @@ def build_variant(variant: str, gateway, config: PipelineConfig,
         if not isinstance(source, list):
             raise ConfigError(f"{variant} requires --external (a "
                               f"prompt/response JSONL corpus)")
-        records, origin = source, EXTERNAL
+        records, origin, stream = source, EXTERNAL, "sample"
         cultural, general = spec.topics
-    fanout = config.paraphrase_count + 1
+    fanout = (config.paraphrase_count + 1
+              if "paraphrase" in spec.transforms else 1)
     if size % fanout:
         raise ConfigError(f"size {size} is not a multiple of the paraphrase "
                           f"fan-out {fanout}")
@@ -248,7 +249,7 @@ def build_variant(variant: str, gateway, config: PipelineConfig,
                     topics_general=general, dedup=spec.dedup,
                     transforms=spec.transforms, source=origin)
     sampled = truncate_records(records, size // fanout, seed, variant,
-                               stream="sample")
+                               stream=stream)
     return finish_manifest(
         _run_transforms(sampled, recipe, gateway, config), recipe, size,
         seed)

@@ -20,7 +20,7 @@ import sys
 from seedforge import ablations
 from seedforge.config import (PipelineConfig, default_config, load_config,
                               with_overrides)
-from seedforge.dedup import write_removals
+from seedforge.dedup import dedup_filter, write_removals
 from seedforge.errors import (BuildError, ConfigError, ProviderError,
                               SeedforgeError)
 from seedforge.evalreport import (aggregate_report, join_pairs,
@@ -28,9 +28,9 @@ from seedforge.evalreport import (aggregate_report, join_pairs,
                                   render_report)
 from seedforge.instructions import GENERATION_TASKS
 from seedforge.pipeline import (MANIFEST_FILE, acquire_contexts,
-                                build_gateway, dedup_records, epoch_topics,
-                                generate_records, read_contexts, read_topics,
-                                run_pipeline, write_contexts, write_topics)
+                                build_gateway, epoch_topics, generate_records,
+                                read_contexts, read_topics, run_pipeline,
+                                write_contexts, write_topics)
 from seedforge.records import (parsing, read_json, read_records,
                                write_json, write_records)
 from seedforge.tokenizers import TOKENIZERS
@@ -97,8 +97,8 @@ def cmd_generate(args) -> int:
 
 def cmd_dedup(args) -> int:
     config = _load_cfg(args)
-    result = dedup_records(read_records(args.infile), build_gateway(config),
-                           config)
+    result = dedup_filter(read_records(args.infile), build_gateway(config),
+                          threshold=config.dedup_threshold)
     write_records(result.kept, args.out)
     if args.removals:
         write_removals(result.removed, args.removals)
@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.achieved is not None:
             print(f"achieved {exc.achieved} records", file=sys.stderr)
         return 4
-    except SeedforgeError as exc:
+    except (SeedforgeError, OSError) as exc:
         stage = getattr(exc, "stage", None)
         if stage:
             print(f"error in stage {stage}: {exc}", file=sys.stderr)
@@ -287,9 +287,6 @@ def main(argv: list[str] | None = None) -> int:
                       "command to resume", file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

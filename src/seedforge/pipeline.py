@@ -18,10 +18,15 @@ not hold, as under reroll). A dedup stage writes every removal so far
 (vectors-NN.npy); a later dedup stage that runs hands both back as
 `known`. The pool is the instruction records minus the latest removals.
 
+The single-file stages run through one `file_stage`, driven by the
+_FILE_STAGES table. A skipped one reads its file only when a stage that
+runs, or the pool, calls its value; the epoch loop needs only record
+counts, so a rerun whose stages all verify parses no such file.
+
 The stage bodies are plain functions shared with the CLI stage commands.
 Each takes the effective PipelineConfig and reads its settings from it.
 The generated ablation variants run the same epoch loop through
-`build_pool` and the same final step, `manifest_from_pool`.
+`build_pool` and then the one variant tail in `ablations.build_variant`.
 
 Determinism: all randomness is derived from (run.seed, stage path), never
 from wall clock or completion order, so a run interrupted at any stage
@@ -45,8 +50,8 @@ from seedforge import constants
 from seedforge.config import PipelineConfig
 from seedforge.contexts import (ContextDoc, acquire_context,
                                 context_from_dict, context_to_dict)
-from seedforge.dedup import (DedupResult, Known, Removal, dedup_filter,
-                             read_removals, write_removals)
+from seedforge.dedup import (Known, Removal, dedup_filter, read_removals,
+                             write_removals)
 from seedforge.errors import (BuildError, ConfigError, LockError,
                               ParseError, SeedforgeError)
 from seedforge.gateway import Gateway, ProviderBudget
@@ -281,12 +286,6 @@ def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
     return records, failures
 
 
-def dedup_records(records: list, gateway, config: PipelineConfig,
-                  known: Known | None = None) -> DedupResult:
-    return dedup_filter(records, gateway, threshold=config.dedup_threshold,
-                        known=known)
-
-
 # -- stage files, shared with the CLI stage commands -------------------------
 
 def write_topics(topics: list[Topic], path: str) -> str:
@@ -321,23 +320,44 @@ def write_vectors(vectors: np.ndarray, path: str) -> str:
     return write_atomic(path, blob.getvalue())
 
 
-def manifest_from_pool(pool: list, config: PipelineConfig,
-                       variant: str = VARIANT_FULL, dedup: bool = True,
-                       transforms: tuple[str, ...] = (),
-                       apply=None) -> DatasetManifest:
-    """The manifest of a generated build: dataset.size records drawn from
-    the pool under the variant's random stream, a recipe from the config
-    and `dedup`, and apply(records, recipe), which runs the recipe's
-    transforms, before the flags are stamped."""
-    records = truncate_records(pool, config.dataset_size, config.run_seed,
-                               variant)
-    recipe = Recipe(variant=variant, topics_cultural=config.topics_cultural,
-                    topics_general=config.topics_general, dedup=dedup,
-                    transforms=transforms)
-    if apply is not None:
-        records = apply(records, recipe)
-    return finish_manifest(records, recipe, config.dataset_size,
-                           config.run_seed)
+# Single-file stages: kind -> (suffix, write(value, path) -> sha256, read).
+_FILE_STAGES = {
+    "topics": (".json", write_topics, read_topics),
+    "contexts": (".jsonl", write_contexts, read_contexts),
+    "instructions": (".jsonl", write_records, read_records),
+}
+
+
+def manifest_from_pool(pool: list, config: PipelineConfig) -> DatasetManifest:
+    """The manifest of `run`: dataset.size records drawn from the pool
+    under the `full` variant's random stream, with no transforms."""
+    size, seed = config.dataset_size, config.run_seed
+    recipe = Recipe(variant=VARIANT_FULL, dedup=True,
+                    topics_cultural=config.topics_cultural,
+                    topics_general=config.topics_general)
+    return finish_manifest(truncate_records(pool, size, seed, VARIANT_FULL),
+                           recipe, size, seed)
+
+
+class _Lazy:
+    """A single-file stage's value: the one the stage computed or, when
+    it was skipped, the one read from its file on the first call."""
+
+    def __init__(self, path: str, read, value=None):
+        self.path, self._read, self._value = path, read, value
+
+    def __call__(self):
+        if self._read is not None:
+            self._value, self._read = self._read(self.path), None
+        return self._value
+
+    def count(self) -> int:
+        """len of the value; an unread JSONL file, whose sha256 the ledger
+        has checked, gives its non-blank lines and is not parsed."""
+        if self._read is None:
+            return len(self._value)
+        with open(self.path, "rb") as handle:
+            return sum(1 for line in handle if line.strip())
 
 
 class _Run:
@@ -352,11 +372,6 @@ class _Run:
         self.checkpoints = _Checkpoints(workdir)
         self.config_digest = config.content_digest()
         self.upstream = "origin"
-        # What the dedup stages so far decided: their records' ids, in the
-        # row order of their vector files, and the removals.
-        self.dedup_ids: list[str] = []
-        self.vector_files: list[str] = []
-        self.removals: list[Removal] = []
 
     def path(self, name: str) -> str:
         return os.path.join(self.workdir, name)
@@ -365,13 +380,13 @@ class _Run:
         """Execute or skip one stage.
 
         compute() -> (value, {filename: sha}) for the files `names`;
-        load() rebuilds the value of a previously completed stage from its
-        files or its ledger entry. A ledger entry that names other files
-        is stale, so a workdir written by a layout with other stage files
-        reruns those stages. The stage hook fires only when compute runs.
-        The chain digest handed to the next stage covers this stage's
-        actual output hashes, so downstream stages are invalidated by
-        changed content, not only by changed inputs.
+        load() gives the value of a previously completed stage. A ledger
+        entry that names other files is stale, so a workdir written by a
+        layout with other stage files reruns those stages. The stage hook
+        fires only when compute runs; a package or OS error inside it is
+        tagged with the stage name. The chain digest handed to the next
+        stage covers this stage's actual output hashes, so downstream
+        stages are invalidated by changed content, not only by inputs.
         """
         digest = _chain(name, self.config_digest, self.upstream)
         if self.checkpoints.fresh(name, digest, names):
@@ -383,7 +398,7 @@ class _Run:
             logger.info("stage %s: running", name)
             try:
                 value, outputs = compute()
-            except SeedforgeError as exc:
+            except (SeedforgeError, OSError) as exc:
                 if not hasattr(exc, "stage"):
                     exc.stage = name
                 logger.error("stage %s failed: %s", name, exc)
@@ -394,123 +409,109 @@ class _Run:
                                json.dumps(outputs, sort_keys=True))
         return value
 
-    def file_stage(self, name: str, fname: str, compute, write, read):
-        """A stage whose value is saved to one file: write(value, path)
-        returns the file's sha256, read(path) loads the value back."""
+    def file_stage(self, kind: str, epoch: int, compute) -> _Lazy:
+        """The `kind` stage of one epoch, saved to one file as
+        _FILE_STAGES says. A skipped stage reads its file only when its
+        value is called for."""
+        suffix, write, read = _FILE_STAGES[kind]
+        name = f"{kind}-{epoch:02d}"
+        fname = name + suffix
         path = self.path(fname)
 
         def run():
             value = compute()
-            return value, {fname: write(value, path)}
+            return _Lazy(path, None, value), {fname: write(value, path)}
 
-        return self.stage(name, run, lambda: read(path), (fname,))
+        return self.stage(name, run, lambda: _Lazy(path, read), (fname,))
 
-    def topics_stage(self, epoch: int, deficit: int,
-                     seen: set[str]) -> list[Topic]:
-        name = f"topics-{epoch:02d}"
-        return self.file_stage(
-            name, f"{name}.json",
-            lambda: epoch_topics(self.config, self.gateway, epoch, deficit,
-                                 seen),
-            write_topics, read_topics)
-
-    def contexts_stage(self, epoch: int, topics: list[Topic],
-                       start_index: int, round_no: int
-                       ) -> list[tuple[str, ContextDoc]]:
-        name = f"contexts-{epoch:02d}"
-        return self.file_stage(
-            name, f"{name}.jsonl",
-            lambda: acquire_contexts(topics, self.gateway, self.config,
-                                     start_index, round_no),
-            write_contexts, read_contexts)
-
-    def instructions_stage(self, epoch: int,
-                           contexts: list[tuple[str, ContextDoc]]) -> list:
-        name = f"instructions-{epoch:02d}"
-        return self.file_stage(
-            name, f"{name}.jsonl",
-            lambda: generate_records(contexts, self.gateway,
-                                     self.config)[0],
-            write_records, read_records)
-
-    def dedup_stage(self, epoch: int, cumulative: list, new: list) -> list:
-        """Dedup of every record so far, given the earlier dedup stages'
-        decisions: only the epoch's `new` records are embedded and, while
-        their ids follow the earlier ones, scanned. Writes every removal
-        so far as removed-NN.json and the raw embeddings of the new
-        records, in id order, as vectors-NN.npy. Vector files are read
-        only when a later dedup stage runs."""
+    def dedup_stage(self, epoch: int, batches: list[_Lazy],
+                    removals: list[Removal]) -> list[Removal]:
+        """Every removal among `batches`, one per epoch so far, given the
+        earlier dedup stages' `removals`: only the last batch is embedded
+        and, while its ids follow the earlier ones, scanned. Writes the
+        removals as removed-NN.json and the last batch's raw embeddings,
+        in id order, as vectors-NN.npy, which only a later dedup stage
+        that runs reads."""
         removed_file = f"removed-{epoch:02d}.json"
         vectors_file = f"vectors-{epoch:02d}.npy"
 
         def compute():
-            known = Known(self.dedup_ids,
-                          [np.load(self.path(name), allow_pickle=False)
-                           for name in self.vector_files], self.removals)
-            result = dedup_records(cumulative, self.gateway, self.config,
-                                   known)
-            return (result.kept, result.removed), {
+            known = Known(
+                [rid for batch in batches[:-1]
+                 for rid in sorted(r.id for r in batch())],
+                [np.load(self.path(f"vectors-{e:02d}.npy"),
+                         allow_pickle=False) for e in range(epoch)],
+                removals)
+            result = dedup_filter(
+                [r for batch in batches for r in batch()], self.gateway,
+                threshold=self.config.dedup_threshold, known=known)
+            return result.removed, {
                 removed_file: write_removals(result.removed,
                                              self.path(removed_file)),
                 vectors_file: write_vectors(result.vectors,
                                             self.path(vectors_file))}
 
-        def load():
-            removed = read_removals(self.path(removed_file))
-            gone = {r.record_id for r in removed}
-            return sorted((r for r in cumulative if r.id not in gone),
-                          key=lambda r: r.id), removed
+        return self.stage(f"dedup-{epoch:02d}", compute,
+                          lambda: read_removals(self.path(removed_file)),
+                          (removed_file, vectors_file))
 
-        pool, self.removals = self.stage(f"dedup-{epoch:02d}", compute,
-                                         load, (removed_file, vectors_file))
-        self.dedup_ids += sorted(r.id for r in new)
-        self.vector_files.append(vectors_file)
-        return pool
-
-    def build_pool(self, max_epochs: int, reroll: bool, dedup: bool) -> list:
+    def build_pool(self, max_epochs: int, reroll: bool, dedup: bool):
         """The epoch loop: grow the record pool until it holds
-        dataset.size records.
+        dataset.size records, and return it as a thunk.
 
         Each epoch past the first adds new topics sized to the shortfall,
         or, with reroll, runs the first epoch's topics again under a fresh
-        round number. The pool is the dedup stage's output, or without
-        dedup the id-sorted union of all records (not written to disk).
+        round number. The pool is the id-sorted union of all records,
+        less the last dedup stage's removals when dedup is on; it is not
+        written to disk, and skipped stages' files are read only when it
+        or a stage that runs is computed.
         """
-        cfg = self.config
-        all_records: list = []
-        all_topics: list[Topic] = []
-        seen: set[str] = set()
-        pool: list = []
+        cfg, gateway = self.config, self.gateway
+        topic_sets: list[_Lazy] = []
+        batches: list[_Lazy] = []
+        removals: list[Removal] = []
+        total = size = 0
         for epoch in range(max_epochs + 1):
-            deficit = cfg.dataset_size - len(pool)
+            deficit = cfg.dataset_size - size
             if epoch > 0 and deficit <= 0:
                 break
             if reroll and epoch > 0:
-                topics, start, round_no = all_topics, 0, epoch
+                topics, earlier, round_no = topic_sets[0], [], epoch
             else:
-                topics = self.topics_stage(epoch, deficit, seen)
-                seen.update(normalize_topic(t.text) for t in topics)
-                start, round_no = len(all_topics), 0
-                all_topics.extend(topics)
-            contexts = self.contexts_stage(epoch, topics, start, round_no)
-            records = self.instructions_stage(epoch, contexts)
-            all_records.extend(records)
-            pool = (self.dedup_stage(epoch, all_records, records) if dedup
-                    else sorted(all_records, key=lambda r: r.id))
-        if len(pool) < cfg.dataset_size:
+                earlier, round_no = list(topic_sets), 0
+                topics = self.file_stage(
+                    "topics", epoch, lambda: epoch_topics(
+                        cfg, gateway, epoch, deficit,
+                        {normalize_topic(t.text)
+                         for s in earlier for t in s()}))
+                topic_sets.append(topics)
+            contexts = self.file_stage(
+                "contexts", epoch, lambda: acquire_contexts(
+                    topics(), gateway, cfg, sum(len(s()) for s in earlier),
+                    round_no))
+            batches.append(self.file_stage(
+                "instructions", epoch,
+                lambda: generate_records(contexts(), gateway, cfg)[0]))
+            total += batches[-1].count()
+            if dedup:
+                removals = self.dedup_stage(epoch, batches, removals)
+            size = total - len(removals)
+        if size < cfg.dataset_size:
             raise BuildError(
-                f"{len(pool)} records after {max_epochs} topic extensions, "
-                f"target {cfg.dataset_size}", achieved=len(pool))
-        return pool
+                f"{size} records after {max_epochs} topic extensions, "
+                f"target {cfg.dataset_size}", achieved=size)
+        gone = {r.record_id for r in removals}
+        return lambda: sorted((r for batch in batches for r in batch()
+                               if r.id not in gone), key=lambda r: r.id)
 
-    def manifest_stage(self, pool: list) -> str:
+    def manifest_stage(self, pool) -> str:
         """Its value is the records sha256 in its ledger entry, which
         `fresh` has just checked against the file when it skips."""
         cfg = self.config
         meta_name = MANIFEST_FILE + ".meta.json"
 
         def compute():
-            sha = write_manifest(manifest_from_pool(pool, cfg),
+            sha = write_manifest(manifest_from_pool(pool(), cfg),
                                  self.path(MANIFEST_FILE),
                                  config_echo=cfg.effective())
             return sha, {MANIFEST_FILE: sha,
@@ -537,7 +538,7 @@ def build_pool(config: PipelineConfig, workdir: str, gateway,
     config.dataset_size records, id order). Raises BuildError when the
     target size is unreachable within max_epochs."""
     return _locked(config, workdir, gateway, None,
-                   lambda run: run.build_pool(max_epochs, reroll, dedup))
+                   lambda run: run.build_pool(max_epochs, reroll, dedup)())
 
 
 def run_pipeline(config: PipelineConfig, workdir: str,

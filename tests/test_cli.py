@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file flows, stage composition."""
 
+import errno
 import json
 import os
 
@@ -10,7 +11,7 @@ from seedforge.cli import main
 from seedforge.errors import ValidationError
 from seedforge.gateway.mock import MockTextGenerator
 from seedforge.pipeline import build_gateway
-from seedforge.records import file_sha256, read_records
+from seedforge.records import file_sha256, read_records, write_atomic
 
 CONF = """\
 run.seed = 42
@@ -89,6 +90,22 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert "error in stage topics-00" in err
+        assert "rerun the same command to resume" in err
+
+    def test_os_error_in_a_stage_names_the_stage(self, tmp_path, conf,
+                                                 capsys, monkeypatch):
+        def full_disk(path, blob):
+            if os.path.basename(path) == "instructions-00.jsonl":
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            return write_atomic(path, blob)
+
+        monkeypatch.setattr("seedforge.records.write_atomic", full_disk)
+        code = main(["run", "--config", conf,
+                     "--workdir", str(tmp_path / "w")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error in stage instructions-00" in err
+        assert "No space left on device" in err
         assert "rerun the same command to resume" in err
 
 

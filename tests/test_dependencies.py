@@ -230,3 +230,72 @@ def test_every_default_is_set_by_some_call():
                for path in sources(os.path.join(REPO, folder))]
     assert len(callers) > len(src) > 20
     assert unset_defaults(src, callers) == []
+
+
+# Top-level names src/ defines only for readers outside it, with the
+# folder that reads them: bench/tracing.py wraps ablations.generate_pass
+# by name, and the tests drive the parsers through the scripted and flaky
+# providers and check multiple-choice rendering with its inverse.
+OUTSIDE_READERS = {
+    "ablations.py generate_pass": "bench",
+    "gateway/mock.py FlakyProvider": "tests",
+    "gateway/mock.py ScriptedTextGenerator": "tests",
+    "instructions.py split_rendered_mc": "tests",
+}
+
+
+def names_read(paths, strings=False):
+    """Every name the code in `paths` reads, bare or as an attribute, and
+    with `strings` every string constant, as getattr takes a name."""
+    read = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif (strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                read.add(node.value)
+    return read
+
+
+def unread_definitions(paths, root):
+    """`file name` of every top-level function or class in `paths` whose
+    name no code in `paths` reads; a definition does not read itself."""
+    read = names_read(paths)
+    unread = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        unread += [f"{os.path.relpath(path, root)} {node.name}"
+                   for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))
+                   and node.name not in read]
+    return sorted(unread)
+
+
+def test_unread_definitions_finds_a_planted_one(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class K:\n    pass\n\n"
+        "def f():\n    return K()\n\n"
+        "def g():\n    return g\n\n"
+        "def orphan():\n    '''Mentioned in h's docstring only.'''\n")
+    (tmp_path / "b.py").write_text(
+        "import a\n\ndef h():\n    '''Not orphan.'''\n    return a.f()\n")
+    paths = [str(tmp_path / "a.py"), str(tmp_path / "b.py")]
+    assert unread_definitions(paths, str(tmp_path)) == ["a.py orphan",
+                                                        "b.py h"]
+
+
+def test_every_definition_is_read():
+    """A top-level function or class that no code in src/ reads is dead,
+    unless a folder outside src/ reads it by name."""
+    found = sources(ROOT)
+    assert unread_definitions(found, ROOT) == sorted(OUTSIDE_READERS)
+    for entry, folder in OUTSIDE_READERS.items():
+        assert entry.split()[1] in names_read(
+            sources(os.path.join(REPO, folder)), strings=True), entry

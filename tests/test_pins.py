@@ -16,8 +16,9 @@ import sys
 import pytest
 
 from seedforge.cli import main
+from seedforge.config import load_config
 from seedforge.evalreport import EVAL_TASKS, TEST_SETS
-from seedforge.pipeline import CHECKPOINT_FILE, MANIFEST_FILE
+from seedforge.pipeline import CHECKPOINT_FILE, MANIFEST_FILE, run_pipeline
 from seedforge.records import file_sha256, read_records
 
 CONF = """\
@@ -36,6 +37,14 @@ RUN_MANIFEST = (
 # records digest did not.
 RUN_META = (
     "a7754009255cb17ffd61d1547fc61141d5abae623dc03ee1651b02ab66830a78")
+# The stages a cold `run` executes, in order, and the sha256 of the
+# ledger it leaves. A workdir written by an earlier layout reruns with zero
+# stages only while both hold.
+RUN_STAGES = [f"{kind}-{epoch:02d}" for epoch in range(3)
+              for kind in ("topics", "contexts", "instructions", "dedup")
+              ] + ["manifest"]
+RUN_LEDGER = (
+    "f45a2b202d20b8a2e3fe320fd8414434194fb7b54b4e0bc5941e01e6aea42106")
 ABLATE = {
     "full":
         "d0c929e79d180930d546d92bc35ce8798879ee80baab61e48fd72de44888966e",
@@ -113,6 +122,75 @@ def test_noop_run_answers_from_its_ledger(tmp_path, monkeypatch, capsys):
     assert parsed == []
     assert capsys.readouterr().out == cold
     assert cold.splitlines()[1] == f"sha256 {RUN_MANIFEST}"
+
+
+def test_run_ledger_and_stage_order(tmp_path):
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    workdir = str(tmp_path / "w")
+    executed = []
+    run_pipeline(load_config(str(conf)), workdir, stage_hook=executed.append)
+    assert executed == RUN_STAGES
+    assert file_sha256(os.path.join(workdir, CHECKPOINT_FILE)) == RUN_LEDGER
+
+
+@pytest.mark.parametrize("stop", RUN_STAGES[4:8])
+def test_resume_inside_an_extension_epoch(tmp_path, stop):
+    """A run stopped before any stage of epoch 1 resumes there: the stages
+    that run read the skipped stages' values, including the earlier topic
+    sets, from their files."""
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    config = load_config(str(conf))
+    workdir = str(tmp_path / "w")
+
+    class Interrupt(Exception):
+        pass
+
+    def bomb(stage):
+        if stage == stop:
+            raise Interrupt(stage)
+
+    with pytest.raises(Interrupt):
+        run_pipeline(config, workdir, stage_hook=bomb)
+    executed = []
+    run_pipeline(config, workdir, stage_hook=executed.append)
+    assert executed == RUN_STAGES[RUN_STAGES.index(stop):]
+    assert file_sha256(os.path.join(workdir, MANIFEST_FILE)) == RUN_MANIFEST
+    assert file_sha256(os.path.join(workdir, CHECKPOINT_FILE)) == RUN_LEDGER
+
+
+def test_skipped_stages_load_only_when_read(tmp_path, monkeypatch):
+    """A no-op rerun parses no JSONL stage file. With the manifest gone,
+    a rerun runs only the manifest stage, which reads the pool from the
+    skipped stages' files, and writes the same bytes."""
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    config = load_config(str(conf))
+    workdir = str(tmp_path / "w")
+    run_pipeline(config, workdir)
+    parsed = []
+
+    def counting(read):
+        def read_jsonl_lines(path):
+            parsed.append(os.path.basename(path))
+            return read(path)
+        return read_jsonl_lines
+
+    for module in list(sys.modules.values()):
+        original = getattr(module, "read_jsonl_lines", None)
+        if module.__name__.startswith("seedforge") and original:
+            monkeypatch.setattr(module, "read_jsonl_lines",
+                                counting(original))
+    executed = []
+    run_pipeline(config, workdir, stage_hook=executed.append)
+    assert (executed, parsed) == ([], [])
+    os.remove(os.path.join(workdir, MANIFEST_FILE))
+    run_pipeline(config, workdir, stage_hook=executed.append)
+    assert executed == ["manifest"]
+    assert sorted(set(parsed)) == [f"instructions-{epoch:02d}.jsonl"
+                                   for epoch in range(3)]
+    assert file_sha256(os.path.join(workdir, MANIFEST_FILE)) == RUN_MANIFEST
 
 
 def test_ablate_full_writes_the_bytes_of_run(built):
