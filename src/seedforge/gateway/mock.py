@@ -5,9 +5,11 @@ byte-identical outputs, with no network, no clock, and no shared mutable
 state. The text generator recognizes the pipeline's own prompt shapes and
 answers with well-formed payloads, so a full dataset build can run offline.
 
-ScriptedTextGenerator and FlakyProvider are test doubles for driving parser
-retry paths and transport retry paths; they live here because they are part
-of the package's public testing surface.
+The mock text is syllables drawn from a seeded `random.Random`. Its draws
+are made straight from `getrandbits`, by the rule of CPython's
+`Random._randbelow` (draw `n.bit_length()` bits, and draw again while the
+value is at least n), so every reply is the one `rng.choice(_SYLLABLES)`
+and `rng.randint` would give, without their call layers.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ import hashlib
 import json
 import random
 import re
-import threading
 
 import numpy as np
 
 from seedforge import constants
-from seedforge.errors import RetryableProviderError, ValidationError
+from seedforge.errors import ValidationError
 from seedforge.gateway.providers import (Embedder, Paraphraser, TextGenerator,
                                          Translator, WikiClient)
 from seedforge.gateway.types import EmbeddingVector, GenRequest, WikiArticleRef
@@ -40,27 +41,59 @@ _SYLLABLES = (
 )
 
 
-def _word(rng: random.Random) -> str:
-    return "".join(rng.choice(_SYLLABLES) for _ in range(rng.randint(2, 3)))
+# `_SYLLABLES` padded to the 64 values of a 6-bit draw: a None entry is a
+# draw of 40 or more, which `_randbelow(40)` rejects and draws again.
+_SYLLABLE_OF_BITS = _SYLLABLES + (None,) * (64 - len(_SYLLABLES))
 
 
 def _phrase(rng: random.Random, n_words: int) -> str:
-    return " ".join(_word(rng) for _ in range(n_words))
+    """n_words words of 2 or 3 syllables, joined by spaces. Each word
+    makes the draws of `rng.randint(2, 3)` (2 bits, below 2) and then of
+    `rng.choice(_SYLLABLES)` per syllable (6 bits, below 40). The
+    syllable draws are written out, as a loop over them costs a third
+    more."""
+    bits = rng.getrandbits
+    words = []
+    for _ in range(n_words):
+        third = bits(2)
+        while third > 1:
+            third = bits(2)
+        first = _SYLLABLE_OF_BITS[bits(6)]
+        while first is None:
+            first = _SYLLABLE_OF_BITS[bits(6)]
+        second = _SYLLABLE_OF_BITS[bits(6)]
+        while second is None:
+            second = _SYLLABLE_OF_BITS[bits(6)]
+        if third:
+            last = _SYLLABLE_OF_BITS[bits(6)]
+            while last is None:
+                last = _SYLLABLE_OF_BITS[bits(6)]
+            words.append(first + second + last)
+        else:
+            words.append(first + second)
+    return " ".join(words)
 
 
 def _sentence(rng: random.Random) -> str:
-    return _phrase(rng, rng.randint(6, 11)).capitalize() + "."
+    """6 to 11 words: the draw of `rng.randint(6, 11)` is 3 bits, below 6."""
+    extra = rng.getrandbits(3)
+    while extra > 5:
+        extra = rng.getrandbits(3)
+    return _phrase(rng, 6 + extra).capitalize() + "."
 
 
 def _paragraph(rng: random.Random, n_sentences: int) -> str:
-    return " ".join(_sentence(rng) for _ in range(n_sentences))
+    return " ".join([_sentence(rng) for _ in range(n_sentences)])
+
+
+# The request digest's JSON form, one encoder for every request.
+_DIGEST_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
 def _request_digest(request: GenRequest) -> int:
-    body = json.dumps(
+    body = _DIGEST_JSON.encode(
         {"prompt": request.prompt, "temperature": request.temperature,
-         "max_tokens": request.max_tokens, "seed": request.seed},
-        sort_keys=True, ensure_ascii=False)
+         "max_tokens": request.max_tokens, "seed": request.seed})
     return int.from_bytes(
         hashlib.sha256(body.encode("utf-8")).digest()[:8], "big")
 
@@ -163,28 +196,29 @@ class MockEmbedder(Embedder):
     def provider_id(self) -> str:
         return f"mock:embed:{self._dim}"
 
-    def _slot(self, word: str) -> int:
-        """bucket * 2, plus 1 when the word's sign is +1."""
-        h = int.from_bytes(hashlib.sha256(word.encode("utf-8")).digest()[:8],
-                           "big")
-        return (h >> 1) % self._dim * 2 + (h & 1)
-
     def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        """Each distinct word of the batch is hashed once to a signed
-        bucket; one bincount sums the signs of every (text, bucket)."""
+        """Each distinct word of the batch is hashed once: the first 8
+        bytes of its sha256, read big-endian, give the bucket (all but
+        the last bit, modulo dim) and the sign (the last bit). One
+        bincount sums the signs of every (text, bucket)."""
         split = [text.split() for text in texts]
         if not all(split):
             raise ValidationError("cannot embed whitespace-only text")
         if not texts:
             return []
         words = [word for row in split for word in row]
-        signed = {word: self._slot(word) for word in set(words)}
-        slot = np.fromiter(map(signed.__getitem__, words), np.int64,
-                           len(words))
+        index = {word: i for i, word in enumerate(set(words))}
+        digests = np.frombuffer(b"".join([
+            hashlib.sha256(word.encode("utf-8")).digest()[:8]
+            for word in index]), ">u8")
+        bucket = ((digests >> 1) % self._dim).astype(np.intp)
+        sign = (digests & 1) * 2.0 - 1.0
+        which = np.fromiter(map(index.__getitem__, words), np.intp,
+                            len(words))
         flat = (np.repeat(np.arange(len(texts)) * self._dim,
-                          [len(row) for row in split]) + (slot >> 1))
+                          [len(row) for row in split]) + bucket[which])
         # Sums of +-1.0 are exact integers, so the order of adds is moot.
-        values = np.bincount(flat, weights=(slot & 1) * 2.0 - 1.0,
+        values = np.bincount(flat, weights=sign[which],
                              minlength=len(texts) * self._dim
                              ).reshape(len(texts), self._dim)
         # Each norm is Python's `** 0.5` of the exact sum of squares, as
@@ -271,61 +305,3 @@ class MockWikiClient(WikiClient):
         return [{"body": _paragraph(rng, rng.randint(2, 4)),
                  "section": heading, "provenance": {"section_index": index}}
                 for index, heading in enumerate(headings)]
-
-
-class ScriptedTextGenerator(TextGenerator):
-    """Returns a fixed sequence of responses, ignoring the prompt, and
-    keeps every request it answered in `requests`.
-
-    Raises when the script runs dry unless loop=True. Thread-safe.
-    """
-
-    remote = False
-
-    def __init__(self, responses: list[str], loop: bool = False):
-        self._responses = list(responses)
-        self._loop = loop
-        self._lock = threading.Lock()
-        self.requests: list[GenRequest] = []
-
-    @property
-    def provider_id(self) -> str:
-        return "mock:scripted"
-
-    @property
-    def calls(self) -> int:
-        return len(self.requests)
-
-    def complete(self, request: GenRequest) -> str:
-        with self._lock:
-            i = len(self.requests)
-            if i >= len(self._responses) and not self._loop:
-                raise AssertionError("scripted generator exhausted")
-            self.requests.append(request)
-        return self._responses[i % len(self._responses)]
-
-
-class FlakyProvider:
-    """Wraps any provider object; the first `failures` calls to each wrapped
-    method raise RetryableProviderError, after which calls pass through."""
-
-    def __init__(self, inner, failures: int):
-        self._inner = inner
-        self._remaining = failures
-        self._lock = threading.Lock()
-        self.attempts = 0
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if not callable(attr):
-            return attr
-
-        def wrapper(*args, **kwargs):
-            with self._lock:
-                self.attempts += 1
-                if self._remaining > 0:
-                    self._remaining -= 1
-                    raise RetryableProviderError("simulated transport failure")
-            return attr(*args, **kwargs)
-
-        return wrapper

@@ -375,25 +375,6 @@ def render_mc_instruction(question: McQuestion) -> str:
     return "\n".join(lines)
 
 
-def split_rendered_mc(instruction: str) -> tuple[str, tuple[str, ...]]:
-    """Inverse of render_mc_instruction, used to audit round-trip fidelity."""
-    lines = instruction.splitlines()
-    head: list[str] = []
-    choices: list[str] = []
-    for line in lines:
-        if line.startswith("- "):
-            choices.append(line[2:])
-        elif not choices:
-            head.append(line)
-        else:
-            raise ParseError("question text after choice lines",
-                             raw=instruction)
-    if not head or not choices:
-        raise ParseError("rendered question must have a question line and "
-                         "choice lines", raw=instruction)
-    return " ".join(" ".join(head).split()), tuple(choices)
-
-
 # -- generation -------------------------------------------------------------
 
 def _generate_parsed(gateway, config: PipelineConfig, key: str, task: str,
@@ -468,8 +449,7 @@ def _conversation(ctx: ContextDoc, config: PipelineConfig, key: str):
 
 def _multiple_choice(ctx: ContextDoc, config: PipelineConfig, key: str):
     """One question with its choices shuffled under (run.seed, key). The
-    instruction is the question plus dash-prefixed choices;
-    split_rendered_mc inverts it."""
+    instruction is the question plus dash-prefixed choices."""
     def parse(raw: str) -> list[tuple[str, str, dict]]:
         rng = random.Random(derive_seed(config.run_seed, key, "mc-shuffle"))
         question = shuffle_choices(parse_multiple_choice(raw), rng)

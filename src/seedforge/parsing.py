@@ -4,6 +4,12 @@ Models wrap payloads in prose, code fences, or single quotes. The helpers
 here scan for the first balanced bracket region that parses into the wanted
 shape and fail with ParseError (carrying the raw text) otherwise. They never
 return a partially valid value.
+
+The bracket scan jumps instead of stepping through every character:
+`str.find` to the next opening bracket outside a region, one compiled
+character class to the next bracket or quote inside one, and `str.find`
+again to the quote that closes a string, or to a backslash before it that
+escapes the next character.
 """
 
 from __future__ import annotations
@@ -25,37 +31,50 @@ def strip_code_fences(raw: str) -> str:
     return _FENCE_RE.sub(lambda m: m.group(1), raw)
 
 
-def balanced_spans(text: str, open_ch: str, close_ch: str):
-    """Yield every outermost balanced `open_ch ... close_ch` substring.
+# Every character that can change the scan's state inside a bracket
+# region, for both bracket pairs the parsers use.
+_MARKS = re.compile(r"""[][{}"']""")
 
-    Quote-aware: brackets inside single- or double-quoted strings do not
-    count toward nesting. Unterminated regions are not yielded.
+
+def balanced_spans(text: str, open_ch: str, close_ch: str):
+    """Yield every outermost balanced `open_ch ... close_ch` substring,
+    for the pair "[]" or "{}".
+
+    Quote-aware: inside a bracket region, a single or double quote opens
+    a string that runs to the next unescaped quote of the same kind, and
+    brackets inside it do not count toward nesting. A quote outside every
+    region is plain text. An unterminated region is not yielded, and an
+    unterminated string ends the scan.
     """
-    depth = 0
-    start = -1
-    quote = None
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if quote is not None:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            if depth > 0:
-                quote = ch
-        elif ch == open_ch:
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == close_ch and depth > 0:
-            depth -= 1
-            if depth == 0:
-                yield text[start:i + 1]
-        i += 1
+    find = text.find
+    search = _MARKS.search
+    start = find(open_ch)
+    while start >= 0:
+        depth = 1
+        pos = start + 1
+        while depth:
+            mark = search(text, pos)
+            if mark is None:
+                return
+            pos = mark.end()
+            ch = mark.group()
+            if ch == open_ch:
+                depth += 1
+            elif ch == close_ch:
+                depth -= 1
+            elif ch == "'" or ch == '"':
+                end = find(ch, pos)
+                while end >= 0:
+                    escape = find("\\", pos, end)
+                    if escape < 0:
+                        break
+                    pos = escape + 2
+                    end = find(ch, pos)
+                if end < 0:
+                    return
+                pos = end + 1
+        yield text[start:pos]
+        start = find(open_ch, pos)
 
 
 def loads_lenient(fragment: str):

@@ -100,11 +100,15 @@ def write_json(path: str, payload) -> str:
     return write_atomic(path, (blob + "\n").encode("utf-8"))
 
 
+# The compact form of one JSONL row, one encoder for every row of a file.
+_JSONL_ROW = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def write_jsonl(path: str, rows: Iterable[dict]) -> str:
     """One compact JSON object per line, written atomically; returns its
     sha256."""
-    blob = "".join(json.dumps(row, ensure_ascii=False, separators=(",", ":"))
-                   + "\n" for row in rows)
+    encode = _JSONL_ROW.encode
+    blob = "".join([encode(row) + "\n" for row in rows])
     return write_atomic(path, blob.encode("utf-8"))
 
 

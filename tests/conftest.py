@@ -1,7 +1,8 @@
 import pytest
 
 from seedforge.gateway import Gateway
-from seedforge.gateway.mock import ScriptedTextGenerator
+
+from doubles import ScriptedTextGenerator
 
 
 @pytest.fixture

@@ -234,13 +234,9 @@ def test_every_default_is_set_by_some_call():
 
 # Top-level names src/ defines only for readers outside it, with the
 # folder that reads them: bench/tracing.py wraps ablations.generate_pass
-# by name, and the tests drive the parsers through the scripted and flaky
-# providers and check multiple-choice rendering with its inverse.
+# by name.
 OUTSIDE_READERS = {
     "ablations.py generate_pass": "bench",
-    "gateway/mock.py FlakyProvider": "tests",
-    "gateway/mock.py ScriptedTextGenerator": "tests",
-    "instructions.py split_rendered_mc": "tests",
 }
 
 

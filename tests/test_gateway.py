@@ -19,12 +19,13 @@ from seedforge.errors import (ConfigError, ProtocolError,
 from seedforge.gateway import Gateway, GatewayStats
 from seedforge.gateway.cache import (JSON_KIND, RESPONSE_LOG, ROWS_KIND,
                                     ResponseCache, request_key)
-from seedforge.gateway.mock import (FlakyProvider, MockEmbedder,
-                                    MockParaphraser, MockTranslator,
-                                    ScriptedTextGenerator)
+from seedforge.gateway.mock import (MockEmbedder, MockParaphraser,
+                                    MockTranslator)
 from seedforge.gateway.ratelimit import RateLimiter
 from seedforge.gateway.types import (EmbeddingVector, GenRequest,
                                      ProviderBudget, WikiArticleRef)
+
+from doubles import FlakyProvider, ScriptedTextGenerator
 
 
 def _cosine(a, b):
@@ -86,7 +87,8 @@ class TestMockProviders:
         cancelling = _cancelling_text(dim)
         texts = ["สวัสดี ชาวโลก ภาษาไทย", "ภาษาไทย ภาษาไทย ภาษาไทย x",
                  "a b a b a c", cancelling, "สวัสดี", cancelling + " "
-                 + cancelling, "  spaced\tout\nwords  "]
+                 + cancelling, "  spaced\tout\nwords  ",
+                 "𝔘𝔫𝔦 😀 x𝔘ไทย 𝔘𝔫𝔦"]
         assert _reference_vector(cancelling, dim)[0] == 1.0
         got = MockEmbedder(dim=dim).embed_batch(texts)
         assert [v.values for v in got] == [_reference_vector(t, dim)

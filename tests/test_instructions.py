@@ -28,9 +28,11 @@ from seedforge.instructions import (CLOSED_QA, CONVERSATION, GENERATION_TASKS,
                                     render_mc_instruction,
                                     render_multiple_choice_prompt,
                                     render_summarization_prompt,
-                                    shuffle_choices, split_rendered_mc)
+                                    shuffle_choices)
 from seedforge.seeding import derive_seed
 from seedforge.topics import CULTURAL, Topic
+
+from doubles import split_rendered_mc
 
 
 def make_ctx(body="Wat Arun stands on the west bank of the Chao Phraya "

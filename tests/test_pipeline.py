@@ -20,8 +20,7 @@ from seedforge.errors import (BuildError, ConfigError,
                               GenerationExhaustedError, LockError, ParseError)
 from seedforge.gateway import Gateway
 from seedforge.gateway.http import HttpCompletionClient, HttpTranslator
-from seedforge.gateway.mock import (FlakyProvider, MockEmbedder,
-                                    MockTextGenerator)
+from seedforge.gateway.mock import MockEmbedder, MockTextGenerator
 from seedforge.instructions import (CLOSED_QA, CONVERSATION,
                                     MULTIPLE_CHOICE, SUMMARIZATION)
 from seedforge.manifest import read_manifest
@@ -33,6 +32,7 @@ from seedforge.pipeline import (CHECKPOINT_FILE, LOCK_FILE, MANIFEST_FILE,
 from seedforge.records import file_sha256, read_records, write_records
 from seedforge.topics import GENERAL, Topic
 
+from doubles import FlakyProvider
 from test_contexts import drew_wiki
 from test_gateway import LOG_HEADER, log_frames
 from test_http import FakeTransport, _gateway as http_gateway

@@ -15,7 +15,7 @@ from seedforge.config import (SCHEMA, PipelineConfig, default_config,
 from seedforge.errors import ConfigError, ParseError, ValidationError
 from seedforge.instructions import InstructionRecord
 from seedforge.records import (file_sha256, read_records, record_from_dict,
-                               record_to_dict, write_records)
+                               record_to_dict, write_jsonl, write_records)
 from seedforge.topics import CULTURAL, GENERAL, Topic
 
 PINNED_DEFAULTS = {
@@ -261,6 +261,16 @@ class TestRecordFiles:
         digest = write_records(records, path)
         assert read_records(path) == records
         assert file_sha256(path) == digest
+
+    def test_rows_are_the_compact_json_dumps_form(self, tmp_path):
+        rows = [record_to_dict(r) for r in sample_records()]
+        rows += [{"z": 1, "a": ["𝔘", "ไทย", "\n\"\\"]}, {}, {"x": None}]
+        path = str(tmp_path / "rows.jsonl")
+        write_jsonl(path, rows)
+        want = "".join(json.dumps(row, ensure_ascii=False,
+                                  separators=(",", ":")) + "\n"
+                       for row in rows)
+        assert Path(path).read_bytes() == want.encode("utf-8")
 
     def test_byte_stable_rewrites(self, tmp_path):
         a = str(tmp_path / "a.jsonl")
