@@ -23,9 +23,8 @@ from seedforge.config import (PipelineConfig, default_config, load_config,
 from seedforge.dedup import dedup_filter, write_removals
 from seedforge.errors import (BuildError, ConfigError, ProviderError,
                               SeedforgeError)
-from seedforge.evalreport import (aggregate_report, join_pairs,
-                                  load_predictions, load_references,
-                                  render_report)
+from seedforge.evalreport import (aggregate_report, load_predictions,
+                                  load_references, render_report)
 from seedforge.instructions import GENERATION_TASKS
 from seedforge.pipeline import (MANIFEST_FILE, acquire_contexts,
                                 build_gateway, epoch_topics, generate_records,
@@ -136,15 +135,14 @@ def cmd_eval(args) -> int:
     config = _load_cfg(args)
     gateway = build_gateway(config)
     references = load_references(args.refs)
-    pairs_by_system = {}
+    predictions = {}
     for pred_path in args.pred:
         name = os.path.splitext(os.path.basename(pred_path))[0]
-        if name in pairs_by_system:
+        if name in predictions:
             raise ConfigError(f"duplicate system name {name!r}; rename "
                               f"one prediction file")
-        pairs_by_system[name] = join_pairs(references,
-                                           load_predictions(pred_path))
-    report = aggregate_report(pairs_by_system, gateway,
+        predictions[name] = load_predictions(pred_path)
+    report = aggregate_report(references, predictions, gateway,
                               tokenizer_name=args.tokenizer)
     write_json(args.out, report)
     print(f"report -> {args.out}")

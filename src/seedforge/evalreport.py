@@ -1,9 +1,15 @@
 """Evaluation harness: per-pair metrics, aggregates, and system comparisons.
 
-Takes prediction/reference pairs for one or more systems, scores every pair
-with the full metric battery, aggregates means per task and test set, and
-compares systems pairwise with Wilcoxon rank-sum tests. Scoring never runs
-model inference; predictions arrive as files.
+Takes reference rows and one id-keyed prediction map per system, joins
+every system to the references by id in one place (join_pairs, called
+from aggregate_report), scores every pair with the full metric battery,
+aggregates means per task and test set, and compares systems pairwise with
+Wilcoxon rank-sum tests. Scoring never runs model inference; predictions
+arrive as files.
+
+Each text is tokenized once per report, and each distinct token is
+embedded and normalised to unit length once per report: bert_like_score
+only looks its rows up.
 
 The tokenizer is part of the report, not an ambient default: Thai has no
 whitespace word boundaries, so scores are meaningless without knowing how
@@ -65,13 +71,13 @@ class EvalPair:
 def _one_token_line(text: str, tokenizer: Tokenizer) -> bool:
     """Whether rouge_lsum sees text as rouge_l does: at most one line
     yields tokens, and together they are the tokens of the whole text."""
-    lines = [t for t in (tokenizer(s) for s in text.splitlines()
-                         if s.strip()) if t]
+    lines = metrics._line_tokens(text, tokenizer)
     return len(lines) <= 1 and (lines[0] if lines else []) == tokenizer(text)
 
 
-def score_pair(pair: EvalPair, gateway, tokenizer: Tokenizer) -> dict:
+def score_pair(pair: EvalPair, unit_rows, tokenizer: Tokenizer) -> dict:
     """Every metric for one pair. Empty texts are scored, not rejected.
+    unit_rows maps tokens to their unit embedding rows (a _TokenVectors).
 
     When neither side has more than one line with tokens, rouge_lsum's
     hits are rouge_l's LCS over the same denominators, so rouge_l's score
@@ -92,7 +98,7 @@ def score_pair(pair: EvalPair, gateway, tokenizer: Tokenizer) -> dict:
         "chrf": metrics.chrf(pred, ref),
         "meteor": metrics.meteor(pred, ref, tokenizer=tokenizer),
         "squad_f1": metrics.squad_f1(pred, ref),
-        "bert_like_f1": metrics.bert_like_score(pred, ref, gateway,
+        "bert_like_f1": metrics.bert_like_score(pred, ref, unit_rows,
                                                 tokenizer).f1,
     }
 
@@ -101,46 +107,13 @@ def generation_lengths(pairs: list[EvalPair], tokenizer: Tokenizer) -> dict:
     """Prediction token counts: per pair, mean per (task, test_set), and
     overall mean."""
     per_pair = {p.id: len(tokenizer(p.prediction)) for p in pairs}
-    by_partition: dict = {}
-    for pair in pairs:
-        by_partition.setdefault((pair.task, pair.test_set), []).append(
-            per_pair[pair.id])
     return {
         "per_pair": per_pair,
         "by_task_test_set": {
-            f"{task}/{test_set}": mean(vals)
-            for (task, test_set), vals in sorted(by_partition.items())},
+            f"{task}/{test_set}": mean(per_pair[p.id] for p in group)
+            for (task, test_set), group in sorted(_partition(pairs).items())},
         "overall": mean(per_pair.values()) if per_pair else 0.0,
     }
-
-
-def _check_alignment(pairs_by_system: dict[str, list[EvalPair]]) -> None:
-    if not pairs_by_system:
-        raise ValidationError("no systems to evaluate")
-    keys = {}
-    for system, pairs in pairs_by_system.items():
-        if not pairs:
-            raise ValidationError(f"system {system!r} has no pairs")
-        ids = [p.id for p in pairs]
-        if len(set(ids)) != len(ids):
-            dupe = next(i for i in ids if ids.count(i) > 1)
-            raise ValidationError(
-                f"system {system!r} repeats pair id {dupe!r}")
-        keys[system] = {(p.id, p.task, p.test_set) for p in pairs}
-    systems = list(keys)
-    base = keys[systems[0]]
-    for system in systems[1:]:
-        if keys[system] != base:
-            extra = keys[system] - base
-            missing = base - keys[system]
-            detail = []
-            if missing:
-                detail.append(f"missing {sorted(missing)[:3]}")
-            if extra:
-                detail.append(f"unexpected {sorted(extra)[:3]}")
-            raise AlignmentError(
-                f"system {system!r} is not aligned with "
-                f"{systems[0]!r}: " + "; ".join(detail))
 
 
 def _partition(pairs: list[EvalPair]) -> dict:
@@ -170,33 +143,41 @@ class _Memo:
 
 
 class _TokenVectors:
-    """Raw embeddings of a report's distinct tokens, one provider request
-    per batch of them, standing in for the gateway in bert_like_score.
+    """Unit-length embedding rows of a report's distinct tokens, from one
+    embed call for all of them; called with a token list, it returns their
+    rows in order.
 
     Providers embed each input on its own, so a token's row is the one a
-    per-pair request would return and the scores do not change. Holds
-    distinct tokens x dimension float64 values."""
+    per-pair request would return and the scores do not change. Each row
+    is divided by its norm once, in place, 64 rows at a time so that the
+    norm's temporaries stay small. Holds distinct tokens x dimension
+    float64 values."""
 
     def __init__(self, gateway, tokens: list[str]):
         self._index = {token: i for i, token in enumerate(tokens)}
-        self._raw = np.asarray(gateway.embed(tokens), dtype=np.float64)
+        self._unit = np.asarray(gateway.embed(tokens), dtype=np.float64)
+        for block in np.split(self._unit, range(64, len(tokens), 64)):
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            if np.any(norms == 0.0):
+                raise ValidationError("embedder returned a zero vector for "
+                                      "a token")
+            block /= norms
 
-    def embed(self, tokens: list[str]) -> np.ndarray:
-        return self._raw[[self._index[t] for t in tokens]]
+    def __call__(self, tokens: list[str]) -> np.ndarray:
+        return self._unit[[self._index[t] for t in tokens]]
 
 
 def _token_vectors(pairs_by_system: dict[str, list[EvalPair]], gateway,
                    tokenizer: Tokenizer) -> _TokenVectors:
     """Embed the sorted distinct tokens of every pair, across systems,
-    that bert_like_score embeds: those with tokens on both sides."""
+    that bert_like_score looks up: those with tokens on both sides."""
     vocabulary: set[str] = set()
     for pairs in pairs_by_system.values():
         for pair in pairs:
             pred = tokenizer(pair.prediction)
             ref = tokenizer(pair.reference)
             if pred and ref:
-                vocabulary.update(pred)
-                vocabulary.update(ref)
+                vocabulary.update(pred, ref)
     return _TokenVectors(gateway, sorted(vocabulary))
 
 
@@ -204,68 +185,55 @@ def _score_system(pairs: list[EvalPair], vectors: _TokenVectors,
                   tokenizer: Tokenizer) -> dict:
     per_pair = {pair.id: score_pair(pair, vectors, tokenizer)
                 for pair in pairs}
-    parts = _partition(pairs)
-    by_task_test_set = {
-        f"{task}/{test_set}": _mean_scores(
-            [per_pair[p.id] for p in group])
-        for (task, test_set), group in sorted(parts.items())}
-    by_test_set = {}
-    for test_set in TEST_SETS:
-        group = [p for p in pairs if p.test_set == test_set]
-        if group:
-            by_test_set[test_set] = _mean_scores(
-                [per_pair[p.id] for p in group])
-    corpus_bleu = {
-        "by_test_set": {
-            test_set: metrics.bleu(
-                [p.prediction for p in pairs if p.test_set == test_set],
-                [p.reference for p in pairs if p.test_set == test_set],
-                tokenizer=tokenizer)
-            for test_set in TEST_SETS
-            if any(p.test_set == test_set for p in pairs)},
-        "overall": metrics.bleu([p.prediction for p in pairs],
-                                [p.reference for p in pairs],
-                                tokenizer=tokenizer),
-    }
+    by_test_set = {test_set: group for test_set in TEST_SETS
+                   if (group := [p for p in pairs if p.test_set == test_set])}
+
+    def corpus_bleu(group: list[EvalPair]) -> float:
+        return metrics.bleu([p.prediction for p in group],
+                            [p.reference for p in group], tokenizer=tokenizer)
+
     return {
         "pair_count": len(pairs),
         "per_pair": per_pair,
-        "by_task_test_set": by_task_test_set,
-        "by_test_set": by_test_set,
+        "by_task_test_set": {
+            f"{task}/{test_set}": _mean_scores(
+                [per_pair[p.id] for p in group])
+            for (task, test_set), group in sorted(_partition(pairs).items())},
+        "by_test_set": {
+            test_set: _mean_scores([per_pair[p.id] for p in group])
+            for test_set, group in by_test_set.items()},
         "overall": _mean_scores(list(per_pair.values())),
-        "corpus_bleu": corpus_bleu,
+        "corpus_bleu": {
+            "by_test_set": {test_set: corpus_bleu(group)
+                            for test_set, group in by_test_set.items()},
+            "overall": corpus_bleu(pairs)},
         "lengths": generation_lengths(pairs, tokenizer),
     }
 
 
-def _compare(pairs_by_system: dict, report: dict, notes: list[str]) -> list:
+def _compare(systems: list[str], parts: dict, report: dict,
+             notes: list[str]) -> list:
     """Pairwise Wilcoxon rank-sum tests between systems.
 
     Per (task, test_set): on the comparison metric's per-pair values.
     Overall: on prediction token lengths, across all tasks at once.
     """
-    systems = list(pairs_by_system)
+    scores = report["per_system"]
     comparisons = []
     for i, sys_a in enumerate(systems):
         for sys_b in systems[i + 1:]:
-            parts = _partition(pairs_by_system[sys_a])
             for (task, test_set), group in sorted(parts.items()):
-                ids = [p.id for p in group]
-                entry = {"systems": [sys_a, sys_b], "task": task,
-                         "test_set": test_set, "metric": COMPARISON_METRIC}
-                values = []
-                for system in (sys_a, sys_b):
-                    rows = report["per_system"][system]["per_pair"]
-                    values.append([rows[pid][COMPARISON_METRIC]
-                                   for pid in ids])
-                comparisons.append(_run_test(entry, *values, notes))
-            lengths_a = report["per_system"][sys_a]["lengths"]["per_pair"]
-            lengths_b = report["per_system"][sys_b]["lengths"]["per_pair"]
-            entry = {"systems": [sys_a, sys_b], "task": None,
-                     "test_set": None, "metric": "prediction_length"}
+                values = [[scores[s]["per_pair"][p.id][COMPARISON_METRIC]
+                           for p in group] for s in (sys_a, sys_b)]
+                comparisons.append(_run_test(
+                    {"systems": [sys_a, sys_b], "task": task,
+                     "test_set": test_set, "metric": COMPARISON_METRIC},
+                    *values, notes))
+            lengths = [[float(v) for v in scores[s]["lengths"]["per_pair"]
+                        .values()] for s in (sys_a, sys_b)]
             comparisons.append(_run_test(
-                entry, [float(v) for v in lengths_a.values()],
-                [float(v) for v in lengths_b.values()], notes))
+                {"systems": [sys_a, sys_b], "task": None, "test_set": None,
+                 "metric": "prediction_length"}, *lengths, notes))
     return comparisons
 
 
@@ -286,20 +254,28 @@ def _run_test(entry: dict, a: list[float], b: list[float],
     return entry
 
 
-def aggregate_report(pairs_by_system: dict[str, list[EvalPair]], gateway,
-                     tokenizer_name: str = "unicode_words") -> dict:
-    """Score all systems and build the full comparison report.
+def aggregate_report(references: list[dict],
+                     predictions_by_system: dict[str, dict[str, str]],
+                     gateway, tokenizer_name: str = "unicode_words") -> dict:
+    """Join each system's id-keyed predictions to the reference rows,
+    score all systems and build the full comparison report.
 
-    All systems must cover identical (id, task, test_set) pairs; tasks
-    absent from the input are listed in the header notes rather than
-    rendered as empty rows.
+    Every system is joined to the same rows, so all systems cover
+    identical (id, task, test_set) pairs; tasks absent from the
+    references are listed in the header notes rather than rendered as
+    empty rows.
     """
-    _check_alignment(pairs_by_system)
+    if not predictions_by_system:
+        raise ValidationError("no systems to evaluate")
+    if not references:
+        raise ValidationError("no reference pairs to evaluate")
+    pairs_by_system = {system: join_pairs(references, predictions)
+                       for system, predictions
+                       in predictions_by_system.items()}
     tokenizer = _Memo(get_tokenizer(tokenizer_name))
     vectors = _token_vectors(pairs_by_system, gateway, tokenizer)
     notes: list[str] = []
-    first = next(iter(pairs_by_system.values()))
-    present = {p.task for p in first}
+    present = {row["task"] for row in references}
     missing = [t for t in EVAL_TASKS if t not in present]
     if missing:
         notes.append("tasks absent from input: " + ", ".join(missing))
@@ -313,31 +289,39 @@ def aggregate_report(pairs_by_system: dict[str, list[EvalPair]], gateway,
     for system, pairs in pairs_by_system.items():
         report["per_system"][system] = _score_system(pairs, vectors,
                                                      tokenizer)
-    report["comparisons"] = _compare(pairs_by_system, report, notes)
+    first = next(iter(pairs_by_system.values()))
+    report["comparisons"] = _compare(list(pairs_by_system),
+                                     _partition(first), report, notes)
     return report
 
 
 # -- file loading -------------------------------------------------------------
 
-def _load_jsonl(path: str, required: tuple[str, ...]) -> list[dict]:
-    """Rows with a string under each required key and distinct ids;
-    required starts with "id" and ends with the row's text key."""
+def _load_jsonl(path: str, fields: dict[str, tuple[str, ...] | None]
+                ) -> list[dict]:
+    """Rows with a string under each key of fields, one of the values that
+    fields lists for it unless that is None, and distinct ids; fields
+    starts with "id" and ends with the row's text key."""
     rows = []
     seen: set[str] = set()
     for line_no, row in read_jsonl_lines(path):
         if not isinstance(row, dict):
             raise ValidationError(
                 f"{path} line {line_no}: row is not an object")
-        for key in required:
+        for key, choices in fields.items():
             if key not in row:
                 raise ValidationError(
                     f"{path} line {line_no}: missing {key!r}")
             if not isinstance(row[key], str):
                 raise ValidationError(
                     f"{path} line {line_no}: {key!r} must be a string")
+            if choices is not None and row[key] not in choices:
+                raise ValidationError(
+                    f"{path} line {line_no}: unknown {key} "
+                    f"{row[key]!r}; expected one of {', '.join(choices)}")
         if row["id"] in seen:
             raise ValidationError(f"{path} line {line_no}: duplicate "
-                                  f"{required[-1]} id {row['id']!r}")
+                                  f"{list(fields)[-1]} id {row['id']!r}")
         seen.add(row["id"])
         rows.append(row)
     if not rows:
@@ -346,20 +330,27 @@ def _load_jsonl(path: str, required: tuple[str, ...]) -> list[dict]:
 
 
 def load_references(path: str) -> list[dict]:
-    """Rows of {id, task, test_set, reference}."""
-    return _load_jsonl(path, ("id", "task", "test_set", "reference"))
+    """Rows of {id, task, test_set, reference}, each task one of
+    EVAL_TASKS and each test set one of TEST_SETS."""
+    return _load_jsonl(path, {"id": None, "task": EVAL_TASKS,
+                              "test_set": TEST_SETS, "reference": None})
 
 
 def load_predictions(path: str) -> dict[str, str]:
     """Rows of {id, prediction} -> id-keyed map."""
-    rows = _load_jsonl(path, ("id", "prediction"))
+    rows = _load_jsonl(path, {"id": None, "prediction": None})
     return {row["id"]: row["prediction"] for row in rows}
 
 
 def join_pairs(references: list[dict],
                predictions: dict[str, str]) -> list[EvalPair]:
-    """Match predictions to references by id; any gap is an error."""
-    ref_ids = {r["id"] for r in references}
+    """Match predictions to references by id; any gap, and any reference
+    id that repeats, is an error."""
+    ids = [r["id"] for r in references]
+    ref_ids = set(ids)
+    if len(ref_ids) != len(ids):
+        dupe = next(i for i in ids if ids.count(i) > 1)
+        raise ValidationError(f"references repeat pair id {dupe!r}")
     missing = sorted(ref_ids - set(predictions))
     if missing:
         raise AlignmentError(

@@ -9,7 +9,7 @@ the effective config) sits beside it in `<path>.meta.json`.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from seedforge.errors import BuildError, ValidationError
 from seedforge.instructions import InstructionRecord
@@ -89,11 +89,18 @@ class DatasetManifest:
 
 def finish_manifest(records: list[InstructionRecord], recipe: Recipe,
                     size: int, seed: int) -> DatasetManifest:
+    """Records stamped with the recipe's flags, each in a dict of its own,
+    as field-for-field copies: __post_init__ checks no flags, so it is
+    not run again."""
     flags = derive_flags(recipe)
     flag_dict = asdict(flags)
-    stamped = tuple(replace(r, flags=flag_dict) for r in records)
-    return DatasetManifest(records=stamped, flags=flags, target_size=size,
-                           recipe=recipe, seed=seed)
+    stamped = []
+    for record in records:
+        copy = object.__new__(type(record))
+        copy.__dict__.update(record.__dict__, flags=dict(flag_dict))
+        stamped.append(copy)
+    return DatasetManifest(records=tuple(stamped), flags=flags,
+                           target_size=size, recipe=recipe, seed=seed)
 
 
 def truncate_records(records: list, size: int, seed: int, label: str,

@@ -19,6 +19,9 @@ Conventions that differ between published implementations are pinned here:
 * Empty-vs-empty comparisons return the metric's maximum for the overlap
   metrics that define it (chrf, squad_f1, the embedding scorer) and zero
   elsewhere; empty-vs-nonempty is always zero.
+* rouge_l reads its LCS length off the last bit-parallel LCS row, and
+  rouge_lsum backtracks through all of them. bert_like_score is handed
+  unit-length rows; it embeds and normalises nothing itself.
 """
 
 from __future__ import annotations
@@ -119,39 +122,43 @@ def rouge_n(pred: str, ref: str, n: int = 1,
     return Score(precision, recall, _fmeasure(precision, recall))
 
 
-def _lcs_table(a: list[str], b: list[str]) -> list[list[int]]:
-    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                table[i][j] = table[i - 1][j - 1] + 1
-            else:
-                table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table
+def _lcs_rows(a: list[str], b: list[str]):
+    """Rows 0..len(a) of the LCS table of a and b, bit-parallel (Allison
+    & Dix 1986, in the form of Hyyrö 2004).
 
-
-def _lcs_length(a: list[str], b: list[str]) -> int:
-    """The last cell of _lcs_table(a, b), bit-parallel (Allison & Dix
-    1986, in the form of Hyyrö 2004).
-
-    Bit j of masks[t] is set where b[j] == t. v starts as len(b) ones and
-    after each token of a holds a zero at every column where a row of the
-    table steps up, so the LCS length is the count of its zero bits.
+    Bit j of masks[t] is set where b[j] == t. A row starts as len(b) ones
+    and, after each token of a, holds a zero at every column where that
+    row of the table steps up: LCS(a[:i], b[:j]) is the count of zero bits
+    among the low j bits of row i.
     """
     masks: dict[str, int] = {}
     for j, token in enumerate(b):
         masks[token] = masks.get(token, 0) | (1 << j)
     full = (1 << len(b)) - 1
     v = full
+    yield v
     for token in a:
         u = v & masks.get(token, 0)
         v = ((v + u) | (v - u)) & full
+        yield v
+
+
+def _lcs_length(a: list[str], b: list[str]) -> int:
+    """LCS length of a and b, from the last row alone."""
+    for v in _lcs_rows(a, b):
+        pass
     return len(b) - v.bit_count()
 
 
 def _lcs_indices(a: list[str], b: list[str]) -> set[int]:
-    """Indices into a of one longest common subsequence with b."""
-    table = _lcs_table(a, b)
+    """Indices into a of one longest common subsequence with b, by
+    backtracking through every row: on a mismatch, step up only when the
+    cell above is larger than the cell to the left."""
+    rows = list(_lcs_rows(a, b))
+
+    def lcs(i: int, j: int) -> int:
+        return j - (rows[i] & ((1 << j) - 1)).bit_count()
+
     i, j = len(a), len(b)
     picked: set[int] = set()
     while i > 0 and j > 0:
@@ -159,7 +166,7 @@ def _lcs_indices(a: list[str], b: list[str]) -> set[int]:
             picked.add(i - 1)
             i -= 1
             j -= 1
-        elif table[i - 1][j] > table[i][j - 1]:
+        elif lcs(i - 1, j) > lcs(i, j - 1):
             i -= 1
         else:
             j -= 1
@@ -179,6 +186,12 @@ def rouge_l(pred: str, ref: str,
     return Score(precision, recall, _fmeasure(precision, recall))
 
 
+def _line_tokens(text: str, tokenizer: Tokenizer) -> list[list[str]]:
+    """The tokens of each line of text that yields any, in order."""
+    return [t for t in (tokenizer(s) for s in text.splitlines()
+                        if s.strip()) if t]
+
+
 def rouge_lsum(pred: str, ref: str,
                tokenizer: Tokenizer = unicode_words) -> Score:
     """Newline-split union-LCS variant.
@@ -188,14 +201,10 @@ def rouge_lsum(pred: str, ref: str,
     counts on both sides. For single-line texts this reduces exactly to
     rouge_l.
     """
-    pred_sents = [tokenizer(s) for s in pred.splitlines() if s.strip()]
-    ref_sents = [tokenizer(s) for s in ref.splitlines() if s.strip()]
-    pred_sents = [s for s in pred_sents if s]
-    ref_sents = [s for s in ref_sents if s]
+    pred_sents = _line_tokens(pred, tokenizer)
+    ref_sents = _line_tokens(ref, tokenizer)
     if not pred_sents or not ref_sents:
         return Score(0.0, 0.0, 0.0)
-    pred_total = sum(len(s) for s in pred_sents)
-    ref_total = sum(len(s) for s in ref_sents)
     pred_counts = Counter(chain.from_iterable(pred_sents))
     ref_counts = Counter(chain.from_iterable(ref_sents))
     hits = 0
@@ -209,8 +218,8 @@ def rouge_lsum(pred: str, ref: str,
                 hits += 1
                 ref_counts[token] -= 1
                 pred_counts[token] -= 1
-    precision = hits / pred_total
-    recall = hits / ref_total
+    precision = hits / sum(map(len, pred_sents))
+    recall = hits / sum(map(len, ref_sents))
     return Score(precision, recall, _fmeasure(precision, recall))
 
 
@@ -416,11 +425,12 @@ def squad_f1(pred: str, ref: str) -> float:
 
 # -- embedding-based token alignment ----------------------------------------
 
-def bert_like_score(pred: str, ref: str, gateway,
+def bert_like_score(pred: str, ref: str, unit_rows,
                     tokenizer: Tokenizer = unicode_words) -> Score:
     """Greedy token alignment over embedding cosines.
 
-    Each prediction token claims its most similar reference token and vice
+    unit_rows maps tokens to their unit-length embedding rows. Each
+    prediction token claims its most similar reference token and vice
     versa; similarities are clipped at zero so antipodal noise cannot go
     negative. There is no idf weighting or baseline rescaling, which makes
     absolute values incomparable with published model-based scores; only
@@ -432,15 +442,8 @@ def bert_like_score(pred: str, ref: str, gateway,
         return Score(1.0, 1.0, 1.0)
     if not pred_tokens or not ref_tokens:
         return Score(0.0, 0.0, 0.0)
-    mat = np.asarray(gateway.embed(pred_tokens + ref_tokens),
-                     dtype=np.float64)
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
-        raise ValidationError("embedder returned a zero vector for a token")
-    mat = mat / norms[:, None]
-    pred_mat = mat[:len(pred_tokens)]
-    ref_mat = mat[len(pred_tokens):]
-    sims = np.clip(pred_mat @ ref_mat.T, 0.0, None)
+    sims = np.clip(unit_rows(pred_tokens) @ unit_rows(ref_tokens).T, 0.0,
+                   None)
     precision = float(sims.max(axis=1).mean())
     recall = float(sims.max(axis=0).mean())
     return Score(precision, recall, _fmeasure(precision, recall))

@@ -171,6 +171,30 @@ class TestManifestInvariants:
             "fluency": True, "culture": False, "diversity": False}
         assert manifest.seed == 3
 
+    def test_finish_manifest_stamps_without_revalidating(self,
+                                                         monkeypatch):
+        records = [make_record(), make_record("t0001-r00-closed_qa-00")]
+        recipe = Recipe(VARIANT_FULL, 1, 1, dedup=True)
+        flags = {"fluency": True, "culture": True, "diversity": True}
+        expected = [replace(r, flags=flags) for r in records]
+        checks = []
+        original = InstructionRecord.__post_init__
+
+        def counting(self):
+            checks.append(self.id)
+            original(self)
+
+        monkeypatch.setattr(InstructionRecord, "__post_init__", counting)
+        manifest = finish_manifest(records, recipe, 2, 0)
+        assert checks == []
+        assert list(manifest.records) == expected
+        assert all(type(r) is InstructionRecord for r in manifest.records)
+        first, second = manifest.records
+        assert first.flags is not second.flags
+        first.flags["fluency"] = False
+        assert second.flags == flags
+        assert records[0].flags is None
+
 
 class TestGeneratePass:
     def test_order_and_determinism(self, gateway):

@@ -456,6 +456,19 @@ class TestBadInputFiles:
         assert code == 1
         assert f"{refs} line 7: not valid UTF-8" in capsys.readouterr().err
 
+    def test_eval_refs_with_an_unknown_task(self, tmp_path, capsys):
+        refs, rows = write_refs(tmp_path)
+        poem = {"id": "p0", "task": "poetry", "test_set": "culture",
+                "reference": "กลอน"}
+        with open(refs, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(poem) + "\n")
+        preds = write_preds(tmp_path / "tuned.jsonl", rows + [poem])
+        code = main(["eval", "--pred", preds, "--refs", refs,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert (f"{refs} line 7: unknown task 'poetry'"
+                in capsys.readouterr().err)
+
     def test_ablate_external_with_a_bad_byte(self, tmp_path, conf, capsys):
         corpus = tmp_path / "ext.jsonl"
         corpus.write_bytes(b'{"prompt": "q", "response": "a"}\n'

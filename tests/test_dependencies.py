@@ -232,6 +232,65 @@ def test_every_default_is_set_by_some_call():
     assert unset_defaults(src, callers) == []
 
 
+# Defaulted parameters in src/ that no call in src/ or bench/ sets, only
+# tests: "file function(parameter)" -> why it stays. The list only
+# shrinks: a new knob that only tests set fails the check below, and so
+# does an entry whose parameter src/ or bench/ starts setting, or that goes.
+TEST_ONLY_DEFAULTS = {
+    "http.py HttpCompletionClient(transport)": "test seam: fake HTTP",
+    "http.py HttpEmbedder(transport)": "test seam: fake HTTP",
+    "http.py HttpTranslator(transport)": "test seam: fake HTTP",
+    "http.py HttpParaphraser(transport)": "test seam: fake HTTP",
+    "http.py MediaWikiClient(transport)": "test seam: fake HTTP",
+    "__init__.py Gateway(clock)": "test seam: fake retry clock",
+    "__init__.py Gateway(sleep)": "test seam: no real retry sleeps",
+    "__init__.py Gateway(jitter_rng)": "test seam: fixed retry jitter",
+    "dedup.py _dedup_exact(block)": "small tiles for small tests",
+    "dedup.py _dedup_exact(width)": "small tiles for small tests",
+    "stats.py wilcoxon_rank_sum(method)":
+        "reference selection: exact and normal p-values each checked",
+    "metrics.py bleu(max_order)":
+        "reference selection: hand-computed values at lower orders",
+    "ablations.py generate_pass(start_index)":
+        "bench/tracing.py wraps generate_pass; goes with ROADMAP item 3",
+    "ablations.py generate_pass(round_no)":
+        "bench/tracing.py wraps generate_pass; goes with ROADMAP item 3",
+    "http.py HttpTranslator(api_key_env)":
+        "no config key reaches it: unauthenticated from config",
+    "http.py HttpParaphraser(api_key_env)":
+        "no config key reaches it: unauthenticated from config",
+}
+
+
+def knobs_only_tests_set(src_files, caller_files):
+    """`file function(parameter)` of every defaulted parameter of a
+    function in `src_files` that no call in `caller_files` sets; with
+    tests left out of `caller_files`, the knobs only tests turn."""
+    return sorted(f"{entry.split(':')[0]} {entry.split(' ', 1)[1]}"
+                  for entry in unset_defaults(src_files, caller_files))
+
+
+def test_knobs_only_tests_set_finds_a_planted_one(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def f(a, seam=None, *, size=1):\n    pass\n")
+    caller = tmp_path / "use.py"
+    caller.write_text("f(0, size=2)\n")
+    test = tmp_path / "test_m.py"
+    test.write_text("f(0, object())\n")
+    assert unset_defaults([str(src)], [str(caller), str(test)]) == []
+    assert knobs_only_tests_set([str(src)], [str(caller)]) == [
+        "m.py f(seam)"]
+
+
+def test_knobs_only_tests_set_are_listed():
+    """A default that only tests set is a test seam or dead weight: each
+    one is listed in TEST_ONLY_DEFAULTS with its reason."""
+    callers = [path for folder in ("src", "bench")
+               for path in sources(os.path.join(REPO, folder))]
+    assert knobs_only_tests_set(sources(ROOT), callers) == sorted(
+        TEST_ONLY_DEFAULTS)
+
+
 # Top-level names src/ defines only for readers outside it, with the
 # folder that reads them: bench/tracing.py wraps ablations.generate_pass
 # by name.

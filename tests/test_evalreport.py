@@ -3,14 +3,16 @@
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 from seedforge import metrics
 from seedforge.errors import AlignmentError, ParseError, ValidationError
 from seedforge.evalreport import (EVAL_TASKS, METRIC_KEYS, EvalPair,
-                                  aggregate_report, generation_lengths,
-                                  join_pairs, load_predictions,
-                                  load_references, render_report, score_pair)
+                                  _TokenVectors, aggregate_report,
+                                  generation_lengths, join_pairs,
+                                  load_predictions, load_references,
+                                  render_report, score_pair)
 from seedforge.gateway import Gateway
 from seedforge.tokenizers import TOKENIZERS, get_tokenizer
 
@@ -23,19 +25,32 @@ def pair(pid="p1", task="closed_qa", test_set="culture",
                     prediction=prediction, reference=reference)
 
 
-def grid_pairs(predict):
-    """12 pairs: 2 tasks x 2 test sets x 3 items; text via predict(...)."""
-    out = []
-    for task in ("closed_qa", "summarization"):
-        for test_set in ("culture", "general"):
-            for i in range(3):
-                ref = f"ข้อความ อ้างอิง {task} {test_set} ลำดับ {i}"
-                out.append(EvalPair(
-                    id=f"{task[:2]}-{test_set[:2]}-{i}", task=task,
-                    test_set=test_set, prediction=predict(task, test_set,
-                                                          i, ref),
-                    reference=ref))
-    return out
+def grid_refs():
+    """12 reference rows: 2 tasks x 2 test sets x 3 items."""
+    return [{"id": f"{task[:2]}-{test_set[:2]}-{i}", "task": task,
+             "test_set": test_set,
+             "reference": f"ข้อความ อ้างอิง {task} {test_set} ลำดับ {i}"}
+            for task in ("closed_qa", "summarization")
+            for test_set in ("culture", "general") for i in range(3)]
+
+
+def grid_predictions(predict):
+    """id -> predict(task, test_set, item, reference) for grid_refs()."""
+    return {r["id"]: predict(r["task"], r["test_set"], int(r["id"][-1]),
+                             r["reference"]) for r in grid_refs()}
+
+
+def vectors(gateway, *pairs, tokenizer=TOK):
+    """Unit rows for every token of pairs, as a report builds them."""
+    return _TokenVectors(gateway, sorted(
+        {t for p in pairs for t in tokenizer(p.prediction)
+         + tokenizer(p.reference)}))
+
+
+def score(p, gateway, tokenizer=TOK):
+    """score_pair with unit rows embedded for this pair alone."""
+    return score_pair(p, vectors(gateway, p, tokenizer=tokenizer),
+                      tokenizer)
 
 
 class TestEvalPair:
@@ -50,7 +65,7 @@ class TestEvalPair:
 
 class TestScorePair:
     def test_identity_scores_every_metric(self, gateway):
-        scores = score_pair(pair(), gateway, TOK)
+        scores = score(pair(), gateway)
         assert set(scores) == set(METRIC_KEYS)
         assert scores["rouge1_f1"] == 1.0
         assert scores["rouge_l_f1"] == 1.0
@@ -62,13 +77,12 @@ class TestScorePair:
         assert scores["bert_like_f1"] == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_prediction_is_scored(self, gateway):
-        scores = score_pair(pair(prediction=""), gateway, TOK)
+        scores = score(pair(prediction=""), gateway)
         assert scores["rouge1_f1"] == 0.0
         assert scores["bleu_sentence"] == 0.0
 
     def test_disjoint_texts_bottom_out(self, gateway):
-        scores = score_pair(pair(prediction="ก ข", reference="ค ง"),
-                            gateway, TOK)
+        scores = score(pair(prediction="ก ข", reference="ค ง"), gateway)
         assert scores["rouge1_f1"] == 0.0
         assert scores["meteor"] == 0.0
         assert scores["squad_f1"] == 0.0
@@ -80,8 +94,8 @@ class TestScorePair:
                  "ก ข\nค ก", "ค\nก\nข ข"]
         for pred in texts:
             for ref in texts:
-                got = score_pair(pair(prediction=pred, reference=ref),
-                                 gateway, tokenizer)
+                got = score(pair(prediction=pred, reference=ref),
+                            gateway, tokenizer)
                 assert got["rouge_lsum_f1"] == metrics.rouge_lsum(
                     pred, ref, tokenizer).f1
 
@@ -101,8 +115,7 @@ class TestScorePair:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(metrics, name, counting)
-        score_pair(pair(prediction="ก ข\nค", reference="ค\nก ข"),
-                   gateway, TOK)
+        score(pair(prediction="ก ข\nค", reference="ค\nก ข"), gateway)
         assert set(called) == set(METRIC_FNS)
 
 
@@ -125,12 +138,12 @@ class TestGenerationLengths:
 
 class TestAggregateReport:
     def test_two_system_report(self, gateway):
-        systems = {
-            "tuned": grid_pairs(lambda t, s, i, ref: ref),
-            "base": grid_pairs(
+        predictions = {
+            "tuned": grid_predictions(lambda t, s, i, ref: ref),
+            "base": grid_predictions(
                 lambda t, s, i, ref: f"ข้อความ เดา ที่ {i} ยาว กว่า เดิม อีก"),
         }
-        report = aggregate_report(systems, gateway)
+        report = aggregate_report(grid_refs(), predictions, gateway)
         assert report["systems"] == ["tuned", "base"]
         assert report["tokenizer"] == "unicode_words"
         tuned = report["per_system"]["tuned"]
@@ -154,32 +167,42 @@ class TestAggregateReport:
         assert any(", ".join(absent) in n for n in report["notes"])
 
     def test_identical_systems_degenerate_comparison(self, gateway):
-        systems = {"a": grid_pairs(lambda t, s, i, ref: ref),
-                   "b": grid_pairs(lambda t, s, i, ref: ref)}
-        report = aggregate_report(systems, gateway)
+        same = grid_predictions(lambda t, s, i, ref: ref)
+        report = aggregate_report(grid_refs(), {"a": same, "b": same},
+                                  gateway)
         assert all(c["method"] == "degenerate"
                    for c in report["comparisons"]
                    if c["metric"] == "bert_like_f1")
         assert any("no variation" in n for n in report["notes"])
 
     def test_misaligned_systems_rejected(self, gateway):
-        good = grid_pairs(lambda t, s, i, ref: ref)
-        systems = {"a": good, "b": good[:-1]}
-        with pytest.raises(AlignmentError, match="not aligned"):
-            aggregate_report(systems, gateway)
+        good = grid_predictions(lambda t, s, i, ref: ref)
+        short = dict(list(good.items())[:-1])
+        with pytest.raises(AlignmentError,
+                           match="missing for ids \\['su-ge-2'\\]"):
+            aggregate_report(grid_refs(), {"a": good, "b": short}, gateway)
 
     def test_duplicate_pair_id_rejected(self, gateway):
-        pairs = [pair(pid="x"), pair(pid="x")]
-        with pytest.raises(ValidationError, match="repeats pair id"):
-            aggregate_report({"a": pairs}, gateway)
+        refs = grid_refs()
+        with pytest.raises(ValidationError,
+                           match="repeat pair id 'cl-cu-0'"):
+            aggregate_report(refs + refs[:1],
+                             {"a": grid_predictions(lambda *a: "x")},
+                             gateway)
 
     def test_no_systems_rejected(self, gateway):
         with pytest.raises(ValidationError, match="no systems"):
-            aggregate_report({}, gateway)
+            aggregate_report(grid_refs(), {}, gateway)
+
+    def test_no_pairs_rejected(self, gateway):
+        with pytest.raises(ValidationError, match="no reference pairs"):
+            aggregate_report([], {"a": {}}, gateway)
 
 
 class CountingGateway:
-    """The mock gateway, recording the texts of every embed request."""
+    """The mock gateway, recording the texts of every embed request. Each
+    row is scaled by a power of two chosen by its text, so the rows are not
+    unit length, yet normalise to exactly the mock's unit rows."""
 
     def __init__(self):
         self.inner = Gateway.mock()
@@ -187,41 +210,65 @@ class CountingGateway:
 
     def embed(self, texts):
         self.requests.append(list(texts))
-        return self.inner.embed(texts)
+        scale = [2.0 ** (len(text) % 3) for text in texts]
+        return self.inner.embed(texts) * np.array(scale)[:, None]
 
 
-def vocabulary_systems():
-    """Two systems with repeated tokens, multi-line texts, an empty
-    prediction, and one pair whose empty reference keeps its prediction's
-    tokens out of bert_like_score."""
-    systems = {
-        "tuned": grid_pairs(lambda t, s, i, ref: f"{ref} {ref}"),
-        "base": grid_pairs(
+def vocabulary_inputs():
+    """References and two systems' predictions with repeated tokens,
+    multi-line texts, an empty prediction, and one pair whose empty
+    reference keeps its prediction's tokens out of bert_like_score."""
+    refs = grid_refs() + [{"id": "no-ref", "task": "open_qa",
+                           "test_set": "general", "reference": ""}]
+    predictions = {
+        "tuned": {**grid_predictions(lambda t, s, i, ref: f"{ref} {ref}"),
+                  "no-ref": "เฉพาะ คู่ นี้"},
+        "base": {**grid_predictions(
             lambda t, s, i, ref: "" if i == 0 else f"เดา {t}\nลำดับ {i} {i}"),
+            "no-ref": "เฉพาะ\nคู่"},
     }
-    for system, prediction in (("tuned", "เฉพาะ คู่ นี้"),
-                               ("base", "เฉพาะ\nคู่")):
-        systems[system].append(EvalPair(
-            id="no-ref", task="open_qa", test_set="general",
-            prediction=prediction, reference=""))
-    return systems
+    return refs, predictions
+
+
+def per_pair_bert_like(pred, ref, gateway, tokenizer=TOK):
+    """bert_like_score as each pair once computed it: the pair's raw rows
+    from gateway.embed, normalised for that pair alone."""
+    pred_tokens, ref_tokens = tokenizer(pred), tokenizer(ref)
+    if not pred_tokens and not ref_tokens:
+        return 1.0
+    if not pred_tokens or not ref_tokens:
+        return 0.0
+    mat = np.asarray(gateway.embed(pred_tokens + ref_tokens),
+                     dtype=np.float64)
+    mat = mat / np.linalg.norm(mat, axis=1)[:, None]
+    sims = np.clip(mat[:len(pred_tokens)] @ mat[len(pred_tokens):].T, 0.0,
+                   None)
+    precision = float(sims.max(axis=1).mean())
+    recall = float(sims.max(axis=0).mean())
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
 
 
 class TestTokenVocabulary:
     def test_each_distinct_token_embedded_once(self):
-        systems = vocabulary_systems()
+        refs, predictions = vocabulary_inputs()
         counting = CountingGateway()
-        report = aggregate_report(systems, counting)
-        scored = {t for pairs in systems.values() for p in pairs
+        report = aggregate_report(refs, predictions, counting)
+        pairs = {system: join_pairs(refs, preds)
+                 for system, preds in predictions.items()}
+        scored = {t for system_pairs in pairs.values() for p in system_pairs
                   if TOK(p.prediction) and TOK(p.reference)
                   for t in TOK(p.prediction) + TOK(p.reference)}
         assert "เฉพาะ" not in scored
         assert counting.requests == [sorted(scored)]
         gateway = Gateway.mock()
-        for system, pairs in systems.items():
+        for system, system_pairs in pairs.items():
             rows = report["per_system"][system]["per_pair"]
-            for p in pairs:
-                assert rows[p.id] == score_pair(p, gateway, TOK)
+            for p in system_pairs:
+                assert rows[p.id] == score(p, gateway)
+                assert rows[p.id]["bert_like_f1"] == per_pair_bert_like(
+                    p.prediction, p.reference, gateway)
 
 
 REF_ROWS = """\
@@ -242,6 +289,19 @@ class TestLoaders:
         path.write_text('{"id": "a", "task": "closed_qa", '
                         '"test_set": "culture"}\n', encoding="utf-8")
         with pytest.raises(ValidationError, match="line 1.*reference"):
+            load_references(str(path))
+
+    @pytest.mark.parametrize("key,value", [("task", "poetry"),
+                                           ("test_set", "dev")])
+    def test_unknown_task_or_test_set_names_line(self, tmp_path, key,
+                                                 value):
+        path = tmp_path / "refs.jsonl"
+        path.write_text(REF_ROWS + REF_ROWS.splitlines()[1].replace(
+            '"id": "b"', '"id": "c"').replace(
+            {"task": '"open_qa"', "test_set": '"general"'}[key],
+            f'"{value}"') + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=f"{path} line 3: unknown {key} '{value}'"):
             load_references(str(path))
 
     def test_non_string_value(self, tmp_path):
@@ -302,11 +362,12 @@ class TestJoinPairs:
 
 class TestRenderReport:
     def test_renders_tables_and_footer(self, gateway):
-        systems = {
-            "tuned": grid_pairs(lambda t, s, i, ref: ref),
-            "base": grid_pairs(lambda t, s, i, ref: f"เดา {i} คำ"),
+        predictions = {
+            "tuned": grid_predictions(lambda t, s, i, ref: ref),
+            "base": grid_predictions(lambda t, s, i, ref: f"เดา {i} คำ"),
         }
-        text = render_report(aggregate_report(systems, gateway))
+        text = render_report(aggregate_report(grid_refs(), predictions,
+                                              gateway))
         assert "Evaluation report (tokenizer: unicode_words)" in text
         assert "[culture test set]" in text
         assert "[general test set]" in text
@@ -325,7 +386,8 @@ class TestRenderReport:
 
     def test_capability_gap_renders_dashes(self, gateway):
         report = aggregate_report(
-            {"a": grid_pairs(lambda t, s, i, ref: ref)}, gateway)
+            grid_refs(), {"a": grid_predictions(lambda t, s, i, ref: ref)},
+            gateway)
         scores = report["per_system"]["a"]
         for means in [scores["overall"], *scores["by_test_set"].values()]:
             del means["bert_like_f1"]
@@ -335,7 +397,8 @@ class TestRenderReport:
         assert bert_rows and all("-" in row for row in bert_rows)
 
     def test_degenerate_comparison_renders(self, gateway):
-        systems = {"a": grid_pairs(lambda t, s, i, ref: ref),
-                   "b": grid_pairs(lambda t, s, i, ref: ref)}
-        text = render_report(aggregate_report(systems, gateway))
+        same = grid_predictions(lambda t, s, i, ref: ref)
+        text = render_report(aggregate_report(grid_refs(),
+                                              {"a": same, "b": same},
+                                              gateway))
         assert "degenerate (no variance)" in text

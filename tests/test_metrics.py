@@ -18,8 +18,82 @@ from seedforge import metrics
 from seedforge.errors import ValidationError
 from seedforge.metrics import (Score, bert_like_score, bleu, chrf, meteor,
                                rouge_l, rouge_lsum, rouge_n, squad_f1)
+from seedforge.evalreport import _TokenVectors
 from seedforge.tokenizers import (TOKENIZERS, characters, get_tokenizer,
                                   unicode_words, whitespace)
+
+
+def lcs_table(a, b):
+    """The full (len(a)+1) x (len(b)+1) LCS table, cell by cell."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    return table
+
+
+def lcs_indices_by_table(a, b):
+    """Backtrack through lcs_table: step up only when the cell above is
+    strictly larger than the cell to the left."""
+    table = lcs_table(a, b)
+    i, j = len(a), len(b)
+    picked = set()
+    while i > 0 and j > 0:
+        if a[i - 1] == b[j - 1]:
+            picked.add(i - 1)
+            i -= 1
+            j -= 1
+        elif table[i - 1][j] > table[i][j - 1]:
+            i -= 1
+        else:
+            j -= 1
+    return picked
+
+
+def rouge_lsum_by_table(pred, ref, tokenizer):
+    """rouge_lsum's union-LCS with the table backtrack."""
+    pred_sents = [t for t in (tokenizer(s) for s in pred.splitlines()
+                              if s.strip()) if t]
+    ref_sents = [t for t in (tokenizer(s) for s in ref.splitlines()
+                             if s.strip()) if t]
+    if not pred_sents or not ref_sents:
+        return Score(0.0, 0.0, 0.0)
+    pred_counts = Counter(t for s in pred_sents for t in s)
+    ref_counts = Counter(t for s in ref_sents for t in s)
+    hits = 0
+    for ref_sent in ref_sents:
+        union = set()
+        for pred_sent in pred_sents:
+            union |= lcs_indices_by_table(ref_sent, pred_sent)
+        for idx in sorted(union):
+            token = ref_sent[idx]
+            if ref_counts[token] > 0 and pred_counts[token] > 0:
+                hits += 1
+                ref_counts[token] -= 1
+                pred_counts[token] -= 1
+    precision = hits / sum(len(s) for s in pred_sents)
+    recall = hits / sum(len(s) for s in ref_sents)
+    f1 = (0.0 if precision + recall == 0.0
+          else 2.0 * precision * recall / (precision + recall))
+    return Score(precision, recall, f1)
+
+
+WORDS = ["วัด", "แม่น้ำ", "a", "ab", "", " "]
+
+
+def random_token_lists(rng, count, longest):
+    """count seeded (a, b) token-list pairs up to `longest` tokens, over
+    alphabets of 1 to 8 symbols, so repeats and LCS ties are common and
+    either side may be empty."""
+    for _ in range(count):
+        alphabet = (WORDS if rng.random() < 0.2
+                    else "abcdefgh"[:rng.randint(1, 8)])
+        yield tuple([rng.choice(alphabet)
+                     for _ in range(rng.randint(0, longest))]
+                    for _ in range(2))
 
 
 class TestTokenizers:
@@ -106,22 +180,24 @@ class TestRougeL:
     def test_tokenizer_parameter(self):
         assert rouge_l("กคข", "กขค", tokenizer=characters).f1 == 2 / 3
 
+    EDGE = [([], []), ([], ["a"]), (["a"], []), (["a"] * 70, ["a"] * 3),
+            (["a", "b"] * 40, ["b", "a"] * 40), (WORDS, WORDS[::-1])]
+
     def test_lcs_length_equals_the_full_table(self):
         # Random lists up to 150 tokens span several 64-bit words of the
         # bit vectors; small alphabets repeat tokens heavily.
-        rng = random.Random(11)
-        words = ["วัด", "แม่น้ำ", "a", "ab", "", " "]
-        edge = [([], []), ([], ["a"]), (["a"], []), (["a"] * 70, ["a"] * 3),
-                (["a", "b"] * 40, ["b", "a"] * 40), (words, words[::-1])]
-        for _ in range(400):
-            alphabet = (words if rng.random() < 0.2
-                        else "abcdefgh"[:rng.randint(1, 8)])
-            edge.append(tuple(
-                [rng.choice(alphabet) for _ in range(rng.randint(0, 150))]
-                for _ in range(2)))
-        for a, b in edge:
-            assert metrics._lcs_length(a, b) == (
-                metrics._lcs_table(a, b)[-1][-1])
+        cases = self.EDGE + list(
+            random_token_lists(random.Random(11), 400, 150))
+        for a, b in cases:
+            assert metrics._lcs_length(a, b) == lcs_table(a, b)[-1][-1]
+
+    def test_lcs_indices_equal_the_table_backtrack(self):
+        # 10,000 short cases tie often; 300 long ones cross 64-bit words.
+        rng = random.Random(12)
+        cases = (self.EDGE + list(random_token_lists(rng, 10_000, 16))
+                 + list(random_token_lists(rng, 300, 90)))
+        for a, b in cases:
+            assert metrics._lcs_indices(a, b) == lcs_indices_by_table(a, b)
 
 
 class TestRougeLsum:
@@ -150,6 +226,18 @@ class TestRougeLsum:
 
     def test_blank_lines_ignored(self):
         assert rouge_lsum("a b\n\n \n", "a b").f1 == 1.0
+
+    @pytest.mark.parametrize("name", sorted(TOKENIZERS))
+    def test_equals_the_table_backtrack(self, name):
+        tokenizer = get_tokenizer(name)
+        rng = random.Random(f"lsum-table-{name}")
+        pieces = ["ก", "ข", "ค", "ปลา", "a", "b", " ", " ", "\n", "\n"]
+        for trial in range(300):
+            pred, ref = ("".join(rng.choice(pieces)
+                                 for _ in range(rng.randint(0, 40)))
+                         for _ in range(2))
+            assert (rouge_lsum(pred, ref, tokenizer)
+                    == rouge_lsum_by_table(pred, ref, tokenizer))
 
     @pytest.mark.parametrize("name", sorted(TOKENIZERS))
     def test_single_line_equals_rouge_l_exactly(self, name):
@@ -366,34 +454,52 @@ class FakeEmbedGateway:
         return np.array([self.table[t] for t in texts], dtype=np.float64)
 
 
+def unit_rows(gateway, *texts):
+    """Unit rows of every token of texts, the way a report looks them up."""
+    tokens = sorted({t for text in texts for t in unicode_words(text)})
+    return _TokenVectors(gateway, tokens)
+
+
 class TestBertLike:
     def test_hand_built_alignment(self):
         # pred x: sims (1.0, 0.6) -> 1.0; pred y: (0.0, 0.8) -> 0.8
         # ref x: 1.0; ref w: 0.8. P = R = F = 0.9
         gw = FakeEmbedGateway({"x": (1, 0), "y": (0, 1),
                                "w": (0.6, 0.8)})
-        score = bert_like_score("x y", "x w", gateway=gw)
+        score = bert_like_score("x y", "x w", unit_rows(gw, "x y w"))
         assert score.precision == pytest.approx(0.9, abs=1e-9)
         assert score.recall == pytest.approx(0.9, abs=1e-9)
         assert score.f1 == pytest.approx(0.9, abs=1e-9)
 
+    def test_rows_are_scaled_to_unit_length_once(self):
+        # (3, 4) and (0, 2) are (0.6, 0.8) and (0, 1) at unit length
+        gw = FakeEmbedGateway({"x": (3, 4), "y": (0, 2)})
+        rows = unit_rows(gw, "x y")
+        assert rows(["y", "x", "y"]).tolist() == [[0, 1], [0.6, 0.8],
+                                                  [0, 1]]
+        assert bert_like_score("x", "y", rows).f1 == pytest.approx(0.8)
+
     def test_negative_similarity_clipped_to_zero(self):
         gw = FakeEmbedGateway({"x": (1, 0), "y": (-1, 0)})
-        assert bert_like_score("x", "y", gateway=gw).f1 == 0.0
+        assert bert_like_score("x", "y", unit_rows(gw, "x y")).f1 == 0.0
 
     def test_identity_with_mock_gateway(self, gateway):
-        score = bert_like_score("วัด arun temple", "วัด arun temple",
-                                gateway=gateway)
+        text = "วัด arun temple"
+        score = bert_like_score(text, text, unit_rows(gateway, text))
         assert score.f1 == pytest.approx(1.0, abs=1e-9)
 
-    def test_empty_conventions(self, gateway):
-        assert bert_like_score("", "", gateway=gateway) == Score(1, 1, 1)
-        assert bert_like_score("", "x", gateway=gateway).f1 == 0.0
+    def test_empty_conventions(self):
+        def no_lookup(tokens):
+            raise AssertionError(f"looked up {tokens}")
+
+        assert bert_like_score("", "", no_lookup) == Score(1, 1, 1)
+        assert bert_like_score("", "x", no_lookup).f1 == 0.0
+        assert bert_like_score("x", " ", no_lookup) == Score(0, 0, 0)
 
     def test_zero_vector_rejected(self):
-        gw = FakeEmbedGateway({"x": (0, 0)})
-        with pytest.raises(ValidationError):
-            bert_like_score("x", "x", gateway=gw)
+        gw = FakeEmbedGateway({"x": (0, 0), "y": (1, 0)})
+        with pytest.raises(ValidationError, match="zero vector"):
+            unit_rows(gw, "x y")
 
 
 _POOL = ("กขคงจฉชซญje mange demain 123 456 cat sat mat "

@@ -71,6 +71,14 @@ class TestExactOracle:
             mine = wilcoxon_rank_sum(a, b, method="exact")
             assert mine.p_value == pytest.approx(oracle_exact_p(a, b),
                                                  abs=1e-12)
+        # Pooled sizes past the auto limit, up to 16, match exactly.
+        for total in range(13, 17):
+            for _ in range(5):
+                n1 = rng.randint(total - 10, 10)
+                a = [rng.randint(0, 5) for _ in range(n1)]
+                b = [rng.randint(0, 5) for _ in range(total - n1)]
+                mine = wilcoxon_rank_sum(a, b, method="exact")
+                assert mine.p_value == oracle_exact_p(a, b)
 
     def test_matches_scipy_exact(self):
         rng = random.Random(6)
@@ -153,11 +161,14 @@ class TestMethodSelection:
         a, b = list(range(7)), list(range(10, 16))
         assert wilcoxon_rank_sum(a, b).method == "normal"
 
-    def test_exact_refuses_intractable_enumeration(self):
-        a = list(range(15))
-        b = list(range(20, 35))
-        with pytest.raises(ValidationError, match="not tractable"):
-            wilcoxon_rank_sum(a, b, method="exact")
+    def test_exact_at_a_pooled_size_of_thirty(self):
+        # C(30, 15) = 155,117,520 assignments; only the observed one and
+        # its mirror image are as extreme as a full separation.
+        result = wilcoxon_rank_sum(list(range(15)), list(range(20, 35)),
+                                   method="exact")
+        assert result.method == "exact"
+        assert result.p_value == 2 / 155_117_520
+        assert math.comb(30, 15) == 155_117_520
 
 
 class TestValidation:
