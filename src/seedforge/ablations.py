@@ -8,8 +8,9 @@ are always derived from its recipe (see seedforge.manifest), and the
 recipe's transforms are the steps that ran, in order.
 
 The generated variants run the pipeline's checkpointed epoch loop in a
-temporary working directory with the row's topic counts and dedup setting;
-the other two take a full build's manifest or an external corpus. Every
+temporary working directory with the row's dedup setting and its topic
+counts, which scale with the requested size unless the row re-rolls; the
+other two take a full build's manifest or an external corpus. Every
 variant then ends the same way: a seeded sample of its records, a recipe
 from its row, the recipe's transforms, and the flags stamped.
 
@@ -54,7 +55,10 @@ class VariantSpec:
 
     topics: (cultural, general) counts, or None for the counts its records
     were made under: the config's when generated, the source manifest's
-    when derived. reroll: re-run the first epoch's topics under new round
+    when derived. A generated row's counts are for constants.DATASET_SIZE
+    records and scale to the requested size, rounded up, so every size
+    keeps the row's records per topic; a re-rolling row's counts are
+    fixed. reroll: re-run the first epoch's topics under new round
     numbers instead of adding topics.
     """
     source: str
@@ -201,19 +205,25 @@ def build_variant(variant: str, gateway, config: PipelineConfig,
 
     Generated variants run the pipeline's checkpointed stages in a
     temporary directory under workdir_parent (the system default when
-    None), removed on return; a re-rolling variant runs at most
-    ceil(size / topics) + 10 rounds. A derived variant needs the full
-    build's DatasetManifest as `source`, an external one the records of
-    `load_external_corpus`. Every variant then samples size / fan-out of
-    its records (the "truncate" stream when generated, else "sample"),
-    runs its transforms and has its flags stamped; the fan-out is
-    paraphrase.count + 1 when the transforms paraphrase, else 1.
+    None), removed on return. A row's topic counts become
+    ceil(count * size / DATASET_SIZE), and the pipeline's extension
+    epochs make up any shortfall of the pool; a re-rolling variant keeps
+    its counts and runs at most ceil(size / topics) + 10 rounds. A derived
+    variant needs the full build's DatasetManifest as `source`, an
+    external one the records of `load_external_corpus`. Every variant
+    then samples size / fan-out of its records (the "truncate" stream when
+    generated, else "sample"), runs its transforms and has its flags
+    stamped; the fan-out is paraphrase.count + 1 when the transforms
+    paraphrase, else 1.
     """
     spec = VARIANT_TABLE[variant]
     size, seed = config.dataset_size, config.run_seed
     if spec.source == GENERATED:
         cultural, general = spec.topics or (config.topics_cultural,
                                             config.topics_general)
+        if spec.topics and not spec.reroll:
+            cultural, general = (math.ceil(n * size / constants.DATASET_SIZE)
+                                 for n in spec.topics)
         config = replace(config, topics_cultural=cultural,
                          topics_general=general)
         max_epochs = (math.ceil(size / max(1, general)) + 10 if spec.reroll

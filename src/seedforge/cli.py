@@ -21,8 +21,8 @@ from seedforge import ablations
 from seedforge.config import (PipelineConfig, default_config, load_config,
                               with_overrides)
 from seedforge.dedup import dedup_filter, write_removals
-from seedforge.errors import (BuildError, ConfigError, ProviderError,
-                              SeedforgeError)
+from seedforge.errors import (AlignmentError, BuildError, ConfigError,
+                              ProviderError, SeedforgeError)
 from seedforge.evalreport import (aggregate_report, load_predictions,
                                   load_references, render_report)
 from seedforge.instructions import GENERATION_TASKS
@@ -135,15 +135,20 @@ def cmd_eval(args) -> int:
     config = _load_cfg(args)
     gateway = build_gateway(config)
     references = load_references(args.refs)
-    predictions = {}
+    predictions, files = {}, {}
     for pred_path in args.pred:
         name = os.path.splitext(os.path.basename(pred_path))[0]
         if name in predictions:
             raise ConfigError(f"duplicate system name {name!r}; rename "
                               f"one prediction file")
         predictions[name] = load_predictions(pred_path)
-    report = aggregate_report(references, predictions, gateway,
-                              tokenizer_name=args.tokenizer)
+        files[name] = pred_path
+    try:
+        report = aggregate_report(references, predictions, gateway,
+                                  tokenizer_name=args.tokenizer)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{files[exc.system]}: {exc}",
+                             exc.system) from None
     write_json(args.out, report)
     print(f"report -> {args.out}")
     return 0

@@ -25,7 +25,9 @@ TOPICS_PER_BATCH = 20
 TOPICS_CULTURAL = 400
 TOPICS_GENERAL = 300
 TOPICS_FLUENCY_ONLY = 10  # general-only, low-diversity variant
-TOPICS_DIVERSITY_ONLY = 750  # general-only, round-trip-translated variant
+# General-only, round-trip-translated variant: 750 topics at DATASET_SIZE,
+# scaled to the requested size.
+TOPICS_DIVERSITY_ONLY = 750
 
 # Context acquisition.
 P_WIKI = 0.5  # probability of sourcing a context from the wiki; not published

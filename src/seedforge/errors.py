@@ -81,7 +81,14 @@ class DegenerateTestError(SeedforgeError):
 
 
 class AlignmentError(SeedforgeError):
-    """Prediction and reference sets do not share the same example ids."""
+    """Prediction and reference sets do not share the same example ids.
+
+    `system` names the system whose predictions do not match.
+    """
+
+    def __init__(self, message: str, system: str):
+        super().__init__(message)
+        self.system = system
 
 
 class LockError(SeedforgeError):

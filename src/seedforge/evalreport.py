@@ -269,7 +269,7 @@ def aggregate_report(references: list[dict],
         raise ValidationError("no systems to evaluate")
     if not references:
         raise ValidationError("no reference pairs to evaluate")
-    pairs_by_system = {system: join_pairs(references, predictions)
+    pairs_by_system = {system: join_pairs(references, predictions, system)
                        for system, predictions
                        in predictions_by_system.items()}
     tokenizer = _Memo(get_tokenizer(tokenizer_name))
@@ -342,25 +342,23 @@ def load_predictions(path: str) -> dict[str, str]:
     return {row["id"]: row["prediction"] for row in rows}
 
 
-def join_pairs(references: list[dict],
-               predictions: dict[str, str]) -> list[EvalPair]:
-    """Match predictions to references by id; any gap, and any reference
-    id that repeats, is an error."""
+def join_pairs(references: list[dict], predictions: dict[str, str],
+               system: str) -> list[EvalPair]:
+    """Match `system`'s predictions to references by id; any gap, and any
+    reference id that repeats, is an error. An AlignmentError names the
+    system."""
     ids = [r["id"] for r in references]
     ref_ids = set(ids)
     if len(ref_ids) != len(ids):
         dupe = next(i for i in ids if ids.count(i) > 1)
         raise ValidationError(f"references repeat pair id {dupe!r}")
-    missing = sorted(ref_ids - set(predictions))
-    if missing:
-        raise AlignmentError(
-            f"predictions missing for ids {missing[:5]}"
-            + (" ..." if len(missing) > 5 else ""))
-    extra = sorted(set(predictions) - ref_ids)
-    if extra:
-        raise AlignmentError(
-            f"predictions for unknown ids {extra[:5]}"
-            + (" ..." if len(extra) > 5 else ""))
+    for problem, gap in (("missing for", ref_ids - set(predictions)),
+                         ("for unknown", set(predictions) - ref_ids)):
+        if gap:
+            shown = sorted(gap)[:5]
+            raise AlignmentError(
+                f"system {system!r}: predictions {problem} ids {shown}"
+                + (" ..." if len(gap) > 5 else ""), system)
     return [EvalPair(id=r["id"], task=r["task"], test_set=r["test_set"],
                      prediction=predictions[r["id"]],
                      reference=r["reference"])

@@ -33,13 +33,6 @@ def small(**overrides):
                              "dataset_size": 50, **overrides})
 
 
-def with_topics(monkeypatch, variant, general):
-    """Give a generated variant's table row `general` general topics, so a
-    test can build it without the row's full topic count."""
-    monkeypatch.setitem(VARIANT_TABLE, variant,
-                        replace(VARIANT_TABLE[variant], topics=(0, general)))
-
-
 def external_corpus(tmp_path, rows):
     path = tmp_path / "ext.jsonl"
     path.write_text("".join(f'{{"prompt": "q{i}", "response": "a{i}"}}\n'
@@ -260,14 +253,18 @@ class TestBuildFluencyOnly:
 
 
 class TestBuildDiversityOnly:
-    def test_extends_topics_and_bounces_text(self, monkeypatch):
-        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 4)
-        manifest = build_variant(VARIANT_DIVERSITY_ONLY, Gateway.mock(),
-                                 small(run_seed=9, dataset_size=40))
-        assert len(manifest.records) == 40
+    def test_extends_topics_and_bounces_text(self):
+        # The row's 750 topics at 5,000 records are 7 at 45. With one QA
+        # pair per context they fall short, so an extension epoch adds
+        # topics.
+        manifest = build_variant(
+            VARIANT_DIVERSITY_ONLY, Gateway.mock(),
+            small(run_seed=9, dataset_size=45, tasks_qa_pairs=1))
+        assert len(manifest.records) == 45
         assert manifest.flags == PropertyFlags(False, False, True)
+        assert manifest.recipe.topics_general == 7
         indexes = {int(r.id[1:5]) for r in manifest.records}
-        assert max(indexes) >= 4  # 4 topics fall short, extension kicked in
+        assert max(indexes) >= 7
         for record in manifest.records:
             assert record.lineage[-1] == "round_trip(en)"
             assert record.instruction.startswith("th⟨en⟨")
@@ -481,9 +478,7 @@ def transform_of(step: str, pivot: str = "en") -> str | None:
 
 
 class TestVariantTable:
-    def test_lineage_ends_with_the_recipe_transforms(self, tmp_path,
-                                                      monkeypatch):
-        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 7)
+    def test_lineage_ends_with_the_recipe_transforms(self, tmp_path):
         for variant, manifest in build_all_five(tmp_path).items():
             transforms = list(manifest.recipe.transforms)
             assert transforms == list(VARIANT_TABLE[variant].transforms)
@@ -502,7 +497,6 @@ class TestVariantTable:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(ablations, name, counted)
-        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 7)
         full = build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
         sources = {VARIANT_CULTURE_ONLY: full,
                    VARIANT_NO_PROPERTIES: external_corpus(tmp_path, 10)}
@@ -550,8 +544,7 @@ class TestTransformMemo:
     the same text many times; it sends each distinct request once."""
 
     @staticmethod
-    def _build(variant, gateway, full, monkeypatch):
-        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 7)
+    def _build(variant, gateway, full):
         return build_variant(variant, gateway, small(run_seed=42),
                              full if variant == VARIANT_CULTURE_ONLY
                              else None)
@@ -559,9 +552,9 @@ class TestTransformMemo:
     @pytest.mark.parametrize("variant", [VARIANT_CULTURE_ONLY,
                                          VARIANT_DIVERSITY_ONLY])
     def test_each_distinct_request_reaches_the_gateway_once(
-            self, variant, full, monkeypatch):
+            self, variant, full):
         gw = counting_gateway()
-        self._build(variant, gw, full, monkeypatch)
+        self._build(variant, gw, full)
         # No request recurs across these recipes' steps: each step has its
         # own op or language direction. So once per build is once per step.
         assert gw.requests
@@ -571,11 +564,11 @@ class TestTransformMemo:
                                          VARIANT_DIVERSITY_ONLY])
     def test_records_equal_a_build_without_the_memo(self, variant, full,
                                                     monkeypatch, tmp_path):
-        memoized = self._build(variant, Gateway.mock(), full, monkeypatch)
+        memoized = self._build(variant, Gateway.mock(), full)
         monkeypatch.setattr(ablations, "functools",
                             SimpleNamespace(cache=lambda fn: fn))
         gw = counting_gateway()
-        plain = self._build(variant, gw, full, monkeypatch)
+        plain = self._build(variant, gw, full)
         assert max(gw.requests.values()) > 1  # the memo has work to do
         assert plain == memoized
         assert (write_manifest(plain, str(tmp_path / "plain.jsonl"))
@@ -585,8 +578,7 @@ class TestTransformMemo:
 class TestFiveVariantFlagMatrix:
     """The headline property table: one row per variant."""
 
-    def test_matrix(self, tmp_path, monkeypatch):
-        with_topics(monkeypatch, VARIANT_DIVERSITY_ONLY, 7)
+    def test_matrix(self, tmp_path):
         got = {m.recipe.variant: (m.flags.fluency, m.flags.culture,
                                   m.flags.diversity)
                for m in build_all_five(tmp_path).values()}

@@ -10,7 +10,6 @@ import math
 import os
 import random
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +20,7 @@ from seedforge import constants, metrics
 from seedforge.ablations import (VARIANT_CULTURE_ONLY,
                                  VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
                                  VARIANT_FULL, VARIANT_NO_PROPERTIES,
-                                 VARIANT_TABLE, build_variant, derive_flags,
+                                 build_variant, derive_flags,
                                  load_external_corpus, read_manifest)
 from seedforge.cli import main as cli_main
 from seedforge.config import default_config
@@ -326,7 +325,7 @@ def test_criterion_5_end_to_end_run(tmp_path):
             f"{elapsed:.1f}s, sha256 {hash_a[:12]}")
 
 
-def test_criterion_6_variant_recipes(tmp_path, monkeypatch):
+def test_criterion_6_variant_recipes(tmp_path):
     failures = []
     gw = Gateway.mock()
     full = build_variant(VARIANT_FULL, gw, SMALL)
@@ -356,9 +355,6 @@ def test_criterion_6_variant_recipes(tmp_path, monkeypatch):
     corpus_path.write_text("".join(
         f'{{"prompt": "q{i}", "response": "a{i}"}}\n' for i in range(12)),
         encoding="utf-8")
-    # 7 general topics instead of the row's 750 keep the build small.
-    monkeypatch.setitem(VARIANT_TABLE, VARIANT_DIVERSITY_ONLY, replace(
-        VARIANT_TABLE[VARIANT_DIVERSITY_ONLY], topics=(0, 7)))
     variants = {
         "full": full,
         "fluency_only": build_variant(VARIANT_FLUENCY_ONLY, Gateway.mock(),

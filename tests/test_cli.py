@@ -469,6 +469,27 @@ class TestBadInputFiles:
         assert (f"{refs} line 7: unknown task 'poetry'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    @pytest.mark.parametrize("gap", ["missing", "extra"])
+    def test_eval_alignment_error_names_the_system_and_file(
+            self, tmp_path, capsys, order, gap):
+        """Only b.jsonl is out of line, whichever --pred comes first."""
+        refs, rows = write_refs(tmp_path)
+        if gap == "missing":
+            bad = [r for r in rows if r["id"] != "cq1"]
+            problem = "predictions missing for ids ['cq1']"
+        else:
+            bad = rows + [{"id": "zz", "reference": "x"}]
+            problem = "predictions for unknown ids ['zz']"
+        preds = {"a": write_preds(tmp_path / "a.jsonl", rows),
+                 "b": write_preds(tmp_path / "b.jsonl", bad)}
+        argv = ["eval", "--refs", refs, "--out", str(tmp_path / "r.json")]
+        for name in order:
+            argv += ["--pred", preds[name]]
+        assert main(argv) == 1
+        assert (f"error: {preds['b']}: system 'b': {problem}"
+                in capsys.readouterr().err)
+
     def test_ablate_external_with_a_bad_byte(self, tmp_path, conf, capsys):
         corpus = tmp_path / "ext.jsonl"
         corpus.write_bytes(b'{"prompt": "q", "response": "a"}\n'

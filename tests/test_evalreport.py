@@ -178,8 +178,8 @@ class TestAggregateReport:
     def test_misaligned_systems_rejected(self, gateway):
         good = grid_predictions(lambda t, s, i, ref: ref)
         short = dict(list(good.items())[:-1])
-        with pytest.raises(AlignmentError,
-                           match="missing for ids \\['su-ge-2'\\]"):
+        with pytest.raises(AlignmentError, match="system 'b': predictions "
+                           "missing for ids \\['su-ge-2'\\]"):
             aggregate_report(grid_refs(), {"a": good, "b": short}, gateway)
 
     def test_duplicate_pair_id_rejected(self, gateway):
@@ -255,7 +255,7 @@ class TestTokenVocabulary:
         refs, predictions = vocabulary_inputs()
         counting = CountingGateway()
         report = aggregate_report(refs, predictions, counting)
-        pairs = {system: join_pairs(refs, preds)
+        pairs = {system: join_pairs(refs, preds, system)
                  for system, preds in predictions.items()}
         scored = {t for system_pairs in pairs.values() for p in system_pairs
                   if TOK(p.prediction) and TOK(p.reference)
@@ -346,18 +346,22 @@ class TestJoinPairs:
              "reference": "หมา"}]
 
     def test_join_preserves_reference_order(self):
-        pairs = join_pairs(self.REFS, {"b": "x", "a": "y"})
+        pairs = join_pairs(self.REFS, {"b": "x", "a": "y"}, "s")
         assert [p.id for p in pairs] == ["a", "b"]
         assert pairs[0].prediction == "y"
         assert pairs[1].reference == "หมา"
 
     def test_missing_prediction(self):
-        with pytest.raises(AlignmentError, match="missing for ids \\['b'\\]"):
-            join_pairs(self.REFS, {"a": "y"})
+        with pytest.raises(AlignmentError,
+                           match="system 's': predictions missing for ids "
+                           "\\['b'\\]"):
+            join_pairs(self.REFS, {"a": "y"}, "s")
 
     def test_unknown_prediction(self):
-        with pytest.raises(AlignmentError, match="unknown ids \\['c'\\]"):
-            join_pairs(self.REFS, {"a": "x", "b": "y", "c": "z"})
+        with pytest.raises(AlignmentError,
+                           match="system 's': predictions for unknown ids "
+                           "\\['c'\\]"):
+            join_pairs(self.REFS, {"a": "x", "b": "y", "c": "z"}, "s")
 
 
 class TestRenderReport:

@@ -1,7 +1,8 @@
 """Pinned sha256 digests of mock builds and of a mock eval report.
 
 Refactors must leave the bytes of `run`'s manifest, of every `ablate`
-variant and of the report `eval` writes unchanged. The config forces the
+variant and of the report `eval` writes unchanged, and each variant's
+provider calls per op with them. The config forces the
 interesting paths at a small size: 9 topics fall short of 100 records, so
 `run` and `ablate full` run an extension epoch and `ablate fluency`
 re-rolls its 10 topics; a dedup threshold of 0.8 makes dedup remove
@@ -9,17 +10,20 @@ records. If a digest must change, the change that moves it says why.
 """
 
 import json
+import math
 import os
 import random
 import sys
 
 import pytest
 
+from seedforge import constants
 from seedforge.cli import main
 from seedforge.config import load_config
 from seedforge.evalreport import EVAL_TASKS, TEST_SETS
-from seedforge.pipeline import CHECKPOINT_FILE, MANIFEST_FILE, run_pipeline
-from seedforge.records import file_sha256, read_records
+from seedforge.pipeline import (CHECKPOINT_FILE, MANIFEST_FILE,
+                                build_gateway, run_pipeline)
+from seedforge.records import file_sha256, read_json, read_records
 
 CONF = """\
 run.seed = 42
@@ -50,17 +54,42 @@ ABLATE = {
         "d0c929e79d180930d546d92bc35ce8798879ee80baab61e48fd72de44888966e",
     "fluency":
         "926ab0c127caac202b7189521abebec45f1d69222d7bd3add90c7afdf5b1d59d",
+    # Moved when the row's 750 topics began to scale with the size: 15
+    # topics at 100 records. test_diversity_at_the_reference_size_is_unmoved
+    # pins the old bytes.
     "diversity":
-        "7e59f337d38c7f312af815a607f11c8a553de3b84c3a25fbc9925f60413ce1e8",
+        "209233e90ef1811472dd29365c7b6747c32835212b8957a61ae92f801cf99cb6",
     "culture":
         "7af655f4aa31a7e12f34923a72c923a14689423840e0d603dbca2aaa83e2f49d",
     "none":
         "849cab40b0bd9759687147c3c7683d29c6681dd0dbfd36555cc76d60265aed71",
 }
+# `diversity` before its topics scaled with the size.
+DIVERSITY_AT_REFERENCE_SIZE = (
+    "7e59f337d38c7f312af815a607f11c8a553de3b84c3a25fbc9925f60413ce1e8")
+# Provider calls per op of each variant's build, from the gateway that
+# `build_gateway` makes for it. A change that multiplies requests fails
+# here. `diversity` made 4,813 calls (3,415 `complete`) with 750 topics.
+ABLATE_CALLS = {
+    "full": {"complete": 70, "embed": 4, "wiki_search": 5,
+             "wiki_sections": 5},
+    "fluency": {"complete": 93, "wiki_search": 8, "wiki_sections": 8},
+    "diversity": {"complete": 72, "embed": 2, "translate": 410,
+                  "wiki_search": 5, "wiki_sections": 4},
+    "culture": {"paraphrase": 51, "translate": 306},
+    "none": {"paraphrase": 40, "translate": 200},
+}
+
+
+def ablate_argv(conf, variant: str, out: str, size: int = 100) -> list[str]:
+    return ["ablate", "--config", str(conf), "--variant", variant,
+            "--size", str(size), "--out", out]
 
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
+    """The `run` manifest, each variant's output file and each variant's
+    provider calls per op."""
     root = tmp_path_factory.mktemp("pins")
     conf = root / "pins.conf"
     conf.write_text(CONF, encoding="utf-8")
@@ -70,21 +99,29 @@ def built(tmp_path_factory):
         + "\n" for i in range(30)), encoding="utf-8")
     workdir = str(root / "run")
     assert main(["run", "--config", str(conf), "--workdir", workdir]) == 0
-    out = {}
-    for variant in ABLATE:
-        out[variant] = str(root / f"{variant}.jsonl")
-        argv = ["ablate", "--config", str(conf), "--variant", variant,
-                "--size", "100", "--out", out[variant]]
-        if variant == "culture":
-            argv += ["--source", out["full"]]
-        elif variant == "none":
-            argv += ["--external", str(corpus)]
-        assert main(argv) == 0
-    return os.path.join(workdir, MANIFEST_FILE), out
+    out, calls = {}, {}
+    gateways = []
+
+    def capture(config):
+        gateways.append(build_gateway(config))
+        return gateways[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("seedforge.cli.build_gateway", capture)
+        for variant in ABLATE:
+            out[variant] = str(root / f"{variant}.jsonl")
+            argv = ablate_argv(conf, variant, out[variant])
+            if variant == "culture":
+                argv += ["--source", out["full"]]
+            elif variant == "none":
+                argv += ["--external", str(corpus)]
+            assert main(argv) == 0
+            calls[variant] = dict(gateways.pop().stats.provider_calls)
+    return os.path.join(workdir, MANIFEST_FILE), out, calls
 
 
 def test_builds_take_the_paths_they_pin(built):
-    manifest, out = built
+    manifest, out, _ = built
     with open(os.path.join(os.path.dirname(manifest), CHECKPOINT_FILE),
               encoding="utf-8") as handle:
         assert "topics-01" in json.load(handle)
@@ -93,7 +130,7 @@ def test_builds_take_the_paths_they_pin(built):
 
 
 def test_run_manifest_and_meta(built):
-    manifest, _ = built
+    manifest, _, _ = built
     assert file_sha256(manifest) == RUN_MANIFEST
     assert file_sha256(manifest + ".meta.json") == RUN_META
 
@@ -194,7 +231,7 @@ def test_skipped_stages_load_only_when_read(tmp_path, monkeypatch):
 
 
 def test_ablate_full_writes_the_bytes_of_run(built):
-    manifest, out = built
+    manifest, out, _ = built
     assert file_sha256(out["full"]) == file_sha256(manifest)
     assert (file_sha256(out["full"] + ".meta.json")
             == file_sha256(manifest + ".meta.json"))
@@ -202,8 +239,37 @@ def test_ablate_full_writes_the_bytes_of_run(built):
 
 @pytest.mark.parametrize("variant", list(ABLATE))
 def test_ablate_records(built, variant):
-    _, out = built
+    _, out, _ = built
     assert file_sha256(out[variant]) == ABLATE[variant]
+
+
+@pytest.mark.parametrize("variant", list(ABLATE_CALLS))
+def test_ablate_provider_calls(built, variant):
+    _, _, calls = built
+    assert calls[variant] == ABLATE_CALLS[variant]
+
+
+def test_diversity_at_the_reference_size_is_unmoved(tmp_path, monkeypatch):
+    """At the size its row is written for, the row's 750 topics are used
+    as they are, so the build writes the bytes it wrote before the counts
+    scaled."""
+    monkeypatch.setattr(constants, "DATASET_SIZE", 100)
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    out = str(tmp_path / "diversity.jsonl")
+    assert main(ablate_argv(conf, "diversity", out)) == 0
+    assert file_sha256(out) == DIVERSITY_AT_REFERENCE_SIZE
+
+
+@pytest.mark.parametrize("size", [50, 100])
+def test_diversity_topics_scale_with_the_size(tmp_path, size):
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    out = str(tmp_path / "diversity.jsonl")
+    assert main(ablate_argv(conf, "diversity", out, size)) == 0
+    recipe = read_json(out + ".meta.json")["recipe"]
+    assert (recipe["topics_cultural"], recipe["topics_general"]) == (
+        0, math.ceil(750 * size / 5000))
 
 
 # -- eval report --------------------------------------------------------------
