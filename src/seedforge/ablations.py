@@ -16,16 +16,15 @@ from its row, the recipe's transforms, and the flags stamped.
 
 Degradations are deliberate: round-trip translation simulates a machine
 translated corpus, and paraphrase fan-out shrinks semantic diversity while
-multiplying size. Both reuse the gateway's translator and paraphraser.
+multiplying size. Both reuse the gateway's translator and paraphraser, as
+batch requests of a step's distinct texts.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import tempfile
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 from seedforge import constants
 from seedforge.config import PipelineConfig
@@ -102,98 +101,137 @@ def generate_pass(gateway, config: PipelineConfig, topics: list[Topic], *,
 
 # -- field transforms --------------------------------------------------------
 
-def _map_text(record: InstructionRecord, fn, step: str,
+def _fields(record: InstructionRecord) -> tuple[str, ...]:
+    """The record's text fields: instruction, context if any, output."""
+    if record.context:
+        return record.instruction, record.context, record.output
+    return record.instruction, record.output
+
+
+def _distinct_fields(records) -> list[str]:
+    """Every text field of records once, in first-seen order."""
+    return list(dict.fromkeys(text for record in records
+                              for text in _fields(record)))
+
+
+def _map_text(record: InstructionRecord, table: dict[str, str], step: str,
               **changes) -> InstructionRecord:
-    """fn applied to every text field, `step` appended to the lineage."""
+    """Every text field replaced by its entry in table, `step` appended to
+    the lineage."""
     return replace(
         record,
-        instruction=fn(record.instruction),
-        context=fn(record.context) if record.context else None,
-        output=fn(record.output),
+        instruction=table[record.instruction],
+        context=table[record.context] if record.context else None,
+        output=table[record.output],
         lineage=record.lineage + (step,),
         **changes,
     )
 
 
-def round_trip_translate(record: InstructionRecord, gateway,
+def round_trip_translate(record: InstructionRecord, table: dict[str, str],
                          pivot: str = constants.PIVOT_LANGUAGE
                          ) -> InstructionRecord:
-    """Translate every text field to the pivot language and back."""
-    lang = record.language
-    return _map_text(
-        record, lambda text: gateway.translate(
-            gateway.translate(text, lang, pivot), pivot, lang),
-        f"round_trip({pivot})")
+    """Every text field replaced by its round trip through the pivot
+    language, as table maps it."""
+    return _map_text(record, table, f"round_trip({pivot})")
 
 
-def translate_record(record: InstructionRecord, gateway, source: str,
-                     target: str) -> InstructionRecord:
-    return _map_text(
-        record, lambda text: gateway.translate(text, source, target),
-        f"translate({source}->{target})", language=target)
+def translate_record(record: InstructionRecord, table: dict[str, str],
+                     source: str, target: str) -> InstructionRecord:
+    """Every text field replaced by its translation, as table maps it."""
+    return _map_text(record, table, f"translate({source}->{target})",
+                     language=target)
 
 
-def _paraphrase_variants(record: InstructionRecord, gateway, count: int
+def _paraphrase_variants(record: InstructionRecord,
+                         table: dict[str, list[str]], count: int
                          ) -> list[InstructionRecord]:
-    """The record itself plus `count` field-wise paraphrases.
+    """The record itself plus `count` field-wise paraphrases, each field's
+    `count` paraphrases read from table.
 
     Variant ids get a -pNN suffix; p00 is the untouched original so the
     family is recognizable by id prefix alone.
     """
-    instructions = gateway.paraphrase(record.instruction, count)
-    outputs = gateway.paraphrase(record.output, count)
-    contexts = (gateway.paraphrase(record.context, count)
-                if record.context else [None] * count)
+    contexts = (table[record.context] if record.context
+                else [None] * count)
     variants = [replace(record, id=f"{record.id}-p00",
                         lineage=record.lineage + ("original",))]
     for k in range(count):
         variants.append(replace(
             record,
             id=f"{record.id}-p{k + 1:02d}",
-            instruction=instructions[k],
+            instruction=table[record.instruction][k],
             context=contexts[k],
-            output=outputs[k],
+            output=table[record.output][k],
             lineage=record.lineage + (f"paraphrase({k + 1})",),
         ))
     return variants
+
+
+def _translations(gateway, texts: list[str], source: str, target: str
+                  ) -> dict[str, str]:
+    """Each text mapped to its translation, from one gateway call."""
+    return dict(zip(texts, gateway.translate(texts, source, target)))
+
+
+def _round_trips(gateway, texts: list[str], lang: str, pivot: str
+                 ) -> dict[str, str]:
+    """Each text mapped to its translation into pivot and back, from one
+    gateway call per leg; the way back sends each distinct pivot text
+    once. A failure on the way back carries the texts it started from."""
+    there = _translations(gateway, texts, lang, pivot)
+    try:
+        back = _translations(gateway, list(dict.fromkeys(there.values())),
+                             pivot, lang)
+    except ProviderError as exc:
+        failed = set(exc.texts)
+        exc.texts = tuple(text for text in texts if there[text] in failed)
+        raise
+    return {text: back[there[text]] for text in texts}
+
+
+def _run_step(step: str, records: list[InstructionRecord], gateway,
+              config: PipelineConfig) -> list[InstructionRecord]:
+    """One transform over every record. Records made from one context
+    share its passage, so the step collects its distinct text fields
+    first and sends them, in first-seen order, in one gateway call per
+    leg; the gateway splits them into batch requests."""
+    pivot, target = config.run_pivot_language, config.run_target_language
+    if step == "paraphrase":
+        count = config.paraphrase_count
+        texts = _distinct_fields(records)
+        table = dict(zip(texts, gateway.paraphrase(texts, count)))
+        return [variant for record in records
+                for variant in _paraphrase_variants(record, table, count)]
+    if step == "round_trip":  # generated records are in the target language
+        table = _round_trips(gateway, _distinct_fields(records), target,
+                             pivot)
+        return [round_trip_translate(record, table, pivot=pivot)
+                for record in records]
+    source, dest = ((target, pivot) if step == "translate_pivot"
+                    else (pivot, target))
+    table = _translations(gateway, _distinct_fields(records), source, dest)
+    return [translate_record(record, table, source, dest)
+            for record in records]
 
 
 def _run_transforms(records: list[InstructionRecord], recipe: Recipe,
                     gateway, config: PipelineConfig
                     ) -> list[InstructionRecord]:
     """Run the recipe's transforms in order, each over every record. A
-    provider failure on any record fails the build.
-
-    Each step sends each distinct translate or paraphrase request once:
-    records made from one context share its passage, so the step sees the
-    gateway through a memo that lives as long as the step. A failed
-    request is not memoized. Records share a memoized paraphrase list,
-    which the transforms only read."""
-    pivot, target = config.run_pivot_language, config.run_target_language
+    provider failure fails the build, naming the first record, in step
+    order, with a text in the request that failed. Records share a
+    paraphrase list, which the transforms only read."""
     for step in recipe.transforms:
-        gateway_once = SimpleNamespace(
-            translate=functools.cache(gateway.translate),
-            paraphrase=functools.cache(gateway.paraphrase))
-        out: list[InstructionRecord] = []
-        for record in records:
-            try:
-                if step == "round_trip":
-                    out.append(round_trip_translate(record, gateway_once,
-                                                    pivot=pivot))
-                elif step == "paraphrase":
-                    out.extend(_paraphrase_variants(
-                        record, gateway_once, config.paraphrase_count))
-                elif step == "translate_pivot":
-                    out.append(translate_record(record, gateway_once,
-                                                target, pivot))
-                else:  # translate_target
-                    out.append(translate_record(record, gateway_once,
-                                                pivot, target))
-            except ProviderError as exc:
-                raise BuildError(
-                    f"{recipe.variant}: {step} failed for {record.id}: "
-                    f"{exc}", achieved=len(out)) from exc
-        records = out
+        try:
+            records = _run_step(step, records, gateway, config)
+        except ProviderError as exc:
+            failed = set(exc.texts)
+            record = next((r for r in records
+                           if failed.intersection(_fields(r))), records[0])
+            raise BuildError(
+                f"{recipe.variant}: {step} failed for {record.id}: {exc}",
+                achieved=0) from exc
     return records
 
 

@@ -18,7 +18,12 @@ class ConfigError(SeedforgeError):
 
 
 class ProviderError(SeedforgeError):
-    """A provider call failed in a way that is not a local bug."""
+    """A provider call failed in a way that is not a local bug.
+
+    `texts` holds the texts of the batch request that failed, when the
+    failed request carried a batch (the gateway sets it)."""
+
+    texts: tuple[str, ...] = ()
 
 
 class RetryableProviderError(ProviderError):

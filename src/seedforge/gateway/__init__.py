@@ -24,12 +24,12 @@ import random
 import threading
 import time
 from collections import Counter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from seedforge import constants
-from seedforge.errors import (ConfigError, ProtocolError,
+from seedforge.errors import (ConfigError, ProtocolError, ProviderError,
                               RetryableProviderError, ValidationError)
 from seedforge.gateway.cache import ResponseCache, request_key
 from seedforge.gateway.mock import (DEFAULT_PAIRS, MockEmbedder,
@@ -78,9 +78,34 @@ def _completion(payload) -> str:
     return payload
 
 
-def _translation(payload) -> str:
-    if not isinstance(payload, str) or not payload:
+def _per_text(payload, texts: list[str], what: str) -> list:
+    """payload, checked to be a list of one reply per text."""
+    if not isinstance(payload, list) or len(payload) != len(texts):
+        got = len(payload) if isinstance(payload, list) else "no list"
+        raise ProtocolError(f"asked for {what} of {len(texts)} texts, "
+                            f"got {got}")
+    return payload
+
+
+def _translations(payload, texts: list[str]) -> list[str]:
+    if not all(isinstance(text, str) and text
+               for text in _per_text(payload, texts, "translations")):
         raise ProtocolError("translator returned empty text")
+    return payload
+
+
+def _paraphrase_lists(payload, texts: list[str], count: int
+                      ) -> list[list[str]]:
+    for text, variants in zip(texts,
+                              _per_text(payload, texts, "paraphrases")):
+        if not isinstance(variants, list) or not all(
+                isinstance(v, str) and v for v in variants):
+            raise ProtocolError("paraphrase provider returned a bad payload")
+        if len(variants) != count:
+            raise ProtocolError(
+                f"asked for {count} paraphrases, got {len(variants)}")
+        if text in variants:
+            raise ProtocolError("paraphrase provider echoed the input")
     return payload
 
 
@@ -225,6 +250,30 @@ class Gateway:
                         if isinstance(value, np.ndarray) else entry)
         return value
 
+    def _batched(self, op: str, provider, texts: list[str], params: dict,
+                 fetch: Callable, decode: Callable) -> Iterator:
+        """decode(payload, chunk) of each provider.batch_size chunk of
+        texts, in order, after every text is checked to be non-blank.
+        Each chunk is one _cached request: its params are `params` plus
+        the chunk as "texts", its chars the chunk's length. A
+        ProviderError on a chunk carries the chunk as `texts`."""
+        for i, text in enumerate(texts):
+            if not text or not text.strip():
+                raise ValidationError(f"text #{i} to {op} is empty")
+        size = max(1, provider.batch_size)
+        for start in range(0, len(texts), size):
+            chunk = texts[start:start + size]
+            try:
+                value = self._cached(
+                    op, provider, {**params, "texts": chunk},
+                    lambda c=chunk: fetch(c),
+                    lambda payload, c=chunk: decode(payload, c),
+                    chars=sum(len(t) for t in chunk))
+            except ProviderError as exc:
+                exc.texts = tuple(chunk)
+                raise
+            yield value
+
     # -- operations --------------------------------------------------------
 
     def complete(self, request: GenRequest) -> str:
@@ -243,66 +292,51 @@ class Gateway:
         Returns one (len(texts), dimension) float64 array. Each batch is
         checked once, before it is cached, for its row count, one
         dimension and finite values."""
-        for i, text in enumerate(texts):
-            if not text or not text.strip():
-                raise ValidationError(f"text #{i} to embed is empty")
         if not texts:
             return np.empty((0, 0))
-        size = max(1, self.embedder.batch_size)
-        mat = None
-        for start in range(0, len(texts), size):
-            chunk = texts[start:start + size]
-            block = self._cached(
-                "embed", self.embedder, {"texts": chunk},
-                lambda c=chunk: [v.values
-                                 for v in self.embedder.embed_batch(c)],
-                lambda payload, n=len(chunk): _embedding_rows(payload, n),
-                chars=sum(len(t) for t in chunk))
+        mat, start = None, 0
+        for block in self._batched(
+                "embed", self.embedder, texts, {},
+                lambda chunk: [v.values
+                               for v in self.embedder.embed_batch(chunk)],
+                lambda payload, chunk: _embedding_rows(payload, len(chunk))):
             if mat is None:
                 mat = np.empty((len(texts), block.shape[1]))
             elif block.shape[1] != mat.shape[1]:
                 raise ProtocolError(
                     f"mixed embedding dimensions "
                     f"{sorted({mat.shape[1], block.shape[1]})}")
-            mat[start:start + len(chunk)] = block
+            mat[start:start + len(block)] = block
+            start += len(block)
         return mat
 
-    def translate(self, text: str, source_lang: str, target_lang: str) -> str:
-        if not text:
-            raise ValidationError("cannot translate empty text")
+    def translate(self, texts: list[str], source_lang: str,
+                  target_lang: str) -> list[str]:
+        """Translate texts in order, one request per
+        translator.batch_size of them; each reply is checked for one
+        non-empty translation per text."""
         if (source_lang, target_lang) not in self.translator.language_pairs:
             raise ConfigError(
                 f"language pair {source_lang}->{target_lang} is not "
                 f"supported by {self.translator.provider_id}")
-        params = {"text": text, "source": source_lang, "target": target_lang}
-        return self._cached(
-            "translate", self.translator, params,
-            lambda: self.translator.translate(text, source_lang, target_lang),
-            _translation, chars=len(text))
+        return [translation for block in self._batched(
+            "translate", self.translator, texts,
+            {"source": source_lang, "target": target_lang},
+            lambda chunk: self.translator.translate_batch(
+                chunk, source_lang, target_lang),
+            _translations) for translation in block]
 
-    def paraphrase(self, text: str, count: int) -> list[str]:
-        if not text:
-            raise ValidationError("cannot paraphrase empty text")
+    def paraphrase(self, texts: list[str], count: int) -> list[list[str]]:
+        """`count` paraphrases of each text, in order, one request per
+        paraphraser.batch_size texts; each reply is checked for `count`
+        non-empty variants per text, none of which echoes its text."""
         if count < 1:
             raise ValidationError("paraphrase count must be >= 1")
-
-        def decode(variants) -> list[str]:
-            if not isinstance(variants, list) or not all(
-                    isinstance(v, str) and v for v in variants):
-                raise ProtocolError(
-                    "paraphrase provider returned a bad payload")
-            if len(variants) != count:
-                raise ProtocolError(
-                    f"asked for {count} paraphrases, got {len(variants)}")
-            if text in variants:
-                raise ProtocolError("paraphrase provider echoed the input")
-            return variants
-
-        params = {"text": text, "count": count}
-        return self._cached(
-            "paraphrase", self.paraphraser, params,
-            lambda: self.paraphraser.paraphrase(text, count),
-            decode, chars=len(text))
+        return [variants for block in self._batched(
+            "paraphrase", self.paraphraser, texts, {"count": count},
+            lambda chunk: self.paraphraser.paraphrase_batch(chunk, count),
+            lambda payload, chunk: _paraphrase_lists(payload, chunk, count))
+            for variants in block]
 
     def wiki_search(self, query: str, limit: int = constants.WIKI_TOP_K
                     ) -> list[WikiArticleRef]:

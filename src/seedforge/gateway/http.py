@@ -194,17 +194,16 @@ class HttpEmbedder(_HttpClient, Embedder):
 
 
 class HttpTranslator(_HttpClient, Translator):
-    """Generic JSON translation endpoint.
+    """Generic JSON batch translation endpoint, called without auth.
 
-    Expects POST {base_url} with {"text", "source", "target"} returning
-    {"translation": "..."}; adjust server-side to match, the contract is
-    documented in the README.
+    Expects POST {base_url} with {"texts": [...], "source", "target"}
+    returning {"translations": [...]}, one per text in order; adjust
+    server-side to match, the contract is documented in the README.
     """
 
-    def __init__(self, base_url: str, api_key_env: str = "", *,
-                 pairs: frozenset[tuple[str, str]],
+    def __init__(self, base_url: str, *, pairs: frozenset[tuple[str, str]],
                  transport: HttpTransport | None = None):
-        super().__init__("translation", api_key_env, transport)
+        super().__init__("translation", "", transport)
         self.base_url = base_url
         self._pairs = pairs
 
@@ -216,31 +215,34 @@ class HttpTranslator(_HttpClient, Translator):
     def language_pairs(self) -> frozenset[tuple[str, str]]:
         return self._pairs
 
-    def translate(self, text: str, source_lang: str, target_lang: str) -> str:
+    def translate_batch(self, texts: list[str], source_lang: str,
+                        target_lang: str) -> list[str]:
         payload = self._request(
             "POST", self.base_url,
-            json_body={"text": text, "source": source_lang,
+            json_body={"texts": texts, "source": source_lang,
                        "target": target_lang})
         with _reading("translation"):
-            return payload["translation"]
+            return payload["translations"]
 
 
 class HttpParaphraser(_HttpClient, Paraphraser):
-    """Generic JSON paraphrase endpoint: POST {base_url} with
-    {"text", "count"} returning {"paraphrases": [...]}."""
+    """Generic JSON batch paraphrase endpoint, called without auth: POST
+    {base_url} with {"texts": [...], "count"} returning
+    {"paraphrases": [[...], ...]}, one list per text in order."""
 
-    def __init__(self, base_url: str, api_key_env: str = "",
+    def __init__(self, base_url: str,
                  transport: HttpTransport | None = None):
-        super().__init__("paraphrase", api_key_env, transport)
+        super().__init__("paraphrase", "", transport)
         self.base_url = base_url
 
     @property
     def provider_id(self) -> str:
         return f"paraphrase:{self.base_url}"
 
-    def paraphrase(self, text: str, count: int) -> list[str]:
+    def paraphrase_batch(self, texts: list[str], count: int
+                         ) -> list[list[str]]:
         payload = self._request(
-            "POST", self.base_url, json_body={"text": text, "count": count})
+            "POST", self.base_url, json_body={"texts": texts, "count": count})
         with _reading("paraphrase"):
             return payload["paraphrases"]
 

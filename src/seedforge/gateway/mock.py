@@ -255,8 +255,9 @@ class MockTranslator(Translator):
     def language_pairs(self) -> frozenset[tuple[str, str]]:
         return self._pairs
 
-    def translate(self, text: str, source_lang: str, target_lang: str) -> str:
-        return f"{target_lang}⟨{text}⟩"
+    def translate_batch(self, texts: list[str], source_lang: str,
+                        target_lang: str) -> list[str]:
+        return [f"{target_lang}⟨{text}⟩" for text in texts]
 
 
 class MockParaphraser(Paraphraser):
@@ -269,12 +270,15 @@ class MockParaphraser(Paraphraser):
     def provider_id(self) -> str:
         return f"mock:paraphrase:{self.seed}"
 
-    def paraphrase(self, text: str, count: int) -> list[str]:
-        variants = []
-        for i in range(count):
-            tag = derive_seed(self.seed, "paraphrase", text, i) % 0xFFFFFF
-            variants.append(f"{text} ⟪p{i + 1}:{tag:06x}⟫")
-        return variants
+    def paraphrase_batch(self, texts: list[str], count: int
+                         ) -> list[list[str]]:
+        batch = []
+        for text in texts:
+            tags = [derive_seed(self.seed, "paraphrase", text, i) % 0xFFFFFF
+                    for i in range(count)]
+            batch.append([f"{text} ⟪p{i + 1}:{tag:06x}⟫"
+                          for i, tag in enumerate(tags)])
+        return batch
 
 
 class MockWikiClient(WikiClient):

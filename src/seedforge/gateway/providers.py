@@ -50,22 +50,31 @@ class Embedder(Provider):
 
 
 class Translator(Provider):
+    batch_size: int = 64
+
     @property
     @abstractmethod
     def language_pairs(self) -> frozenset[tuple[str, str]]:
         """Supported (source, target) language tag pairs."""
 
     @abstractmethod
-    def translate(self, text: str, source_lang: str, target_lang: str) -> str:
-        """Translate text. Never returns the input unchanged for distinct
-        language tags (a degraded round trip must stay observable)."""
+    def translate_batch(self, texts: list[str], source_lang: str,
+                        target_lang: str) -> list[str]:
+        """Translate up to batch_size texts in one request, preserving
+        order. Never returns a text unchanged for distinct language tags
+        (a degraded round trip must stay observable). The gateway checks
+        the count and that each translation is non-empty text."""
 
 
 class Paraphraser(Provider):
+    batch_size: int = 64
+
     @abstractmethod
-    def paraphrase(self, text: str, count: int) -> list[str]:
-        """Return `count` paraphrases of text, each distinct from the input.
-        The gateway checks the count and the echo."""
+    def paraphrase_batch(self, texts: list[str], count: int
+                         ) -> list[list[str]]:
+        """`count` paraphrases of each of up to batch_size texts in one
+        request, preserving order, each distinct from its input. The
+        gateway checks the counts and the echo."""
 
 
 class WikiClient(Provider):

@@ -2,7 +2,6 @@
 
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,13 +12,13 @@ from seedforge.ablations import (Recipe, VARIANT_CULTURE_ONLY,
                                  VARIANT_TABLE, VARIANTS, DatasetManifest,
                                  PropertyFlags, build_variant, derive_flags,
                                  finish_manifest, generate_pass,
-                                 load_external_corpus, read_manifest, round_trip_translate,
-                                 translate_record, truncate_records,
-                                 write_manifest)
+                                 load_external_corpus, read_manifest,
+                                 truncate_records, write_manifest)
 from seedforge.config import default_config
 from seedforge.errors import (BuildError, ConfigError, ParseError,
-                              ProtocolError, ValidationError)
+                              ProtocolError, ProviderError, ValidationError)
 from seedforge.gateway import Gateway
+from seedforge.gateway.mock import MockParaphraser, MockTranslator
 from seedforge.instructions import InstructionRecord
 from seedforge.records import file_sha256
 from seedforge.topics import CULTURAL, GENERAL, Topic
@@ -115,9 +114,17 @@ def make_record(rec_id="t0000-r00-closed_qa-00", task="closed_qa",
         output="คำตอบ", topic=Topic("วัด", CULTURAL), language="th")
 
 
+def run_steps(records, gateway, *steps):
+    """records through `steps`, as a build runs its recipe's transforms,
+    under SMALL's languages: target th, pivot en."""
+    recipe = Recipe(VARIANT_DIVERSITY_ONLY, 0, 1, dedup=True,
+                    transforms=steps)
+    return ablations._run_transforms(records, recipe, gateway, SMALL)
+
+
 class TestFieldTransforms:
     def test_round_trip_wraps_every_text_field(self, gateway):
-        out = round_trip_translate(make_record(), gateway, pivot="en")
+        (out,) = run_steps([make_record()], gateway, "round_trip")
         assert out.instruction == "th⟨en⟨คำถาม⟩⟩"
         assert out.context == "th⟨en⟨บริบท⟩⟩"
         assert out.output == "th⟨en⟨คำตอบ⟩⟩"
@@ -126,11 +133,11 @@ class TestFieldTransforms:
 
     def test_round_trip_leaves_missing_context_alone(self, gateway):
         src = make_record(task="conversation", context=None)
-        out = round_trip_translate(src, gateway)
+        (out,) = run_steps([src], gateway, "round_trip")
         assert out.context is None
 
     def test_translate_switches_language(self, gateway):
-        out = translate_record(make_record(), gateway, "th", "en")
+        (out,) = run_steps([make_record()], gateway, "translate_pivot")
         assert out.instruction == "en⟨คำถาม⟩"
         assert out.language == "en"
         assert out.lineage == ("generated", "translate(th->en)")
@@ -517,7 +524,7 @@ class TestVariantTable:
                                                              monkeypatch):
         gw = Gateway.mock()
 
-        def down(text, count):
+        def down(texts, count):
             raise ProtocolError("paraphraser down")
 
         monkeypatch.setattr(gw, "paraphrase", down)
@@ -526,22 +533,54 @@ class TestVariantTable:
         assert err.value.achieved == 0
 
 
-def counting_gateway():
-    """A mock gateway that counts the translate and paraphrase requests
-    reaching it, by (op, positional args), in `requests`."""
-    gw = Gateway.mock()
-    gw.requests = Counter()
-    for op in ("translate", "paraphrase"):
-        def counted(*args, _op=op, _fn=getattr(gw, op)):
-            gw.requests[_op, args] += 1
-            return _fn(*args)
-        setattr(gw, op, counted)
+class RecordingTranslator(MockTranslator):
+    """The mock translator at `batch_size` texts a request. Records each
+    request as ((source, target), texts) in `sent` and fails the
+    `fail_on`-th one, counted from 1, with a permanent error."""
+
+    def __init__(self, batch_size=MockTranslator.batch_size, fail_on=0):
+        super().__init__()
+        self.batch_size, self.fail_on, self.sent = batch_size, fail_on, []
+
+    def translate_batch(self, texts, source_lang, target_lang):
+        self.sent.append(((source_lang, target_lang), list(texts)))
+        if len(self.sent) == self.fail_on:
+            raise ProviderError("translator down")
+        return super().translate_batch(texts, source_lang, target_lang)
+
+
+class RecordingParaphraser(MockParaphraser):
+    """The mock paraphraser at `batch_size` texts a request, recording
+    each request as (count, texts) in `sent`."""
+
+    def __init__(self, batch_size=MockParaphraser.batch_size):
+        super().__init__()
+        self.batch_size, self.sent = batch_size, []
+
+    def paraphrase_batch(self, texts, count):
+        self.sent.append((count, list(texts)))
+        return super().paraphrase_batch(texts, count)
+
+
+def recording_gateway(batch_size=64, cache_dir=None, fail_on=0):
+    gw = Gateway.mock(cache_dir=cache_dir)
+    gw.translator = RecordingTranslator(batch_size, fail_on)
+    gw.paraphraser = RecordingParaphraser(batch_size)
     return gw
+
+
+def sent_texts(gw):
+    """How many requests carried each text, per op and direction."""
+    return Counter((op, leg, text)
+                   for op, sent in (("translate", gw.translator.sent),
+                                    ("paraphrase", gw.paraphraser.sent))
+                   for leg, texts in sent for text in texts)
 
 
 class TestTransformMemo:
     """Records made from one context share its passage, so a step sees
-    the same text many times; it sends each distinct request once."""
+    the same text many times; it sends each distinct text in exactly one
+    request, batched with the step's other texts."""
 
     @staticmethod
     def _build(variant, gateway, full):
@@ -553,26 +592,93 @@ class TestTransformMemo:
                                          VARIANT_DIVERSITY_ONLY])
     def test_each_distinct_request_reaches_the_gateway_once(
             self, variant, full):
-        gw = counting_gateway()
+        gw = recording_gateway(batch_size=8)
         self._build(variant, gw, full)
-        # No request recurs across these recipes' steps: each step has its
+        # No text recurs across these recipes' steps: each step has its
         # own op or language direction. So once per build is once per step.
-        assert gw.requests
-        assert set(gw.requests.values()) == {1}
+        counts = sent_texts(gw)
+        assert counts
+        assert set(counts.values()) == {1}
+        assert max(len(texts) for _, texts in gw.translator.sent) == 8
 
     @pytest.mark.parametrize("variant", [VARIANT_CULTURE_ONLY,
                                          VARIANT_DIVERSITY_ONLY])
     def test_records_equal_a_build_without_the_memo(self, variant, full,
-                                                    monkeypatch, tmp_path):
-        memoized = self._build(variant, Gateway.mock(), full)
-        monkeypatch.setattr(ablations, "functools",
-                            SimpleNamespace(cache=lambda fn: fn))
-        gw = counting_gateway()
+                                                    tmp_path):
+        batched_gw = recording_gateway()
+        batched = self._build(variant, batched_gw, full)
+        # One text a request: the path that sent each distinct text alone.
+        gw = recording_gateway(batch_size=1)
         plain = self._build(variant, gw, full)
-        assert max(gw.requests.values()) > 1  # the memo has work to do
-        assert plain == memoized
+        def transform_calls(gateway):
+            calls = gateway.stats.snapshot()["provider_calls"]
+            return calls.get("translate", 0) + calls.get("paraphrase", 0)
+
+        assert transform_calls(gw) == len(sent_texts(gw))
+        assert transform_calls(batched_gw) < transform_calls(gw)
+        assert sent_texts(batched_gw) == sent_texts(gw)
+        assert plain == batched
         assert (write_manifest(plain, str(tmp_path / "plain.jsonl"))
-                == write_manifest(memoized, str(tmp_path / "memo.jsonl")))
+                == write_manifest(batched, str(tmp_path / "batch.jsonl")))
+
+
+def distinct_records(n):
+    return [replace(make_record(f"r{i}"), instruction=f"q{i}",
+                    context=f"c{i}", output=f"a{i}") for i in range(n)]
+
+
+class TestFailureAttribution:
+    """A failed batch request fails the build with the first record, in
+    step order, that has a text in it."""
+
+    # Three records of three texts at four texts a request: the first
+    # leg's requests hold r0 and r1's question, r1's rest and r2's
+    # question and context, then r2's answer; a round trip's way back
+    # repeats that layout on the pivot texts.
+    @pytest.mark.parametrize("step,fail_on,named", [
+        ("translate_pivot", 1, "r0"), ("translate_pivot", 2, "r1"),
+        ("translate_pivot", 3, "r2"), ("round_trip", 2, "r1"),
+        ("round_trip", 4, "r0"), ("round_trip", 5, "r1"),
+        ("round_trip", 6, "r2")])
+    def test_names_the_first_record_in_the_failed_request(
+            self, step, fail_on, named):
+        gw = recording_gateway(batch_size=4, fail_on=fail_on)
+        with pytest.raises(BuildError, match=f"{step} failed for {named}: "
+                                             f"translator down") as err:
+            run_steps(distinct_records(3), gw, step)
+        assert err.value.achieved == 0
+        assert len(gw.translator.sent) == fail_on
+
+    def test_second_request_of_a_build_step_names_a_record_in_it(
+            self, full):
+        gw = recording_gateway(batch_size=8, fail_on=2)
+        with pytest.raises(BuildError) as err:
+            build_variant(VARIANT_CULTURE_ONLY, gw, small(run_seed=42), full)
+        record_id = str(err.value).split(" failed for ")[1].split(":")[0]
+        (record,) = [r for r in full.records if r.id == record_id]
+        _, failed = gw.translator.sent[1]
+        assert set(ablations._fields(record)) & set(failed)
+        assert str(err.value).startswith(
+            f"{VARIANT_CULTURE_ONLY}: translate_pivot failed for ")
+        assert err.value.achieved == 0
+
+    def test_rerun_sends_only_the_failed_request_and_later_ones(
+            self, full, tmp_path):
+        clean = recording_gateway(batch_size=8)
+        want = build_variant(VARIANT_CULTURE_ONLY, clean, small(run_seed=42),
+                             full)
+        assert len(clean.translator.sent) > 3
+        failing = recording_gateway(batch_size=8, cache_dir=tmp_path,
+                                    fail_on=2)
+        with pytest.raises(BuildError):
+            build_variant(VARIANT_CULTURE_ONLY, failing, small(run_seed=42),
+                          full)
+        rerun = recording_gateway(batch_size=8, cache_dir=tmp_path)
+        assert build_variant(VARIANT_CULTURE_ONLY, rerun, small(run_seed=42),
+                             full) == want
+        assert rerun.translator.sent == clean.translator.sent[1:]
+        assert rerun.paraphraser.sent == clean.paraphraser.sent
+        assert rerun.stats.snapshot()["cache_hits"] == {"translate": 1}
 
 
 class TestFiveVariantFlagMatrix:

@@ -255,10 +255,6 @@ TEST_ONLY_DEFAULTS = {
         "bench/tracing.py wraps generate_pass; goes with ROADMAP item 3",
     "ablations.py generate_pass(round_no)":
         "bench/tracing.py wraps generate_pass; goes with ROADMAP item 3",
-    "http.py HttpTranslator(api_key_env)":
-        "no config key reaches it: unauthenticated from config",
-    "http.py HttpParaphraser(api_key_env)":
-        "no config key reaches it: unauthenticated from config",
 }
 
 

@@ -65,12 +65,13 @@ def _cancelling_text(dim):
 class TestMockProviders:
     def test_translator_tags_target_language(self):
         t = MockTranslator()
-        assert t.translate("x", "th", "en") == "en⟨x⟩"
+        assert t.translate_batch(["x", "y"], "th", "en") == ["en⟨x⟩",
+                                                              "en⟨y⟩"]
 
     def test_round_trip_is_visibly_degraded(self):
         t = MockTranslator()
-        once = t.translate("ข้อความ", "th", "en")
-        back = t.translate(once, "en", "th")
+        (once,) = t.translate_batch(["ข้อความ"], "th", "en")
+        (back,) = t.translate_batch([once], "en", "th")
         assert back == "th⟨en⟨ข้อความ⟩⟩"
         assert back != "ข้อความ"
 
@@ -121,17 +122,20 @@ class TestMockProviders:
 
     def test_paraphraser_count_and_distinctness(self):
         p = MockParaphraser(seed=1)
-        out = p.paraphrase("hello world", 4)
+        (out,) = p.paraphrase_batch(["hello world"], 4)
         assert len(out) == 4
         assert len(set(out)) == 4
         assert all(v.startswith("hello world ") for v in out)
         assert all(v != "hello world" for v in out)
 
     def test_paraphraser_seed_changes_variants(self):
-        a = MockParaphraser(seed=1).paraphrase("x", 2)
-        b = MockParaphraser(seed=2).paraphrase("x", 2)
+        a = MockParaphraser(seed=1).paraphrase_batch(["x"], 2)
+        b = MockParaphraser(seed=2).paraphrase_batch(["x"], 2)
         assert a != b
-        assert a == MockParaphraser(seed=1).paraphrase("x", 2)
+        assert a == MockParaphraser(seed=1).paraphrase_batch(["x"], 2)
+        # a text's paraphrases do not depend on the batch it comes in
+        assert (MockParaphraser(seed=1).paraphrase_batch(["y", "x"], 2)[1]
+                == a[0])
 
 
 class TestGatewayOperations:
@@ -158,29 +162,29 @@ class TestGatewayOperations:
 
     def test_translate_rejects_unknown_pair(self, gateway):
         with pytest.raises(ConfigError, match="de->fr"):
-            gateway.translate("x", "de", "fr")
+            gateway.translate(["x"], "de", "fr")
 
     def test_translate_rejects_empty_text(self, gateway):
         with pytest.raises(ValidationError):
-            gateway.translate("", "th", "en")
+            gateway.translate(["x", ""], "th", "en")
 
     def test_paraphrase_count_mismatch_is_protocol_error(self, gateway):
         class Short(MockParaphraser):
-            def paraphrase(self, text, count):
-                return super().paraphrase(text, count - 1)
+            def paraphrase_batch(self, texts, count):
+                return super().paraphrase_batch(texts, count - 1)
 
         gateway.paraphraser = Short()
         with pytest.raises(ProtocolError, match="asked for 3"):
-            gateway.paraphrase("x", 3)
+            gateway.paraphrase(["x"], 3)
 
     def test_paraphrase_echo_is_protocol_error(self, gateway):
         class Echo(MockParaphraser):
-            def paraphrase(self, text, count):
-                return [text] * count
+            def paraphrase_batch(self, texts, count):
+                return [[text] * count for text in texts]
 
         gateway.paraphraser = Echo()
         with pytest.raises(ProtocolError, match="echoed"):
-            gateway.paraphrase("x", 2)
+            gateway.paraphrase(["x"], 2)
 
     def test_mixed_embedding_dimensions_rejected(self, gateway):
         class Mixed(MockEmbedder):
@@ -214,7 +218,7 @@ class TestRetryPolicy:
     def test_transient_failures_are_retried(self):
         gw, sleeps = self._gateway_with_flaky_translator(
             failures=2, retry_limit=3)
-        assert gw.translate("x", "th", "en") == "en⟨x⟩"
+        assert gw.translate(["x"], "th", "en") == ["en⟨x⟩"]
         assert len(sleeps) == 2
         assert gw.stats.snapshot()["retries"] == 2
 
@@ -222,7 +226,7 @@ class TestRetryPolicy:
         gw, _ = self._gateway_with_flaky_translator(
             failures=10, retry_limit=2)
         with pytest.raises(RetryableProviderError):
-            gw.translate("x", "th", "en")
+            gw.translate(["x"], "th", "en")
 
     def test_backoff_releases_the_concurrency_slot(self):
         gw = Gateway.mock(budget=ProviderBudget(
@@ -239,13 +243,13 @@ class TestRetryPolicy:
             other.append(thread.is_alive())
 
         gw._sleep = sleep
-        assert gw.translate("x", "th", "en") == "en⟨x⟩"
+        assert gw.translate(["x"], "th", "en") == ["en⟨x⟩"]
         assert other == ["y", False]
 
     def test_backoff_grows_per_attempt(self):
         gw, sleeps = self._gateway_with_flaky_translator(
             failures=3, retry_limit=5)
-        gw.translate("x", "th", "en")
+        gw.translate(["x"], "th", "en")
         # base 0.5 doubling, jittered by a factor in [0.5, 1.5)
         assert len(sleeps) == 3
         for i, delay in enumerate(sleeps):
@@ -438,13 +442,13 @@ POISON_CASES = {
         {"prompt": "echo:x", "temperature": 0.1, "max_tokens": 9,
          "seed": None}, ["x"]),
     "translate": (
-        "translator", "translate", lambda out: "",
-        lambda gw: gw.translate("x", "th", "en"),
-        {"text": "x", "source": "th", "target": "en"}, ""),
+        "translator", "translate_batch", lambda out: [""],
+        lambda gw: gw.translate(["x"], "th", "en"),
+        {"texts": ["x"], "source": "th", "target": "en"}, [""]),
     "paraphrase": (
-        "paraphraser", "paraphrase", lambda out: out[:-1],
-        lambda gw: gw.paraphrase("x", 3),
-        {"text": "x", "count": 3}, ["x", "y", "z"]),
+        "paraphraser", "paraphrase_batch", lambda out: [out[0][:-1]],
+        lambda gw: gw.paraphrase(["x"], 3),
+        {"texts": ["x"], "count": 3}, [["x", "y", "z"]]),
     "embed": (
         "embedder", "embed_batch",
         lambda out: out[:-1] + [EmbeddingVector((math.nan,) * 256)],
@@ -532,24 +536,25 @@ class TestCachePoisoning:
         assert provider.calls == 1
 
     def test_damaged_entry_shape_is_a_miss(self, tmp_path):
-        params = {"text": "x", "source": "th", "target": "en"}
+        params = {"texts": ["x"], "source": "th", "target": "en"}
         key = request_key("mock:translate", "translate", params)
-        ResponseCache(tmp_path).put(key, {"not_payload": "en⟨x⟩"})
+        ResponseCache(tmp_path).put(key, {"not_payload": ["en⟨x⟩"]})
         gw = Gateway.mock(cache_dir=tmp_path)
-        assert gw.translate("x", "th", "en") == "en⟨x⟩"
+        assert gw.translate(["x"], "th", "en") == ["en⟨x⟩"]
         assert gw.stats.snapshot()["provider_calls"] == {"translate": 1}
 
     def test_entry_that_is_not_utf8_is_a_miss(self, tmp_path):
-        params = {"text": "x", "source": "th", "target": "en"}
+        params = {"texts": ["x"], "source": "th", "target": "en"}
         key = request_key("mock:translate", "translate", params)
         append_frame(tmp_path, key, JSON_KIND, b"\xff\xfe{")
         gw = Gateway.mock(cache_dir=tmp_path)
-        assert gw.translate("x", "th", "en") == "en⟨x⟩"
+        assert gw.translate(["x"], "th", "en") == ["en⟨x⟩"]
         assert gw.stats.snapshot()["provider_calls"] == {"translate": 1}
-        assert ResponseCache(tmp_path).get(key) == {"payload": "en⟨x⟩"}
+        assert ResponseCache(tmp_path).get(key) == {"payload": ["en⟨x⟩"]}
 
 
-TRANSLATE_X = ({"text": "x", "source": "th", "target": "en"}, "en⟨x⟩")
+TRANSLATE_X = ({"texts": ["x"], "source": "th", "target": "en"},
+               ["en⟨x⟩"])
 
 # Child interpreter: waits for a line on stdin, then appends 500 entries to
 # the cache directory argv[1]. Even n are keys every writer shares. Exits 3
@@ -582,7 +587,7 @@ class TestResponseLog:
 
     @staticmethod
     def _translate(gw, text):
-        return gw.translate(text, "th", "en")
+        return gw.translate([text], "th", "en")
 
     @pytest.mark.parametrize("keep", [LOG_HEADER.size - 5,
                                       LOG_HEADER.size + 3])
@@ -595,8 +600,8 @@ class TestResponseLog:
         last = LOG_HEADER.size + len(log_frames(tmp_path)[-1][2])
         os.truncate(log, log.stat().st_size - last + keep)
         gw = Gateway.mock(cache_dir=tmp_path)
-        assert self._translate(gw, "a") == "en⟨a⟩"
-        assert self._translate(gw, "b") == "en⟨b⟩"
+        assert self._translate(gw, "a") == ["en⟨a⟩"]
+        assert self._translate(gw, "b") == ["en⟨b⟩"]
         stats = gw.stats.snapshot()
         assert stats["provider_calls"] == {"translate": 1}
         assert stats["cache_hits"] == {"translate": 1}

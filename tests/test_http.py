@@ -62,9 +62,9 @@ def _clients(transport, key_env=""):
             transport=transport),
         "embed": HttpEmbedder("http://emb.test/", "e1", key_env,
                               transport=transport),
-        "translate": HttpTranslator("http://tr.test/translate", key_env,
+        "translate": HttpTranslator("http://tr.test/translate",
                                     pairs=PAIRS, transport=transport),
-        "paraphrase": HttpParaphraser("http://pp.test/paraphrase", key_env,
+        "paraphrase": HttpParaphraser("http://pp.test/paraphrase",
                                       transport=transport),
         "wiki": MediaWikiClient("http://wiki.test/w/api.php",
                                 transport=transport),
@@ -72,7 +72,7 @@ def _clients(transport, key_env=""):
 
 
 def _gateway(transport, key_env="", retry_limit=3, sleeps=None,
-             max_concurrent=constants.MAX_CONCURRENT):
+             max_concurrent=constants.MAX_CONCURRENT, cache_dir=None):
     c = _clients(transport, key_env)
     clock = [0.0]
 
@@ -88,7 +88,7 @@ def _gateway(transport, key_env="", retry_limit=3, sleeps=None,
         budget=ProviderBudget(requests_per_minute=10**9,
                               max_concurrent=max_concurrent,
                               retry_limit=retry_limit),
-        clock=lambda: clock[0], sleep=sleep)
+        cache_dir=cache_dir, clock=lambda: clock[0], sleep=sleep)
 
 
 # One call per client, each with a well-formed request.
@@ -97,8 +97,8 @@ CALLS = {
     "anthropic": lambda c: c.complete(GenRequest(prompt="p",
                                                  temperature=0.5)),
     "embed": lambda c: c.embed_batch(["a"]),
-    "translate": lambda c: c.translate("x", "th", "en"),
-    "paraphrase": lambda c: c.paraphrase("x", 1),
+    "translate": lambda c: c.translate_batch(["x"], "th", "en"),
+    "paraphrase": lambda c: c.paraphrase_batch(["x"], 1),
     "wiki": lambda c: c.search("q", 3),
 }
 
@@ -282,78 +282,168 @@ class TestEmbedding:
 
 
 class TestTranslator:
-    def test_request_and_reply(self, monkeypatch):
-        monkeypatch.setenv(KEY_VAR, "sekrit")
-        transport = FakeTransport(_ok({"translation": "hello"}))
-        client = _clients(transport, KEY_VAR)["translate"]
+    def test_request_and_reply(self):
+        transport = FakeTransport(_ok({"translations": ["hello", "world"]}))
+        client = _clients(transport)["translate"]
         assert client.provider_id == "translate:http://tr.test/translate"
         assert client.language_pairs == PAIRS
-        assert client.translate("สวัสดี", "th", "en") == "hello"
+        assert client.translate_batch(["สวัสดี", "โลก"], "th", "en") == [
+            "hello", "world"]
         (request,) = transport.requests
         assert request == {
             "method": "POST", "url": "http://tr.test/translate",
             "params": None,
-            "json": {"text": "สวัสดี", "source": "th", "target": "en"},
-            "headers": {"Authorization": "Bearer sekrit"},
+            "json": {"texts": ["สวัสดี", "โลก"], "source": "th",
+                     "target": "en"},
+            "headers": {},
             "timeout": 120.0}
 
-    def test_without_credential_sends_no_auth(self):
-        transport = FakeTransport(_ok({"translation": "hello"}))
-        _clients(transport)["translate"].translate("x", "th", "en")
+    def test_without_credential_sends_no_auth(self, monkeypatch):
+        monkeypatch.setenv(KEY_VAR, "sekrit")
+        transport = FakeTransport(_ok({"translations": ["hello"]}))
+        _clients(transport, KEY_VAR)["translate"].translate_batch(
+            ["x"], "th", "en")
         assert transport.requests[0]["headers"] == {}
 
     def test_gateway_round_trip(self):
-        transport = FakeTransport(_ok({"translation": "hello"}))
-        assert _gateway(transport).translate("x", "th", "en") == "hello"
+        transport = FakeTransport(_ok({"translations": ["hello"]}))
+        assert _gateway(transport).translate(["x"], "th", "en") == ["hello"]
 
     @pytest.mark.parametrize("body", [
-        {"translation": ""}, {"translation": 5}, {"other": "x"}])
+        {"translations": [""]}, {"translations": [5]}, {"other": ["x"]}])
     def test_empty_or_missing_translation_is_protocol_error(self, body):
         transport = FakeTransport(_ok(body))
         with pytest.raises(ProtocolError):
-            _gateway(transport).translate("x", "th", "en")
+            _gateway(transport).translate(["x"], "th", "en")
 
     def test_unsupported_pair_makes_no_request(self):
         transport = FakeTransport()
         with pytest.raises(ConfigError, match="lo->en"):
-            _gateway(transport).translate("x", "lo", "en")
+            _gateway(transport).translate(["x"], "lo", "en")
         assert transport.requests == []
 
 
 class TestParaphraser:
     def test_request_and_reply(self, monkeypatch):
         monkeypatch.setenv(KEY_VAR, "sekrit")
-        transport = FakeTransport(_ok({"paraphrases": ["a", "b"]}),
-                                  _ok({"paraphrases": ["c"]}))
+        transport = FakeTransport(
+            _ok({"paraphrases": [["a", "b"], ["c", "d"]]}),
+            _ok({"paraphrases": [["e"]]}))
         client = _clients(transport, KEY_VAR)["paraphrase"]
         assert client.provider_id == "paraphrase:http://pp.test/paraphrase"
-        assert client.paraphrase("x", 2) == ["a", "b"]
-        assert client.paraphrase("y", 1) == ["c"]
+        assert client.paraphrase_batch(["x", "y"], 2) == [["a", "b"],
+                                                          ["c", "d"]]
+        assert client.paraphrase_batch(["z"], 1) == [["e"]]
         first, second = transport.requests
         assert first == {
             "method": "POST", "url": "http://pp.test/paraphrase",
             "params": None,
-            "json": {"text": "x", "count": 2},
-            "headers": {"Authorization": "Bearer sekrit"},
+            "json": {"texts": ["x", "y"], "count": 2},
+            "headers": {},
             "timeout": 120.0}
-        assert second["json"] == {"text": "y", "count": 1}
+        assert second["json"] == {"texts": ["z"], "count": 1}
 
     def test_gateway_round_trip(self):
-        transport = FakeTransport(_ok({"paraphrases": ["a", "b"]}))
-        assert _gateway(transport).paraphrase("x", 2) == ["a", "b"]
+        transport = FakeTransport(_ok({"paraphrases": [["a", "b"]]}))
+        assert _gateway(transport).paraphrase(["x"], 2) == [["a", "b"]]
 
     @pytest.mark.parametrize("body", [
-        {"paraphrases": ["a"]},
-        {"paraphrases": ["a", "x"]},
-        {"paraphrases": ["a", ""]},
-        {"paraphrases": ["a", 3]},
+        {"paraphrases": [["a"]]},
+        {"paraphrases": [["a", "x"]]},
+        {"paraphrases": [["a", ""]]},
+        {"paraphrases": [["a", 3]]},
+        {"paraphrases": ["ab"]},
+        {"other": [["a", "b"]]},
         {"paraphrases": "ab"},
-        {"other": ["a", "b"]},
     ])
     def test_bad_replies_are_protocol_errors(self, body):
         transport = FakeTransport(_ok(body))
         with pytest.raises(ProtocolError):
-            _gateway(transport).paraphrase("x", 2)
+            _gateway(transport).paraphrase(["x"], 2)
+
+
+def _translated(texts):
+    return _ok({"translations": [f"en {t}" for t in texts]})
+
+
+def _paraphrased(texts, count=2):
+    return _ok({"paraphrases": [[f"{t} v{k}" for k in range(count)]
+                                for t in texts]})
+
+
+class TestBatchedContract:
+    """Translate and paraphrase requests carry a chunk of at most the
+    provider's batch_size texts; every item of a reply is checked before
+    the chunk is cached."""
+
+    TEXTS = [f"text {i}" for i in range(130)]
+
+    def test_texts_go_out_in_order_in_chunks_of_batch_size(self):
+        chunks = [self.TEXTS[:64], self.TEXTS[64:128], self.TEXTS[128:]]
+        transport = FakeTransport(*map(_translated, chunks))
+        gateway = _gateway(transport)
+        assert gateway.translator.batch_size == 64
+        assert gateway.translate(self.TEXTS, "th", "en") == [
+            f"en {t}" for t in self.TEXTS]
+        assert [r["json"]["texts"] for r in transport.requests] == chunks
+        assert [len(r["json"]["texts"]) for r in transport.requests] == [
+            64, 64, 2]
+        stats = gateway.stats.snapshot()
+        assert stats["provider_calls"] == {"translate": 3}
+        assert stats["request_chars"] == sum(map(len, self.TEXTS))
+
+    def test_paraphrase_chunks_of_batch_size(self):
+        chunks = [self.TEXTS[:64], self.TEXTS[64:128], self.TEXTS[128:]]
+        transport = FakeTransport(*map(_paraphrased, chunks))
+        gateway = _gateway(transport)
+        assert gateway.paraphraser.batch_size == 64
+        assert gateway.paraphrase(self.TEXTS, 2) == [
+            [f"{t} v0", f"{t} v1"] for t in self.TEXTS]
+        assert [r["json"] for r in transport.requests] == [
+            {"texts": chunk, "count": 2} for chunk in chunks]
+
+    @pytest.mark.parametrize("op,body", [
+        ("translate", {"translations": ["en a"]}),
+        ("translate", {"translations": ["en a", "en b", "en c"]}),
+        ("translate", {"translations": ["en a", ""]}),
+        ("translate", {"translations": ["en a", None]}),
+        ("paraphrase", {"paraphrases": [["a v0", "a v1"]]}),
+        ("paraphrase", {"paraphrases": [["a v0", "a v1"], ["b v0"]]}),
+        ("paraphrase", {"paraphrases": [["a v0", "a v1"],
+                                        ["b v0", "b v1", "b v2"]]}),
+        ("paraphrase", {"paraphrases": [["a v0", "a v1"], ["b v0", "b"]]}),
+    ], ids=["translations_short", "translations_long", "empty_translation",
+            "non_string_translation", "paraphrase_lists_short",
+            "paraphrases_short", "paraphrases_long", "paraphrase_echo"])
+    def test_bad_reply_raises_and_caches_nothing(self, tmp_path, op, body):
+        call = {"translate": lambda gw: gw.translate(["a", "b"], "th", "en"),
+                "paraphrase": lambda gw: gw.paraphrase(["a", "b"], 2)}[op]
+        transport = FakeTransport(_ok(body))
+        with pytest.raises(ProtocolError) as info:
+            call(_gateway(transport, cache_dir=tmp_path))
+        assert info.value.texts == ("a", "b")
+        good = (_translated if op == "translate" else _paraphrased)(
+            ["a", "b"])
+        transport = FakeTransport(good)
+        gateway = _gateway(transport, cache_dir=tmp_path)
+        call(gateway)
+        assert len(transport.requests) == 1
+        assert gateway.stats.snapshot()["cache_hits"] == {}
+
+    def test_429_retries_the_whole_chunk_once(self):
+        texts = self.TEXTS[:70]
+        transport = FakeTransport(_translated(texts[:64]), (429, "slow"),
+                                  _translated(texts[64:]))
+        sleeps = []
+        gateway = _gateway(transport, sleeps=sleeps)
+        assert gateway.translate(texts, "th", "en") == [
+            f"en {t}" for t in texts]
+        assert [r["json"]["texts"] for r in transport.requests] == [
+            texts[:64], texts[64:], texts[64:]]
+        stats = gateway.stats.snapshot()
+        assert stats["retries"] == 1
+        assert len(sleeps) == 1
+        assert stats["provider_calls"] == {"translate": 3}
 
 
 def _wiki_error(code):
@@ -482,10 +572,6 @@ class TestCredentials:
             "http://g", "m", KEY_VAR, transport=t),
         "embedding": lambda t: HttpEmbedder(
             "http://e", "m", KEY_VAR, transport=t),
-        "translation": lambda t: HttpTranslator(
-            "http://t", KEY_VAR, pairs=PAIRS, transport=t),
-        "paraphrase": lambda t: HttpParaphraser(
-            "http://p", KEY_VAR, transport=t),
     }
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -503,9 +589,9 @@ class TestRetriesThroughGateway:
     def test_backoff_then_success(self):
         sleeps = []
         transport = FakeTransport((503, "down"), (429, "slow"),
-                                  _ok({"translation": "ok"}))
+                                  _ok({"translations": ["ok"]}))
         gateway = _gateway(transport, sleeps=sleeps)
-        assert gateway.translate("x", "th", "en") == "ok"
+        assert gateway.translate(["x"], "th", "en") == ["ok"]
         assert len(transport.requests) == 3
         assert len(sleeps) == 2
         for attempt, delay in enumerate(sleeps):
@@ -537,7 +623,7 @@ class TestRetriesThroughGateway:
     def test_fatal_status_is_counted(self, status):
         gateway = _gateway(FakeTransport((status, "no")))
         with pytest.raises(ProviderError, match=str(status)):
-            gateway.translate("xy", "th", "en")
+            gateway.translate(["xy"], "th", "en")
         stats = gateway.stats.snapshot()
         assert stats["provider_calls"] == {"translate": 1}
         assert stats["request_chars"] == 2
