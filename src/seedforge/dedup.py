@@ -20,13 +20,12 @@ with the BLAS summation order, and with it the manifest bytes. Among
 candidates within the same tolerance of the highest similarity the
 earliest id is reported as the nearest.
 
-A record's fate depends only on records with smaller ids. Callers that
-deduplicated some of the records before (a pipeline epoch adding records
-to its earlier pool) pass them as `known`: their ids, raw vectors and
-removals. Only the other records are embedded. When every other record
-sorts after every known id, the known decisions stand and only the new
-rows are scanned, against the kept known rows. Otherwise every record is
-scanned again, still from the known vectors.
+Callers that deduplicated some records before (a pipeline epoch adding
+records to its earlier pool) pass them as `known`: their ids, raw vectors
+and removals. Known rows are context only: they are never embedded,
+scanned or decided again, and their removals stand. The records passed in
+are decided after them, so the order is earlier calls first, then id order
+within a call, which in a pipeline is generation order.
 """
 
 from __future__ import annotations
@@ -98,8 +97,7 @@ class Known:
 @dataclass
 class DedupResult:
     """kept and removed partition the input. vectors holds the raw
-    embedding of every input record not in `known`, one row per record in
-    id order."""
+    embedding of every input record, one row per record in id order."""
 
     kept: list
     removed: list[Removal]
@@ -190,41 +188,37 @@ def _dedup_exact(ids: list[str], mat: np.ndarray, threshold: float,
     return (start + np.flatnonzero(keep[start:])).tolist(), removed
 
 
-def _matrix(ids: list[str], rows: list[int], known: Known,
-            fresh_rows: list[int], fresh: np.ndarray) -> np.ndarray:
-    """The comparison matrix, allocated once: row p holds the raw vector
-    of record rows[p]. Both `rows` and `fresh_rows` ascend; the records at
-    fresh_rows take the rows of `fresh` in order, the others their rows
-    in the known blocks."""
+def _matrix(known: Known, fresh: np.ndarray
+            ) -> tuple[np.ndarray, list[str]]:
+    """The comparison matrix, allocated once: the known rows that are not
+    in `known.removed`, in known.ids order, then the rows of `fresh`.
+    Returns it with the ids of its known rows."""
     blocks = [np.asarray(b, dtype=np.float64) for b in known.vectors]
-    bounds = np.cumsum([0] + [len(b) for b in blocks])
-    if bounds[-1] != len(known.ids):
-        raise ProtocolError(f"{bounds[-1]} known vectors for "
-                            f"{len(known.ids)} known ids")
     if any(b.ndim != 2 for b in blocks):
         raise ProtocolError("embeddings are not one vector per record")
+    n_known = sum(len(b) for b in blocks)
+    if n_known != len(known.ids):
+        raise ProtocolError(f"{n_known} known vectors for "
+                            f"{len(known.ids)} known ids")
     dims = {b.shape[1] for b in blocks + [fresh] if len(b)}
     if len(dims) > 1:
         raise ProtocolError(f"embeddings do not share one dimension: "
                             f"{sorted(dims)}")
-    mat = np.empty((len(rows), dims.pop() if dims else 0), dtype=np.float64)
-    is_fresh = set(fresh_rows)
-    if fresh_rows:
-        mat[[p for p, r in enumerate(rows) if r in is_fresh]] = fresh
-    known_at = {rid: k for k, rid in enumerate(known.ids)}
-    dest = np.array([p for p, r in enumerate(rows) if r not in is_fresh],
-                    dtype=np.intp)
-    src = np.array([known_at[ids[rows[p]]] for p in dest], dtype=np.intp)
-    owner = np.searchsorted(bounds, src, side="right") - 1
-    for b, block in enumerate(blocks):
-        mine = owner == b
-        to, frm = dest[mine], src[mine] - bounds[b]
-        if to.size and to[-1] - to[0] + 1 == to.size:
-            # A contiguous run of rows is filled without a temporary copy.
-            np.take(block, frm, axis=0, out=mat[to[0]:to[-1] + 1])
-        else:
-            mat[to] = block[frm]
-    return mat
+    gone = {r.record_id for r in known.removed}
+    stand = np.array([rid not in gone for rid in known.ids], dtype=bool)
+    mat = np.empty((int(stand.sum()) + len(fresh), dims.pop()),
+                   dtype=np.float64)
+    mat[len(mat) - len(fresh):] = fresh
+    at = lo = 0
+    for block in blocks:
+        if not len(block):
+            # An epoch without records embeds to shape (0, 0).
+            continue
+        mask = stand[lo:lo + len(block)]
+        n = int(mask.sum())
+        np.compress(mask, block, axis=0, out=mat[at:at + n])
+        lo, at = lo + len(block), at + n
+    return mat, [rid for rid, s in zip(known.ids, stand) if s]
 
 
 def dedup_filter(records: list, gateway, *,
@@ -235,9 +229,9 @@ def dedup_filter(records: list, gateway, *,
 
     Records are processed in ascending id order regardless of input order,
     each measured against the records already kept.
-    known: records deduplicated before, under the same threshold.
-    They are not embedded again, and when every other record sorts after
-    them their decisions stand and only the other records are scanned.
+    known: records deduplicated before, under the same threshold. They
+    come before every record, and only the kept ones among them are
+    compared with; none is embedded or decided again.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold {threshold} outside (0, 1]")
@@ -251,33 +245,18 @@ def dedup_filter(records: list, gateway, *,
     known_ids = set(known.ids)
     if len(known_ids) != len(known.ids):
         raise ValidationError("duplicate record ids in known rows")
-    fresh_rows = [i for i, rid in enumerate(ids) if rid not in known_ids]
-    fresh = np.empty((0, 0))
-    if fresh_rows:
-        fresh = np.asarray(gateway.embed([sample_text(records[i])
-                                          for i in fresh_rows]),
-                           dtype=np.float64)
-        if fresh.ndim != 2 or len(fresh) != len(fresh_rows):
-            raise ProtocolError("embeddings are not one vector per record")
-    decided = len(ids) - len(fresh_rows)
-    if decided == len(known.ids) and (not fresh_rows
-                                      or fresh_rows[0] == decided):
-        # Every known id is a record, and sorts before every fresh one.
-        gone = {r.record_id for r in known.removed}
-        stand = [i for i in range(decided) if ids[i] not in gone]
-        rows, start = stand + fresh_rows, len(stand)
-        kept = [records[i] for i in stand]
-        removed = list(known.removed)
-    else:
-        logger.info("dedup: new ids do not all follow the %d known ids; "
-                    "scanning all %d records", len(known.ids), len(ids))
-        rows, start, kept, removed = list(range(len(ids))), 0, [], []
-    row_ids = [ids[r] for r in rows]
-    mat = _matrix(ids, rows, known, fresh_rows, fresh)
-    _normalize_in_place(mat, row_ids)
-    kept_at, new_removals = _dedup_exact(row_ids, mat, threshold, start)
-    kept += [records[rows[p]] for p in kept_at]
-    removed += new_removals
+    again = known_ids.intersection(ids)
+    if again:
+        raise ValidationError(f"record {min(again)} is already known")
+    fresh = np.asarray(gateway.embed([sample_text(r) for r in records]),
+                       dtype=np.float64)
+    if fresh.ndim != 2 or len(fresh) != len(records):
+        raise ProtocolError("embeddings are not one vector per record")
+    mat, stand_ids = _matrix(known, fresh)
+    start = len(stand_ids)
+    _normalize_in_place(mat, stand_ids + ids)
+    kept_at, removed = _dedup_exact(stand_ids + ids, mat, threshold, start)
+    kept = [records[p - start] for p in kept_at]
     logger.info("dedup kept %d of %d records (threshold %.3f)",
                 len(kept), len(records), threshold)
     return DedupResult(kept=kept, removed=removed, vectors=fresh)

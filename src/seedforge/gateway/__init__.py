@@ -29,12 +29,12 @@ from typing import Callable, Iterator
 import numpy as np
 
 from seedforge import constants
-from seedforge.errors import (ConfigError, ProtocolError, ProviderError,
+from seedforge.errors import (ProtocolError, ProviderError,
                               RetryableProviderError, ValidationError)
 from seedforge.gateway.cache import ResponseCache, request_key
-from seedforge.gateway.mock import (DEFAULT_PAIRS, MockEmbedder,
-                                    MockParaphraser, MockTextGenerator,
-                                    MockTranslator, MockWikiClient)
+from seedforge.gateway.mock import (MockEmbedder, MockParaphraser,
+                                    MockTextGenerator, MockTranslator,
+                                    MockWikiClient)
 from seedforge.gateway.ratelimit import RateLimiter
 from seedforge.gateway.types import (GenRequest, ProviderBudget,
                                      WikiArticleRef, WikiSection)
@@ -176,14 +176,12 @@ class Gateway:
 
     @classmethod
     def mock(cls, budget: ProviderBudget | None = None, cache_dir=None,
-             embed_dim: int = 256, paraphrase_seed: int = 0,
-             language_pairs: frozenset[tuple[str, str]] = DEFAULT_PAIRS
-             ) -> "Gateway":
+             embed_dim: int = 256, paraphrase_seed: int = 0) -> "Gateway":
         """Fully offline gateway wired to the deterministic mock providers."""
         return cls(
             generator=MockTextGenerator(),
             embedder=MockEmbedder(dim=embed_dim),
-            translator=MockTranslator(language_pairs),
+            translator=MockTranslator(),
             paraphraser=MockParaphraser(seed=paraphrase_seed),
             wiki=MockWikiClient(),
             budget=budget or ProviderBudget(requests_per_minute=10**9),
@@ -315,10 +313,6 @@ class Gateway:
         """Translate texts in order, one request per
         translator.batch_size of them; each reply is checked for one
         non-empty translation per text."""
-        if (source_lang, target_lang) not in self.translator.language_pairs:
-            raise ConfigError(
-                f"language pair {source_lang}->{target_lang} is not "
-                f"supported by {self.translator.provider_id}")
         return [translation for block in self._batched(
             "translate", self.translator, texts,
             {"source": source_lang, "target": target_lang},

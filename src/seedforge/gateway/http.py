@@ -201,19 +201,14 @@ class HttpTranslator(_HttpClient, Translator):
     server-side to match, the contract is documented in the README.
     """
 
-    def __init__(self, base_url: str, *, pairs: frozenset[tuple[str, str]],
+    def __init__(self, base_url: str,
                  transport: HttpTransport | None = None):
         super().__init__("translation", "", transport)
         self.base_url = base_url
-        self._pairs = pairs
 
     @property
     def provider_id(self) -> str:
         return f"translate:{self.base_url}"
-
-    @property
-    def language_pairs(self) -> frozenset[tuple[str, str]]:
-        return self._pairs
 
     def translate_batch(self, texts: list[str], source_lang: str,
                         target_lang: str) -> list[str]:

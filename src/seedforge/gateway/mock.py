@@ -21,17 +21,11 @@ import re
 
 import numpy as np
 
-from seedforge import constants
 from seedforge.errors import ValidationError
 from seedforge.gateway.providers import (Embedder, Paraphraser, TextGenerator,
                                          Translator, WikiClient)
 from seedforge.gateway.types import EmbeddingVector, GenRequest, WikiArticleRef
 from seedforge.seeding import derive_seed
-
-# The default target language and its pivot, both ways.
-DEFAULT_PAIRS = frozenset({
-    (constants.TARGET_LANGUAGE, constants.PIVOT_LANGUAGE),
-    (constants.PIVOT_LANGUAGE, constants.TARGET_LANGUAGE)})
 
 _SYLLABLES = (
     "ka", "ri", "to", "na", "sel", "mor", "vin", "dra", "lu", "pek",
@@ -187,7 +181,6 @@ class MockEmbedder(Embedder):
     """
 
     remote = False
-    batch_size = 64
 
     def __init__(self, dim: int = 256):
         self._dim = dim
@@ -244,16 +237,9 @@ class MockTranslator(Translator):
 
     remote = False
 
-    def __init__(self, pairs: frozenset[tuple[str, str]] = DEFAULT_PAIRS):
-        self._pairs = pairs
-
     @property
     def provider_id(self) -> str:
         return "mock:translate"
-
-    @property
-    def language_pairs(self) -> frozenset[tuple[str, str]]:
-        return self._pairs
 
     def translate_batch(self, texts: list[str], source_lang: str,
                         target_lang: str) -> list[str]:

@@ -52,11 +52,6 @@ class Embedder(Provider):
 class Translator(Provider):
     batch_size: int = 64
 
-    @property
-    @abstractmethod
-    def language_pairs(self) -> frozenset[tuple[str, str]]:
-        """Supported (source, target) language tag pairs."""
-
     @abstractmethod
     def translate_batch(self, texts: list[str], source_lang: str,
                         target_lang: str) -> list[str]:

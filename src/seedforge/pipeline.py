@@ -9,11 +9,9 @@ a rerun skips exactly the stages whose inputs are unchanged and whose
 outputs still verify. Operational settings (budget, cache) do not enter
 the digest: changing them never invalidates work.
 
-Each dedup stage embeds and scans only its epoch's new records. Extension
-topics take indexes after every earlier topic, so every new id sorts after
-every earlier one, and the earlier decisions stand (see
-`dedup.dedup_filter`, which falls back to a full scan when the order does
-not hold, as under reroll). A dedup stage writes every removal so far
+Each dedup stage embeds, scans and decides only its epoch's new records,
+against the records that earlier epochs kept; the earlier decisions stand
+(see `dedup.dedup_filter`). A dedup stage writes every removal so far
 (removed-NN.json) and the raw embeddings of its epoch's records
 (vectors-NN.npy); a later dedup stage that runs hands both back as
 `known`. The pool is the instruction records minus the latest removals.
@@ -94,14 +92,10 @@ def build_gateway(config: PipelineConfig) -> Gateway:
         max_concurrent=config.budget_max_concurrent,
         retry_limit=config.budget_retry_limit)
     cache_dir = config.cache_dir or None
-    pivot = config.run_pivot_language
-    target = config.run_target_language
-    pairs = frozenset({(target, pivot), (pivot, target)})
     if config.provider_kind == "mock":
         return Gateway.mock(budget=budget, cache_dir=cache_dir,
                             embed_dim=config.provider_embed_dim,
-                            paraphrase_seed=config.run_seed,
-                            language_pairs=pairs)
+                            paraphrase_seed=config.run_seed)
     for key, value in (("provider.generator.base_url",
                         config.provider_generator_base_url),
                        ("provider.embedder.base_url",
@@ -121,8 +115,7 @@ def build_gateway(config: PipelineConfig) -> Gateway:
         base_url=config.provider_embedder_base_url,
         model=config.provider_embedder_model,
         api_key_env=config.provider_embedder_api_key_env)
-    translator = HttpTranslator(base_url=config.provider_translator_url,
-                                pairs=pairs)
+    translator = HttpTranslator(base_url=config.provider_translator_url)
     paraphraser = HttpParaphraser(base_url=config.provider_paraphraser_url)
     wiki = MediaWikiClient(api_url=config.provider_wiki_api_url)
     return Gateway(generator=generator, embedder=embedder,
@@ -427,11 +420,10 @@ class _Run:
     def dedup_stage(self, epoch: int, batches: list[_Lazy],
                     removals: list[Removal]) -> list[Removal]:
         """Every removal among `batches`, one per epoch so far, given the
-        earlier dedup stages' `removals`: only the last batch is embedded
-        and, while its ids follow the earlier ones, scanned. Writes the
-        removals as removed-NN.json and the last batch's raw embeddings,
-        in id order, as vectors-NN.npy, which only a later dedup stage
-        that runs reads."""
+        earlier dedup stages' `removals`: only the last batch is embedded,
+        scanned and decided. Writes the removals as removed-NN.json and
+        the last batch's raw embeddings, in id order, as vectors-NN.npy,
+        which only a later dedup stage that runs reads."""
         removed_file = f"removed-{epoch:02d}.json"
         vectors_file = f"vectors-{epoch:02d}.npy"
 
@@ -443,10 +435,11 @@ class _Run:
                          allow_pickle=False) for e in range(epoch)],
                 removals)
             result = dedup_filter(
-                [r for batch in batches for r in batch()], self.gateway,
+                batches[-1](), self.gateway,
                 threshold=self.config.dedup_threshold, known=known)
-            return result.removed, {
-                removed_file: write_removals(result.removed,
+            removed = removals + result.removed
+            return removed, {
+                removed_file: write_removals(removed,
                                              self.path(removed_file)),
                 vectors_file: write_vectors(result.vectors,
                                             self.path(vectors_file))}

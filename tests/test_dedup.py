@@ -1,5 +1,5 @@
 """Near-duplicate filtering: the tiled scan, the keep-first rule,
-threshold ties, and the incremental scan over known rows.
+threshold ties, and the scan of new records after known rows.
 
 The heavyweight planted-duplicate run lives in the acceptance suite; here the
 same oracle is cross-checked at a size where failures are easy to read.
@@ -103,7 +103,7 @@ class TestExactIndex:
         records, gw = table_gateway([(rec("r0", "a"), [1.0, 0.0]),
                                      (rec("r1", "b"), [0.0, 1.0])])
         with pytest.raises(ProtocolError, match="dimension"):
-            dedup_filter(records, gw,
+            dedup_filter(records[:1], gw,
                          known=Known(["r1"], [np.array([[0.0, 1.0, 0.0]])],
                                      []))
         flat = SimpleNamespace(embed=lambda texts: np.zeros(len(texts)))
@@ -118,7 +118,7 @@ class TestExactIndex:
         records, gw = table_gateway([(rec("r0", "a"), [1.0, 0.0]),
                                      (rec("r1", "b"), [0.0, 1.0])])
         with pytest.raises(ValidationError, match="r0"):
-            dedup_filter(records, gw,
+            dedup_filter(records[1:], gw,
                          known=Known(["r0"], [np.array([[0.0, 0.0]])], []))
 
 
@@ -456,12 +456,13 @@ class TestKnownVectors:
         gw = CountingGateway(gw.table)
         first = dedup_filter(records[:2], gw)
         gw.embedded.clear()
-        again = dedup_filter(records, gw,
+        again = dedup_filter(records[2:], gw,
                              known=known_from(first, records[:2]))
         assert gw.embedded == [sample_text(records[2])]
         plain = dedup_filter(records, VecGateway(gw.table))
-        assert [r.id for r in again.kept] == [r.id for r in plain.kept]
-        assert again.removed == plain.removed
+        assert [r.id for r in first.kept + again.kept] == [
+            r.id for r in plain.kept]
+        assert first.removed + again.removed == plain.removed
         assert np.array_equal(again.vectors, plain.vectors[2:])
 
     def test_all_records_known_embeds_nothing(self):
@@ -469,11 +470,17 @@ class TestKnownVectors:
         gw = CountingGateway(gw.table)
         first = dedup_filter(records, gw)
         gw.embedded.clear()
-        again = dedup_filter(records, gw, known=known_from(first, records))
+        again = dedup_filter([], gw, known=known_from(first, records))
         assert gw.embedded == []
-        assert [r.id for r in again.kept] == [r.id for r in first.kept]
-        assert again.removed == first.removed
+        assert again.kept == [] and again.removed == []
         assert len(again.vectors) == 0
+
+    def test_a_known_record_is_not_decided_again(self):
+        records, gw = TestDedupFilter().chain()
+        first = dedup_filter(records[:2], gw)
+        with pytest.raises(ValidationError, match="r1"):
+            dedup_filter(records[1:], gw,
+                         known=known_from(first, records[:2]))
 
     def test_vectors_follow_id_order(self):
         records, gw = TestDedupFilter().chain()
@@ -484,15 +491,29 @@ class TestKnownVectors:
     def test_dimension_disagreement_is_protocol_error(self):
         records, gw = TestDedupFilter().chain()
         with pytest.raises(ProtocolError, match="dimension"):
-            dedup_filter(records, gw,
+            dedup_filter(records[1:], gw,
                          known=Known(["r0"], [np.array([[1.0, 0.0, 0.0]])],
                                      []))
 
     def test_vector_rows_must_match_known_ids(self):
         records, gw = TestDedupFilter().chain()
         with pytest.raises(ProtocolError, match="known"):
-            dedup_filter(records, gw,
+            dedup_filter(records[2:], gw,
                          known=Known(["r0", "r1"], [np.ones((1, 2))], []))
+
+    def test_a_known_block_without_records_is_skipped(self):
+        # An epoch that generated no records left a (0, 0) block.
+        records, gw = TestDedupFilter().chain()
+        first = dedup_filter(records[:2], gw)
+        empty = np.empty((0, 0))
+        known = Known([r.id for r in records[:2]],
+                      [empty, first.vectors[:1], empty, first.vectors[1:]],
+                      first.removed)
+        again = dedup_filter(records[2:], gw, known=known)
+        plain = dedup_filter(records, gw)
+        assert [r.id for r in first.kept + again.kept] == [
+            r.id for r in plain.kept]
+        assert first.removed + again.removed == plain.removed
 
 
 def planted_epochs(seed, n_old, n_new, dim=12, dups=12, first=0):
@@ -518,8 +539,8 @@ def planted_epochs(seed, n_old, n_new, dim=12, dups=12, first=0):
 
 
 class TestIncrementalScan:
-    """A second dedup_filter over earlier rows plus new rows gives what
-    one full scan of all rows gives."""
+    """A dedup_filter over new rows after earlier rows, passed as known,
+    gives what one full scan of all rows gives."""
 
     def epochs(self, seed, n_old=70, n_new=50, first=0):
         ids, unit = planted_epochs(seed, n_old, n_new, first=first)
@@ -537,13 +558,15 @@ class TestIncrementalScan:
         assert want_removed, "the corpus plants no removal"
         first = dedup_filter(old, gw, threshold=0.9)
         gw.embedded.clear()
-        result = dedup_filter(old + new, gw, threshold=0.9,
+        result = dedup_filter(new, gw, threshold=0.9,
                               known=known_from(first, old))
         assert gw.embedded == [sample_text(r) for r in new]
-        assert [r.id for r in result.kept] == [ids[i] for i in want_kept]
-        assert [(r.record_id, r.nearest_id) for r in result.removed] == [
+        assert [r.id for r in first.kept + result.kept] == [
+            ids[i] for i in want_kept]
+        removed = first.removed + result.removed
+        assert [(r.record_id, r.nearest_id) for r in removed] == [
             (r.record_id, r.nearest_id) for r in want_removed]
-        for got, want in zip(result.removed, want_removed):
+        for got, want in zip(removed, want_removed):
             assert got.similarity == pytest.approx(want.similarity,
                                                    abs=1e-12)
         assert result.vectors.shape == (len(new), unit.shape[1])
@@ -562,27 +585,44 @@ class TestIncrementalScan:
                 (r.record_id, r.nearest_id) for r in want[1]
                 if r.record_id >= ids[60]]
 
-    def test_interleaved_ids_fall_back_to_the_full_scan(self, caplog):
-        # Old and new ids alternate; then old ids run up to t9999 and the
-        # new ones, from t10000 on, sort before all of them.
-        for first_topic in (0, 9930):
-            _, _, old, new, gw = self.epochs(5, first=first_topic)
+    def test_new_ids_that_sort_before_known_ones(self, monkeypatch):
+        # Known ids run up to t9999 and the new ones, from t10000 on, sort
+        # before most of them; then old and new ids alternate. Either way
+        # the new rows are decided after the known ones, in id order.
+        scans = []
+        scan = dedup._dedup_exact
+
+        def spy(ids, mat, threshold, start=0, *args):
+            scans.append((len(ids), start))
+            return scan(ids, mat, threshold, start, *args)
+
+        monkeypatch.setattr(dedup, "_dedup_exact", spy)
+        for first_topic in (9930, 0):
+            ids, unit, old, new, gw = self.epochs(5, first=first_topic)
             if not first_topic:
-                records = old + new
-                old, new = records[0::2], records[1::2]
-            records = old + new
+                both = old + new
+                old, new = both[0::2], both[1::2]
             first = dedup_filter(old, gw, threshold=0.9)
             gw.embedded.clear()
-            caplog.clear()
-            with caplog.at_level("INFO", logger="seedforge.dedup"):
-                result = dedup_filter(records, gw, threshold=0.9,
-                                      known=known_from(first, old))
-            assert "scanning all" in caplog.text
+            scans.clear()
+            result = dedup_filter(new, gw, threshold=0.9,
+                                  known=known_from(first, old))
             assert gw.embedded == [sample_text(r) for r in new]
-            plain = dedup_filter(records, VecGateway(gw.table),
-                                 threshold=0.9)
-            assert [r.id for r in result.kept] == [r.id for r in plain.kept]
-            assert result.removed == plain.removed
+            assert scans == [(len(first.kept) + len(new), len(first.kept))]
+            assert {r.record_id for r in result.removed} <= {
+                r.id for r in new}
+            order = [ids.index(r.id) for r in old + new]
+            kept, removed = per_row_reference(
+                [ids[i] for i in order], unit[order], 0.9)
+            assert removed, "the corpus plants no removal"
+            assert [r.id for r in first.kept + result.kept] == [
+                ids[order[k]] for k in kept]
+            got = first.removed + result.removed
+            assert [(r.record_id, r.nearest_id) for r in got] == [
+                (r.record_id, r.nearest_id) for r in removed]
+            for mine, want in zip(got, removed):
+                assert mine.similarity == pytest.approx(want.similarity,
+                                                        abs=1e-12)
 
 
 class TestRemovalsFile:

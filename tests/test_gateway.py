@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import seedforge
-from seedforge.errors import (ConfigError, ProtocolError,
-                              RetryableProviderError, ValidationError)
+from seedforge.errors import (ProtocolError, RetryableProviderError,
+                              ValidationError)
 from seedforge.gateway import Gateway, GatewayStats
 from seedforge.gateway.cache import (JSON_KIND, RESPONSE_LOG, ROWS_KIND,
                                     ResponseCache, request_key)
@@ -159,10 +159,6 @@ class TestGatewayOperations:
     def test_embed_rejects_empty_text(self, gateway):
         with pytest.raises(ValidationError, match="#1"):
             gateway.embed(["ok", "   "])
-
-    def test_translate_rejects_unknown_pair(self, gateway):
-        with pytest.raises(ConfigError, match="de->fr"):
-            gateway.translate(["x"], "de", "fr")
 
     def test_translate_rejects_empty_text(self, gateway):
         with pytest.raises(ValidationError):

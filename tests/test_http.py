@@ -23,7 +23,6 @@ from seedforge.gateway.http import (HttpCompletionClient, HttpEmbedder,
 from seedforge.gateway.types import (GenRequest, ProviderBudget,
                                      WikiArticleRef, WikiSection)
 
-PAIRS = frozenset({("th", "en"), ("en", "th")})
 KEY_VAR = "SEEDFORGE_TEST_HTTP_KEY"
 
 
@@ -63,7 +62,7 @@ def _clients(transport, key_env=""):
         "embed": HttpEmbedder("http://emb.test/", "e1", key_env,
                               transport=transport),
         "translate": HttpTranslator("http://tr.test/translate",
-                                    pairs=PAIRS, transport=transport),
+                                    transport=transport),
         "paraphrase": HttpParaphraser("http://pp.test/paraphrase",
                                       transport=transport),
         "wiki": MediaWikiClient("http://wiki.test/w/api.php",
@@ -286,7 +285,6 @@ class TestTranslator:
         transport = FakeTransport(_ok({"translations": ["hello", "world"]}))
         client = _clients(transport)["translate"]
         assert client.provider_id == "translate:http://tr.test/translate"
-        assert client.language_pairs == PAIRS
         assert client.translate_batch(["สวัสดี", "โลก"], "th", "en") == [
             "hello", "world"]
         (request,) = transport.requests
@@ -315,12 +313,6 @@ class TestTranslator:
         transport = FakeTransport(_ok(body))
         with pytest.raises(ProtocolError):
             _gateway(transport).translate(["x"], "th", "en")
-
-    def test_unsupported_pair_makes_no_request(self):
-        transport = FakeTransport()
-        with pytest.raises(ConfigError, match="lo->en"):
-            _gateway(transport).translate(["x"], "lo", "en")
-        assert transport.requests == []
 
 
 class TestParaphraser:

@@ -12,9 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from seedforge.cli import main as cli_main
 from seedforge.config import default_config, parse_config, with_overrides
 from seedforge.contexts import WIKI
-from seedforge.dedup import dedup_filter, read_removals, sample_text
+from seedforge.dedup import read_removals, sample_text
 from seedforge import pipeline
 from seedforge.errors import (BuildError, ConfigError,
                               GenerationExhaustedError, LockError, ParseError)
@@ -34,6 +35,7 @@ from seedforge.topics import GENERAL, Topic
 
 from doubles import FlakyProvider
 from test_contexts import drew_wiki
+from test_dedup import per_row_reference
 from test_gateway import LOG_HEADER, log_frames
 from test_http import FakeTransport, _gateway as http_gateway
 from test_instructions import (VALID_CONV, VALID_MC, VALID_QA_5,
@@ -421,19 +423,53 @@ class TestIncrementalDedup:
         assert executed == ["dedup-00", "dedup-01"]
         assert file_sha256(manifest_path(tmp_path)) == before
 
-    def test_reroll_takes_the_full_scan(self, tmp_path, caplog):
+    def test_reroll_decides_epoch_by_epoch(self, tmp_path):
+        # Rerolled ids interleave with the earlier epochs' ids; each
+        # epoch is still decided after the earlier ones, whose removals
+        # stand.
         config = replace(self.TINY, dedup_threshold=0.8)
-        with caplog.at_level("INFO", logger="seedforge.dedup"):
-            pool = pipeline.build_pool(config, str(tmp_path),
-                                       build_gateway(config), reroll=True)
-        assert "scanning all" in caplog.text
-        records = [r for name in sorted(os.listdir(str(tmp_path)))
-                   if name.startswith("instructions-")
-                   for r in read_records(os.path.join(str(tmp_path), name))]
-        assert len(records) > len(self.epoch_texts(tmp_path, 0))
-        full = dedup_filter(records, build_gateway(config), threshold=0.8)
-        assert full.removed
-        assert [r.id for r in pool] == [r.id for r in full.kept]
+        gateway = build_gateway(config)
+        pool = pipeline.build_pool(config, str(tmp_path), gateway,
+                                   reroll=True)
+        epochs = sorted(n for n in os.listdir(str(tmp_path))
+                        if n.startswith("instructions-"))
+        assert len(epochs) >= 2
+        records = [r for name in epochs for r in sorted(
+            read_records(os.path.join(str(tmp_path), name)),
+            key=lambda r: r.id)]
+        assert [r.id for r in records] != sorted(r.id for r in records)
+        unit = np.asarray(gateway.embed([sample_text(r) for r in records]))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        kept, removed = per_row_reference([r.id for r in records], unit,
+                                          0.8)
+        assert removed
+        assert [r.id for r in pool] == sorted(records[i].id for i in kept)
+        last = read_removals(os.path.join(
+            str(tmp_path), f"removed-{len(epochs) - 1:02d}.json"))
+        assert [(r.record_id, r.nearest_id) for r in last] == [
+            (r.record_id, r.nearest_id) for r in removed]
+
+    def test_an_epoch_without_records(self, tmp_path, monkeypatch):
+        # Every task of epoch 1 failed to parse: it writes no records and
+        # a (0, 0) vectors file, which the next epoch's dedup skips.
+        original = pipeline.generate_records
+        calls = []
+
+        def second_yields_nothing(*args):
+            calls.append(args)
+            return ([], []) if len(calls) == 2 else original(*args)
+
+        monkeypatch.setattr(pipeline, "generate_records",
+                            second_yields_nothing)
+        conf = tmp_path / "run.conf"
+        conf.write_text(PINS_CONF, encoding="utf-8")
+        workdir = str(tmp_path / "out")
+        assert cli_main(["run", "--config", str(conf),
+                         "--workdir", workdir]) == 0
+        assert len(calls) >= 3
+        assert np.load(os.path.join(workdir, "vectors-01.npy"),
+                       allow_pickle=False).size == 0
+        assert len(read_manifest(manifest_path(workdir)).records) == 100
 
     def test_tampered_vectors_rerun_their_dedup(self, tmp_path, embedded):
         run_pipeline(self.TINY, str(tmp_path))
