@@ -24,7 +24,8 @@ from seedforge.dedup import dedup_filter, write_removals
 from seedforge.errors import (AlignmentError, BuildError, ConfigError,
                               ProviderError, SeedforgeError)
 from seedforge.evalreport import (aggregate_report, load_predictions,
-                                  load_references, render_report)
+                                  load_references, render_report,
+                                  utf8_encodable)
 from seedforge.instructions import GENERATION_TASKS
 from seedforge.pipeline import (MANIFEST_FILE, acquire_contexts,
                                 build_gateway, epoch_topics, generate_records,
@@ -138,6 +139,10 @@ def cmd_eval(args) -> int:
     predictions, files = {}, {}
     for pred_path in args.pred:
         name = os.path.splitext(os.path.basename(pred_path))[0]
+        if not utf8_encodable(name):
+            raise ConfigError(f"prediction file {pred_path!r}: its name, "
+                              f"the system name, is not valid UTF-8; "
+                              f"rename the file")
         if name in predictions:
             raise ConfigError(f"duplicate system name {name!r}; rename "
                               f"one prediction file")

@@ -9,7 +9,10 @@ arrive as files.
 
 Each text is tokenized once per report, and each distinct token is
 embedded and normalised to unit length once per report: bert_like_score
-only looks its rows up.
+only looks its rows up. Each system's n-gram overlaps are counted once,
+in three tables (report tokens, chrf's characters, squad_f1's tokens),
+and ROUGE-1/2, both BLEUs, chrF and the token F1 are formulas of each
+pair's rows; corpus BLEU sums the rows of its pairs.
 
 The tokenizer is part of the report, not an ambient default: Thai has no
 whitespace word boundaries, so scores are meaningless without knowing how
@@ -75,32 +78,47 @@ def _one_token_line(text: str, tokenizer: Tokenizer) -> bool:
     return len(lines) <= 1 and (lines[0] if lines else []) == tokenizer(text)
 
 
-def score_pair(pair: EvalPair, unit_rows, tokenizer: Tokenizer) -> dict:
+def score_pair(pair: EvalPair, unit_rows, tokenizer: Tokenizer,
+               counts: tuple[metrics.Counts, ...]) -> dict:
     """Every metric for one pair. Empty texts are scored, not rejected.
-    unit_rows maps tokens to their unit embedding rows (a _TokenVectors).
+    unit_rows maps tokens to their unit embedding rows (a _TokenVectors);
+    counts are the pair's rows of the tables _overlap_rows builds.
 
     When neither side has more than one line with tokens, rouge_lsum's
     hits are rouge_l's LCS over the same denominators, so rouge_l's score
     is reused instead of recomputed."""
     pred, ref = pair.prediction, pair.reference
+    tokens, chars, squad = counts
     rouge_l = metrics.rouge_l(pred, ref, tokenizer).f1
     if _one_token_line(pred, tokenizer) and _one_token_line(ref, tokenizer):
         rouge_lsum = rouge_l
     else:
         rouge_lsum = metrics.rouge_lsum(pred, ref, tokenizer).f1
     return {
-        "rouge1_f1": metrics.rouge_n(pred, ref, 1, tokenizer).f1,
-        "rouge2_f1": metrics.rouge_n(pred, ref, 2, tokenizer).f1,
+        "rouge1_f1": metrics.rouge_n_score(tokens, 1).f1,
+        "rouge2_f1": metrics.rouge_n_score(tokens, 2).f1,
         "rouge_l_f1": rouge_l,
         "rouge_lsum_f1": rouge_lsum,
-        "bleu_sentence": metrics.bleu([pred], [ref], tokenizer=tokenizer,
-                                      smooth=True),
-        "chrf": metrics.chrf(pred, ref),
+        "bleu_sentence": metrics.bleu_score([tokens], smooth=True),
+        "chrf": metrics.chrf_score(chars),
         "meteor": metrics.meteor(pred, ref, tokenizer=tokenizer),
-        "squad_f1": metrics.squad_f1(pred, ref),
+        "squad_f1": metrics.squad_f1_score(squad),
         "bert_like_f1": metrics.bert_like_score(pred, ref, unit_rows,
                                                 tokenizer).f1,
     }
+
+
+def _overlap_rows(pairs: list[EvalPair], tokenizer: Tokenizer
+                  ) -> list[tuple[metrics.Counts, ...]]:
+    """Each pair's counts from three overlap tables, one call each:
+    report tokens at the BLEU orders, which hold ROUGE-1 and -2; chrf's
+    characters; and squad_f1's tokens at order 1."""
+    tables = [metrics.overlap_counts(
+        [(split(p.prediction), split(p.reference)) for p in pairs], orders)
+        for split, orders in ((tokenizer, metrics.BLEU_ORDER),
+                              (metrics._chrf_chars, metrics.CHRF_ORDER),
+                              (metrics._squad_normalize, 1))]
+    return list(zip(*tables))
 
 
 def generation_lengths(pairs: list[EvalPair], tokenizer: Tokenizer) -> dict:
@@ -183,14 +201,15 @@ def _token_vectors(pairs_by_system: dict[str, list[EvalPair]], gateway,
 
 def _score_system(pairs: list[EvalPair], vectors: _TokenVectors,
                   tokenizer: Tokenizer) -> dict:
-    per_pair = {pair.id: score_pair(pair, vectors, tokenizer)
+    counts = dict(zip((p.id for p in pairs), _overlap_rows(pairs, tokenizer)))
+    per_pair = {pair.id: score_pair(pair, vectors, tokenizer, counts[pair.id])
                 for pair in pairs}
     by_test_set = {test_set: group for test_set in TEST_SETS
                    if (group := [p for p in pairs if p.test_set == test_set])}
 
     def corpus_bleu(group: list[EvalPair]) -> float:
-        return metrics.bleu([p.prediction for p in group],
-                            [p.reference for p in group], tokenizer=tokenizer)
+        return metrics.bleu_score([counts[p.id][0] for p in group],
+                                  smooth=False)
 
     return {
         "pair_count": len(pairs),
@@ -297,11 +316,22 @@ def aggregate_report(references: list[dict],
 
 # -- file loading -------------------------------------------------------------
 
+def utf8_encodable(text: str) -> bool:
+    """Whether text has no lone surrogate, which JSON can carry but a
+    UTF-8 report cannot hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _load_jsonl(path: str, fields: dict[str, tuple[str, ...] | None]
                 ) -> list[dict]:
     """Rows with a string under each key of fields, one of the values that
-    fields lists for it unless that is None, and distinct ids; fields
-    starts with "id" and ends with the row's text key."""
+    fields lists for it unless that is None, and distinct ids that UTF-8
+    can encode; fields starts with "id" and ends with the row's text key.
+    Texts may hold lone surrogates: the report never echoes them."""
     rows = []
     seen: set[str] = set()
     for line_no, row in read_jsonl_lines(path):
@@ -319,6 +349,9 @@ def _load_jsonl(path: str, fields: dict[str, tuple[str, ...] | None]
                 raise ValidationError(
                     f"{path} line {line_no}: unknown {key} "
                     f"{row[key]!r}; expected one of {', '.join(choices)}")
+        if not utf8_encodable(row["id"]):
+            raise ValidationError(f"{path} line {line_no}: id {row['id']!r} "
+                                  f"is not encodable as UTF-8")
         if row["id"] in seen:
             raise ValidationError(f"{path} line {line_no}: duplicate "
                                   f"{list(fields)[-1]} id {row['id']!r}")

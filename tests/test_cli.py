@@ -469,6 +469,43 @@ class TestBadInputFiles:
         assert (f"{refs} line 7: unknown task 'poetry'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("bad", ["refs", "preds"])
+    def test_eval_id_that_utf8_cannot_encode(self, tmp_path, capsys, bad):
+        """JSON can escape a lone surrogate into an id, which the UTF-8
+        report could not hold: the load fails, before any scoring. With
+        bad == "refs", both files hold the id and would align."""
+        refs, rows = write_refs(tmp_path)
+        paths = {"refs": refs, "preds": str(tmp_path / "tuned.jsonl")}
+        odd = [dict(r, id="a\ud800") if r["id"] == "oq1" else r
+               for r in rows]
+        for name, path in paths.items():
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(json.dumps(
+                    {"id": r["id"], "prediction": r["reference"]}
+                    if name == "preds" else r) + "\n"
+                    for r in (odd if bad in ("refs", name) else rows))
+        out = tmp_path / "r.json"
+        code = main(["eval", "--pred", paths["preds"], "--refs", refs,
+                     "--out", str(out)])
+        assert code == 1
+        assert (f"{paths[bad]} line 4: id 'a\\ud800' is not encodable as "
+                f"UTF-8" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_eval_system_name_that_utf8_cannot_encode(self, tmp_path,
+                                                      capsys):
+        """A file name that is not UTF-8 decodes to a lone surrogate, and
+        the file name is the system name the report holds."""
+        refs, rows = write_refs(tmp_path)
+        preds = write_preds(tmp_path / "sys\udcff.jsonl", rows)
+        out = tmp_path / "r.json"
+        code = main(["eval", "--pred", preds, "--refs", refs,
+                     "--out", str(out)])
+        assert code == 2
+        assert (f"prediction file {preds!r}: its name, the system name, is "
+                f"not valid UTF-8" in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("order", ["ab", "ba"])
     @pytest.mark.parametrize("gap", ["missing", "extra"])
     def test_eval_alignment_error_names_the_system_and_file(

@@ -251,6 +251,14 @@ TEST_ONLY_DEFAULTS = {
         "reference selection: exact and normal p-values each checked",
     "metrics.py bleu(max_order)":
         "reference selection: hand-computed values at lower orders",
+    "metrics.py bleu(tokenizer)":
+        "the report scores bleu_score on its overlap tables",
+    "metrics.py bleu(smooth)":
+        "the report scores bleu_score on its overlap tables",
+    "metrics.py rouge_n(n)":
+        "the report scores rouge_n_score on its overlap tables",
+    "metrics.py rouge_n(tokenizer)":
+        "the report scores rouge_n_score on its overlap tables",
     "ablations.py generate_pass(start_index)":
         "bench/tracing.py wraps generate_pass; goes with ROADMAP item 3",
     "ablations.py generate_pass(round_no)":
@@ -289,9 +297,15 @@ def test_knobs_only_tests_set_are_listed():
 
 # Top-level names src/ defines only for readers outside it, with the
 # folder that reads them: bench/tracing.py wraps ablations.generate_pass
-# by name.
+# and the metrics in its METRIC_FNS by name. The report derives rouge_n,
+# bleu, chrf and squad_f1 from its overlap tables, so only bench and
+# tests call those four.
 OUTSIDE_READERS = {
     "ablations.py generate_pass": "bench",
+    "metrics.py bleu": "bench",
+    "metrics.py chrf": "bench",
+    "metrics.py rouge_n": "bench",
+    "metrics.py squad_f1": "bench",
 }
 
 

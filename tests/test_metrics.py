@@ -750,7 +750,7 @@ class TestNgramKernel:
         of the 1,495 6-grams of pred[500:] is in both sides."""
         for pred, ref in self.pairs[-4:]:
             assert len(set(pred + ref)) > 1448
-            assert metrics._clipped_overlaps(pred, ref, 6)[5] == 1495
+            assert metrics._overlap_table([(pred, ref)], 6)[0, 5] == 1495
             assert 0.0 < chrf(pred, ref) < 100.0
 
     def test_tokenizers_match_their_loops(self):
@@ -761,3 +761,76 @@ class TestNgramKernel:
             assert unicode_words(text) == _ref_unicode_words(text)
             assert (metrics._squad_normalize(text)
                     == _ref_squad_normalize(text))
+
+
+def _ref_overlap_row(a, b, max_order):
+    """Clipped overlap of a and b at orders 1..max_order, by Counters of
+    n-gram tuples."""
+    return [_ref_overlap(_ref_ngrams(a, n), _ref_ngrams(b, n))
+            for n in range(1, max_order + 1)]
+
+
+def _table_pairs(kind):
+    """Seeded pairs of one kind, strings or token lists: empty sides,
+    sides shorter than every order, repeats that share n-grams with the
+    neighbouring pairs, astral characters and lone surrogates, and one
+    pair longer than the default block."""
+    rng = random.Random(f"overlap-{kind}")
+    pairs = []
+    for _ in range(150):
+        pool = rng.choice(_KERNEL_POOLS)
+        a = _kernel_text(rng, pool)[:rng.choice((0, 1, 2, 3, 60))]
+        b = (_kernel_text(rng, pool) if rng.random() < 0.6
+             else a[rng.randrange(len(a) + 1):] + a)
+        pairs.append((a, b))
+    wide = list(_WIDE)
+    rng.shuffle(wide)
+    long_text = "".join(wide) * 2
+    pairs.insert(70, (long_text, long_text[1000:] + long_text[:3000]))
+    if kind == "tokens":
+        pairs = [(list(a), b.split() + list(b)) for a, b in pairs]
+    return pairs
+
+
+class TestOverlapTable:
+    @pytest.mark.parametrize("kind", ["chars", "tokens"])
+    @pytest.mark.parametrize("block", [None, 1, 2, 3, 7, 64, 500])
+    def test_rows_match_the_oracle_whatever_the_blocks(
+            self, kind, block, monkeypatch):
+        """Each row is the pair's own overlap however the pairs are
+        blocked, and every block holds at most BLOCK_SYMBOLS symbols or a
+        single pair."""
+        if block is not None:
+            monkeypatch.setattr(metrics, "BLOCK_SYMBOLS", block)
+        blocks = []
+        count_block = metrics._count_block
+
+        def recording(pairs, table):
+            blocks.append(len(pairs))
+            assert (len(pairs) == 1 or sum(len(a) + len(b) for a, b in pairs)
+                    <= metrics.BLOCK_SYMBOLS)
+            count_block(pairs, table)
+
+        monkeypatch.setattr(metrics, "_count_block", recording)
+        pairs = _table_pairs(kind)
+        assert max(len(a) + len(b) for a, b in pairs) > metrics.BLOCK_SYMBOLS
+        table = metrics._overlap_table(pairs, 6)
+        assert table.dtype == np.int64 and table.shape == (len(pairs), 6)
+        assert table.tolist() == [_ref_overlap_row(a, b, 6)
+                                  for a, b in pairs]
+        assert sum(blocks) == len(pairs) and len(blocks) > 2
+
+    def test_shared_ngrams_across_pairs_stay_apart(self):
+        """Pairs in one block whose n-grams repeat each other's, and one
+        text's end and the next text's start, count only their own."""
+        pairs = [("ab", "ba"), ("ba", "ab"), ("aab", ""), ("", "abb"),
+                 ("abab", "abab")]
+        assert metrics._overlap_table(pairs, 3).tolist() == [
+            [2, 0, 0], [2, 0, 0], [0, 0, 0], [0, 0, 0], [4, 3, 2]]
+        tokens = [(list(a), list(b)) for a, b in pairs]
+        assert (metrics._overlap_table(tokens, 3).tolist()
+                == metrics._overlap_table(pairs, 3).tolist())
+
+    def test_empty_input(self):
+        assert metrics._overlap_table([], 4).shape == (0, 4)
+        assert metrics._overlap_table([("", "")], 2).tolist() == [[0, 0]]

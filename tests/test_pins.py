@@ -330,13 +330,15 @@ def test_eval_report(tmp_path):
 # Sixty seeded pairs for two systems over every task and test set. Texts
 # mix Thai (with its combining marks), Latin in both cases, digits, CJK,
 # an astral emoji and punctuation; about half span several lines, and
-# some sides are empty or whitespace only. Pinned under `unicode_words`
-# and `characters`, which split these texts differently.
+# some sides are empty or whitespace only. Pinned under every tokenizer,
+# as each splits these texts differently.
 SEEDED_EVAL_REPORT = {
     "unicode_words":
         "d88419b293920ddb8f78ecc08b422d342b113eefcd432b3405796a332b6a5f6e",
     "characters":
         "bc3101947ebbcff58e0b92393f3e4f38a9104853423eb5e783169a1427e8dca8",
+    "whitespace":
+        "dedf3c3f28a20627f7a7e5fac2ef576b4378ef3e404335cfa4317334efc6088b",
 }
 
 _SEEDED_VOCABULARY = (
