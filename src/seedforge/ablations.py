@@ -9,10 +9,12 @@ recipe's transforms are the steps that ran, in order.
 
 The generated variants run the pipeline's checkpointed epoch loop in a
 temporary working directory with the row's dedup setting and its topic
-counts, which scale with the requested size unless the row re-rolls; the
-other two take a full build's manifest or an external corpus. Every
-variant then ends the same way: a seeded sample of its records, a recipe
-from its row, the recipe's transforms, and the flags stamped.
+counts. With dedup on, the counts scale with the requested size and the
+loop adds topics; with it off, they are fixed and the loop re-rolls the
+first epoch's topics. The other two take a full build's manifest or an
+external corpus. Every variant then ends the same way: a seeded sample
+of its records, a recipe from its row, the recipe's transforms, and the
+flags stamped.
 
 Degradations are deliberate: round-trip translation simulates a machine
 translated corpus, and paraphrase fan-out shrinks semantic diversity while
@@ -37,7 +39,7 @@ from seedforge.manifest import (  # noqa: F401 - re-exported
     VARIANT_FULL, VARIANT_NO_PROPERTIES, VARIANTS, DatasetManifest,
     PropertyFlags, Recipe, derive_flags, finish_manifest, read_manifest,
     truncate_records, write_manifest)
-from seedforge.pipeline import (MAX_EPOCHS, acquire_contexts, build_pool,
+from seedforge.pipeline import (MAX_EPOCHS, acquire_contexts, build,
                                 generate_records)
 from seedforge.records import read_jsonl_lines
 from seedforge.topics import GENERAL, Topic
@@ -54,24 +56,22 @@ class VariantSpec:
 
     topics: (cultural, general) counts, or None for the counts its records
     were made under: the config's when generated, the source manifest's
-    when derived. A generated row's counts are for constants.DATASET_SIZE
-    records and scale to the requested size, rounded up, so every size
-    keeps the row's records per topic; a re-rolling row's counts are
-    fixed. reroll: re-run the first epoch's topics under new round
-    numbers instead of adding topics.
+    when derived. A generated row with dedup has counts for
+    constants.DATASET_SIZE records, which scale to the requested size,
+    rounded up, so every size keeps the row's records per topic. A
+    generated row without dedup keeps its counts and re-runs the first
+    epoch's topics under new round numbers instead of adding topics.
     """
     source: str
     topics: tuple[int, int] | None
     dedup: bool
     transforms: tuple[str, ...] = ()
-    reroll: bool = False
 
 
 VARIANT_TABLE = {
     VARIANT_FULL: VariantSpec(GENERATED, None, dedup=True),
     VARIANT_FLUENCY_ONLY: VariantSpec(
-        GENERATED, (0, constants.TOPICS_FLUENCY_ONLY), dedup=False,
-        reroll=True),
+        GENERATED, (0, constants.TOPICS_FLUENCY_ONLY), dedup=False),
     VARIANT_DIVERSITY_ONLY: VariantSpec(
         GENERATED, (0, constants.TOPICS_DIVERSITY_ONLY), dedup=True,
         transforms=("round_trip",)),
@@ -245,31 +245,31 @@ def build_variant(variant: str, gateway, config: PipelineConfig,
     temporary directory under workdir_parent (the system default when
     None), removed on return. A row's topic counts become
     ceil(count * size / DATASET_SIZE), and the pipeline's extension
-    epochs make up any shortfall of the pool; a re-rolling variant keeps
-    its counts and runs at most ceil(size / topics) + 10 rounds. A derived
-    variant needs the full build's DatasetManifest as `source`, an
-    external one the records of `load_external_corpus`. Every variant
-    then samples size / fan-out of its records (the "truncate" stream when
-    generated, else "sample"), runs its transforms and has its flags
-    stamped; the fan-out is paraphrase.count + 1 when the transforms
-    paraphrase, else 1.
+    epochs make up any shortfall of the pool; a variant without dedup
+    keeps its counts and re-rolls them for at most ceil(size / topics) +
+    10 rounds. A derived variant needs the full build's DatasetManifest
+    as `source`, an external one the records of `load_external_corpus`.
+    Every variant then samples size / fan-out of its records (the
+    "truncate" stream when generated, else "sample"), runs its transforms
+    and has its flags stamped; the fan-out is paraphrase.count + 1 when
+    the transforms paraphrase, else 1.
     """
     spec = VARIANT_TABLE[variant]
     size, seed = config.dataset_size, config.run_seed
     if spec.source == GENERATED:
         cultural, general = spec.topics or (config.topics_cultural,
                                             config.topics_general)
-        if spec.topics and not spec.reroll:
+        if spec.topics and spec.dedup:
             cultural, general = (math.ceil(n * size / constants.DATASET_SIZE)
                                  for n in spec.topics)
         config = replace(config, topics_cultural=cultural,
                          topics_general=general)
-        max_epochs = (math.ceil(size / max(1, general)) + 10 if spec.reroll
-                      else MAX_EPOCHS)
+        max_epochs = (MAX_EPOCHS if spec.dedup
+                      else math.ceil(size / max(1, general)) + 10)
         with tempfile.TemporaryDirectory(prefix=".seedforge-",
                                          dir=workdir_parent) as workdir:
-            records = build_pool(config, workdir, gateway, max_epochs,
-                                 spec.reroll, spec.dedup)
+            records = build(config, workdir, gateway, None, max_epochs,
+                            dedup=spec.dedup, manifest=False)
         origin, stream = GENERATED, "truncate"
     elif spec.source == DERIVED:
         if not isinstance(source, DatasetManifest):

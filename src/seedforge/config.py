@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import make_dataclass
 
 from seedforge import constants
 from seedforge.errors import ConfigError
@@ -119,60 +119,29 @@ def _field_name(key: str) -> str:
     return key.replace(".", "_")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    run_seed: int
-    run_target_language: str
-    run_pivot_language: str
-    run_culture: str
-    dataset_size: int
-    topics_cultural: int
-    topics_general: int
-    topics_per_batch: int
-    context_p_wiki: float
-    context_wiki_top_k: int
-    temperature_topics: float
-    temperature_closed_qa: float
-    temperature_summarization: float
-    temperature_conversation: float
-    temperature_multiple_choice: float
-    temperature_context: float
-    tasks_qa_pairs: int
-    dedup_threshold: float
-    paraphrase_count: int
-    budget_requests_per_minute: int
-    budget_max_concurrent: int
-    budget_retry_limit: int
-    cache_dir: str
-    provider_kind: str
-    provider_embed_dim: int
-    provider_generator_base_url: str
-    provider_generator_model: str
-    provider_generator_api_key_env: str
-    provider_generator_style: str
-    provider_embedder_base_url: str
-    provider_embedder_model: str
-    provider_embedder_api_key_env: str
-    provider_translator_url: str
-    provider_paraphraser_url: str
-    provider_wiki_api_url: str
-
-    def effective(self) -> dict:
-        """Every key with its effective value, in schema order. This dict
-        is echoed into manifests so results carry their full settings."""
-        return {key: getattr(self, _field_name(key)) for key in SCHEMA}
-
-    def content_digest(self) -> str:
-        """Hash of the settings that influence generated content."""
-        payload = {k: v for k, v in self.effective().items()
-                   if not k.startswith(_NON_CONTENT_PREFIXES)}
-        blob = json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _effective(self) -> dict:
+    """Every key with its effective value, in schema order. This dict
+    is echoed into manifests so results carry their full settings."""
+    return {key: getattr(self, _field_name(key)) for key in SCHEMA}
 
 
-assert {f.name for f in fields(PipelineConfig)} == {
-    _field_name(k) for k in SCHEMA}, "config schema and dataclass disagree"
+def _content_digest(self) -> str:
+    """Hash of the settings that influence generated content."""
+    payload = {k: v for k, v in self.effective().items()
+               if not k.startswith(_NON_CONTENT_PREFIXES)}
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# One frozen field per SCHEMA key, in schema order, named by
+# _field_name: the dotted key with "." as "_".
+PipelineConfig = make_dataclass(
+    "PipelineConfig",
+    [(_field_name(key), spec[1]) for key, spec in SCHEMA.items()],
+    namespace={"effective": _effective, "content_digest": _content_digest,
+               "__module__": __name__},
+    frozen=True)
 
 
 def _parse_value(key: str, raw: str, line_no: int):

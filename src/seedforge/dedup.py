@@ -214,10 +214,12 @@ def _matrix(known: Known, fresh: np.ndarray
         if not len(block):
             # An epoch without records embeds to shape (0, 0).
             continue
-        mask = stand[lo:lo + len(block)]
-        n = int(mask.sum())
-        np.compress(mask, block, axis=0, out=mat[at:at + n])
-        lo, at = lo + len(block), at + n
+        # take writes straight into `out`; compress would copy its whole
+        # output through a temporary buffer first.
+        rows = np.flatnonzero(stand[lo:lo + len(block)])
+        np.take(block, rows, axis=0, out=mat[at:at + len(rows)],
+                mode="clip")
+        lo, at = lo + len(block), at + len(rows)
     return mat, [rid for rid, s in zip(known.ids, stand) if s]
 
 

@@ -21,6 +21,7 @@ the text was split. Every report is labeled with the tokenizer mode.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from statistics import mean
 
@@ -143,21 +144,6 @@ def _partition(pairs: list[EvalPair]) -> dict:
 
 def _mean_scores(rows: list[dict]) -> dict:
     return {key: mean(row[key] for row in rows) for key in METRIC_KEYS}
-
-
-class _Memo:
-    """A tokenizer that splits each distinct text once. Callers share the
-    returned lists and must not mutate them."""
-
-    def __init__(self, tokenizer: Tokenizer):
-        self._tokenizer = tokenizer
-        self._tokens: dict[str, list[str]] = {}
-
-    def __call__(self, text: str) -> list[str]:
-        tokens = self._tokens.get(text)
-        if tokens is None:
-            tokens = self._tokens[text] = self._tokenizer(text)
-        return tokens
 
 
 class _TokenVectors:
@@ -291,7 +277,10 @@ def aggregate_report(references: list[dict],
     pairs_by_system = {system: join_pairs(references, predictions, system)
                        for system, predictions
                        in predictions_by_system.items()}
-    tokenizer = _Memo(get_tokenizer(tokenizer_name))
+    # Each distinct text is split once; callers share the returned lists
+    # and must not mutate them.
+    tokenizer = functools.lru_cache(maxsize=None)(
+        get_tokenizer(tokenizer_name))
     vectors = _token_vectors(pairs_by_system, gateway, tokenizer)
     notes: list[str] = []
     present = {row["task"] for row in references}

@@ -8,13 +8,15 @@ the effective config) sits beside it in `<path>.meta.json`.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import asdict, dataclass
 
 from seedforge.errors import BuildError, ValidationError
 from seedforge.instructions import InstructionRecord
 from seedforge.records import (file_sha256, parsing, read_json,
-                               read_records, write_json, write_records)
+                               read_records, records_blob, write_atomic,
+                               write_json)
 from seedforge.seeding import derive_seed
 
 VARIANT_FULL = "full"
@@ -118,20 +120,29 @@ def truncate_records(records: list, size: int, seed: int, label: str,
     return [records[i] for i in keep]
 
 
+def manifest_files(manifest: DatasetManifest, config_echo: dict | None
+                   ) -> tuple[bytes, dict]:
+    """The bytes of the records file and the metadata that sits beside
+    it, which names their sha256, the manifest hash."""
+    blob = records_blob(list(manifest.records))
+    return blob, {
+        "flags": asdict(manifest.flags),
+        "recipe": asdict(manifest.recipe),
+        "record_count": len(manifest.records),
+        "records_sha256": hashlib.sha256(blob).hexdigest(),
+        "seed": manifest.seed,
+        "target_size": manifest.target_size,
+        "config": config_echo,
+    }
+
+
 def write_manifest(manifest: DatasetManifest, path: str,
                    config_echo: dict | None = None) -> str:
     """Records to `path`, metadata to `path`.meta.json; returns the
     records digest, which is the manifest hash."""
-    digest = write_records(list(manifest.records), path)
-    write_json(f"{path}.meta.json", {
-        "flags": asdict(manifest.flags),
-        "recipe": asdict(manifest.recipe),
-        "record_count": len(manifest.records),
-        "records_sha256": digest,
-        "seed": manifest.seed,
-        "target_size": manifest.target_size,
-        "config": config_echo,
-    })
+    blob, meta = manifest_files(manifest, config_echo)
+    digest = write_atomic(path, blob)
+    write_json(f"{path}.meta.json", meta)
     return digest
 
 

@@ -9,22 +9,27 @@ a rerun skips exactly the stages whose inputs are unchanged and whose
 outputs still verify. Operational settings (budget, cache) do not enter
 the digest: changing them never invalidates work.
 
+Every stage kind, from topics to the manifest, is one row of the STAGES
+table: its output files, each with its writer and reader. One
+`_Run.stage` decides skip-or-run for every stage, records its ledger
+entry, and returns one lazy value per output file. A skipped stage's file
+is read only when a stage that runs, or the pool, calls its value; the
+epoch loop needs only record counts, so a rerun whose stages all verify
+parses no stage file.
+
 Each dedup stage embeds, scans and decides only its epoch's new records,
 against the records that earlier epochs kept; the earlier decisions stand
 (see `dedup.dedup_filter`). A dedup stage writes every removal so far
 (removed-NN.json) and the raw embeddings of its epoch's records
-(vectors-NN.npy); a later dedup stage that runs hands both back as
-`known`. The pool is the instruction records minus the latest removals.
-
-The single-file stages run through one `file_stage`, driven by the
-_FILE_STAGES table. A skipped one reads its file only when a stage that
-runs, or the pool, calls its value; the epoch loop needs only record
-counts, so a rerun whose stages all verify parses no such file.
+(vectors-NN.npy); a later dedup stage that runs reads both through their
+lazy values. The pool is the instruction records minus the latest
+removals.
 
 The stage bodies are plain functions shared with the CLI stage commands.
 Each takes the effective PipelineConfig and reads its settings from it.
-The generated ablation variants run the same epoch loop through
-`build_pool` and then the one variant tail in `ablations.build_variant`.
+`run` and the generated ablation variants share one locked entry point,
+`build`: `run` ends with the manifest stage, a variant with the one
+variant tail in `ablations.build_variant`.
 
 Determinism: all randomness is derived from (run.seed, stage path), never
 from wall clock or completion order, so a run interrupted at any stage
@@ -59,8 +64,8 @@ from seedforge.gateway.http import (HttpCompletionClient, HttpEmbedder,
 from seedforge.instructions import (GENERATION_TASKS, GenerationFailure,
                                     InstructionRecord, generate_for_context)
 from seedforge.manifest import (VARIANT_FULL, DatasetManifest, Recipe,
-                                finish_manifest, truncate_records,
-                                write_manifest)
+                                finish_manifest, manifest_files,
+                                truncate_records)
 from seedforge.records import (file_sha256, parsing, read_json,
                                read_jsonl_lines, read_records, write_atomic,
                                write_json, write_jsonl, write_records)
@@ -313,11 +318,28 @@ def write_vectors(vectors: np.ndarray, path: str) -> str:
     return write_atomic(path, blob.getvalue())
 
 
-# Single-file stages: kind -> (suffix, write(value, path) -> sha256, read).
-_FILE_STAGES = {
-    "topics": (".json", write_topics, read_topics),
-    "contexts": (".jsonl", write_contexts, read_contexts),
-    "instructions": (".jsonl", write_records, read_records),
+def read_vectors(path: str) -> np.ndarray:
+    return np.load(path, allow_pickle=False)
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+# Stage kind -> its output files, each as (name, write(value, path) ->
+# sha256, read(path) -> value). "{}" in a name stands for the epoch.
+STAGES = {
+    "topics": (("topics-{}.json", write_topics, read_topics),),
+    "contexts": (("contexts-{}.jsonl", write_contexts, read_contexts),),
+    "instructions": (("instructions-{}.jsonl", write_records,
+                      read_records),),
+    "dedup": (("removed-{}.json", write_removals, read_removals),
+              ("vectors-{}.npy", write_vectors, read_vectors)),
+    "manifest": ((MANIFEST_FILE, lambda blob, path: write_atomic(path, blob),
+                  read_bytes),
+                 (MANIFEST_FILE + ".meta.json",
+                  lambda meta, path: write_json(path, meta), read_json)),
 }
 
 
@@ -333,8 +355,8 @@ def manifest_from_pool(pool: list, config: PipelineConfig) -> DatasetManifest:
 
 
 class _Lazy:
-    """A single-file stage's value: the one the stage computed or, when
-    it was skipped, the one read from its file on the first call."""
+    """The value of one stage output file: the one the stage computed or,
+    when it was skipped, the one read from the file on the first call."""
 
     def __init__(self, path: str, read, value=None):
         self.path, self._read, self._value = path, read, value
@@ -366,128 +388,95 @@ class _Run:
         self.config_digest = config.content_digest()
         self.upstream = "origin"
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.workdir, name)
+    def stage(self, name: str, compute) -> list[_Lazy]:
+        """Execute or skip the stage `name`: a kind of STAGES, with
+        "-NN" for the epoch of an epoch's stage.
 
-    def stage(self, name: str, compute, load, names: tuple[str, ...]):
-        """Execute or skip one stage.
-
-        compute() -> (value, {filename: sha}) for the files `names`;
-        load() gives the value of a previously completed stage. A ledger
-        entry that names other files is stale, so a workdir written by a
-        layout with other stage files reruns those stages. The stage hook
-        fires only when compute runs; a package or OS error inside it is
-        tagged with the stage name. The chain digest handed to the next
-        stage covers this stage's actual output hashes, so downstream
-        stages are invalidated by changed content, not only by inputs.
+        compute() returns one value per output file of the kind, which
+        the kind's writers save; a skipped stage's values are read from
+        its files only when called. A ledger entry that names other files
+        is stale, so a workdir written by a layout with other stage files
+        reruns those stages. The stage hook fires only when compute runs;
+        a package or OS error inside it or a writer is tagged with the
+        stage name. The chain digest handed to the next stage covers this
+        stage's actual output hashes, so downstream stages are
+        invalidated by changed content, not only by inputs.
         """
+        kind, _, epoch = name.partition("-")
+        files = [(pattern.format(epoch), write, read)
+                 for pattern, write, read in STAGES[kind]]
+        paths = [os.path.join(self.workdir, fname) for fname, _, _ in files]
         digest = _chain(name, self.config_digest, self.upstream)
-        if self.checkpoints.fresh(name, digest, names):
+        if self.checkpoints.fresh(name, digest,
+                                  tuple(fname for fname, _, _ in files)):
             logger.info("stage %s: up to date, skipping", name)
-            value = load()
+            values = [_Lazy(path, read)
+                      for path, (_, _, read) in zip(paths, files)]
         else:
             if self.hook is not None:
                 self.hook(name)
             logger.info("stage %s: running", name)
             try:
-                value, outputs = compute()
+                computed = compute()
+                self.checkpoints.record(name, digest, {
+                    fname: write(value, path) for (fname, write, _), path,
+                    value in zip(files, paths, computed, strict=True)})
             except (SeedforgeError, OSError) as exc:
                 if not hasattr(exc, "stage"):
                     exc.stage = name
                 logger.error("stage %s failed: %s", name, exc)
                 raise
-            self.checkpoints.record(name, digest, outputs)
+            values = [_Lazy(path, None, value)
+                      for path, value in zip(paths, computed)]
         outputs = self.checkpoints.stages[name]["outputs"]
         self.upstream = _chain(name, digest,
                                json.dumps(outputs, sort_keys=True))
-        return value
+        return values
 
-    def file_stage(self, kind: str, epoch: int, compute) -> _Lazy:
-        """The `kind` stage of one epoch, saved to one file as
-        _FILE_STAGES says. A skipped stage reads its file only when its
-        value is called for."""
-        suffix, write, read = _FILE_STAGES[kind]
-        name = f"{kind}-{epoch:02d}"
-        fname = name + suffix
-        path = self.path(fname)
-
-        def run():
-            value = compute()
-            return _Lazy(path, None, value), {fname: write(value, path)}
-
-        return self.stage(name, run, lambda: _Lazy(path, read), (fname,))
-
-    def dedup_stage(self, epoch: int, batches: list[_Lazy],
-                    removals: list[Removal]) -> list[Removal]:
-        """Every removal among `batches`, one per epoch so far, given the
-        earlier dedup stages' `removals`: only the last batch is embedded,
-        scanned and decided. Writes the removals as removed-NN.json and
-        the last batch's raw embeddings, in id order, as vectors-NN.npy,
-        which only a later dedup stage that runs reads."""
-        removed_file = f"removed-{epoch:02d}.json"
-        vectors_file = f"vectors-{epoch:02d}.npy"
-
-        def compute():
-            known = Known(
-                [rid for batch in batches[:-1]
-                 for rid in sorted(r.id for r in batch())],
-                [np.load(self.path(f"vectors-{e:02d}.npy"),
-                         allow_pickle=False) for e in range(epoch)],
-                removals)
-            result = dedup_filter(
-                batches[-1](), self.gateway,
-                threshold=self.config.dedup_threshold, known=known)
-            removed = removals + result.removed
-            return removed, {
-                removed_file: write_removals(removed,
-                                             self.path(removed_file)),
-                vectors_file: write_vectors(result.vectors,
-                                            self.path(vectors_file))}
-
-        return self.stage(f"dedup-{epoch:02d}", compute,
-                          lambda: read_removals(self.path(removed_file)),
-                          (removed_file, vectors_file))
-
-    def build_pool(self, max_epochs: int, reroll: bool, dedup: bool):
+    def pool(self, max_epochs: int, dedup: bool):
         """The epoch loop: grow the record pool until it holds
         dataset.size records, and return it as a thunk.
 
-        Each epoch past the first adds new topics sized to the shortfall,
-        or, with reroll, runs the first epoch's topics again under a fresh
-        round number. The pool is the id-sorted union of all records,
-        less the last dedup stage's removals when dedup is on; it is not
+        Each epoch past the first adds new topics sized to the shortfall
+        when dedup is on; without dedup it runs the first epoch's topics
+        again under a fresh round number. The pool is the id-sorted union
+        of all records, less the last dedup stage's removals; it is not
         written to disk, and skipped stages' files are read only when it
-        or a stage that runs is computed.
+        or a stage that runs is computed. A dedup stage embeds, scans and
+        decides only its epoch's records, against the earlier epochs'
+        ids, vectors and removals.
         """
         cfg, gateway = self.config, self.gateway
         topic_sets: list[_Lazy] = []
         batches: list[_Lazy] = []
+        vectors: list[_Lazy] = []
         removals: list[Removal] = []
         total = size = 0
         for epoch in range(max_epochs + 1):
             deficit = cfg.dataset_size - size
             if epoch > 0 and deficit <= 0:
                 break
-            if reroll and epoch > 0:
-                topics, earlier, round_no = topic_sets[0], [], epoch
-            else:
+            tag = f"-{epoch:02d}"
+            if dedup or epoch == 0:
                 earlier, round_no = list(topic_sets), 0
-                topics = self.file_stage(
-                    "topics", epoch, lambda: epoch_topics(
-                        cfg, gateway, epoch, deficit,
-                        {normalize_topic(t.text)
-                         for s in earlier for t in s()}))
-                topic_sets.append(topics)
-            contexts = self.file_stage(
-                "contexts", epoch, lambda: acquire_contexts(
-                    topics(), gateway, cfg, sum(len(s()) for s in earlier),
-                    round_no))
-            batches.append(self.file_stage(
-                "instructions", epoch,
-                lambda: generate_records(contexts(), gateway, cfg)[0]))
+                topic_sets += self.stage("topics" + tag, lambda: [
+                    epoch_topics(cfg, gateway, epoch, deficit,
+                                 {normalize_topic(t.text)
+                                  for s in earlier for t in s()})])
+            else:
+                earlier, round_no = [], epoch
+            topics = topic_sets[-1]
+            contexts, = self.stage("contexts" + tag, lambda: [
+                acquire_contexts(topics(), gateway, cfg,
+                                 sum(len(s()) for s in earlier), round_no)])
+            batches += self.stage("instructions" + tag, lambda: [
+                generate_records(contexts(), gateway, cfg)[0]])
             total += batches[-1].count()
             if dedup:
-                removals = self.dedup_stage(epoch, batches, removals)
+                removed, vecs = self.stage("dedup" + tag, lambda: self.dedup(
+                    batches, [v() for v in vectors], removals))
+                vectors.append(vecs)
+                removals = removed()
             size = total - len(removals)
         if size < cfg.dataset_size:
             raise BuildError(
@@ -497,53 +486,49 @@ class _Run:
         return lambda: sorted((r for batch in batches for r in batch()
                                if r.id not in gone), key=lambda r: r.id)
 
-    def manifest_stage(self, pool) -> str:
-        """Its value is the records sha256 in its ledger entry, which
-        `fresh` has just checked against the file when it skips."""
-        cfg = self.config
-        meta_name = MANIFEST_FILE + ".meta.json"
-
-        def compute():
-            sha = write_manifest(manifest_from_pool(pool(), cfg),
-                                 self.path(MANIFEST_FILE),
-                                 config_echo=cfg.effective())
-            return sha, {MANIFEST_FILE: sha,
-                         meta_name: file_sha256(self.path(meta_name))}
-
-        return self.stage(
-            "manifest", compute,
-            lambda: self.checkpoints.stages["manifest"]["outputs"][
-                MANIFEST_FILE], (MANIFEST_FILE, meta_name))
+    def dedup(self, batches: list[_Lazy], vectors: list[np.ndarray],
+              removals: list[Removal]) -> list:
+        """The dedup stage's values: every removal so far and the last
+        batch's raw embeddings in id order, given the earlier batches'
+        vectors and removals; only the last batch is embedded, scanned
+        and decided."""
+        known = Known([rid for batch in batches[:-1]
+                       for rid in sorted(r.id for r in batch())],
+                      vectors, removals)
+        result = dedup_filter(batches[-1](), self.gateway,
+                              threshold=self.config.dedup_threshold,
+                              known=known)
+        return [removals + result.removed, result.vectors]
 
 
-def _locked(config: PipelineConfig, workdir: str, gateway, stage_hook,
-            body):
-    os.makedirs(workdir, exist_ok=True)
-    with WorkdirLock(workdir):
-        return body(_Run(config, workdir, gateway, stage_hook))
-
-
-def build_pool(config: PipelineConfig, workdir: str, gateway,
-               max_epochs: int = MAX_EPOCHS, reroll: bool = False,
-               dedup: bool = True) -> list:
-    """Run the checkpointed generation stages under workdir through the
-    caller's gateway and return the record pool (at least
+def build(config: PipelineConfig, workdir: str, gateway, stage_hook,
+          max_epochs: int, dedup: bool, manifest: bool):
+    """Run the checkpointed stages under workdir, holding its lock,
+    through the caller's gateway: the epoch loop and, with `manifest`,
+    the manifest stage. Returns the records sha256 that the manifest's
+    metadata names, or without `manifest` the record pool (at least
     config.dataset_size records, id order). Raises BuildError when the
     target size is unreachable within max_epochs."""
-    return _locked(config, workdir, gateway, None,
-                   lambda run: run.build_pool(max_epochs, reroll, dedup)())
+    os.makedirs(workdir, exist_ok=True)
+    with WorkdirLock(workdir):
+        run = _Run(config, workdir, gateway, stage_hook)
+        pool = run.pool(max_epochs, dedup)
+        if not manifest:
+            return pool()
+        _, meta = run.stage("manifest", lambda: manifest_files(
+            manifest_from_pool(pool(), config), config.effective()))
+        return meta()["records_sha256"]
 
 
 def run_pipeline(config: PipelineConfig, workdir: str,
                  stage_hook=None, max_epochs: int = MAX_EPOCHS) -> str:
     """Build the `full` dataset under workdir, resuming prior work, and
-    return its records sha256 as the manifest stage's ledger entry holds it.
+    return its records sha256, which a skipped manifest stage has checked
+    against the file.
 
     stage_hook(name) is called before each stage that actually executes;
     skipped stages stay silent. Raises BuildError when the target size is
     unreachable within max_epochs extension rounds.
     """
-    return _locked(
-        config, workdir, build_gateway(config), stage_hook,
-        lambda run: run.manifest_stage(
-            run.build_pool(max_epochs, False, True)))
+    return build(config, workdir, build_gateway(config), stage_hook,
+                 max_epochs, dedup=True, manifest=True)

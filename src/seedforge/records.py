@@ -104,12 +104,15 @@ def write_json(path: str, payload) -> str:
 _JSONL_ROW = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
-def write_jsonl(path: str, rows: Iterable[dict]) -> str:
-    """One compact JSON object per line, written atomically; returns its
-    sha256."""
+def jsonl_blob(rows: Iterable[dict]) -> bytes:
+    """One compact JSON object per line, UTF-8."""
     encode = _JSONL_ROW.encode
-    blob = "".join([encode(row) + "\n" for row in rows])
-    return write_atomic(path, blob.encode("utf-8"))
+    return "".join([encode(row) + "\n" for row in rows]).encode("utf-8")
+
+
+def write_jsonl(path: str, rows: Iterable[dict]) -> str:
+    """jsonl_blob(rows), written atomically; returns its sha256."""
+    return write_atomic(path, jsonl_blob(rows))
 
 
 def read_json(path: str):
@@ -156,14 +159,19 @@ def read_jsonl_lines(path: str) -> Iterator[tuple[int, object]]:
         yield line_no, value
 
 
-def write_records(records: list[InstructionRecord], path: str) -> str:
-    """Write one JSONL file atomically; returns its sha256 hex digest."""
+def records_blob(records: list[InstructionRecord]) -> bytes:
+    """The JSONL bytes of records; a repeated id is an error."""
     seen: set[str] = set()
     for record in records:
         if record.id in seen:
             raise ValidationError(f"duplicate record id {record.id}")
         seen.add(record.id)
-    return write_jsonl(path, (record_to_dict(r) for r in records))
+    return jsonl_blob(record_to_dict(r) for r in records)
+
+
+def write_records(records: list[InstructionRecord], path: str) -> str:
+    """Write one JSONL file atomically; returns its sha256 hex digest."""
+    return write_atomic(path, records_blob(records))
 
 
 def read_records(path: str) -> list[InstructionRecord]:

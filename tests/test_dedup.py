@@ -7,6 +7,7 @@ same oracle is cross-checked at a size where failures are easy to read.
 
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -515,6 +516,32 @@ class TestKnownVectors:
             r.id for r in plain.kept]
         assert first.removed + again.removed == plain.removed
 
+    def test_assembly_copies_no_known_block(self):
+        # The matrix is allocated once and filled in place: beyond it,
+        # assembling the known blocks and the new rows allocates at most
+        # one new-rows block of slack, never a copy of a known block.
+        rng = np.random.default_rng(8)
+        blocks = [rng.normal(size=(1500, 64)) for _ in range(3)]
+        ids = [f"r{i:05d}" for i in range(4500)]
+        removed = [Removal(rid, ids[0], 1.0) for rid in ids[1::10]]
+        fresh = rng.normal(size=(300, 64))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mat, stand_ids = dedup._matrix(Known(ids, blocks, removed),
+                                           fresh)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert mat.shape == (4500 - len(removed) + 300, 64)
+        assert peak <= mat.nbytes + fresh.nbytes
+        gone = {r.record_id for r in removed}
+        keep = [i for i, rid in enumerate(ids) if rid not in gone]
+        assert stand_ids == [ids[i] for i in keep]
+        assert np.array_equal(mat, np.concatenate(blocks + [fresh])[
+            keep + list(range(4500, 4800))])
+
 
 def planted_epochs(seed, n_old, n_new, dim=12, dups=12, first=0):
     """Unit rows for n_old + n_new ids from topic index first on, with
@@ -623,6 +650,42 @@ class TestIncrementalScan:
             for mine, want in zip(got, removed):
                 assert mine.similarity == pytest.approx(want.similarity,
                                                         abs=1e-12)
+
+    def test_rerolled_epochs_are_decided_in_epoch_order(self):
+        # Three epochs re-roll the same topics under new round numbers, so
+        # each epoch's ids sort between the earlier epochs' ids. Each
+        # epoch is decided after every earlier one, whose rows are known
+        # as one block per epoch and whose removals stand: what one scan
+        # in epoch order decides, including removals by an earlier
+        # epoch's record whose id sorts after the removed one.
+        rng = np.random.default_rng(6)
+        topics, rounds, dim = 30, 3, 12
+        unit = random_unit(rng, topics * rounds, dim)
+        for _ in range(24):
+            src, dst = sorted(rng.choice(len(unit), 2, replace=False))
+            noisy = unit[src] + 0.05 * rng.normal(size=dim)
+            unit[dst] = noisy / np.linalg.norm(noisy)
+        ids = [f"t{i:04d}-r{e:02d}" for e in range(rounds)
+               for i in range(topics)]
+        records = [rec(rid, f"text {rid}") for rid in ids]
+        gw = VecGateway({sample_text(r): unit[k].tolist()
+                         for k, r in enumerate(records)})
+        known, kept = Known([], [], []), []
+        for e in range(rounds):
+            epoch = records[e * topics:(e + 1) * topics]
+            result = dedup_filter(epoch, gw, threshold=0.9, known=known)
+            kept += result.kept
+            known = Known(known.ids + [r.id for r in epoch],
+                          known.vectors + [result.vectors],
+                          known.removed + result.removed)
+        want_kept, want_removed = per_row_reference(ids, unit, 0.9)
+        assert any(r.nearest_id > r.record_id for r in want_removed)
+        assert [r.id for r in kept] == [ids[k] for k in want_kept]
+        assert [(r.record_id, r.nearest_id) for r in known.removed] == [
+            (r.record_id, r.nearest_id) for r in want_removed]
+        for got, want in zip(known.removed, want_removed):
+            assert got.similarity == pytest.approx(want.similarity,
+                                                   abs=1e-12)
 
 
 class TestRemovalsFile:

@@ -260,9 +260,9 @@ TEST_ONLY_DEFAULTS = {
     "metrics.py rouge_n(tokenizer)":
         "the report scores rouge_n_score on its overlap tables",
     "ablations.py generate_pass(start_index)":
-        "bench/tracing.py wraps generate_pass; goes with ROADMAP item 3",
+        "bench/tracing.py wraps generate_pass; goes with ROADMAP item 22",
     "ablations.py generate_pass(round_no)":
-        "bench/tracing.py wraps generate_pass; goes with ROADMAP item 3",
+        "bench/tracing.py wraps generate_pass; goes with ROADMAP item 22",
 }
 
 

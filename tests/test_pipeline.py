@@ -26,16 +26,15 @@ from seedforge.instructions import (CLOSED_QA, CONVERSATION,
                                     MULTIPLE_CHOICE, SUMMARIZATION)
 from seedforge.manifest import read_manifest
 from seedforge.pipeline import (CHECKPOINT_FILE, LOCK_FILE, MANIFEST_FILE,
-                                WorkdirLock, acquire_contexts, build_gateway,
-                                epoch_topics, generate_records, read_contexts,
-                                read_topics, run_pipeline, write_contexts,
-                                write_topics)
+                                STAGES, WorkdirLock, acquire_contexts,
+                                build_gateway, epoch_topics, generate_records,
+                                read_contexts, read_topics, run_pipeline,
+                                write_contexts, write_topics)
 from seedforge.records import file_sha256, read_records, write_records
 from seedforge.topics import GENERAL, Topic
 
 from doubles import FlakyProvider
 from test_contexts import drew_wiki
-from test_dedup import per_row_reference
 from test_gateway import LOG_HEADER, log_frames
 from test_http import FakeTransport, _gateway as http_gateway
 from test_instructions import (VALID_CONV, VALID_MC, VALID_QA_5,
@@ -423,31 +422,21 @@ class TestIncrementalDedup:
         assert executed == ["dedup-00", "dedup-01"]
         assert file_sha256(manifest_path(tmp_path)) == before
 
-    def test_reroll_decides_epoch_by_epoch(self, tmp_path):
-        # Rerolled ids interleave with the earlier epochs' ids; each
-        # epoch is still decided after the earlier ones, whose removals
-        # stand.
-        config = replace(self.TINY, dedup_threshold=0.8)
-        gateway = build_gateway(config)
-        pool = pipeline.build_pool(config, str(tmp_path), gateway,
-                                   reroll=True)
-        epochs = sorted(n for n in os.listdir(str(tmp_path))
-                        if n.startswith("instructions-"))
-        assert len(epochs) >= 2
-        records = [r for name in epochs for r in sorted(
-            read_records(os.path.join(str(tmp_path), name)),
-            key=lambda r: r.id)]
-        assert [r.id for r in records] != sorted(r.id for r in records)
-        unit = np.asarray(gateway.embed([sample_text(r) for r in records]))
-        unit /= np.linalg.norm(unit, axis=1)[:, None]
-        kept, removed = per_row_reference([r.id for r in records], unit,
-                                          0.8)
-        assert removed
-        assert [r.id for r in pool] == sorted(records[i].id for i in kept)
-        last = read_removals(os.path.join(
-            str(tmp_path), f"removed-{len(epochs) - 1:02d}.json"))
-        assert [(r.record_id, r.nearest_id) for r in last] == [
-            (r.record_id, r.nearest_id) for r in removed]
+    def test_each_ledger_entry_names_its_kinds_files(self, tmp_path):
+        # Every stage of a cold run writes exactly the files that its
+        # kind's row of the stage table names, for its epoch.
+        workdir = str(tmp_path)
+        run_pipeline(parse_config(PINS_CONF), workdir)
+        with open(os.path.join(workdir, CHECKPOINT_FILE),
+                  encoding="utf-8") as handle:
+            stages = json.load(handle)
+        assert {name.split("-")[0] for name in stages} == set(STAGES)
+        for name, entry in stages.items():
+            kind, _, epoch = name.partition("-")
+            assert sorted(entry["outputs"]) == sorted(
+                pattern.format(epoch) for pattern, _, _ in STAGES[kind])
+            for fname in entry["outputs"]:
+                assert os.path.exists(os.path.join(workdir, fname))
 
     def test_an_epoch_without_records(self, tmp_path, monkeypatch):
         # Every task of epoch 1 failed to parse: it writes no records and
