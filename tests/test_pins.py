@@ -9,6 +9,7 @@ re-rolls its 10 topics; a dedup threshold of 0.8 makes dedup remove
 records. If a digest must change, the change that moves it says why.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -49,6 +50,10 @@ RUN_STAGES = [f"{kind}-{epoch:02d}" for epoch in range(3)
               ] + ["manifest"]
 RUN_LEDGER = (
     "f45a2b202d20b8a2e3fe320fd8414434194fb7b54b4e0bc5941e01e6aea42106")
+# The (record_id, nearest_id) pairs of the cold `run`'s removals files,
+# without their similarities.
+RUN_DECISIONS = (
+    "fa460bfbeb31405008f240a7b3f06f827ae1c487e6702a5a7db552b568ab7a51")
 ABLATE = {
     "full":
         "d0c929e79d180930d546d92bc35ce8798879ee80baab61e48fd72de44888966e",
@@ -172,6 +177,22 @@ def test_run_ledger_and_stage_order(tmp_path):
     run_pipeline(load_config(str(conf)), workdir, stage_hook=executed.append)
     assert executed == RUN_STAGES
     assert file_sha256(os.path.join(workdir, CHECKPOINT_FILE)) == RUN_LEDGER
+
+
+def test_run_dedup_decisions(tmp_path):
+    """The (record_id, nearest_id) pairs of every removed-NN.json. The
+    ledger hashes the removal similarities too; this pin holds the
+    decisions alone."""
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    workdir = tmp_path / "w"
+    run_pipeline(load_config(str(conf)), str(workdir))
+    pairs = {path.name: [[row["record_id"], row["nearest_id"]]
+                         for row in read_json(str(path))]
+             for path in sorted(workdir.glob("removed-*.json"))}
+    assert [len(rows) for rows in pairs.values()] == [4, 7, 7]
+    blob = json.dumps(pairs, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == RUN_DECISIONS
 
 
 @pytest.mark.parametrize("stop", RUN_STAGES[4:8])
