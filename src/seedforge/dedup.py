@@ -6,17 +6,23 @@ is dropped when an already-kept record is strictly above the similarity
 threshold (keep-first: a removed record cannot knock out later ones).
 Earlier ids always win, which makes the pass deterministic and idempotent.
 
-The search is one exact tiled scan. The raw vectors are assembled once into
-a preallocated matrix and normalised in place; the scan then multiplies a
-block of rows at a time against the earlier rows, one column tile at a
-time, so at most about `SLAB_ELEMENTS` similarities are alive at once. The
+The search is one exact tiled scan that screens in float32 and decides
+in float64. The raw rows are scaled to unit length into one preallocated
+float32 matrix, a slab of rows at a time; the scan multiplies a block of
+its rows at a time against the earlier rows, one column tile at a time,
+so at most about `SLAB_ELEMENTS` similarities are alive at once. A tile
+keeps every pair within `screen_margin` below the cut, which covers the
+float32 rounding of any pair above it. Each kept pair's cosine is then
+recomputed from the two raw float64 rows by one fixed formula that no
+library reorders (`_cosines`), and only those values decide: the
 over-threshold pairs of a row block are resolved in one pass in id order
-before the next block starts.
+before the next block starts. Removals therefore do not depend on BLAS,
+its threads or the tile shape.
 
 A similarity counts as above the threshold only when it exceeds it by more
 than `TIE_TOLERANCE`. Pairs whose cosine sits at the threshold (the mock
-embedder's integer bag-of-words vectors produce them) would otherwise flip
-with the BLAS summation order, and with it the manifest bytes. Among
+embedder's integer bag-of-words vectors produce them) would otherwise be
+decided by rounding in the last bit, and with it the manifest bytes. Among
 candidates within the same tolerance of the highest similarity the
 earliest id is reported as the nearest.
 
@@ -51,6 +57,9 @@ TIE_TOLERANCE = 1e-12
 SLAB_ELEMENTS = 2 ** 19
 MIN_BLOCK_ROWS = 16
 
+# How many times the rounding bound of a float32 cosine the screen allows.
+SCREEN_SAFETY = 4
+
 
 def sample_text(record) -> str:
     """The text a record is embedded by: instruction, context, output,
@@ -59,18 +68,62 @@ def sample_text(record) -> str:
                       record.output])
 
 
-def _normalize_in_place(mat: np.ndarray, ids: list[str]) -> None:
-    """Scale every row to unit length, a slab of rows at a time, so the
-    squares that the norms are summed from never take a second matrix."""
-    step = max(1, SLAB_ELEMENTS // max(mat.shape[1], 1))
-    for lo in range(0, len(mat), step):
-        rows = mat[lo:lo + step]
-        norms = np.linalg.norm(rows, axis=1)
+def screen_margin(dim: int) -> float:
+    """How far below its float64 value the float32 cosine of two rows of
+    dimension `dim` may read, times SCREEN_SAFETY. Rounding each unit row
+    to float32 moves the cosine by at most 2u, and summing `dim` float32
+    products in any order by at most gamma_dim = dim*u / (1 - dim*u), with
+    u = 2**-24 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 3.1); (dim + 2)*u / (1 - dim*u) bounds both."""
+    u = 2.0 ** -24
+    return SCREEN_SAFETY * (dim + 2) * u / (1.0 - dim * u)
+
+
+def _unit_rows(rows, ids: list[str]) -> np.ndarray:
+    """rows scaled to unit length, as one float32 matrix: each row is
+    divided by its float64 norm, a slab of rows at a time, so no float64
+    copy of the matrix is made."""
+    n, dim = rows.shape
+    mat = np.empty((n, dim), dtype=np.float32)
+    step = max(1, SLAB_ELEMENTS // max(dim, 1))
+    for lo in range(0, n, step):
+        slab = rows[np.arange(lo, min(n, lo + step))]
+        norms = np.linalg.norm(slab, axis=1)
         bad = np.flatnonzero(norms == 0.0)
         if bad.size:
             raise ValidationError(
                 f"zero-norm embedding for record {ids[lo + int(bad[0])]}")
-        rows /= norms[:, None]
+        np.divide(slab, norms[:, None], out=mat[lo:lo + len(slab)])
+    return mat
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the first axis, added strictly in index order, so that
+    no library can reorder it."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _cosines(rows, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The cosine of each pair of rows (left[k], right[k]), from the raw
+    float64 rows: the products of their components summed in component
+    order, over the product of the rows' norms summed the same way. Each
+    value depends only on the two rows, never on BLAS or on the pairs
+    computed with it. Pairs are taken a slab of rows at a time."""
+    step = max(1, SLAB_ELEMENTS // max(rows.shape[1], 1))
+    sims = np.empty(len(left))
+    for lo in range(0, len(left), step):
+        pairs = slice(lo, lo + step)
+        at, where = np.unique(np.concatenate([left[pairs], right[pairs]]),
+                              return_inverse=True)
+        columns = np.ascontiguousarray(rows[at].T)
+        norms = np.sqrt(_ordered_sum(columns * columns))
+        a, b = np.split(where, 2)
+        sims[pairs] = (_ordered_sum(columns[:, a] * columns[:, b])
+                       / (norms[a] * norms[b]))
+    return sims
 
 
 @dataclass(frozen=True)
@@ -134,45 +187,59 @@ def tile_width(n: int) -> int:
     return max(1, min(n, math.isqrt(2 * SLAB_ELEMENTS)))
 
 
-def _dedup_exact(ids: list[str], mat: np.ndarray, threshold: float,
+def _dedup_exact(ids: list[str], rows, threshold: float,
                  start: int = 0, block: int | None = None,
                  width: int | None = None
                  ) -> tuple[list[int], list[Removal]]:
-    """Tiled scan over unit rows `mat` (id order). Rows before `start` are
-    kept earlier decisions: compared with, never scanned. Each later row is
-    compared with every kept row before it.
+    """Tiled scan over the raw float64 `rows`, one per id in id order: an
+    array, or a _Rows. Rows before `start` are kept earlier decisions:
+    compared with, never scanned. Each later row is compared with every
+    kept row before it.
     Returns the kept row indexes from `start` on and the removals, both in
-    id order. A tile is `block` rows by `width` columns."""
+    id order. A tile is `block` rows by `width` columns of the float32
+    unit rows; it screens, and `_cosines` of the pairs it keeps decide."""
+    mat = _unit_rows(rows, ids)
     n = len(ids)
     width = width or tile_width(n)
     block = block or block_rows(width)
     cut = threshold + TIE_TOLERANCE
+    # Compared with float32 tiles, the screen is rounded to float32: half
+    # a unit roundoff, well inside the margin's safety factor.
+    screen = cut - screen_margin(mat.shape[1])
     keep = np.ones(n, dtype=bool)
     removed: list[Removal] = []
     # Every tile is computed into this one buffer.
-    buf = np.empty(max(0, min(block, n - start)) * width)
+    buf = np.empty(max(0, min(block, n - start)) * width, dtype=np.float32)
     for lo in range(start, n, block):
         hi = min(n, lo + block)
         hits = []
-        # Row lo + r meets column c0 + c only if c0 + c < lo + r.
         for c0 in range(0, hi - 1, width):
             c1 = min(hi - 1, c0 + width)
             tile = buf[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
             np.matmul(mat[lo:hi], mat[c0:c1].T, out=tile)
-            over = tile > cut
-            if c1 > lo:
-                over = np.tril(over, k=lo - c0 - 1)
-            rows, cols = np.nonzero(over)
-            if rows.size:
-                hits.append((rows, cols + c0, tile[rows, cols]))
+            # flatnonzero of the flat mask: nonzero of the 2-D mask took
+            # longer than the float32 product.
+            rows_at, cols = np.divmod(np.flatnonzero(tile > screen),
+                                      c1 - c0)
+            rows_at, cols = rows_at + lo, cols + c0
+            # A row meets only the columns before it.
+            before = cols < rows_at
+            if before.any():
+                hits.append((rows_at[before], cols[before]))
         if not hits:
             continue
-        rows, cols, sims = (np.concatenate(part) for part in zip(*hits))
+        rows_at, cols = (np.concatenate(part) for part in zip(*hits))
+        # A column removed by an earlier block never decides a row.
+        live = keep[cols]
+        rows_at, cols = rows_at[live], cols[live]
+        sims = _cosines(rows, rows_at, cols)
+        over = sims > cut
+        rows_at, cols, sims = rows_at[over], cols[over], sims[over]
         if len(hits) > 1:
-            order = np.lexsort((cols, rows))
-            rows, cols, sims = rows[order], cols[order], sims[order]
-        firsts = np.flatnonzero(np.diff(rows, prepend=-1))
-        for a, b in zip(firsts, np.append(firsts[1:], rows.size)):
+            order = np.lexsort((cols, rows_at))
+            rows_at, cols, sims = rows_at[order], cols[order], sims[order]
+        firsts = np.flatnonzero(np.diff(rows_at, prepend=-1))
+        for a, b in zip(firsts, np.append(firsts[1:], rows_at.size)):
             js, ss = cols[a:b], sims[a:b]
             live = keep[js]
             js, ss = js[live], ss[live]
@@ -180,7 +247,7 @@ def _dedup_exact(ids: list[str], mat: np.ndarray, threshold: float,
                 continue
             # js ascend, so argmax of the mask is the earliest of the ties.
             best = int(np.argmax(ss >= ss.max() - TIE_TOLERANCE))
-            i = lo + int(rows[a])
+            i = int(rows_at[a])
             keep[i] = False
             removed.append(Removal(record_id=ids[i],
                                    nearest_id=ids[int(js[best])],
@@ -188,11 +255,37 @@ def _dedup_exact(ids: list[str], mat: np.ndarray, threshold: float,
     return (start + np.flatnonzero(keep[start:])).tolist(), removed
 
 
-def _matrix(known: Known, fresh: np.ndarray
-            ) -> tuple[np.ndarray, list[str]]:
-    """The comparison matrix, allocated once: the known rows that are not
+class _Rows:
+    """The raw rows a scan compares, read in place: the rows of each known
+    block that stand, block by block, then the new rows. rows[js] gathers
+    the rows at ascending positions js into one float64 array."""
+
+    def __init__(self, parts: list[tuple[np.ndarray, np.ndarray]],
+                 dim: int):
+        # parts: (block, the numbers of the block's rows the scan sees)
+        self.parts = parts
+        sizes = [len(taken) for _, taken in parts]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.shape = (sum(sizes), dim)
+
+    def __getitem__(self, js: np.ndarray) -> np.ndarray:
+        out = np.empty((len(js), self.shape[1]))
+        part = np.searchsorted(self.starts, js, side="right") - 1
+        bounds = np.searchsorted(part, np.arange(len(self.parts) + 1))
+        for (block, taken), start, a, b in zip(self.parts, self.starts,
+                                                bounds, bounds[1:]):
+            if a < b:
+                # take writes straight into `out`; its indices come from
+                # `taken`, so `clip` never clips.
+                np.take(block, taken[js[a:b] - start], axis=0,
+                        out=out[a:b], mode="clip")
+        return out
+
+
+def _rows(known: Known, fresh: np.ndarray) -> tuple[_Rows, list[str]]:
+    """The rows to scan, without copying any: the known rows that are not
     in `known.removed`, in known.ids order, then the rows of `fresh`.
-    Returns it with the ids of its known rows."""
+    Returns them with the ids of their known rows."""
     blocks = [np.asarray(b, dtype=np.float64) for b in known.vectors]
     if any(b.ndim != 2 for b in blocks):
         raise ProtocolError("embeddings are not one vector per record")
@@ -206,21 +299,16 @@ def _matrix(known: Known, fresh: np.ndarray
                             f"{sorted(dims)}")
     gone = {r.record_id for r in known.removed}
     stand = np.array([rid not in gone for rid in known.ids], dtype=bool)
-    mat = np.empty((int(stand.sum()) + len(fresh), dims.pop()),
-                   dtype=np.float64)
-    mat[len(mat) - len(fresh):] = fresh
-    at = lo = 0
+    parts, lo = [], 0
     for block in blocks:
-        if not len(block):
-            # An epoch without records embeds to shape (0, 0).
-            continue
-        # take writes straight into `out`; compress would copy its whole
-        # output through a temporary buffer first.
-        rows = np.flatnonzero(stand[lo:lo + len(block)])
-        np.take(block, rows, axis=0, out=mat[at:at + len(rows)],
-                mode="clip")
-        lo, at = lo + len(block), at + len(rows)
-    return mat, [rid for rid, s in zip(known.ids, stand) if s]
+        taken = np.flatnonzero(stand[lo:lo + len(block)])
+        lo += len(block)
+        # An epoch without records embeds to shape (0, 0).
+        if len(taken):
+            parts.append((block, taken))
+    parts.append((fresh, np.arange(len(fresh))))
+    return (_Rows(parts, dims.pop()),
+            [rid for rid, s in zip(known.ids, stand) if s])
 
 
 def dedup_filter(records: list, gateway, *,
@@ -254,10 +342,9 @@ def dedup_filter(records: list, gateway, *,
                        dtype=np.float64)
     if fresh.ndim != 2 or len(fresh) != len(records):
         raise ProtocolError("embeddings are not one vector per record")
-    mat, stand_ids = _matrix(known, fresh)
+    rows, stand_ids = _rows(known, fresh)
     start = len(stand_ids)
-    _normalize_in_place(mat, stand_ids + ids)
-    kept_at, removed = _dedup_exact(stand_ids + ids, mat, threshold, start)
+    kept_at, removed = _dedup_exact(stand_ids + ids, rows, threshold, start)
     kept = [records[p - start] for p in kept_at]
     logger.info("dedup kept %d of %d records (threshold %.3f)",
                 len(kept), len(records), threshold)

@@ -109,17 +109,29 @@ def score_pair(pair: EvalPair, unit_rows, tokenizer: Tokenizer,
     }
 
 
-def _overlap_rows(pairs: list[EvalPair], tokenizer: Tokenizer
+def _overlap_rows(pairs: list[EvalPair], splits: list[tuple]
                   ) -> list[tuple[metrics.Counts, ...]]:
     """Each pair's counts from three overlap tables, one call each:
     report tokens at the BLEU orders, which hold ROUGE-1 and -2; chrf's
-    characters; and squad_f1's tokens at order 1."""
+    characters; and squad_f1's tokens at order 1. splits holds each
+    table's (prediction, reference) splitters, as _splitters makes them."""
     tables = [metrics.overlap_counts(
-        [(split(p.prediction), split(p.reference)) for p in pairs], orders)
-        for split, orders in ((tokenizer, metrics.BLEU_ORDER),
-                              (metrics._chrf_chars, metrics.CHRF_ORDER),
-                              (metrics._squad_normalize, 1))]
+        [(split(p.prediction), split_reference(p.reference))
+         for p in pairs], orders)
+        for (split, split_reference), orders in zip(
+            splits, (metrics.BLEU_ORDER, metrics.CHRF_ORDER, 1))]
     return list(zip(*tables))
+
+
+def _splitters(tokenizer: Tokenizer) -> list[tuple]:
+    """The (prediction, reference) splitters of each overlap table: the
+    report's tokenizer, which remembers every text it split, then chrf's
+    characters and squad_f1's tokens, whose reference splitters remember
+    theirs, since every system's pairs share the references. Callers
+    must not mutate what they return."""
+    return [(tokenizer, tokenizer)] + [
+        (split, functools.lru_cache(maxsize=None)(split))
+        for split in (metrics._chrf_chars, metrics._squad_normalize)]
 
 
 def generation_lengths(pairs: list[EvalPair], tokenizer: Tokenizer) -> dict:
@@ -186,8 +198,9 @@ def _token_vectors(pairs_by_system: dict[str, list[EvalPair]], gateway,
 
 
 def _score_system(pairs: list[EvalPair], vectors: _TokenVectors,
-                  tokenizer: Tokenizer) -> dict:
-    counts = dict(zip((p.id for p in pairs), _overlap_rows(pairs, tokenizer)))
+                  tokenizer: Tokenizer,
+                  splits: list[tuple]) -> dict:
+    counts = dict(zip((p.id for p in pairs), _overlap_rows(pairs, splits)))
     per_pair = {pair.id: score_pair(pair, vectors, tokenizer, counts[pair.id])
                 for pair in pairs}
     by_test_set = {test_set: group for test_set in TEST_SETS
@@ -281,6 +294,7 @@ def aggregate_report(references: list[dict],
     # and must not mutate them.
     tokenizer = functools.lru_cache(maxsize=None)(
         get_tokenizer(tokenizer_name))
+    splits = _splitters(tokenizer)
     vectors = _token_vectors(pairs_by_system, gateway, tokenizer)
     notes: list[str] = []
     present = {row["task"] for row in references}
@@ -296,7 +310,7 @@ def aggregate_report(references: list[dict],
     }
     for system, pairs in pairs_by_system.items():
         report["per_system"][system] = _score_system(pairs, vectors,
-                                                     tokenizer)
+                                                     tokenizer, splits)
     first = next(iter(pairs_by_system.values()))
     report["comparisons"] = _compare(list(pairs_by_system),
                                      _partition(first), report, notes)

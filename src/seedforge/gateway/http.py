@@ -18,6 +18,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol
 
+import numpy as np
+
 from seedforge.errors import (ConfigError, NotFoundError, ProtocolError,
                               ProviderError, RetryableProviderError)
 from seedforge.gateway.providers import (Embedder, Paraphraser, TextGenerator,
@@ -159,9 +161,10 @@ class HttpCompletionClient(_HttpClient, TextGenerator):
 class HttpEmbedder(_HttpClient, Embedder):
     """OpenAI-style embeddings endpoint: POST {base}/v1/embeddings.
 
-    Decodes the reply, whose rows must carry the indexes 0..n-1 and only
-    JSON numbers; the gateway checks the row count, the dimension and
-    finiteness of every batch before caching it."""
+    Decodes the reply into one float64 block, whose rows must carry the
+    indexes 0..n-1, hold only JSON numbers and share one length; the
+    gateway checks the row count, the dimension and finiteness of every
+    batch before caching it."""
 
     def __init__(self, base_url: str, model: str, api_key_env: str,
                  transport: HttpTransport | None = None):
@@ -189,8 +192,9 @@ class HttpEmbedder(_HttpClient, Embedder):
                        for vector in vectors for x in vector):
                 raise ProtocolError("embedding holds a value that is not a "
                                     "number")
-            return [EmbeddingVector(tuple(map(float, vector)))
-                    for vector in vectors]
+            block = np.array(vectors, dtype=np.float64)
+        block.flags.writeable = False
+        return [EmbeddingVector(row) for row in block]
 
 
 class HttpTranslator(_HttpClient, Translator):

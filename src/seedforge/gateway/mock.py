@@ -225,7 +225,8 @@ class MockEmbedder(Embedder):
                 row[0] = total = 1.0
             norms.append(total ** 0.5)
         values /= np.array(norms)[:, None]
-        return [EmbeddingVector(tuple(row.tolist())) for row in values]
+        values.flags.writeable = False
+        return [EmbeddingVector(row) for row in values]
 
 
 class MockTranslator(Translator):

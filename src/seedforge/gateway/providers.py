@@ -40,8 +40,9 @@ class Embedder(Provider):
 
     @abstractmethod
     def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        """Embed up to batch_size texts, preserving order. The gateway
-        checks the count, the dimension and finiteness of the result.
+        """Embed up to batch_size texts, preserving order, each vector a
+        row of one float64 block. The gateway checks the count, the
+        dimension and finiteness of the result.
 
         Raises:
             ProtocolError: the response cannot be decoded.

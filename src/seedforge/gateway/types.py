@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from seedforge import constants
 from seedforge.errors import ValidationError
 
@@ -36,12 +38,14 @@ class GenRequest:
                 f"max_tokens must be positive, got {self.max_tokens}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    """One embedding as a provider returns it. The gateway assembles a
-    batch into one array and checks shape and finiteness there, once."""
+    """One embedding as a provider returns it: values is a read-only
+    float64 row of its batch's block, so the gateway stacks a batch with
+    one array copy and checks shape and finiteness there, once. Compare
+    vectors by their values, with np.array_equal."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
 
 
 @dataclass(frozen=True)

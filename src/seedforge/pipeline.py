@@ -22,8 +22,9 @@ against the records that earlier epochs kept; the earlier decisions stand
 (see `dedup.dedup_filter`). A dedup stage writes every removal so far
 (removed-NN.json) and the raw embeddings of its epoch's records
 (vectors-NN.npy); a later dedup stage that runs reads both through their
-lazy values. The pool is the instruction records minus the latest
-removals.
+lazy values, a skipped stage's vectors mapped read-only, so that the scan
+reads only the earlier rows it compares. The pool is the instruction
+records minus the latest removals.
 
 The stage bodies are plain functions shared with the CLI stage commands.
 Each takes the effective PipelineConfig and reads its settings from it.
@@ -312,14 +313,20 @@ def read_contexts(path: str) -> list[tuple[str, ContextDoc]]:
 
 
 def write_vectors(vectors: np.ndarray, path: str) -> str:
-    """One float64 array as .npy, replaced atomically; returns its sha256."""
-    blob = io.BytesIO()
-    np.save(blob, vectors, allow_pickle=False)
-    return write_atomic(path, blob.getvalue())
+    """One float64 array as .npy, the bytes np.save writes, replaced
+    atomically: the header, then the array's own buffer, with no copy of
+    it. Returns its sha256."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(vectors))
+    return write_atomic(path, header.getvalue(), vectors)
 
 
 def read_vectors(path: str) -> np.ndarray:
-    return np.load(path, allow_pickle=False)
+    """A vectors file, mapped read-only: a dedup stage reads the rows it
+    compares from the file as it needs them."""
+    return np.load(path, mmap_mode="r", allow_pickle=False)
 
 
 def read_bytes(path: str) -> bytes:

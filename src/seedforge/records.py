@@ -84,13 +84,17 @@ def record_from_dict(data: dict, where: str = "record") -> InstructionRecord:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def write_atomic(path: str, blob: bytes) -> str:
-    """Replace `path` with `blob` in one rename; returns its sha256."""
+def write_atomic(path: str, *blobs) -> str:
+    """Replace `path` with the bytes-like `blobs`, one after another, in
+    one rename; returns the sha256 of the file."""
+    digest = hashlib.sha256()
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as handle:
-        handle.write(blob)
+        for blob in blobs:
+            handle.write(blob)
+            digest.update(blob)
     os.replace(tmp, path)
-    return hashlib.sha256(blob).hexdigest()
+    return digest.hexdigest()
 
 
 def write_json(path: str, payload) -> str:

@@ -516,31 +516,41 @@ class TestKnownVectors:
             r.id for r in plain.kept]
         assert first.removed + again.removed == plain.removed
 
-    def test_assembly_copies_no_known_block(self):
-        # The matrix is allocated once and filled in place: beyond it,
-        # assembling the known blocks and the new rows allocates at most
-        # one new-rows block of slack, never a copy of a known block.
+    def test_assembly_copies_no_known_block(self, monkeypatch):
+        # The float32 unit matrix is the one copy of the rows: gathering
+        # the known blocks' standing rows and the new rows into it takes
+        # one float64 slab of slack at a time and the ids' bookkeeping,
+        # less than half a known block, never a copy of a known block or
+        # a float64 matrix.
+        monkeypatch.setattr(dedup, "SLAB_ELEMENTS", 2 ** 12)
         rng = np.random.default_rng(8)
         blocks = [rng.normal(size=(1500, 64)) for _ in range(3)]
         ids = [f"r{i:05d}" for i in range(4500)]
         removed = [Removal(rid, ids[0], 1.0) for rid in ids[1::10]]
         fresh = rng.normal(size=(300, 64))
+        new_ids = [f"s{i:05d}" for i in range(300)]
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            mat, stand_ids = dedup._matrix(Known(ids, blocks, removed),
-                                           fresh)
+            rows, stand_ids = dedup._rows(Known(ids, blocks, removed), fresh)
+            mat = dedup._unit_rows(rows, stand_ids + new_ids)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert mat.dtype == np.float32
         assert mat.shape == (4500 - len(removed) + 300, 64)
-        assert peak <= mat.nbytes + fresh.nbytes
+        assert peak <= mat.nbytes + blocks[0].nbytes // 2
         gone = {r.record_id for r in removed}
         keep = [i for i, rid in enumerate(ids) if rid not in gone]
         assert stand_ids == [ids[i] for i in keep]
-        assert np.array_equal(mat, np.concatenate(blocks + [fresh])[
-            keep + list(range(4500, 4800))])
+        want = np.concatenate(blocks + [fresh])[
+            keep + list(range(4500, 4800))]
+        assert np.array_equal(rows[np.arange(len(want))], want)
+        at = np.array([0, 1349, 1350, 2699, 2700, 4049, 4050, 4349])
+        assert np.array_equal(rows[at], want[at])
+        unit = want / np.linalg.norm(want, axis=1, keepdims=True)
+        assert np.array_equal(mat, unit.astype(np.float32))
 
 
 def planted_epochs(seed, n_old, n_new, dim=12, dups=12, first=0):
@@ -563,6 +573,99 @@ def planted_epochs(seed, n_old, n_new, dim=12, dups=12, first=0):
         unit[row] = math.cos(theta) * axis + math.sin(theta) * ortho
     ids = [f"t{first + i:04d}-r00" for i in range(n_old + n_new)]
     return ids, unit
+
+
+def ordered_cosine(a, b):
+    """The cosine dedup decides by, restated one component at a time: the
+    products summed in component order, over the product of the norms,
+    whose squares are summed the same way."""
+    dot = aa = bb = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        dot += x * y
+        aa += x * x
+        bb += y * y
+    return dot / (math.sqrt(aa) * math.sqrt(bb))
+
+
+def float64_brute_force(ids, raw, threshold):
+    """per_row_reference over raw rows, every pair by ordered_cosine."""
+    kept, removed = [], []
+    for i in range(len(ids)):
+        over = [(sim, j) for j in kept
+                if (sim := ordered_cosine(raw[i], raw[j]))
+                > threshold + TIE_TOLERANCE]
+        if not over:
+            kept.append(i)
+            continue
+        best = max(sim for sim, _ in over)
+        sim, j = next((sim, j) for sim, j in over
+                      if sim >= best - TIE_TOLERANCE)
+        removed.append(Removal(ids[i], ids[j], sim))
+    return kept, removed
+
+
+# How far from the cut the planted pairs' cosines sit.
+CUT_OFFSETS = (0.0, 1e-7, -1e-7, 1e-5, -1e-5, 1e-4, -1e-4)
+
+
+def planted_at_the_cut(dim, threshold, seed, pairs_per_offset=3):
+    """Raw rows at random scales: random rows, then for each offset pairs
+    (u, v) of rows whose cosine is the cut plus that offset, u and v in a
+    random plane. Ids follow the rows, so every v comes after its u."""
+    rng = np.random.default_rng(seed)
+    cut = threshold + TIE_TOLERANCE
+    rows = list(random_unit(rng, 10, dim))
+    for offset in CUT_OFFSETS:
+        cos = cut + offset
+        for _ in range(pairs_per_offset):
+            u, w = random_unit(rng, 2, dim)
+            w -= (w @ u) * u
+            w /= np.linalg.norm(w)
+            rows += [u, cos * u + math.sqrt(1.0 - cos * cos) * w]
+    raw = np.array(rows) * rng.uniform(0.1, 10.0, size=(len(rows), 1))
+    return [f"r{i:03d}" for i in range(len(raw))], raw
+
+
+class TestFloat32Screen:
+    """The float32 tiles only screen: every decision and every similarity
+    is the float64 one."""
+
+    @pytest.mark.parametrize("dim", [8, 256, 1024])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_screen_never_misses(self, dim, seed):
+        ids, raw = planted_at_the_cut(dim, 0.9, seed)
+        kept, removed = _dedup_exact(ids, raw, 0.9)
+        assert (kept, removed) == float64_brute_force(ids, raw, 0.9)
+        assert {r.record_id for r in removed} >= {
+            ids[i] for i in range(11, len(ids), 2)
+            if CUT_OFFSETS[(i - 11) // 6] > 1e-8}
+
+    def test_the_margin_covers_the_float32_rounding(self):
+        # About 4 * (dim + 2) float32 unit roundoffs: 6.2e-5 at 256.
+        assert dedup.screen_margin(256) == pytest.approx(
+            4 * 258 * 2.0 ** -24, rel=1e-4)
+        assert dedup.screen_margin(8) < dedup.screen_margin(1024) < 3e-4
+
+    def test_tile_shape_does_not_move_a_float(self):
+        rng = np.random.default_rng(9)
+        unit = random_unit(rng, 300, 256)
+        for k in range(60):
+            noisy = unit[k] + 0.3 * rng.normal(size=256) / 16
+            unit[299 - k] = noisy / np.linalg.norm(noisy)
+        ids = [f"r{i:03d}" for i in range(300)]
+        want = _dedup_exact(ids, unit, 0.9)
+        assert len(want[1]) > 30
+        for block, width in ((1, 1), (3, 7), (16, 5), (7, 200), (200, 9),
+                             (64, 300)):
+            assert _dedup_exact(ids, unit, 0.9, 0, block, width) == want
+        start = 200
+        rows = [i for i in want[0] if i < start] + list(range(start, 300))
+        late = [r for r in want[1] if r.record_id >= ids[start]]
+        for block, width in ((1, 1), (5, 13), (100, 400)):
+            kept, removed = _dedup_exact(
+                [ids[r] for r in rows], unit[rows], 0.9,
+                len(rows) - 100, block, width)
+            assert removed == late
 
 
 class TestIncrementalScan:

@@ -9,7 +9,7 @@ import pytest
 from seedforge import metrics
 from seedforge.errors import AlignmentError, ParseError, ValidationError
 from seedforge.evalreport import (EVAL_TASKS, METRIC_KEYS, EvalPair,
-                                  _overlap_rows, _TokenVectors,
+                                  _overlap_rows, _splitters, _TokenVectors,
                                   aggregate_report,
                                   generation_lengths, join_pairs,
                                   load_predictions, load_references,
@@ -52,7 +52,7 @@ def score(p, gateway, tokenizer=TOK):
     """score_pair with unit rows embedded and n-grams counted for this
     pair alone."""
     return score_pair(p, vectors(gateway, p, tokenizer=tokenizer),
-                      tokenizer, _overlap_rows([p], tokenizer)[0])
+                      tokenizer, _overlap_rows([p], _splitters(tokenizer))[0])
 
 
 class TestEvalPair:

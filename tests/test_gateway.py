@@ -78,10 +78,10 @@ class TestMockProviders:
     def test_embedder_identical_text_identical_vector(self):
         e = MockEmbedder(dim=64)
         a, b = e.embed_batch(["สวัสดี ชาวโลก", "สวัสดี ชาวโลก"])
-        assert a.values == b.values
+        assert np.array_equal(a.values, b.values)
         # and across instances: no hidden state
         c = MockEmbedder(dim=64).embed_batch(["สวัสดี ชาวโลก"])[0]
-        assert c.values == a.values
+        assert np.array_equal(c.values, a.values)
 
     @pytest.mark.parametrize("dim", [8, 64, 256])
     def test_embedder_matches_the_per_token_rule(self, dim):
@@ -92,9 +92,10 @@ class TestMockProviders:
                  "𝔘𝔫𝔦 😀 x𝔘ไทย 𝔘𝔫𝔦"]
         assert _reference_vector(cancelling, dim)[0] == 1.0
         got = MockEmbedder(dim=dim).embed_batch(texts)
-        assert [v.values for v in got] == [_reference_vector(t, dim)
-                                           for t in texts]
-        assert all(type(x) is float for v in got for x in v.values)
+        for vector, text in zip(got, texts, strict=True):
+            assert vector.values.dtype == np.float64
+            assert np.array_equal(vector.values,
+                                  _reference_vector(text, dim))
 
     def test_embedder_rejects_a_whitespace_text_in_a_batch(self):
         with pytest.raises(ValidationError, match="whitespace-only"):

@@ -215,9 +215,10 @@ class TestEmbedding:
         client = _clients(transport, KEY_VAR)["embed"]
         assert client.provider_id == "embed:e1"
         vectors = client.embed_batch(["a", "b", "c"])
-        assert [tuple(v.values) for v in vectors] == [
-            (1.0, 2.0), (3.5, 4.0), (5.0, 6.0)]
-        assert all(type(x) is float for v in vectors for x in v.values)
+        for vector, want in zip(vectors, [[1.0, 2.0], [3.5, 4.0], [5.0, 6.0]],
+                                strict=True):
+            assert vector.values.dtype == np.float64
+            assert np.array_equal(vector.values, want)
         (request,) = transport.requests
         assert request == {
             "method": "POST", "url": "http://emb.test/v1/embeddings",

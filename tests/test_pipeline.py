@@ -1,5 +1,7 @@
 """Staged runner: checkpoint skipping, resumability, locking."""
 
+import hashlib
+import io
 import json
 import os
 import re
@@ -28,8 +30,9 @@ from seedforge.manifest import read_manifest
 from seedforge.pipeline import (CHECKPOINT_FILE, LOCK_FILE, MANIFEST_FILE,
                                 STAGES, WorkdirLock, acquire_contexts,
                                 build_gateway, epoch_topics, generate_records,
-                                read_contexts, read_topics, run_pipeline,
-                                write_contexts, write_topics)
+                                read_contexts, read_topics, read_vectors,
+                                run_pipeline, write_contexts, write_topics,
+                                write_vectors)
 from seedforge.records import file_sha256, read_records, write_records
 from seedforge.topics import GENERAL, Topic
 
@@ -473,6 +476,23 @@ class TestIncrementalDedup:
         assert executed == ["dedup-00"]
         assert sorted(embedded) == self.epoch_texts(tmp_path, 0)
         assert file_sha256(manifest_path(tmp_path)) == before
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (1, 1), (37, 256)])
+def test_a_vectors_file_holds_what_np_save_writes(tmp_path, shape):
+    # Written from the array's own buffer, hashed as it goes, and read
+    # back mapped; an epoch without records writes the (0, 0) array.
+    vectors = np.random.default_rng(1).normal(size=shape)
+    path = str(tmp_path / "vectors-00.npy")
+    digest = write_vectors(vectors, path)
+    saved = io.BytesIO()
+    np.save(saved, vectors, allow_pickle=False)
+    with open(path, "rb") as handle:
+        assert handle.read() == saved.getvalue()
+    assert digest == hashlib.sha256(saved.getvalue()).hexdigest()
+    mapped = read_vectors(path)
+    assert isinstance(mapped, np.memmap) and not mapped.flags.writeable
+    assert mapped.shape == shape and np.array_equal(mapped, vectors)
 
 
 class TestExtensionTopics:
