@@ -16,6 +16,7 @@ import argparse
 import logging
 import os
 import sys
+import tempfile
 
 from seedforge import ablations
 from seedforge.config import (PipelineConfig, default_config, load_config,
@@ -97,8 +98,13 @@ def cmd_generate(args) -> int:
 
 def cmd_dedup(args) -> int:
     config = _load_cfg(args)
-    result = dedup_filter(read_records(args.infile), build_gateway(config),
-                          threshold=config.dedup_threshold)
+    # The raw embeddings are spooled to a file, as in a pipeline run, and
+    # dropped with it.
+    with tempfile.TemporaryDirectory() as tmp:
+        result = dedup_filter(read_records(args.infile),
+                              build_gateway(config),
+                              os.path.join(tmp, "vectors.npy"),
+                              threshold=config.dedup_threshold)
     write_records(result.kept, args.out)
     if args.removals:
         write_removals(result.removed, args.removals)

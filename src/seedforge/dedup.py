@@ -7,14 +7,18 @@ threshold (keep-first: a removed record cannot knock out later ones).
 Earlier ids always win, which makes the pass deterministic and idempotent.
 
 The search is one exact tiled scan that screens in float32 and decides
-in float64. The raw rows are scaled to unit length into one preallocated
-float32 matrix, a slab of rows at a time; the scan multiplies a block of
+in float64. The raw float64 rows live only in vectors files (`Vectors`):
+each batch of the embedding reply is scaled to unit length into one
+preallocated float32 matrix and appended to the caller's spool file as it
+arrives, and the known rows are read from their files a slab at a time
+into the same matrix. The scan multiplies a block of
 its rows at a time against the earlier rows, one column tile at a time,
 so at most about `SLAB_ELEMENTS` similarities are alive at once. A tile
 keeps every pair within `screen_margin` below the cut, which covers the
 float32 rounding of any pair above it. Each kept pair's cosine is then
-recomputed from the two raw float64 rows by one fixed formula that no
-library reorders (`_cosines`), and only those values decide: the
+recomputed from the two raw float64 rows, read back from their files,
+by one fixed formula that no library reorders (`_cosines`), and only
+those values decide: the
 over-threshold pairs of a row block are resolved in one pass in id order
 before the next block starts. Removals therefore do not depend on BLAS,
 its threads or the tile shape.
@@ -27,8 +31,8 @@ candidates within the same tolerance of the highest similarity the
 earliest id is reported as the nearest.
 
 Callers that deduplicated some records before (a pipeline epoch adding
-records to its earlier pool) pass them as `known`: their ids, raw vectors
-and removals. Known rows are context only: they are never embedded,
+records to its earlier pool) pass them as `known`: their ids, vectors
+files and removals. Known rows are context only: they are never embedded,
 scanned or decided again, and their removals stand. The records passed in
 are decided after them, so the order is earlier calls first, then id order
 within a call, which in a pipeline is generation order.
@@ -36,14 +40,17 @@ within a call, which in a pipeline is generation order.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from seedforge import constants
-from seedforge.errors import ProtocolError, ValidationError
+from seedforge.errors import ParseError, ProtocolError, ValidationError
 from seedforge.records import parsing, read_json, write_json
 
 logger = logging.getLogger(__name__)
@@ -79,22 +86,15 @@ def screen_margin(dim: int) -> float:
     return SCREEN_SAFETY * (dim + 2) * u / (1.0 - dim * u)
 
 
-def _unit_rows(rows, ids: list[str]) -> np.ndarray:
-    """rows scaled to unit length, as one float32 matrix: each row is
-    divided by its float64 norm, a slab of rows at a time, so no float64
-    copy of the matrix is made."""
-    n, dim = rows.shape
-    mat = np.empty((n, dim), dtype=np.float32)
-    step = max(1, SLAB_ELEMENTS // max(dim, 1))
-    for lo in range(0, n, step):
-        slab = rows[np.arange(lo, min(n, lo + step))]
-        norms = np.linalg.norm(slab, axis=1)
-        bad = np.flatnonzero(norms == 0.0)
-        if bad.size:
-            raise ValidationError(
-                f"zero-norm embedding for record {ids[lo + int(bad[0])]}")
-        np.divide(slab, norms[:, None], out=mat[lo:lo + len(slab)])
-    return mat
+def _scale(slab: np.ndarray, out: np.ndarray, ids: list[str]) -> None:
+    """The float64 rows of `slab` divided by their norms into the float32
+    `out`; a zero row is an error naming its id, ids[k] for row k."""
+    norms = np.linalg.norm(slab, axis=1)
+    bad = np.flatnonzero(norms == 0.0)
+    if bad.size:
+        raise ValidationError(
+            f"zero-norm embedding for record {ids[int(bad[0])]}")
+    np.divide(slab, norms[:, None], out=out)
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -136,25 +136,101 @@ class Removal:
     similarity: float
 
 
+@dataclass
+class Vectors:
+    """A vectors file: raw float64 embedding rows as a .npy file, read
+    with explicit reads. It is never mapped or loaded whole, so only the
+    rows a read asks for are in memory. offset is where the rows start;
+    sha256 is the file's when a spool wrote it, else None."""
+
+    path: str
+    shape: tuple[int, int]
+    offset: int
+    sha256: str | None
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def read(self, at: np.ndarray, out: np.ndarray) -> None:
+        """The rows at the ascending positions `at` into the C-ordered
+        float64 `out`, with one read per run of consecutive rows."""
+        size = self.shape[1] * out.itemsize
+        starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)
+        with open(self.path, "rb", buffering=0) as handle:
+            for a, b in zip(starts, np.append(starts[1:], len(at))):
+                view = memoryview(out[a:b]).cast("B")
+                handle.seek(self.offset + int(at[a]) * size)
+                if handle.readinto(view) != len(view):
+                    raise ParseError(f"{self.path}: fewer rows than its "
+                                     f"header says")
+
+
+def read_vectors(path: str) -> Vectors:
+    """A vectors file, by its header: its rows are read as they are
+    needed."""
+    with open(path, "rb") as handle, parsing(path, "a vectors file"):
+        if np.lib.format.read_magic(handle) != (1, 0):
+            raise ValueError("not a version 1.0 .npy file")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+        if len(shape) != 2 or fortran or dtype != np.float64:
+            raise ValueError(f"{dtype} rows of shape {shape}")
+        return Vectors(path, shape, handle.tell(), None)
+
+
+def _npy_header(shape: tuple[int, int]) -> bytes:
+    """The .npy 1.0 header np.save writes for float64 rows of `shape`."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False, "shape": shape})
+    return head.getvalue()
+
+
+def write_spool(path: str, rows: int, blocks: Iterable[np.ndarray]
+                ) -> Vectors:
+    """Write `rows` float64 rows, arriving as `blocks`, to a vectors file
+    as they arrive: the header first, for the first block's width, then
+    each block's own buffer, hashed as it is written. The bytes are those
+    np.save writes for the rows stacked; no block at all gives shape
+    (rows, 0)."""
+    digest = hashlib.sha256()
+    shape = header = None
+    with open(path, "wb") as handle:
+        def put(blob) -> None:
+            handle.write(blob)
+            digest.update(blob)
+
+        for block in blocks:
+            if shape is None:
+                shape = (rows, block.shape[1])
+                put(header := _npy_header(shape))
+            put(np.ascontiguousarray(block, dtype=np.float64))
+        if shape is None:
+            shape = (rows, 0)
+            put(header := _npy_header(shape))
+    return Vectors(path, shape, len(header), digest.hexdigest())
+
+
 @dataclass(frozen=True)
 class Known:
-    """Records deduplicated before under the same threshold: their
-    ids, their raw vectors as row blocks whose rows, concatenated, follow
+    """Records deduplicated before under the same threshold: their ids,
+    the vectors files of their raw rows, whose rows, concatenated, follow
     `ids`, and the removals among them."""
 
     ids: list[str]
-    vectors: list[np.ndarray]
+    vectors: list[Vectors]
     removed: list[Removal]
 
 
 @dataclass
 class DedupResult:
-    """kept and removed partition the input. vectors holds the raw
-    embedding of every input record, one row per record in id order."""
+    """kept and removed partition the input. vectors is the vectors file
+    that holds the raw embedding of every input record, one row per
+    record in id order."""
 
     kept: list
     removed: list[Removal]
-    vectors: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    vectors: Vectors
 
 
 def write_removals(removed: list[Removal], path: str) -> str:
@@ -187,18 +263,18 @@ def tile_width(n: int) -> int:
     return max(1, min(n, math.isqrt(2 * SLAB_ELEMENTS)))
 
 
-def _dedup_exact(ids: list[str], rows, threshold: float,
+def _dedup_exact(ids: list[str], mat: np.ndarray, rows, threshold: float,
                  start: int = 0, block: int | None = None,
                  width: int | None = None
                  ) -> tuple[list[int], list[Removal]]:
-    """Tiled scan over the raw float64 `rows`, one per id in id order: an
-    array, or a _Rows. Rows before `start` are kept earlier decisions:
-    compared with, never scanned. Each later row is compared with every
-    kept row before it.
+    """Tiled scan over `mat`, the float32 unit rows of the raw float64
+    `rows`, one per id in id order; `rows` is an array or a _Rows. Rows
+    before `start` are kept earlier decisions: compared with, never
+    scanned. Each later row is compared with every kept row before it.
     Returns the kept row indexes from `start` on and the removals, both in
-    id order. A tile is `block` rows by `width` columns of the float32
-    unit rows; it screens, and `_cosines` of the pairs it keeps decide."""
-    mat = _unit_rows(rows, ids)
+    id order. A tile is `block` rows by `width` columns of `mat`; it
+    screens, and `_cosines` of the pairs it keeps, read from `rows`,
+    decide."""
     n = len(ids)
     width = width or tile_width(n)
     block = block or block_rows(width)
@@ -256,13 +332,13 @@ def _dedup_exact(ids: list[str], rows, threshold: float,
 
 
 class _Rows:
-    """The raw rows a scan compares, read in place: the rows of each known
-    block that stand, block by block, then the new rows. rows[js] gathers
-    the rows at ascending positions js into one float64 array."""
+    """The raw rows a scan compares, read from their vectors files: the
+    rows of each known file that stand, file by file, then the new rows.
+    rows[js] reads the rows at ascending positions js into one float64
+    array."""
 
-    def __init__(self, parts: list[tuple[np.ndarray, np.ndarray]],
-                 dim: int):
-        # parts: (block, the numbers of the block's rows the scan sees)
+    def __init__(self, parts: list[tuple[Vectors, np.ndarray]], dim: int):
+        # parts: (file, the numbers of the file's rows the scan sees)
         self.parts = parts
         sizes = [len(taken) for _, taken in parts]
         self.starts = np.cumsum([0] + sizes[:-1])
@@ -272,46 +348,56 @@ class _Rows:
         out = np.empty((len(js), self.shape[1]))
         part = np.searchsorted(self.starts, js, side="right") - 1
         bounds = np.searchsorted(part, np.arange(len(self.parts) + 1))
-        for (block, taken), start, a, b in zip(self.parts, self.starts,
-                                                bounds, bounds[1:]):
+        for (vectors, taken), start, a, b in zip(self.parts, self.starts,
+                                                  bounds, bounds[1:]):
             if a < b:
-                # take writes straight into `out`; its indices come from
-                # `taken`, so `clip` never clips.
-                np.take(block, taken[js[a:b] - start], axis=0,
-                        out=out[a:b], mode="clip")
+                vectors.read(taken[js[a:b] - start], out[a:b])
         return out
 
 
-def _rows(known: Known, fresh: np.ndarray) -> tuple[_Rows, list[str]]:
-    """The rows to scan, without copying any: the known rows that are not
-    in `known.removed`, in known.ids order, then the rows of `fresh`.
-    Returns them with the ids of their known rows."""
-    blocks = [np.asarray(b, dtype=np.float64) for b in known.vectors]
-    if any(b.ndim != 2 for b in blocks):
-        raise ProtocolError("embeddings are not one vector per record")
-    n_known = sum(len(b) for b in blocks)
+def _standing(known: Known) -> tuple[list[tuple[Vectors, np.ndarray]],
+                                     list[str], set[int]]:
+    """The known rows a scan compares with: for each known vectors file,
+    the numbers of its rows whose ids are not in `known.removed`; their
+    ids, in known.ids order; and the known rows' dimensions."""
+    n_known = sum(len(v) for v in known.vectors)
     if n_known != len(known.ids):
         raise ProtocolError(f"{n_known} known vectors for "
                             f"{len(known.ids)} known ids")
-    dims = {b.shape[1] for b in blocks + [fresh] if len(b)}
-    if len(dims) > 1:
-        raise ProtocolError(f"embeddings do not share one dimension: "
-                            f"{sorted(dims)}")
     gone = {r.record_id for r in known.removed}
     stand = np.array([rid not in gone for rid in known.ids], dtype=bool)
     parts, lo = [], 0
-    for block in blocks:
-        taken = np.flatnonzero(stand[lo:lo + len(block)])
-        lo += len(block)
-        # An epoch without records embeds to shape (0, 0).
+    for vectors in known.vectors:
+        taken = np.flatnonzero(stand[lo:lo + len(vectors)])
+        lo += len(vectors)
+        # An epoch without records wrote a (0, 0) file.
         if len(taken):
-            parts.append((block, taken))
-    parts.append((fresh, np.arange(len(fresh))))
-    return (_Rows(parts, dims.pop()),
-            [rid for rid, s in zip(known.ids, stand) if s])
+            parts.append((vectors, taken))
+    return (parts, [rid for rid, s in zip(known.ids, stand) if s],
+            {v.shape[1] for v in known.vectors if len(v)})
 
 
-def dedup_filter(records: list, gateway, *,
+def _check_ids(ids: list[str], known_ids: list[str]) -> None:
+    """Each id once, and none of `ids` known."""
+    if len(set(ids)) != len(ids):
+        raise ValidationError("duplicate record ids in dedup input")
+    known = set(known_ids)
+    if len(known) != len(known_ids):
+        raise ValidationError("duplicate record ids in known rows")
+    again = known.intersection(ids)
+    if again:
+        raise ValidationError(f"record {min(again)} is already known")
+
+
+def _fill(mat: np.ndarray, rows: _Rows, ids: list[str]) -> None:
+    """Scale the first len(ids) rows, read a slab at a time, into mat."""
+    step = max(1, SLAB_ELEMENTS // mat.shape[1])
+    for lo in range(0, len(ids), step):
+        hi = min(len(ids), lo + step)
+        _scale(rows[np.arange(lo, hi)], mat[lo:hi], ids[lo:hi])
+
+
+def dedup_filter(records: list, gateway, spool: str, *,
                  threshold: float = constants.DEDUP_THRESHOLD,
                  known: Known | None = None) -> DedupResult:
     """Drop records whose nearest kept predecessor is strictly above
@@ -319,33 +405,55 @@ def dedup_filter(records: list, gateway, *,
 
     Records are processed in ascending id order regardless of input order,
     each measured against the records already kept.
+    spool: the path the raw embeddings of the records are written to as
+    each batch arrives, the result's `vectors`. Each batch is scaled into
+    the float32 matrix the scan screens with; no float64 copy is kept.
     known: records deduplicated before, under the same threshold. They
     come before every record, and only the kept ones among them are
-    compared with; none is embedded or decided again.
+    compared with, read from their files a slab at a time; none is
+    embedded or decided again.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold {threshold} outside (0, 1]")
     if not records:
-        return DedupResult(kept=[], removed=[])
+        return DedupResult(kept=[], removed=[],
+                           vectors=write_spool(spool, 0, ()))
     records = sorted(records, key=lambda r: r.id)
     ids = [r.id for r in records]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate record ids in dedup input")
     known = known or Known([], [], [])
-    known_ids = set(known.ids)
-    if len(known_ids) != len(known.ids):
-        raise ValidationError("duplicate record ids in known rows")
-    again = known_ids.intersection(ids)
-    if again:
-        raise ValidationError(f"record {min(again)} is already known")
-    fresh = np.asarray(gateway.embed([sample_text(r) for r in records]),
-                       dtype=np.float64)
-    if fresh.ndim != 2 or len(fresh) != len(records):
-        raise ProtocolError("embeddings are not one vector per record")
-    rows, stand_ids = _rows(known, fresh)
+    _check_ids(ids, known.ids)
+    parts, stand_ids, dims = _standing(known)
     start = len(stand_ids)
-    kept_at, removed = _dedup_exact(stand_ids + ids, rows, threshold, start)
+    mat = None
+
+    def scaled(blocks):
+        """Each block, once it is scaled into mat."""
+        nonlocal mat
+        done = 0
+        for block in blocks:
+            if block.ndim != 2 or done + len(block) > len(ids):
+                raise ProtocolError("embeddings are not one vector per record")
+            if mat is None:
+                mat = np.empty((start + len(ids), block.shape[1]),
+                               dtype=np.float32)
+            found = dims | {mat.shape[1], block.shape[1]}
+            if len(found) > 1:
+                raise ProtocolError(f"embeddings do not share one dimension: "
+                                    f"{sorted(found)}")
+            _scale(block, mat[start + done:start + done + len(block)],
+                   ids[done:done + len(block)])
+            done += len(block)
+            yield block
+        if done != len(ids):
+            raise ProtocolError("embeddings are not one vector per record")
+
+    vectors = write_spool(spool, len(ids), scaled(gateway.embed_blocks(
+        [sample_text(r) for r in records])))
+    rows = _Rows(parts + [(vectors, np.arange(len(ids)))], mat.shape[1])
+    _fill(mat, rows, stand_ids)
+    kept_at, removed = _dedup_exact(stand_ids + ids, mat, rows, threshold,
+                                    start)
     kept = [records[p - start] for p in kept_at]
     logger.info("dedup kept %d of %d records (threshold %.3f)",
                 len(kept), len(records), threshold)
-    return DedupResult(kept=kept, removed=removed, vectors=fresh)
+    return DedupResult(kept=kept, removed=removed, vectors=vectors)

@@ -284,26 +284,33 @@ class Gateway:
             lambda: self.generator.complete(request), _completion,
             chars=len(request.prompt))
 
-    def embed(self, texts: list[str]) -> np.ndarray:
-        """Embed texts in order, chunked at the provider's batch size.
-
-        Returns one (len(texts), dimension) float64 array. Each batch is
-        checked once, before it is cached, for its row count, one
-        dimension and finite values."""
-        if not texts:
-            return np.empty((0, 0))
-        mat, start = None, 0
+    def embed_blocks(self, texts: list[str]) -> Iterator[np.ndarray]:
+        """Embed texts in order, chunked at the provider's batch size: one
+        (rows, dimension) float64 block per batch, yielded as it arrives.
+        Each batch is checked once, before it is cached, for its row
+        count, one dimension and finite values, and every block has the
+        first block's dimension."""
+        dim = None
         for block in self._batched(
                 "embed", self.embedder, texts, {},
                 lambda chunk: [v.values
                                for v in self.embedder.embed_batch(chunk)],
                 lambda payload, chunk: _embedding_rows(payload, len(chunk))):
+            if dim is not None and block.shape[1] != dim:
+                raise ProtocolError(f"mixed embedding dimensions "
+                                    f"{sorted({dim, block.shape[1]})}")
+            dim = block.shape[1]
+            yield block
+
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """The blocks of embed_blocks(texts) as one (len(texts), dimension)
+        float64 array; (0, 0) for no texts."""
+        if not texts:
+            return np.empty((0, 0))
+        mat, start = None, 0
+        for block in self.embed_blocks(texts):
             if mat is None:
                 mat = np.empty((len(texts), block.shape[1]))
-            elif block.shape[1] != mat.shape[1]:
-                raise ProtocolError(
-                    f"mixed embedding dimensions "
-                    f"{sorted({mat.shape[1], block.shape[1]})}")
             mat[start:start + len(block)] = block
             start += len(block)
         return mat

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 from seedforge.errors import BuildError, ValidationError
 from seedforge.instructions import InstructionRecord
 from seedforge.records import (file_sha256, parsing, read_json,
-                               read_records, records_blob, write_atomic,
+                               read_records, record_chunks, write_atomic,
                                write_json)
 from seedforge.seeding import derive_seed
 
@@ -121,27 +122,36 @@ def truncate_records(records: list, size: int, seed: int, label: str,
 
 
 def manifest_files(manifest: DatasetManifest, config_echo: dict | None
-                   ) -> tuple[bytes, dict]:
-    """The bytes of the records file and the metadata that sits beside
-    it, which names their sha256, the manifest hash."""
-    blob = records_blob(list(manifest.records))
-    return blob, {
+                   ) -> tuple[Iterator[bytes], dict]:
+    """The bytes of the records file, in chunks, and the metadata that
+    sits beside it. The chunks hash themselves as they are taken; once the
+    last one is, the metadata names their sha256, the manifest hash."""
+    meta = {
         "flags": asdict(manifest.flags),
         "recipe": asdict(manifest.recipe),
         "record_count": len(manifest.records),
-        "records_sha256": hashlib.sha256(blob).hexdigest(),
+        "records_sha256": None,
         "seed": manifest.seed,
         "target_size": manifest.target_size,
         "config": config_echo,
     }
+
+    def chunks():
+        digest = hashlib.sha256()
+        for chunk in record_chunks(manifest.records):
+            digest.update(chunk)
+            yield chunk
+        meta["records_sha256"] = digest.hexdigest()
+
+    return chunks(), meta
 
 
 def write_manifest(manifest: DatasetManifest, path: str,
                    config_echo: dict | None = None) -> str:
     """Records to `path`, metadata to `path`.meta.json; returns the
     records digest, which is the manifest hash."""
-    blob, meta = manifest_files(manifest, config_echo)
-    digest = write_atomic(path, blob)
+    chunks, meta = manifest_files(manifest, config_echo)
+    digest = write_atomic(path, chunks)
     write_json(f"{path}.meta.json", meta)
     return digest
 

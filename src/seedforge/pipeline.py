@@ -21,10 +21,14 @@ Each dedup stage embeds, scans and decides only its epoch's new records,
 against the records that earlier epochs kept; the earlier decisions stand
 (see `dedup.dedup_filter`). A dedup stage writes every removal so far
 (removed-NN.json) and the raw embeddings of its epoch's records
-(vectors-NN.npy); a later dedup stage that runs reads both through their
-lazy values, a skipped stage's vectors mapped read-only, so that the scan
-reads only the earlier rows it compares. The pool is the instruction
-records minus the latest removals.
+(vectors-NN.npy). The embeddings are spooled to a file beside
+vectors-NN.npy as they arrive, and the stage's writer only renames it. A
+later dedup stage that runs gets both through their lazy values, and the
+earlier epochs' ids from the start of each line of their instruction
+files, whose records it does not parse; its scan reads only the earlier
+rows it compares. The pool is the instruction records minus the latest
+removals. JSONL stage files and the manifest are written a chunk of rows
+at a time (`records.CHUNK_ROWS`).
 
 The stage bodies are plain functions shared with the CLI stage commands.
 Each takes the effective PipelineConfig and reads its settings from it.
@@ -40,7 +44,6 @@ boundary resumes to a byte-identical manifest.
 from __future__ import annotations
 
 import fcntl
-import io
 import json
 import logging
 import math
@@ -48,14 +51,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
 
-import numpy as np
-
 from seedforge import constants
 from seedforge.config import PipelineConfig
 from seedforge.contexts import (ContextDoc, acquire_context,
                                 context_from_dict, context_to_dict)
-from seedforge.dedup import (Known, Removal, dedup_filter, read_removals,
-                             write_removals)
+from seedforge.dedup import (Known, Removal, Vectors, dedup_filter,
+                             read_removals, read_vectors, write_removals)
 from seedforge.errors import (BuildError, ConfigError, LockError,
                               ParseError, SeedforgeError)
 from seedforge.gateway import Gateway, ProviderBudget
@@ -67,7 +68,7 @@ from seedforge.instructions import (GENERATION_TASKS, GenerationFailure,
 from seedforge.manifest import (VARIANT_FULL, DatasetManifest, Recipe,
                                 finish_manifest, manifest_files,
                                 truncate_records)
-from seedforge.records import (file_sha256, parsing, read_json,
+from seedforge.records import (file_sha256, parsing, read_ids, read_json,
                                read_jsonl_lines, read_records, write_atomic,
                                write_json, write_jsonl, write_records)
 from seedforge.topics import (CULTURAL, GENERAL, Topic, generate_topics,
@@ -312,21 +313,12 @@ def read_contexts(path: str) -> list[tuple[str, ContextDoc]]:
     return list(contexts.items())
 
 
-def write_vectors(vectors: np.ndarray, path: str) -> str:
-    """One float64 array as .npy, the bytes np.save writes, replaced
-    atomically: the header, then the array's own buffer, with no copy of
-    it. Returns its sha256."""
-    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        header, np.lib.format.header_data_from_array_1_0(vectors))
-    return write_atomic(path, header.getvalue(), vectors)
-
-
-def read_vectors(path: str) -> np.ndarray:
-    """A vectors file, mapped read-only: a dedup stage reads the rows it
-    compares from the file as it needs them."""
-    return np.load(path, mmap_mode="r", allow_pickle=False)
+def write_vectors(vectors: Vectors, path: str) -> str:
+    """Move a spooled vectors file into place; returns the sha256 it was
+    hashed to as it was written. Its rows are not read again."""
+    os.replace(vectors.path, path)
+    vectors.path = path
+    return vectors.sha256
 
 
 def read_bytes(path: str) -> bytes:
@@ -343,8 +335,10 @@ STAGES = {
                       read_records),),
     "dedup": (("removed-{}.json", write_removals, read_removals),
               ("vectors-{}.npy", write_vectors, read_vectors)),
-    "manifest": ((MANIFEST_FILE, lambda blob, path: write_atomic(path, blob),
-                  read_bytes),
+    # The records file's value is its chunks, which hash themselves into
+    # the metadata as its writer takes them.
+    "manifest": ((MANIFEST_FILE,
+                  lambda chunks, path: write_atomic(path, chunks), read_bytes),
                  (MANIFEST_FILE + ".meta.json",
                   lambda meta, path: write_json(path, meta), read_json)),
 }
@@ -380,6 +374,14 @@ class _Lazy:
             return len(self._value)
         with open(self.path, "rb") as handle:
             return sum(1 for line in handle if line.strip())
+
+    def ids(self) -> list[str]:
+        """The sorted ids of a records value; an unread records file,
+        whose sha256 the ledger has checked, gives the id at the start of
+        each line and is not parsed."""
+        if self._read is None:
+            return sorted(r.id for r in self._value)
+        return sorted(read_ids(self.path))
 
 
 class _Run:
@@ -481,7 +483,7 @@ class _Run:
             total += batches[-1].count()
             if dedup:
                 removed, vecs = self.stage("dedup" + tag, lambda: self.dedup(
-                    batches, [v() for v in vectors], removals))
+                    batches, [v() for v in vectors], removals, tag))
                 vectors.append(vecs)
                 removals = removed()
             size = total - len(removals)
@@ -493,18 +495,19 @@ class _Run:
         return lambda: sorted((r for batch in batches for r in batch()
                                if r.id not in gone), key=lambda r: r.id)
 
-    def dedup(self, batches: list[_Lazy], vectors: list[np.ndarray],
-              removals: list[Removal]) -> list:
-        """The dedup stage's values: every removal so far and the last
-        batch's raw embeddings in id order, given the earlier batches'
-        vectors and removals; only the last batch is embedded, scanned
-        and decided."""
-        known = Known([rid for batch in batches[:-1]
-                       for rid in sorted(r.id for r in batch())],
+    def dedup(self, batches: list[_Lazy], vectors: list[Vectors],
+              removals: list[Removal], tag: str) -> list:
+        """The dedup stage's values: every removal so far and the vectors
+        file of the last batch's raw embeddings in id order, given the
+        earlier batches' vectors files and removals; only the last batch
+        is embedded, scanned and decided. The embeddings are spooled
+        beside the stage's vectors file, which its writer renames."""
+        known = Known([rid for batch in batches[:-1] for rid in batch.ids()],
                       vectors, removals)
-        result = dedup_filter(batches[-1](), self.gateway,
-                              threshold=self.config.dedup_threshold,
-                              known=known)
+        result = dedup_filter(
+            batches[-1](), self.gateway,
+            os.path.join(self.workdir, f"vectors{tag}.npy.spool"),
+            threshold=self.config.dedup_threshold, known=known)
         return [removals + result.removed, result.vectors]
 
 

@@ -12,7 +12,8 @@ import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from itertools import islice
 
 from seedforge.errors import ParseError, ValidationError
 from seedforge.instructions import InstructionRecord
@@ -84,15 +85,22 @@ def record_from_dict(data: dict, where: str = "record") -> InstructionRecord:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def write_atomic(path: str, *blobs) -> str:
-    """Replace `path` with the bytes-like `blobs`, one after another, in
-    one rename; returns the sha256 of the file."""
+def write_atomic(path: str, blobs: Iterable) -> str:
+    """Replace `path` with the bytes-like items of `blobs`, taken one at a
+    time and written one after another, in one rename; returns the sha256
+    of the file. A write that fails leaves `path` as it was and no
+    temporary file."""
     digest = hashlib.sha256()
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
-        for blob in blobs:
-            handle.write(blob)
-            digest.update(blob)
+    try:
+        with open(tmp, "wb") as handle:
+            for blob in blobs:
+                handle.write(blob)
+                digest.update(blob)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
     os.replace(tmp, path)
     return digest.hexdigest()
 
@@ -101,22 +109,29 @@ def write_json(path: str, payload) -> str:
     """Indented, key-sorted UTF-8 JSON, written atomically; returns its
     sha256."""
     blob = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
-    return write_atomic(path, (blob + "\n").encode("utf-8"))
+    return write_atomic(path, [(blob + "\n").encode("utf-8")])
 
 
 # The compact form of one JSONL row, one encoder for every row of a file.
 _JSONL_ROW = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
+# Rows a JSONL writer encodes at once: a chunk's rows, their text and
+# their bytes are all of a file that is alive while it is written.
+CHUNK_ROWS = 256
 
-def jsonl_blob(rows: Iterable[dict]) -> bytes:
-    """One compact JSON object per line, UTF-8."""
+
+def jsonl_chunks(rows: Iterable[dict]) -> Iterator[bytes]:
+    """One compact JSON object per line, UTF-8, CHUNK_ROWS lines to a
+    chunk; rows are taken only as the chunks are."""
     encode = _JSONL_ROW.encode
-    return "".join([encode(row) + "\n" for row in rows]).encode("utf-8")
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        yield "".join([encode(row) + "\n" for row in chunk]).encode("utf-8")
 
 
 def write_jsonl(path: str, rows: Iterable[dict]) -> str:
-    """jsonl_blob(rows), written atomically; returns its sha256."""
-    return write_atomic(path, jsonl_blob(rows))
+    """jsonl_chunks(rows), written atomically; returns its sha256."""
+    return write_atomic(path, jsonl_chunks(rows))
 
 
 def read_json(path: str):
@@ -163,19 +178,24 @@ def read_jsonl_lines(path: str) -> Iterator[tuple[int, object]]:
         yield line_no, value
 
 
-def records_blob(records: list[InstructionRecord]) -> bytes:
-    """The JSONL bytes of records; a repeated id is an error."""
+def record_chunks(records: Iterable[InstructionRecord]) -> Iterator[bytes]:
+    """The JSONL bytes of records, in chunks; a repeated id is an error."""
     seen: set[str] = set()
-    for record in records:
-        if record.id in seen:
-            raise ValidationError(f"duplicate record id {record.id}")
-        seen.add(record.id)
-    return jsonl_blob(record_to_dict(r) for r in records)
+
+    def rows():
+        for record in records:
+            if record.id in seen:
+                raise ValidationError(f"duplicate record id {record.id}")
+            seen.add(record.id)
+            yield record_to_dict(record)
+
+    return jsonl_chunks(rows())
 
 
-def write_records(records: list[InstructionRecord], path: str) -> str:
-    """Write one JSONL file atomically; returns its sha256 hex digest."""
-    return write_atomic(path, records_blob(records))
+def write_records(records: Iterable[InstructionRecord], path: str) -> str:
+    """Write one JSONL file atomically, a chunk of records at a time;
+    returns its sha256 hex digest."""
+    return write_atomic(path, record_chunks(records))
 
 
 def read_records(path: str) -> list[InstructionRecord]:
@@ -189,6 +209,31 @@ def read_records(path: str) -> list[InstructionRecord]:
         seen.add(record.id)
         records.append(record)
     return records
+
+
+# Every line write_records writes starts with the record's id.
+_ID_PREFIX = b'{"id":'
+_DECODER = json.JSONDecoder()
+
+
+def read_ids(path: str) -> list[str]:
+    """The id of every record of a file that write_records wrote, in file
+    order, read from the start of each line: the rest of the line is not
+    parsed and no record is built."""
+    ids = []
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            with parsing(path, "a records file", line_no):
+                if not line.startswith(_ID_PREFIX):
+                    raise ValueError("the line does not start with an id")
+                rid, _ = _DECODER.raw_decode(line.decode("utf-8"),
+                                             len(_ID_PREFIX))
+                if not isinstance(rid, str):
+                    raise TypeError(f"record id {rid!r} is not a string")
+            ids.append(rid)
+    return ids
 
 
 def file_sha256(path: str) -> str:

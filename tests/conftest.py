@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from seedforge.gateway import Gateway
@@ -20,3 +22,22 @@ def scripted():
         return gw
 
     return make
+
+
+@pytest.fixture
+def peak():
+    """peak(fn, *args, **kwargs): fn's value and the most bytes it held
+    allocated at once beyond what was allocated when it was called, as
+    tracemalloc sees them; numpy's buffers count."""
+
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            value = fn(*args, **kwargs)
+            return value, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -50,7 +50,7 @@ def _report(num: int, label: str, failures: list[str],
     assert not failures, f"criterion {num}: {body}"
 
 
-def test_criterion_1_dedup_oracle_and_recall():
+def test_criterion_1_dedup_oracle_and_recall(tmp_path):
     failures = []
     start = time.monotonic()
     rng = np.random.default_rng(42)
@@ -69,10 +69,11 @@ def test_criterion_1_dedup_oracle_and_recall():
         row_of[sample_text(rec)] = i
 
     class VecGateway:
-        def embed(self, texts):
-            return vectors[[row_of[t] for t in texts]]
+        def embed_blocks(self, texts):
+            yield vectors[[row_of[t] for t in texts]]
 
-    result = dedup_filter(records, VecGateway(), threshold=0.95)
+    result = dedup_filter(records, VecGateway(),
+                          str(tmp_path / "vectors.npy"), threshold=0.95)
 
     # independent quadratic keep-first restatement, one row at a time
     unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -119,7 +120,7 @@ def test_criterion_1_dedup_oracle_and_recall():
             f"{elapsed:.1f}s")
 
 
-def test_criterion_2_metric_fixtures_identity_range():
+def test_criterion_2_metric_fixtures_identity_range(tmp_path):
     failures = []
     tok = get_tokenizer("unicode_words")
 
@@ -139,7 +140,8 @@ def test_criterion_2_metric_fixtures_identity_range():
     pair_records = [SimpleNamespace(id=f"c{i}", instruction=str(i),
                                     context=None, output="") for i in (0, 1)]
     removal = dedup_filter(pair_records,
-                           SimpleNamespace(embed=lambda texts: pair),
+                           SimpleNamespace(embed_blocks=lambda texts: [pair]),
+                           str(tmp_path / "vectors.npy"),
                            threshold=0.7).removed
     if (abs(cos - 1 / math.sqrt(2)) > 1e-9 or len(removal) != 1
             or abs(removal[0].similarity - cos) > 1e-9):

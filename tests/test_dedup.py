@@ -5,9 +5,9 @@ The heavyweight planted-duplicate run lives in the acceptance suite; here the
 same oracle is cross-checked at a size where failures are easy to read.
 """
 
+import itertools
 import json
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,9 +16,10 @@ import pytest
 from seedforge import dedup
 from seedforge.dedup import (TIE_TOLERANCE, DedupResult, Known, Removal,
                              _dedup_exact, block_rows, dedup_filter,
-                             read_removals, sample_text, tile_width,
-                             write_removals)
+                             read_removals, read_vectors, sample_text,
+                             tile_width, write_removals)
 from seedforge.errors import ParseError, ProtocolError, ValidationError
+from seedforge.gateway import Gateway
 from seedforge.gateway.mock import MockEmbedder
 
 
@@ -28,13 +29,52 @@ def rec(record_id, text):
 
 
 class VecGateway:
-    """Maps each record's sample text to a preset vector."""
+    """Maps each record's sample text to a preset vector, and embeds
+    three texts to a block."""
 
     def __init__(self, table):
         self.table = table
 
-    def embed(self, texts):
-        return np.array([self.table[t] for t in texts], dtype=np.float64)
+    def embed_blocks(self, texts):
+        for lo in range(0, len(texts), 3):
+            yield np.array([self.table[t] for t in texts[lo:lo + 3]],
+                           dtype=np.float64)
+
+
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    """Each test runs in a directory of its own, where run_filter and
+    saved write their vectors files."""
+    monkeypatch.chdir(tmp_path)
+
+
+_FILES = itertools.count()
+
+
+def run_filter(records, gateway, **kwargs):
+    """dedup_filter, spooling to a new vectors file."""
+    return dedup_filter(records, gateway, f"spool-{next(_FILES)}.npy",
+                        **kwargs)
+
+
+def saved(rows):
+    """rows as a new vectors file, written by np.save."""
+    path = f"saved-{next(_FILES)}.npy"
+    np.save(path, np.asarray(rows, dtype=np.float64), allow_pickle=False)
+    return read_vectors(path)
+
+
+def loaded(vectors):
+    return np.load(vectors.path, allow_pickle=False)
+
+
+def scan(ids, raw, threshold, *args, **kwargs):
+    """_dedup_exact over raw rows held in memory, screened by their
+    float32 unit rows."""
+    raw = np.asarray(raw, dtype=np.float64)
+    mat = np.empty(raw.shape, dtype=np.float32)
+    dedup._scale(raw, mat, ids)
+    return _dedup_exact(ids, mat, raw, threshold, *args, **kwargs)
 
 
 def table_gateway(pairs):
@@ -68,7 +108,7 @@ class TestExactIndex:
         ids = ["a-east", "b-north", "c-diag", "d-query"]
         unit = unit_rows([[1, 0], [0, 1], [1, 1], [1, 0.1]])
         for block in (1, 3, 8):
-            kept, removed = _dedup_exact(ids, unit, 0.95, block=block)
+            kept, removed = scan(ids, unit, 0.95, block=block)
             assert kept == [0, 1, 2]
             (hit,) = removed
             assert (hit.record_id, hit.nearest_id) == ("d-query", "a-east")
@@ -80,9 +120,9 @@ class TestExactIndex:
         # lies on the diagonal the scan leaves out.
         unit = unit_rows([[1, 0], [1, 0]])
         for block in (1, 2):
-            assert _dedup_exact(["a"], unit[:1], 0.95, block=block) == (
+            assert scan(["a"], unit[:1], 0.95, block=block) == (
                 [0], [])
-            kept, removed = _dedup_exact(["a", "b"], unit, 0.95, block=block)
+            kept, removed = scan(["a", "b"], unit, 0.95, block=block)
             assert kept == [0]
             (hit,) = removed
             assert (hit.record_id, hit.nearest_id) == ("b", "a")
@@ -92,35 +132,36 @@ class TestExactIndex:
         ids = ["a", "b", "c"]
         unit = unit_rows([[1, 0], [0.99, 0.1], [0, 1]])
         for block in (3, 100, 2 ** 19):
-            kept, removed = _dedup_exact(ids, unit, 0.95, block=block)
+            kept, removed = scan(ids, unit, 0.95, block=block)
             assert kept == [0, 2]
             assert [(r.record_id, r.nearest_id) for r in removed] == [
                 ("b", "a")]
 
     def test_empty_index(self):
-        assert _dedup_exact([], np.empty((0, 3)), 0.95) == ([], [])
+        assert scan([], np.empty((0, 3)), 0.95) == ([], [])
 
     def test_dim_mismatch(self):
         records, gw = table_gateway([(rec("r0", "a"), [1.0, 0.0]),
                                      (rec("r1", "b"), [0.0, 1.0])])
         with pytest.raises(ProtocolError, match="dimension"):
-            dedup_filter(records[:1], gw,
-                         known=Known(["r1"], [np.array([[0.0, 1.0, 0.0]])],
-                                     []))
-        flat = SimpleNamespace(embed=lambda texts: np.zeros(len(texts)))
+            run_filter(records[:1], gw,
+                       known=Known(["r1"], [saved([[0.0, 1.0, 0.0]])],
+                                   []))
+        flat = SimpleNamespace(
+            embed_blocks=lambda texts: [np.zeros(len(texts))])
         with pytest.raises(ProtocolError):
-            dedup_filter(records, flat)
-        short = SimpleNamespace(embed=lambda texts: np.ones((1, 2)))
+            run_filter(records, flat)
+        short = SimpleNamespace(embed_blocks=lambda texts: [np.ones((1, 2))])
         with pytest.raises(ProtocolError):
-            dedup_filter(records, short)
+            run_filter(records, short)
 
     def test_zero_vector(self):
         # A zero row is rejected where it enters, fresh or already known.
         records, gw = table_gateway([(rec("r0", "a"), [1.0, 0.0]),
                                      (rec("r1", "b"), [0.0, 1.0])])
         with pytest.raises(ValidationError, match="r0"):
-            dedup_filter(records[1:], gw,
-                         known=Known(["r0"], [np.array([[0.0, 0.0]])], []))
+            run_filter(records[1:], gw,
+                       known=Known(["r0"], [saved([[0.0, 0.0]])], []))
 
 
 def random_unit(rng, n, dim):
@@ -143,7 +184,7 @@ class TestCosine:
         # cos 45 degrees between [1, 1] and [1, 0]
         records, gw = table_gateway([(rec("r0", "a"), [1.0, 1.0]),
                                      (rec("r1", "b"), [1.0, 0.0])])
-        (hit,) = dedup_filter(records, gw, threshold=0.7).removed
+        (hit,) = run_filter(records, gw, threshold=0.7).removed
         assert abs(hit.similarity - 1 / math.sqrt(2)) < 1e-9
 
     def test_extremes(self):
@@ -153,7 +194,7 @@ class TestCosine:
                                      (rec("r1", "b"), [5.0, 0.0]),
                                      (rec("r2", "c"), [0.0, 3.0]),
                                      (rec("r3", "d"), [0.0, -2.0])])
-        result = dedup_filter(records, gw, threshold=1e-9)
+        result = run_filter(records, gw, threshold=1e-9)
         assert [(r.record_id, r.nearest_id) for r in result.removed] == [
             ("r1", "r0")]
         assert result.removed[0].similarity == pytest.approx(1.0)
@@ -171,7 +212,7 @@ class TestDedupFilter:
 
     def test_keep_first_measures_against_kept_only(self):
         records, gw = self.chain()
-        result = dedup_filter(records, gw)
+        result = run_filter(records, gw)
         # r2 is above the threshold only against the removed r1.
         assert [r.id for r in result.kept] == ["r0", "r2"]
         (hit,) = result.removed
@@ -184,43 +225,43 @@ class TestDedupFilter:
             (rec("r1", "one"), [0.95, math.sqrt(1 - 0.95 ** 2)]),
         ]
         records, gw = table_gateway(pairs)
-        result = dedup_filter(records, gw, threshold=0.95)
+        result = run_filter(records, gw, threshold=0.95)
         assert len(result.kept) == 2
         assert result.removed == []
 
     def test_processes_in_id_order_regardless_of_input_order(self):
         records, gw = self.chain()
-        result = dedup_filter(list(reversed(records)), gw)
+        result = run_filter(list(reversed(records)), gw)
         assert [r.id for r in result.kept] == ["r0", "r2"]
         assert [r.record_id for r in result.removed] == ["r1"]
 
     def test_idempotent(self):
         records, gw = self.chain()
-        once = dedup_filter(records, gw)
-        twice = dedup_filter(once.kept, gw)
+        once = run_filter(records, gw)
+        twice = run_filter(once.kept, gw)
         assert [r.id for r in twice.kept] == [r.id for r in once.kept]
         assert twice.removed == []
 
     def test_empty_input(self):
-        result = dedup_filter([], VecGateway({}))
+        result = run_filter([], VecGateway({}))
         assert result.kept == [] and result.removed == []
 
     def test_duplicate_ids_rejected(self):
         records, gw = self.chain()
         with pytest.raises(ValidationError):
-            dedup_filter(records + [rec("r0", "zero")], gw)
+            run_filter(records + [rec("r0", "zero")], gw)
 
     def test_parameter_validation(self):
         records, gw = self.chain()
         with pytest.raises(ValidationError):
-            dedup_filter(records, gw, threshold=0.0)
+            run_filter(records, gw, threshold=0.0)
         with pytest.raises(ValidationError):
-            dedup_filter(records, gw, threshold=1.5)
+            run_filter(records, gw, threshold=1.5)
 
     def test_zero_norm_embedding_names_the_record(self):
         records, gw = table_gateway([(rec("rz", "z"), [0.0, 0.0])])
         with pytest.raises(ValidationError, match="rz"):
-            dedup_filter(records, gw)
+            run_filter(records, gw)
 
     def test_raw_vector_scale_does_not_matter(self):
         ids, base, records, gw = TestOracleEquivalence().planted_corpus(
@@ -228,8 +269,8 @@ class TestDedupFilter:
         scales = np.linspace(0.01, 100.0, len(ids))
         scaled = VecGateway({sample_text(r): (base[i] * scales[i]).tolist()
                              for i, r in enumerate(records)})
-        plain = dedup_filter(records, gw)
-        other = dedup_filter(records, scaled)
+        plain = run_filter(records, gw)
+        other = run_filter(records, scaled)
         assert [r.id for r in other.kept] == [r.id for r in plain.kept]
         assert [(r.record_id, r.nearest_id) for r in other.removed] == [
             (r.record_id, r.nearest_id) for r in plain.removed]
@@ -241,7 +282,7 @@ class TestDedupFilter:
         records, gw = table_gateway([(rec("r0", "a"), 1.0),
                                      (rec("r1", "b"), 2.0)])
         with pytest.raises(ProtocolError):
-            dedup_filter(records, gw)
+            run_filter(records, gw)
 
     def test_mock_gateway_end_to_end(self, gateway):
         records = [
@@ -249,13 +290,13 @@ class TestDedupFilter:
             rec("r1", "วัดอรุณตั้งอยู่ริมแม่น้ำเจ้าพระยา"),
             rec("r2", "completely different subject matter entirely"),
         ]
-        result = dedup_filter(records, gateway)
+        result = run_filter(records, gateway)
         assert [r.id for r in result.kept] == ["r0", "r2"]
         assert result.removed[0].similarity == pytest.approx(1.0)
 
     def test_result_shape(self):
         records, gw = self.chain()
-        result = dedup_filter(records, gw)
+        result = run_filter(records, gw)
         assert isinstance(result, DedupResult)
         assert all(isinstance(r, Removal) for r in result.removed)
 
@@ -294,7 +335,7 @@ class TestOracleEquivalence:
     def test_exact_filter_matches_oracle(self):
         ids, base, records, gw = self.planted_corpus()
         want_kept, want_removed = oracle_keep_first(ids, base, 0.95)
-        result = dedup_filter(records, gw)
+        result = run_filter(records, gw)
         assert [r.id for r in result.kept] == want_kept
         assert {r.record_id for r in result.removed} == set(want_removed)
         for removal in result.removed:
@@ -345,7 +386,7 @@ class TestBlockedScan:
     def test_equals_per_row_reference(self, block):
         ids, unit = chained_corpus()
         want_kept, want_removed = per_row_reference(ids, unit, 0.95)
-        kept, removed = _dedup_exact(ids, unit, 0.95, block=block)
+        kept, removed = scan(ids, unit, 0.95, block=block)
         assert kept == want_kept
         assert [(r.record_id, r.nearest_id) for r in removed] == [
             (r.record_id, r.nearest_id) for r in want_removed]
@@ -355,7 +396,7 @@ class TestBlockedScan:
 
     def test_the_chain_crosses_a_block_boundary(self):
         ids, unit = chained_corpus()
-        _, removed = _dedup_exact(ids, unit, 0.95, block=7)
+        _, removed = scan(ids, unit, 0.95, block=7)
         assert [(r.record_id, r.nearest_id) for r in removed] == [
             ("r006", "r005"), ("r008", "r007"), ("r027", "r020")]
 
@@ -368,7 +409,7 @@ class TestBlockedScan:
         ids = [f"r{i:03d}" for i in range(150)]
         want = per_row_reference(ids, unit, 0.9)
         for block in (1, 7, 64, 151):
-            kept, removed = _dedup_exact(ids, unit, 0.9, block=block)
+            kept, removed = scan(ids, unit, 0.9, block=block)
             assert kept == want[0]
             assert [r.nearest_id for r in removed] == [
                 r.nearest_id for r in want[1]]
@@ -428,10 +469,10 @@ class TestThresholdTies:
         mat = gateway.embed([sample_text(r) for r in records])
         unit = mat / np.linalg.norm(mat, axis=1, keepdims=True)
         for block in (1, 2, 3, 7, len(ids)):
-            kept, removed = _dedup_exact(ids, unit, 0.8, block=block)
+            kept, removed = scan(ids, unit, 0.8, block=block)
             assert kept == list(range(len(ids)))
             assert removed == []
-            kept, removed = _dedup_exact(ids, unit, 0.8 - 1e-9, block=block)
+            kept, removed = scan(ids, unit, 0.8 - 1e-9, block=block)
             assert [r.record_id for r in removed] == ids[1::2]
 
 
@@ -440,9 +481,9 @@ class CountingGateway(VecGateway):
         super().__init__(table)
         self.embedded = []
 
-    def embed(self, texts):
+    def embed_blocks(self, texts):
         self.embedded.extend(texts)
-        return super().embed(texts)
+        return super().embed_blocks(texts)
 
 
 def known_from(result: DedupResult, records) -> Known:
@@ -455,73 +496,74 @@ class TestKnownVectors:
     def test_only_unknown_records_are_embedded(self):
         records, gw = TestDedupFilter().chain()
         gw = CountingGateway(gw.table)
-        first = dedup_filter(records[:2], gw)
+        first = run_filter(records[:2], gw)
         gw.embedded.clear()
-        again = dedup_filter(records[2:], gw,
-                             known=known_from(first, records[:2]))
+        again = run_filter(records[2:], gw,
+                           known=known_from(first, records[:2]))
         assert gw.embedded == [sample_text(records[2])]
-        plain = dedup_filter(records, VecGateway(gw.table))
+        plain = run_filter(records, VecGateway(gw.table))
         assert [r.id for r in first.kept + again.kept] == [
             r.id for r in plain.kept]
         assert first.removed + again.removed == plain.removed
-        assert np.array_equal(again.vectors, plain.vectors[2:])
+        assert np.array_equal(loaded(again.vectors), loaded(plain.vectors)[2:])
 
     def test_all_records_known_embeds_nothing(self):
         records, gw = TestDedupFilter().chain()
         gw = CountingGateway(gw.table)
-        first = dedup_filter(records, gw)
+        first = run_filter(records, gw)
         gw.embedded.clear()
-        again = dedup_filter([], gw, known=known_from(first, records))
+        again = run_filter([], gw, known=known_from(first, records))
         assert gw.embedded == []
         assert again.kept == [] and again.removed == []
         assert len(again.vectors) == 0
 
     def test_a_known_record_is_not_decided_again(self):
         records, gw = TestDedupFilter().chain()
-        first = dedup_filter(records[:2], gw)
+        first = run_filter(records[:2], gw)
         with pytest.raises(ValidationError, match="r1"):
-            dedup_filter(records[1:], gw,
-                         known=known_from(first, records[:2]))
+            run_filter(records[1:], gw,
+                       known=known_from(first, records[:2]))
 
     def test_vectors_follow_id_order(self):
         records, gw = TestDedupFilter().chain()
-        result = dedup_filter(list(reversed(records)), gw)
+        result = run_filter(list(reversed(records)), gw)
         want = [gw.table[sample_text(r)] for r in records]
-        assert np.array_equal(result.vectors, np.array(want))
+        assert np.array_equal(loaded(result.vectors), np.array(want))
 
     def test_dimension_disagreement_is_protocol_error(self):
         records, gw = TestDedupFilter().chain()
         with pytest.raises(ProtocolError, match="dimension"):
-            dedup_filter(records[1:], gw,
-                         known=Known(["r0"], [np.array([[1.0, 0.0, 0.0]])],
-                                     []))
+            run_filter(records[1:], gw,
+                       known=Known(["r0"], [saved([[1.0, 0.0, 0.0]])],
+                                   []))
 
     def test_vector_rows_must_match_known_ids(self):
         records, gw = TestDedupFilter().chain()
         with pytest.raises(ProtocolError, match="known"):
-            dedup_filter(records[2:], gw,
-                         known=Known(["r0", "r1"], [np.ones((1, 2))], []))
+            run_filter(records[2:], gw,
+                       known=Known(["r0", "r1"], [saved(np.ones((1, 2)))], []))
 
     def test_a_known_block_without_records_is_skipped(self):
         # An epoch that generated no records left a (0, 0) block.
         records, gw = TestDedupFilter().chain()
-        first = dedup_filter(records[:2], gw)
-        empty = np.empty((0, 0))
+        first = run_filter(records[:2], gw)
+        rows = loaded(first.vectors)
         known = Known([r.id for r in records[:2]],
-                      [empty, first.vectors[:1], empty, first.vectors[1:]],
+                      [saved(np.empty((0, 0))), saved(rows[:1]),
+                       saved(np.empty((0, 0))), saved(rows[1:])],
                       first.removed)
-        again = dedup_filter(records[2:], gw, known=known)
-        plain = dedup_filter(records, gw)
+        again = run_filter(records[2:], gw, known=known)
+        plain = run_filter(records, gw)
         assert [r.id for r in first.kept + again.kept] == [
             r.id for r in plain.kept]
         assert first.removed + again.removed == plain.removed
 
-    def test_assembly_copies_no_known_block(self, monkeypatch):
-        # The float32 unit matrix is the one copy of the rows: gathering
-        # the known blocks' standing rows and the new rows into it takes
-        # one float64 slab of slack at a time and the ids' bookkeeping,
-        # less than half a known block, never a copy of a known block or
-        # a float64 matrix.
+    def test_assembly_copies_no_known_block(self, monkeypatch, peak):
+        # The float32 unit matrix is the one copy of the rows: reading the
+        # known files' standing rows and the new rows into it takes one
+        # float64 slab of slack at a time and the ids' bookkeeping, less
+        # than half a known block, never a copy of a known block or a
+        # float64 matrix.
         monkeypatch.setattr(dedup, "SLAB_ELEMENTS", 2 ** 12)
         rng = np.random.default_rng(8)
         blocks = [rng.normal(size=(1500, 64)) for _ in range(3)]
@@ -529,18 +571,19 @@ class TestKnownVectors:
         removed = [Removal(rid, ids[0], 1.0) for rid in ids[1::10]]
         fresh = rng.normal(size=(300, 64))
         new_ids = [f"s{i:05d}" for i in range(300)]
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            rows, stand_ids = dedup._rows(Known(ids, blocks, removed), fresh)
-            mat = dedup._unit_rows(rows, stand_ids + new_ids)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert mat.dtype == np.float32
+        known = Known(ids, [saved(block) for block in blocks], removed)
+        spooled = saved(fresh)
+
+        def assemble():
+            parts, stand_ids, _ = dedup._standing(known)
+            rows = dedup._Rows(parts + [(spooled, np.arange(300))], 64)
+            mat = np.empty((len(stand_ids) + 300, 64), dtype=np.float32)
+            dedup._fill(mat, rows, stand_ids + new_ids)
+            return rows, stand_ids, mat
+
+        (rows, stand_ids, mat), used = peak(assemble)
         assert mat.shape == (4500 - len(removed) + 300, 64)
-        assert peak <= mat.nbytes + blocks[0].nbytes // 2
+        assert used <= mat.nbytes + blocks[0].nbytes // 2
         gone = {r.record_id for r in removed}
         keep = [i for i, rid in enumerate(ids) if rid not in gone]
         assert stand_ids == [ids[i] for i in keep]
@@ -551,6 +594,34 @@ class TestKnownVectors:
         assert np.array_equal(rows[at], want[at])
         unit = want / np.linalg.norm(want, axis=1, keepdims=True)
         assert np.array_equal(mat, unit.astype(np.float32))
+
+    def test_a_scan_holds_no_float64_matrix(self, monkeypatch, peak):
+        # dedup_filter over 3,000 new rows after two known epochs holds
+        # the float32 matrix, two float64 slabs and the ids' bookkeeping;
+        # never the reply or a known epoch as one float64 array.
+        monkeypatch.setattr(dedup, "SLAB_ELEMENTS", 2 ** 12)
+        gw = Gateway.mock(embed_dim=64)
+        rng = np.random.default_rng(4)
+        texts = [" ".join(f"w{k}" for k in rng.integers(0, 3000, size=6))
+                 for _ in range(9000)]
+        # Every tenth text of an epoch repeats one of the epoch before.
+        texts[3000:6000:10] = texts[0:3000:10]
+        texts[6005::10] = texts[3005:6000:10]
+        epochs = [[rec(f"e{e}-{i:05d}", texts[3000 * e + i])
+                   for i in range(3000)] for e in range(3)]
+        known = Known([], [], [])
+        for epoch in epochs[:2]:
+            first = run_filter(epoch, gw, threshold=0.9, known=known)
+            known = Known(known.ids + sorted(r.id for r in epoch),
+                          known.vectors + [first.vectors],
+                          known.removed + first.removed)
+        result, used = peak(run_filter, epochs[2], gw, threshold=0.9,
+                            known=known)
+        assert known.removed and result.removed
+        screen = (len(known.ids) - len(known.removed) + 3000) * 64 * 4
+        slab = 2 ** 12 * 8
+        reply = 3000 * 64 * 8
+        assert used <= screen + 2 * slab + reply // 2
 
 
 def planted_epochs(seed, n_old, n_new, dim=12, dups=12, first=0):
@@ -634,7 +705,7 @@ class TestFloat32Screen:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_the_screen_never_misses(self, dim, seed):
         ids, raw = planted_at_the_cut(dim, 0.9, seed)
-        kept, removed = _dedup_exact(ids, raw, 0.9)
+        kept, removed = scan(ids, raw, 0.9)
         assert (kept, removed) == float64_brute_force(ids, raw, 0.9)
         assert {r.record_id for r in removed} >= {
             ids[i] for i in range(11, len(ids), 2)
@@ -653,16 +724,16 @@ class TestFloat32Screen:
             noisy = unit[k] + 0.3 * rng.normal(size=256) / 16
             unit[299 - k] = noisy / np.linalg.norm(noisy)
         ids = [f"r{i:03d}" for i in range(300)]
-        want = _dedup_exact(ids, unit, 0.9)
+        want = scan(ids, unit, 0.9)
         assert len(want[1]) > 30
         for block, width in ((1, 1), (3, 7), (16, 5), (7, 200), (200, 9),
                              (64, 300)):
-            assert _dedup_exact(ids, unit, 0.9, 0, block, width) == want
+            assert scan(ids, unit, 0.9, 0, block, width) == want
         start = 200
         rows = [i for i in want[0] if i < start] + list(range(start, 300))
         late = [r for r in want[1] if r.record_id >= ids[start]]
         for block, width in ((1, 1), (5, 13), (100, 400)):
-            kept, removed = _dedup_exact(
+            kept, removed = scan(
                 [ids[r] for r in rows], unit[rows], 0.9,
                 len(rows) - 100, block, width)
             assert removed == late
@@ -684,12 +755,12 @@ class TestIncrementalScan:
     def test_equals_the_full_scan(self, monkeypatch, slab, seed):
         monkeypatch.setattr(dedup, "SLAB_ELEMENTS", slab)
         ids, unit, old, new, gw = self.epochs(seed)
-        want_kept, want_removed = _dedup_exact(ids, unit, 0.9)
+        want_kept, want_removed = scan(ids, unit, 0.9)
         assert want_removed, "the corpus plants no removal"
-        first = dedup_filter(old, gw, threshold=0.9)
+        first = run_filter(old, gw, threshold=0.9)
         gw.embedded.clear()
-        result = dedup_filter(new, gw, threshold=0.9,
-                              known=known_from(first, old))
+        result = run_filter(new, gw, threshold=0.9,
+                            known=known_from(first, old))
         assert gw.embedded == [sample_text(r) for r in new]
         assert [r.id for r in first.kept + result.kept] == [
             ids[i] for i in want_kept]
@@ -707,8 +778,8 @@ class TestIncrementalScan:
         rows = [i for i in want[0] if i < 60] + list(range(60, 100))
         start = len(rows) - 40
         for block, width in ((1, 1), (3, 7), (16, 5), (7, 200), (200, 9)):
-            kept, removed = _dedup_exact([ids[r] for r in rows], unit[rows],
-                                         0.9, start, block, width)
+            kept, removed = scan([ids[r] for r in rows], unit[rows],
+                                 0.9, start, block, width)
             assert [rows[p] for p in kept] == [i for i in want[0]
                                                if i >= 60]
             assert [(r.record_id, r.nearest_id) for r in removed] == [
@@ -720,11 +791,11 @@ class TestIncrementalScan:
         # before most of them; then old and new ids alternate. Either way
         # the new rows are decided after the known ones, in id order.
         scans = []
-        scan = dedup._dedup_exact
+        real = dedup._dedup_exact
 
-        def spy(ids, mat, threshold, start=0, *args):
+        def spy(ids, mat, rows, threshold, start=0, *args):
             scans.append((len(ids), start))
-            return scan(ids, mat, threshold, start, *args)
+            return real(ids, mat, rows, threshold, start, *args)
 
         monkeypatch.setattr(dedup, "_dedup_exact", spy)
         for first_topic in (9930, 0):
@@ -732,11 +803,11 @@ class TestIncrementalScan:
             if not first_topic:
                 both = old + new
                 old, new = both[0::2], both[1::2]
-            first = dedup_filter(old, gw, threshold=0.9)
+            first = run_filter(old, gw, threshold=0.9)
             gw.embedded.clear()
             scans.clear()
-            result = dedup_filter(new, gw, threshold=0.9,
-                                  known=known_from(first, old))
+            result = run_filter(new, gw, threshold=0.9,
+                                known=known_from(first, old))
             assert gw.embedded == [sample_text(r) for r in new]
             assert scans == [(len(first.kept) + len(new), len(first.kept))]
             assert {r.record_id for r in result.removed} <= {
@@ -776,7 +847,7 @@ class TestIncrementalScan:
         known, kept = Known([], [], []), []
         for e in range(rounds):
             epoch = records[e * topics:(e + 1) * topics]
-            result = dedup_filter(epoch, gw, threshold=0.9, known=known)
+            result = run_filter(epoch, gw, threshold=0.9, known=known)
             kept += result.kept
             known = Known(known.ids + [r.id for r in epoch],
                           known.vectors + [result.vectors],
@@ -810,3 +881,23 @@ class TestRemovalsFile:
         path.write_text(body, encoding="utf-8")
         with pytest.raises(ParseError, match="removals"):
             read_removals(str(path))
+
+
+class TestVectorsFile:
+    def test_a_short_file_is_a_parse_error(self):
+        vectors = saved(np.ones((4, 3)))
+        with open(vectors.path, "r+b") as handle:
+            handle.truncate(vectors.offset + 3 * 3 * 8 + 5)
+        out = np.empty((2, 3))
+        vectors.read(np.array([1, 2]), out)
+        assert np.array_equal(out, np.ones((2, 3)))
+        with pytest.raises(ParseError, match="fewer rows"):
+            vectors.read(np.array([2, 3]), out)
+
+    @pytest.mark.parametrize("rows", [np.ones((2, 3), dtype=np.float32),
+                                      np.ones(3), np.ones((2, 3)).T])
+    def test_only_c_ordered_float64_rows_are_read(self, rows):
+        np.save("other.npy", rows, allow_pickle=False)
+        with pytest.raises(ParseError, match="not a vectors file"):
+            read_vectors("other.npy")
+

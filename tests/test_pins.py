@@ -18,10 +18,12 @@ import sys
 
 import pytest
 
-from seedforge import constants
+from seedforge import constants, records
 from seedforge.cli import main
 from seedforge.config import load_config
+from seedforge.errors import ProviderError
 from seedforge.evalreport import EVAL_TASKS, TEST_SETS
+from seedforge.gateway.mock import MockEmbedder
 from seedforge.pipeline import (CHECKPOINT_FILE, MANIFEST_FILE,
                                 build_gateway, run_pipeline)
 from seedforge.records import file_sha256, read_json, read_records
@@ -255,6 +257,77 @@ def test_skipped_stages_load_only_when_read(tmp_path, monkeypatch):
     assert sorted(set(parsed)) == [f"instructions-{epoch:02d}.jsonl"
                                    for epoch in range(3)]
     assert file_sha256(os.path.join(workdir, MANIFEST_FILE)) == RUN_MANIFEST
+
+
+def test_a_crash_inside_the_dedup_spool(tmp_path, monkeypatch):
+    """The embedder fails on its third batch of dedup-00, after two
+    batches went to the spool: the stage gets no ledger entry. The rerun
+    spools anew and writes the pinned bytes; it never reads the stale
+    spool, which is scrambled here to show it."""
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    config = load_config(str(conf))
+    workdir = str(tmp_path / "w")
+    monkeypatch.setattr(MockEmbedder, "batch_size", 16)
+    batches = []
+    embed_batch = MockEmbedder.embed_batch
+
+    def third_fails(self, texts):
+        batches.append(texts)
+        if len(batches) == 3:
+            raise ProviderError("the embedder went away")
+        return embed_batch(self, texts)
+
+    monkeypatch.setattr(MockEmbedder, "embed_batch", third_fails)
+    with pytest.raises(ProviderError):
+        run_pipeline(config, workdir)
+    ledger = read_json(os.path.join(workdir, CHECKPOINT_FILE))
+    assert "instructions-00" in ledger and "dedup-00" not in ledger
+    spool = os.path.join(workdir, "vectors-00.npy.spool")
+    # The header, then the two batches that arrived.
+    assert os.path.getsize(spool) == 128 + 2 * 16 * 256 * 8
+    with open(spool, "r+b") as handle:
+        handle.write(os.urandom(os.path.getsize(spool)))
+    monkeypatch.setattr(MockEmbedder, "embed_batch", embed_batch)
+    executed = []
+    run_pipeline(config, workdir, stage_hook=executed.append)
+    assert executed == RUN_STAGES[3:]
+    assert not os.path.exists(spool)
+    assert file_sha256(os.path.join(workdir, MANIFEST_FILE)) == RUN_MANIFEST
+    assert file_sha256(os.path.join(workdir, CHECKPOINT_FILE)) == RUN_LEDGER
+
+
+def test_a_dedup_stage_parses_only_its_own_records(tmp_path, monkeypatch):
+    """A dedup stage that reruns alone builds the records of its own
+    epoch only: the earlier epochs' ids are read from the start of each
+    line of their instruction files."""
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    config = load_config(str(conf))
+    workdir = str(tmp_path / "w")
+    run_pipeline(config, workdir)
+    ckpt = os.path.join(workdir, CHECKPOINT_FILE)
+    ledger = read_json(ckpt)
+    del ledger["dedup-01"]
+    with open(ckpt, "w", encoding="utf-8") as handle:
+        json.dump(ledger, handle)
+    built = []
+    record_from_dict = records.record_from_dict
+
+    def counting(data, where="record"):
+        built.append(where)
+        return record_from_dict(data, where)
+
+    monkeypatch.setattr(records, "record_from_dict", counting)
+    executed = []
+    run_pipeline(config, workdir, stage_hook=executed.append)
+    assert executed == ["dedup-01"]
+    path = os.path.join(workdir, "instructions-01.jsonl")
+    with open(path, "rb") as handle:
+        lines = sum(1 for line in handle if line.strip())
+    assert built == [f"{path} line {n}" for n in range(1, lines + 1)]
+    assert file_sha256(os.path.join(workdir, MANIFEST_FILE)) == RUN_MANIFEST
+    assert file_sha256(ckpt) == RUN_LEDGER
 
 
 def test_ablate_full_writes_the_bytes_of_run(built):

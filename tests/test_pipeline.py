@@ -17,7 +17,7 @@ import pytest
 from seedforge.cli import main as cli_main
 from seedforge.config import default_config, parse_config, with_overrides
 from seedforge.contexts import WIKI
-from seedforge.dedup import read_removals, sample_text
+from seedforge.dedup import read_removals, sample_text, write_spool
 from seedforge import pipeline
 from seedforge.errors import (BuildError, ConfigError,
                               GenerationExhaustedError, LockError, ParseError)
@@ -478,21 +478,51 @@ class TestIncrementalDedup:
         assert file_sha256(manifest_path(tmp_path)) == before
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (1, 1), (37, 256)])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (1, 1), (37, 256),
+                                   (130, 8)])
 def test_a_vectors_file_holds_what_np_save_writes(tmp_path, shape):
-    # Written from the array's own buffer, hashed as it goes, and read
-    # back mapped; an epoch without records writes the (0, 0) array.
+    # Spooled as its rows arrive, in batches of up to 16 rows, hashed as
+    # it goes, moved into place by its writer and read back a set of rows
+    # at a time; an epoch without records writes the (0, 0) array.
     vectors = np.random.default_rng(1).normal(size=shape)
+    # (0, 4) arrives as one empty batch of width 4, (0, 0) as no batch.
+    batches = [vectors[lo:lo + 16]
+               for lo in range(0, max(1, len(vectors)), 16)] if shape[1] else []
+    spool = str(tmp_path / "vectors-00.npy.spool")
     path = str(tmp_path / "vectors-00.npy")
-    digest = write_vectors(vectors, path)
+    spooled = write_spool(spool, len(vectors), batches)
+    digest = write_vectors(spooled, path)
+    assert not os.path.exists(spool) and spooled.path == path
     saved = io.BytesIO()
     np.save(saved, vectors, allow_pickle=False)
     with open(path, "rb") as handle:
         assert handle.read() == saved.getvalue()
     assert digest == hashlib.sha256(saved.getvalue()).hexdigest()
-    mapped = read_vectors(path)
-    assert isinstance(mapped, np.memmap) and not mapped.flags.writeable
-    assert mapped.shape == shape and np.array_equal(mapped, vectors)
+    read = read_vectors(path)
+    assert read.shape == shape and read.sha256 is None
+    for at in (np.arange(shape[0]), np.arange(0, shape[0], 3),
+               np.array([k for k in range(shape[0]) if k % 5 in (1, 2)],
+                        dtype=int)):
+        rows = np.empty((len(at), shape[1]))
+        read.read(at, rows)
+        assert np.array_equal(rows, vectors[at])
+
+
+def test_a_stage_file_is_written_a_chunk_at_a_time(tmp_path, peak):
+    # 20,000 records through the instructions stage's writer: a chunk of
+    # rows, their text and their bytes, and the ids seen so far are alive
+    # at once, never the file's text or bytes whole.
+    config = default_config(topics_cultural=1, topics_general=1)
+    gateway = Gateway.mock()
+    batch, _ = generate_records(acquire_contexts(
+        epoch_topics(config, gateway), gateway, config), gateway, config)
+    records = [replace(batch[i % len(batch)], id=f"r{i:05d}")
+               for i in range(20_000)]
+    _, write, _ = STAGES["instructions"][0]
+    path = str(tmp_path / "instructions-00.jsonl")
+    digest, used = peak(write, records, path)
+    assert digest == file_sha256(path)
+    assert used < os.path.getsize(path) / 4
 
 
 class TestExtensionTopics:

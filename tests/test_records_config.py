@@ -14,8 +14,9 @@ from seedforge.config import (SCHEMA, PipelineConfig, default_config,
                               load_config, parse_config)
 from seedforge.errors import ConfigError, ParseError, ValidationError
 from seedforge.instructions import InstructionRecord
-from seedforge.records import (file_sha256, read_records, record_from_dict,
-                               record_to_dict, write_jsonl, write_records)
+from seedforge.records import (file_sha256, read_ids, read_records,
+                               record_from_dict, record_to_dict, write_jsonl,
+                               write_records)
 from seedforge.topics import CULTURAL, GENERAL, Topic
 
 PINNED_DEFAULTS = {
@@ -271,6 +272,33 @@ class TestRecordFiles:
                                   separators=(",", ":")) + "\n"
                        for row in rows)
         assert Path(path).read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_chunks_do_not_move_a_byte(self, tmp_path, monkeypatch, chunk):
+        whole = str(tmp_path / "whole.jsonl")
+        write_records(sample_records(), whole)
+        monkeypatch.setattr("seedforge.records.CHUNK_ROWS", chunk)
+        path = str(tmp_path / "chunked.jsonl")
+        assert write_records(sample_records(), path) == file_sha256(whole)
+        assert Path(path).read_bytes() == Path(whole).read_bytes()
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # The repeated id comes after a first chunk was written.
+        monkeypatch.setattr("seedforge.records.CHUNK_ROWS", 2)
+        rows = sample_records()
+        with pytest.raises(ValidationError, match="duplicate record id"):
+            write_records(rows[:2] + rows[:1], str(tmp_path / "dup.jsonl"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ids_are_read_from_the_start_of_each_line(self, tmp_path):
+        path = str(tmp_path / "records.jsonl")
+        rows = sample_records()
+        write_records(rows, path)
+        assert read_ids(path) == [r.id for r in rows]
+        with open(path, "ab") as handle:
+            handle.write(b'\n{"task": "x", "id": "late"}\n')
+        with pytest.raises(ParseError, match=f"line {len(rows) + 2}"):
+            read_ids(path)
 
     def test_byte_stable_rewrites(self, tmp_path):
         a = str(tmp_path / "a.jsonl")
