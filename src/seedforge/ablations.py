@@ -3,18 +3,15 @@
 Five variants differ in three properties: fluency (no degrading transforms
 applied), cultural context (cultural topics in the mix), and diversity
 (near-duplicate filtering on). One table, VARIANT_TABLE, says how each is
-built and `build_variant` builds all five from it. The flags on a manifest
-are always derived from its recipe (see seedforge.manifest), and the
-recipe's transforms are the steps that ran, in order.
+built. The flags on a manifest are always derived from its recipe (see
+seedforge.manifest), and the recipe's transforms are the steps that ran,
+in order.
 
-The generated variants run the pipeline's checkpointed epoch loop in a
-temporary working directory with the row's dedup setting and its topic
-counts. With dedup on, the counts scale with the requested size and the
-loop adds topics; with it off, they are fixed and the loop re-rolls the
-first epoch's topics. The other two take a full build's manifest or an
-external corpus. Every variant then ends the same way: a seeded sample
-of its records, a recipe from its row, the recipe's transforms, and the
-flags stamped.
+This module turns records into a variant's manifest and builds none:
+`pipeline.build_variant` gets each variant's records. Every variant, and
+`run` as the `full` row, ends in the one tail, `variant_manifest`: a
+seeded sample of its records, a recipe from its row, the recipe's
+transforms, and the flags stamped.
 
 Degradations are deliberate: round-trip translation simulates a machine
 translated corpus, and paraphrase fan-out shrinks semantic diversity while
@@ -24,23 +21,20 @@ batch requests of a step's distinct texts.
 
 from __future__ import annotations
 
-import math
-import tempfile
 from dataclasses import dataclass, replace
 
 from seedforge import constants
 from seedforge.config import PipelineConfig
+from seedforge.contexts import acquire_contexts
 from seedforge.errors import (BuildError, ConfigError, ProviderError,
                               ValidationError)
 from seedforge.instructions import (CONVERSATION, GenerationFailure,
-                                    InstructionRecord)
+                                    InstructionRecord, generate_records)
 from seedforge.manifest import (  # noqa: F401 - re-exported
     VARIANT_CULTURE_ONLY, VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
     VARIANT_FULL, VARIANT_NO_PROPERTIES, VARIANTS, DatasetManifest,
     PropertyFlags, Recipe, derive_flags, finish_manifest, read_manifest,
     truncate_records, write_manifest)
-from seedforge.pipeline import (MAX_EPOCHS, acquire_contexts, build,
-                                generate_records)
 from seedforge.records import read_jsonl_lines
 from seedforge.topics import GENERAL, Topic
 
@@ -88,12 +82,9 @@ def generate_pass(gateway, config: PipelineConfig, topics: list[Topic], *,
                   start_index: int = 0, round_no: int = 0
                   ) -> tuple[list[InstructionRecord],
                              list[GenerationFailure]]:
-    """One context + one record batch per topic: the pipeline's contexts
-    and instructions stage bodies, composed.
-
-    Output order is by topic index, not completion order; ids and seeds
-    are derived from the topic index and round, so reruns are identical.
-    """
+    """The contexts and instructions stage bodies, composed: one context
+    and one record batch per topic, in topic order, with ids and seeds
+    from the topic index and round, so reruns are identical."""
     contexts = acquire_contexts(topics, gateway, config, start_index,
                                 round_no)
     return generate_records(contexts, gateway, config)
@@ -235,69 +226,28 @@ def _run_transforms(records: list[InstructionRecord], recipe: Recipe,
     return records
 
 
-def build_variant(variant: str, gateway, config: PipelineConfig,
-                  source=None, workdir_parent: str | None = None
-                  ) -> DatasetManifest:
-    """The variant's manifest of config.dataset_size records under
-    config.run_seed, built as its VARIANT_TABLE row says.
-
-    Generated variants run the pipeline's checkpointed stages in a
-    temporary directory under workdir_parent (the system default when
-    None), removed on return. A row's topic counts become
-    ceil(count * size / DATASET_SIZE), and the pipeline's extension
-    epochs make up any shortfall of the pool; a variant without dedup
-    keeps its counts and re-rolls them for at most ceil(size / topics) +
-    10 rounds. A derived variant needs the full build's DatasetManifest
-    as `source`, an external one the records of `load_external_corpus`.
-    Every variant then samples size / fan-out of its records (the
-    "truncate" stream when generated, else "sample"), runs its transforms
-    and has its flags stamped; the fan-out is paraphrase.count + 1 when
-    the transforms paraphrase, else 1.
-    """
+def variant_manifest(variant: str, records: list[InstructionRecord],
+                     topics: tuple[int, int], origin: str, gateway,
+                     config: PipelineConfig) -> DatasetManifest:
+    """The one tail of every variant, `run` included: a seeded sample of
+    size / fan-out of `records` (the "truncate" stream when `origin` is
+    GENERATED, else "sample"), the recipe built from the row, `topics`
+    (cultural, general) and `origin`, its transforms run, and the flags
+    stamped. The fan-out is paraphrase.count + 1 when the transforms
+    paraphrase, else 1."""
     spec = VARIANT_TABLE[variant]
     size, seed = config.dataset_size, config.run_seed
-    if spec.source == GENERATED:
-        cultural, general = spec.topics or (config.topics_cultural,
-                                            config.topics_general)
-        if spec.topics and spec.dedup:
-            cultural, general = (math.ceil(n * size / constants.DATASET_SIZE)
-                                 for n in spec.topics)
-        config = replace(config, topics_cultural=cultural,
-                         topics_general=general)
-        max_epochs = (MAX_EPOCHS if spec.dedup
-                      else math.ceil(size / max(1, general)) + 10)
-        with tempfile.TemporaryDirectory(prefix=".seedforge-",
-                                         dir=workdir_parent) as workdir:
-            records = build(config, workdir, gateway, None, max_epochs,
-                            dedup=spec.dedup, manifest=False)
-        origin, stream = GENERATED, "truncate"
-    elif spec.source == DERIVED:
-        if not isinstance(source, DatasetManifest):
-            raise ConfigError(f"{variant} requires --source (a full-build "
-                              f"manifest to sample from)")
-        if source.recipe.variant != VARIANT_FULL:
-            raise ConfigError(f"{variant} samples a {VARIANT_FULL} build, "
-                              f"not a {source.recipe.variant} manifest")
-        records, stream = list(source.records), "sample"
-        origin = f"derived:{source.recipe.variant}"
-        cultural, general = spec.topics or (source.recipe.topics_cultural,
-                                            source.recipe.topics_general)
-    else:
-        if not isinstance(source, list):
-            raise ConfigError(f"{variant} requires --external (a "
-                              f"prompt/response JSONL corpus)")
-        records, origin, stream = source, EXTERNAL, "sample"
-        cultural, general = spec.topics
     fanout = (config.paraphrase_count + 1
               if "paraphrase" in spec.transforms else 1)
     if size % fanout:
         raise ConfigError(f"size {size} is not a multiple of the paraphrase "
                           f"fan-out {fanout}")
-    recipe = Recipe(variant=variant, topics_cultural=cultural,
-                    topics_general=general, dedup=spec.dedup,
+    recipe = Recipe(variant=variant, topics_cultural=topics[0],
+                    topics_general=topics[1], dedup=spec.dedup,
                     transforms=spec.transforms, source=origin)
-    sampled = truncate_records(records, size // fanout, seed, variant,
-                               stream=stream)
+    sampled = truncate_records(
+        records, size // fanout, seed, variant,
+        stream="truncate" if origin == GENERATED else "sample")
     return finish_manifest(
         _run_transforms(sampled, recipe, gateway, config), recipe, size,
         seed)

@@ -21,17 +21,17 @@ import tempfile
 from seedforge import ablations
 from seedforge.config import (PipelineConfig, default_config, load_config,
                               with_overrides)
+from seedforge.contexts import acquire_contexts
 from seedforge.dedup import dedup_filter, write_removals
 from seedforge.errors import (AlignmentError, BuildError, ConfigError,
                               ProviderError, SeedforgeError)
 from seedforge.evalreport import (aggregate_report, load_predictions,
                                   load_references, render_report,
                                   utf8_encodable)
-from seedforge.instructions import GENERATION_TASKS
-from seedforge.pipeline import (MANIFEST_FILE, acquire_contexts,
-                                build_gateway, epoch_topics, generate_records,
-                                read_contexts, read_topics, run_pipeline,
-                                write_contexts, write_topics)
+from seedforge.instructions import GENERATION_TASKS, generate_records
+from seedforge.pipeline import (MANIFEST_FILE, build_gateway, build_variant,
+                                epoch_topics, read_contexts, read_topics,
+                                run_pipeline, write_contexts, write_topics)
 from seedforge.records import (parsing, read_json, read_records,
                                write_json, write_records)
 from seedforge.tokenizers import TOKENIZERS
@@ -128,7 +128,7 @@ def cmd_ablate(args) -> int:
     elif args.external:
         source = ablations.load_external_corpus(
             args.external, pivot=config.run_pivot_language)
-    manifest = ablations.build_variant(
+    manifest = build_variant(
         variant, build_gateway(config), config, source,
         workdir_parent=os.path.dirname(os.path.abspath(args.out)))
     digest = ablations.write_manifest(manifest, args.out,

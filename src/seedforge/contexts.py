@@ -1,15 +1,18 @@
-"""Context acquisition.
+"""Context acquisition: the body of the contexts stage.
 
 Each topic receives one grounding document: either a randomly chosen section
 of a wiki article found by searching for the topic, or a model-generated
 document in one of thirteen styles. The source choice is a Bernoulli draw,
 and every document carries provenance describing exactly how it was obtained.
+`acquire_contexts` keys and fetches a whole topic list, on the gateway's
+concurrency through `parallel_map`, which the instructions stage shares.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 from seedforge.config import PipelineConfig
@@ -157,6 +160,27 @@ def acquire_context(topic: Topic, gateway, config: PipelineConfig,
         return wiki_context(topic, gateway, rng, config, seed=gen_seed)
     style = rng.choice(CONTEXT_STYLES)
     return generate_context(topic, style, gateway, config, seed=gen_seed)
+
+
+def parallel_map(fn, count: int, workers: int) -> list:
+    """fn(0..count-1), results in index order: inline when one worker or
+    one item leaves nothing to overlap, else on up to `workers` threads."""
+    if min(workers, count) <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(count)))
+
+
+def acquire_contexts(topics: list[Topic], gateway, config: PipelineConfig,
+                     start_index: int = 0, round_no: int = 0
+                     ) -> list[tuple[str, ContextDoc]]:
+    """One keyed context per topic, on gateway.concurrency threads; keys
+    come from the topic index and round, never from completion order."""
+    def one(offset: int):
+        key = f"t{start_index + offset:04d}-r{round_no:02d}"
+        return key, acquire_context(topics[offset], gateway, config, key)
+
+    return parallel_map(one, len(topics), gateway.concurrency)
 
 
 def context_to_dict(doc: ContextDoc) -> dict:

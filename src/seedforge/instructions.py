@@ -1,4 +1,4 @@
-"""Instruction generation.
+"""Instruction generation: the body of the instructions stage.
 
 Four tasks turn a topic plus (for three of them) a context document into
 instruction records: closed question answering, summarization, a single
@@ -8,6 +8,7 @@ into record rows. `generate_for_context` runs every task the same way: it
 calls the provider, parses the output leniently, retries once under a fresh
 seed, and builds the records in one place. A task that still fails is
 logged as a failure, so a context never yields partial records for it.
+`generate_records` runs it over a list of keyed contexts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from seedforge import constants
 from seedforge.config import PipelineConfig
-from seedforge.contexts import ContextDoc
+from seedforge.contexts import ContextDoc, parallel_map
 from seedforge.errors import (GenerationError, ParseError, ValidationError)
 from seedforge.gateway.types import GenRequest
 from seedforge.parsing import (extract_dict_list, first_picked,
@@ -495,4 +496,25 @@ def generate_for_context(ctx: ContextDoc, gateway, config: PipelineConfig,
             topic=ctx.topic, language=config.run_target_language,
             provenance={**provenance, **extra, **source})
             for i, (instruction, output, extra) in enumerate(rows))
+    return records, failures
+
+
+def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
+                     config: PipelineConfig,
+                     tasks: tuple[str, ...] = GENERATION_TASKS
+                     ) -> tuple[list[InstructionRecord],
+                                list[GenerationFailure]]:
+    """Records for every keyed context, in context order, on
+    gateway.concurrency threads. Failed tasks are logged and returned;
+    they never abort the stage."""
+    def one(i: int):
+        key, doc = contexts[i]
+        return generate_for_context(doc, gateway, config, key, tasks)
+
+    results = parallel_map(one, len(contexts), gateway.concurrency)
+    records = [record for batch, _ in results for record in batch]
+    failures = [failure for _, fails in results for failure in fails]
+    for failure in failures:
+        logger.warning("%s failed for %s: %s", failure.task, failure.key,
+                       failure.reason)
     return records, failures

@@ -30,11 +30,12 @@ rows it compares. The pool is the instruction records minus the latest
 removals. JSONL stage files and the manifest are written a chunk of rows
 at a time (`records.CHUNK_ROWS`).
 
-The stage bodies are plain functions shared with the CLI stage commands.
-Each takes the effective PipelineConfig and reads its settings from it.
-`run` and the generated ablation variants share one locked entry point,
-`build`: `run` ends with the manifest stage, a variant with the one
-variant tail in `ablations.build_variant`.
+The stage bodies (`epoch_topics`, `contexts.acquire_contexts`,
+`instructions.generate_records`, `dedup.dedup_filter`) are shared with
+the CLI stage commands. `run_pipeline` and `build_variant` build the pool
+in a locked `_Run` under a VARIANT_TABLE row's settings and end in
+`ablations.variant_manifest`; `run` is the `full` row. Only the CLI
+imports this module.
 
 Determinism: all randomness is derived from (run.seed, stage path), never
 from wall clock or completion order, so a run interrupted at any stage
@@ -48,12 +49,15 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
+from dataclasses import replace
 from hashlib import sha256
 
 from seedforge import constants
+from seedforge.ablations import (DERIVED, EXTERNAL, GENERATED, VARIANT_TABLE,
+                                 VariantSpec, variant_manifest)
 from seedforge.config import PipelineConfig
-from seedforge.contexts import (ContextDoc, acquire_context,
+from seedforge.contexts import (ContextDoc, acquire_contexts,
                                 context_from_dict, context_to_dict)
 from seedforge.dedup import (Known, Removal, Vectors, dedup_filter,
                              read_removals, read_vectors, write_removals)
@@ -63,11 +67,8 @@ from seedforge.gateway import Gateway, ProviderBudget
 from seedforge.gateway.http import (HttpCompletionClient, HttpEmbedder,
                                     HttpParaphraser, HttpTranslator,
                                     MediaWikiClient)
-from seedforge.instructions import (GENERATION_TASKS, GenerationFailure,
-                                    InstructionRecord, generate_for_context)
-from seedforge.manifest import (VARIANT_FULL, DatasetManifest, Recipe,
-                                finish_manifest, manifest_files,
-                                truncate_records)
+from seedforge.instructions import generate_records
+from seedforge.manifest import VARIANT_FULL, DatasetManifest, manifest_files
 from seedforge.records import (file_sha256, parsing, read_ids, read_json,
                                read_jsonl_lines, read_records, write_atomic,
                                write_json, write_jsonl, write_records)
@@ -214,16 +215,7 @@ def _chain(stage: str, config_digest: str, upstream: str) -> str:
     return sha256(f"{stage}\n{config_digest}\n{upstream}".encode()).hexdigest()
 
 
-# -- stage bodies, shared with the CLI stage commands -------------------------
-
-def parallel_map(fn, count: int, workers: int) -> list:
-    """fn(0..count-1), results in index order: inline when one worker or
-    one item leaves nothing to overlap, else on up to `workers` threads."""
-    if min(workers, count) <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
+# -- stage bodies and files, shared with the CLI stage commands -------------
 
 def epoch_topics(config: PipelineConfig, gateway, epoch: int = 0,
                  deficit: int = 0,
@@ -250,43 +242,6 @@ def epoch_topics(config: PipelineConfig, gateway, epoch: int = 0,
             for topic in generate_topics(category, count, gateway, config,
                                          taken=taken, start_batch=start)]
 
-
-def acquire_contexts(topics: list[Topic], gateway, config: PipelineConfig,
-                     start_index: int = 0, round_no: int = 0
-                     ) -> list[tuple[str, ContextDoc]]:
-    """One keyed context per topic, on gateway.concurrency threads; keys
-    come from the topic index and round, never from completion order."""
-    def one(offset: int):
-        key = f"t{start_index + offset:04d}-r{round_no:02d}"
-        return key, acquire_context(topics[offset], gateway, config, key)
-
-    return parallel_map(one, len(topics), gateway.concurrency)
-
-
-def generate_records(contexts: list[tuple[str, ContextDoc]], gateway,
-                     config: PipelineConfig,
-                     tasks: tuple[str, ...] = GENERATION_TASKS
-                     ) -> tuple[list[InstructionRecord],
-                                list[GenerationFailure]]:
-    """Records for every keyed context, in context order, on
-    gateway.concurrency threads. Failed tasks are logged and returned;
-    they never abort the stage."""
-    def one(i: int):
-        key, doc = contexts[i]
-        return generate_for_context(doc, gateway, config, key, tasks)
-
-    records: list[InstructionRecord] = []
-    failures: list[GenerationFailure] = []
-    for recs, fails in parallel_map(one, len(contexts), gateway.concurrency):
-        records.extend(recs)
-        failures.extend(fails)
-    for failure in failures:
-        logger.warning("%s failed for %s: %s", failure.task, failure.key,
-                       failure.reason)
-    return records, failures
-
-
-# -- stage files, shared with the CLI stage commands -------------------------
 
 def write_topics(topics: list[Topic], path: str) -> str:
     return write_json(path, [topic_to_dict(t) for t in topics])
@@ -344,17 +299,6 @@ STAGES = {
 }
 
 
-def manifest_from_pool(pool: list, config: PipelineConfig) -> DatasetManifest:
-    """The manifest of `run`: dataset.size records drawn from the pool
-    under the `full` variant's random stream, with no transforms."""
-    size, seed = config.dataset_size, config.run_seed
-    recipe = Recipe(variant=VARIANT_FULL, dedup=True,
-                    topics_cultural=config.topics_cultural,
-                    topics_general=config.topics_general)
-    return finish_manifest(truncate_records(pool, size, seed, VARIANT_FULL),
-                           recipe, size, seed)
-
-
 class _Lazy:
     """The value of one stage output file: the one the stage computed or,
     when it was skipped, the one read from the file on the first call."""
@@ -385,7 +329,9 @@ class _Lazy:
 
 
 class _Run:
-    """State threaded through one build in one working directory."""
+    """State threaded through one build in one working directory. Entered,
+    it makes the directory, takes its lock and loads its ledger; the lock
+    is released on exit, or at once if the ledger fails to load."""
 
     def __init__(self, config: PipelineConfig, workdir: str, gateway,
                  stage_hook):
@@ -393,9 +339,22 @@ class _Run:
         self.workdir = workdir
         self.gateway = gateway
         self.hook = stage_hook
-        self.checkpoints = _Checkpoints(workdir)
         self.config_digest = config.content_digest()
         self.upstream = "origin"
+        self.lock = WorkdirLock(workdir)
+
+    def __enter__(self) -> "_Run":
+        os.makedirs(self.workdir, exist_ok=True)
+        self.lock.acquire()
+        try:
+            self.checkpoints = _Checkpoints(self.workdir)
+        except BaseException:
+            self.lock.release()
+            raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.lock.release()
 
     def stage(self, name: str, compute) -> list[_Lazy]:
         """Execute or skip the stage `name`: a kind of STAGES, with
@@ -511,34 +470,79 @@ class _Run:
         return [removals + result.removed, result.vectors]
 
 
-def build(config: PipelineConfig, workdir: str, gateway, stage_hook,
-          max_epochs: int, dedup: bool, manifest: bool):
-    """Run the checkpointed stages under workdir, holding its lock,
-    through the caller's gateway: the epoch loop and, with `manifest`,
-    the manifest stage. Returns the records sha256 that the manifest's
-    metadata names, or without `manifest` the record pool (at least
-    config.dataset_size records, id order). Raises BuildError when the
-    target size is unreachable within max_epochs."""
-    os.makedirs(workdir, exist_ok=True)
-    with WorkdirLock(workdir):
-        run = _Run(config, workdir, gateway, stage_hook)
-        pool = run.pool(max_epochs, dedup)
-        if not manifest:
-            return pool()
-        _, meta = run.stage("manifest", lambda: manifest_files(
-            manifest_from_pool(pool(), config), config.effective()))
-        return meta()["records_sha256"]
+def _row_settings(spec: VariantSpec, config: PipelineConfig,
+                  dedup_epochs: int) -> tuple[PipelineConfig, int]:
+    """The config a generated row builds under, with the row's topic
+    counts (see VariantSpec), and its cap on extension epochs:
+    `dedup_epochs` with dedup, else ceil(size / general) + 10 re-rolls."""
+    size = config.dataset_size
+    cultural, general = spec.topics or (config.topics_cultural,
+                                        config.topics_general)
+    if spec.topics and spec.dedup:
+        cultural, general = (math.ceil(n * size / constants.DATASET_SIZE)
+                             for n in spec.topics)
+    cap = (dedup_epochs if spec.dedup
+           else math.ceil(size / max(1, general)) + 10)
+    return replace(config, topics_cultural=cultural,
+                   topics_general=general), cap
 
 
 def run_pipeline(config: PipelineConfig, workdir: str,
                  stage_hook=None, max_epochs: int = MAX_EPOCHS) -> str:
     """Build the `full` dataset under workdir, resuming prior work, and
     return its records sha256, which a skipped manifest stage has checked
-    against the file.
+    against the file. The manifest is the `full` variant's.
 
     stage_hook(name) is called before each stage that actually executes;
     skipped stages stay silent. Raises BuildError when the target size is
     unreachable within max_epochs extension rounds.
     """
-    return build(config, workdir, build_gateway(config), stage_hook,
-                 max_epochs, dedup=True, manifest=True)
+    spec = VARIANT_TABLE[VARIANT_FULL]
+    config, max_epochs = _row_settings(spec, config, max_epochs)
+    gateway = build_gateway(config)
+    with _Run(config, workdir, gateway, stage_hook) as run:
+        pool = run.pool(max_epochs, spec.dedup)
+        _, meta = run.stage("manifest", lambda: manifest_files(
+            variant_manifest(VARIANT_FULL, pool(),
+                             (config.topics_cultural, config.topics_general),
+                             GENERATED, gateway, config),
+            config.effective()))
+        return meta()["records_sha256"]
+
+
+def build_variant(variant: str, gateway, config: PipelineConfig,
+                  source=None, workdir_parent: str | None = None
+                  ) -> DatasetManifest:
+    """The variant's manifest, built as its VARIANT_TABLE row says and
+    ended by `ablations.variant_manifest`. A generated variant runs the
+    checkpointed stages under `_row_settings` in a temporary directory
+    under workdir_parent (the system default when None). A derived one
+    samples `source`, a full build's DatasetManifest; an external one the
+    records of `ablations.load_external_corpus`."""
+    spec = VARIANT_TABLE[variant]
+    if spec.source == GENERATED:
+        config, max_epochs = _row_settings(spec, config, MAX_EPOCHS)
+        with tempfile.TemporaryDirectory(prefix=".seedforge-",
+                                         dir=workdir_parent) as workdir, \
+                _Run(config, workdir, gateway, None) as run:
+            records = run.pool(max_epochs, spec.dedup)()
+        origin = GENERATED
+        topics = config.topics_cultural, config.topics_general
+    elif spec.source == DERIVED:
+        if not isinstance(source, DatasetManifest):
+            raise ConfigError(f"{variant} requires --source (a full-build "
+                              f"manifest to sample from)")
+        if source.recipe.variant != VARIANT_FULL:
+            raise ConfigError(f"{variant} samples a {VARIANT_FULL} build, "
+                              f"not a {source.recipe.variant} manifest")
+        records = list(source.records)
+        origin = f"derived:{source.recipe.variant}"
+        topics = spec.topics or (source.recipe.topics_cultural,
+                                 source.recipe.topics_general)
+    else:
+        if not isinstance(source, list):
+            raise ConfigError(f"{variant} requires --external (a "
+                              f"prompt/response JSONL corpus)")
+        records, origin, topics = source, EXTERNAL, spec.topics
+    return variant_manifest(variant, records, topics, origin, gateway,
+                            config)

@@ -10,7 +10,7 @@ from seedforge.ablations import (Recipe, VARIANT_CULTURE_ONLY,
                                  VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
                                  VARIANT_FULL, VARIANT_NO_PROPERTIES,
                                  VARIANT_TABLE, VARIANTS, DatasetManifest,
-                                 PropertyFlags, build_variant, derive_flags,
+                                 PropertyFlags, derive_flags,
                                  finish_manifest, generate_pass,
                                  load_external_corpus, read_manifest,
                                  truncate_records, write_manifest)
@@ -20,6 +20,7 @@ from seedforge.errors import (BuildError, ConfigError, ParseError,
 from seedforge.gateway import Gateway
 from seedforge.gateway.mock import MockParaphraser, MockTranslator
 from seedforge.instructions import InstructionRecord
+from seedforge.pipeline import build_variant
 from seedforge.records import file_sha256
 from seedforge.topics import CULTURAL, GENERAL, Topic
 

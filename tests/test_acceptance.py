@@ -20,8 +20,8 @@ from seedforge import constants, metrics
 from seedforge.ablations import (VARIANT_CULTURE_ONLY,
                                  VARIANT_DIVERSITY_ONLY, VARIANT_FLUENCY_ONLY,
                                  VARIANT_FULL, VARIANT_NO_PROPERTIES,
-                                 build_variant, derive_flags,
-                                 load_external_corpus, read_manifest)
+                                 derive_flags, load_external_corpus,
+                                 read_manifest)
 from seedforge.cli import main as cli_main
 from seedforge.config import default_config
 from seedforge.dedup import dedup_filter, sample_text
@@ -29,7 +29,7 @@ from seedforge.errors import ParseError, ValidationError
 from seedforge.gateway import Gateway
 from seedforge.instructions import (GENERATION_TASKS, McQuestion,
                                     generate_for_context, shuffle_choices)
-from seedforge.pipeline import MANIFEST_FILE, run_pipeline
+from seedforge.pipeline import MANIFEST_FILE, build_variant, run_pipeline
 from seedforge.records import file_sha256
 from seedforge.stats import wilcoxon_rank_sum
 from seedforge.tokenizers import get_tokenizer

@@ -1,9 +1,11 @@
 """The runtime stays on the standard library, numpy and requests, the
-gateway never imports the pipeline modules built on top of it, and no
-module imports a name it never uses or offers a default nobody sets."""
+gateway never imports the pipeline modules built on top of it, only the
+CLI imports the pipeline, and no module imports a name it never uses or
+offers a default nobody sets."""
 
 import ast
 import os
+import subprocess
 import sys
 
 import seedforge
@@ -61,6 +63,49 @@ def test_gateway_imports_only_errors_constants_and_seeding():
               if name.split(".")[0] == "seedforge"
               and not (name + ".").startswith(GATEWAY_MAY_IMPORT)]
     assert upward == []
+
+
+def pipeline_importers(paths):
+    """`file:line` of every import of seedforge.pipeline, or of a name
+    from it, in `paths` outside a cli.py."""
+    return [f"{os.path.basename(path)}:{line}"
+            for path in paths if os.path.basename(path) != "cli.py"
+            for line, name in imported_packages(path)
+            if (name + ".").startswith("seedforge.pipeline.")]
+
+
+def test_pipeline_importers_finds_a_planted_one(tmp_path):
+    planted = {"cli.py": "from seedforge import pipeline\n",
+               "a.py": "import json\nfrom seedforge.pipeline import x\n",
+               "b.py": "def f():\n    import seedforge.pipeline\n",
+               "c.py": "from seedforge import pipelines, topics\n"}
+    for name, text in planted.items():
+        (tmp_path / name).write_text(text)
+    paths = sorted(str(tmp_path / name) for name in planted)
+    assert pipeline_importers(paths) == ["a.py:2", "b.py:2"]
+
+
+def test_only_the_cli_imports_the_pipeline():
+    """The pipeline builds on ablations, contexts and instructions, never
+    the other way round; the CLI is its one caller in src/."""
+    found = sources(ROOT)
+    assert len(found) > 20
+    assert pipeline_importers(found) == []
+
+
+# Each is imported first in a fresh interpreter: an import cycle that the
+# suite's import order hides shows there.
+FIRST_IMPORTS = ("seedforge.ablations", "seedforge.contexts",
+                 "seedforge.instructions", "seedforge.pipeline")
+
+
+def test_each_module_imports_first_on_its_own():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(ROOT)}
+    for module in FIRST_IMPORTS:
+        child = subprocess.run([sys.executable, "-c", f"import {module}"],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert child.returncode == 0, (module, child.stderr)
 
 
 def unused_imports(text):

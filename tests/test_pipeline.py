@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -598,7 +599,8 @@ class TestStageThreads:
     PROVIDERS = TestDeterminismUnderFaults.PROVIDERS
 
     def test_mock_build_starts_no_pool(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr("seedforge.contexts.ThreadPoolExecutor",
+                            NoPool)
         run_pipeline(parse_config(PINS_CONF), str(tmp_path))
         assert file_sha256(manifest_path(tmp_path)) == RUN_MANIFEST
 
@@ -613,14 +615,14 @@ class TestStageThreads:
             return gateway
 
         pools = []
-        thread_pool = pipeline.ThreadPoolExecutor
 
         def counting_pool(max_workers):
             pools.append(max_workers)
-            return thread_pool(max_workers=max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
 
         monkeypatch.setattr(pipeline, "build_gateway", remote_build)
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool)
+        monkeypatch.setattr("seedforge.contexts.ThreadPoolExecutor",
+                            counting_pool)
         config = with_overrides(parse_config(PINS_CONF), {
             "budget.max_concurrent": 4,
             "budget.requests_per_minute": 10**9})
@@ -629,7 +631,8 @@ class TestStageThreads:
         assert file_sha256(manifest_path(tmp_path)) == RUN_MANIFEST
 
     def test_one_slot_http_gateway_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr("seedforge.contexts.ThreadPoolExecutor",
+                            NoPool)
         gateway = http_gateway(
             FakeTransport(*(_completion(f"เนื้อหา {i}") for i in range(3))),
             max_concurrent=1)
@@ -776,6 +779,21 @@ class TestWorkdirLock:
         with WorkdirLock(str(tmp_path)):
             with pytest.raises(LockError, match="live process"):
                 run_pipeline(SMALL, str(tmp_path))
+
+    def test_released_after_a_build_error(self, tmp_path):
+        hopeless = default_config(topics_cultural=1, topics_general=1,
+                                  dataset_size=100)
+        with pytest.raises(BuildError):
+            run_pipeline(hopeless, str(tmp_path), max_epochs=0)
+        with WorkdirLock(str(tmp_path)):
+            pass
+
+    def test_released_when_the_ledger_cannot_be_read(self, tmp_path):
+        os.makedirs(os.path.join(str(tmp_path), CHECKPOINT_FILE))
+        with pytest.raises(OSError):
+            run_pipeline(SMALL, str(tmp_path))
+        with WorkdirLock(str(tmp_path)):
+            pass
 
     def test_reentry_after_release(self, tmp_path):
         lock = WorkdirLock(str(tmp_path))
