@@ -7,11 +7,12 @@ built. The flags on a manifest are always derived from its recipe (see
 seedforge.manifest), and the recipe's transforms are the steps that ran,
 in order.
 
-This module turns records into a variant's manifest and builds none:
-`pipeline.build_variant` gets each variant's records. Every variant, and
-`run` as the `full` row, ends in the one tail, `variant_manifest`: a
-seeded sample of its records, a recipe from its row, the recipe's
-transforms, and the flags stamped.
+This module runs no pipeline stage. A generated row's records come from
+`pipeline.run_pipeline`, whose manifest stage calls `variant_manifest`;
+`sampled_manifest` takes the records of a derived or external row from
+its source. Every variant, `run` as the `full` row included, ends in the
+one tail, `variant_manifest`: a seeded sample of its records, a recipe
+from its row, the recipe's transforms, and the flags stamped.
 
 Degradations are deliberate: round-trip translation simulates a machine
 translated corpus, and paraphrase fan-out shrinks semantic diversity while
@@ -251,6 +252,32 @@ def variant_manifest(variant: str, records: list[InstructionRecord],
     return finish_manifest(
         _run_transforms(sampled, recipe, gateway, config), recipe, size,
         seed)
+
+
+def sampled_manifest(variant: str, source, gateway,
+                     config: PipelineConfig) -> DatasetManifest:
+    """The manifest of a row that samples a source: a full build's
+    DatasetManifest for a derived row, the records of
+    `load_external_corpus` for an external one."""
+    spec = VARIANT_TABLE[variant]
+    if spec.source == DERIVED:
+        if not isinstance(source, DatasetManifest):
+            raise ConfigError(f"{variant} requires --source (a full-build "
+                              f"manifest to sample from)")
+        if source.recipe.variant != VARIANT_FULL:
+            raise ConfigError(f"{variant} samples a {VARIANT_FULL} build, "
+                              f"not a {source.recipe.variant} manifest")
+        records = list(source.records)
+        origin = f"derived:{source.recipe.variant}"
+        topics = spec.topics or (source.recipe.topics_cultural,
+                                 source.recipe.topics_general)
+    else:
+        if not isinstance(source, list):
+            raise ConfigError(f"{variant} requires --external (a "
+                              f"prompt/response JSONL corpus)")
+        records, origin, topics = source, EXTERNAL, spec.topics
+    return variant_manifest(variant, records, topics, origin, gateway,
+                            config)
 
 
 def load_external_corpus(path: str,

@@ -2,9 +2,12 @@
 
 Subcommands mirror the pipeline stages so each can run standalone against
 files, plus `run` for the whole checkpointed pipeline, `ablate` for the
-property-controlled variants, and `eval`/`report` for scoring. Credentials
-come only from environment variables named in the config; no secret ever
-appears on the command line.
+property-controlled variants, and `eval`/`report` for scoring. `ablate`
+runs a generated variant through `run_pipeline`, as `run` does, in a
+temporary workdir beside --out, and a sampled one through
+`ablations.sampled_manifest`. Credentials come only from environment
+variables named in the config; no secret ever appears on the command
+line.
 
 Exit codes: 0 success, 2 configuration error, 3 provider error, 4 build
 shortfall, 1 anything else.
@@ -29,9 +32,9 @@ from seedforge.evalreport import (aggregate_report, load_predictions,
                                   load_references, render_report,
                                   utf8_encodable)
 from seedforge.instructions import GENERATION_TASKS, generate_records
-from seedforge.pipeline import (MANIFEST_FILE, build_gateway, build_variant,
-                                epoch_topics, read_contexts, read_topics,
-                                run_pipeline, write_contexts, write_topics)
+from seedforge.pipeline import (MANIFEST_FILE, build_gateway, epoch_topics,
+                                read_contexts, read_topics, run_pipeline,
+                                write_contexts, write_topics)
 from seedforge.records import (parsing, read_json, read_records,
                                write_json, write_records)
 from seedforge.tokenizers import TOKENIZERS
@@ -122,18 +125,28 @@ def cmd_ablate(args) -> int:
         if getattr(args, flag) and reads != kind:
             raise ConfigError(f"--variant {args.variant} does not read "
                               f"--{flag}")
-    source = None
-    if args.source:
-        source = ablations.read_manifest(args.source)
-    elif args.external:
-        source = ablations.load_external_corpus(
-            args.external, pivot=config.run_pivot_language)
-    manifest = build_variant(
-        variant, build_gateway(config), config, source,
-        workdir_parent=os.path.dirname(os.path.abspath(args.out)))
-    digest = ablations.write_manifest(manifest, args.out,
-                                      config_echo=config.effective())
-    print(f"{len(manifest.records)} records ({variant}) -> {args.out}")
+    if reads == ablations.GENERATED:
+        # The stages run in a temporary workdir beside --out; its
+        # manifest files are moved onto --out.
+        with tempfile.TemporaryDirectory(
+                prefix=".seedforge-",
+                dir=os.path.dirname(os.path.abspath(args.out))) as workdir:
+            digest = run_pipeline(config, workdir, variant=variant)
+            built = os.path.join(workdir, MANIFEST_FILE)
+            os.replace(built, args.out)
+            os.replace(built + ".meta.json", args.out + ".meta.json")
+    else:
+        source = None
+        if args.source:
+            source = ablations.read_manifest(args.source)
+        elif args.external:
+            source = ablations.load_external_corpus(
+                args.external, pivot=config.run_pivot_language)
+        manifest = ablations.sampled_manifest(variant, source,
+                                              build_gateway(config), config)
+        digest = ablations.write_manifest(manifest, args.out,
+                                          config_echo=config.effective())
+    print(f"{config.dataset_size} records ({variant}) -> {args.out}")
     print(f"sha256 {digest}")
     return 0
 

@@ -148,8 +148,7 @@ class Gateway:
                  budget: ProviderBudget = ProviderBudget(),
                  cache_dir=None,
                  clock: Callable[[], float] = time.monotonic,
-                 sleep: Callable[[float], None] = time.sleep,
-                 jitter_rng: random.Random | None = None):
+                 sleep: Callable[[float], None] = time.sleep):
         self.generator = generator
         self.embedder = embedder
         self.translator = translator
@@ -161,7 +160,7 @@ class Gateway:
         self._limiter = RateLimiter(budget.requests_per_minute, clock, sleep)
         self._semaphore = threading.BoundedSemaphore(budget.max_concurrent)
         self._sleep = sleep
-        self._jitter = jitter_rng or random.Random(0)
+        self._jitter = random.Random(0)
         self._jitter_lock = threading.Lock()
 
     @property

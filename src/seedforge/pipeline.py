@@ -1,13 +1,13 @@
 """Resumable staged pipeline runner: the one build engine.
 
 A build is unrolled into a linear chain of stages per extension epoch
-(topics, contexts, instructions, dedup) plus, for `run`, one final
-manifest stage. Each stage persists its outputs under the working
-directory and records a digest in checkpoints.json; the digest chains the
-stage name, the content-relevant config, and the upstream stage digest, so
-a rerun skips exactly the stages whose inputs are unchanged and whose
-outputs still verify. Operational settings (budget, cache) do not enter
-the digest: changing them never invalidates work.
+(topics, contexts, instructions, dedup) plus one final manifest stage.
+Each stage persists its outputs under the working directory and records a
+digest in checkpoints.json; the digest chains the stage name, the
+content-relevant config, and the upstream stage digest, so a rerun skips
+exactly the stages whose inputs are unchanged and whose outputs still
+verify. Operational settings (budget, cache) do not enter the digest:
+changing them never invalidates work.
 
 Every stage kind, from topics to the manifest, is one row of the STAGES
 table: its output files, each with its writer and reader. One
@@ -32,10 +32,11 @@ at a time (`records.CHUNK_ROWS`).
 
 The stage bodies (`epoch_topics`, `contexts.acquire_contexts`,
 `instructions.generate_records`, `dedup.dedup_filter`) are shared with
-the CLI stage commands. `run_pipeline` and `build_variant` build the pool
-in a locked `_Run` under a VARIANT_TABLE row's settings and end in
-`ablations.variant_manifest`; `run` is the `full` row. Only the CLI
-imports this module.
+the CLI stage commands. `run_pipeline` is the one entry: it builds any
+generated VARIANT_TABLE row in a locked `_Run` under the row's settings,
+and its manifest stage ends in `ablations.variant_manifest`. `run` is the
+`full` row; `ablate` runs the `full`, `fluency` and `diversity` rows here.
+Only the CLI imports this module.
 
 Determinism: all randomness is derived from (run.seed, stage path), never
 from wall clock or completion order, so a run interrupted at any stage
@@ -49,13 +50,11 @@ import json
 import logging
 import math
 import os
-import tempfile
 from dataclasses import replace
 from hashlib import sha256
 
 from seedforge import constants
-from seedforge.ablations import (DERIVED, EXTERNAL, GENERATED, VARIANT_TABLE,
-                                 VariantSpec, variant_manifest)
+from seedforge.ablations import GENERATED, VARIANT_TABLE, variant_manifest
 from seedforge.config import PipelineConfig
 from seedforge.contexts import (ContextDoc, acquire_contexts,
                                 context_from_dict, context_to_dict)
@@ -68,7 +67,7 @@ from seedforge.gateway.http import (HttpCompletionClient, HttpEmbedder,
                                     HttpParaphraser, HttpTranslator,
                                     MediaWikiClient)
 from seedforge.instructions import generate_records
-from seedforge.manifest import VARIANT_FULL, DatasetManifest, manifest_files
+from seedforge.manifest import VARIANT_FULL, manifest_files
 from seedforge.records import (file_sha256, parsing, read_ids, read_json,
                                read_jsonl_lines, read_records, write_atomic,
                                write_json, write_jsonl, write_records)
@@ -401,18 +400,18 @@ class _Run:
                                json.dumps(outputs, sort_keys=True))
         return values
 
-    def pool(self, max_epochs: int, dedup: bool):
+    def pool(self, cap: int, dedup: bool):
         """The epoch loop: grow the record pool until it holds
         dataset.size records, and return it as a thunk.
 
-        Each epoch past the first adds new topics sized to the shortfall
-        when dedup is on; without dedup it runs the first epoch's topics
-        again under a fresh round number. The pool is the id-sorted union
-        of all records, less the last dedup stage's removals; it is not
-        written to disk, and skipped stages' files are read only when it
-        or a stage that runs is computed. A dedup stage embeds, scans and
-        decides only its epoch's records, against the earlier epochs'
-        ids, vectors and removals.
+        At most `cap` epochs past the first run. Each adds new topics
+        sized to the shortfall when dedup is on; without dedup it runs
+        the first epoch's topics again under a fresh round number. The
+        pool is the id-sorted union of all records, less the last dedup
+        stage's removals; it is not written to disk, and skipped stages'
+        files are read only when it or a stage that runs is computed. A
+        dedup stage embeds, scans and decides only its epoch's records,
+        against the earlier epochs' ids, vectors and removals.
         """
         cfg, gateway = self.config, self.gateway
         topic_sets: list[_Lazy] = []
@@ -420,7 +419,7 @@ class _Run:
         vectors: list[_Lazy] = []
         removals: list[Removal] = []
         total = size = 0
-        for epoch in range(max_epochs + 1):
+        for epoch in range(cap + 1):
             deficit = cfg.dataset_size - size
             if epoch > 0 and deficit <= 0:
                 break
@@ -448,7 +447,7 @@ class _Run:
             size = total - len(removals)
         if size < cfg.dataset_size:
             raise BuildError(
-                f"{size} records after {max_epochs} topic extensions, "
+                f"{size} records after {cap} topic extensions, "
                 f"target {cfg.dataset_size}", achieved=size)
         gone = {r.record_id for r in removals}
         return lambda: sorted((r for batch in batches for r in batch()
@@ -470,79 +469,34 @@ class _Run:
         return [removals + result.removed, result.vectors]
 
 
-def _row_settings(spec: VariantSpec, config: PipelineConfig,
-                  dedup_epochs: int) -> tuple[PipelineConfig, int]:
-    """The config a generated row builds under, with the row's topic
-    counts (see VariantSpec), and its cap on extension epochs:
-    `dedup_epochs` with dedup, else ceil(size / general) + 10 re-rolls."""
+def run_pipeline(config: PipelineConfig, workdir: str, stage_hook=None,
+                 variant: str = VARIANT_FULL) -> str:
+    """Build the generated VARIANT_TABLE row `variant` under workdir,
+    resuming prior work, and return its records sha256, which a skipped
+    manifest stage has checked against the file. `run` is the `full` row.
+
+    The stages run under the row's topic counts (see VariantSpec). The
+    epoch loop makes at most MAX_EPOCHS extensions with dedup, else
+    ceil(size / general) + 10 re-rolls. The manifest's metadata echoes
+    `config`, not the row's settings. stage_hook(name) is called before
+    each stage that actually executes; skipped stages stay silent. Raises
+    BuildError when the target size is unreachable within the cap.
+    """
+    spec = VARIANT_TABLE[variant]
     size = config.dataset_size
     cultural, general = spec.topics or (config.topics_cultural,
                                         config.topics_general)
     if spec.topics and spec.dedup:
         cultural, general = (math.ceil(n * size / constants.DATASET_SIZE)
                              for n in spec.topics)
-    cap = (dedup_epochs if spec.dedup
+    cap = (MAX_EPOCHS if spec.dedup
            else math.ceil(size / max(1, general)) + 10)
-    return replace(config, topics_cultural=cultural,
-                   topics_general=general), cap
-
-
-def run_pipeline(config: PipelineConfig, workdir: str,
-                 stage_hook=None, max_epochs: int = MAX_EPOCHS) -> str:
-    """Build the `full` dataset under workdir, resuming prior work, and
-    return its records sha256, which a skipped manifest stage has checked
-    against the file. The manifest is the `full` variant's.
-
-    stage_hook(name) is called before each stage that actually executes;
-    skipped stages stay silent. Raises BuildError when the target size is
-    unreachable within max_epochs extension rounds.
-    """
-    spec = VARIANT_TABLE[VARIANT_FULL]
-    config, max_epochs = _row_settings(spec, config, max_epochs)
-    gateway = build_gateway(config)
-    with _Run(config, workdir, gateway, stage_hook) as run:
-        pool = run.pool(max_epochs, spec.dedup)
+    row = replace(config, topics_cultural=cultural, topics_general=general)
+    gateway = build_gateway(row)
+    with _Run(row, workdir, gateway, stage_hook) as run:
+        pool = run.pool(cap, spec.dedup)
         _, meta = run.stage("manifest", lambda: manifest_files(
-            variant_manifest(VARIANT_FULL, pool(),
-                             (config.topics_cultural, config.topics_general),
-                             GENERATED, gateway, config),
+            variant_manifest(variant, pool(), (cultural, general),
+                             GENERATED, gateway, row),
             config.effective()))
         return meta()["records_sha256"]
-
-
-def build_variant(variant: str, gateway, config: PipelineConfig,
-                  source=None, workdir_parent: str | None = None
-                  ) -> DatasetManifest:
-    """The variant's manifest, built as its VARIANT_TABLE row says and
-    ended by `ablations.variant_manifest`. A generated variant runs the
-    checkpointed stages under `_row_settings` in a temporary directory
-    under workdir_parent (the system default when None). A derived one
-    samples `source`, a full build's DatasetManifest; an external one the
-    records of `ablations.load_external_corpus`."""
-    spec = VARIANT_TABLE[variant]
-    if spec.source == GENERATED:
-        config, max_epochs = _row_settings(spec, config, MAX_EPOCHS)
-        with tempfile.TemporaryDirectory(prefix=".seedforge-",
-                                         dir=workdir_parent) as workdir, \
-                _Run(config, workdir, gateway, None) as run:
-            records = run.pool(max_epochs, spec.dedup)()
-        origin = GENERATED
-        topics = config.topics_cultural, config.topics_general
-    elif spec.source == DERIVED:
-        if not isinstance(source, DatasetManifest):
-            raise ConfigError(f"{variant} requires --source (a full-build "
-                              f"manifest to sample from)")
-        if source.recipe.variant != VARIANT_FULL:
-            raise ConfigError(f"{variant} samples a {VARIANT_FULL} build, "
-                              f"not a {source.recipe.variant} manifest")
-        records = list(source.records)
-        origin = f"derived:{source.recipe.variant}"
-        topics = spec.topics or (source.recipe.topics_cultural,
-                                 source.recipe.topics_general)
-    else:
-        if not isinstance(source, list):
-            raise ConfigError(f"{variant} requires --external (a "
-                              f"prompt/response JSONL corpus)")
-        records, origin, topics = source, EXTERNAL, spec.topics
-    return variant_manifest(variant, records, topics, origin, gateway,
-                            config)

@@ -2,11 +2,17 @@
 
 ScriptedTextGenerator and FlakyProvider drive the parser retry paths and
 the transport retry paths; split_rendered_mc inverts
-instructions.render_mc_instruction, to audit the rendered choices.
+instructions.render_mc_instruction, to audit the rendered choices;
+build_manifest builds any variant's manifest the way `ablate` does.
 """
 
+import os
+import tempfile
 import threading
 
+import pytest
+
+from seedforge import ablations, pipeline
 from seedforge.errors import ParseError, RetryableProviderError
 from seedforge.gateway.providers import TextGenerator
 from seedforge.gateway.types import GenRequest
@@ -87,3 +93,19 @@ def split_rendered_mc(instruction: str) -> tuple[str, tuple[str, ...]]:
         raise ParseError("rendered question must have a question line and "
                          "choice lines", raw=instruction)
     return " ".join(" ".join(head).split()), tuple(choices)
+
+
+def build_manifest(variant: str, gateway, config, source=None):
+    """The variant's DatasetManifest. A generated row runs
+    `pipeline.run_pipeline` in a temporary workdir, with `gateway` in
+    place of the one `pipeline.build_gateway` would make, and reads back
+    its manifest; a sampled row goes through `ablations.sampled_manifest`
+    with `source`."""
+    if ablations.VARIANT_TABLE[variant].source != ablations.GENERATED:
+        return ablations.sampled_manifest(variant, source, gateway, config)
+    with tempfile.TemporaryDirectory() as workdir, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "build_gateway", lambda _config: gateway)
+        pipeline.run_pipeline(config, workdir, variant=variant)
+        return ablations.read_manifest(
+            os.path.join(workdir, pipeline.MANIFEST_FILE))

@@ -20,9 +20,10 @@ from seedforge.errors import (BuildError, ConfigError, ParseError,
 from seedforge.gateway import Gateway
 from seedforge.gateway.mock import MockParaphraser, MockTranslator
 from seedforge.instructions import InstructionRecord
-from seedforge.pipeline import build_variant
 from seedforge.records import file_sha256
 from seedforge.topics import CULTURAL, GENERAL, Topic
+
+from doubles import build_manifest
 
 SMALL = default_config(topics_cultural=8, topics_general=6, dataset_size=50)
 
@@ -221,7 +222,7 @@ class TestGeneratePass:
 
 class TestBuildFull:
     def test_small_build(self, gateway):
-        manifest = build_variant(VARIANT_FULL, gateway, small(run_seed=42))
+        manifest = build_manifest(VARIANT_FULL, gateway, small(run_seed=42))
         assert len(manifest.records) == 50
         assert manifest.flags == PropertyFlags(True, True, True)
         assert manifest.recipe.variant == VARIANT_FULL
@@ -234,22 +235,22 @@ class TestBuildFull:
             assert record.language == "th"
 
     def test_identical_across_fresh_gateways(self):
-        first = build_variant(VARIANT_FULL, Gateway.mock(),
-                              small(run_seed=42))
-        second = build_variant(VARIANT_FULL, Gateway.mock(),
+        first = build_manifest(VARIANT_FULL, Gateway.mock(),
                                small(run_seed=42))
+        second = build_manifest(VARIANT_FULL, Gateway.mock(),
+                                small(run_seed=42))
         assert first.records == second.records
 
     def test_seed_changes_output(self, gateway):
-        a = build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=1))
-        b = build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=2))
+        a = build_manifest(VARIANT_FULL, Gateway.mock(), small(run_seed=1))
+        b = build_manifest(VARIANT_FULL, Gateway.mock(), small(run_seed=2))
         assert a.records != b.records
 
 
 class TestBuildFluencyOnly:
     def test_rerolls_fixed_topics_until_size(self):
-        manifest = build_variant(VARIANT_FLUENCY_ONLY, Gateway.mock(),
-                                 small(run_seed=7, dataset_size=100))
+        manifest = build_manifest(VARIANT_FLUENCY_ONLY, Gateway.mock(),
+                                  small(run_seed=7, dataset_size=100))
         assert len(manifest.records) == 100
         assert manifest.flags == PropertyFlags(True, False, False)
         rounds = {r.id.split("-")[1] for r in manifest.records}
@@ -265,7 +266,7 @@ class TestBuildDiversityOnly:
         # The row's 750 topics at 5,000 records are 7 at 45. With one QA
         # pair per context they fall short, so an extension epoch adds
         # topics.
-        manifest = build_variant(
+        manifest = build_manifest(
             VARIANT_DIVERSITY_ONLY, Gateway.mock(),
             small(run_seed=9, dataset_size=45, tasks_qa_pairs=1))
         assert len(manifest.records) == 45
@@ -281,14 +282,14 @@ class TestBuildDiversityOnly:
 
 @pytest.fixture(scope="module")
 def full():
-    return build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
+    return build_manifest(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
 
 
 class TestBuildCultureOnly:
 
     def test_default_sample_yields_five_per_record(self, full, gateway):
-        manifest = build_variant(VARIANT_CULTURE_ONLY, gateway,
-                                 small(run_seed=42), full)
+        manifest = build_manifest(VARIANT_CULTURE_ONLY, gateway,
+                                  small(run_seed=42), full)
         # 50 // 5 sampled, each kept alongside 4 paraphrases
         assert manifest.target_size == 50
         assert len(manifest.records) == 50
@@ -302,8 +303,8 @@ class TestBuildCultureOnly:
             assert sorted(suffixes) == ["p00", "p01", "p02", "p03", "p04"]
 
     def test_lineage_chains_follow_recipe(self, full, gateway):
-        manifest = build_variant(VARIANT_CULTURE_ONLY, gateway,
-                                 small(run_seed=42), full)
+        manifest = build_manifest(VARIANT_CULTURE_ONLY, gateway,
+                                  small(run_seed=42), full)
         for record in manifest.records:
             suffix = record.id.rsplit("-", 1)[1]
             if suffix == "p00":
@@ -324,43 +325,43 @@ class TestBuildCultureOnly:
                 "fluency": False, "culture": True, "diversity": False}
 
     def test_recipe_names_its_source(self, full, gateway):
-        manifest = build_variant(VARIANT_CULTURE_ONLY, gateway,
-                                 small(run_seed=42), full)
+        manifest = build_manifest(VARIANT_CULTURE_ONLY, gateway,
+                                  small(run_seed=42), full)
         assert manifest.recipe.source == "derived:full"
         assert manifest.recipe.transforms == (
             "translate_pivot", "paraphrase", "translate_target")
 
     def test_explicit_sample_count(self, full, gateway):
         # dataset.size 15 samples 3 originals
-        manifest = build_variant(VARIANT_CULTURE_ONLY, gateway,
-                                 small(run_seed=1, dataset_size=15), full)
+        manifest = build_manifest(VARIANT_CULTURE_ONLY, gateway,
+                                  small(run_seed=1, dataset_size=15), full)
         assert len(manifest.records) == 15
         assert len({r.id.rpartition("-")[0] for r in manifest.records}) == 3
 
     def test_oversample_reports_achieved(self, full, gateway):
         with pytest.raises(BuildError) as err:
-            build_variant(VARIANT_CULTURE_ONLY, gateway,
-                          small(run_seed=1, dataset_size=2500), full)
+            build_manifest(VARIANT_CULTURE_ONLY, gateway,
+                           small(run_seed=1, dataset_size=2500), full)
         assert err.value.achieved == 50
 
     def test_zero_sample_rejected(self, full, gateway):
         # 4 // 5 would sample nothing; no size off the fan-out is accepted
         with pytest.raises(ConfigError, match="fan-out 5"):
-            build_variant(VARIANT_CULTURE_ONLY, gateway,
-                          small(run_seed=1, dataset_size=4), full)
+            build_manifest(VARIANT_CULTURE_ONLY, gateway,
+                           small(run_seed=1, dataset_size=4), full)
 
     def test_needs_a_manifest_source(self, full, gateway, tmp_path):
         with pytest.raises(ConfigError, match="requires --source"):
-            build_variant(VARIANT_CULTURE_ONLY, gateway, SMALL)
+            build_manifest(VARIANT_CULTURE_ONLY, gateway, SMALL)
         with pytest.raises(ConfigError, match="requires --source"):
-            build_variant(VARIANT_CULTURE_ONLY, gateway, SMALL,
-                          external_corpus(tmp_path, 12))
+            build_manifest(VARIANT_CULTURE_ONLY, gateway, SMALL,
+                           external_corpus(tmp_path, 12))
         fluency = finish_manifest(
             list(full.records),
             replace(full.recipe, variant=VARIANT_FLUENCY_ONLY,
                     topics_cultural=0, dedup=False), 50, 42)
         with pytest.raises(ConfigError, match="not a fluency_only"):
-            build_variant(VARIANT_CULTURE_ONLY, gateway, SMALL, fluency)
+            build_manifest(VARIANT_CULTURE_ONLY, gateway, SMALL, fluency)
         assert gateway.stats.snapshot()["provider_calls"] == {}
 
 
@@ -413,9 +414,9 @@ class TestExternalCorpus:
 
 class TestBuildNoProperties:
     def test_translates_paraphrased_external_rows(self, tmp_path, gateway):
-        manifest = build_variant(VARIANT_NO_PROPERTIES, gateway,
-                                 small(run_seed=3, dataset_size=20),
-                                 external_corpus(tmp_path, 12))
+        manifest = build_manifest(VARIANT_NO_PROPERTIES, gateway,
+                                  small(run_seed=3, dataset_size=20),
+                                  external_corpus(tmp_path, 12))
         assert len(manifest.records) == 20
         assert manifest.flags == PropertyFlags(False, False, False)
         assert manifest.recipe.source == "external"
@@ -427,14 +428,14 @@ class TestBuildNoProperties:
 
     def test_needs_an_external_corpus(self, full, gateway):
         with pytest.raises(ConfigError, match="requires --external"):
-            build_variant(VARIANT_NO_PROPERTIES, gateway, SMALL)
+            build_manifest(VARIANT_NO_PROPERTIES, gateway, SMALL)
         with pytest.raises(ConfigError, match="requires --external"):
-            build_variant(VARIANT_NO_PROPERTIES, gateway, SMALL, full)
+            build_manifest(VARIANT_NO_PROPERTIES, gateway, SMALL, full)
 
 
 class TestManifestPersistence:
     def test_write_read_round_trip(self, tmp_path, gateway):
-        manifest = build_variant(VARIANT_FULL, gateway, small(run_seed=42))
+        manifest = build_manifest(VARIANT_FULL, gateway, small(run_seed=42))
         path = str(tmp_path / "full.jsonl")
         digest = write_manifest(manifest, path,
                                 config_echo=SMALL.effective())
@@ -447,7 +448,7 @@ class TestManifestPersistence:
         assert loaded.target_size == manifest.target_size
 
     def test_tampering_is_detected(self, tmp_path, gateway):
-        manifest = build_variant(VARIANT_FULL, gateway, small(run_seed=42))
+        manifest = build_manifest(VARIANT_FULL, gateway, small(run_seed=42))
         path = str(tmp_path / "full.jsonl")
         write_manifest(manifest, path)
         with open(path, "ab") as handle:
@@ -456,7 +457,7 @@ class TestManifestPersistence:
             read_manifest(path)
 
     def test_rewrite_is_byte_identical(self, tmp_path, gateway):
-        manifest = build_variant(VARIANT_FULL, gateway, small(run_seed=42))
+        manifest = build_manifest(VARIANT_FULL, gateway, small(run_seed=42))
         a = str(tmp_path / "a.jsonl")
         b = str(tmp_path / "b.jsonl")
         assert write_manifest(manifest, a) == write_manifest(manifest, b)
@@ -465,10 +466,10 @@ class TestManifestPersistence:
 def build_all_five(tmp_path):
     """Every variant at 50 records under seed 42; culture samples full,
     none samples a 10-row external corpus."""
-    full = build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
+    full = build_manifest(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
     sources = {VARIANT_CULTURE_ONLY: full,
                VARIANT_NO_PROPERTIES: external_corpus(tmp_path, 10)}
-    return {variant: full if variant == VARIANT_FULL else build_variant(
+    return {variant: full if variant == VARIANT_FULL else build_manifest(
         variant, Gateway.mock(), small(run_seed=42), sources.get(variant))
         for variant in VARIANTS}
 
@@ -505,7 +506,7 @@ class TestVariantTable:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(ablations, name, counted)
-        full = build_variant(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
+        full = build_manifest(VARIANT_FULL, Gateway.mock(), small(run_seed=42))
         sources = {VARIANT_CULTURE_ONLY: full,
                    VARIANT_NO_PROPERTIES: external_corpus(tmp_path, 10)}
         # (round trips, translations): each of 50 records bounced once;
@@ -516,8 +517,8 @@ class TestVariantTable:
                     VARIANT_NO_PROPERTIES: (0, 50)}
         for variant, want in expected.items():
             calls.update(round_trip_translate=0, translate_record=0)
-            build_variant(variant, Gateway.mock(), small(run_seed=42),
-                          sources.get(variant))
+            build_manifest(variant, Gateway.mock(), small(run_seed=42),
+                           sources.get(variant))
             assert (calls["round_trip_translate"],
                     calls["translate_record"]) == want, variant
 
@@ -530,7 +531,7 @@ class TestVariantTable:
 
         monkeypatch.setattr(gw, "paraphrase", down)
         with pytest.raises(BuildError, match="paraphrase failed for") as err:
-            build_variant(VARIANT_CULTURE_ONLY, gw, small(run_seed=42), full)
+            build_manifest(VARIANT_CULTURE_ONLY, gw, small(run_seed=42), full)
         assert err.value.achieved == 0
 
 
@@ -585,9 +586,9 @@ class TestTransformMemo:
 
     @staticmethod
     def _build(variant, gateway, full):
-        return build_variant(variant, gateway, small(run_seed=42),
-                             full if variant == VARIANT_CULTURE_ONLY
-                             else None)
+        return build_manifest(variant, gateway, small(run_seed=42),
+                              full if variant == VARIANT_CULTURE_ONLY
+                              else None)
 
     @pytest.mark.parametrize("variant", [VARIANT_CULTURE_ONLY,
                                          VARIANT_DIVERSITY_ONLY])
@@ -654,7 +655,7 @@ class TestFailureAttribution:
             self, full):
         gw = recording_gateway(batch_size=8, fail_on=2)
         with pytest.raises(BuildError) as err:
-            build_variant(VARIANT_CULTURE_ONLY, gw, small(run_seed=42), full)
+            build_manifest(VARIANT_CULTURE_ONLY, gw, small(run_seed=42), full)
         record_id = str(err.value).split(" failed for ")[1].split(":")[0]
         (record,) = [r for r in full.records if r.id == record_id]
         _, failed = gw.translator.sent[1]
@@ -666,17 +667,17 @@ class TestFailureAttribution:
     def test_rerun_sends_only_the_failed_request_and_later_ones(
             self, full, tmp_path):
         clean = recording_gateway(batch_size=8)
-        want = build_variant(VARIANT_CULTURE_ONLY, clean, small(run_seed=42),
-                             full)
+        want = build_manifest(VARIANT_CULTURE_ONLY, clean, small(run_seed=42),
+                              full)
         assert len(clean.translator.sent) > 3
         failing = recording_gateway(batch_size=8, cache_dir=tmp_path,
                                     fail_on=2)
         with pytest.raises(BuildError):
-            build_variant(VARIANT_CULTURE_ONLY, failing, small(run_seed=42),
-                          full)
+            build_manifest(VARIANT_CULTURE_ONLY, failing, small(run_seed=42),
+                           full)
         rerun = recording_gateway(batch_size=8, cache_dir=tmp_path)
-        assert build_variant(VARIANT_CULTURE_ONLY, rerun, small(run_seed=42),
-                             full) == want
+        assert build_manifest(VARIANT_CULTURE_ONLY, rerun, small(run_seed=42),
+                              full) == want
         assert rerun.translator.sent == clean.translator.sent[1:]
         assert rerun.paraphraser.sent == clean.paraphraser.sent
         assert rerun.stats.snapshot()["cache_hits"] == {"translate": 1}

@@ -29,11 +29,12 @@ from seedforge.errors import ParseError, ValidationError
 from seedforge.gateway import Gateway
 from seedforge.instructions import (GENERATION_TASKS, McQuestion,
                                     generate_for_context, shuffle_choices)
-from seedforge.pipeline import MANIFEST_FILE, build_variant, run_pipeline
+from seedforge.pipeline import MANIFEST_FILE, run_pipeline
 from seedforge.records import file_sha256
 from seedforge.stats import wilcoxon_rank_sum
 from seedforge.tokenizers import get_tokenizer
 
+from doubles import build_manifest
 from test_instructions import CORPUS, PARSERS, _assert_parse_shape, make_ctx
 
 SMALL = default_config(topics_cultural=8, topics_general=6, dataset_size=50,
@@ -330,8 +331,8 @@ def test_criterion_5_end_to_end_run(tmp_path):
 def test_criterion_6_variant_recipes(tmp_path):
     failures = []
     gw = Gateway.mock()
-    full = build_variant(VARIANT_FULL, gw, SMALL)
-    culture = build_variant(VARIANT_CULTURE_ONLY, gw, SMALL, full)
+    full = build_manifest(VARIANT_FULL, gw, SMALL)
+    culture = build_manifest(VARIANT_CULTURE_ONLY, gw, SMALL, full)
     if len(culture.records) != 50:
         failures.append(f"culture-only built {len(culture.records)} "
                         f"records from 10 samples, expected 50")
@@ -359,12 +360,12 @@ def test_criterion_6_variant_recipes(tmp_path):
         encoding="utf-8")
     variants = {
         "full": full,
-        "fluency_only": build_variant(VARIANT_FLUENCY_ONLY, Gateway.mock(),
-                                      SMALL),
-        "diversity_only": build_variant(VARIANT_DIVERSITY_ONLY,
-                                        Gateway.mock(), SMALL),
+        "fluency_only": build_manifest(VARIANT_FLUENCY_ONLY, Gateway.mock(),
+                                       SMALL),
+        "diversity_only": build_manifest(VARIANT_DIVERSITY_ONLY,
+                                         Gateway.mock(), SMALL),
         "culture_only": culture,
-        "no_properties": build_variant(
+        "no_properties": build_manifest(
             VARIANT_NO_PROPERTIES, gw, SMALL,
             load_external_corpus(str(corpus_path))),
     }

@@ -203,7 +203,8 @@ def defaulted_parameters(tree):
 
 def calls(tree):
     """name -> [(positional count, keywords, *args present)] for every
-    call in `tree`; **kwargs shows as the keyword None. A
+    call in `tree`; **kwargs shows as the keyword None, which names no
+    parameter. A
     `super().__init__(...)` call counts as a call of each base class
     named in the enclosing class statement."""
     found: dict = {}
@@ -229,8 +230,9 @@ def calls(tree):
 def unset_defaults(src_files, caller_files):
     """`file:line name(parameter)` for every defaulted parameter of a
     function in `src_files` that no call in `caller_files` passes, by
-    keyword, by position or through *args or **kwargs (the keyword
-    None)."""
+    keyword, by position or through *args. A **mapping sets no
+    parameter: a wrapper that forwards its **kwargs sets only what its
+    own callers pass by name."""
     index: dict = {}
     for path in caller_files:
         with open(path, encoding="utf-8") as handle:
@@ -244,7 +246,7 @@ def unset_defaults(src_files, caller_files):
         for name, param, position, line in defaulted_parameters(tree):
             if (base, name, param) in BINDING_DEFAULTS:
                 continue
-            if not any(param in keywords or None in keywords
+            if not any(param in keywords
                        or (position is not None
                            and (starred or count > position))
                        for count, keywords, starred in index.get(name, ())):
@@ -264,7 +266,7 @@ def test_unset_defaults_finds_a_planted_one(tmp_path):
     caller = tmp_path / "use.py"
     caller.write_text("f(0, c=1)\nf(*args)\ng(**kw)\nk.m(1)\n")
     assert unset_defaults([str(src)], [str(src), str(caller)]) == [
-        "m.py:1 f(d)", "m.py:8 K(y)"]
+        "m.py:1 f(d)", "m.py:4 g(e)", "m.py:8 K(y)"]
 
 
 def test_every_default_is_set_by_some_call():
@@ -289,7 +291,6 @@ TEST_ONLY_DEFAULTS = {
     "http.py MediaWikiClient(transport)": "test seam: fake HTTP",
     "__init__.py Gateway(clock)": "test seam: fake retry clock",
     "__init__.py Gateway(sleep)": "test seam: no real retry sleeps",
-    "__init__.py Gateway(jitter_rng)": "test seam: fixed retry jitter",
     "dedup.py _dedup_exact(block)": "small tiles for small tests",
     "dedup.py _dedup_exact(width)": "small tiles for small tests",
     "stats.py wilcoxon_rank_sum(method)":

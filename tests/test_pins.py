@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from seedforge import constants, records
+from seedforge import cli, constants, records
 from seedforge.cli import main
 from seedforge.config import load_config
 from seedforge.errors import ProviderError
@@ -74,6 +74,19 @@ ABLATE = {
     "none":
         "849cab40b0bd9759687147c3c7683d29c6681dd0dbfd36555cc76d60265aed71",
 }
+# The sha256 of each variant's `.meta.json`. `full`'s equals RUN_META.
+ABLATE_META = {
+    "full":
+        "a7754009255cb17ffd61d1547fc61141d5abae623dc03ee1651b02ab66830a78",
+    "fluency":
+        "8772405e5d40acaf2cacecbcbf06c4bcaccadd63710c006bbf2e36601e7801f7",
+    "diversity":
+        "7dbfc16e42b111c2053c81998d26a948ed83bfed090efaedde1a4a92cc93a266",
+    "culture":
+        "1bcee90d29a0cbee6515e93b2333b601a18b54ea2d8b7d6580e0f4f215ef0a4d",
+    "none":
+        "dfd07121a8d1419d974dfc31f9b0617e27bb6530621346cbc68bad76bd3479f4",
+}
 # `diversity` before its topics scaled with the size.
 DIVERSITY_AT_REFERENCE_SIZE = (
     "7e59f337d38c7f312af815a607f11c8a553de3b84c3a25fbc9925f60413ce1e8")
@@ -121,6 +134,7 @@ def built(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("seedforge.cli.build_gateway", capture)
+        patch.setattr("seedforge.pipeline.build_gateway", capture)
         for variant in ABLATE:
             out[variant] = str(root / f"{variant}.jsonl")
             argv = ablate_argv(conf, variant, out[variant])
@@ -343,10 +357,46 @@ def test_ablate_records(built, variant):
     assert file_sha256(out[variant]) == ABLATE[variant]
 
 
+@pytest.mark.parametrize("variant", list(ABLATE_META))
+def test_ablate_meta(built, variant):
+    _, out, _ = built
+    assert file_sha256(out[variant] + ".meta.json") == ABLATE_META[variant]
+
+
 @pytest.mark.parametrize("variant", list(ABLATE_CALLS))
 def test_ablate_provider_calls(built, variant):
     _, _, calls = built
     assert calls[variant] == ABLATE_CALLS[variant]
+
+
+@pytest.mark.parametrize("variant", ["fluency", "culture"])
+def test_ablate_stages_reach_a_stage_hook(tmp_path, monkeypatch, built,
+                                          variant):
+    """`cli.run_pipeline`, wrapped as the bench's tracer wraps it, sees
+    every stage of a generated variant's build, `topics-00` first and the
+    manifest last; `fluency` re-rolls without dedup. A sampled variant
+    runs no stage."""
+    conf = tmp_path / "pins.conf"
+    conf.write_text(CONF, encoding="utf-8")
+    executed = []
+    run_pipeline = cli.run_pipeline
+
+    def traced(config, workdir, stage_hook=None, **kwargs):
+        return run_pipeline(config, workdir, stage_hook=executed.append,
+                            **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", traced)
+    out = str(tmp_path / f"{variant}.jsonl")
+    argv = ablate_argv(conf, variant, out)
+    if variant == "culture":
+        argv += ["--source", built[1]["full"]]
+    assert main(argv) == 0
+    assert file_sha256(out) == ABLATE[variant]
+    if variant == "culture":
+        assert executed == []
+    else:
+        assert executed[0] == "topics-00" and executed[-1] == "manifest"
+        assert "dedup-00" not in executed and "contexts-01" in executed
 
 
 def test_diversity_at_the_reference_size_is_unmoved(tmp_path, monkeypatch):

@@ -202,11 +202,12 @@ class TestRunPipeline:
         assert (file_sha256(manifest_path(tmp_path / "a"))
                 == file_sha256(manifest_path(tmp_path / "b")))
 
-    def test_unreachable_size_reports_achieved(self, tmp_path):
+    def test_unreachable_size_reports_achieved(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_EPOCHS", 0)
         hopeless = default_config(topics_cultural=1, topics_general=1,
                                   dataset_size=100)
         with pytest.raises(BuildError) as err:
-            run_pipeline(hopeless, str(tmp_path), max_epochs=0)
+            run_pipeline(hopeless, str(tmp_path))
         assert 0 < err.value.achieved < 100
 
     def test_stage_failures_name_the_stage(self, tmp_path, monkeypatch):
@@ -780,11 +781,12 @@ class TestWorkdirLock:
             with pytest.raises(LockError, match="live process"):
                 run_pipeline(SMALL, str(tmp_path))
 
-    def test_released_after_a_build_error(self, tmp_path):
+    def test_released_after_a_build_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_EPOCHS", 0)
         hopeless = default_config(topics_cultural=1, topics_general=1,
                                   dataset_size=100)
         with pytest.raises(BuildError):
-            run_pipeline(hopeless, str(tmp_path), max_epochs=0)
+            run_pipeline(hopeless, str(tmp_path))
         with WorkdirLock(str(tmp_path)):
             pass
 
